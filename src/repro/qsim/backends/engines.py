@@ -99,7 +99,7 @@ def _wrap(
         statevector=engine_result.statevector,
         density_matrix=engine_result.density_matrix,
         memory=engine_result.memory,
-        metadata=metadata,
+        metadata=dict(metadata),
     )
 
 
@@ -279,7 +279,8 @@ class DensityMatrixBackend(Backend):
     """Exact density-matrix execution behind the unified backend API.
 
     ``gate_noise`` maps gate arity (1 or 2) to single-qubit Kraus operators,
-    exactly as on :class:`DensityMatrixSimulator`.
+    exactly as on :class:`DensityMatrixSimulator`, whose run metadata
+    (``method``, ``branches``) also tags the run span.
     """
 
     name = "density_matrix"
@@ -308,14 +309,12 @@ class DensityMatrixBackend(Backend):
             raise BackendError(f"unknown run options {sorted(options)} for {self.name!r}")
         started = time.perf_counter()
         with _run_span(self.name, circuit, shots) as sp:
-            if seed is None:
-                engine = self._engine
-            else:
-                engine = DensityMatrixSimulator(seed=seed, gate_noise=self._engine.gate_noise)
+            engine = self._engine
+            if seed is not None:
+                engine = DensityMatrixSimulator(seed=seed, gate_noise=engine.gate_noise)
             engine_result = engine.run(circuit, shots=shots, memory=memory)
-            method = "sampled" if measurements_are_final(circuit) else "per_shot"
-            sp.tag(method=method)
-            return _wrap(circuit, engine_result, shots, seed, started, {"method": method})
+            sp.tag(**engine_result.metadata)
+            return _wrap(circuit, engine_result, shots, seed, started, engine_result.metadata)
 
 
 class StabilizerBackend(Backend):
@@ -392,9 +391,8 @@ class StabilizerBackend(Backend):
                 engine_result = engine.run(circuit, shots=shots, memory=memory)
             except SimulationError as exc:
                 raise BackendError(str(exc)) from exc
-            method = "stabilizer" if engine.noise_model is None else "stabilizer_noisy"
-            sp.tag(method=method)
-            return _wrap(circuit, engine_result, shots, seed, started, {"method": method})
+            sp.tag(**engine_result.metadata)
+            return _wrap(circuit, engine_result, shots, seed, started, engine_result.metadata)
 
 
 def build_noisy_backend(

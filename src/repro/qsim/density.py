@@ -7,21 +7,25 @@ channels, plus a :class:`DensityMatrixSimulator` able to run the same
 :class:`~repro.qsim.circuit.QuantumCircuit` objects as the statevector
 engine.  It is the substrate for the noise-robustness ablations and for
 verifying the trajectory models against their exact channels.
+
+``rho`` is stored as a ``2^n x 2^n`` matrix whose flattening is a
+``2n``-qubit vector with row qubit ``t`` at bit ``t + n``, so the gate
+kernels of :mod:`repro.qsim.kernels` act on it directly; a Kraus channel is
+one superoperator ``sum_k K (x) K*`` on the row and column bits together.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 import numpy as np
 
-from . import gates
+from . import gates, kernels
 from .circuit import CircuitInstruction, QuantumCircuit
 from .exceptions import SimulationError
-from .instruction import Barrier, Initialize, Measure, Reset
-from .ops import get_ops
-from .simulator import Result, condition_met, format_bits, measurements_are_final
+from .instruction import Barrier, Initialize, Instruction, Measure, Reset
+from .simulator import Result, condition_met, format_bits, sample_final
 from .statevector import Statevector
 
 __all__ = [
@@ -115,6 +119,11 @@ def _validate_gate_noise(
     return validated
 
 
+def _superoperator(kraus_operators: Iterable[np.ndarray]) -> np.ndarray:
+    """``sum_k K (x) K*``: the channel on (row qubits, column qubits)."""
+    return sum(np.kron(kraus, kraus.conj()) for kraus in kraus_operators)
+
+
 # ---------------------------------------------------------------------------
 # Density matrix
 # ---------------------------------------------------------------------------
@@ -123,7 +132,8 @@ class DensityMatrix:
     """An ``n``-qubit mixed state stored as a dense ``2^n x 2^n`` matrix."""
 
     def __init__(self, data: np.ndarray, validate: bool = True):
-        matrix = np.asarray(data, dtype=complex)
+        # own a C-ordered buffer: evolution writes into it in place
+        matrix = np.array(data, dtype=complex, order="C")
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise SimulationError("density matrix must be square")
         n = int(round(math.log2(matrix.shape[0])))
@@ -143,101 +153,104 @@ class DensityMatrix:
 
     @classmethod
     def zero_state(cls, num_qubits: int) -> "DensityMatrix":
-        dim = 2**num_qubits
-        matrix = np.zeros((dim, dim), dtype=complex)
+        matrix = np.zeros((2**num_qubits, 2**num_qubits), dtype=complex)
         matrix[0, 0] = 1.0
-        dm = cls.__new__(cls)
-        dm.data = matrix
-        dm.num_qubits = num_qubits
-        return dm
+        return cls(matrix, validate=False)
 
     @classmethod
     def from_statevector(cls, state: Statevector) -> "DensityMatrix":
-        data = np.outer(state.data, state.data.conj())
-        dm = cls.__new__(cls)
-        dm.data = data
-        dm.num_qubits = state.num_qubits
-        return dm
+        return cls(np.outer(state.data, state.data.conj()), validate=False)
 
     @classmethod
     def maximally_mixed(cls, num_qubits: int) -> "DensityMatrix":
-        dim = 2**num_qubits
-        dm = cls.__new__(cls)
-        dm.data = np.eye(dim, dtype=complex) / dim
-        dm.num_qubits = num_qubits
-        return dm
+        return cls(np.eye(2**num_qubits, dtype=complex) / 2**num_qubits, validate=False)
 
     def copy(self) -> "DensityMatrix":
-        dm = DensityMatrix.__new__(DensityMatrix)
-        dm.data = self.data.copy()
-        dm.num_qubits = self.num_qubits
-        return dm
+        return DensityMatrix(self.data, validate=False)
 
     # -- evolution ---------------------------------------------------------------
 
-    def _expand_operator(self, matrix: np.ndarray, targets: Sequence[int]) -> np.ndarray:
-        """Embed a k-qubit operator acting on *targets* into the full space."""
-        targets = list(targets)
-        k = len(targets)
-        n = self.num_qubits
-        if matrix.shape != (2**k, 2**k):
+    def _apply_flat(
+        self, qubits: Sequence[int], matrix=None, operation: Optional[Instruction] = None
+    ) -> None:
+        """Apply *operation* (through the kernel dispatcher) or *matrix* to
+        *qubits* of the flattened ``2n``-qubit vector, in place."""
+        self.data = np.ascontiguousarray(self.data)
+        vector = Statevector.__new__(Statevector)  # a view: the kernels write into rho
+        vector.data, vector.num_qubits = self.data.reshape(-1), 2 * self.num_qubits
+        if operation is not None:
+            if kernels.apply_instruction(vector, operation, qubits):
+                return
+            matrix = operation.to_matrix()
+        flat = kernels.dense_apply(vector.data, vector.num_qubits, matrix, qubits)
+        self.data = flat.reshape(self.data.shape)
+
+    def _sandwich(
+        self, targets: Sequence[int], matrix=None, operation: Optional[Instruction] = None
+    ) -> None:
+        """``rho <- U rho U^dagger`` as ``U (U rho)^dagger``, for Hermitian ``rho``."""
+        rows = [t + self.num_qubits for t in targets]
+        self._apply_flat(rows, matrix, operation)
+        adjoint = np.empty_like(self.data)
+        np.conjugate(self.data.T, out=adjoint)
+        self.data = adjoint
+        self._apply_flat(rows, matrix, operation)
+
+    def _apply_channel(self, superoperator: np.ndarray, targets: Sequence[int]) -> None:
+        self._apply_flat([t + self.num_qubits for t in targets] + list(targets), superoperator)
+
+    def _check_operator(self, matrix: np.ndarray, targets: Sequence[int]) -> np.ndarray:
+        matrix = np.asarray(matrix, dtype=complex)
+        if matrix.shape != (2 ** len(targets),) * 2:
             raise SimulationError("operator shape does not match target count")
-        # build the full operator by permuting a kron product; index bit q of
-        # the full space corresponds to qubit q (little-endian).
-        full = np.zeros((2**n, 2**n), dtype=complex)
-        for col in range(2**n):
-            # operator column index: targets[0] is the most significant bit,
-            # matching the gate-matrix convention of repro.qsim.gates
-            op_col = 0
-            for q in targets:
-                op_col = (op_col << 1) | ((col >> q) & 1)
-            for op_row in range(2**k):
-                amplitude = matrix[op_row, op_col]
-                if abs(amplitude) < 1e-16:
-                    continue
-                row = col
-                for pos, q in enumerate(targets):
-                    bit = (op_row >> (k - 1 - pos)) & 1
-                    row = (row & ~(1 << q)) | (bit << q)
-                full[row, col] += amplitude
-        return full
+        return matrix
 
     def apply_unitary(self, matrix: np.ndarray, targets: Sequence[int]) -> None:
         """Apply a unitary to *targets*: ``rho <- U rho U^dagger``."""
-        ops = get_ops()
-        full = self._expand_operator(np.asarray(matrix, dtype=complex), targets)
-        self.data = ops.matmul(ops.matmul(full, self.data), full.conj().T)
+        self._sandwich(list(targets), self._check_operator(matrix, targets))
 
     def apply_kraus(self, kraus_operators: Iterable[np.ndarray], targets: Sequence[int]) -> None:
         """Apply a quantum channel given by its Kraus operators to *targets*."""
-        ops = get_ops()
-        result = np.zeros_like(self.data)
-        for kraus in kraus_operators:
-            full = self._expand_operator(np.asarray(kraus, dtype=complex), targets)
-            result += ops.matmul(ops.matmul(full, self.data), full.conj().T)
-        self.data = result
+        operators = [self._check_operator(kraus, targets) for kraus in kraus_operators]
+        self._apply_channel(_superoperator(operators), targets)
+
+    def reset_qubit(self, qubit: int) -> None:
+        """The exact reset channel ``P0 rho P0 + X P1 rho P1 X`` on *qubit*."""
+        blocks = self._qubit_blocks(qubit)
+        blocks[:, 0, :, :, 0] += blocks[:, 1, :, :, 1]
+        blocks[:, 1] = 0.0
+        blocks[:, 0, :, :, 1] = 0.0
 
     # -- measurement ----------------------------------------------------------------
 
+    def _qubit_blocks(self, qubit: int) -> np.ndarray:
+        """A view of ``rho`` as ``(high, row bit, low, high, column bit, low)``."""
+        self.data = np.ascontiguousarray(self.data)
+        high, low = 2 ** (self.num_qubits - 1 - qubit), 2**qubit
+        return self.data.reshape(high, 2, low, high, 2, low)
+
     def probabilities(self, targets: Optional[Sequence[int]] = None) -> np.ndarray:
         """Marginal Z-basis outcome probabilities for *targets* (little-endian)."""
-        diag = np.real(np.diag(self.data)).clip(min=0.0)
         n = self.num_qubits
-        if targets is None:
-            targets = list(range(n))
-        targets = list(targets)
-        probs = np.zeros(2 ** len(targets))
-        for index, p in enumerate(diag):
-            if p == 0.0:
-                continue
-            value = 0
-            for pos, q in enumerate(targets):
-                value |= ((index >> q) & 1) << pos
-            probs[value] += p
+        targets = list(range(n)) if targets is None else list(targets)
+        diag = np.real(np.diagonal(self.data)).clip(min=0.0).reshape((2,) * n)
+        # targets[0] is the last front axis: the least significant bit
+        probs = np.moveaxis(diag, [n - 1 - t for t in reversed(targets)], range(len(targets)))
+        probs = probs.reshape(2 ** len(targets), -1).sum(axis=1)
         total = probs.sum()
-        if total > 0:
-            probs = probs / total
-        return probs
+        return probs / total if total > 0 else probs
+
+    def project(self, targets: Sequence[int], outcome: int) -> None:
+        """Project *targets* onto the little-endian *outcome* and renormalise."""
+        for position, qubit in enumerate(targets):
+            drop = 1 - ((outcome >> position) & 1)
+            blocks = self._qubit_blocks(qubit)
+            blocks[:, drop] = 0.0
+            blocks[:, :, :, :, drop] = 0.0
+        trace = np.real(np.trace(self.data))
+        if trace < 1e-15:
+            raise SimulationError("measurement projected onto a zero-probability outcome")
+        self.data /= trace
 
     def measure(self, targets: Sequence[int], rng: Optional[np.random.Generator] = None) -> int:
         """Projectively measure *targets* and collapse the state."""
@@ -246,18 +259,7 @@ class DensityMatrix:
             rng = np.random.default_rng()  # invariant: allow -- explicit no-rng fallback
         probs = self.probabilities(targets)
         outcome = int(rng.choice(probs.size, p=probs))
-        projector_diag = np.ones(2**self.num_qubits)
-        for index in range(2**self.num_qubits):
-            for pos, q in enumerate(targets):
-                if ((index >> q) & 1) != ((outcome >> pos) & 1):
-                    projector_diag[index] = 0.0
-                    break
-        projector = np.diag(projector_diag).astype(complex)
-        self.data = projector @ self.data @ projector
-        trace = np.trace(self.data)
-        if abs(trace) < 1e-15:
-            raise SimulationError("measurement projected onto a zero-probability outcome")
-        self.data /= trace
+        self.project(targets, outcome)
         return outcome
 
     # -- analysis --------------------------------------------------------------------
@@ -285,6 +287,23 @@ class DensityMatrix:
 # Simulator
 # ---------------------------------------------------------------------------
 
+def deferred_measurements(circuit: QuantumCircuit) -> Set[int]:
+    """Positions of the measurements that may be sampled after the circuit ends:
+    no later instruction touches their qubit, writes their clbit or carries a
+    condition (and they carry none)."""
+    deferred, touched, written, conditioned = set(), set(), set(), False
+    for position in range(len(circuit.data) - 1, -1, -1):
+        instr = circuit.data[position]
+        conditioned = conditioned or instr.condition is not None
+        if isinstance(instr.operation, Measure):
+            if not (conditioned or instr.qubits[0] in touched or instr.clbits[0] in written):
+                deferred.add(position)
+            written.update(instr.clbits)
+        if not isinstance(instr.operation, Barrier):
+            touched.update(instr.qubits)
+    return deferred
+
+
 class DensityMatrixSimulator:
     """Runs :class:`QuantumCircuit` objects on a density matrix.
 
@@ -305,28 +324,15 @@ class DensityMatrixSimulator:
     ):
         self._rng = np.random.default_rng(seed)
         self.gate_noise = _validate_gate_noise(gate_noise) if gate_noise else {}
+        self._channels = {arity: _superoperator(k) for arity, k in self.gate_noise.items()}
 
     def evolve(self, circuit: QuantumCircuit, initial: Optional[DensityMatrix] = None) -> DensityMatrix:
         """Return the density matrix after running *circuit* (measurements collapse)."""
         if initial is None:
-            state = DensityMatrix.zero_state(circuit.num_qubits)
-        else:
-            if initial.num_qubits != circuit.num_qubits:
-                raise SimulationError("initial state size does not match circuit")
-            state = initial.copy()
-        bits: Dict[int, int] = {}
-        for instr in circuit.data:
-            op = instr.operation
-            if not condition_met(circuit, instr.condition, bits):
-                continue
-            if isinstance(op, Measure):
-                outcome = state.measure(
-                    [circuit.qubit_index(q) for q in instr.qubits], rng=self._rng
-                )
-                if instr.clbits:
-                    bits[circuit.clbit_index(instr.clbits[0])] = outcome & 1
-                continue
-            state = self._apply(state, circuit, instr)
+            initial = DensityMatrix.zero_state(circuit.num_qubits)
+        elif initial.num_qubits != circuit.num_qubits:
+            raise SimulationError("initial state size does not match circuit")
+        ((_, _, state),) = self._walk(circuit, 1, self._rng, set(), initial.copy())
         return state
 
     def run(
@@ -338,24 +344,76 @@ class DensityMatrixSimulator:
     ) -> Result:
         """Execute *circuit* for *shots* shots and return a :class:`Result`.
 
-        The result has exactly the shape of the statevector engine's: counts
-        keyed by MSB-first classical-register bitstrings, optional per-shot
-        ``memory``, and (on the sampled fast path) the pre-measurement
-        ``density_matrix``.  *seed* overrides the constructor RNG for this
-        call only, leaving the simulator's own stream untouched.
+        One walk over shot-weighted branches (:meth:`_walk`), each leaf
+        sampling its deferred measurements with one multinomial: a
+        final-measurement circuit is one branch and one draw.  ``metadata``
+        reads ``method`` ``sampled`` or ``branched`` (plus ``branches``).
+        *seed* overrides the constructor RNG for this call only.
         """
         if shots <= 0:
             raise SimulationError("shots must be positive")
         rng = self._rng if seed is None else np.random.default_rng(seed)
-        previous_rng, self._rng = self._rng, rng
-        try:
-            if measurements_are_final(circuit):
-                return self._run_sampled(circuit, shots, memory)
-            return self._run_per_shot(circuit, shots, memory)
-        finally:
-            self._rng = previous_rng
+        deferred = deferred_measurements(circuit)
+        final = [
+            (circuit.qubit_index(i.qubits[0]), circuit.clbit_index(i.clbits[0]))
+            for i in (circuit.data[p] for p in sorted(deferred))
+        ]
+        counts: Dict[str, int] = {}
+        shot_values: List[str] = []
+        branches = 0
+        initial = DensityMatrix.zero_state(circuit.num_qubits)
+        for bits, count, state in self._walk(circuit, shots, rng, deferred, initial):
+            branches += 1
+            if final:
+                probs = state.probabilities([qubit for qubit, _ in final])
+                leaf = sample_final(probs, count, final, bits, circuit.num_clbits, rng)
+            else:
+                leaf = [(format_bits(bits, circuit.num_clbits), count)] if bits else []
+            for key, hits in leaf:
+                counts[key] = counts.get(key, 0) + hits
+                if memory:
+                    shot_values.extend([key] * hits)
+        if memory:
+            rng.shuffle(shot_values)
+        metadata: Dict[str, object] = {"method": "sampled"}
+        if len(final) < sum(isinstance(i.operation, Measure) for i in circuit.data):
+            metadata = {"method": "branched", "branches": branches}
+        return Result(
+            counts=counts,
+            shots=shots,
+            density_matrix=state if branches == 1 else None,
+            memory=shot_values if memory else None,
+            metadata=metadata,
+        )
 
     # -- internals ---------------------------------------------------------------
+
+    def _walk(self, circuit, shots, rng, deferred, state):
+        """Yield ``(clbit values, shot count, rho)`` per leaf, depth first: a
+        measurement not in *deferred* splits a branch's shots by a binomial
+        draw into projected children; a condition applies where it holds."""
+        stack = [(0, {}, shots, state)]
+        while stack:
+            start, bits, count, state = stack.pop()
+            for position in range(start, len(circuit.data)):
+                instr = circuit.data[position]
+                if position in deferred or not condition_met(circuit, instr.condition, bits):
+                    continue
+                if not isinstance(instr.operation, Measure):
+                    state = self._apply(state, circuit, instr)
+                    continue
+                qubit = circuit.qubit_index(instr.qubits[0])
+                clbit = circuit.clbit_index(instr.clbits[0])
+                ones = int(rng.binomial(count, min(1.0, state.probabilities([qubit])[1])))
+                outcome = int(ones == count)
+                if 0 < ones < count:
+                    child = state.copy()
+                    child.project([qubit], 1)
+                    stack.append((position + 1, {**bits, clbit: 1}, ones, child))
+                    count -= ones
+                state.project([qubit], outcome)
+                bits = {**bits, clbit: outcome}
+            yield bits, count, state
 
     def _apply(
         self, state: DensityMatrix, circuit: QuantumCircuit, instr: CircuitInstruction
@@ -366,9 +424,7 @@ class DensityMatrixSimulator:
         if isinstance(op, Barrier):
             return state
         if isinstance(op, Reset):
-            outcome = state.measure(targets, rng=self._rng)
-            if outcome:
-                state.apply_unitary(gates.X, targets)
+            state.reset_qubit(targets[0])
             return state
         if isinstance(op, Initialize):
             # mirror the statevector engine's contract (targets must be in
@@ -383,79 +439,9 @@ class DensityMatrixSimulator:
             return DensityMatrix.from_statevector(pure)
         if not op.is_unitary:
             raise SimulationError(f"cannot simulate instruction {op.name!r}")
-        state.apply_unitary(op.to_matrix(), targets)
-        noise = self.gate_noise.get(min(len(targets), 2))
-        if noise:
+        state._sandwich(targets, operation=op)
+        channel = self._channels.get(min(len(targets), 2))
+        if channel is not None:
             for qubit in targets:
-                state.apply_kraus(noise, [qubit])
+                state._apply_channel(channel, [qubit])
         return state
-
-    def _run_sampled(self, circuit: QuantumCircuit, shots: int, memory: bool) -> Result:
-        # mirror of StatevectorSimulator._run_sampled so that both engines
-        # produce identically formatted (and, noiselessly, identical) counts
-        state = DensityMatrix.zero_state(circuit.num_qubits)
-        measure_map: List[tuple] = []  # (qubit index, clbit index)
-        for instr in circuit.data:
-            if isinstance(instr.operation, Measure):
-                measure_map.append(
-                    (circuit.qubit_index(instr.qubits[0]), circuit.clbit_index(instr.clbits[0]))
-                )
-                continue
-            state = self._apply(state, circuit, instr)
-
-        num_clbits = circuit.num_clbits
-        if not measure_map:
-            return Result(
-                counts={}, shots=shots, density_matrix=state, memory=[] if memory else None
-            )
-        qubits = [q for q, _ in measure_map]
-        probs = state.probabilities(qubits)
-        sampled = self._rng.multinomial(shots, probs / probs.sum())
-        counts: Dict[str, int] = {}
-        shot_values: List[str] = []
-        for value, count in enumerate(sampled):
-            if not count:
-                continue
-            bits = {}
-            for position, (_, clbit) in enumerate(measure_map):
-                bits[clbit] = (value >> position) & 1
-            key = format_bits(bits, num_clbits)
-            counts[key] = counts.get(key, 0) + int(count)
-            if memory:
-                shot_values.extend([key] * int(count))
-        if memory:
-            self._rng.shuffle(shot_values)
-        return Result(
-            counts=counts,
-            shots=shots,
-            density_matrix=state,
-            memory=shot_values if memory else None,
-        )
-
-    def _run_per_shot(self, circuit: QuantumCircuit, shots: int, memory: bool) -> Result:
-        counts: Dict[str, int] = {}
-        shot_values: List[str] = []
-        num_clbits = circuit.num_clbits
-        for _ in range(shots):
-            state = DensityMatrix.zero_state(circuit.num_qubits)
-            bits: Dict[int, int] = {}
-            for instr in circuit.data:
-                if not condition_met(circuit, instr.condition, bits):
-                    continue
-                if isinstance(instr.operation, Measure):
-                    qubit = circuit.qubit_index(instr.qubits[0])
-                    clbit = circuit.clbit_index(instr.clbits[0])
-                    bits[clbit] = state.measure([qubit], rng=self._rng)
-                    continue
-                state = self._apply(state, circuit, instr)
-            key = format_bits(bits, num_clbits) if bits else ""
-            if key:
-                counts[key] = counts.get(key, 0) + 1
-                if memory:
-                    shot_values.append(key)
-        return Result(
-            counts=counts,
-            shots=shots,
-            density_matrix=None,
-            memory=shot_values if memory else None,
-        )

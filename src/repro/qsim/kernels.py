@@ -21,8 +21,8 @@ gate costs at most one vectorised pass over the statevector and no transpose:
 :func:`apply_instruction` / :func:`apply_named_gate` are the dispatch layer:
 they inspect an instruction (or gate name) and route it to the cheapest
 kernel, returning ``False`` when only the generic path can handle it.  The
-statevector simulator, the language's circuit handler and the benchmarks all
-dispatch through here.
+statevector and density-matrix engines, the language's circuit handler and
+the benchmarks all dispatch through here.
 
 Every kernel takes an optional ``ops`` argument -- an
 :class:`~repro.qsim.ops.ArrayOps` backend from the pluggable array-ops

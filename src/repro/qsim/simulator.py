@@ -24,7 +24,7 @@ single pass over the state.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,6 +43,7 @@ __all__ = [
     "measurements_are_final",
     "condition_met",
     "format_bits",
+    "sample_final",
 ]
 
 #: fusion budget used by the simulator; one notch above the fusion pass's
@@ -108,6 +109,27 @@ def format_bits(bits: Dict[int, int], num_clbits: int) -> str:
     return "".join(chars)
 
 
+def sample_final(
+    probs: np.ndarray,
+    shots: int,
+    final: Sequence[Tuple[int, int]],
+    bits: Dict[int, int],
+    num_clbits: int,
+    rng: np.random.Generator,
+) -> List[Tuple[str, int]]:
+    """``(bitstring, hits)`` per outcome of one multinomial over the joint
+    *probs* of the *final* ``(qubit, clbit)`` measurements; other clbits
+    read as in *bits*.  The dense engines' one sampling routine."""
+    pairs = []
+    for value, hits in enumerate(rng.multinomial(shots, probs / probs.sum())):
+        if hits:
+            values = dict(bits)
+            for position, (_, clbit) in enumerate(final):
+                values[clbit] = (value >> position) & 1
+            pairs.append((format_bits(values, num_clbits), int(hits)))
+    return pairs
+
+
 @dataclass
 class Result:
     """Outcome of a simulation run.
@@ -118,9 +140,11 @@ class Result:
         shots: number of shots sampled.
         statevector: final pre-measurement statevector when available (fast
             path only; ``None`` when per-shot collapse was required).
-        density_matrix: final pre-measurement density matrix when the run
-            came from the density-matrix engine's sampled path.
+        density_matrix: final pre-measurement density matrix when every
+            shot of a density-matrix run followed one branch.
         memory: per-shot bitstrings when ``memory=True`` was requested.
+        metadata: how the engine computed the counts (``method`` and, where
+            the engine reports them, ``branches`` or ``fallback_reason``).
     """
 
     counts: Dict[str, int]
@@ -128,6 +152,7 @@ class Result:
     statevector: Optional[Statevector] = None
     density_matrix: Optional["object"] = None
     memory: Optional[List[str]] = None
+    metadata: Dict[str, Any] = field(default_factory=dict)
 
     def most_frequent(self) -> str:
         """The most frequently observed bitstring."""
@@ -197,7 +222,7 @@ class StatevectorSimulator:
         rng = self._rng if seed is None else np.random.default_rng(seed)
         previous_rng, self._rng = self._rng, rng
         try:
-            if self.noise_model is not None or not self._measurements_are_final(circuit):
+            if self.noise_model is not None or not measurements_are_final(circuit):
                 return self._run_per_shot(circuit, shots, memory, initial_state)
             return self._run_sampled(circuit, shots, memory, initial_state)
         finally:
@@ -262,10 +287,6 @@ class StatevectorSimulator:
             return circuit
         return fuse_gates(circuit, self.max_fused_qubits)
 
-    @staticmethod
-    def _measurements_are_final(circuit: QuantumCircuit) -> bool:
-        return measurements_are_final(circuit)
-
     def _initial_state(
         self, circuit: QuantumCircuit, initial_state: Optional[Statevector]
     ) -> Statevector:
@@ -294,12 +315,6 @@ class StatevectorSimulator:
             return
         raise SimulationError(f"cannot simulate instruction {op.name!r}")
 
-    def _clbit_positions(self, circuit: QuantumCircuit) -> int:
-        return max(circuit.num_clbits, 1)
-
-    def _format_bits(self, bits: Dict[int, int], num_clbits: int) -> str:
-        return format_bits(bits, num_clbits)
-
     def _run_sampled(
         self,
         circuit: QuantumCircuit,
@@ -318,25 +333,16 @@ class StatevectorSimulator:
                 continue
             self._apply(state, circuit, instr)
 
-        num_clbits = circuit.num_clbits
         if not measure_map:
             return Result(counts={}, shots=shots, statevector=state, memory=[] if memory else None)
 
-        qubits = [q for q, _ in measure_map]
-        probs = state.probabilities(qubits)
-        sampled = self._rng.multinomial(shots, probs / probs.sum())
+        probs = state.probabilities([q for q, _ in measure_map])
         counts: Dict[str, int] = {}
         shot_values: List[str] = []
-        for value, count in enumerate(sampled):
-            if not count:
-                continue
-            bits = {}
-            for position, (_, clbit) in enumerate(measure_map):
-                bits[clbit] = (value >> position) & 1
-            key = self._format_bits(bits, num_clbits)
-            counts[key] = counts.get(key, 0) + int(count)
+        for key, hits in sample_final(probs, shots, measure_map, {}, circuit.num_clbits, self._rng):
+            counts[key] = counts.get(key, 0) + hits
             if memory:
-                shot_values.extend([key] * int(count))
+                shot_values.extend([key] * hits)
         if memory:
             self._rng.shuffle(shot_values)
         return Result(
@@ -369,7 +375,7 @@ class StatevectorSimulator:
                     bits[clbit] = state.measure([qubit], rng=self._rng)
                     continue
                 self._apply(state, circuit, instr)
-            key = self._format_bits(bits, num_clbits) if bits else ""
+            key = format_bits(bits, num_clbits) if bits else ""
             if key:
                 counts[key] = counts.get(key, 0) + 1
                 if memory:

@@ -676,7 +676,8 @@ class StabilizerSimulator:
         *seed* overrides the constructor RNG for this call only, leaving the
         simulator's own stream untouched (same contract as the dense
         engines).  Counts are keyed by MSB-first classical-register
-        bitstrings, identical to every other engine.
+        bitstrings, identical to every other engine.  ``metadata`` names the
+        method, with a ``fallback_reason`` when every shot re-evolved.
         """
         if shots <= 0:
             raise SimulationError("shots must be positive")
@@ -690,17 +691,22 @@ class StabilizerSimulator:
             touches = sum(len(targets) for kind, _, targets, _ in ops if kind == "noise")
             noise_columns = per_qubit * touches
         capacity = max_events + noise_columns
+        method = "stabilizer" if encoding is None else "stabilizer_noisy"
+        reason = None
         if any(condition is not None for _, _, _, condition in ops):
             # a classical condition reads concrete clbit values mid-circuit,
-            # which the symbolic phase frame cannot branch on: fall back to
-            # re-evolving a concrete tableau per shot (works noiselessly too)
-            return self._run_per_shot(
+            # which the symbolic phase frame cannot branch on (noiseless too)
+            reason = "classically-conditioned instruction"
+        elif encoding is not None and self._use_per_shot(circuit.num_qubits, capacity):
+            reason = "noise_method='per_shot'" if self.noise_method == "per_shot" else (
+                "symbolic phase frame over MAX_SYMBOLIC_PHASE_CELLS (see docs/noise.md)"
+            )
+        if reason is not None:
+            result = self._run_per_shot(
                 ops, circuit.num_qubits, circuit.num_clbits, shots, memory, rng, encoding
             )
-        if encoding is not None and self._use_per_shot(circuit.num_qubits, capacity):
-            return self._run_per_shot(
-                ops, circuit.num_qubits, circuit.num_clbits, shots, memory, rng, encoding
-            )
+            result.metadata = {"method": method + "_per_shot", "fallback_reason": reason}
+            return result
 
         tableau = StabilizerTableau(circuit.num_qubits, max_symbols=capacity)
         recorded: List[Tuple[int, np.ndarray]] = []
@@ -725,9 +731,12 @@ class StabilizerSimulator:
                 if tableau._num_symbols > before:
                     specs.append(("uniform", None))
         if not recorded:
-            return Result(counts={}, shots=shots, memory=[] if memory else None)
-        outcomes = self._sample_outcomes(recorded, specs, shots, rng)
-        return self._tally(outcomes, recorded, circuit.num_clbits, shots, memory)
+            result = Result(counts={}, shots=shots, memory=[] if memory else None)
+        else:
+            outcomes = self._sample_outcomes(recorded, specs, shots, rng)
+            result = self._tally(outcomes, recorded, circuit.num_clbits, shots, memory)
+        result.metadata = {"method": method}
+        return result
 
     def evolve(
         self, circuit: QuantumCircuit, collapse_measurements: bool = False

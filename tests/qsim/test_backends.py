@@ -285,9 +285,10 @@ class TestDensityBackend:
         correlated = counts.get("00", 0) + counts.get("11", 0)
         assert 0.6 < correlated / 2000 < 0.98  # noise visibly degrades the Bell pair
 
-    def test_mid_circuit_measurement_per_shot(self):
+    def test_mid_circuit_measurement_branched(self):
         result = get_backend("density_matrix").run(midcircuit_circuit(), shots=60, seed=2).result()
-        assert result[0].metadata["method"] == "per_shot"
+        assert result[0].metadata["method"] == "branched"
+        assert result[0].metadata["branches"] == 2
         assert sum(result[0].counts.values()) == 60
         assert set(result[0].counts) <= {"01", "10"}
 

@@ -417,6 +417,30 @@ class TestStabilizerBackend:
         assert experiment.metadata["method"] == "stabilizer"
         assert all(len(key) == 2 for key in experiment.counts)
 
+    def test_per_shot_fallback_is_labelled(self):
+        from repro.qsim.noise import DepolarizingNoise
+
+        conditioned = QuantumCircuit(2, 2)
+        conditioned.h(0).measure(0, 0)
+        conditioned.x(1).c_if(conditioned.cregs[0], 1)
+        conditioned.measure(1, 1)
+        metadata = get_backend("stabilizer").run(conditioned, shots=20, seed=3).result()[0].metadata
+        assert metadata == {
+            "method": "stabilizer_per_shot",
+            "fallback_reason": "classically-conditioned instruction",
+        }
+        bell = QuantumCircuit(2, 2)
+        bell.h(0).cx(0, 1)
+        bell.measure([0, 1], [0, 1])
+        for noise_method, method in (("per_shot", "stabilizer_noisy_per_shot"),
+                                     ("auto", "stabilizer_noisy")):
+            backend = get_backend(
+                "stabilizer", noise_model=DepolarizingNoise(0.01), noise_method=noise_method
+            )
+            metadata = backend.run(bell, shots=20, seed=3).result()[0].metadata
+            assert metadata["method"] == method
+            assert ("fallback_reason" in metadata) == (noise_method == "per_shot")
+
     def test_batch_seeding_semantics(self):
         # batch entry i runs with seed + i, independently reproducible
         circuits = [random_clifford_circuit(4, 20, seed=s) for s in range(3)]

@@ -342,6 +342,32 @@ class TestInstrumentationEndToEnd:
         assert snap["counters"]["engine.statevector.shots"] == 32
         assert snap["histograms"]["engine.run.seconds"]["count"] == 1
 
+    def test_engine_span_tags_report_method_branches_and_fallback(self):
+        from repro.qsim import QuantumCircuit, get_backend
+
+        qc = QuantumCircuit(2, 2)
+        qc.h(0).measure(0, 0)
+        qc.x(1).c_if(qc.cregs[0], 1)
+        qc.measure(1, 1)
+        get_backend("density_matrix").run(qc, shots=200, seed=5).result()
+        get_backend("stabilizer").run(qc, shots=20, seed=5).result()
+
+        def find(spans, name):
+            for sp in spans:
+                if sp.name == name:
+                    return sp
+                found = find(sp.children, name)
+                if found is not None:
+                    return found
+            return None
+
+        spans = telemetry.drain_spans()
+        dm = find(spans, "engine.density_matrix.run")
+        assert dm.tags["method"] == "branched" and dm.tags["branches"] == 2
+        stabilizer = find(spans, "engine.stabilizer.run")
+        assert stabilizer.tags["method"] == "stabilizer_per_shot"
+        assert stabilizer.tags["fallback_reason"] == "classically-conditioned instruction"
+
     def test_disabled_run_emits_nothing(self):
         from repro.qsim import QuantumCircuit, get_backend
 
