@@ -18,17 +18,25 @@ Every strategy's final statevector is checked against the generic path to
 a >= 2x wall-clock speedup of ``kernels`` over ``generic`` at 16 qubits /
 1000 gates (the default configuration).
 
-Two further axes ride along:
+Three further axes ride along, two of them timed against
+:func:`reference_per_shot_loop`, a short per-shot trajectory loop kept in
+this script (one full circuit pass per shot in Python, the way the
+statevector engine ran noise and feed-forward before the batched executor):
 
-* **noisy shots** -- the same random circuit family with ``measure_all`` and
-  a depolarizing channel, executed three ways: the legacy per-shot loop
-  (:class:`~repro.qsim.simulator.StatevectorSimulator`, one trajectory per
-  Python-loop iteration), the backend's ``per_shot`` trajectory mode, and
-  the batched ``(shots, 2^n)`` tensor executor
-  (:mod:`repro.qsim.shotbatch`).  ``batched`` and ``per_shot`` counts are
-  asserted *bitwise equal* at the shared seed; the acceptance target is a
-  >= 3x speedup of ``batched`` over the legacy loop at 12 qubits /
-  2000 shots / depolarizing p=0.01 (the default noisy configuration).
+* **noisy shots** -- the same random circuit family with a full final
+  measurement and a depolarizing channel, executed three ways: the
+  reference loop, the backend's ``per_shot`` trajectory mode, and the
+  batched ``(shots, 2^n)`` tensor executor (:mod:`repro.qsim.shotbatch`).
+  ``batched`` and ``per_shot`` counts are asserted *bitwise equal* at the
+  shared seed; the acceptance target is a >= 3x speedup of ``batched`` over
+  the reference loop at 12 qubits / 2000 shots / depolarizing p=0.01 (the
+  default noisy configuration).
+* **feed-forward** -- the four mid-circuit / reset / conditional corpus
+  files (``FEEDFORWARD_FILES``) at ``--noisy-shots`` shots, noiseless and
+  at depolarizing ``--noise-p``, on the batched executor against the
+  reference loop; both must agree in distribution (the corpus TVD floor),
+  and the acceptance target at 2000 shots is a >= 10x speedup on every
+  row.
 * **dense diagonals** -- regression guard for the vectorised dense branch of
   :func:`repro.qsim.kernels.apply_diagonal`: one broadcast multiply must not
   be slower than the historic per-entry slice loop it replaced, and must
@@ -43,19 +51,21 @@ Run directly::
 from __future__ import annotations
 
 import argparse
+import math
+import os
 import time
-from typing import List
+from typing import Dict, List
 
 import numpy as np
 
-from repro.qsim import DepolarizingNoise, QuantumCircuit, Statevector
+from repro.qsim import DepolarizingNoise, QuantumCircuit, Statevector, from_qasm
 from repro.qsim import kernels
 from repro.qsim.backends import StatevectorBackend
 from repro.qsim.fusion import fuse_gates, fusion_summary
-from repro.qsim.instruction import Gate
-from repro.qsim.simulator import StatevectorSimulator
+from repro.qsim.instruction import Barrier, Gate, Measure, Reset
+from repro.qsim.simulator import condition_met, format_bits
 
-from benchutil import add_out_argument, write_results
+from benchutil import add_out_argument, total_variation, write_results
 
 ATOL = 1e-10
 
@@ -106,8 +116,42 @@ def run_fused(circuit: QuantumCircuit, max_fused_qubits: int) -> Statevector:
 
 
 # ---------------------------------------------------------------------------
-# Noisy-shot axis: legacy loop vs per_shot mode vs batched tensor executor
+# Trajectory axes: reference per-shot loop vs the batched tensor executor
 # ---------------------------------------------------------------------------
+
+CIRCUITS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "circuits")
+
+#: the corpus files with mid-circuit measurement, reset or ``if``
+FEEDFORWARD_FILES = ("teleport_cond_n3", "ghz_cond_n4", "qec_cond_n5", "qec_repetition_n5")
+
+
+def reference_per_shot_loop(circuit, noise, shots: int, seed: int) -> Dict[str, int]:
+    """One full circuit pass per shot in a Python loop (the regression
+    baseline): gates through the kernel dispatcher, noise through
+    ``NoiseModel.apply``, collapse through ``Statevector.measure``/``reset``."""
+    rng = np.random.default_rng(seed)
+    counts: Dict[str, int] = {}
+    for _ in range(shots):
+        state = Statevector.zero_state(circuit.num_qubits)
+        bits: Dict[int, int] = {}
+        for instr in circuit.data:
+            op = instr.operation
+            if isinstance(op, Barrier) or not condition_met(circuit, instr.condition, bits):
+                continue
+            targets = [circuit.qubit_index(q) for q in instr.qubits]
+            if isinstance(op, Measure):
+                bits[circuit.clbit_index(instr.clbits[0])] = state.measure(targets, rng=rng)
+            elif isinstance(op, Reset):
+                state.reset_qubit(targets[0], rng=rng)
+            else:
+                if not kernels.apply_instruction(state, op, targets):
+                    state.apply_unitary(op.to_matrix(), targets)
+                if noise is not None:
+                    noise.apply(state, targets, rng)
+        key = format_bits(bits, circuit.num_clbits)
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
 
 
 def noisy_random_circuit(num_qubits: int, num_gates: int, seed: int) -> QuantumCircuit:
@@ -126,16 +170,54 @@ def noisy_random_circuit(num_qubits: int, num_gates: int, seed: int) -> QuantumC
     return qc
 
 
-def run_noisy_loop(circuit, noise, shots: int, seed: int):
-    """The legacy per-shot trajectory loop (one full circuit pass per shot)."""
-    sim = StatevectorSimulator(seed=seed, noise_model=noise)
-    return sim.run(circuit, shots=shots).counts
-
-
 def run_noisy_mode(circuit, noise, shots: int, seed: int, mode: str):
     """One of the backend's trajectory modes (``per_shot`` or ``batched``)."""
     backend = StatevectorBackend(noise_model=noise, fusion=False, shot_batching=mode)
     return backend.run(circuit, shots=shots, seed=seed).result().get_counts()
+
+
+def tvd_floor(outcomes: int, shots: int) -> float:
+    """The corpus's cross-engine TVD gate (``bench_qasm.py``): two samples
+    of one distribution differ by about ``0.75*sqrt(outcomes/shots)``."""
+    return min(0.5, 0.02 + 1.3 * math.sqrt(outcomes / shots))
+
+
+def feedforward_axis(shots: int, noise_p: float, seed: int, repeats: int, failures: List[str]):
+    """Batched executor vs the reference loop on the feed-forward corpus."""
+    rows = []
+    print(f"\nfeed-forward corpus: {shots} shots, noiseless and depolarizing p={noise_p}")
+    print(f"{'circuit':<28} {'loop (ms)':>10} {'batched (ms)':>13} {'speedup':>9} {'tvd':>7}")
+    for name in FEEDFORWARD_FILES:
+        with open(os.path.join(CIRCUITS_DIR, name + ".qasm"), encoding="utf-8") as handle:
+            circuit = from_qasm(handle.read(), name=name)
+        for noise in (None, DepolarizingNoise(noise_p)):
+            backend = StatevectorBackend(noise_model=noise)
+
+            def batched():
+                return backend.run(circuit, shots=shots, seed=seed).result()[0]
+
+            result = batched()
+            loop_counts = reference_per_shot_loop(circuit, noise, shots, seed)
+            tvd = total_variation(result.counts, loop_counts)
+            allowed = tvd_floor(max(len(result.counts), len(loop_counts)), shots)
+            label = name + ("" if noise is None else "+noise")
+            if result.metadata["method"] != "batched_shots":
+                failures.append(f"{label}: ran {result.metadata['method']}, not batched_shots")
+            if tvd > allowed:
+                failures.append(f"{label}: TVD {tvd:.3f} to the reference loop exceeds {allowed:.3f}")
+            t_loop, t_batched = _time_interleaved(
+                [lambda: reference_per_shot_loop(circuit, noise, shots, seed), batched],
+                repeats,
+            )
+            speedup = t_loop / t_batched
+            print(f"{label:<28} {t_loop * 1e3:>10.1f} {t_batched * 1e3:>13.2f} "
+                  f"{speedup:>8.1f}x {tvd:>7.4f}")
+            rows.append({"circuit": label, "loop_ms": t_loop * 1e3,
+                         "batched_ms": t_batched * 1e3, "speedup": speedup, "tvd": tvd})
+            # acceptance target: >= 10x over the reference loop at 2000 shots
+            if speedup < 10.0 and shots >= 2000:
+                failures.append(f"{label}: batched speedup {speedup:.1f}x below the 10x target")
+    return rows
 
 
 def marginal_ones(counts, num_qubits: int, shots: int) -> List[float]:
@@ -195,9 +277,11 @@ def main(argv: List[str] | None = None) -> int:
     parser.add_argument("--noisy-gates", type=int, default=60,
                         help="gates for the noisy-shot axis")
     parser.add_argument("--noisy-shots", type=int, default=2000,
-                        help="trajectories for the noisy-shot axis (0 skips the axis)")
+                        help="trajectories for the noisy-shot and feed-forward axes "
+                             "(0 skips both)")
     parser.add_argument("--noise-p", type=float, default=0.01,
-                        help="depolarizing probability for the noisy-shot axis")
+                        help="depolarizing probability for the noisy-shot and "
+                             "feed-forward axes")
     add_out_argument(parser)
     args = parser.parse_args(argv)
     failures: List[str] = []
@@ -250,7 +334,7 @@ def main(argv: List[str] | None = None) -> int:
         bit_equal = counts_batched == counts_per_shot
         if not bit_equal:
             failures.append("batched and per_shot counts differ at the shared seed")
-        counts_loop = run_noisy_loop(noisy, noise, shots, args.seed)
+        counts_loop = reference_per_shot_loop(noisy, noise, shots, args.seed)
         drift = max(
             abs(a - b)
             for a, b in zip(
@@ -263,13 +347,13 @@ def main(argv: List[str] | None = None) -> int:
         drift_tolerance = max(0.05, 4.5 * (0.5 / shots) ** 0.5)
         if drift > drift_tolerance:
             failures.append(
-                f"batched marginals drift {drift:.3f} from the legacy loop "
+                f"batched marginals drift {drift:.3f} from the reference loop "
                 f"(tolerance {drift_tolerance:.3f})"
             )
 
         t_loop, t_mode, t_batched = _time_interleaved(
             [
-                lambda: run_noisy_loop(noisy, noise, shots, args.seed),
+                lambda: reference_per_shot_loop(noisy, noise, shots, args.seed),
                 lambda: run_noisy_mode(noisy, noise, shots, args.seed, "per_shot"),
                 lambda: run_noisy_mode(noisy, noise, shots, args.seed, "batched"),
             ],
@@ -279,7 +363,7 @@ def main(argv: List[str] | None = None) -> int:
               f"{shots} shots, depolarizing p={args.noise_p}")
         print(f"{'strategy':<16} {'time (s)':>10} {'vs loop':>9}")
         for label, elapsed in (
-            ("loop (legacy)", t_loop),
+            ("reference loop", t_loop),
             ("per_shot mode", t_mode),
             ("batched", t_batched),
         ):
@@ -291,10 +375,16 @@ def main(argv: List[str] | None = None) -> int:
             for label, elapsed in
             (("loop", t_loop), ("per_shot", t_mode), ("batched", t_batched))
         ]
-        # acceptance target: batched trajectories must beat the legacy
+        # acceptance target: batched trajectories must beat the reference
         # per-shot loop >= 3x at the 12-qubit / 2000-shot / p=0.01 config
         if t_loop / t_batched < 3.0 and nq >= 12 and shots >= 2000:
             failures.append("batched speedup below the 3x acceptance target")
+
+    feedforward_rows = []
+    if args.noisy_shots > 0:
+        feedforward_rows = feedforward_axis(
+            args.noisy_shots, args.noise_p, args.seed, args.repeats, failures
+        )
 
     # -- dense-diagonal regression ------------------------------------------
     diag_qubits = min(args.qubits, 16)
@@ -339,6 +429,7 @@ def main(argv: List[str] | None = None) -> int:
         ],
         fusion=summary,
         noisy_shots=noisy_results,
+        feedforward=feedforward_rows,
         dense_diagonal={"time_vectorised_ms": t_vec * 1e3,
                         "time_per_entry_ms": t_ref * 1e3,
                         "speedup": t_ref / t_vec},

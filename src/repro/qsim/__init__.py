@@ -11,7 +11,7 @@ implementation with a self-contained, NumPy-based stack:
 * :mod:`repro.qsim.ops` -- the pluggable array-ops backplane every kernel
   computes through (numpy by default, accelerated modules by registration),
 * :mod:`repro.qsim.kernels` -- specialized in-place gate kernels + dispatch,
-* :mod:`repro.qsim.shotbatch` -- batched noisy-shot trajectory execution,
+* :mod:`repro.qsim.shotbatch` -- batched trajectory execution (noise, feed-forward),
 * :mod:`repro.qsim.fusion` -- gate fusion (adjacent gates -> one unitary),
 * :mod:`repro.qsim.simulator` -- the statevector execution engine,
 * :mod:`repro.qsim.stabilizer` -- the CHP stabilizer (Clifford) engine,

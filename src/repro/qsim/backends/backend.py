@@ -97,7 +97,6 @@ class Backend(abc.ABC):
         memory: bool = False,
         workers: Optional[int] = None,
         executor: str = "process",
-        shot_workers: Optional[int] = None,
         **options: Any,
     ) -> Job:
         """Submit one circuit or a batch and return a :class:`Job`.
@@ -118,9 +117,6 @@ class Backend(abc.ABC):
                 experiments onto a worker pool.
             executor: ``"process"`` (default; real multi-core parallelism via
                 fork) or ``"thread"`` for a thread pool.
-            shot_workers: parallelism *within* one experiment's per-shot
-                collapse path (statevector backend only); forwarded to the
-                engine, which rejects it if unsupported.
             **options: further engine-specific run options, forwarded to
                 :meth:`_run_experiment`.
         """
@@ -130,8 +126,6 @@ class Backend(abc.ABC):
                 "pass run options as keywords, e.g. "
                 "run(circuit, shots=2000, seed=7)"
             )
-        if shot_workers is not None:
-            options["shot_workers"] = shot_workers
         batch = self._normalize_circuits(circuits)
         if shots <= 0:
             raise BackendError("shots must be positive")

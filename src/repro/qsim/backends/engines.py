@@ -29,7 +29,6 @@ from ..simulator import (
     SIMULATOR_MAX_FUSED_QUBITS,
     Result as EngineResult,
     StatevectorSimulator,
-    measurements_are_final,
 )
 from ..stabilizer import StabilizerSimulator
 from .. import shotbatch, telemetry
@@ -52,11 +51,6 @@ NOISE_CHANNELS = ("bit_flip", "phase_flip", "depolarizing")
 #: registry names (and aliases) that take exact Kraus ``gate_noise`` instead
 #: of a trajectory / Pauli-frame ``noise_model``
 _KRAUS_BACKENDS = frozenset({"density_matrix", "dm", "density"})
-
-#: the per-shot collapse path is split into this many deterministic chunks
-#: (each with a seed spawned from the experiment seed), so the merged counts
-#: are identical no matter how many workers execute the chunks
-PER_SHOT_CHUNKS = 8
 
 
 def _run_span(backend_name: str, circuit: QuantumCircuit, shots: int) -> telemetry.span:
@@ -107,22 +101,19 @@ class StatevectorBackend(Backend):
     """Dense statevector execution behind the unified backend API.
 
     Accepts either engine options (``seed``, ``noise_model``, ``fusion``,
-    ``max_fused_qubits``) or a pre-built *simulator* to wrap.  The run option
-    ``shot_workers=N`` (N > 1) parallelises the per-shot collapse path
-    (mid-circuit measurement or noise models) over deterministic shot
-    chunks; without an explicit experiment seed, one is derived from the
-    backend's RNG so the chunked path stays reproducible.
+    ``max_fused_qubits``) or a pre-built *simulator* to wrap; an unseeded
+    experiment draws from that engine's own RNG.
 
-    ``shot_batching`` controls how Pauli-noise trajectories execute (see
-    :mod:`repro.qsim.shotbatch`): ``"auto"`` (default) evolves all shots of
-    an eligible circuit as one ``(shots, 2^n)`` tensor, ``"batched"``
-    requires it (raising :class:`BackendError` with the reason when the
-    circuit is ineligible), and ``"per_shot"`` runs the same executor one
-    trajectory at a time -- bit-identical counts to ``"batched"`` at the
-    same seed, which is also the contract the property tests pin down.
-    Circuits the batched executor cannot take (mid-circuit measurement,
-    reset/initialize, non-Pauli noise) fall back to the legacy per-shot
-    loop under ``"auto"``/``"per_shot"``.
+    Final-measurement circuits without noise are sampled from one evolved
+    state; every other run (Pauli noise, mid-circuit measurement, reset,
+    classical conditions) evolves its shots on the batched trajectory
+    executor of :mod:`repro.qsim.shotbatch`.  ``shot_batching`` sets how
+    many trajectories evolve at once: ``"auto"`` (default) and
+    ``"batched"`` use the cache-sized batch, ``"per_shot"`` one trajectory
+    at a time -- bit-identical counts at the same seed, which is also the
+    contract the property tests pin down.  A noise model that is not a
+    Pauli channel raises :class:`BackendError` naming the density-matrix
+    backend, which runs any Kraus channel exactly.
     """
 
     name = "statevector"
@@ -171,108 +162,25 @@ class StatevectorBackend(Backend):
         shots: int,
         seed: Optional[int],
         memory: bool,
-        shot_workers: Optional[int] = None,
         **options: Any,
     ) -> ExperimentResult:
         if options:
             raise BackendError(f"unknown run options {sorted(options)} for {self.name!r}")
         started = time.perf_counter()
-        noise_model = self._engine.noise_model
-        per_shot = noise_model is not None or not measurements_are_final(circuit)
-        if per_shot and shot_workers is not None and shot_workers > 1 and seed is None:
-            # chunked shot execution needs a concrete seed; derive one from
-            # the backend RNG (reproducible given the backend's own seed)
-            # instead of silently ignoring the shot_workers request
-            seed = int(self._rng.integers(0, 2**63))
+        engine = self._engine if seed is None else self._fresh_engine(seed)
+        reason = shotbatch.ineligible_reason(circuit, engine.noise_model)
+        if reason is not None:
+            raise BackendError(f"cannot run on {self.name!r}: {reason}")
+        batch_size = 1 if self.shot_batching == "per_shot" else None
         with _run_span(self.name, circuit, shots) as sp:
-            if per_shot and shot_workers is not None and seed is not None:
-                engine_result = self._run_per_shot_chunked(
-                    circuit, shots, seed, memory, shot_workers
-                )
-                metadata = {"method": "per_shot_chunked", "chunks": min(shots, PER_SHOT_CHUNKS)}
-                sp.tag(method=metadata["method"])
-                return _wrap(circuit, engine_result, shots, seed, started, metadata)
-            if per_shot and noise_model is not None and shot_workers is None:
-                reason = shotbatch.ineligible_reason(circuit, noise_model)
-                if self.shot_batching == "batched" and reason is not None:
-                    raise BackendError(
-                        f"shot_batching='batched' requested but {reason}"
-                    )
-                if reason is None:
-                    if seed is None:
-                        # the trajectory executor pre-draws its random tables
-                        # from one concrete seed; derive it from the backend
-                        # RNG (reproducible given the backend's own seed)
-                        seed = int(self._rng.integers(0, 2**63))
-                    if self.shot_batching == "per_shot":
-                        batch_size = 1
-                        method = "per_shot_trajectory"
-                    else:
-                        batch_size = shotbatch.default_batch_size(
-                            circuit.num_qubits, shots
-                        )
-                        method = "batched_shots"
-                    engine_result = shotbatch.run_batched(
-                        circuit,
-                        noise_model,
-                        shots,
-                        seed,
-                        memory=memory,
-                        batch_size=batch_size,
-                    )
-                    if telemetry.enabled():
-                        telemetry.counter(f"engine.{self.name}.{method}").inc(shots)
-                    metadata = {"method": method, "batch_size": batch_size}
-                    sp.tag(method=method, batch_size=batch_size)
-                    return _wrap(circuit, engine_result, shots, seed, started, metadata)
-                sp.tag(batching_fallback=reason)
-            engine = self._engine if seed is None else self._fresh_engine(seed)
-            engine_result = engine.run(circuit, shots=shots, memory=memory)
-            metadata = {"method": "per_shot" if per_shot else "sampled"}
-            sp.tag(method=metadata["method"])
-            return _wrap(circuit, engine_result, shots, seed, started, metadata)
-
-    def _run_per_shot_chunked(
-        self,
-        circuit: QuantumCircuit,
-        shots: int,
-        seed: int,
-        memory: bool,
-        shot_workers: int,
-    ) -> EngineResult:
-        """Per-shot collapse split into seed-spawned chunks.
-
-        The chunking (sizes and per-chunk seeds) depends only on ``shots``
-        and ``seed`` -- never on ``shot_workers`` -- so the merged result is
-        identical whether the chunks run serially or on a thread pool.
-        """
-        num_chunks = min(shots, PER_SHOT_CHUNKS)
-        base, remainder = divmod(shots, num_chunks)
-        chunk_sizes = [base + (1 if i < remainder else 0) for i in range(num_chunks)]
-        chunk_seeds = np.random.SeedSequence(seed).spawn(num_chunks)
-
-        def run_chunk(chunk_shots: int, chunk_seed: np.random.SeedSequence) -> EngineResult:
-            engine = self._fresh_engine(chunk_seed)
-            return engine.run(circuit, shots=chunk_shots, memory=memory)
-
-        if shot_workers > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=min(shot_workers, num_chunks)) as pool:
-                partials = list(pool.map(run_chunk, chunk_sizes, chunk_seeds))
-        else:
-            partials = [run_chunk(size, sq) for size, sq in zip(chunk_sizes, chunk_seeds)]
-
-        counts: Dict[str, int] = {}
-        shot_values: List[str] = []
-        for partial in partials:
-            for key, value in partial.counts.items():
-                counts[key] = counts.get(key, 0) + value
-            if memory and partial.memory is not None:
-                shot_values.extend(partial.memory)
-        return EngineResult(
-            counts=counts, shots=shots, memory=shot_values if memory else None
-        )
+            engine_result = engine._execute(
+                circuit, shots, memory, engine._rng, batch_size=batch_size
+            )
+            method = engine_result.metadata["method"]
+            if telemetry.enabled() and method != "sampled":
+                telemetry.counter(f"engine.{self.name}.{method}").inc(shots)
+            sp.tag(**engine_result.metadata)
+            return _wrap(circuit, engine_result, shots, seed, started, engine_result.metadata)
 
 
 class DensityMatrixBackend(Backend):

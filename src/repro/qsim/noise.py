@@ -6,13 +6,15 @@ sufficient for the robustness experiments: after every unitary gate the noise
 model may inject Pauli errors on the qubits the gate touched.
 
 Every model also *describes itself* as a single-qubit Pauli channel through
-:meth:`NoiseModel.pauli_terms`.  The dense engines never look at that
-description (they sample trajectories via :meth:`NoiseModel.apply`), but the
-stabilizer engine does: Pauli errors are Clifford, so the tableau engine can
-inject the same channels symbolically and keep 100+ qubit noisy circuits
-polynomial (see :mod:`repro.qsim.stabilizer`).  A model that is *not* a Pauli
-channel returns ``None`` from :meth:`~NoiseModel.pauli_terms` and is rejected
-by the stabilizer engine with a clear error.
+:meth:`NoiseModel.pauli_terms`.  The statevector engine's batched trajectory
+executor (:mod:`repro.qsim.shotbatch`) injects exactly those Paulis on
+pre-drawn shot rows, and the stabilizer engine rides them on the tableau's
+symbolic phases, keeping 100+ qubit noisy circuits polynomial (see
+:mod:`repro.qsim.stabilizer`).  :meth:`NoiseModel.apply` samples one
+trajectory on a single state (``StatevectorSimulator.evolve``).  A model that
+is *not* a Pauli channel returns ``None`` from
+:meth:`~NoiseModel.pauli_terms` and is rejected by both engines with a clear
+error; the density-matrix engine runs any Kraus channel exactly.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Pluggable array-ops backplane: one interface, swappable array modules.
 
-Every dense kernel in :mod:`repro.qsim.kernels` (and the batched noisy-shot
+Every dense kernel in :mod:`repro.qsim.kernels` (and the batched trajectory
 executor in :mod:`repro.qsim.shotbatch`) talks to arrays exclusively through
 an :class:`ArrayOps` instance instead of importing ``numpy`` directly.  The
 default implementation, :class:`NumpyOps`, *is* numpy -- bit-for-bit the

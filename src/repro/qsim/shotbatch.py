@@ -1,20 +1,23 @@
-"""Batched noisy-shot execution: all trajectories as one (shots x 2^n) tensor.
+"""Batched shot execution: all trajectories of a run as one ``(rows, 2^n)`` tensor.
 
-The classic per-shot noisy path re-runs the circuit once per shot in a Python
-loop: every gate costs a fresh pass of interpreter dispatch and a kernel call
-on one ``2^n`` statevector.  For Pauli-channel noise on final-measurement
-circuits nothing about a trajectory depends on any other, so this module
-evolves *all* shots together as a ``(shots, 2^n)`` tensor: one vectorised
-elementwise kernel per gate for the whole batch, noise injected by fancy-
-indexing exactly the shot rows whose pre-drawn uniforms selected an error,
-and measurement collapse performed on all rows at once.
+Every statevector run that cannot be answered by sampling one final state --
+a noise model, a mid-circuit measurement, a ``reset`` or a classically
+conditioned instruction -- runs here, all shots evolving together: one
+vectorised elementwise kernel per gate for the whole batch, noise injected by
+fancy-indexing exactly the shot rows whose pre-drawn uniforms selected an
+error.  The circuit is lowered **once** into steps that carry their
+precomputed slice indices, non-zero matrix entries and error rows;
+permutation gates (``x``, ``cx``, ``swap``, ...) take a snapshot-and-write
+path instead of the generic multiply-accumulate.  Feed-forward is row-masked:
 
-The circuit is lowered **once** into an execution program whose steps carry
-their precomputed slice indices, non-zero matrix entries and per-interval
-error rows; the per-batch loop then only reshapes and calls array kernels.
-Permutation gates (``x``, ``cx``, ``swap``, ``iswap``, ...) take a dedicated
-copy path -- one snapshot plus one write per slice -- instead of the generic
-multiply-accumulate.
+* a **measurement** collapses every row against its tracked norm and writes
+  the outcome into that row's classical bits;
+* a **reset** is a measurement followed by an ``X`` on the rows that read 1;
+* a **conditioned** instruction gathers the rows whose register matches,
+  runs its steps on them (noise included, so a skipped gate draws no error)
+  and scatters them back;
+* gates wider than :data:`_MAX_BATCH_GATE_QUBITS` and ``initialize`` run
+  row by row through the single-state kernels.
 
 Determinism and the per-shot/batched contract
 ---------------------------------------------
@@ -24,42 +27,43 @@ Both ``shot_batching="batched"`` and ``shot_batching="per_shot"`` on
 the two are **bit-identical for the same seed** by construction:
 
 * every random number is pre-drawn from one ``Generator`` in circuit order
-  (per unitary instruction: one uniform per touched qubit; per measurement:
-  one uniform) *before* evolution starts, so the stream never depends on the
-  batch split;
+  (per unitary instruction: one uniform per touched qubit; per measurement
+  or reset: one uniform) for every shot *before* evolution starts -- also
+  for the shots a condition later skips -- so the stream never depends on
+  the batch split;
 * all gate arithmetic is elementwise scalar-times-slice accumulation in a
-  fixed order -- never a BLAS matmul, whose results can vary bitwise with
-  the operand shape -- so row ``i`` of the batch computes exactly what a
-  batch of one would;
+  fixed order -- never a BLAS matmul across rows, whose results can vary
+  bitwise with the operand shape -- so row ``i`` of the batch computes
+  exactly what a batch of one would;
 * probability reductions go through
   :meth:`~repro.qsim.ops.ArrayOps.row_sums`, which reduces every row
   independently in a fixed order.
 
-Eligibility
------------
-:func:`ineligible_reason` names why a circuit/noise pair cannot take this
-path (non-Pauli noise, mid-circuit measurement, ``reset``/``initialize``,
-very wide gates); such runs fall back to the legacy per-shot loop in
-:class:`~repro.qsim.simulator.StatevectorSimulator`.
+Every circuit runs here; :func:`ineligible_reason` only names noise without
+a trajectory form (a model whose ``pauli_terms()`` is ``None``, or fused
+blocks under noise).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+import math
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from . import kernels
 from .circuit import QuantumCircuit
 from .exceptions import SimulationError
-from .instruction import Barrier, Measure
+from .instruction import Barrier, Initialize, Measure, Reset
 from .noise import NoiseModel
 from .ops import ArrayOps, get_ops
-from .simulator import Result, measurements_are_final
+from .simulator import Result
+from .statevector import Statevector
 
 __all__ = ["ineligible_reason", "run_batched", "MAX_BATCH_AMPLITUDES"]
 
 #: widest gate the batched executor accumulates (2^k slices per gate; matches
-#: the diagonal-detection bound in kernels.py)
+#: the diagonal-detection bound in kernels.py); wider gates run row by row
 _MAX_BATCH_GATE_QUBITS = 6
 
 #: hard cap on simultaneous amplitudes (batch_rows * 2^n); bounds the working
@@ -73,39 +77,31 @@ MAX_BATCH_AMPLITUDES = 1 << 23
 #: this cache-sized default at 12 qubits (see benchmarks/bench_kernels.py).
 _TARGET_BATCH_AMPLITUDES = 1 << 16
 
+#: a collapsed row whose tracked norm falls below this is rescaled by a power
+#: of two, long before a run of measurements could underflow it to zero
+_RESCALE_BELOW = 2.0**-64
+
 
 def ineligible_reason(
     circuit: QuantumCircuit, noise_model: Optional[NoiseModel]
 ) -> Optional[str]:
     """Why *circuit* under *noise_model* cannot run batched, or ``None``.
 
-    ``None`` means every shot of the pair can be evolved as one tensor; a
-    string is a human-readable reason suitable for error messages and
-    telemetry tags.
+    Only the noise configuration can rule a run out; the string is a
+    human-readable reason suitable for error messages.
     """
-    if circuit.num_qubits == 0:
-        return "circuit has no qubits"
-    if noise_model is not None and noise_model.pauli_terms() is None:
-        return "noise model is not a single-qubit Pauli channel"
-    if circuit.has_conditions():
-        return "circuit has classically-conditioned instructions"
-    if not measurements_are_final(circuit):
-        return "circuit has mid-circuit measurements"
+    if noise_model is None:
+        return None
+    if noise_model.pauli_terms() is None:
+        return (
+            "noise model is not a single-qubit Pauli channel; run it on the "
+            "density_matrix backend with gate_noise= (exact Kraus channels)"
+        )
     for instr in circuit.data:
-        op = instr.operation
-        if isinstance(op, (Measure, Barrier)):
-            continue
-        if not op.is_unitary:
-            return f"instruction {op.name!r} requires per-shot collapse"
-        if noise_model is not None and getattr(op, "is_fused_block", False):
+        if getattr(instr.operation, "is_fused_block", False):
             # noise is defined per gate; a fused block would receive one
-            # error per *block* (the legacy path rejects this case too)
+            # error per *block*
             return "circuit contains fused blocks (noise is defined per gate)"
-        if op.num_qubits > _MAX_BATCH_GATE_QUBITS:
-            return (
-                f"gate {op.name!r} touches {op.num_qubits} qubits "
-                f"(batched limit is {_MAX_BATCH_GATE_QUBITS})"
-            )
     return None
 
 
@@ -118,8 +114,11 @@ def ineligible_reason(
 #   ("diag_full", factor)                   factor = (2^n,) per-amplitude phases
 #   ("dense",   shape, indices, rows)       rows = [(row, [(col, entry), ...])]
 #   ("perm",    shape, indices, moves)      moves = [(row, col, entry), ...]
+#   ("row",     operation, targets)         one row at a time, single-state kernels
 #   ("noise",   qubit, [(pauli, rows_for_whole_run), ...])
 #   ("measure", qubit, clbit, uniforms)
+#   ("reset",   qubit, uniforms)
+#   ("cond",    clbits, pattern, steps)     steps run where bits[clbits] == pattern
 #
 # ``shape`` excludes the leading batch axis; every ``index`` tuple starts with
 # slice(None) for it, so the per-batch loop only reshapes and indexes.
@@ -129,7 +128,7 @@ def _pauli_intervals(noise_model: NoiseModel) -> List[Tuple[str, float, float]]:
     """``(pauli, lo, hi)`` half-open subintervals of [0, 1) per error term.
 
     A pre-drawn uniform ``u`` selects the Pauli whose interval contains it
-    (identity when none does) -- the same distribution the legacy trajectory
+    (identity when none does) -- the same distribution the trajectory
     models sample with ``rng.random() < p`` plus ``rng.integers``.
     """
     terms = noise_model.pauli_terms()
@@ -143,13 +142,6 @@ def _pauli_intervals(noise_model: NoiseModel) -> List[Tuple[str, float, float]]:
     if edge > 1.0 + 1e-12:
         raise SimulationError("Pauli channel probabilities exceed 1")
     return intervals
-
-
-def _matrix_diagonal(matrix: np.ndarray) -> Optional[np.ndarray]:
-    diag = np.diagonal(matrix)
-    if np.count_nonzero(matrix) != np.count_nonzero(diag):
-        return None
-    return diag
 
 
 def _axis_layout(num_qubits: int, qubits: Sequence[int]):
@@ -180,10 +172,12 @@ def _value_index(ndim: int, axes, targets: Sequence[int], value: int) -> tuple:
     return tuple(index)
 
 
-def _lower_unitary(matrix: np.ndarray, targets: Sequence[int], num_qubits: int) -> tuple:
+def _lower_unitary(
+    matrix: np.ndarray, targets: Sequence[int], num_qubits: int, ops: ArrayOps
+) -> tuple:
     """One gate -> a ``diag`` / ``perm`` / ``dense`` step with indices baked in."""
     shape, axes, ndim = _axis_layout(num_qubits, targets)
-    diag = _matrix_diagonal(matrix)
+    diag = kernels._matrix_diagonal(matrix, ops)
     if diag is not None:
         entries = [
             (_value_index(ndim, axes, targets, int(v)), diag[int(v)])
@@ -228,40 +222,55 @@ def _build_plan(
     noise_model: Optional[NoiseModel],
     shots: int,
     rng: np.random.Generator,
+    ops: ArrayOps,
 ) -> List[tuple]:
     """Lower the circuit to executor steps, pre-drawing every random number.
 
     The draw order is fixed by the circuit alone (one uniform per touched
-    qubit per unitary instruction, one per measurement), so the random
-    tables -- and therefore every downstream outcome -- are independent of
-    how the shots are later split into batches.  Noise uniforms are resolved
-    to per-Pauli shot-row lists here, once for the whole run.
+    qubit per unitary instruction, one per measurement or reset, for every
+    shot whether or not a condition later skips it), so the random tables --
+    and therefore every downstream outcome -- are independent of how the
+    shots are later split into batches.  Noise uniforms are resolved to
+    per-Pauli shot-row lists here, once for the whole run.
     """
     intervals = _pauli_intervals(noise_model) if noise_model is not None else []
     plan: List[tuple] = []
-    n = circuit.num_qubits
     for instr in circuit.data:
         op = instr.operation
         if isinstance(op, Barrier):
             continue
-        if isinstance(op, Measure):
-            qubit = circuit.qubit_index(instr.qubits[0])
-            clbit = circuit.clbit_index(instr.clbits[0])
-            plan.append(("measure", qubit, clbit, rng.random(shots)))
-            continue
         targets = tuple(circuit.qubit_index(q) for q in instr.qubits)
-        matrix = np.asarray(op.to_matrix(), dtype=complex)
-        plan.append(_lower_unitary(matrix, targets, n))
-        if noise_model is not None:
+        if isinstance(op, Measure):
+            clbit = circuit.clbit_index(instr.clbits[0])
+            steps = [("measure", targets[0], clbit, rng.random(shots))]
+        elif isinstance(op, Reset):
+            steps = [("reset", targets[0], rng.random(shots))]
+        elif isinstance(op, Initialize):
+            steps = [("row", op, targets)]
+        elif not op.is_unitary:
+            raise SimulationError(f"cannot simulate instruction {op.name!r}")
+        elif op.num_qubits > _MAX_BATCH_GATE_QUBITS:
+            steps = [("row", op, targets)]
+        else:
+            matrix = np.asarray(op.to_matrix(), dtype=complex)
+            steps = [_lower_unitary(matrix, targets, circuit.num_qubits, ops)]
+        if intervals and op.is_unitary:
             for qubit in targets:
                 uniforms = rng.random(shots)
-                hits = [
-                    (pauli, np.flatnonzero((uniforms >= lo) & (uniforms < hi)))
-                    for pauli, lo, hi in intervals
-                ]
-                hits = [(p, r) for p, r in hits if r.size]
-                if hits:  # a step no shot's uniform selected is a no-op
-                    plan.append(("noise", qubit, hits))
+                # the intervals tile [0, total error probability): classify
+                # only the shots whose uniform falls below it
+                errors = np.flatnonzero(uniforms < intervals[-1][2])
+                if errors.size:  # a step no shot's uniform selected is a no-op
+                    picked = uniforms[errors]
+                    hits = [(p, errors[(picked >= lo) & (picked < hi)]) for p, lo, hi in intervals]
+                    steps.append(("noise", qubit, [(p, r) for p, r in hits if r.size]))
+        if instr.condition is None:
+            plan.extend(steps)
+            continue
+        creg, value = instr.condition
+        clbits = np.array([circuit.clbit_index(c) for c in creg], dtype=np.intp)
+        pattern = np.array([(value >> bit) & 1 for bit in range(len(clbits))], dtype=np.uint8)
+        plan.append(("cond", clbits, pattern, steps))
     return plan
 
 
@@ -335,6 +344,25 @@ def _apply_dense_batched(states, shape, indices, rows, ops: ArrayOps) -> None:
         view[indices[row]] = 0.0 if acc is None else acc
 
 
+def _apply_per_row(states, norm, operation, targets, ops: ArrayOps) -> None:
+    """Apply *operation* one row at a time through the single-state kernels.
+
+    The step for gates too wide to lower and for ``initialize``, whose
+    precondition (targets in ``|0...0>``) is checked on the row scaled to
+    unit norm.
+    """
+    for row in range(states.shape[0]):
+        if isinstance(operation, Initialize):
+            state = Statevector(states[row] / math.sqrt(norm[row]), validate=False)
+            norm[row] = 1.0
+            state.initialize_qubits(operation.statevector, targets)
+        else:
+            state = Statevector(states[row], validate=False)
+            if not kernels.apply_instruction(state, operation, targets, ops=ops):
+                state.apply_unitary(operation.to_matrix(), targets)
+        states[row] = state.data
+
+
 def _apply_pauli_rows(states, num_qubits: int, pauli: str, qubit: int, rows) -> None:
     """Apply a Pauli error to *qubit* on the selected shot *rows* only.
 
@@ -360,9 +388,9 @@ def _apply_pauli_rows(states, num_qubits: int, pauli: str, qubit: int, rows) -> 
         raise SimulationError(f"unknown Pauli {pauli!r}")
 
 
-def _measure_batched(states, num_qubits: int, qubit: int, uniforms, norm, ops: ArrayOps):
+def _measure_batched(states, qubit: int, uniforms, norm, ops: ArrayOps):
     """Measure *qubit* on every row, collapse in place, return the outcome
-    bits and the surviving (unnormalised) norm per row.
+    bits; *norm* is updated in place to the surviving (unnormalised) norm.
 
     Only the probability of outcome 0 is reduced from the amplitudes (a
     batch-invariant per-row reduction over a contiguous copy of the
@@ -371,6 +399,10 @@ def _measure_batched(states, num_qubits: int, qubit: int, uniforms, norm, ops: A
     zeroes the losing slice without renormalising, so the tracked norm is
     exactly the quantity later measurements must divide by -- while the
     arithmetic stays elementwise and identical for every batch split.
+
+    Rows whose norm falls below :data:`_RESCALE_BELOW` are scaled by a power
+    of two (their norm by its square): exact in floating point, so every
+    later ``p0 / norm`` -- and outcome -- is unchanged, minus the underflow.
     """
     low = 1 << qubit
     batch = states.shape[0]
@@ -388,7 +420,13 @@ def _measure_batched(states, num_qubits: int, qubit: int, uniforms, norm, ops: A
         view[zero_rows, :, 1, :] = 0.0
     if one_rows.size:
         view[one_rows, :, 0, :] = 0.0
-    return outcome, survived
+    faint = ops.flatnonzero(survived < _RESCALE_BELOW)
+    if faint.size:
+        shift = -(np.frexp(survived[faint])[1] // 2)
+        states[faint] *= np.ldexp(1.0, shift)[:, None]
+        survived[faint] = np.ldexp(survived[faint], 2 * shift)
+    norm[:] = survived
+    return outcome
 
 
 # ---------------------------------------------------------------------------
@@ -403,29 +441,85 @@ def default_batch_size(num_qubits: int, shots: int) -> int:
     return max(1, min(shots, _TARGET_BATCH_AMPLITUDES >> num_qubits))
 
 
-def _batch_rows(rows_for_run: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """The run-level shot rows that fall in [start, stop), rebased to the batch."""
-    lo = int(np.searchsorted(rows_for_run, start))
-    hi = int(np.searchsorted(rows_for_run, stop))
-    return rows_for_run[lo:hi] - start
+def _local_rows(rows_for_run: np.ndarray, shots) -> np.ndarray:
+    """Positions among the rows at hand of the run-level shots listed in the
+    sorted *rows_for_run*.  *shots* names the rows at hand: a ``slice`` of
+    the run's shots (a batch), or the sorted run-level indices of gathered
+    rows."""
+    if isinstance(shots, slice):
+        lo = int(np.searchsorted(rows_for_run, shots.start))
+        hi = int(np.searchsorted(rows_for_run, shots.stop))
+        return rows_for_run[lo:hi] - shots.start
+    return np.flatnonzero(np.isin(shots, rows_for_run))
+
+
+def _run_steps(steps, states, norm, bits, shots, num_qubits: int, ops: ArrayOps) -> None:
+    """Execute *steps* on the rows of *states* in place.
+
+    *norm* (tracked norm per row), *bits* (``(rows, clbits)`` outcomes) and
+    *shots* (the rows' run-level shots, as for :func:`_local_rows`)
+    describe the same rows.
+    """
+    for step in steps:
+        kind = step[0]
+        if kind == "diag":
+            _apply_diag_batched(states, step[1], step[2])
+        elif kind == "diag_full":
+            _apply_diag_full_batched(states, step[1], ops)
+        elif kind == "perm":
+            _apply_perm_batched(states, step[1], step[2], step[3], ops)
+        elif kind == "dense":
+            _apply_dense_batched(states, step[1], step[2], step[3], ops)
+        elif kind == "noise":
+            _, qubit, hits = step
+            for pauli, rows_for_run in hits:
+                selected = _local_rows(rows_for_run, shots)
+                if selected.size:
+                    _apply_pauli_rows(states, num_qubits, pauli, qubit, selected)
+        elif kind == "measure":
+            _, qubit, clbit, table = step
+            bits[:, clbit] = _measure_batched(states, qubit, table[shots], norm, ops)
+        elif kind == "reset":
+            _, qubit, table = step
+            ones = ops.flatnonzero(_measure_batched(states, qubit, table[shots], norm, ops))
+            if ones.size:
+                _apply_pauli_rows(states, num_qubits, "X", qubit, ones)
+        elif kind == "row":
+            _apply_per_row(states, norm, step[1], step[2], ops)
+        else:  # cond: gather the matching rows, step them, scatter back
+            _, clbits, pattern, inner = step
+            rows = ops.flatnonzero(np.all(bits[:, clbits] == pattern, axis=1))
+            if rows.size == states.shape[0]:
+                _run_steps(inner, states, norm, bits, shots, num_qubits, ops)
+            elif rows.size:
+                ids = np.arange(shots.start, shots.stop) if isinstance(shots, slice) else shots
+                sub_states, sub_norm, sub_bits = states[rows], norm[rows], bits[rows]
+                _run_steps(inner, sub_states, sub_norm, sub_bits, ids[rows], num_qubits, ops)
+                states[rows], norm[rows], bits[rows] = sub_states, sub_norm, sub_bits
 
 
 def run_batched(
     circuit: QuantumCircuit,
     noise_model: Optional[NoiseModel],
     shots: int,
-    seed: Optional[int],
+    seed: Union[int, np.random.Generator, None],
     memory: bool = False,
     batch_size: Optional[int] = None,
     ops: Optional[ArrayOps] = None,
+    initial_state: Optional[Statevector] = None,
 ) -> Result:
-    """Run *shots* noise trajectories of *circuit* as batched tensors.
+    """Run *shots* trajectories of *circuit* as batched tensors.
 
-    Callers must have checked :func:`ineligible_reason` first.  *batch_size*
-    caps how many trajectories evolve simultaneously (default: the cache-sized
-    :func:`default_batch_size`); results are bit-identical for every batch
-    size at a fixed *seed*, which is how the backend's ``per_shot`` mode
-    (``batch_size=1``) and ``batched`` mode stay interchangeable.
+    *seed* is an int, or a ``Generator`` whose stream the run continues
+    (how :class:`~repro.qsim.simulator.StatevectorSimulator` keeps its
+    sequential stream).  *batch_size* caps how many trajectories evolve
+    simultaneously (default: the cache-sized :func:`default_batch_size`);
+    results are bit-identical for every batch size at a fixed *seed*, which
+    is how the backend's ``per_shot`` mode (``batch_size=1``) and
+    ``batched`` mode stay interchangeable.  *initial_state* is broadcast
+    into every row.  The result's ``metadata`` names the method
+    (``batched_shots``, or ``per_shot_trajectory`` for one row at a time)
+    and the batch size.
     """
     if shots <= 0:
         raise SimulationError("shots must be positive")
@@ -435,54 +529,37 @@ def run_batched(
     if ops is None:
         ops = get_ops()
     n = circuit.num_qubits
-    num_clbits = circuit.num_clbits
-    rng = ops.rng(seed)
-    plan = _build_plan(circuit, noise_model, shots, rng)
+    if initial_state is None:
+        initial_state = Statevector.zero_state(n)
+    elif initial_state.num_qubits != n:
+        raise SimulationError("initial state size does not match circuit")
+    first = initial_state.data.reshape(1, -1)
+    rng = seed if isinstance(seed, np.random.Generator) else ops.rng(seed)
+    plan = _build_plan(circuit, noise_model, shots, rng, ops)
     if batch_size is None:
         batch_size = default_batch_size(n, shots)
     batch_size = max(1, min(int(batch_size), shots, MAX_BATCH_AMPLITUDES >> n or 1))
 
-    has_measures = any(step[0] == "measure" for step in plan)
-    dim = 1 << n
-    values = np.zeros(shots, dtype=np.int64)
+    norm0 = float(ops.row_sums(ops.abs2(first))[0])  # exactly 1.0 from |0...0>
+    values = np.zeros((shots, circuit.num_clbits), dtype=np.uint8)
     for start in range(0, shots, batch_size):
         stop = min(start + batch_size, shots)
-        rows = stop - start
-        states = ops.zeros((rows, dim), dtype=complex)
-        states[:, 0] = 1.0
-        norm = np.ones(rows, dtype=np.float64)
-        acc = np.zeros(rows, dtype=np.int64)
-        for step in plan:
-            kind = step[0]
-            if kind == "diag":
-                _apply_diag_batched(states, step[1], step[2])
-            elif kind == "diag_full":
-                _apply_diag_full_batched(states, step[1], ops)
-            elif kind == "perm":
-                _apply_perm_batched(states, step[1], step[2], step[3], ops)
-            elif kind == "dense":
-                _apply_dense_batched(states, step[1], step[2], step[3], ops)
-            elif kind == "noise":
-                _, qubit, hits = step
-                for pauli, rows_for_run in hits:
-                    selected = _batch_rows(rows_for_run, start, stop)
-                    if selected.size:
-                        _apply_pauli_rows(states, n, pauli, qubit, selected)
-            else:  # measure
-                _, qubit, clbit, table = step
-                outcome, norm = _measure_batched(
-                    states, n, qubit, table[start:stop], norm, ops
-                )
-                acc = (acc & ~np.int64(1 << clbit)) | (outcome << clbit)
-        values[start:stop] = acc
+        states = ops.empty((stop - start, first.shape[1]), dtype=complex)
+        states[:] = first
+        norm = np.full(stop - start, norm0)
+        _run_steps(plan, states, norm, values[start:stop], slice(start, stop), n, ops)
 
-    if not has_measures:
-        return Result(counts={}, shots=shots, memory=[] if memory else None)
-    counts: Dict[str, int] = {}
-    unique, freq = np.unique(values, return_counts=True)
-    for value, count in zip(unique, freq):
-        counts[format(int(value), f"0{num_clbits}b")] = int(count)
-    shot_values: Optional[List[str]] = None
-    if memory:
-        shot_values = [format(int(value), f"0{num_clbits}b") for value in values]
-    return Result(counts=counts, shots=shots, memory=shot_values)
+    metadata = {
+        "method": "batched_shots" if batch_size > 1 else "per_shot_trajectory",
+        "batch_size": batch_size,
+    }
+    if not any(isinstance(instr.operation, Measure) for instr in circuit.data):
+        return Result(counts={}, shots=shots, memory=[] if memory else None, metadata=metadata)
+    # MSB-first '0'/'1' bytes per row, viewed as one fixed-width string each:
+    # np.unique then sorts the keys in ascending register value
+    chars = np.ascontiguousarray(values[:, ::-1]) + ord("0")
+    keys = chars.view(f"S{chars.shape[1]}").ravel()
+    unique, freq = np.unique(keys, return_counts=True)
+    counts = {key.decode(): int(count) for key, count in zip(unique, freq)}
+    shot_values = [key.decode() for key in keys] if memory else None
+    return Result(counts=counts, shots=shots, memory=shot_values, metadata=metadata)

@@ -6,12 +6,14 @@ and produces measurement counts and/or the final statevector.
 
 Execution strategy
 ------------------
-* If every measurement is *final* (no gate touches a measured qubit after its
-  measurement), the circuit is evolved once and outcomes are sampled from the
-  resulting distribution -- this is the fast path used by almost every Qutes
+* Without a noise model, resets or classical conditions, and with every
+  measurement *final* (no gate touches a measured qubit after its
+  measurement), the circuit is evolved once and outcomes are sampled from
+  the resulting distribution -- the fast path used by almost every Qutes
   program.
-* Otherwise (mid-circuit measurement followed by more gates) each shot is
-  simulated independently with genuine collapse, which is slower but exact.
+* Every other run -- Pauli noise, mid-circuit measurement, ``reset``,
+  ``if`` -- evolves all shots at once on the batched trajectory executor
+  in :mod:`repro.qsim.shotbatch`, with genuine per-shot collapse.
 
 Gate application is routed through the specialized kernels in
 :mod:`repro.qsim.kernels` (single-qubit, diagonal, controlled, 2-qubit
@@ -216,17 +218,8 @@ class StatevectorSimulator:
             dispatch and a backend-independent result type.  This method is
             kept as a thin compatibility shim.
         """
-        if shots <= 0:
-            raise SimulationError("shots must be positive")
-        circuit = self._prepare(circuit)
         rng = self._rng if seed is None else np.random.default_rng(seed)
-        previous_rng, self._rng = self._rng, rng
-        try:
-            if self.noise_model is not None or not measurements_are_final(circuit):
-                return self._run_per_shot(circuit, shots, memory, initial_state)
-            return self._run_sampled(circuit, shots, memory, initial_state)
-        finally:
-            self._rng = previous_rng
+        return self._execute(circuit, shots, memory, rng, initial_state=initial_state)
 
     def evolve(
         self,
@@ -264,6 +257,33 @@ class StatevectorSimulator:
         return state
 
     # -- internals ----------------------------------------------------------------
+
+    def _execute(
+        self,
+        circuit: QuantumCircuit,
+        shots: int,
+        memory: bool,
+        rng: np.random.Generator,
+        batch_size: Optional[int] = None,
+        initial_state: Optional[Statevector] = None,
+    ) -> Result:
+        """The one dispatch of every run: sample one final state when the
+        circuit allows it, else the batched trajectory executor (with
+        *batch_size* rows at a time, default cache-sized)."""
+        if shots <= 0:
+            raise SimulationError("shots must be positive")
+        circuit = self._prepare(circuit)
+        if (
+            self.noise_model is None
+            and measurements_are_final(circuit)
+            and not any(isinstance(instr.operation, Reset) for instr in circuit.data)
+        ):
+            return self._run_sampled(circuit, shots, memory, initial_state, rng)
+        from .shotbatch import run_batched  # shotbatch builds on this module
+
+        return run_batched(
+            circuit, self.noise_model, shots, rng, memory, batch_size, initial_state=initial_state
+        )
 
     def _prepare(self, circuit: QuantumCircuit) -> QuantumCircuit:
         """Pre-process *circuit* for execution (gate fusion when applicable)."""
@@ -321,6 +341,7 @@ class StatevectorSimulator:
         shots: int,
         memory: bool,
         initial_state: Optional[Statevector],
+        rng: np.random.Generator,
     ) -> Result:
         state = self._initial_state(circuit, initial_state)
         measure_map: List[Tuple[int, int]] = []  # (qubit index, clbit index)
@@ -333,56 +354,20 @@ class StatevectorSimulator:
                 continue
             self._apply(state, circuit, instr)
 
-        if not measure_map:
-            return Result(counts={}, shots=shots, statevector=state, memory=[] if memory else None)
-
-        probs = state.probabilities([q for q, _ in measure_map])
         counts: Dict[str, int] = {}
         shot_values: List[str] = []
-        for key, hits in sample_final(probs, shots, measure_map, {}, circuit.num_clbits, self._rng):
-            counts[key] = counts.get(key, 0) + hits
+        if measure_map:
+            probs = state.probabilities([q for q, _ in measure_map])
+            for key, hits in sample_final(probs, shots, measure_map, {}, circuit.num_clbits, rng):
+                counts[key] = counts.get(key, 0) + hits
+                if memory:
+                    shot_values.extend([key] * hits)
             if memory:
-                shot_values.extend([key] * hits)
-        if memory:
-            self._rng.shuffle(shot_values)
+                rng.shuffle(shot_values)
         return Result(
             counts=counts,
             shots=shots,
             statevector=state,
             memory=shot_values if memory else None,
-        )
-
-    def _run_per_shot(
-        self,
-        circuit: QuantumCircuit,
-        shots: int,
-        memory: bool,
-        initial_state: Optional[Statevector],
-    ) -> Result:
-        counts: Dict[str, int] = {}
-        shot_values: List[str] = []
-        num_clbits = circuit.num_clbits
-        for _ in range(shots):
-            state = self._initial_state(circuit, initial_state)
-            bits: Dict[int, int] = {}
-            for instr in circuit.data:
-                op = instr.operation
-                if not condition_met(circuit, instr.condition, bits):
-                    continue
-                if isinstance(op, Measure):
-                    qubit = circuit.qubit_index(instr.qubits[0])
-                    clbit = circuit.clbit_index(instr.clbits[0])
-                    bits[clbit] = state.measure([qubit], rng=self._rng)
-                    continue
-                self._apply(state, circuit, instr)
-            key = format_bits(bits, num_clbits) if bits else ""
-            if key:
-                counts[key] = counts.get(key, 0) + 1
-                if memory:
-                    shot_values.append(key)
-        return Result(
-            counts=counts,
-            shots=shots,
-            statevector=None,
-            memory=shot_values if memory else None,
+            metadata={"method": "sampled"},
         )

@@ -41,7 +41,7 @@ def basis_circuit(value, num_qubits=3):
 
 
 def midcircuit_circuit():
-    """Mid-circuit measurement forces the per-shot collapse path."""
+    """Mid-circuit measurement: every shot collapses on its own."""
     qc = QuantumCircuit(2, 2)
     qc.h(0)
     qc.measure(0, 0)
@@ -229,25 +229,22 @@ class TestParallelDispatch:
         with pytest.raises(BackendError, match="unknown executor"):
             get_backend("statevector").run(self._batch(), shots=8, seed=0, workers=2, executor="fiber")
 
-    @pytest.mark.parametrize("shot_workers", [1, 3])
-    def test_per_shot_chunked_path_is_worker_count_invariant(self, shot_workers):
-        backend = get_backend("statevector")
-        reference = backend.run(midcircuit_circuit(), shots=103, seed=6, shot_workers=1).result()[0]
-        other = backend.run(
-            midcircuit_circuit(), shots=103, seed=6, shot_workers=shot_workers
+    def test_mid_circuit_batch_size_invariant(self):
+        reference = get_backend("statevector").run(
+            midcircuit_circuit(), shots=103, seed=6
         ).result()[0]
-        assert reference.metadata["method"] == "per_shot_chunked"
-        assert reference.counts == other.counts
+        assert reference.metadata == {"method": "batched_shots", "batch_size": 103}
         assert sum(reference.counts.values()) == 103
+        for mode in ("per_shot", "batched"):
+            other = StatevectorBackend(shot_batching=mode).run(
+                midcircuit_circuit(), shots=103, seed=6
+            ).result()[0]
+            assert reference.counts == other.counts
 
-    def test_per_shot_chunked_without_seed_derives_from_backend_rng(self):
-        a = get_backend("statevector", seed=21).run(
-            midcircuit_circuit(), shots=50, shot_workers=2
-        ).result()[0]
-        b = get_backend("statevector", seed=21).run(
-            midcircuit_circuit(), shots=50, shot_workers=2
-        ).result()[0]
-        assert a.metadata["method"] == "per_shot_chunked"
+    def test_unseeded_mid_circuit_follows_backend_seed(self):
+        a = get_backend("statevector", seed=21).run(midcircuit_circuit(), shots=50).result()[0]
+        b = get_backend("statevector", seed=21).run(midcircuit_circuit(), shots=50).result()[0]
+        assert a.metadata["method"] == "batched_shots"
         assert a.counts == b.counts
 
     def test_result_timeout_does_not_poison_job(self):
@@ -255,10 +252,13 @@ class TestParallelDispatch:
         first = job.result(timeout=5)
         assert job.result() is first  # still retrievable afterwards
 
-    def test_per_shot_chunked_memory_order_deterministic(self):
-        backend = get_backend("statevector")
-        m1 = backend.run(midcircuit_circuit(), shots=40, seed=9, shot_workers=1, memory=True).result().get_memory()
-        m2 = backend.run(midcircuit_circuit(), shots=40, seed=9, shot_workers=2, memory=True).result().get_memory()
+    def test_mid_circuit_memory_order_deterministic(self):
+        m1 = StatevectorBackend(shot_batching="per_shot").run(
+            midcircuit_circuit(), shots=40, seed=9, memory=True
+        ).result().get_memory()
+        m2 = get_backend("statevector").run(
+            midcircuit_circuit(), shots=40, seed=9, memory=True
+        ).result().get_memory()
         assert m1 == m2 and len(m1) == 40
 
 

@@ -6,30 +6,39 @@ over the register's bits (unmeasured bits read 0) equals ``value``.  These
 tests pin that down three ways:
 
 * exact outcome sets on the density-matrix engine, whose shot-weighted
-  branching samples each branch's exact distribution, and distributional
-  (TVD) agreement of the statevector per-shot path with the density-matrix
-  and stabilizer engines on Clifford conditional circuits;
+  branching samples each branch's exact distribution, and the same sets on
+  the statevector's batched trajectory executor; distributional (TVD)
+  agreement of the statevector with the density-matrix engine as the
+  oracle (random circuits with conditions, resets and Pauli noise) and
+  with the stabilizer engine on Clifford conditional circuits;
 * statistical (TVD) agreement between *active* teleportation (measure +
   conditioned corrections) and its deferred-measurement rewrite;
-* serial vs parallel backend dispatch staying bit-for-bit equal, since the
-  chunked per-shot path derives its streams from one SeedSequence.
+* serial vs parallel backend dispatch, and every executor batch size,
+  staying bit-for-bit equal.
 """
 
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.qsim import QuantumCircuit
-from repro.qsim.backends import get_backend
+from repro.qsim.backends import StatevectorBackend, get_backend
 from repro.qsim.circuit import CircuitError
-from repro.qsim.density import DensityMatrixSimulator
+from repro.qsim.density import (
+    DensityMatrixSimulator,
+    bit_flip_kraus,
+    depolarizing_kraus,
+)
 from repro.qsim.exceptions import SimulationError
 from repro.qsim.fusion import fuse_gates
+from repro.qsim.instruction import Initialize, UnitaryGate
+from repro.qsim.noise import BitFlipNoise, DepolarizingNoise
 from repro.qsim.optimizer import optimize
 from repro.qsim.qasm import from_qasm, to_qasm
 from repro.qsim.registers import ClassicalRegister, QuantumRegister
-from repro.qsim.shotbatch import ineligible_reason
+from repro.qsim.shotbatch import ineligible_reason, run_batched
 from repro.qsim.simulator import StatevectorSimulator, measurements_are_final
 from repro.qsim.stabilizer import StabilizerSimulator
 from repro.qsim.transpiler import decompose
@@ -129,9 +138,17 @@ class TestConditionSemantics:
         # so it keeps the sampled fast path
         assert measurements_are_final(deferred_teleport())
 
-    def test_shotbatch_rejects_conditionals(self):
-        reason = ineligible_reason(active_teleport(), None)
-        assert reason is not None and "condition" in reason
+    def test_shotbatch_accepts_conditionals(self):
+        circuit = active_teleport(theta=0.7)
+        assert ineligible_reason(circuit, None) is None
+        runs = [
+            run_batched(circuit, None, shots=150, seed=4, memory=True, batch_size=size)
+            for size in (1, 7, None)
+        ]
+        for run in runs[1:]:
+            assert run.counts == runs[0].counts
+            assert run.memory == runs[0].memory
+        assert runs[2].metadata == {"method": "batched_shots", "batch_size": 150}
 
     def test_evolve_without_collapse_raises(self):
         with pytest.raises(SimulationError, match="collapse_measurements=True"):
@@ -233,6 +250,120 @@ class TestCrossEngineAgreement:
         assert tvd(active.counts, deferred.counts) < 0.08
 
 
+FEEDFORWARD_FILES = ("teleport_cond_n3", "ghz_cond_n4", "qec_cond_n5", "qec_repetition_n5")
+
+
+def random_feedforward_circuit(rng, num_qubits=3):
+    """Random 1q/2q gates interleaved with mid-circuit measurements, resets
+    and gates conditioned on a 2-bit register, plus a final measure."""
+    q = QuantumRegister(num_qubits, "q")
+    c = ClassicalRegister(2, "c")
+    out = ClassicalRegister(num_qubits, "out")
+    qc = QuantumCircuit(q, c, out, name="random_feedforward")
+    one_q = ["h", "x", "s", "t", "ry"]
+    two_q = ["cx", "cz", "swap"]
+    for _ in range(14):
+        kind = rng.random()
+        qubit = int(rng.integers(num_qubits))
+        if kind < 0.15:
+            qc.measure(q[qubit], c[int(rng.integers(2))])
+        elif kind < 0.22:
+            qc.reset(q[qubit])
+        elif kind < 0.62:
+            name = one_q[int(rng.integers(len(one_q)))]
+            if name == "ry":
+                qc.ry(float(rng.uniform(0, np.pi)), q[qubit])
+            else:
+                getattr(qc, name)(q[qubit])
+        else:
+            a, b = (int(x) for x in rng.choice(num_qubits, 2, replace=False))
+            getattr(qc, two_q[int(rng.integers(len(two_q)))])(q[a], q[b])
+        if rng.random() < 0.3 and qc.data[-1].operation.name != "barrier":
+            qc.c_if(c, int(rng.integers(4)))
+    qc.measure(q, out)
+    return qc
+
+
+class TestDensityMatrixOracle:
+    """The statevector's batched executor against the exact density matrix."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 123])
+    def test_statevector_exact_outcome_sets(self, seed):
+        sim = StatevectorSimulator(seed=seed)
+        outcomes = {name: sim.run(corpus(name), shots=200) for name in FEEDFORWARD_FILES}
+        teleport = outcomes["teleport_cond_n3"].counts
+        assert teleport and all(key[0] == "1" for key in teleport)  # out bit always 1
+        assert outcomes["qec_cond_n5"].counts == {"11111": 200}
+        assert outcomes["qec_repetition_n5"].counts == {"11111": 200}
+        ghz = outcomes["ghz_cond_n4"].counts
+        assert set(ghz) <= {"0000", "1111"} and sum(ghz.values()) == 200
+        for result in outcomes.values():
+            assert result.metadata["method"] == "batched_shots"
+
+    @pytest.mark.parametrize("case", range(6))
+    def test_random_feedforward_matches_density_matrix(self, case):
+        rng = np.random.default_rng(500 + case)
+        circuit = random_feedforward_circuit(rng)
+        p = 0.05
+        if case % 2:
+            noise, kraus = DepolarizingNoise(p), depolarizing_kraus(p)
+        else:
+            noise, kraus = BitFlipNoise(p), bit_flip_kraus(p)
+        shots = 3000
+        sv = StatevectorSimulator(seed=case, noise_model=noise).run(circuit, shots=shots)
+        dm = DensityMatrixSimulator(seed=case, gate_noise={1: kraus, 2: kraus}).run(
+            circuit, shots=shots
+        )
+        assert sv.metadata["method"] == "batched_shots"
+        assert tvd(sv.counts, dm.counts) < 0.06
+
+    def test_skipped_gate_draws_no_noise(self):
+        # c reads 0, so the conditioned id never runs: a certain bit flip
+        # on it must never fire; when the condition holds it always fires
+        for prepared, expected in ((False, "0"), (True, "1")):
+            q = QuantumRegister(2, "q")
+            c = ClassicalRegister(1, "c")
+            r = ClassicalRegister(1, "r")
+            qc = QuantumCircuit(q, c, r)
+            if prepared:  # initialize is not a gate, so it draws no noise
+                qc.append(Initialize([0, 1]), [q[0]])
+            qc.measure(q[0], c[0])
+            qc.id(q[1]).c_if(c, 1)
+            qc.measure(q[1], r[0])
+            counts = (
+                StatevectorSimulator(seed=2, noise_model=BitFlipNoise(1.0))
+                .run(qc, shots=64)
+                .counts
+            )
+            assert all(key[0] == expected for key in counts), counts
+
+    def test_wide_unitary_after_mid_circuit_measurement(self):
+        # a 7-qubit increment permutation |x> -> |x+1 mod 128> runs row by row
+        n = 7
+        increment = np.roll(np.eye(2**n, dtype=complex), 1, axis=0)
+        qc = QuantumCircuit(n, n + 1)
+        qc.h(0)
+        qc.measure(0, n)
+        qc.append(UnitaryGate(increment), list(reversed(range(n))))  # targets[0] is the MSB
+        qc.measure(list(range(n)), list(range(n)))
+        result = StatevectorSimulator(seed=3).run(qc, shots=100)
+        assert result.metadata["method"] == "batched_shots"
+        assert {key[0] for key in result.counts} == {"0", "1"}
+        for key in result.counts:
+            assert int(key[1:], 2) == int(key[0]) + 1
+
+    def test_initialize_after_mid_circuit_measurement(self):
+        qc = QuantumCircuit(2, 2)
+        qc.h(0)
+        qc.measure(0, 0)
+        qc.append(Initialize([0, 1]), [1])
+        qc.cx(0, 1)
+        qc.measure(1, 1)
+        result = StatevectorSimulator(seed=4).run(qc, shots=100)
+        assert result.metadata["method"] == "batched_shots"
+        assert set(result.counts) == {"10", "01"}  # q1 = 1 xor the mid-circuit bit
+
+
 @pytest.mark.slow
 class TestActiveVsDeferredTVD:
     """Statistical equivalence of live corrections and deferred measurement."""
@@ -274,23 +405,35 @@ class TestBackendDispatch:
         for a, b in zip(serial.results, parallel.results):
             assert a.counts == b.counts
 
-    def test_serial_and_parallel_shot_chunks_bit_equal(self):
-        # the chunked per-shot path derives chunk seeds from (shots, seed)
-        # only, so 1 worker and 4 workers must merge to identical counts
-        circuit = active_teleport()
-        one = (
-            get_backend("statevector")
-            .run(circuit, shots=200, seed=9, shot_workers=1)
-            .result()
-            .get_counts()
-        )
-        four = (
-            get_backend("statevector")
-            .run(circuit, shots=200, seed=9, shot_workers=4)
-            .result()
-            .get_counts()
-        )
-        assert one == four
+    def test_per_shot_and_batched_modes_bit_equal(self):
+        # every random number is pre-drawn per shot in circuit order, so one
+        # trajectory at a time and the cache-sized batch give the same
+        # counts and the same memory order, with and without noise
+        circuit = active_teleport(theta=1.3)
+        for noise in (None, DepolarizingNoise(0.05)):
+            results = [
+                StatevectorBackend(noise_model=noise, shot_batching=mode)
+                .run(circuit, shots=200, seed=9, memory=True)
+                .result()
+                for mode in ("per_shot", "batched")
+            ]
+            assert results[0].get_counts() == results[1].get_counts()
+            assert results[0].get_memory() == results[1].get_memory()
+            assert results[0][0].metadata["method"] == "per_shot_trajectory"
+            assert results[1][0].metadata["method"] == "batched_shots"
+
+    @pytest.mark.parametrize("noise", [None, DepolarizingNoise(0.2)])
+    def test_wrapped_simulator_seed_is_honoured(self, noise):
+        # resolve_backend(simulator=...) wraps an algorithm module's engine:
+        # an unseeded run must draw from that engine's seeded stream
+        def counts(circuit):
+            backend = StatevectorBackend(
+                simulator=StatevectorSimulator(seed=5, noise_model=noise)
+            )
+            return backend.run(circuit, shots=200).result().get_counts()
+
+        for circuit in (active_teleport(theta=0.9), deferred_teleport(theta=0.9)):
+            assert counts(circuit) == counts(circuit)
 
     def test_dense_backends_agree_in_distribution(self):
         circuit = active_teleport()

@@ -12,8 +12,9 @@ Three property families:
   exchange, the X special case);
 * **batched shots** -- ``shot_batching="batched"`` and ``"per_shot"``
   produce bit-equal counts and memory at a fixed seed on 8-14 qubits, the
-  result is invariant under the batch split, and ineligible circuits are
-  named (or rejected when batching was forced).
+  result is invariant under the batch split (also with mid-circuit
+  measurement, reset and wide gates), and a non-Pauli noise model is
+  rejected with its reason.
 """
 
 import numpy as np
@@ -35,6 +36,7 @@ from repro.qsim.backends import DensityMatrixBackend
 from repro.qsim.exceptions import BackendError, SimulationError
 from repro.qsim.fusion import fuse_gates
 from repro.qsim.instruction import ControlledGate, Gate, UnitaryGate
+from repro.qsim.simulator import StatevectorSimulator
 from repro.qsim.ops import (
     NumpyOps,
     OPS_ENV_VAR,
@@ -80,6 +82,22 @@ def noisy_circuit(num_qubits: int, depth: int, rng: np.random.Generator) -> Quan
         qc.append(Gate(name, len(targets), angle), targets)
     qc.measure_all()
     return qc
+
+
+def assert_batch_sizes_bit_equal(qc, noise, shots=120, seed=31):
+    """Counts and ``memory=True`` order agree at batch sizes 1, 7 and the
+    default, and the default run is labelled as the batched executor."""
+    runs = [
+        shotbatch.run_batched(qc, noise, shots=shots, seed=seed, memory=True, batch_size=size)
+        for size in (1, 7, None)
+    ]
+    for run in runs[1:]:
+        assert run.counts == runs[0].counts
+        assert run.memory == runs[0].memory
+    assert sum(runs[0].counts.values()) == shots
+    assert runs[0].metadata == {"method": "per_shot_trajectory", "batch_size": 1}
+    assert runs[2].metadata["method"] == "batched_shots"
+    return runs[2]
 
 
 class RecordingOps(NumpyOps):
@@ -504,12 +522,15 @@ class TestEligibility:
 
     def test_zero_qubits(self):
         qc = QuantumCircuit(0)
-        assert "no qubits" in shotbatch.ineligible_reason(qc, None)
+        assert shotbatch.ineligible_reason(qc, BitFlipNoise(0.1)) is None
+        result = shotbatch.run_batched(qc, BitFlipNoise(0.1), shots=5, seed=0)
+        assert result.counts == {}
 
     def test_non_pauli_noise(self):
         qc = noisy_circuit(3, 5, np.random.default_rng(1))
         reason = shotbatch.ineligible_reason(qc, _NonPauliNoise())
         assert "not a single-qubit Pauli channel" in reason
+        assert "density_matrix" in reason
 
     def test_mid_circuit_measurement(self):
         qc = QuantumCircuit(2, 2)
@@ -517,16 +538,24 @@ class TestEligibility:
         qc.measure(0, 0)
         qc.x(0)
         qc.measure(1, 1)
-        reason = shotbatch.ineligible_reason(qc, BitFlipNoise(0.1))
-        assert "mid-circuit" in reason
+        assert shotbatch.ineligible_reason(qc, BitFlipNoise(0.1)) is None
+        assert_batch_sizes_bit_equal(qc, BitFlipNoise(0.1))
 
     def test_reset_requires_collapse(self):
+        # reset measures its qubit: the Bell partner must collapse shot by
+        # shot (a sampled single collapse would give one outcome for all)
         qc = QuantumCircuit(2, 2)
         qc.h(0)
+        qc.cx(0, 1)
         qc.reset(0)
-        qc.measure_all()
-        reason = shotbatch.ineligible_reason(qc, BitFlipNoise(0.1))
-        assert "per-shot collapse" in reason
+        qc.measure([0, 1], [0, 1])
+        assert shotbatch.ineligible_reason(qc, BitFlipNoise(0.1)) is None
+        assert_batch_sizes_bit_equal(qc, BitFlipNoise(0.1))
+        noiseless = assert_batch_sizes_bit_equal(qc, None)
+        assert set(noiseless.counts) == {"00", "10"}
+        sampled = StatevectorSimulator(seed=1).run(qc, shots=120)
+        assert sampled.metadata["method"] == "batched_shots"
+        assert set(sampled.counts) == {"00", "10"}
 
     def test_fused_blocks_under_noise(self):
         qc = QuantumCircuit(3)
@@ -542,10 +571,11 @@ class TestEligibility:
     def test_wide_gate(self):
         n = 7
         qc = QuantumCircuit(n)
-        qc.append(UnitaryGate(np.eye(2**n, dtype=complex)), list(range(n)))
+        qc.h(0)
+        qc.append(UnitaryGate(random_unitary(2**n, np.random.default_rng(3))), list(range(n)))
         qc.measure_all()
-        reason = shotbatch.ineligible_reason(qc, BitFlipNoise(0.1))
-        assert "batched limit" in reason
+        assert shotbatch.ineligible_reason(qc, BitFlipNoise(0.1)) is None
+        assert_batch_sizes_bit_equal(qc, BitFlipNoise(0.1), shots=40)
 
 
 class TestBatchedExecutor:
@@ -568,8 +598,24 @@ class TestBatchedExecutor:
         qc.measure(0, 0)
         qc.x(0)
         qc.measure(1, 1)
-        with pytest.raises(SimulationError, match="not batchable"):
-            shotbatch.run_batched(qc, BitFlipNoise(0.1), shots=10, seed=0)
+        with pytest.raises(SimulationError, match="not batchable.*density_matrix"):
+            shotbatch.run_batched(qc, _NonPauliNoise(), shots=10, seed=0)
+
+    def test_long_measure_chain_does_not_underflow(self):
+        """1100 rounds of h + measure halve the tracked norm each time; the
+        power-of-two rescale keeps it representable and the outcome fair."""
+        qc = QuantumCircuit(1, 1)
+        for _ in range(1100):
+            qc.h(0)
+            qc.measure(0, 0)
+        shots = 50
+        result = shotbatch.run_batched(qc, None, shots=shots, seed=8)
+        ones = result.counts.get("1", 0)
+        assert sum(result.counts.values()) == shots
+        # Binomial(50, 1/2): mean 25, sd 3.5; +-4.2 sd
+        assert 10 <= ones <= 40
+        single = shotbatch.run_batched(qc, None, shots=shots, seed=8, batch_size=1)
+        assert single.counts == result.counts
 
     def test_no_measurements_gives_empty_counts(self):
         qc = QuantumCircuit(3)
@@ -590,27 +636,25 @@ class TestBatchedExecutor:
 
     def test_noise_statistics_match_legacy_trajectories(self):
         """Distribution sanity: batched depolarizing on a Bell pair agrees
-        with the legacy per-shot loop to a small total-variation distance."""
+        with the exact density-matrix channel to a small total-variation
+        distance."""
+        from repro.qsim.density import DensityMatrixSimulator, depolarizing_kraus
+
         qc = QuantumCircuit(2, 2)
         qc.h(0)
         qc.cx(0, 1)
         qc.measure_all()
-        noise = DepolarizingNoise(0.1)
         shots = 4000
-        batched = shotbatch.run_batched(qc, noise, shots=shots, seed=3)
-        legacy = StatevectorBackend(
-            noise_model=DepolarizingNoise(0.1), shot_batching="per_shot", seed=3
+        batched = shotbatch.run_batched(qc, DepolarizingNoise(0.1), shots=shots, seed=3)
+        kraus = depolarizing_kraus(0.1)
+        exact = DensityMatrixSimulator(seed=3, gate_noise={1: kraus, 2: kraus}).run(
+            qc, shots=shots
         )
-        from repro.qsim.simulator import StatevectorSimulator
-
-        sim = StatevectorSimulator(seed=3, noise_model=noise)
-        loop = sim.run(qc, shots=shots)
-        keys = set(batched.counts) | set(loop.counts)
+        keys = set(batched.counts) | set(exact.counts)
         tvd = 0.5 * sum(
-            abs(batched.counts.get(k, 0) - loop.counts.get(k, 0)) / shots for k in keys
+            abs(batched.counts.get(k, 0) - exact.counts.get(k, 0)) / shots for k in keys
         )
         assert tvd < 0.05
-        assert legacy.shot_batching == "per_shot"
 
 
 class TestShotBatchingModes:
@@ -651,16 +695,16 @@ class TestShotBatchingModes:
         result = backend.run(qc, shots=100, seed=1).result()
         assert result[0].metadata["method"] == "batched_shots"
 
-    def test_auto_falls_back_on_ineligible(self):
+    def test_auto_runs_mid_circuit_batched(self):
         qc = QuantumCircuit(2, 2)
         qc.h(0)
         qc.measure(0, 0)
         qc.x(0)
         qc.measure(1, 1)
-        assert shotbatch.ineligible_reason(qc, BitFlipNoise(0.05)) is not None
         backend = StatevectorBackend(noise_model=BitFlipNoise(0.05), fusion=False)
         result = backend.run(qc, shots=50, seed=2).result()
         assert sum(result.get_counts().values()) == 50
+        assert result[0].metadata == {"method": "batched_shots", "batch_size": 50}
 
     def test_forced_batched_rejects_ineligible(self):
         qc = QuantumCircuit(2, 2)
@@ -668,12 +712,13 @@ class TestShotBatchingModes:
         qc.measure(0, 0)
         qc.x(0)
         qc.measure(1, 1)
-        backend = StatevectorBackend(
-            noise_model=BitFlipNoise(0.05), shot_batching="batched", fusion=False
-        )
-        job = backend.run(qc, shots=50, seed=2)
-        with pytest.raises(BackendError, match="mid-circuit"):
-            job.result()
+        for mode in StatevectorBackend.SHOT_BATCHING_MODES:
+            backend = StatevectorBackend(
+                noise_model=_NonPauliNoise(), shot_batching=mode, fusion=False
+            )
+            job = backend.run(qc, shots=50, seed=2)
+            with pytest.raises(BackendError, match="not a single-qubit Pauli.*density_matrix"):
+                job.result()
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(BackendError, match="unknown shot_batching mode"):
@@ -722,13 +767,12 @@ class TestRunSignature:
             assert sum(counts.values()) == 64
 
     def test_shot_workers_keyword_is_forwarded(self):
+        # no longer a Backend.run parameter: like any unknown option it is
+        # forwarded to the engine, which rejects it by name
         qc = QuantumCircuit(2, 2)
         qc.h(0)
         qc.measure(0, 0)
         qc.x(1)
         qc.measure(1, 1)
-        backend = StatevectorBackend(seed=5)
-        plain = backend.run(qc, shots=64, seed=11).result().get_counts()
-        chunked = backend.run(qc, shots=64, seed=11, shot_workers=2).result().get_counts()
-        assert sum(chunked.values()) == 64
-        assert plain == chunked
+        with pytest.raises(BackendError, match="unknown run options.*shot_workers"):
+            StatevectorBackend(seed=5).run(qc, shots=64, seed=11, shot_workers=2).result()
