@@ -51,7 +51,6 @@ Run directly::
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import time
 from typing import Dict, List
@@ -65,7 +64,7 @@ from repro.qsim.fusion import fuse_gates, fusion_summary
 from repro.qsim.instruction import Barrier, Gate, Measure, Reset
 from repro.qsim.simulator import condition_met, format_bits
 
-from benchutil import add_out_argument, total_variation, write_results
+from benchutil import add_out_argument, total_variation, tvd_floor, write_results
 
 ATOL = 1e-10
 
@@ -174,12 +173,6 @@ def run_noisy_mode(circuit, noise, shots: int, seed: int, mode: str):
     """One of the backend's trajectory modes (``per_shot`` or ``batched``)."""
     backend = StatevectorBackend(noise_model=noise, fusion=False, shot_batching=mode)
     return backend.run(circuit, shots=shots, seed=seed).result().get_counts()
-
-
-def tvd_floor(outcomes: int, shots: int) -> float:
-    """The corpus's cross-engine TVD gate (``bench_qasm.py``): two samples
-    of one distribution differ by about ``0.75*sqrt(outcomes/shots)``."""
-    return min(0.5, 0.02 + 1.3 * math.sqrt(outcomes / shots))
 
 
 def feedforward_axis(shots: int, noise_p: float, seed: int, repeats: int, failures: List[str]):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import time
 from typing import Any, Dict, List, Optional
 
@@ -25,6 +26,12 @@ def total_variation(a: Dict[str, float], b: Dict[str, float]) -> float:
     total_b = sum(b.values()) or 1
     keys = set(a) | set(b)
     return 0.5 * sum(abs(a.get(k, 0) / total_a - b.get(k, 0) / total_b) for k in keys)
+
+
+def tvd_floor(outcomes: int, shots: int) -> float:
+    """The corpus's cross-engine TVD gate (``bench_qasm.py``): two samples
+    of one distribution differ by about ``0.75*sqrt(outcomes/shots)``."""
+    return min(0.5, 0.02 + 1.3 * math.sqrt(outcomes / shots))
 
 
 def add_out_argument(parser: argparse.ArgumentParser) -> None:

@@ -57,7 +57,7 @@ from .exceptions import SimulationError
 from .instruction import Barrier, Initialize, Measure, Reset
 from .noise import NoiseModel
 from .ops import ArrayOps, get_ops
-from .simulator import Result
+from .simulator import Result, tally
 from .statevector import Statevector
 
 __all__ = ["ineligible_reason", "run_batched", "MAX_BATCH_AMPLITUDES"]
@@ -555,11 +555,6 @@ def run_batched(
     }
     if not any(isinstance(instr.operation, Measure) for instr in circuit.data):
         return Result(counts={}, shots=shots, memory=[] if memory else None, metadata=metadata)
-    # MSB-first '0'/'1' bytes per row, viewed as one fixed-width string each:
-    # np.unique then sorts the keys in ascending register value
-    chars = np.ascontiguousarray(values[:, ::-1]) + ord("0")
-    keys = chars.view(f"S{chars.shape[1]}").ravel()
-    unique, freq = np.unique(keys, return_counts=True)
-    counts = {key.decode(): int(count) for key, count in zip(unique, freq)}
-    shot_values = [key.decode() for key in keys] if memory else None
-    return Result(counts=counts, shots=shots, memory=shot_values, metadata=metadata)
+    result = tally(values, memory)
+    result.metadata = metadata
+    return result

@@ -46,6 +46,7 @@ __all__ = [
     "condition_met",
     "format_bits",
     "sample_final",
+    "tally",
 ]
 
 #: fusion budget used by the simulator; one notch above the fusion pass's
@@ -109,6 +110,21 @@ def format_bits(bits: Dict[int, int], num_clbits: int) -> str:
     for position, value in bits.items():
         chars[num_clbits - 1 - position] = "1" if value else "0"
     return "".join(chars)
+
+
+def tally(values: np.ndarray, memory: bool) -> "Result":
+    """Counts (and per-shot *memory*) of a ``(shots, clbits)`` 0/1 uint8 matrix.
+
+    Each row's MSB-first ``'0'``/``'1'`` bytes are viewed as one
+    fixed-width string, so ``np.unique`` sorts the keys in ascending
+    register value.  The engines' one tally routine.
+    """
+    chars = np.ascontiguousarray(values[:, ::-1]) + ord("0")
+    keys = chars.view(f"S{chars.shape[1]}").ravel()
+    unique, freq = np.unique(keys, return_counts=True)
+    counts = {key.decode(): int(count) for key, count in zip(unique, freq)}
+    shot_values = [key.decode() for key in keys] if memory else None
+    return Result(counts=counts, shots=values.shape[0], memory=shot_values)
 
 
 def sample_final(

@@ -23,6 +23,15 @@ simulator scale:
   mod-2 matrix multiply; correlations between outcomes (teleportation
   corrections, repeated measurement, reset) are carried by the shared
   symbols.
+* **Symbolic feed-forward.**  A classically conditioned Pauli (``x``,
+  ``y``, ``z``, ``id``, or any instruction that lowers to Paulis only) never
+  changes the x/z bit-matrix either, so it is recorded as a Pauli under a
+  *derived* phase symbol -- the classically controlled Pauli of Stim
+  (``CX rec[-1] q``).  The symbol's per-shot bit is not drawn: at sampling
+  time it is computed from the condition register's outcome expressions
+  (any register width) as ``register == value``.  Only conditioned
+  measurements, resets, initializations and non-Pauli Cliffords re-evolve a
+  concrete tableau per shot.
 
 Gate support: H, S, Sdg, X, Y, Z, SX, CX, CY, CZ, SWAP, iSWAP natively,
 rotation gates at multiples of pi/2, plus **any** unitary block up to
@@ -57,7 +66,7 @@ from .circuit import QuantumCircuit
 from .exceptions import SimulationError
 from .instruction import Barrier, Initialize, Measure
 from .noise import NoiseModel
-from .simulator import Result, format_bits
+from .simulator import Result, tally
 from .transpiler import _clifford_classification
 
 __all__ = [
@@ -487,30 +496,41 @@ class StabilizerTableau:
 # ---------------------------------------------------------------------------
 
 #: ("gate", method_name, qubits, cond) | ("table", table, qubits, cond) |
-#: ("initialize", basis_value, qubits, cond) |
-#: ("measure", clbit, (qubit,), cond) | ("reset", None, (qubit,), cond) |
-#: ("noise", None, qubits, cond) -- error-injection point after a unitary
-#: instruction.  ``cond`` is ``None`` or ``(clbit_indices, value)``: the op
-#: executes in a shot only when the little-endian integer over those clbits
-#: equals *value* -- which forces the concrete per-shot path (see run()).
+#: ("pauli", ((pauli, qubit), ...), qubits, cond) -- a conditioned
+#: instruction that lowers to Paulis only | ("initialize", basis_value,
+#: qubits, cond) | ("measure", clbit, (qubit,), cond) | ("reset", None,
+#: (qubit,), cond) | ("noise", None, qubits, cond) -- error-injection point
+#: after a unitary instruction.  ``cond`` is ``None`` or ``(clbit_indices,
+#: value)``: the op executes in a shot only when the little-endian integer
+#: over those clbits equals *value*.  run() keeps a conditioned "pauli" op
+#: (and its noise marker) on the symbolic path; any other conditioned op
+#: forces the concrete per-shot path.
 _CompiledOp = Tuple[str, Any, Tuple[int, ...], Optional[Tuple[Tuple[int, ...], int]]]
+
+_PAULI_GATES = frozenset({"x", "y", "z"})
 
 
 def _compiled_condition_met(
-    condition: Optional[Tuple[Tuple[int, ...], int]], bits: Dict[int, int]
+    condition: Optional[Tuple[Tuple[int, ...], int]], clbits: np.ndarray
 ) -> bool:
-    """Evaluate a compiled-op condition against a per-shot clbit dict."""
+    """Evaluate a compiled-op condition against one shot's clbit values."""
     if condition is None:
         return True
     clbit_indices, value = condition
     register_value = 0
     for position, clbit in enumerate(clbit_indices):
-        register_value |= bits.get(clbit, 0) << position
+        register_value |= int(clbits[clbit]) << position
     return register_value == value
 
 
-def _compile(circuit: QuantumCircuit, noise: bool = False) -> Tuple[List[_CompiledOp], int]:
-    """Lower *circuit* to tableau operations; returns (ops, #measure-events).
+def _compile(
+    circuit: QuantumCircuit, noise: bool = False
+) -> Tuple[List[_CompiledOp], int, Optional[str]]:
+    """Lower *circuit* to tableau operations.
+
+    Returns ``(ops, #measure-events, blocker)``, where *blocker* names the
+    first classically-conditioned instruction that is not Pauli-only (and so
+    needs concrete per-shot evolution), or is ``None``.
 
     The per-instruction decision is
     :func:`repro.qsim.transpiler._clifford_classification` — the same
@@ -527,6 +547,7 @@ def _compile(circuit: QuantumCircuit, noise: bool = False) -> Tuple[List[_Compil
     """
     ops: List[_CompiledOp] = []
     events = 0
+    blocker: Optional[str] = None
     for instr in circuit.data:
         op = instr.operation
         condition: Optional[Tuple[Tuple[int, ...], int]] = None
@@ -547,6 +568,13 @@ def _compile(circuit: QuantumCircuit, noise: bool = False) -> Tuple[List[_Compil
                 "of pi/2, Clifford unitary blocks, measure and reset"
             )
         kind, payload = classification
+        symbolic_condition = (
+            condition is not None
+            and kind == "sequence"
+            and all(name in _PAULI_GATES for name, _ in payload)
+        )
+        if condition is not None and not symbolic_condition and blocker is None:
+            blocker = op.name
         if kind == "passthrough":
             if isinstance(op, Barrier):
                 continue
@@ -562,6 +590,11 @@ def _compile(circuit: QuantumCircuit, noise: bool = False) -> Tuple[List[_Compil
         targets = tuple(circuit.qubit_index(q) for q in instr.qubits)
         if kind == "initialize":
             ops.append(("initialize", payload, targets, condition))
+        elif symbolic_condition:
+            paulis = tuple((name.upper(), targets[i[0]]) for name, i in payload)
+            ops.append(("pauli", paulis, targets, condition))
+            if noise:
+                ops.append(("noise", None, targets, condition))
         elif kind == "sequence":
             for name, local_indices in payload:
                 ops.append(
@@ -574,7 +607,7 @@ def _compile(circuit: QuantumCircuit, noise: bool = False) -> Tuple[List[_Compil
             ops.append(("table", payload, targets, condition))
             if noise:
                 ops.append(("noise", None, targets, condition))
-    return ops, events
+    return ops, events, blocker
 
 
 def _pauli_channel_encoding(terms) -> Optional[Tuple[str, Any]]:
@@ -603,10 +636,34 @@ def _pauli_channel_encoding(terms) -> Optional[Tuple[str, Any]]:
     return ("pair", (probs["X"], probs["Y"], probs["Z"]))
 
 
-#: per-shot symbol distributions: ("uniform", None) for a random measurement
-#: event, ("bernoulli", p) for a single-Pauli error symbol, ("pair",
-#: (pX, pY, pZ)) for the (X-part, Z-part) column pair of a general Pauli error
-_SymbolSpec = Tuple[str, Any]
+#: per-shot symbol distributions, as (kind, payload, gate): ("uniform", None,
+#: None) for a random measurement event, ("bernoulli", p, gate) for a
+#: single-Pauli error symbol, ("pair", (pX, pY, pZ), gate) for the (X-part,
+#: Z-part) column pair of a general Pauli error, and ("derived", (register,
+#: value), None) for a conditioned Pauli's symbol, whose bit is computed,
+#: not drawn: ``register`` holds the condition clbits' outcome expressions
+#: (one row per clbit, little-endian).  ``gate`` is ``None`` or the sampled
+#: column of the condition an error follows: the error fires only in shots
+#: where that conditioned gate ran.
+_SymbolSpec = Tuple[str, Any, Optional[int]]
+
+
+def _condition_bits(earlier: np.ndarray, register: np.ndarray, value: int) -> np.ndarray:
+    """Per-shot ``register == value`` over the *earlier* sampled columns.
+
+    *register* holds one outcome expression per condition clbit
+    (little-endian); only the columns some expression uses enter the
+    mod-2 matmul, so a wide symbol frame costs nothing extra.
+    """
+    coefficients = register[:, 1 : 1 + earlier.shape[1]]
+    used = np.flatnonzero(coefficients.any(axis=0))
+    parity = (earlier[:, used] @ coefficients[:, used].T.astype(np.int32)) & 1
+    wanted = np.array(
+        [((value >> j) & 1) ^ int(register[j, 0]) for j in range(register.shape[0])],
+        dtype=np.int32,
+    )
+    return np.all(parity == wanted, axis=1)
+
 
 _NOISE_METHODS = ("auto", "symbolic", "per_shot")
 
@@ -682,7 +739,7 @@ class StabilizerSimulator:
         if shots <= 0:
             raise SimulationError("shots must be positive")
         encoding = self._noise_encoding()
-        ops, max_events = _compile(circuit, noise=encoding is not None)
+        ops, max_events, blocker = _compile(circuit, noise=encoding is not None)
         rng = self._rng if seed is None else np.random.default_rng(seed)
 
         noise_columns = 0
@@ -690,13 +747,14 @@ class StabilizerSimulator:
             per_qubit = 1 if encoding[0] == "single" else 2
             touches = sum(len(targets) for kind, _, targets, _ in ops if kind == "noise")
             noise_columns = per_qubit * touches
-        capacity = max_events + noise_columns
+        derived_columns = sum(1 for kind, _, _, _ in ops if kind == "pauli")
+        capacity = max_events + noise_columns + derived_columns
         method = "stabilizer" if encoding is None else "stabilizer_noisy"
         reason = None
-        if any(condition is not None for _, _, _, condition in ops):
-            # a classical condition reads concrete clbit values mid-circuit,
-            # which the symbolic phase frame cannot branch on (noiseless too)
-            reason = "classically-conditioned instruction"
+        if blocker is not None:
+            # only a Pauli leaves the x/z bit-matrix alone; any other
+            # conditioned instruction makes the evolution itself branch
+            reason = f"classically-conditioned non-Pauli instruction {blocker!r}"
         elif encoding is not None and self._use_per_shot(circuit.num_qubits, capacity):
             reason = "noise_method='per_shot'" if self.noise_method == "per_shot" else (
                 "symbolic phase frame over MAX_SYMBOLIC_PHASE_CELLS (see docs/noise.md)"
@@ -710,31 +768,47 @@ class StabilizerSimulator:
 
         tableau = StabilizerTableau(circuit.num_qubits, max_symbols=capacity)
         recorded: List[Tuple[int, np.ndarray]] = []
+        latest: Dict[int, np.ndarray] = {}  # clbit -> its latest outcome expression
+        unwritten = np.zeros(1 + capacity, dtype=np.uint8)  # a never-measured clbit reads 0
         specs: List[_SymbolSpec] = []
-        for kind, payload, targets, _ in ops:
+        gate_column = 0
+        for kind, payload, targets, condition in ops:
             if kind == "gate":
                 getattr(tableau, payload)(*targets)
             elif kind == "table":
                 tableau.apply_pauli_table(payload, targets)
             elif kind == "initialize":
                 tableau.initialize_basis(payload, targets)
+            elif kind == "pauli":
+                clbits, value = condition
+                register = np.stack([latest.get(clbit, unwritten) for clbit in clbits])
+                gate_column = tableau.allocate_symbol()
+                specs.append(("derived", (register, value), None))
+                for pauli, qubit in payload:
+                    tableau.inject_pauli_symbol(qubit, pauli, gate_column)
             elif kind == "noise":
-                self._inject_symbolic(tableau, targets, encoding, specs)
+                # tableau column c is sampled column c - 1 (column 0 is the sign)
+                gate = None if condition is None else gate_column - 1
+                self._inject_symbolic(tableau, targets, encoding, specs, gate)
             elif kind == "measure":
                 before = tableau._num_symbols
-                recorded.append((payload, tableau._measure_symbolic(targets[0])))
+                latest[payload] = tableau._measure_symbolic(targets[0])
+                recorded.append((payload, latest[payload]))
                 if tableau._num_symbols > before:
-                    specs.append(("uniform", None))
+                    specs.append(("uniform", None, None))
             else:  # reset
                 before = tableau._num_symbols
                 tableau._reset_symbolic(targets[0])
                 if tableau._num_symbols > before:
-                    specs.append(("uniform", None))
+                    specs.append(("uniform", None, None))
         if not recorded:
             result = Result(counts={}, shots=shots, memory=[] if memory else None)
         else:
             outcomes = self._sample_outcomes(recorded, specs, shots, rng)
-            result = self._tally(outcomes, recorded, circuit.num_clbits, shots, memory)
+            values = np.zeros((shots, circuit.num_clbits), dtype=np.uint8)
+            for position, (clbit, _) in enumerate(recorded):
+                values[:, clbit] = outcomes[:, position]  # later writes win
+            result = tally(values, memory)
         result.metadata = {"method": method}
         return result
 
@@ -750,9 +824,9 @@ class StabilizerSimulator:
         :meth:`run`).
         """
         encoding = self._noise_encoding()
-        ops, _ = _compile(circuit, noise=encoding is not None)
+        ops, _, _ = _compile(circuit, noise=encoding is not None)
         tableau = StabilizerTableau(circuit.num_qubits)
-        bits: Dict[int, int] = {}
+        bits = np.zeros(circuit.num_clbits, dtype=np.uint8)
         for kind, payload, targets, condition in ops:
             if condition is not None and not collapse_measurements:
                 raise SimulationError(
@@ -766,6 +840,9 @@ class StabilizerSimulator:
                 getattr(tableau, payload)(*targets)
             elif kind == "table":
                 tableau.apply_pauli_table(payload, targets)
+            elif kind == "pauli":
+                for pauli, qubit in payload:
+                    tableau.apply_pauli(qubit, pauli)
             elif kind == "initialize":
                 tableau.initialize_basis(payload, targets)
             elif kind == "noise":
@@ -794,20 +871,22 @@ class StabilizerSimulator:
         targets: Sequence[int],
         encoding: Optional[Tuple[str, Any]],
         specs: List[_SymbolSpec],
+        gate: Optional[int],
     ) -> None:
-        """Allocate and wire the error symbols of one noise marker."""
+        """Allocate and wire the error symbols of one noise marker; *gate*
+        is the sampled column of the condition it follows, if any."""
         if encoding is None:
             return
         if encoding[0] == "single":
             _, pauli, p = encoding
             for qubit in targets:
                 tableau.inject_pauli_symbol(qubit, pauli, tableau.allocate_symbol())
-                specs.append(("bernoulli", p))
+                specs.append(("bernoulli", p, gate))
         else:
             for qubit in targets:
                 tableau.inject_pauli_symbol(qubit, "X", tableau.allocate_symbol())
                 tableau.inject_pauli_symbol(qubit, "Z", tableau.allocate_symbol())
-                specs.append(("pair", encoding[1]))
+                specs.append(("pair", encoding[1], gate))
 
     @staticmethod
     def _inject_concrete(
@@ -845,16 +924,13 @@ class StabilizerSimulator:
     ) -> Result:
         """Concrete fallback: re-evolve the tableau for every shot.
 
-        Also the execution path for classically-conditioned Clifford
-        circuits (with or without noise): each shot evaluates conditions
-        against its own concrete clbit values.
+        Also the execution path for circuits with a conditioned non-Pauli
+        instruction (with or without noise): each shot evaluates conditions
+        against its own row of clbit values.
         """
-        counts: Dict[str, int] = {}
-        shot_values: List[str] = []
-        measured = False
-        for _ in range(shots):
+        values = np.zeros((shots, num_clbits), dtype=np.uint8)
+        for bits in values:
             tableau = StabilizerTableau(num_qubits)
-            bits: Dict[int, int] = {}
             for kind, payload, targets, condition in ops:
                 if not _compiled_condition_met(condition, bits):
                     continue
@@ -862,6 +938,9 @@ class StabilizerSimulator:
                     getattr(tableau, payload)(*targets)
                 elif kind == "table":
                     tableau.apply_pauli_table(payload, targets)
+                elif kind == "pauli":
+                    for pauli, qubit in payload:
+                        tableau.apply_pauli(qubit, pauli)
                 elif kind == "initialize":
                     tableau.initialize_basis(payload, targets)
                 elif kind == "noise":
@@ -871,16 +950,9 @@ class StabilizerSimulator:
                     bits[payload] = tableau.measure(targets[0], rng=rng)
                 else:  # reset
                     tableau.reset(targets[0], rng=rng)
-            if not bits:
-                continue
-            measured = True
-            key = format_bits(bits, num_clbits)
-            counts[key] = counts.get(key, 0) + 1
-            if memory:
-                shot_values.append(key)
-        if not measured:
+        if not any(kind == "measure" for kind, _, _, _ in ops):
             return Result(counts={}, shots=shots, memory=[] if memory else None)
-        return Result(counts=counts, shots=shots, memory=shot_values if memory else None)
+        return tally(values, memory)
 
     @staticmethod
     def _sample_outcomes(
@@ -901,42 +973,29 @@ class StabilizerSimulator:
             bits = rng.integers(0, 2, size=(shots, num_symbols), dtype=np.int32)
         else:
             bits = np.empty((shots, num_symbols), dtype=np.int32)
+            starts = []
             column = 0
-            for spec in specs:
-                kind, payload = spec
+            for kind, payload, _ in specs:
+                starts.append(column)
                 if kind == "uniform":
                     bits[:, column] = rng.integers(0, 2, size=shots, dtype=np.int32)
-                    column += 1
                 elif kind == "bernoulli":
                     bits[:, column] = rng.random(shots) < payload
-                    column += 1
-                else:  # pair: joint (X-part, Z-part) of one error location
+                elif kind == "pair":  # joint (X-part, Z-part) of one error location
                     p_x, p_y, p_z = payload
                     draw = rng.random(shots)
                     bits[:, column] = draw < (p_x + p_y)
                     bits[:, column + 1] = (draw >= p_x) & (draw < p_x + p_y + p_z)
-                    column += 2
+                column += 2 if kind == "pair" else 1
+            # a derived bit reads only earlier columns and a gated error only
+            # an earlier condition column, so one pass in column order
+            # settles both once every random column is drawn
+            for (kind, payload, gate), column in zip(specs, starts):
+                if kind == "derived":
+                    bits[:, column] = _condition_bits(bits[:, :column], *payload)
+                elif gate is not None:
+                    width = 2 if kind == "pair" else 1
+                    bits[:, column : column + width] &= bits[:, gate : gate + 1]
         coefficients = exprs[:, 1 : 1 + num_symbols].astype(np.int32)
         parity = (bits @ coefficients.T) & 1
         return (parity.astype(np.uint8)) ^ constants
-
-    @staticmethod
-    def _tally(
-        outcomes: np.ndarray,
-        recorded: List[Tuple[int, np.ndarray]],
-        num_clbits: int,
-        shots: int,
-        memory: bool,
-    ) -> Result:
-        values = np.zeros((shots, num_clbits), dtype=np.uint8)
-        for position, (clbit, _) in enumerate(recorded):
-            values[:, clbit] = outcomes[:, position]  # later writes win
-        keys = values[:, ::-1]  # MSB-first bitstrings
-        unique, inverse, counts_arr = np.unique(
-            keys, axis=0, return_inverse=True, return_counts=True
-        )
-        inverse = inverse.reshape(-1)
-        labels = ["".join("1" if bit else "0" for bit in row) for row in unique]
-        counts = {labels[i]: int(counts_arr[i]) for i in range(len(labels))}
-        shot_values = [labels[i] for i in inverse] if memory else None
-        return Result(counts=counts, shots=shots, memory=shot_values)

@@ -7,10 +7,10 @@ tests pin that down three ways:
 
 * exact outcome sets on the density-matrix engine, whose shot-weighted
   branching samples each branch's exact distribution, and the same sets on
-  the statevector's batched trajectory executor; distributional (TVD)
-  agreement of the statevector with the density-matrix engine as the
-  oracle (random circuits with conditions, resets and Pauli noise) and
-  with the stabilizer engine on Clifford conditional circuits;
+  the statevector's batched trajectory executor and the stabilizer's
+  symbolic feed-forward; distributional (TVD) agreement of both with the
+  density-matrix engine as the oracle (random circuits with conditions,
+  resets and Pauli noise);
 * statistical (TVD) agreement between *active* teleportation (measure +
   conditioned corrections) and its deferred-measurement rewrite;
 * serial vs parallel backend dispatch, and every executor batch size,
@@ -220,9 +220,10 @@ class TestCrossEngineAgreement:
         assert tvd(sv.counts, dm.counts) < 0.06
 
     def test_statevector_vs_stabilizer_distribution(self):
-        # the stabilizer fallback draws measurement outcomes from its own
-        # RNG stream (tableau collapse), so agreement is distributional,
-        # not bit-for-bit: same circuit, same outcome set, TVD-close counts
+        # the stabilizer samples every shot from its symbolic phase frame
+        # (conditioned Paulis included), drawing only the genuinely random
+        # columns, so agreement is distributional, not bit-for-bit: same
+        # circuit, same outcome set, TVD-close counts
         circuit = active_teleport()
         sv = StatevectorSimulator(seed=7).run(circuit, shots=3000)
         st = StabilizerSimulator(seed=7).run(circuit, shots=3000)
@@ -230,8 +231,10 @@ class TestCrossEngineAgreement:
         assert tvd(sv.counts, st.counts) < 0.06
 
     def test_stabilizer_runs_conditionals_via_concrete_fallback(self):
-        # teleportation output must be |0> when theta=0: out bit always 0
+        # the conditioned x/z corrections run symbolically; teleportation
+        # output must be |0> when theta=0: out bit always 0
         result = StabilizerSimulator(seed=5).run(active_teleport(), shots=300)
+        assert result.metadata == {"method": "stabilizer"}
         assert all(key[0] == "0" for key in result.counts)
 
     def test_noisy_stabilizer_conditionals_still_run(self):
@@ -284,8 +287,40 @@ def random_feedforward_circuit(rng, num_qubits=3):
     return qc
 
 
+def random_clifford_feedforward_circuit(rng, num_qubits=3):
+    """Random Clifford gates interleaved with mid-circuit measurements,
+    resets and Paulis conditioned on a 2-bit register, ending in one more
+    measured-and-conditioned step and a final measure."""
+    q = QuantumRegister(num_qubits, "q")
+    c = ClassicalRegister(2, "c")
+    out = ClassicalRegister(num_qubits, "out")
+    qc = QuantumCircuit(q, c, out, name="random_clifford_feedforward")
+    one_q = ["h", "s", "sdg", "x", "y", "z"]
+    two_q = ["cx", "cz", "swap"]
+    for _ in range(16):
+        kind = rng.random()
+        qubit = int(rng.integers(num_qubits))
+        if kind < 0.15:
+            qc.measure(q[qubit], c[int(rng.integers(2))])
+        elif kind < 0.22:
+            qc.reset(q[qubit])
+        elif kind < 0.45:
+            getattr(qc, ["x", "y", "z", "id"][int(rng.integers(4))])(q[qubit])
+            qc.c_if(c, int(rng.integers(4)))
+        elif kind < 0.75:
+            getattr(qc, one_q[int(rng.integers(len(one_q)))])(q[qubit])
+        else:
+            a, b = (int(x) for x in rng.choice(num_qubits, 2, replace=False))
+            getattr(qc, two_q[int(rng.integers(len(two_q)))])(q[a], q[b])
+    qc.measure(q[0], c[1])
+    qc.y(q[int(rng.integers(num_qubits))]).c_if(c, int(rng.integers(4)))
+    qc.measure(q, out)
+    return qc
+
+
 class TestDensityMatrixOracle:
-    """The statevector's batched executor against the exact density matrix."""
+    """The statevector's batched executor and the stabilizer's symbolic
+    feed-forward against the exact density matrix."""
 
     @pytest.mark.parametrize("seed", [0, 7, 123])
     def test_statevector_exact_outcome_sets(self, seed):
@@ -336,6 +371,66 @@ class TestDensityMatrixOracle:
                 .counts
             )
             assert all(key[0] == expected for key in counts), counts
+
+    @pytest.mark.parametrize("seed", [0, 7, 123])
+    def test_stabilizer_exact_outcome_sets(self, seed):
+        sim = StabilizerSimulator(seed=seed)
+        outcomes = {name: sim.run(corpus(name), shots=200) for name in FEEDFORWARD_FILES}
+        teleport = outcomes["teleport_cond_n3"].counts
+        assert teleport and all(key[0] == "1" for key in teleport)  # out bit always 1
+        assert outcomes["qec_cond_n5"].counts == {"11111": 200}  # if(s==3) on 2 bits
+        assert outcomes["qec_repetition_n5"].counts == {"11111": 200}
+        ghz = outcomes["ghz_cond_n4"].counts
+        assert set(ghz) <= {"0000", "1111"} and sum(ghz.values()) == 200
+        for result in outcomes.values():
+            assert result.metadata == {"method": "stabilizer"}
+        noisy = StabilizerSimulator(seed=seed, noise_model=DepolarizingNoise(0.01))
+        for name in FEEDFORWARD_FILES:
+            assert noisy.run(corpus(name), shots=50).metadata == {"method": "stabilizer_noisy"}
+
+    @pytest.mark.parametrize("case", range(6))
+    def test_random_stabilizer_feedforward_matches_density_matrix(self, case):
+        rng = np.random.default_rng(700 + case)
+        circuit = random_clifford_feedforward_circuit(rng)
+        p = 0.05
+        if case % 2:
+            noise, kraus = DepolarizingNoise(p), depolarizing_kraus(p)
+        else:
+            noise, kraus = BitFlipNoise(p), bit_flip_kraus(p)
+        shots = 3000
+        st = StabilizerSimulator(seed=case, noise_model=noise).run(circuit, shots=shots)
+        dm = DensityMatrixSimulator(seed=case, gate_noise={1: kraus, 2: kraus}).run(
+            circuit, shots=shots
+        )
+        assert st.metadata == {"method": "stabilizer_noisy"}
+        assert tvd(st.counts, dm.counts) < 0.06
+
+    @pytest.mark.parametrize("gate", ["x", "id"])
+    def test_stabilizer_skipped_gate_draws_no_noise(self, gate):
+        # a certain bit flip after a conditioned Pauli fires exactly in the
+        # shots where the Pauli ran: r differs from the noiseless run iff
+        # the condition held
+        def circuit(taken):
+            q = QuantumRegister(2, "q")
+            c = ClassicalRegister(1, "c")
+            r = ClassicalRegister(1, "r")
+            qc = QuantumCircuit(q, c, r)
+            if taken:  # initialize is not a gate, so it draws no noise
+                qc.append(Initialize([0, 1]), [q[0]])
+            qc.measure(q[0], c[0])
+            getattr(qc, gate)(q[1]).c_if(c, 1)
+            qc.measure(q[1], r[0])
+            return qc
+
+        for taken in (False, True):
+            clean = StabilizerSimulator(seed=2).run(circuit(taken), shots=64)
+            noisy = StabilizerSimulator(seed=2, noise_model=BitFlipNoise(1.0)).run(
+                circuit(taken), shots=64
+            )
+            assert noisy.metadata == {"method": "stabilizer_noisy"}
+            (clean_key,) = clean.counts
+            expected = str(int(clean_key[0]) ^ taken)
+            assert noisy.counts == {expected + clean_key[1]: 64}, (taken, noisy.counts)
 
     def test_wide_unitary_after_mid_circuit_measurement(self):
         # a 7-qubit increment permutation |x> -> |x+1 mod 128> runs row by row

@@ -420,14 +420,19 @@ class TestStabilizerBackend:
     def test_per_shot_fallback_is_labelled(self):
         from repro.qsim.noise import DepolarizingNoise
 
-        conditioned = QuantumCircuit(2, 2)
-        conditioned.h(0).measure(0, 0)
-        conditioned.x(1).c_if(conditioned.cregs[0], 1)
-        conditioned.measure(1, 1)
-        metadata = get_backend("stabilizer").run(conditioned, shots=20, seed=3).result()[0].metadata
-        assert metadata == {
+        def conditioned(gate):
+            circuit = QuantumCircuit(2, 2)
+            circuit.h(0).measure(0, 0)
+            getattr(circuit, gate)(1).c_if(circuit.cregs[0], 1)
+            circuit.measure(1, 1)
+            return get_backend("stabilizer").run(circuit, shots=20, seed=3).result()[0].metadata
+
+        # a conditioned Pauli stays on the symbolic path; a conditioned
+        # non-Pauli re-evolves every shot and says which instruction did it
+        assert conditioned("x") == {"method": "stabilizer"}
+        assert conditioned("h") == {
             "method": "stabilizer_per_shot",
-            "fallback_reason": "classically-conditioned instruction",
+            "fallback_reason": "classically-conditioned non-Pauli instruction 'h'",
         }
         bell = QuantumCircuit(2, 2)
         bell.h(0).cx(0, 1)

@@ -347,8 +347,12 @@ class TestInstrumentationEndToEnd:
 
         qc = QuantumCircuit(2, 2)
         qc.h(0).measure(0, 0)
-        qc.x(1).c_if(qc.cregs[0], 1)
+        qc.h(1).c_if(qc.cregs[0], 1)
         qc.measure(1, 1)
+        pauli = QuantumCircuit(2, 2)
+        pauli.h(0).measure(0, 0)
+        pauli.x(1).c_if(pauli.cregs[0], 1)
+        pauli.measure(1, 1)
         get_backend("density_matrix").run(qc, shots=200, seed=5).result()
         get_backend("stabilizer").run(qc, shots=20, seed=5).result()
 
@@ -366,7 +370,14 @@ class TestInstrumentationEndToEnd:
         assert dm.tags["method"] == "branched" and dm.tags["branches"] == 2
         stabilizer = find(spans, "engine.stabilizer.run")
         assert stabilizer.tags["method"] == "stabilizer_per_shot"
-        assert stabilizer.tags["fallback_reason"] == "classically-conditioned instruction"
+        assert (
+            stabilizer.tags["fallback_reason"]
+            == "classically-conditioned non-Pauli instruction 'h'"
+        )
+        get_backend("stabilizer").run(pauli, shots=20, seed=5).result()
+        symbolic = find(telemetry.drain_spans(), "engine.stabilizer.run")
+        assert symbolic.tags["method"] == "stabilizer"
+        assert "fallback_reason" not in symbolic.tags
 
     def test_disabled_run_emits_nothing(self):
         from repro.qsim import QuantumCircuit, get_backend
