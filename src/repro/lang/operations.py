@@ -403,10 +403,16 @@ class OperationEngine:
 
         # Grover search with the standard verification loop: measure a
         # candidate position, check it classically, retry a bounded number of
-        # times (each attempt uses a fresh index register).
+        # times.  Every attempt reuses one index register, returned to
+        # |0...0> by an x on each qubit that measured 1, so a retry does not
+        # grow the live statevector.
+        index_qubits = self.handler.allocate_register("grover_idx", index_qubits_count)
+        search = grover_circuit(index_qubits_count, positions, measure=False)
+        measured_position = 0
         for _attempt in range(3):
-            index_qubits = self.handler.allocate_register("grover_idx", index_qubits_count)
-            search = grover_circuit(index_qubits_count, positions, measure=False)
+            for bit, qubit in enumerate(index_qubits):
+                if (measured_position >> bit) & 1:
+                    self.handler.apply_gate("x", [qubit])
             self.handler.append_subcircuit(search, index_qubits)
             measured_position = self.handler.measure(index_qubits, label="grover")
             if measured_position < num_positions and (

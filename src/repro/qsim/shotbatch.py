@@ -19,6 +19,12 @@ path instead of the generic multiply-accumulate.  Feed-forward is row-masked:
 * gates wider than :data:`_MAX_BATCH_GATE_QUBITS` and ``initialize`` run
   row by row through the single-state kernels.
 
+Shots share their trajectory until their first error: within a batch, the
+plan's leading unitary and noise steps (up to the first measurement, reset,
+condition or row-by-row step) run on one row per distinct error pattern, a
+Pauli hit forking a row only when some of its shots do not draw it, and the
+rows are then expanded to one per shot for the rest of the plan.
+
 Determinism and the per-shot/batched contract
 ---------------------------------------------
 Both ``shot_batching="batched"`` and ``shot_batching="per_shot"`` on
@@ -35,6 +41,11 @@ the two are **bit-identical for the same seed** by construction:
   fixed order -- never a BLAS matmul across rows, whose results can vary
   bitwise with the operand shape -- so row ``i`` of the batch computes
   exactly what a batch of one would;
+* for the same reason a row shared by several shots holds exactly the
+  amplitudes each of them would compute alone, Pauli injections are exact
+  (slice exchange, sign flip, +-i rotation) on whichever row they hit, and a
+  fork is a plain copy: sharing changes how often a state is computed, never
+  its value;
 * probability reductions go through
   :meth:`~repro.qsim.ops.ArrayOps.row_sums`, which reduces every row
   independently in a fixed order.
@@ -453,6 +464,23 @@ def _local_rows(rows_for_run: np.ndarray, shots) -> np.ndarray:
     return np.flatnonzero(np.isin(shots, rows_for_run))
 
 
+def _apply_unitary(states, step, ops: ArrayOps) -> bool:
+    """Apply a ``diag`` / ``diag_full`` / ``perm`` / ``dense`` step to every
+    row of *states*; ``False`` (nothing done) for any other step kind."""
+    kind = step[0]
+    if kind == "diag":
+        _apply_diag_batched(states, step[1], step[2])
+    elif kind == "diag_full":
+        _apply_diag_full_batched(states, step[1], ops)
+    elif kind == "perm":
+        _apply_perm_batched(states, step[1], step[2], step[3], ops)
+    elif kind == "dense":
+        _apply_dense_batched(states, step[1], step[2], step[3], ops)
+    else:
+        return False
+    return True
+
+
 def _run_steps(steps, states, norm, bits, shots, num_qubits: int, ops: ArrayOps) -> None:
     """Execute *steps* on the rows of *states* in place.
 
@@ -462,15 +490,9 @@ def _run_steps(steps, states, norm, bits, shots, num_qubits: int, ops: ArrayOps)
     """
     for step in steps:
         kind = step[0]
-        if kind == "diag":
-            _apply_diag_batched(states, step[1], step[2])
-        elif kind == "diag_full":
-            _apply_diag_full_batched(states, step[1], ops)
-        elif kind == "perm":
-            _apply_perm_batched(states, step[1], step[2], step[3], ops)
-        elif kind == "dense":
-            _apply_dense_batched(states, step[1], step[2], step[3], ops)
-        elif kind == "noise":
+        if _apply_unitary(states, step, ops):
+            continue
+        if kind == "noise":
             _, qubit, hits = step
             for pauli, rows_for_run in hits:
                 selected = _local_rows(rows_for_run, shots)
@@ -498,6 +520,99 @@ def _run_steps(steps, states, norm, bits, shots, num_qubits: int, ops: ArrayOps)
                 states[rows], norm[rows], bits[rows] = sub_states, sub_norm, sub_bits
 
 
+# ---------------------------------------------------------------------------
+# Shared prefix: one row per distinct error pattern until the first
+# measurement, reset, condition or row-by-row step
+# ---------------------------------------------------------------------------
+
+#: step kinds that end the shared prefix: each one reads or rewrites the
+#: state shot by shot
+_PREFIX_END_KINDS = frozenset({"measure", "reset", "cond", "row"})
+
+
+def _shared_prefix(plan) -> list:
+    """The plan's leading run of unitary and noise steps."""
+    for position, step in enumerate(plan):
+        if step[0] in _PREFIX_END_KINDS:
+            return plan[:position]
+    return plan
+
+
+class _SharedRows:
+    """A batch's shots on one row per distinct error pattern so far.
+
+    The rows in use are the leading ``states[:live]`` of the batch's own
+    buffer; ``owner[i]`` is the row of the batch's ``i``-th shot and
+    ``population[r]`` the number of shots on row ``r``, never zero.
+    """
+
+    def __init__(self, states: np.ndarray, first: np.ndarray):
+        self.states = states
+        self.states[0] = first[0]
+        self.owner = [0] * states.shape[0]
+        self.population = [states.shape[0]]
+
+    @property
+    def live(self) -> int:
+        return len(self.population)
+
+    def rows(self) -> np.ndarray:
+        return self.states[: self.live]
+
+    def fork(self, shots: Sequence[int]) -> List[int]:
+        """The rows an error drawn by exactly the batch's *shots* must hit.
+
+        A row all of whose shots draw the error is hit in place.  A row only
+        some of whose shots draw it is first copied to a new row, and those
+        shots move there; the old row keeps the rest.
+        """
+        owner, population = self.owner, self.population
+        taken: dict = {}
+        for shot in shots:
+            taken[owner[shot]] = taken.get(owner[shot], 0) + 1
+        live = len(population)
+        moved: dict = {}
+        targets = []
+        for row, count in taken.items():
+            if count < population[row]:
+                population[row] -= count
+                moved[row] = len(population)
+                population.append(count)
+                row = moved[row]
+            targets.append(row)
+        if moved:
+            self.states[live : len(population)] = self.states[list(moved)]
+            for shot in shots:
+                owner[shot] = moved.get(owner[shot], owner[shot])
+        return targets
+
+    def evolve(self, prefix, hits, batch: int, start: int, num_qubits: int, ops: ArrayOps) -> int:
+        """Run *prefix* on the shared rows; return how many steps ran.
+
+        Stops early once every shot owns a row: nothing is left to share.
+        """
+        for position, step in enumerate(prefix):
+            if self.live == len(self.owner):
+                return position
+            if hits[position] is None:
+                _apply_unitary(self.rows(), step, ops)
+                continue
+            for pauli, rows_for_run, cuts in hits[position]:
+                lo, hi = cuts[batch], cuts[batch + 1]
+                if lo < hi:
+                    targets = self.fork((rows_for_run[lo:hi] - start).tolist())
+                    _apply_pauli_rows(self.rows(), num_qubits, pauli, step[1], targets)
+        return len(prefix)
+
+    def expand(self) -> None:
+        """Give every shot its own row, in shot order: row ``i`` of
+        ``states`` becomes the state of the batch's ``i``-th shot."""
+        if self.live == 1:
+            self.states[1:] = self.states[0]
+        else:
+            self.states[:] = self.rows()[np.asarray(self.owner)]
+
+
 def run_batched(
     circuit: QuantumCircuit,
     noise_model: Optional[NoiseModel],
@@ -518,8 +633,9 @@ def run_batched(
     is how the backend's ``per_shot`` mode (``batch_size=1``) and
     ``batched`` mode stay interchangeable.  *initial_state* is broadcast
     into every row.  The result's ``metadata`` names the method
-    (``batched_shots``, or ``per_shot_trajectory`` for one row at a time)
-    and the batch size.
+    (``batched_shots``, or ``per_shot_trajectory`` for one row at a time),
+    the batch size, and ``trajectories``: the rows the shared prefix ended
+    with, summed over batches (``shots`` when nothing was shared).
     """
     if shots <= 0:
         raise SimulationError("shots must be positive")
@@ -542,16 +658,40 @@ def run_batched(
 
     norm0 = float(ops.row_sums(ops.abs2(first))[0])  # exactly 1.0 from |0...0>
     values = np.zeros((shots, circuit.num_clbits), dtype=np.uint8)
-    for start in range(0, shots, batch_size):
-        stop = min(start + batch_size, shots)
-        states = ops.empty((stop - start, first.shape[1]), dtype=complex)
-        states[:] = first
-        norm = np.full(stop - start, norm0)
-        _run_steps(plan, states, norm, values[start:stop], slice(start, stop), n, ops)
+    # a run that fits one batch already costs one kernel call per step:
+    # sharing rows would only add bookkeeping
+    prefix = _shared_prefix(plan) if shots > batch_size else []
+    bounds = list(range(0, shots, batch_size)) + [shots]
+    # per noise step of the prefix: each Pauli's run-level shots, and where
+    # every batch's shots start among them
+    hits = [
+        [(pauli, rows, rows.searchsorted(bounds).tolist()) for pauli, rows in step[2]]
+        if step[0] == "noise"
+        else None
+        for step in prefix
+    ]
+    buffer = ops.empty((batch_size, first.shape[1]), dtype=complex)
+    trajectories = 0
+    for batch, start in enumerate(bounds[:-1]):
+        stop = bounds[batch + 1]
+        states = buffer[: stop - start]
+        if prefix:
+            shared = _SharedRows(states, first)
+            done = shared.evolve(prefix, hits, batch, start, n, ops)
+            trajectories += shared.live
+            shared.expand()
+        else:  # every shot is its own trajectory from the start
+            states[:] = first
+            done = 0
+            trajectories += stop - start
+        if done < len(plan):
+            norm = np.full(stop - start, norm0)
+            _run_steps(plan[done:], states, norm, values[start:stop], slice(start, stop), n, ops)
 
     metadata = {
         "method": "batched_shots" if batch_size > 1 else "per_shot_trajectory",
         "batch_size": batch_size,
+        "trajectories": trajectories,
     }
     if not any(isinstance(instr.operation, Measure) for instr in circuit.data):
         return Result(counts={}, shots=shots, memory=[] if memory else None, metadata=metadata)

@@ -261,6 +261,20 @@ class TestQuantumPrograms:
         """
         assert run(source).printed == "false"
 
+    def test_grover_retry_reuses_the_index_register(self):
+        # seed 10 measures position 2 ("10") first, then retries and finds 1
+        source = """
+            qustring text = "01101000";
+            print "11" in text;
+        """
+        result = run_source(source, seed=10)
+        attempts = [m for m in result.measurements if m["label"].startswith("grover")]
+        assert [m["outcome"] for m in attempts] == [2, 1]
+        assert attempts[0]["qubits"] == attempts[1]["qubits"]
+        assert result.printed == "true"
+        # 8 text qubits plus one 3-qubit index register, however many attempts
+        assert result.num_qubits == 11
+
     def test_in_operator_on_arrays(self):
         assert run("int[] xs = [1, 2, 3]; print 2 in xs;").printed == "true"
         assert run("int[] xs = [1, 2, 3]; print 9 in xs;").printed == "false"

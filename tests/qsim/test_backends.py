@@ -233,7 +233,11 @@ class TestParallelDispatch:
         reference = get_backend("statevector").run(
             midcircuit_circuit(), shots=103, seed=6
         ).result()[0]
-        assert reference.metadata == {"method": "batched_shots", "batch_size": 103}
+        assert reference.metadata == {
+            "method": "batched_shots",
+            "batch_size": 103,
+            "trajectories": 103,
+        }
         assert sum(reference.counts.values()) == 103
         for mode in ("per_shot", "batched"):
             other = StatevectorBackend(shot_batching=mode).run(

@@ -148,7 +148,11 @@ class TestConditionSemantics:
         for run in runs[1:]:
             assert run.counts == runs[0].counts
             assert run.memory == runs[0].memory
-        assert runs[2].metadata == {"method": "batched_shots", "batch_size": 150}
+        assert runs[2].metadata == {
+            "method": "batched_shots",
+            "batch_size": 150,
+            "trajectories": 150,
+        }
 
     def test_evolve_without_collapse_raises(self):
         with pytest.raises(SimulationError, match="collapse_measurements=True"):

@@ -95,7 +95,11 @@ def assert_batch_sizes_bit_equal(qc, noise, shots=120, seed=31):
         assert run.counts == runs[0].counts
         assert run.memory == runs[0].memory
     assert sum(runs[0].counts.values()) == shots
-    assert runs[0].metadata == {"method": "per_shot_trajectory", "batch_size": 1}
+    assert runs[0].metadata == {
+        "method": "per_shot_trajectory",
+        "batch_size": 1,
+        "trajectories": shots,
+    }
     assert runs[2].metadata["method"] == "batched_shots"
     return runs[2]
 
@@ -657,6 +661,101 @@ class TestBatchedExecutor:
         assert tvd < 0.05
 
 
+class _XorZNoise(NoiseModel):
+    """Every touched qubit takes X or Z, never nothing: every shot errs at
+    every noise site, and the shots of one row split between two Paulis."""
+
+    def apply(self, state, targets, rng):  # pragma: no cover - never sampled
+        pass
+
+    def pauli_terms(self):
+        return (("X", 0.5), ("Z", 0.5))
+
+
+class TestSharedPrefix:
+    """The leading unitary and noise steps run once per distinct error
+    pattern; every shot's outcome stays bit-identical to ``batch_size=1``."""
+
+    SHOTS = 300  # more than one default batch at 8 qubits (256 rows)
+
+    def check(self, qc, noise, initial_state=None):
+        runs = [
+            shotbatch.run_batched(
+                qc,
+                noise,
+                shots=self.SHOTS,
+                seed=13,
+                memory=True,
+                batch_size=size,
+                initial_state=initial_state,
+            )
+            for size in (1, 7, None)
+        ]
+        for run in runs[1:]:
+            assert run.counts == runs[0].counts
+            assert run.memory == runs[0].memory
+        return runs
+
+    def test_row_whose_shots_all_err_with_different_paulis(self):
+        # three noise sites, each splitting every row between X and Z: at
+        # most 8 patterns, and the Z shots keep the row the X shots leave
+        qc = QuantumCircuit(8, 8)
+        qc.h(0)
+        qc.cx(0, 1)
+        qc.measure_all()
+        runs = self.check(qc, _XorZNoise())
+        # batches of 256 and 44 shots, 8 rows each
+        assert runs[2].metadata["trajectories"] == 16
+
+    def test_every_shot_errs_everywhere_identically(self):
+        qc = noisy_circuit(8, 20, np.random.default_rng(5))
+        runs = self.check(qc, BitFlipNoise(1.0))
+        # one row per batch: every shot draws the same X at every site
+        assert runs[2].metadata["trajectories"] == 2
+        assert runs[0].metadata["trajectories"] == self.SHOTS
+
+    def test_noiseless_channel_leaves_one_shared_row(self):
+        qc = noisy_circuit(8, 30, np.random.default_rng(6))
+        runs = self.check(qc, DepolarizingNoise(0.0))
+        # one row per batch of 1, 7 and 256 shots
+        assert [run.metadata["trajectories"] for run in runs] == [300, 43, 2]
+
+    def test_initial_state_is_broadcast_into_the_shared_rows(self):
+        from repro.qsim.statevector import Statevector
+
+        qc = noisy_circuit(8, 30, np.random.default_rng(7))
+        start = Statevector(random_state(8, np.random.default_rng(8)))
+        runs = self.check(qc, DepolarizingNoise(0.01), initial_state=start)
+        assert runs[2].metadata["trajectories"] < self.SHOTS
+        # a basis state through x gates lands on one known outcome
+        flips = QuantumCircuit(8)
+        flips.x(0).x(3)
+        flips.measure_all()
+        runs = self.check(flips, DepolarizingNoise(0.0), Statevector.from_int(0b10000010, 8))
+        assert runs[2].counts == {"10001011": self.SHOTS}
+
+    def test_wide_gate_ends_the_prefix(self):
+        n = 8
+        qc = QuantumCircuit(n, n)
+        qc.h(0).cx(0, 1).rx(0.3, 2)
+        qc.append(
+            UnitaryGate(random_unitary(2**7, np.random.default_rng(9))), list(range(7))
+        )
+        qc.cx(6, 7).h(3)
+        qc.measure_all()
+        runs = self.check(qc, DepolarizingNoise(0.05))
+        assert runs[2].metadata["trajectories"] < self.SHOTS
+
+    def test_initialize_ends_the_prefix(self):
+        qc = QuantumCircuit(8, 8)
+        qc.h(0).cx(0, 1).ry(0.4, 2)
+        qc.initialize(random_state(2, np.random.default_rng(10)), [5, 6])
+        qc.cx(5, 0).h(6)
+        qc.measure_all()
+        runs = self.check(qc, DepolarizingNoise(0.05))
+        assert runs[2].metadata["trajectories"] < self.SHOTS
+
+
 class TestShotBatchingModes:
     @pytest.mark.parametrize("num_qubits,shots", [(8, 400), (10, 300), (12, 200), (14, 100)])
     def test_batched_and_per_shot_counts_bit_equal(self, num_qubits, shots):
@@ -704,7 +803,11 @@ class TestShotBatchingModes:
         backend = StatevectorBackend(noise_model=BitFlipNoise(0.05), fusion=False)
         result = backend.run(qc, shots=50, seed=2).result()
         assert sum(result.get_counts().values()) == 50
-        assert result[0].metadata == {"method": "batched_shots", "batch_size": 50}
+        assert result[0].metadata == {
+            "method": "batched_shots",
+            "batch_size": 50,
+            "trajectories": 50,
+        }
 
     def test_forced_batched_rejects_ineligible(self):
         qc = QuantumCircuit(2, 2)

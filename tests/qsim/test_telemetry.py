@@ -379,6 +379,26 @@ class TestInstrumentationEndToEnd:
         assert symbolic.tags["method"] == "stabilizer"
         assert "fallback_reason" not in symbolic.tags
 
+        # statevector trajectories: at 12 qubits a batch holds 16 shots,
+        # which share one row until their first error (never at p=0)
+        from repro.qsim import DepolarizingNoise, StatevectorBackend
+
+        ghz = QuantumCircuit(12)
+        ghz.h(0)
+        for qubit in range(11):
+            ghz.cx(qubit, qubit + 1)
+        ghz.measure_all()
+
+        def trajectories(p):
+            backend = StatevectorBackend(noise_model=DepolarizingNoise(p), fusion=False)
+            experiment = backend.run(ghz, shots=64, seed=5).result()[0]
+            sv = find(telemetry.drain_spans(), "engine.statevector.run")
+            assert sv.tags["trajectories"] == experiment.metadata["trajectories"]
+            return experiment.metadata["trajectories"]
+
+        assert trajectories(0.0) == 4
+        assert 4 < trajectories(0.005) < 64
+
     def test_disabled_run_emits_nothing(self):
         from repro.qsim import QuantumCircuit, get_backend
 
