@@ -18,7 +18,7 @@ Every strategy's final statevector is checked against the generic path to
 a >= 2x wall-clock speedup of ``kernels`` over ``generic`` at 16 qubits /
 1000 gates (the default configuration).
 
-Three further axes ride along, two of them timed against
+Four further axes ride along, three of them timed against
 :func:`reference_per_shot_loop`, a short per-shot trajectory loop kept in
 this script (one full circuit pass per shot in Python, the way the
 statevector engine ran noise and feed-forward before the batched executor):
@@ -41,6 +41,14 @@ statevector engine ran noise and feed-forward before the batched executor):
   reference loop; both must agree in distribution (the corpus TVD floor),
   and the acceptance target at 2000 shots is a >= 10x speedup on every
   row.
+* **classical prefix** -- noisy ``adder_n10`` (only ``x``/``cx``/``ccx``:
+  monomial end to end) at ``--noisy-shots`` shots and depolarizing
+  ``--noise-p``, where both dense engines never leave the computational
+  basis: the statevector engine's basis rows against the reference loop,
+  and the density-matrix engine's population vector against
+  :func:`reference_full_rho`, a full ``2^n x 2^n`` walk kept in this
+  script.  Each pair must agree in distribution (the corpus TVD floor),
+  and the acceptance target at 2000 shots is a >= 10x speedup on both.
 * **dense diagonals** -- regression guard for the vectorised dense branch of
   :func:`repro.qsim.kernels.apply_diagonal`: one broadcast multiply must not
   be slower than the historic per-entry slice loop it replaced, and must
@@ -63,10 +71,11 @@ import numpy as np
 
 from repro.qsim import DepolarizingNoise, QuantumCircuit, Statevector, from_qasm
 from repro.qsim import kernels
-from repro.qsim.backends import StatevectorBackend
+from repro.qsim.backends import StatevectorBackend, build_noisy_backend
+from repro.qsim.density import DensityMatrix, depolarizing_kraus
 from repro.qsim.fusion import fuse_gates, fusion_summary
 from repro.qsim.instruction import Barrier, Gate, Measure, Reset
-from repro.qsim.simulator import condition_met, format_bits
+from repro.qsim.simulator import condition_met, format_bits, sample_final
 
 from benchutil import add_out_argument, total_variation, tvd_floor, write_results
 
@@ -291,6 +300,84 @@ def feedforward_axis(shots: int, noise_p: float, seed: int, repeats: int, failur
     return rows
 
 
+#: the classical-prefix axis's circuit: reversible arithmetic, monomial end to end
+CLASSICAL_PREFIX_FILE = "adder_n10"
+
+
+def reference_full_rho(circuit, noise_p: float, shots: int, seed: int) -> Dict[str, int]:
+    """The density-matrix engine before its population path: the full
+    ``2^n x 2^n`` rho through every gate and every per-qubit depolarizing
+    channel, final measurements sampled with one multinomial (the circuit
+    must measure only at the end)."""
+    state = DensityMatrix.zero_state(circuit.num_qubits)
+    kraus = depolarizing_kraus(noise_p)
+    final = []
+    for instr in circuit.data:
+        op = instr.operation
+        targets = [circuit.qubit_index(q) for q in instr.qubits]
+        if isinstance(op, Barrier):
+            continue
+        if isinstance(op, Measure):
+            final.append((targets[0], circuit.clbit_index(instr.clbits[0])))
+            continue
+        if final:
+            raise ValueError("reference_full_rho needs final measurements only")
+        state.apply_unitary(op.to_matrix(), targets)
+        for qubit in targets:
+            state.apply_kraus(kraus, [qubit])
+    probs = state.probabilities([qubit for qubit, _ in final])
+    rng = np.random.default_rng(seed)
+    return dict(sample_final(probs, shots, final, {}, circuit.num_clbits, rng))
+
+
+def classical_prefix_axis(shots: int, noise_p: float, seed: int, repeats: int,
+                          failures: List[str]) -> List[Dict]:
+    """Both dense engines on noisy ``adder_n10`` against their references."""
+    with open(os.path.join(CIRCUITS_DIR, CLASSICAL_PREFIX_FILE + ".qasm"), encoding="utf-8") as f:
+        circuit = from_qasm(f.read(), name=CLASSICAL_PREFIX_FILE)
+    noise = DepolarizingNoise(noise_p)
+    engines = {
+        "statevector": (
+            build_noisy_backend("statevector", noise_p, "depolarizing"),
+            lambda: reference_per_shot_loop(circuit, noise, shots, seed),
+        ),
+        "density_matrix": (
+            build_noisy_backend("density_matrix", noise_p, "depolarizing"),
+            lambda: reference_full_rho(circuit, noise_p, shots, seed),
+        ),
+    }
+    rows = []
+    print(f"\nclassical prefix: {CLASSICAL_PREFIX_FILE}, {shots} shots, "
+          f"depolarizing p={noise_p}")
+    print(f"{'engine':<16} {'reference (ms)':>15} {'engine (ms)':>12} {'speedup':>9} "
+          f"{'prefix':>7} {'tvd':>7}")
+    for engine, (backend, reference) in engines.items():
+
+        def run():
+            return backend.run(circuit, shots=shots, seed=seed).result()[0]
+
+        result = run()
+        reference_counts = reference()
+        tvd = total_variation(result.counts, reference_counts)
+        allowed = tvd_floor(max(len(result.counts), len(reference_counts)), shots)
+        prefix = result.metadata["classical_prefix"]
+        if prefix != len(circuit.data):
+            failures.append(f"{engine}: classical prefix {prefix} of {len(circuit.data)}")
+        if tvd > allowed:
+            failures.append(f"{engine}: TVD {tvd:.3f} to its reference exceeds {allowed:.3f}")
+        t_reference, t_engine = _time_interleaved([reference, run], repeats)
+        speedup = t_reference / t_engine
+        print(f"{engine:<16} {t_reference * 1e3:>15.1f} {t_engine * 1e3:>12.2f} "
+              f"{speedup:>8.1f}x {prefix:>7} {tvd:>7.4f}")
+        rows.append({"engine": engine, "circuit": CLASSICAL_PREFIX_FILE,
+                     "reference_ms": t_reference * 1e3, "engine_ms": t_engine * 1e3,
+                     "speedup": speedup, "classical_prefix": prefix, "tvd": tvd})
+        # acceptance target: >= 10x over the reference at 2000 shots
+        if speedup < 10.0 and shots >= 2000:
+            failures.append(f"{engine}: classical-prefix speedup {speedup:.1f}x below 10x")
+    return rows
+
+
 def marginal_ones(counts, num_qubits: int, shots: int) -> List[float]:
     """Per-qubit frequency of measuring 1 (keys are MSB-first bitstrings)."""
     freq = [0] * num_qubits
@@ -348,11 +435,11 @@ def main(argv: List[str] | None = None) -> int:
     parser.add_argument("--noisy-gates", type=int, default=60,
                         help="gates for the noisy-shot axis")
     parser.add_argument("--noisy-shots", type=int, default=2000,
-                        help="trajectories for the noisy-shot and feed-forward axes "
-                             "(0 skips both)")
+                        help="trajectories for the noisy-shot, feed-forward and "
+                             "classical-prefix axes (0 skips all three)")
     parser.add_argument("--noise-p", type=float, default=0.01,
-                        help="depolarizing probability for the noisy-shot and "
-                             "feed-forward axes")
+                        help="depolarizing probability for the noisy-shot, "
+                             "feed-forward and classical-prefix axes")
     add_out_argument(parser)
     args = parser.parse_args(argv)
     failures: List[str] = []
@@ -405,8 +492,12 @@ def main(argv: List[str] | None = None) -> int:
         ]
 
     feedforward_rows = []
+    classical_rows = []
     if args.noisy_shots > 0:
         feedforward_rows = feedforward_axis(
+            args.noisy_shots, args.noise_p, args.seed, args.repeats, failures
+        )
+        classical_rows = classical_prefix_axis(
             args.noisy_shots, args.noise_p, args.seed, args.repeats, failures
         )
 
@@ -455,6 +546,7 @@ def main(argv: List[str] | None = None) -> int:
         fusion=summary,
         noisy_shots=noisy_results,
         feedforward=feedforward_rows,
+        classical_prefix=classical_rows,
         dense_diagonal={"time_vectorised_ms": t_vec * 1e3,
                         "time_per_entry_ms": t_ref * 1e3,
                         "speedup": t_ref / t_vec},

@@ -42,6 +42,11 @@ class ResourceEstimate:
     #: index of the first instruction the stabilizer engine cannot execute,
     #: or ``None`` when the whole circuit is Clifford
     first_non_clifford: Optional[int] = None
+    #: index of the first instruction that can take a basis state out of the
+    #: computational basis (see :func:`repro.qsim.kernels.basis_table`), or
+    #: ``None`` when the whole circuit is monomial: the dense engines' basis
+    #: and population prefix ends there
+    first_non_monomial: Optional[int] = None
 
     @property
     def is_clifford(self) -> bool:
@@ -88,6 +93,7 @@ class ResourceEstimate:
             "has_mid_circuit_measurement": self.has_mid_circuit_measurement,
             "is_clifford": self.is_clifford,
             "first_non_clifford": self.first_non_clifford,
+            "first_non_monomial": self.first_non_monomial,
             "memory_bytes": {
                 "statevector": self.statevector_bytes(),
                 "density_matrix": self.density_matrix_bytes(),
@@ -102,8 +108,11 @@ def estimate_resources(circuit: QuantumCircuit) -> ResourceEstimate:
     Clifford classification reuses the transpiler's
     ``_clifford_classification`` — the single source of truth the stabilizer
     engine executes from — and stops at the first non-Clifford instruction,
-    so the scan stays cheap on deeply non-Clifford circuits.
+    so the scan stays cheap on deeply non-Clifford circuits.  Monomial
+    classification likewise reuses :func:`~repro.qsim.kernels.is_monomial`,
+    the classifier both dense engines run their basis prefix from.
     """
+    from ..kernels import is_monomial
     from ..transpiler import _clifford_classification  # local import: cycle
 
     gate_counts: Dict[str, int] = {}
@@ -114,6 +123,7 @@ def estimate_resources(circuit: QuantumCircuit) -> ResourceEstimate:
     size = 0
     mid_circuit = False
     first_non_clifford: Optional[int] = None
+    first_non_monomial: Optional[int] = None
     measured: Set[Qubit] = set()
 
     for index, instr in enumerate(circuit.data):
@@ -137,6 +147,8 @@ def estimate_resources(circuit: QuantumCircuit) -> ResourceEstimate:
                 multi_qubit += 1
         if first_non_clifford is None and _clifford_classification(op) is None:
             first_non_clifford = index
+        if first_non_monomial is None and not is_monomial(op):
+            first_non_monomial = index
 
     return ResourceEstimate(
         num_qubits=circuit.num_qubits,
@@ -150,4 +162,5 @@ def estimate_resources(circuit: QuantumCircuit) -> ResourceEstimate:
         resets=resets,
         has_mid_circuit_measurement=mid_circuit,
         first_non_clifford=first_non_clifford,
+        first_non_monomial=first_non_monomial,
     )

@@ -12,6 +12,14 @@ verifying the trajectory models against their exact channels.
 ``2n``-qubit vector with row qubit ``t`` at bit ``t + n``, so the gate
 kernels of :mod:`repro.qsim.kernels` act on it directly; a Kraus channel is
 one superoperator ``sum_k K (x) K*`` on the row and column bits together.
+
+While every instruction so far is monomial (see
+:func:`repro.qsim.kernels.basis_table`), ``rho`` stays diagonal, and the
+simulator carries only its diagonal, a length-``2^n`` probability vector
+(:class:`_Populations`): a gate permutes it, a channel acts on a qubit's
+axis as the stochastic matrix ``sum_k |K_k|^2`` (elementwise), and
+measurement, projection and reset are slice sums and moves.  The first
+non-monomial instruction expands it to ``diag(p)``.
 """
 
 from __future__ import annotations
@@ -231,14 +239,7 @@ class DensityMatrix:
 
     def probabilities(self, targets: Optional[Sequence[int]] = None) -> np.ndarray:
         """Marginal Z-basis outcome probabilities for *targets* (little-endian)."""
-        n = self.num_qubits
-        targets = list(range(n)) if targets is None else list(targets)
-        diag = np.real(np.diagonal(self.data)).clip(min=0.0).reshape((2,) * n)
-        # targets[0] is the last front axis: the least significant bit
-        probs = np.moveaxis(diag, [n - 1 - t for t in reversed(targets)], range(len(targets)))
-        probs = probs.reshape(2 ** len(targets), -1).sum(axis=1)
-        total = probs.sum()
-        return probs / total if total > 0 else probs
+        return _marginal(np.real(np.diagonal(self.data)), self.num_qubits, targets)
 
     def project(self, targets: Sequence[int], outcome: int) -> None:
         """Project *targets* onto the little-endian *outcome* and renormalise."""
@@ -284,6 +285,80 @@ class DensityMatrix:
 
 
 # ---------------------------------------------------------------------------
+# Populations: a diagonal rho while the circuit is monomial
+# ---------------------------------------------------------------------------
+
+def _marginal(diag: np.ndarray, num_qubits: int, targets: Optional[Sequence[int]]) -> np.ndarray:
+    """Normalised marginal of the real diagonal *diag* on *targets*
+    (little-endian), negative rounding residue clipped to zero."""
+    n = num_qubits
+    targets = list(range(n)) if targets is None else list(targets)
+    diag = diag.clip(min=0.0).reshape((2,) * n)
+    # targets[0] is the last front axis: the least significant bit
+    probs = np.moveaxis(diag, [n - 1 - t for t in reversed(targets)], range(len(targets)))
+    probs = probs.reshape(2 ** len(targets), -1).sum(axis=1)
+    total = probs.sum()
+    return probs / total if total > 0 else probs
+
+
+def _zero_state(num_qubits: int, prefix: int):
+    """``|0...0>``: as populations when a *prefix* of instructions will run
+    on them, else straight away as a :class:`DensityMatrix`."""
+    if not prefix:
+        return DensityMatrix.zero_state(num_qubits)
+    probs = np.zeros(2**num_qubits)
+    probs[0] = 1.0
+    return _Populations(probs, num_qubits)
+
+
+class _Populations:
+    """A diagonal ``rho`` stored as its diagonal: the probability of every
+    basis state.  It answers the walk's queries as :class:`DensityMatrix`
+    does and expands into one with :meth:`density`."""
+
+    def __init__(self, probs: np.ndarray, num_qubits: int):
+        self.probs = probs
+        self.num_qubits = num_qubits
+
+    def copy(self) -> "_Populations":
+        return _Populations(self.probs.copy(), self.num_qubits)
+
+    def density(self) -> DensityMatrix:
+        return DensityMatrix(np.diag(self.probs.astype(complex)), validate=False)
+
+    def _halves(self, qubit: int) -> np.ndarray:
+        return self.probs.reshape(-1, 2, 1 << qubit)
+
+    def probabilities(self, targets: Optional[Sequence[int]] = None) -> np.ndarray:
+        return _marginal(self.probs, self.num_qubits, targets)
+
+    def project(self, targets: Sequence[int], outcome: int) -> None:
+        for position, qubit in enumerate(targets):
+            self._halves(qubit)[:, 1 - ((outcome >> position) & 1)] = 0.0
+        trace = self.probs.sum()
+        if trace < 1e-15:
+            raise SimulationError("measurement projected onto a zero-probability outcome")
+        self.probs /= trace
+
+    def reset_qubit(self, qubit: int) -> None:
+        halves = self._halves(qubit)
+        halves[:, 0] += halves[:, 1]
+        halves[:, 1] = 0.0
+
+    def permute(self, source: np.ndarray) -> None:
+        """Apply a monomial gate: basis state ``i`` takes the probability of
+        ``source[i]``."""
+        self.probs = self.probs[source]
+
+    def apply_stochastic(self, matrix: np.ndarray, qubit: int) -> None:
+        """Apply a monomial channel's ``sum_k |K_k|^2`` to *qubit*."""
+        halves = self._halves(qubit)
+        p0, p1 = halves[:, 0].copy(), halves[:, 1].copy()
+        halves[:, 0] = matrix[0, 0] * p0 + matrix[0, 1] * p1
+        halves[:, 1] = matrix[1, 0] * p0 + matrix[1, 1] * p1
+
+
+# ---------------------------------------------------------------------------
 # Simulator
 # ---------------------------------------------------------------------------
 
@@ -325,15 +400,28 @@ class DensityMatrixSimulator:
         self._rng = np.random.default_rng(seed)
         self.gate_noise = _validate_gate_noise(gate_noise) if gate_noise else {}
         self._channels = {arity: _superoperator(k) for arity, k in self.gate_noise.items()}
+        #: per arity, the channel's action on populations, or None when a
+        #: Kraus operator is not monomial
+        self._stochastic = {
+            arity: (
+                sum(np.abs(k) ** 2 for k in kraus)
+                if all(kernels.basis_table(k) is not None for k in kraus)
+                else None
+            )
+            for arity, kraus in self.gate_noise.items()
+        }
 
     def evolve(self, circuit: QuantumCircuit, initial: Optional[DensityMatrix] = None) -> DensityMatrix:
         """Return the density matrix after running *circuit* (measurements collapse)."""
         if initial is None:
-            initial = DensityMatrix.zero_state(circuit.num_qubits)
+            prefix, sources = self._lower(circuit)
+            start = _zero_state(circuit.num_qubits, prefix)
         elif initial.num_qubits != circuit.num_qubits:
             raise SimulationError("initial state size does not match circuit")
-        ((_, _, state),) = self._walk(circuit, 1, self._rng, set(), initial.copy())
-        return state
+        else:
+            start, prefix, sources = initial.copy(), 0, []
+        ((_, _, state),) = self._walk(circuit, 1, self._rng, set(), start, prefix, sources)
+        return state.density() if isinstance(state, _Populations) else state
 
     def run(
         self,
@@ -347,7 +435,8 @@ class DensityMatrixSimulator:
         One walk over shot-weighted branches (:meth:`_walk`), each leaf
         sampling its deferred measurements with one multinomial: a
         final-measurement circuit is one branch and one draw.  ``metadata``
-        reads ``method`` ``sampled`` or ``branched`` (plus ``branches``).
+        reads ``method`` ``sampled`` or ``branched`` (plus ``branches``), and
+        ``classical_prefix``: how many instructions ran on populations.
         *seed* overrides the constructor RNG for this call only.
         """
         if shots <= 0:
@@ -361,8 +450,9 @@ class DensityMatrixSimulator:
         counts: Dict[str, int] = {}
         shot_values: List[str] = []
         branches = 0
-        initial = DensityMatrix.zero_state(circuit.num_qubits)
-        for bits, count, state in self._walk(circuit, shots, rng, deferred, initial):
+        prefix, sources = self._lower(circuit)
+        start = _zero_state(circuit.num_qubits, prefix)
+        for bits, count, state in self._walk(circuit, shots, rng, deferred, start, prefix, sources):
             branches += 1
             if final:
                 probs = state.probabilities([qubit for qubit, _ in final])
@@ -378,6 +468,9 @@ class DensityMatrixSimulator:
         metadata: Dict[str, object] = {"method": "sampled"}
         if len(final) < sum(isinstance(i.operation, Measure) for i in circuit.data):
             metadata = {"method": "branched", "branches": branches}
+        metadata["classical_prefix"] = prefix
+        if branches == 1 and isinstance(state, _Populations):
+            state = state.density()
         return Result(
             counts=counts,
             shots=shots,
@@ -388,19 +481,56 @@ class DensityMatrixSimulator:
 
     # -- internals ---------------------------------------------------------------
 
-    def _walk(self, circuit, shots, rng, deferred, state):
+    def _lower(self, circuit: QuantumCircuit):
+        """``(prefix, sources)``: how many leading instructions keep ``rho``
+        diagonal under this simulator's noise, and for each of them the
+        population permutation of a gate (``None`` when there is nothing to
+        move: a diagonal gate, or no gate)."""
+        n = circuit.num_qubits
+        sources: List[Optional[np.ndarray]] = []
+        for instr in circuit.data:
+            op = instr.operation
+            if isinstance(op, (Barrier, Measure, Reset)):
+                sources.append(None)
+                continue
+            table = kernels.gate_basis_table(op)
+            arity = min(op.num_qubits, 2)
+            if table is None or (arity in self._channels and self._stochastic[arity] is None):
+                break
+            targets = [circuit.qubit_index(q) for q in instr.qubits]
+            _, mask, moves, _ = kernels.basis_lookup(table, targets)
+            if moves is None:
+                sources.append(None)
+                continue
+            index = np.arange(1 << n)
+            source = np.empty_like(index)
+            source[(index & ~mask) | moves[kernels.target_value(index, targets)]] = index
+            sources.append(source)
+        return len(sources), sources
+
+    def _walk(self, circuit, shots, rng, deferred, state, prefix, sources):
         """Yield ``(clbit values, shot count, rho)`` per leaf, depth first: a
         measurement not in *deferred* splits a branch's shots by a binomial
-        draw into projected children; a condition applies where it holds."""
+        draw into projected children; a condition applies where it holds.
+
+        A branch on :class:`_Populations` runs the first *prefix*
+        instructions with the population *sources* of :meth:`_lower`, and
+        expands to a :class:`DensityMatrix` after them (a leaf of a monomial
+        circuit stays populations)."""
         stack = [(0, {}, shots, state)]
         while stack:
             start, bits, count, state = stack.pop()
             for position in range(start, len(circuit.data)):
+                if position == prefix and isinstance(state, _Populations):
+                    state = state.density()
                 instr = circuit.data[position]
                 if position in deferred or not condition_met(circuit, instr.condition, bits):
                     continue
                 if not isinstance(instr.operation, Measure):
-                    state = self._apply(state, circuit, instr)
+                    if isinstance(state, _Populations):
+                        self._apply_populations(state, circuit, instr, sources[position])
+                    else:
+                        state = self._apply(state, circuit, instr)
                     continue
                 qubit = circuit.qubit_index(instr.qubits[0])
                 clbit = circuit.clbit_index(instr.clbits[0])
@@ -414,6 +544,28 @@ class DensityMatrixSimulator:
                 state.project([qubit], outcome)
                 bits = {**bits, clbit: outcome}
             yield bits, count, state
+
+    def _apply_populations(
+        self,
+        state: _Populations,
+        circuit: QuantumCircuit,
+        instr: CircuitInstruction,
+        source: Optional[np.ndarray],
+    ) -> None:
+        """:meth:`_apply` for a monomial instruction on populations."""
+        op = instr.operation
+        targets = [circuit.qubit_index(q) for q in instr.qubits]
+        if isinstance(op, Reset):
+            state.reset_qubit(targets[0])
+            return
+        if isinstance(op, Barrier):
+            return
+        if source is not None:
+            state.permute(source)
+        channel = self._stochastic.get(min(len(targets), 2))
+        if channel is not None:
+            for qubit in targets:
+                state.apply_stochastic(channel, qubit)
 
     def _apply(
         self, state: DensityMatrix, circuit: QuantumCircuit, instr: CircuitInstruction

@@ -22,7 +22,10 @@ gate costs at most one vectorised pass over the statevector and no transpose:
 they inspect an instruction (or gate name) and route it to the cheapest
 kernel, returning ``False`` when only the generic path can handle it.  The
 statevector and density-matrix engines, the language's circuit handler and
-the benchmarks all dispatch through here.
+the benchmarks all dispatch through here.  :func:`basis_table` /
+:func:`is_monomial` classify the gates that keep a basis state a basis state,
+which both dense engines run on basis rows or populations instead of
+amplitudes.
 
 Every kernel takes an optional ``ops`` argument -- an
 :class:`~repro.qsim.ops.ArrayOps` backend from the pluggable array-ops
@@ -39,12 +42,21 @@ and operator shapes.
 
 from __future__ import annotations
 
+import functools
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import gates
-from .instruction import ControlledGate, Gate, Instruction, UnitaryGate
+from .instruction import (
+    Barrier,
+    ControlledGate,
+    Gate,
+    Instruction,
+    Measure,
+    Reset,
+    UnitaryGate,
+)
 from .ops import ArrayOps, get_ops
 
 __all__ = [
@@ -56,12 +68,17 @@ __all__ = [
     "apply_named_gate",
     "apply_instruction",
     "dense_apply",
+    "basis_table",
+    "gate_basis_table",
+    "basis_lookup",
+    "target_value",
+    "is_monomial",
 ]
 
-#: diagonal detection is only attempted for operators up to this many qubits
-#: (must cover the simulator's fusion budget so fused runs of phase gates
-#: keep executing on the diagonal kernel; the check itself is a cheap
-#: count_nonzero on at most a 64x64 matrix)
+#: diagonal and monomial detection is only attempted for operators up to
+#: this many qubits (must cover the simulator's fusion budget so fused runs
+#: of phase gates keep executing on the diagonal kernel; the check itself is
+#: a cheap count_nonzero on at most a 64x64 matrix)
 _MAX_DIAG_CHECK_QUBITS = 6
 
 
@@ -391,6 +408,101 @@ def _matrix_diagonal(matrix, ops: ArrayOps):
     if ops.count_nonzero(matrix) != ops.count_nonzero(diag):
         return None
     return diag
+
+
+def basis_table(matrix):
+    """How a *monomial* matrix acts on basis states, or ``None``.
+
+    A matrix is monomial when every row and every column holds at most one
+    nonzero entry (exactly one, for a unitary): ``x``, ``y``, ``z``, ``cx``,
+    ``ccx``, ``swap``, ``s``, ``t``, ``cp``, Pauli and amplitude-damping Kraus
+    operators.  It maps basis state ``col`` to ``factor[col]`` times basis
+    state ``dest[col]`` (an all-zero column has factor 0), so it keeps a
+    basis state a basis state and a diagonal ``rho`` diagonal.  The one
+    monomial classifier: the batched executor's basis rows, the
+    density-matrix population path and the analyzer all read it.  Results
+    are read-only, and memoised for matrices of up to three qubits: the
+    engines classify the same few gates on every run.
+    """
+    matrix = np.asarray(matrix, dtype=complex)
+    if matrix.shape[1] > _MAX_MEMO_DIM:
+        return _classify(matrix)
+    return _memo_basis_table(matrix.tobytes(), matrix.shape[1])
+
+
+#: widest matrix whose basis table is memoised (bounds the memo's keys)
+_MAX_MEMO_DIM = 8
+
+
+@functools.lru_cache(maxsize=512)
+def _memo_basis_table(data: bytes, dim: int):
+    return _classify(np.frombuffer(data, dtype=complex).reshape(-1, dim))
+
+
+def _classify(matrix: np.ndarray):
+    dim = matrix.shape[1]
+    rows, cols = np.nonzero(matrix)
+    if len(set(rows.tolist())) < rows.size or len(set(cols.tolist())) < cols.size:
+        return None
+    dest = np.arange(dim)
+    dest[cols] = rows
+    factor = np.zeros(dim, dtype=complex)
+    factor[cols] = matrix[rows, cols]
+    dest.setflags(write=False)
+    factor.setflags(write=False)
+    return dest, factor
+
+
+def gate_basis_table(operation: Instruction):
+    """:func:`basis_table` of a unitary *operation*, or ``None`` when it is
+    not unitary, not monomial, or wider than the engines lower to a table
+    (the diagonal-detection bound: its matrix is never built)."""
+    if not operation.is_unitary or operation.num_qubits > _MAX_DIAG_CHECK_QUBITS:
+        return None
+    return basis_table(operation.to_matrix())
+
+
+def basis_lookup(table, targets: Sequence[int]) -> tuple:
+    """A :func:`basis_table` in state-index bits, for a gate on *targets*:
+    ``(targets, mask, moves, factor)``.  ``moves[v]`` spells ``dest[v]`` on
+    the *targets* bits of a state index and *mask* covers them all; *moves*
+    is ``None`` for a diagonal gate and *factor* ``None`` when every factor
+    is exactly 1.  Memoised and read-only, like the table."""
+    dest, factor = table
+    return _basis_lookup(dest.tobytes(), factor.tobytes(), tuple(targets))
+
+
+@functools.lru_cache(maxsize=1024)
+def _basis_lookup(dest_data: bytes, factor_data: bytes, targets: tuple) -> tuple:
+    dest = np.frombuffer(dest_data, dtype=np.int64).tolist()
+    factor = np.frombuffer(factor_data, dtype=complex)
+    k = len(targets)
+    spread = [
+        sum(((value >> (k - 1 - position)) & 1) << target for position, target in enumerate(targets))
+        for value in range(1 << k)
+    ]
+    moves = None
+    if dest != list(range(1 << k)):
+        moves = np.array([spread[d] for d in dest])
+        moves.setflags(write=False)
+    return targets, spread[-1], moves, None if np.all(factor == 1) else factor
+
+
+def target_value(index, targets: Sequence[int]):
+    """The value the *targets* bits of every state *index* spell
+    (``targets[0]`` most significant, the matrix convention)."""
+    value = (index >> targets[0]) & 1
+    for target in targets[1:]:
+        value = (value << 1) | ((index >> target) & 1)
+    return value
+
+
+def is_monomial(operation: Instruction) -> bool:
+    """Whether *operation* keeps a basis state a (phased) basis state: a
+    barrier, measurement or reset, or a gate with a :func:`gate_basis_table`."""
+    if isinstance(operation, (Barrier, Measure, Reset)):
+        return True
+    return gate_basis_table(operation) is not None
 
 
 def apply_named_gate(

@@ -19,11 +19,19 @@ path instead of the generic multiply-accumulate.  Feed-forward is row-masked:
 * gates wider than :data:`_MAX_BATCH_GATE_QUBITS` and ``initialize`` run
   row by row through the single-state kernels.
 
+Before any amplitude exists, the plan's leading *monomial* steps -- gates
+with one nonzero per row and column (``x``, ``cx``, ``ccx``, ``s``, ``t``,
+...), Pauli errors, measurements, resets and conditions over such steps --
+run on **basis rows**: one index and one phase per shot, for the whole run
+at once (:class:`_BasisRows`).  A circuit that is monomial end to end never
+allocates amplitudes.
+
 Shots share their trajectory until their first error: within a batch, the
-plan's leading unitary and noise steps (up to the first measurement, reset,
-condition or row-by-row step) run on one row per distinct error pattern, a
-Pauli hit forking a row only when some of its shots do not draw it, and the
-rows are then expanded to one per shot for the rest of the plan.
+plan's next unitary and noise steps (up to the first measurement, reset,
+condition or row-by-row step) run on one row per distinct error pattern --
+starting from one row per distinct basis row -- a Pauli hit forking a row
+only when some of its shots do not draw it, and the rows are then expanded
+to one per shot for the rest of the plan.
 
 Determinism and the per-shot/batched contract
 ---------------------------------------------
@@ -46,6 +54,11 @@ the two are **bit-identical for the same seed** by construction:
   (slice exchange, sign flip, +-i rotation) on whichever row they hit, and a
   fork is a plain copy: sharing changes how often a state is computed, never
   its value;
+* a basis row computes, for its one nonzero amplitude, the very
+  floating-point operations an amplitude row would (the same scalar
+  multiply per gate, the same exact Pauli arithmetic, the same ``abs2``
+  against the same tracked norm at a measurement), so expanding it later
+  changes nothing;
 * probability reductions go through
   :meth:`~repro.qsim.ops.ArrayOps.row_sums`, which reduces every row
   independently in a fixed order.
@@ -188,11 +201,21 @@ def _lower_unitary(
 ) -> tuple:
     """One gate -> a ``diag`` / ``perm`` / ``dense`` step with indices baked in."""
     shape, axes, ndim = _axis_layout(num_qubits, targets)
-    diag = kernels._matrix_diagonal(matrix, ops)
-    if diag is not None:
+    dim = matrix.shape[0]
+    table = kernels.basis_table(matrix)
+    if table is None:
+        indices = [_value_index(ndim, axes, targets, value) for value in range(dim)]
+        rows = [
+            (row, [(col, matrix[row, col]) for col in range(dim) if matrix[row, col] != 0])
+            for row in range(dim)
+        ]
+        return ("dense", shape, indices, rows)
+    dest, factor = table
+    lookup = kernels.basis_lookup(table, targets)
+    if lookup[2] is None:  # diagonal
         entries = [
-            (_value_index(ndim, axes, targets, int(v)), diag[int(v)])
-            for v in np.flatnonzero(diag != 1)
+            (_value_index(ndim, axes, targets, int(v)), factor[int(v)])
+            for v in np.flatnonzero(factor != 1)
         ]
         # Low-qubit slices have short strided runs that thrash; when the
         # entries cover a large fraction of the state anyway, bake the whole
@@ -202,30 +225,22 @@ def _lower_unitary(
         affected = len(entries) << (num_qubits - len(targets))
         run = 1 << min(targets)
         if entries and (len(entries) > 4 or (run < 32 and 4 * affected >= (1 << num_qubits))):
-            factor = np.ones((1, *shape), dtype=complex)
+            full = np.ones((1, *shape), dtype=complex)
             for index, value in entries:
-                factor[index] = value
-            return ("diag_full", factor.reshape(-1))
-        return ("diag", shape, entries)
-    dim = matrix.shape[0]
+                full[index] = value
+            return ("diag_full", full.reshape(-1))
+        return ("diag", shape, entries, lookup)
+    # permutation-like gate (x, cx, swap, iswap, cy, ...): each output slice
+    # is one scaled input slice -- snapshot + write, no accumulate.  Identity
+    # moves (the control-0 slices of a cx) are dropped so the gate only
+    # touches the slices it permutes.
     indices = [_value_index(ndim, axes, targets, value) for value in range(dim)]
-    rows = []
-    for row in range(dim):
-        cols = [(col, matrix[row, col]) for col in range(dim) if matrix[row, col] != 0]
-        rows.append((row, cols))
-    if all(len(cols) == 1 for _, cols in rows):
-        # permutation-like gate (x, cx, swap, iswap, cy, ...): each output
-        # slice is one scaled input slice -- snapshot + write, no accumulate.
-        # Identity moves (row == col with a unit entry, e.g. the control-0
-        # rows of a cx) are dropped so the gate only touches the slices it
-        # permutes.
-        moves = [
-            (row, cols[0][0], cols[0][1])
-            for row, cols in rows
-            if not (row == cols[0][0] and cols[0][1] == 1)
-        ]
-        return ("perm", shape, indices, moves)
-    return ("dense", shape, indices, rows)
+    moves = [
+        (int(dest[col]), col, factor[col])
+        for col in range(dim)
+        if not (dest[col] == col and factor[col] == 1)
+    ]
+    return ("perm", shape, indices, moves, lookup)
 
 
 def _build_plan(
@@ -234,7 +249,7 @@ def _build_plan(
     shots: int,
     rng: np.random.Generator,
     ops: ArrayOps,
-) -> List[tuple]:
+) -> Tuple[List[tuple], List[int]]:
     """Lower the circuit to executor steps, pre-drawing every random number.
 
     The draw order is fixed by the circuit alone (one uniform per touched
@@ -242,11 +257,14 @@ def _build_plan(
     shot whether or not a condition later skips it), so the random tables --
     and therefore every downstream outcome -- are independent of how the
     shots are later split into batches.  Noise uniforms are resolved to
-    per-Pauli shot-row lists here, once for the whole run.
+    per-Pauli shot-row lists here, once for the whole run.  Also returns,
+    per step, the position in ``circuit.data`` of the instruction it came
+    from.
     """
     intervals = _pauli_intervals(noise_model) if noise_model is not None else []
     plan: List[tuple] = []
-    for instr in circuit.data:
+    origins: List[int] = []
+    for position, instr in enumerate(circuit.data):
         op = instr.operation
         if isinstance(op, Barrier):
             continue
@@ -275,14 +293,14 @@ def _build_plan(
                     picked = uniforms[errors]
                     hits = [(p, errors[(picked >= lo) & (picked < hi)]) for p, lo, hi in intervals]
                     steps.append(("noise", qubit, [(p, r) for p, r in hits if r.size]))
-        if instr.condition is None:
-            plan.extend(steps)
-            continue
-        creg, value = instr.condition
-        clbits = np.array([circuit.clbit_index(c) for c in creg], dtype=np.intp)
-        pattern = np.array([(value >> bit) & 1 for bit in range(len(clbits))], dtype=np.uint8)
-        plan.append(("cond", clbits, pattern, steps))
-    return plan
+        if instr.condition is not None:
+            creg, value = instr.condition
+            clbits = np.array([circuit.clbit_index(c) for c in creg], dtype=np.intp)
+            pattern = np.array([(value >> bit) & 1 for bit in range(len(clbits))], dtype=np.uint8)
+            steps = [("cond", clbits, pattern, steps)]
+        plan.extend(steps)
+        origins.extend([position] * len(steps))
+    return plan, origins
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +392,7 @@ def _apply_per_row(states, norm, operation, targets, ops: ArrayOps) -> None:
         states[row] = state.data
 
 
-def _apply_pauli_rows(states, num_qubits: int, pauli: str, qubit: int, rows) -> None:
+def _apply_pauli_rows(states, pauli: str, qubit: int, rows) -> None:
     """Apply a Pauli error to *qubit* on the selected shot *rows* only.
 
     All three cases are exact bitwise operations on the amplitudes (slice
@@ -399,6 +417,31 @@ def _apply_pauli_rows(states, num_qubits: int, pauli: str, qubit: int, rows) -> 
         raise SimulationError(f"unknown Pauli {pauli!r}")
 
 
+def _collapse(p0, uniforms, norm, ops: ArrayOps):
+    """Draw every row's outcome from its probability of 0, *p0*, against the
+    tracked *norm*, which is updated in place to the surviving norm.
+
+    Returns the outcomes plus the rows whose norm fell below
+    :data:`_RESCALE_BELOW` and the power of two each must be scaled by
+    (their norm is scaled by its square here): exact in floating point, so
+    every later ``p0 / norm`` -- and outcome -- is unchanged, minus the
+    underflow.  Shared by amplitude and basis rows, so both read the same
+    outcome from the same uniform.
+    """
+    outcome = (uniforms >= p0 / norm).astype(np.int64)
+    survived = np.where(outcome == 0, p0, norm - p0)
+    if not np.all(survived > 0):
+        raise SimulationError("collapse produced a zero-norm state")
+    faint = ops.flatnonzero(survived < _RESCALE_BELOW)
+    scale = None
+    if faint.size:
+        shift = -(np.frexp(survived[faint])[1] // 2)
+        scale = np.ldexp(1.0, shift)
+        survived[faint] = np.ldexp(survived[faint], 2 * shift)
+    norm[:] = survived
+    return outcome, faint, scale
+
+
 def _measure_batched(states, qubit: int, uniforms, norm, ops: ArrayOps):
     """Measure *qubit* on every row, collapse in place, return the outcome
     bits; *norm* is updated in place to the surviving (unnormalised) norm.
@@ -410,10 +453,6 @@ def _measure_batched(states, qubit: int, uniforms, norm, ops: ArrayOps):
     zeroes the losing slice without renormalising, so the tracked norm is
     exactly the quantity later measurements must divide by -- while the
     arithmetic stays elementwise and identical for every batch split.
-
-    Rows whose norm falls below :data:`_RESCALE_BELOW` are scaled by a power
-    of two (their norm by its square): exact in floating point, so every
-    later ``p0 / norm`` -- and outcome -- is unchanged, minus the underflow.
     """
     low = 1 << qubit
     batch = states.shape[0]
@@ -421,23 +460,124 @@ def _measure_batched(states, qubit: int, uniforms, norm, ops: ArrayOps):
     # abs2 materialises a contiguous array from the strided 0-half directly,
     # skipping a separate complex-valued snapshot of the slice
     p0 = ops.row_sums(ops.abs2(view[:, :, 0, :]).reshape(batch, -1))
-    outcome = (uniforms >= p0 / norm).astype(np.int64)
-    survived = np.where(outcome == 0, p0, norm - p0)
-    if not np.all(survived > 0):
-        raise SimulationError("collapse produced a zero-norm state")
+    outcome, faint, scale = _collapse(p0, uniforms, norm, ops)
     zero_rows = ops.flatnonzero(outcome == 0)
     one_rows = ops.flatnonzero(outcome)
     if zero_rows.size:
         view[zero_rows, :, 1, :] = 0.0
     if one_rows.size:
         view[one_rows, :, 0, :] = 0.0
-    faint = ops.flatnonzero(survived < _RESCALE_BELOW)
     if faint.size:
-        shift = -(np.frexp(survived[faint])[1] // 2)
-        states[faint] *= np.ldexp(1.0, shift)[:, None]
-        survived[faint] = np.ldexp(survived[faint], 2 * shift)
-    norm[:] = survived
+        states[faint] *= scale[:, None]
     return outcome
+
+
+# ---------------------------------------------------------------------------
+# Basis rows: a shot as one basis state, while every step is monomial
+# ---------------------------------------------------------------------------
+#
+# A row that holds one phased basis state is fully described by its index
+# and its phase.  Every operation below computes, for the row's one nonzero
+# amplitude, exactly the floating-point value the amplitude kernels above
+# would (the same scalar multiply, the same exact Pauli arithmetic, the same
+# ``abs2`` summed with zeros), so a row expanded later holds bit for bit the
+# amplitudes it would have reached without this phase.
+
+
+def _in_basis(step) -> bool:
+    """Whether *step* maps basis rows to phased basis rows (a condition
+    only when every step it guards does)."""
+    kind = step[0]
+    if kind == "cond":
+        return all(_in_basis(inner) for inner in step[3])
+    return kind not in ("dense", "row")
+
+
+class _BasisRows:
+    """Shots as phased basis states: ``index`` (int64) and ``phase``
+    (complex) per row, plus the tracked ``norm`` of :func:`_collapse`."""
+
+    def __init__(self, index, phase, norm, ops: ArrayOps):
+        self.index, self.phase, self.norm, self.ops = index, phase, norm, ops
+
+    def apply(self, step) -> None:
+        if step[0] == "diag_full":
+            self._scale(step[1][self.index])
+            return
+        targets, mask, moves, factor = step[-1]
+        if moves is None and factor is None:  # an identity
+            return
+        value = kernels.target_value(self.index, targets)
+        if factor is not None:
+            self._scale(factor[value])
+        if moves is not None:
+            self.index &= ~mask
+            self.index |= moves[value]
+
+    def _scale(self, factors) -> None:
+        rows = factors != 1
+        self.phase[rows] *= factors[rows]
+
+    def pauli(self, pauli: str, qubit: int, rows) -> None:
+        index = self.index[rows]
+        if pauli != "X":
+            ones = (index >> qubit) & 1 == 1
+            phase = self.phase[rows]
+            if pauli == "Z":
+                phase[ones] *= -1.0
+            else:  # Y: |0> -> i|1>, |1> -> -i|0>
+                phase[ones] = phase[ones] * (-1j)
+                phase[~ones] = phase[~ones] * 1j
+            self.phase[rows] = phase
+        if pauli != "Z":
+            self.index[rows] = index ^ (1 << qubit)
+
+    def measure(self, qubit: int, uniforms):
+        bit = (self.index >> qubit) & 1
+        p0 = np.where(bit == 0, self.ops.abs2(self.phase), 0.0)
+        outcome, faint, scale = _collapse(p0, uniforms, self.norm, self.ops)
+        # a row that reads against its basis bit collapses to all zeros
+        self.phase[outcome != bit] = 0.0
+        if faint.size:
+            self.phase[faint] *= scale
+        return outcome
+
+    def take(self, rows) -> "_BasisRows":
+        return _BasisRows(self.index[rows], self.phase[rows], self.norm[rows], self.ops)
+
+    def put(self, rows, sub: "_BasisRows") -> None:
+        self.index[rows], self.phase[rows], self.norm[rows] = sub.index, sub.phase, sub.norm
+
+    def write(self, states, picked) -> None:
+        """Expand into amplitude rows: row ``r`` of *states* becomes basis
+        row ``picked[r]``."""
+        states[:] = 0.0
+        states[np.arange(states.shape[0]), self.index[picked]] = self.phase[picked]
+
+
+class _AmplitudeRows:
+    """Shots as ``(rows, 2^n)`` amplitude rows plus their tracked norms."""
+
+    def __init__(self, states, norm, ops: ArrayOps):
+        self.states, self.norm, self.ops = states, norm, ops
+
+    def apply(self, step) -> None:
+        if step[0] == "row":
+            _apply_per_row(self.states, self.norm, step[1], step[2], self.ops)
+        else:
+            _apply_unitary(self.states, step, self.ops)
+
+    def pauli(self, pauli: str, qubit: int, rows) -> None:
+        _apply_pauli_rows(self.states, pauli, qubit, rows)
+
+    def measure(self, qubit: int, uniforms):
+        return _measure_batched(self.states, qubit, uniforms, self.norm, self.ops)
+
+    def take(self, rows) -> "_AmplitudeRows":
+        return _AmplitudeRows(self.states[rows], self.norm[rows], self.ops)
+
+    def put(self, rows, sub: "_AmplitudeRows") -> None:
+        self.states[rows], self.norm[rows] = sub.states, sub.norm
 
 
 # ---------------------------------------------------------------------------
@@ -464,9 +604,9 @@ def _local_rows(rows_for_run: np.ndarray, shots) -> np.ndarray:
     return np.flatnonzero(np.isin(shots, rows_for_run))
 
 
-def _apply_unitary(states, step, ops: ArrayOps) -> bool:
+def _apply_unitary(states, step, ops: ArrayOps) -> None:
     """Apply a ``diag`` / ``diag_full`` / ``perm`` / ``dense`` step to every
-    row of *states*; ``False`` (nothing done) for any other step kind."""
+    row of *states*."""
     kind = step[0]
     if kind == "diag":
         _apply_diag_batched(states, step[1], step[2])
@@ -474,50 +614,46 @@ def _apply_unitary(states, step, ops: ArrayOps) -> bool:
         _apply_diag_full_batched(states, step[1], ops)
     elif kind == "perm":
         _apply_perm_batched(states, step[1], step[2], step[3], ops)
-    elif kind == "dense":
-        _apply_dense_batched(states, step[1], step[2], step[3], ops)
     else:
-        return False
-    return True
+        _apply_dense_batched(states, step[1], step[2], step[3], ops)
 
 
-def _run_steps(steps, states, norm, bits, shots, num_qubits: int, ops: ArrayOps) -> None:
-    """Execute *steps* on the rows of *states* in place.
+def _run_steps(steps, rows, bits, shots, ops: ArrayOps) -> None:
+    """Execute *steps* in place on *rows* (:class:`_BasisRows` or
+    :class:`_AmplitudeRows`).
 
-    *norm* (tracked norm per row), *bits* (``(rows, clbits)`` outcomes) and
-    *shots* (the rows' run-level shots, as for :func:`_local_rows`)
-    describe the same rows.
+    *bits* (``(rows, clbits)`` outcomes) and *shots* (the rows' run-level
+    shots, as for :func:`_local_rows`) describe the same rows.
     """
     for step in steps:
         kind = step[0]
-        if _apply_unitary(states, step, ops):
-            continue
         if kind == "noise":
             _, qubit, hits = step
             for pauli, rows_for_run in hits:
                 selected = _local_rows(rows_for_run, shots)
                 if selected.size:
-                    _apply_pauli_rows(states, num_qubits, pauli, qubit, selected)
+                    rows.pauli(pauli, qubit, selected)
         elif kind == "measure":
             _, qubit, clbit, table = step
-            bits[:, clbit] = _measure_batched(states, qubit, table[shots], norm, ops)
+            bits[:, clbit] = rows.measure(qubit, table[shots])
         elif kind == "reset":
             _, qubit, table = step
-            ones = ops.flatnonzero(_measure_batched(states, qubit, table[shots], norm, ops))
+            ones = ops.flatnonzero(rows.measure(qubit, table[shots]))
             if ones.size:
-                _apply_pauli_rows(states, num_qubits, "X", qubit, ones)
-        elif kind == "row":
-            _apply_per_row(states, norm, step[1], step[2], ops)
-        else:  # cond: gather the matching rows, step them, scatter back
+                rows.pauli("X", qubit, ones)
+        elif kind == "cond":  # gather the matching rows, step them, scatter back
             _, clbits, pattern, inner = step
-            rows = ops.flatnonzero(np.all(bits[:, clbits] == pattern, axis=1))
-            if rows.size == states.shape[0]:
-                _run_steps(inner, states, norm, bits, shots, num_qubits, ops)
-            elif rows.size:
+            matching = ops.flatnonzero(np.all(bits[:, clbits] == pattern, axis=1))
+            if matching.size == bits.shape[0]:
+                _run_steps(inner, rows, bits, shots, ops)
+            elif matching.size:
                 ids = np.arange(shots.start, shots.stop) if isinstance(shots, slice) else shots
-                sub_states, sub_norm, sub_bits = states[rows], norm[rows], bits[rows]
-                _run_steps(inner, sub_states, sub_norm, sub_bits, ids[rows], num_qubits, ops)
-                states[rows], norm[rows], bits[rows] = sub_states, sub_norm, sub_bits
+                sub, sub_bits = rows.take(matching), bits[matching]
+                _run_steps(inner, sub, sub_bits, ids[matching], ops)
+                rows.put(matching, sub)
+                bits[matching] = sub_bits
+        else:
+            rows.apply(step)
 
 
 # ---------------------------------------------------------------------------
@@ -542,15 +678,15 @@ class _SharedRows:
     """A batch's shots on one row per distinct error pattern so far.
 
     The rows in use are the leading ``states[:live]`` of the batch's own
-    buffer; ``owner[i]`` is the row of the batch's ``i``-th shot and
-    ``population[r]`` the number of shots on row ``r``, never zero.
+    buffer, filled by the caller; ``owner[i]`` is the row of the batch's
+    ``i``-th shot and ``population[r]`` the number of shots on row ``r``,
+    never zero.
     """
 
-    def __init__(self, states: np.ndarray, first: np.ndarray):
+    def __init__(self, states: np.ndarray, owner: np.ndarray):
         self.states = states
-        self.states[0] = first[0]
-        self.owner = [0] * states.shape[0]
-        self.population = [states.shape[0]]
+        self.owner = owner.tolist()
+        self.population = np.bincount(owner).tolist()
 
     @property
     def live(self) -> int:
@@ -586,7 +722,7 @@ class _SharedRows:
                 owner[shot] = moved.get(owner[shot], owner[shot])
         return targets
 
-    def evolve(self, prefix, hits, batch: int, start: int, num_qubits: int, ops: ArrayOps) -> int:
+    def evolve(self, prefix, hits, batch: int, start: int, ops: ArrayOps) -> int:
         """Run *prefix* on the shared rows; return how many steps ran.
 
         Stops early once every shot owns a row: nothing is left to share.
@@ -601,7 +737,7 @@ class _SharedRows:
                 lo, hi = cuts[batch], cuts[batch + 1]
                 if lo < hi:
                     targets = self.fork((rows_for_run[lo:hi] - start).tolist())
-                    _apply_pauli_rows(self.rows(), num_qubits, pauli, step[1], targets)
+                    _apply_pauli_rows(self.rows(), pauli, step[1], targets)
         return len(prefix)
 
     def expand(self) -> None:
@@ -611,6 +747,17 @@ class _SharedRows:
             self.states[1:] = self.states[0]
         else:
             self.states[:] = self.rows()[np.asarray(self.owner)]
+
+
+def _distinct_basis_rows(basis: _BasisRows, states: np.ndarray) -> np.ndarray:
+    """Write one amplitude row per distinct ``(index, phase)`` of *basis*
+    into the leading rows of *states*; return each basis row's row."""
+    keys = np.stack(
+        [basis.index, basis.phase.real.view(np.int64), basis.phase.imag.view(np.int64)], axis=1
+    )
+    _, first, owner = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    basis.write(states[: first.size], first)
+    return owner.ravel()
 
 
 def run_batched(
@@ -632,10 +779,19 @@ def run_batched(
     results are bit-identical for every batch size at a fixed *seed*, which
     is how the backend's ``per_shot`` mode (``batch_size=1``) and
     ``batched`` mode stay interchangeable.  *initial_state* is broadcast
-    into every row.  The result's ``metadata`` names the method
-    (``batched_shots``, or ``per_shot_trajectory`` for one row at a time),
-    the batch size, and ``trajectories``: the rows the shared prefix ended
-    with, summed over batches (``shots`` when nothing was shared).
+    into every row.
+
+    While the state is a (phased) basis state -- from ``|0...0>`` or a
+    basis *initial_state*, through the plan's leading monomial steps -- every
+    shot of the run is one :class:`_BasisRows` entry; amplitude rows are
+    allocated only at the first step that is not monomial, each batch's
+    shared prefix starting from one row per distinct basis row.
+
+    The result's ``metadata`` names the method (``batched_shots``, or
+    ``per_shot_trajectory`` for one row at a time), the batch size,
+    ``trajectories`` (the rows the shared prefix ended with, summed over
+    batches; ``shots`` when nothing was shared) and ``classical_prefix``:
+    how many of the circuit's instructions ran on basis rows.
     """
     if shots <= 0:
         raise SimulationError("shots must be positive")
@@ -651,13 +807,56 @@ def run_batched(
         raise SimulationError("initial state size does not match circuit")
     first = initial_state.data.reshape(1, -1)
     rng = seed if isinstance(seed, np.random.Generator) else ops.rng(seed)
-    plan = _build_plan(circuit, noise_model, shots, rng, ops)
+    plan, origins = _build_plan(circuit, noise_model, shots, rng, ops)
     if batch_size is None:
         batch_size = default_batch_size(n, shots)
     batch_size = max(1, min(int(batch_size), shots, MAX_BATCH_AMPLITUDES >> n or 1))
 
     norm0 = float(ops.row_sums(ops.abs2(first))[0])  # exactly 1.0 from |0...0>
     values = np.zeros((shots, circuit.num_clbits), dtype=np.uint8)
+    basis: Optional[_BasisRows] = None
+    done = classical_prefix = 0
+    nonzero = ops.flatnonzero(first[0])
+    if nonzero.size == 1:
+        start_index = int(nonzero[0])
+        basis = _BasisRows(
+            np.full(shots, start_index, dtype=np.int64),
+            np.full(shots, first[0, start_index]),
+            np.full(shots, norm0),
+            ops,
+        )
+        done = next((i for i, step in enumerate(plan) if not _in_basis(step)), len(plan))
+        _run_steps(plan[:done], basis, values, slice(0, shots), ops)
+        classical_prefix = origins[done] if done < len(plan) else len(circuit.data)
+    rest = plan[done:]
+
+    trajectories = shots
+    if rest:
+        trajectories = _run_amplitudes(rest, basis, first, norm0, values, batch_size, ops)
+
+    metadata = {
+        "method": "batched_shots" if batch_size > 1 else "per_shot_trajectory",
+        "batch_size": batch_size,
+        "trajectories": trajectories,
+        "classical_prefix": classical_prefix,
+    }
+    if not any(isinstance(instr.operation, Measure) for instr in circuit.data):
+        return Result(counts={}, shots=shots, memory=[] if memory else None, metadata=metadata)
+    result = tally(values, memory)
+    result.metadata = metadata
+    return result
+
+
+def _run_amplitudes(plan, basis, first, norm0, values, batch_size: int, ops: ArrayOps) -> int:
+    """Run *plan* on ``(rows, 2^n)`` amplitude rows, batch by batch; return
+    the trajectories.
+
+    Each batch starts from its shots' *basis* rows (or from *first* when
+    there are none, with tracked norm *norm0*) and, when the run spans
+    several batches, shares one row per distinct error pattern through the
+    plan's leading unitary and noise steps.
+    """
+    shots = values.shape[0]
     # a run that fits one batch already costs one kernel call per step:
     # sharing rows would only add bookkeeping
     prefix = _shared_prefix(plan) if shots > batch_size else []
@@ -675,26 +874,26 @@ def run_batched(
     for batch, start in enumerate(bounds[:-1]):
         stop = bounds[batch + 1]
         states = buffer[: stop - start]
+        rows = None if basis is None else basis.take(slice(start, stop))
         if prefix:
-            shared = _SharedRows(states, first)
-            done = shared.evolve(prefix, hits, batch, start, n, ops)
+            if rows is None:
+                states[0] = first[0]
+                owner = np.zeros(stop - start, dtype=np.intp)
+            else:
+                owner = _distinct_basis_rows(rows, states)
+            shared = _SharedRows(states, owner)
+            done = shared.evolve(prefix, hits, batch, start, ops)
             trajectories += shared.live
             shared.expand()
         else:  # every shot is its own trajectory from the start
-            states[:] = first
+            if rows is None:
+                states[:] = first
+            else:
+                rows.write(states, slice(None))
             done = 0
             trajectories += stop - start
         if done < len(plan):
-            norm = np.full(stop - start, norm0)
-            _run_steps(plan[done:], states, norm, values[start:stop], slice(start, stop), n, ops)
-
-    metadata = {
-        "method": "batched_shots" if batch_size > 1 else "per_shot_trajectory",
-        "batch_size": batch_size,
-        "trajectories": trajectories,
-    }
-    if not any(isinstance(instr.operation, Measure) for instr in circuit.data):
-        return Result(counts={}, shots=shots, memory=[] if memory else None, metadata=metadata)
-    result = tally(values, memory)
-    result.metadata = metadata
-    return result
+            norm = np.full(stop - start, norm0) if rows is None else rows.norm
+            amplitudes = _AmplitudeRows(states, norm, ops)
+            _run_steps(plan[done:], amplitudes, values[start:stop], slice(start, stop), ops)
+    return trajectories

@@ -139,12 +139,12 @@ def sample_final(
     *probs* of the *final* ``(qubit, clbit)`` measurements; other clbits
     read as in *bits*.  The dense engines' one sampling routine."""
     pairs = []
-    for value, hits in enumerate(rng.multinomial(shots, probs / probs.sum())):
-        if hits:
-            values = dict(bits)
-            for position, (_, clbit) in enumerate(final):
-                values[clbit] = (value >> position) & 1
-            pairs.append((format_bits(values, num_clbits), int(hits)))
+    hits = rng.multinomial(shots, probs / probs.sum())
+    for value in np.flatnonzero(hits).tolist():
+        values = dict(bits)
+        for position, (_, clbit) in enumerate(final):
+            values[clbit] = (value >> position) & 1
+        pairs.append((format_bits(values, num_clbits), int(hits[value])))
     return pairs
 
 

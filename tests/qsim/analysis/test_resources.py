@@ -39,6 +39,26 @@ class TestEstimate:
         assert est.first_non_clifford == 2  # the first t
         assert not est.is_clifford
 
+    def test_first_non_monomial_index(self):
+        qc = QuantumCircuit(3, 1)
+        qc.x(0).barrier()
+        qc.cx(0, 1).ccx(0, 1, 2).t(2).measure(2, 0)
+        qc.reset(2)
+        assert estimate_resources(qc).first_non_monomial is None
+        qc.h(1).x(0)
+        est = estimate_resources(qc)
+        assert est.first_non_monomial == 7  # the h
+        assert est.first_non_clifford == 3  # the ccx: monomial, not Clifford
+        assert est.to_dict()["first_non_monomial"] == 7
+
+    def test_first_non_monomial_covers_wide_and_initialize(self):
+        wide = QuantumCircuit(8)
+        wide.x(0).mcx(list(range(7)), 7)  # beyond the engines' table width
+        assert estimate_resources(wide).first_non_monomial == 1
+        prepared = QuantumCircuit(1)
+        prepared.initialize([0, 1], [0])
+        assert estimate_resources(prepared).first_non_monomial == 0
+
     def test_mid_circuit_measurement_detected(self):
         qc = QuantumCircuit(1, 1)
         qc.h(0)

@@ -237,6 +237,7 @@ class TestParallelDispatch:
             "method": "batched_shots",
             "batch_size": 103,
             "trajectories": 103,
+            "classical_prefix": 0,
         }
         assert sum(reference.counts.values()) == 103
         for mode in ("per_shot", "batched"):

@@ -152,6 +152,7 @@ class TestConditionSemantics:
             "method": "batched_shots",
             "batch_size": 150,
             "trajectories": 150,
+            "classical_prefix": 0,
         }
 
     def test_evolve_without_collapse_raises(self):

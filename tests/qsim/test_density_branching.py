@@ -22,6 +22,8 @@ from repro.qsim.backends import build_noisy_backend, get_backend
 from repro.qsim.density import (
     DensityMatrix,
     DensityMatrixSimulator,
+    _Populations,
+    _zero_state,
     amplitude_damping_kraus,
     deferred_measurements,
     depolarizing_kraus,
@@ -161,6 +163,142 @@ class TestKernelEvolution:
 
 
 # ---------------------------------------------------------------------------
+# population path: a diagonal rho carried as its diagonal
+# ---------------------------------------------------------------------------
+
+#: (name, arity, parameter count) of monomial registry gates
+MONOMIAL_POOL = [
+    ("x", 1, 0), ("y", 1, 0), ("z", 1, 0), ("s", 1, 0), ("t", 1, 0), ("rz", 1, 1),
+    ("cx", 2, 0), ("cy", 2, 0), ("cz", 2, 0), ("cp", 2, 1), ("swap", 2, 0),
+    ("iswap", 2, 0), ("ccx", 3, 0), ("cswap", 3, 0),
+]
+
+
+def random_monomial_circuit(seed, num_qubits=4, num_gates=25, measure=True):
+    """Monomial gates with resets and (with *measure*) mid-circuit
+    measurements, each into its own clbit so a leaf's bits name its whole
+    branch."""
+    rng = np.random.default_rng(seed)
+    circuit = QuantumCircuit(num_qubits, num_gates)
+    clbit = 0
+    for _ in range(num_gates):
+        roll = rng.random()
+        qubit = int(rng.integers(num_qubits))
+        if roll < 0.15 and measure:
+            circuit.measure(qubit, clbit)
+            clbit += 1
+        elif roll < 0.25:
+            circuit.reset(qubit)
+        else:
+            name, arity, num_params = MONOMIAL_POOL[rng.integers(len(MONOMIAL_POOL))]
+            targets = [int(q) for q in rng.choice(num_qubits, arity, replace=False)]
+            circuit.append(Gate(name, arity, list(rng.uniform(0, 2 * np.pi, num_params))), targets)
+    return circuit
+
+
+def reference_branch(circuit, gate_noise, bits):
+    """:func:`reference_evolution` along one branch: each measurement
+    projects onto its outcome in *bits* (renormalised), a reset is the
+    exact channel."""
+    n = circuit.num_qubits
+    rho = np.zeros((2**n, 2**n), dtype=complex)
+    rho[0, 0] = 1.0
+    p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    for instr in circuit.data:
+        targets = [circuit.qubit_index(q) for q in instr.qubits]
+        op = instr.operation
+        if op.name == "measure":
+            keep = embed(p1 if bits[circuit.clbit_index(instr.clbits[0])] else p0, targets, n)
+            rho = keep @ rho @ keep
+            rho /= np.trace(rho).real
+            continue
+        if op.name == "reset":
+            terms = [embed(p0, targets, n), embed(np.array([[0, 1], [0, 0]]), targets, n)]
+        else:
+            terms = [embed(op.to_matrix(), targets, n)]
+        rho = sum(term @ rho @ term.conj().T for term in terms)
+        for qubit in targets if op.is_unitary else []:
+            kraus = gate_noise.get(min(len(targets), 2), [])
+            if kraus:
+                noise = [embed(k, [qubit], n) for k in kraus]
+                rho = sum(term @ rho @ term.conj().T for term in noise)
+    return rho
+
+
+class TestPopulationPath:
+    """While every instruction is monomial the walk carries ``diag(rho)``
+    only; each leaf must equal the kron-built reference along its branch."""
+
+    GATE_NOISE = {
+        1: amplitude_damping_kraus(0.2),
+        2: [
+            np.sqrt(0.9) * np.eye(2),
+            np.sqrt(0.05) * np.diag([1, -1]),
+            np.sqrt(0.05) * np.array([[0, 1], [1, 0]]),
+        ],
+    }
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_leaves_match_kron_reference(self, seed):
+        circuit = random_monomial_circuit(seed)
+        sim = DensityMatrixSimulator(seed=0, gate_noise=self.GATE_NOISE)
+        prefix, sources = sim._lower(circuit)
+        assert prefix == len(circuit.data)
+        start = _zero_state(circuit.num_qubits, prefix)
+        leaves = list(sim._walk(circuit, 400, np.random.default_rng(seed), set(), start, prefix, sources))
+        assert sum(count for _, count, _ in leaves) == 400
+        for bits, _, state in leaves:
+            assert isinstance(state, _Populations)
+            reference = reference_branch(circuit, self.GATE_NOISE, bits)
+            # the reference stays diagonal, and its diagonal is the populations
+            assert np.abs(reference - np.diag(np.diagonal(reference))).max() < 1e-12
+            assert np.abs(state.probs - np.diagonal(reference).real).max() < 1e-12
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_expansion_matches_kron_reference(self, seed):
+        # a monomial prefix, then gates that leave the basis: evolve expands
+        # the populations to diag(p) and continues on the full rho
+        circuit = random_monomial_circuit(seed, num_qubits=3, num_gates=12, measure=False)
+        tail = random_circuit(50 + seed, num_qubits=3, num_gates=8)
+        for instr in tail.data:
+            circuit.append(instr.operation, [tail.qubit_index(q) for q in instr.qubits])
+        sim = DensityMatrixSimulator(seed=0, gate_noise=self.GATE_NOISE)
+        assert 12 <= sim._lower(circuit)[0] < len(circuit.data)
+        got = sim.evolve(circuit).data
+        assert np.abs(got - reference_branch(circuit, self.GATE_NOISE, {})).max() < 1e-12
+
+    def test_non_monomial_channel_ends_the_prefix_at_the_first_gate(self):
+        hadamard_noise = {1: [np.sqrt(0.9) * np.eye(2), np.sqrt(0.1) * Gate("h", 1).to_matrix()]}
+        circuit = QuantumCircuit(2, 2)
+        circuit.barrier()
+        circuit.x(0).cx(0, 1)
+        circuit.measure([0, 1], [0, 1])
+        assert DensityMatrixSimulator(seed=1).run(circuit, shots=10).metadata == {
+            "method": "sampled",
+            "classical_prefix": len(circuit.data),
+        }
+        noisy = DensityMatrixSimulator(seed=1, gate_noise=hadamard_noise)
+        assert noisy.run(circuit, shots=10).metadata["classical_prefix"] == 1
+
+    def test_adder_population_run_matches_the_full_rho(self):
+        # the same walk forced onto the full rho from the start draws the
+        # same binomials and multinomial: counts agree exactly
+        circuit = corpus("adder_n10")
+        gate_noise = {1: depolarizing_kraus(0.01), 2: depolarizing_kraus(0.01)}
+        sim = DensityMatrixSimulator(gate_noise=gate_noise)
+        populations = sim.run(circuit, shots=2000, seed=7)
+        assert populations.metadata["classical_prefix"] == len(circuit.data)
+        full = DensityMatrixSimulator(gate_noise=gate_noise)
+        full._lower = lambda circuit: (0, [])
+        reference = full.run(circuit, shots=2000, seed=7)
+        assert reference.metadata["classical_prefix"] == 0
+        assert populations.counts == reference.counts
+        assert np.abs(
+            populations.density_matrix.data - reference.density_matrix.data
+        ).max() < 1e-12
+
+
+# ---------------------------------------------------------------------------
 # shot-weighted branching
 # ---------------------------------------------------------------------------
 
@@ -193,15 +331,21 @@ class TestBranching:
 
     @pytest.mark.parametrize("name", ["qec_cond_n5", "qec_repetition_n5"])
     def test_deterministic_feed_forward_is_one_branch(self, name):
-        result = get_backend("density_matrix").run(corpus(name), shots=500, seed=3).result()[0]
-        assert result.metadata == {"method": "branched", "branches": 1}
+        circuit = corpus(name)
+        result = get_backend("density_matrix").run(circuit, shots=500, seed=3).result()[0]
+        # monomial end to end: the whole walk runs on populations
+        assert result.metadata == {
+            "method": "branched",
+            "branches": 1,
+            "classical_prefix": len(circuit.data),
+        }
         assert result.counts == {"11111": 500}
         assert result.density_matrix is not None
 
     def test_final_measurements_are_sampled(self):
         backend = get_backend("density_matrix")
         result = backend.run(corpus("teleport_n3"), shots=100, seed=1).result()[0]
-        assert result.metadata == {"method": "sampled"}
+        assert result.metadata == {"method": "sampled", "classical_prefix": 1}  # x, then h
 
     @pytest.mark.parametrize("k,shots", [(2, 1), (3, 5), (3, 4000), (6, 40)])
     def test_independent_measurements_bound_the_branches(self, k, shots):
@@ -228,7 +372,7 @@ class TestBranching:
         qc.x(0)
         qc.measure(0, 1)
         result = DensityMatrixSimulator(seed=2).run(qc, shots=200)
-        assert result.metadata == {"method": "branched", "branches": 1}
+        assert result.metadata == {"method": "branched", "branches": 1, "classical_prefix": 0}
         assert result.counts == {"10": 200}
 
     def test_noisy_feed_forward_matches_statevector_trajectories(self):

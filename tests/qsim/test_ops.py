@@ -33,10 +33,12 @@ from repro.qsim import (
 )
 from repro.qsim import ops as ops_module
 from repro.qsim.backends import DensityMatrixBackend
+from repro.qsim.analysis import estimate_resources
 from repro.qsim.exceptions import BackendError, SimulationError
 from repro.qsim.fusion import fuse_gates
 from repro.qsim.instruction import ControlledGate, Gate, UnitaryGate
 from repro.qsim.simulator import StatevectorSimulator
+from repro.qsim.qasm import from_qasm
 from repro.qsim.ops import (
     NumpyOps,
     OPS_ENV_VAR,
@@ -44,6 +46,13 @@ from repro.qsim.ops import (
     get_ops,
     register_ops,
     set_default_ops,
+)
+
+from test_shotbatch_golden import (
+    CIRCUITS,
+    basis_free_start,
+    monomial_then_h,
+    phased_basis_start,
 )
 
 ATOL = 1e-12
@@ -84,21 +93,37 @@ def noisy_circuit(num_qubits: int, depth: int, rng: np.random.Generator) -> Quan
     return qc
 
 
-def assert_batch_sizes_bit_equal(qc, noise, shots=120, seed=31):
+def assert_batch_sizes_bit_equal(qc, noise, shots=120, seed=31, initial_state=None, prefix=None):
     """Counts and ``memory=True`` order agree at batch sizes 1, 7 and the
-    default, and the default run is labelled as the batched executor."""
+    default, and the default run is labelled as the batched executor.
+
+    *prefix* is the expected ``classical_prefix``; by default, the
+    analyzer's first non-monomial instruction (a run from ``|0...0>``).
+    """
     runs = [
-        shotbatch.run_batched(qc, noise, shots=shots, seed=seed, memory=True, batch_size=size)
+        shotbatch.run_batched(
+            qc,
+            noise,
+            shots=shots,
+            seed=seed,
+            memory=True,
+            batch_size=size,
+            initial_state=initial_state,
+        )
         for size in (1, 7, None)
     ]
     for run in runs[1:]:
         assert run.counts == runs[0].counts
         assert run.memory == runs[0].memory
     assert sum(runs[0].counts.values()) == shots
+    if prefix is None:
+        first = estimate_resources(qc).first_non_monomial
+        prefix = len(qc.data) if first is None else first
     assert runs[0].metadata == {
         "method": "per_shot_trajectory",
         "batch_size": 1,
         "trajectories": shots,
+        "classical_prefix": prefix,
     }
     assert runs[2].metadata["method"] == "batched_shots"
     return runs[2]
@@ -756,6 +781,63 @@ class TestSharedPrefix:
         assert runs[2].metadata["trajectories"] < self.SHOTS
 
 
+class _NoAmplitudeOps(NumpyOps):
+    """NumpyOps that refuses to allocate amplitude rows."""
+
+    name = "no-amplitudes"
+
+    def empty(self, shape, dtype=float):
+        raise AssertionError(f"amplitude rows allocated: {shape}")
+
+
+class TestClassicalPrefix:
+    """The plan's leading monomial steps run on basis rows (an index and a
+    phase per shot) and expand into amplitude rows at the first step that is
+    not monomial; every outcome stays bit-identical across batch sizes (and,
+    by the golden digests, to plain amplitude rows)."""
+
+    @pytest.mark.parametrize("name", ["qec_cond_n5", "qec_repetition_n5"])
+    @pytest.mark.parametrize("p", [0.02, 0.3])
+    def test_monomial_end_to_end_with_conditions_and_resets(self, name, p):
+        qc = from_qasm((CIRCUITS / f"{name}.qasm").read_text(encoding="utf-8"))
+        run = assert_batch_sizes_bit_equal(qc, DepolarizingNoise(p), shots=300)
+        assert run.metadata["classical_prefix"] == len(qc.data)
+        assert run.metadata["trajectories"] == 300
+        # no amplitude row is ever allocated
+        again = shotbatch.run_batched(
+            qc, DepolarizingNoise(p), shots=300, seed=31, memory=True, ops=_NoAmplitudeOps()
+        )
+        assert again.memory == run.memory
+
+    def test_prefix_ending_at_h_under_always_erring_noise(self):
+        qc, noise, _ = monomial_then_h()
+        run = assert_batch_sizes_bit_equal(qc, noise, shots=200)
+        position = [instr.operation.name for instr in qc.data].index("h")
+        assert run.metadata["classical_prefix"] == position
+        # every shot errs at every site: the basis rows are (nearly) all
+        # distinct, and the shared prefix starts from one row per pattern
+        assert run.metadata["trajectories"] > 100
+
+    def test_non_basis_initial_state_has_no_prefix(self):
+        qc, noise, start = basis_free_start()
+        assert estimate_resources(qc).first_non_monomial is None
+        assert_batch_sizes_bit_equal(qc, noise, initial_state=start, prefix=0)
+
+    def test_phased_basis_initial_state_runs_the_prefix(self):
+        qc, noise, start = phased_basis_start()
+        assert_batch_sizes_bit_equal(qc, noise, initial_state=start)
+
+    def test_gates_collapse_and_reset_on_basis_rows(self):
+        # q0 reads 1 and is reset to 0; the phased |1> on q1 (from y) still
+        # flips q2 through the cx
+        qc = QuantumCircuit(3, 3)
+        qc.x(0).y(1).measure(0, 0).reset(0).cx(1, 2).measure(2, 2)
+        qc.measure(0, 1)
+        result = shotbatch.run_batched(qc, None, shots=50, seed=1)
+        assert result.counts == {"101": 50}
+        assert result.metadata["classical_prefix"] == len(qc.data)
+
+
 class TestShotBatchingModes:
     @pytest.mark.parametrize("num_qubits,shots", [(8, 400), (10, 300), (12, 200), (14, 100)])
     def test_batched_and_per_shot_counts_bit_equal(self, num_qubits, shots):
@@ -807,6 +889,7 @@ class TestShotBatchingModes:
             "method": "batched_shots",
             "batch_size": 50,
             "trajectories": 50,
+            "classical_prefix": 0,
         }
 
     def test_forced_batched_rejects_ineligible(self):

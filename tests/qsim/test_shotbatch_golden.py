@@ -1,11 +1,12 @@
 """Seed-stream golden test for the batched trajectory executor.
 
 Pins the sha256 of the joined ``memory`` of seeded
-:func:`~repro.qsim.shotbatch.run_batched` runs on four corpus files under
-depolarizing noise.  Any change to the random draw order, to how the shots
-are split into batches or to the arithmetic one trajectory sees shows up
-here as a changed digest, at the default batch size and at one row at a
-time alike.
+:func:`~repro.qsim.shotbatch.run_batched` runs on five corpus files under
+depolarizing noise, plus three circuits built here that stress the basis-row
+prefix (a run whose leading instructions map basis states to phased basis
+states).  Any change to the random draw order, to how the shots are split
+into batches or to the arithmetic one trajectory sees shows up here as a
+changed digest, at the default batch size and at one row at a time alike.
 """
 
 from __future__ import annotations
@@ -15,8 +16,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.qsim import DepolarizingNoise, from_qasm
+import numpy as np
+
+from repro.qsim import DepolarizingNoise, NoiseModel, QuantumCircuit, from_qasm
 from repro.qsim.shotbatch import run_batched
+from repro.qsim.statevector import Statevector
 
 CIRCUITS = Path(__file__).resolve().parents[2] / "benchmarks" / "circuits"
 
@@ -56,6 +60,14 @@ GOLDEN = {
     ("qec_cond_n5", 0.2, 1, 1): "b655c8b2fb77277199fce424dd3adcecd975527134ab2851a697bab791912ab9",
     ("qec_cond_n5", 0.2, 7, None): "b22455fd83e526ba8dd2ab89f44210b5a02c453612701bd17df5c2958ce71918",
     ("qec_cond_n5", 0.2, 7, 1): "b22455fd83e526ba8dd2ab89f44210b5a02c453612701bd17df5c2958ce71918",
+    ("qec_repetition_n5", 0.01, 1, None): "0f440bb5d19b663bc9c044fe1c9ffebbcb6ad6025ce6d0b74065f14b910098c4",
+    ("qec_repetition_n5", 0.01, 1, 1): "0f440bb5d19b663bc9c044fe1c9ffebbcb6ad6025ce6d0b74065f14b910098c4",
+    ("qec_repetition_n5", 0.01, 7, None): "a343c95fcd6b6b90ed55ab542c7d14ff893a366969b8f116e1d51e26764a98d3",
+    ("qec_repetition_n5", 0.01, 7, 1): "a343c95fcd6b6b90ed55ab542c7d14ff893a366969b8f116e1d51e26764a98d3",
+    ("qec_repetition_n5", 0.2, 1, None): "395c03d6c6c2425803c960cb0841cf9b8d4482549648e8c7a00fcb6a117c42f1",
+    ("qec_repetition_n5", 0.2, 1, 1): "395c03d6c6c2425803c960cb0841cf9b8d4482549648e8c7a00fcb6a117c42f1",
+    ("qec_repetition_n5", 0.2, 7, None): "ad6c58edc28d7451a6822741a860e51adbdcaea943e5f6e19de490e988cebb70",
+    ("qec_repetition_n5", 0.2, 7, 1): "ad6c58edc28d7451a6822741a860e51adbdcaea943e5f6e19de490e988cebb70",
 }
 
 
@@ -70,3 +82,95 @@ def memory_digest(name: str, p: float, seed: int, batch_size) -> str:
 @pytest.mark.parametrize("key", sorted(GOLDEN, key=repr), ids=repr)
 def test_memory_matches_golden_digest(key):
     assert memory_digest(*key) == GOLDEN[key]
+
+
+class EveryPauliNoise(NoiseModel):
+    """Every touched qubit takes X, Y or Z, never nothing: each shot errs at
+    every noise site, so basis rows carry many distinct phases."""
+
+    def apply(self, state, targets, rng):  # pragma: no cover - never sampled
+        pass
+
+    def pauli_terms(self):
+        return (("X", 1 / 3), ("Y", 1 / 3), ("Z", 1 / 3))
+
+
+def monomial_then_h():
+    """Basis-mapping gates, a mid-circuit measure and reset, then ``h``,
+    under noise that errs everywhere."""
+    qc = QuantumCircuit(6, 6)
+    qc.x(0).cx(0, 1).ccx(0, 1, 2).s(1).t(2).swap(2, 3).cp(0.3, 1, 3).y(4).rz(0.7, 0)
+    qc.measure(4, 4)
+    qc.reset(4)
+    qc.h(1).cx(1, 5).t(5).h(5).cx(0, 4)
+    qc.measure(list(range(6)), list(range(6)))
+    return qc, EveryPauliNoise(), None
+
+
+def basis_free_start():
+    """A monomial circuit started from a superposition: no basis prefix."""
+    qc = QuantumCircuit(5, 5)
+    qc.x(0).cx(0, 1).ccx(0, 1, 2).swap(2, 4)
+    qc.measure(2, 2)
+    qc.reset(2)
+    qc.cx(1, 3)
+    qc.measure(list(range(5)), list(range(5)))
+    rng = np.random.default_rng(23)
+    data = rng.normal(size=32) + 1j * rng.normal(size=32)
+    return qc, DepolarizingNoise(0.05), Statevector(data / np.linalg.norm(data))
+
+
+def phased_basis_start():
+    """A phased basis state through conditioned basis-mapping gates, then ``h``."""
+    qc = QuantumCircuit(5, 5)
+    qc.cx(0, 1).measure(1, 1)
+    qc.x(3).c_if(qc.cregs[0], 2)
+    qc.ccx(0, 3, 4).t(4).h(2).cx(2, 4)
+    qc.measure(list(range(5)), list(range(5)))
+    data = np.zeros(32, dtype=complex)
+    data[0b00101] = np.exp(0.4j)
+    return qc, DepolarizingNoise(0.1), Statevector(data)
+
+
+#: name -> builder of (circuit, noise model, initial state)
+BUILT = {
+    "monomial_then_h": monomial_then_h,
+    "basis_free_start": basis_free_start,
+    "phased_basis_start": phased_basis_start,
+}
+
+#: (built circuit, seed, batch_size) -> sha256 of "\n".join(memory)
+GOLDEN_BUILT = {
+    ("monomial_then_h", 1, None): "19c7d1f9c0d438bf535e300e7e25c7d5cdfdf89e0ba90f975d9f69cd38f3221b",
+    ("monomial_then_h", 1, 1): "19c7d1f9c0d438bf535e300e7e25c7d5cdfdf89e0ba90f975d9f69cd38f3221b",
+    ("monomial_then_h", 1, 7): "19c7d1f9c0d438bf535e300e7e25c7d5cdfdf89e0ba90f975d9f69cd38f3221b",
+    ("monomial_then_h", 7, None): "a6125d69f3a4d548ed7ef025bb9ec79c5dced0015577da8675b00a16402a0642",
+    ("monomial_then_h", 7, 1): "a6125d69f3a4d548ed7ef025bb9ec79c5dced0015577da8675b00a16402a0642",
+    ("monomial_then_h", 7, 7): "a6125d69f3a4d548ed7ef025bb9ec79c5dced0015577da8675b00a16402a0642",
+    ("basis_free_start", 1, None): "0bd8b83ab1ef156b73bf834281b8386a61d7f8f3a5ac20758a9cc4deccf502b8",
+    ("basis_free_start", 1, 1): "0bd8b83ab1ef156b73bf834281b8386a61d7f8f3a5ac20758a9cc4deccf502b8",
+    ("basis_free_start", 1, 7): "0bd8b83ab1ef156b73bf834281b8386a61d7f8f3a5ac20758a9cc4deccf502b8",
+    ("basis_free_start", 7, None): "36c687b714a2af68d53a023e9ea91b41f2ec3b0c2b78050db5e8163df6121c2a",
+    ("basis_free_start", 7, 1): "36c687b714a2af68d53a023e9ea91b41f2ec3b0c2b78050db5e8163df6121c2a",
+    ("basis_free_start", 7, 7): "36c687b714a2af68d53a023e9ea91b41f2ec3b0c2b78050db5e8163df6121c2a",
+    ("phased_basis_start", 1, None): "05ed475da2e72907c58756d571d06bf7b801864da562f53556256d23b1aea974",
+    ("phased_basis_start", 1, 1): "05ed475da2e72907c58756d571d06bf7b801864da562f53556256d23b1aea974",
+    ("phased_basis_start", 1, 7): "05ed475da2e72907c58756d571d06bf7b801864da562f53556256d23b1aea974",
+    ("phased_basis_start", 7, None): "d707da2b1fdc1e1186bf7a0aae114770cdf66eb29928323f1ea3158c8ed0c285",
+    ("phased_basis_start", 7, 1): "d707da2b1fdc1e1186bf7a0aae114770cdf66eb29928323f1ea3158c8ed0c285",
+    ("phased_basis_start", 7, 7): "d707da2b1fdc1e1186bf7a0aae114770cdf66eb29928323f1ea3158c8ed0c285",
+}
+
+
+def built_digest(name: str, seed: int, batch_size) -> str:
+    circuit, noise, initial_state = BUILT[name]()
+    result = run_batched(
+        circuit, noise, SHOTS, seed, memory=True, batch_size=batch_size,
+        initial_state=initial_state,
+    )
+    return hashlib.sha256("\n".join(result.memory).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_BUILT, key=repr), ids=repr)
+def test_built_memory_matches_golden_digest(key):
+    assert built_digest(*key) == GOLDEN_BUILT[key]

@@ -382,6 +382,7 @@ class TestInstrumentationEndToEnd:
         # statevector trajectories: at 12 qubits a batch holds 16 shots,
         # which share one row until their first error (never at p=0)
         from repro.qsim import DepolarizingNoise, StatevectorBackend
+        from repro.qsim.backends import build_noisy_backend
 
         ghz = QuantumCircuit(12)
         ghz.h(0)
@@ -398,6 +399,18 @@ class TestInstrumentationEndToEnd:
 
         assert trajectories(0.0) == 4
         assert 4 < trajectories(0.005) < 64
+
+        # classical_prefix: the instructions run on basis rows (statevector)
+        # or populations (density matrix), until the first non-monomial one
+        adder = QuantumCircuit(3, 3)
+        adder.x(0).cx(0, 1).ccx(0, 1, 2).h(0)
+        adder.measure([0, 1, 2], [0, 1, 2])
+        for name in ("statevector", "density_matrix"):
+            backend = build_noisy_backend(name, 0.01, "depolarizing", seed=3)
+            experiment = backend.run(adder, shots=64).result()[0]
+            span = find(telemetry.drain_spans(), f"engine.{name}.run")
+            assert experiment.metadata["classical_prefix"] == 3
+            assert span.tags["classical_prefix"] == 3
 
     def test_disabled_run_emits_nothing(self):
         from repro.qsim import QuantumCircuit, get_backend
