@@ -25,8 +25,9 @@ statevector engine ran noise and feed-forward before the batched executor):
 
 * **noisy shots** -- the same random circuit family with a full final
   measurement and a depolarizing channel, executed three ways: the
-  reference loop, the backend's ``per_shot`` trajectory mode, and the
-  batched ``(shots, 2^n)`` tensor executor (:mod:`repro.qsim.shotbatch`).
+  reference loop, the batched ``(shots, 2^n)`` tensor executor
+  (:mod:`repro.qsim.shotbatch`) one trajectory at a time (``per_shot``,
+  ``batch_size=1``), and the same executor at its default batch size.
   ``batched`` and ``per_shot`` counts are asserted *bitwise equal* at the
   shared seed; the acceptance target is a >= 3x speedup of ``batched`` over
   the reference loop at 12 qubits / 2000 shots (the default noisy
@@ -75,6 +76,7 @@ from repro.qsim.backends import StatevectorBackend, build_noisy_backend
 from repro.qsim.density import DensityMatrix, depolarizing_kraus
 from repro.qsim.fusion import fuse_gates, fusion_summary
 from repro.qsim.instruction import Barrier, Gate, Measure, Reset
+from repro.qsim.shotbatch import run_batched
 from repro.qsim.simulator import condition_met, format_bits, sample_final
 
 from benchutil import add_out_argument, total_variation, tvd_floor, write_results
@@ -187,15 +189,15 @@ def noisy_random_circuit(num_qubits: int, num_gates: int, seed: int) -> QuantumC
 
 
 def run_noisy_mode(circuit, noise, shots: int, seed: int, mode: str):
-    """One of the backend's trajectory modes (``per_shot`` or ``batched``);
-    returns the experiment result (counts plus ``trajectories`` metadata)."""
-    backend = StatevectorBackend(noise_model=noise, fusion=False, shot_batching=mode)
-    return backend.run(circuit, shots=shots, seed=seed).result()[0]
+    """The trajectory executor one trajectory at a time (``per_shot``) or at
+    its default batch size (``batched``); returns the experiment result
+    (counts plus ``trajectories`` metadata)."""
+    return run_batched(circuit, noise, shots, seed, batch_size=1 if mode == "per_shot" else None)
 
 
 def noisy_axis(num_qubits: int, num_gates: int, shots: int, noise_p: float, seed: int,
                repeats: int, failures: List[str], gated: bool) -> Dict:
-    """Reference loop vs the backend's ``per_shot`` and ``batched`` modes at
+    """Reference loop vs the executor's ``per_shot`` and ``batched`` modes at
     one depolarizing strength; returns the artifact row.  *gated* applies
     the >= 3x acceptance target to this row."""
     noisy = noisy_random_circuit(num_qubits, num_gates, seed)

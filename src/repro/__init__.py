@@ -27,20 +27,6 @@ Quickstart
 '8'
 """
 
-from .lang import (
-    CompiledProgram,
-    QutesError,
-    QutesExecutionResult,
-    QutesNameError,
-    QutesRuntimeError,
-    QutesSyntaxError,
-    QutesTypeError,
-    compile_source,
-    parse_source,
-    run_file,
-    run_source,
-)
-
 __version__ = "1.0.0"
 
 __all__ = [
@@ -57,3 +43,19 @@ __all__ = [
     "QutesNameError",
     "QutesRuntimeError",
 ]
+
+
+def __getattr__(name: str):
+    # PEP 562: the language front end loads on first use, so importing a
+    # subpackage such as repro.qsim does not pull in repro.lang
+    if name in __all__:
+        from . import lang
+
+        value = getattr(lang, name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -10,12 +10,10 @@ machinery shared with Deutsch--Jozsa.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from ..qsim.circuit import QuantumCircuit
 from ..qsim.exceptions import CircuitError
 from ..qsim.registers import ClassicalRegister, QuantumRegister
-from ..qsim.simulator import StatevectorSimulator
 
 __all__ = ["BernsteinVaziraniResult", "build_bv_oracle", "bernstein_vazirani_circuit", "run_bernstein_vazirani"]
 
@@ -64,19 +62,17 @@ def bernstein_vazirani_circuit(num_inputs: int, secret: int) -> QuantumCircuit:
 def run_bernstein_vazirani(
     num_inputs: int,
     secret: int,
-    simulator: Optional[StatevectorSimulator] = None,
     shots: int = 128,
     backend=None,
 ) -> BernsteinVaziraniResult:
     """Recover *secret* and report the query-count comparison.
 
     Execution goes through the unified backend API (``backend=`` accepts a
-    :class:`~repro.qsim.backends.Backend` or registry name); the legacy
-    ``simulator=`` parameter is still honoured.
+    :class:`~repro.qsim.backends.Backend` or registry name).
     """
     from ..qsim.backends import resolve_backend
 
-    backend = resolve_backend(backend, simulator, default_seed=21)
+    backend = resolve_backend(backend, default_seed=21)
     circuit = bernstein_vazirani_circuit(num_inputs, secret)
     result = backend.run(circuit, shots=shots).result()
     recovered = int(result[0].most_frequent(), 2)

@@ -16,7 +16,6 @@ from typing import Callable, Optional
 from ..qsim.circuit import QuantumCircuit
 from ..qsim.exceptions import CircuitError
 from ..qsim.registers import QuantumRegister
-from ..qsim.simulator import StatevectorSimulator
 
 __all__ = [
     "DeutschJozsaResult",
@@ -130,19 +129,17 @@ def classical_query_count(num_inputs: int) -> int:
 
 def run_deutsch_jozsa(
     oracle: QuantumCircuit,
-    simulator: Optional[StatevectorSimulator] = None,
     shots: int = 256,
     backend=None,
 ) -> DeutschJozsaResult:
     """Run the algorithm and classify the oracle's function.
 
     Execution goes through the unified backend API (``backend=`` accepts a
-    :class:`~repro.qsim.backends.Backend` or registry name); the legacy
-    ``simulator=`` parameter is still honoured.
+    :class:`~repro.qsim.backends.Backend` or registry name).
     """
     from ..qsim.backends import resolve_backend
 
-    backend = resolve_backend(backend, simulator, default_seed=7)
+    backend = resolve_backend(backend, default_seed=7)
     circuit = deutsch_jozsa_circuit(oracle)
     result = backend.run(circuit, shots=shots).result()
     value = int(result[0].most_frequent(), 2)

@@ -125,7 +125,7 @@ def sample_ghz(
     """
     from ..qsim.backends import resolve_backend
 
-    resolved = resolve_backend(backend, None, default_seed=seed)
+    resolved = resolve_backend(backend, default_seed=seed)
     circuit = ghz_circuit(num_qubits)
     circuit.measure_all()
     return resolved.run(circuit, shots=shots).result().get_counts()

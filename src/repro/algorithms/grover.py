@@ -18,7 +18,6 @@ from ..qsim.backends import Backend, resolve_backend
 from ..qsim.circuit import QuantumCircuit
 from ..qsim.exceptions import CircuitError, SimulationError
 from ..qsim.registers import QuantumRegister
-from ..qsim.simulator import StatevectorSimulator
 
 __all__ = [
     "GroverResult",
@@ -137,17 +136,16 @@ def grover_search(
     num_qubits: int,
     shots: int = 1024,
     iterations: Optional[int] = None,
-    simulator: Optional[StatevectorSimulator] = None,
     backend: Optional[Backend] = None,
 ) -> GroverResult:
     """Run Grover search for *marked_values* and summarise the outcome.
 
     Execution goes through the unified backend API: pass ``backend=`` (a
     :class:`~repro.qsim.backends.Backend` or registry name) to pick an
-    engine; the legacy ``simulator=`` parameter is still honoured.
+    engine.
     """
     marked = sorted(set(marked_values))
-    backend = resolve_backend(backend, simulator, default_seed=1234)
+    backend = resolve_backend(backend, default_seed=1234)
     if iterations is None:
         iterations = optimal_iterations(num_qubits, len(marked))
     circuit = grover_circuit(num_qubits, marked, iterations=iterations)
@@ -181,7 +179,6 @@ def grover_substring_search(
     text: str,
     pattern: str,
     shots: int = 1024,
-    simulator: Optional[StatevectorSimulator] = None,
     backend: Optional[Backend] = None,
 ) -> GroverResult:
     """Search *pattern* inside the bitstring *text* with Grover over positions.
@@ -211,8 +208,6 @@ def grover_substring_search(
             success_probability=0.0,
             counts={},
         )
-    result = grover_search(
-        positions, num_qubits, shots=shots, simulator=simulator, backend=backend
-    )
+    result = grover_search(positions, num_qubits, shots=shots, backend=backend)
     result.found = result.found and result.value in positions
     return result

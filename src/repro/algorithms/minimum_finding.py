@@ -57,7 +57,7 @@ def find_minimum(
         raise CircuitError("cannot take the minimum of an empty set")
     n = len(values)
     num_qubits = max(1, math.ceil(math.log2(n)))
-    backend = resolve_backend(backend, None, default_seed=seed)
+    backend = resolve_backend(backend, default_seed=seed)
     rng = np.random.default_rng(seed)
 
     if max_rounds is None:

@@ -17,7 +17,6 @@ from ..qsim.circuit import QuantumCircuit
 from ..qsim.exceptions import CircuitError
 from ..qsim.instruction import UnitaryGate
 from ..qsim.registers import ClassicalRegister, QuantumRegister
-from ..qsim.simulator import StatevectorSimulator
 
 __all__ = ["phase_estimation_circuit", "estimate_phase"]
 
@@ -69,18 +68,16 @@ def estimate_phase(
     eigenstate: np.ndarray,
     num_counting_qubits: int = 5,
     shots: int = 512,
-    simulator: Optional[StatevectorSimulator] = None,
     backend=None,
 ) -> float:
     """Estimate the eigenphase ``theta`` (in turns, i.e. within [0, 1)).
 
     Execution goes through the unified backend API (``backend=`` accepts a
-    :class:`~repro.qsim.backends.Backend` or registry name); the legacy
-    ``simulator=`` parameter is still honoured.
+    :class:`~repro.qsim.backends.Backend` or registry name).
     """
     from ..qsim.backends import resolve_backend
 
-    backend = resolve_backend(backend, simulator, default_seed=5)
+    backend = resolve_backend(backend, default_seed=5)
     circuit = phase_estimation_circuit(unitary, num_counting_qubits, eigenstate)
     result = backend.run(circuit, shots=shots).result()
     value = int(result[0].most_frequent(), 2)

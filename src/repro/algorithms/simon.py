@@ -18,7 +18,6 @@ from ..qsim.backends import Backend, resolve_backend
 from ..qsim.circuit import QuantumCircuit
 from ..qsim.exceptions import CircuitError
 from ..qsim.registers import ClassicalRegister, QuantumRegister
-from ..qsim.simulator import StatevectorSimulator
 
 __all__ = ["SimonResult", "build_simon_oracle", "simon_circuit", "run_simon", "solve_gf2"]
 
@@ -98,21 +97,18 @@ def solve_gf2(equations: List[int], num_bits: int) -> Optional[int]:
 def run_simon(
     num_inputs: int,
     secret: int,
-    simulator: Optional[StatevectorSimulator] = None,
     max_queries: Optional[int] = None,
     backend: Optional[Backend] = None,
     batch_size: int = 1,
-    workers: Optional[int] = None,
 ) -> SimonResult:
     """Run Simon's algorithm until the secret is determined (or queries run out).
 
     Queries go through the unified backend API.  With ``batch_size > 1``
-    each round submits that many oracle circuits as one batch -- and, with
-    ``workers``, dispatches them across a worker pool -- trading a few
-    potentially redundant queries for multi-core throughput.  The default
+    each round submits that many oracle circuits as one batch, trading a
+    few potentially redundant queries for fewer submissions.  The default
     (``batch_size=1``) preserves the classic one-query-at-a-time loop.
     """
-    backend = resolve_backend(backend, simulator, default_seed=33)
+    backend = resolve_backend(backend, default_seed=33)
     if max_queries is None:
         max_queries = 10 * num_inputs
     if batch_size < 1:
@@ -123,11 +119,7 @@ def run_simon(
     recovered: Optional[int] = None
     while queries < max_queries:
         batch = min(batch_size, max_queries - queries)
-        # thread executor: a fresh process pool per round would cost more in
-        # startup than these shots=1 circuits cost to simulate
-        result = backend.run(
-            [circuit] * batch, shots=1, workers=workers, executor="thread"
-        ).result()
+        result = backend.run([circuit] * batch, shots=1).result()
         for experiment in result:
             value = int(experiment.most_frequent(), 2)
             queries += 1

@@ -83,7 +83,7 @@ def sample_uniform_superposition(
 
     if num_qubits < 1:
         raise CircuitError("sampling needs at least one qubit")
-    resolved = resolve_backend(backend, None, default_seed=seed)
+    resolved = resolve_backend(backend, default_seed=seed)
     circuit = QuantumCircuit(num_qubits, name=f"uniform_{num_qubits}")
     build_uniform_superposition(circuit, list(range(num_qubits)))
     circuit.measure_all()

@@ -180,7 +180,7 @@ def run_teleportation(
     """
     from ..qsim.backends import resolve_backend
 
-    resolved = resolve_backend(backend, None, default_seed=seed)
+    resolved = resolve_backend(backend, default_seed=seed)
     circuit = deferred_teleportation_circuit(payload_prep)
     experiment = resolved.run(circuit, shots=shots).result()[0]
     counts = experiment.counts

@@ -85,14 +85,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         help="print the registered execution backends and exit",
     )
     parser.add_argument(
-        "--array-ops",
-        default=None,
-        metavar="NAME",
-        help="array-ops backend the kernels compute through (default: numpy, "
-        "or $QSIM_ARRAY_OPS); see docs/kernels.md for registering an "
-        "accelerated module",
-    )
-    parser.add_argument(
         "--noise",
         type=float,
         default=None,
@@ -646,25 +638,6 @@ def _main(argv: Optional[List[str]] = None) -> int:
         return _service_main(list(argv))
     parser = build_arg_parser()
     args = parser.parse_args(argv)
-    if args.array_ops is not None:
-        from .qsim.ops import set_default_ops
-
-        try:
-            set_default_ops(args.array_ops)
-        except SimulationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-    elif os.environ.get("QSIM_ARRAY_OPS"):
-        # validate the environment selection eagerly too, so a typo in
-        # $QSIM_ARRAY_OPS fails here with the registered names instead of
-        # deep inside the first kernel call
-        from .qsim.ops import get_ops
-
-        try:
-            get_ops()
-        except SimulationError as exc:
-            print(f"error: $QSIM_ARRAY_OPS: {exc}", file=sys.stderr)
-            return 1
     if args.list_backends:
         from .qsim.backends import list_backends
 

@@ -8,16 +8,16 @@ implementation with a self-contained, NumPy-based stack:
 * :mod:`repro.qsim.instruction` -- the instruction set of the circuit IR,
 * :mod:`repro.qsim.circuit` -- the :class:`~repro.qsim.circuit.QuantumCircuit` IR,
 * :mod:`repro.qsim.statevector` -- dense statevector representation,
-* :mod:`repro.qsim.ops` -- the pluggable array-ops backplane every kernel
-  computes through (numpy by default, accelerated modules by registration),
 * :mod:`repro.qsim.kernels` -- specialized in-place gate kernels + dispatch,
 * :mod:`repro.qsim.shotbatch` -- batched trajectory execution (noise, feed-forward),
 * :mod:`repro.qsim.fusion` -- gate fusion (adjacent gates -> one unitary),
 * :mod:`repro.qsim.simulator` -- the statevector execution engine,
 * :mod:`repro.qsim.stabilizer` -- the CHP stabilizer (Clifford) engine,
   polynomial-time tableau simulation for 100+ qubit Clifford circuits,
+* :mod:`repro.qsim.result` -- :class:`ExperimentResult`, the one
+  per-circuit result type every engine returns,
 * :mod:`repro.qsim.backends` -- the unified Backend/Job/Result execution
-  API with batched, parallel dispatch over every engine,
+  API over every engine,
 * :mod:`repro.qsim.transpiler` -- decomposition and analysis passes,
 * :mod:`repro.qsim.qasm` -- OpenQASM 2.0 export and import,
 * :mod:`repro.qsim.noise` -- simple stochastic noise models,
@@ -29,14 +29,6 @@ The public names most users need are re-exported here.
 
 from . import telemetry
 from .exceptions import BackendError, QasmError, QsimError, RegisterError, SimulationError
-from .ops import (
-    ArrayOps,
-    NumpyOps,
-    available_ops,
-    get_ops,
-    register_ops,
-    set_default_ops,
-)
 from .registers import ClassicalRegister, Clbit, QuantumRegister, Qubit
 from .instruction import (
     Barrier,
@@ -48,7 +40,8 @@ from .instruction import (
 )
 from .circuit import CircuitInstruction, QuantumCircuit
 from .statevector import Statevector
-from .simulator import Result, StatevectorSimulator
+from .result import ExperimentResult
+from .simulator import StatevectorSimulator
 from .stabilizer import StabilizerSimulator, StabilizerTableau
 from .transpiler import count_ops, decompose, circuit_depth, is_clifford, transpile
 from .optimizer import optimize, optimization_summary
@@ -66,7 +59,6 @@ from .density import (
 from .backends import (
     Backend,
     DensityMatrixBackend,
-    ExperimentResult,
     Job,
     JobStatus,
     StatevectorBackend,
@@ -77,12 +69,6 @@ from .backends import (
 
 __all__ = [
     "telemetry",
-    "ArrayOps",
-    "NumpyOps",
-    "available_ops",
-    "get_ops",
-    "register_ops",
-    "set_default_ops",
     "QsimError",
     "RegisterError",
     "SimulationError",
@@ -104,7 +90,6 @@ __all__ = [
     "StatevectorSimulator",
     "StabilizerSimulator",
     "StabilizerTableau",
-    "Result",
     "count_ops",
     "decompose",
     "circuit_depth",

@@ -166,7 +166,7 @@ def register_pass(
             yield Diagnostic(...)
 
     Registering an existing name requires ``overwrite=True``, mirroring the
-    backend and array-ops registries.
+    backend registry.
     """
 
     def _register(target: PassFn) -> PassFn:

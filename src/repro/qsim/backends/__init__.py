@@ -5,18 +5,19 @@ One stable contract over every simulation engine::
     from repro.qsim.backends import get_backend
 
     backend = get_backend("statevector", seed=7)
-    job = backend.run([qc1, qc2, qc3], shots=1024, seed=42, workers=4)
+    job = backend.run([qc1, qc2, qc3], shots=1024, seed=42)
     result = job.result()
     for experiment in result:
         print(experiment.name, experiment.counts)
 
 * :mod:`~repro.qsim.backends.backend` -- the :class:`Backend` ABC with
-  batching, seed resolution and serial / thread / process dispatch,
+  argument validation, batching, seed resolution and the one experiment
+  runner,
 * :mod:`~repro.qsim.backends.job` -- :class:`Job` (``result() / status() /
   cancel()``) and :class:`JobStatus`,
-* :mod:`~repro.qsim.backends.result` -- :class:`Result` +
-  :class:`ExperimentResult` (bitstring counts, probabilities, optional
-  state, timing metadata),
+* :class:`Result` + :class:`ExperimentResult` (bitstring counts,
+  probabilities, optional state, timing metadata), re-exported from
+  :mod:`repro.qsim.result`,
 * :mod:`~repro.qsim.backends.engines` -- :class:`StatevectorBackend`,
   :class:`DensityMatrixBackend`, :class:`StabilizerBackend` and the driver
   helper :func:`resolve_backend`,
@@ -29,7 +30,7 @@ a third-party engine.
 
 from .backend import Backend
 from .job import Job, JobStatus
-from .result import ExperimentResult, Result
+from ..result import ExperimentResult, Result
 from .engines import (
     NOISE_CHANNELS,
     DensityMatrixBackend,

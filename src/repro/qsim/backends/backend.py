@@ -1,89 +1,95 @@
 """The :class:`Backend` ABC: one execution API over every engine.
 
 A backend turns ``run(circuit_or_circuits, shots=..., seed=...)`` into a
-:class:`~repro.qsim.backends.job.Job` whose
-:class:`~repro.qsim.backends.result.Result` always has the same shape,
-regardless of which engine (statevector, density matrix, or a third-party
-registration) does the work.  The base class owns everything that is
-engine-independent: batch normalisation, per-experiment seed resolution, and
-serial / thread-pool / process-pool dispatch.  Engines implement a single
-method, :meth:`Backend._run_experiment`.
+:class:`~repro.qsim.backends.job.Job` whose :class:`~repro.qsim.result.Result`
+always has the same shape, regardless of which engine (statevector, density
+matrix, stabilizer, or a third-party registration) does the work.  The base
+class owns everything that is engine-independent: argument validation, batch
+normalisation, per-experiment seed resolution and the one experiment runner,
+:meth:`Backend._run_experiment`, which calls ``engine.run(circuit,
+shots=..., memory=...)``.  A subclass holds its configured engine in
+``self._engine`` and says how to build a freshly seeded copy of it
+(:meth:`Backend._fresh_engine`).
 
 Seed resolution
 ---------------
 ``run(..., seed=...)`` accepts:
 
-* ``None`` -- serial runs draw on the engine's own sequential RNG stream
-  (exactly what the legacy ``StatevectorSimulator.run`` did); parallel runs
-  derive one concrete seed per experiment from the backend's RNG, so a
-  backend constructed with ``seed=S`` is still fully reproducible.
+* ``None`` -- the experiments draw on the engine's own sequential RNG
+  stream, so a backend constructed with ``seed=S`` is fully reproducible.
 * an ``int`` -- experiment ``i`` of the batch runs with seed ``seed + i``,
   making every batch entry independently reproducible: re-running circuit
   ``i`` alone with ``seed + i`` gives identical counts.
-* a sequence of ints -- explicit per-experiment seeds.
+* a sequence with one entry per circuit -- explicit per-experiment seeds
+  (an entry may be ``None``: that experiment uses the engine's stream).
 
-Whenever an experiment has a concrete seed, its result is identical under
-serial, thread-pool and process-pool dispatch.
+Seeds are non-negative ints (never ``bool``); anything else raises a
+:class:`BackendError` before any engine runs.
 """
 
 from __future__ import annotations
 
 import abc
+import collections.abc
 import time
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, List, Optional, Sequence, Union
 
 import numpy as np
 
 from ..circuit import QuantumCircuit
-from ..exceptions import BackendError
+from ..exceptions import BackendError, SimulationError
+from ..result import ExperimentResult
 from .. import telemetry
 from .job import Job
-from .result import ExperimentResult
 
 __all__ = ["Backend"]
 
-_EXECUTORS = ("thread", "process")
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def _execute_experiment(
-    backend: "Backend",
-    circuit: QuantumCircuit,
-    shots: int,
-    seed: Optional[int],
-    memory: bool,
-    options: Dict[str, Any],
-) -> ExperimentResult:
-    """Module-level task wrapper so process pools can pickle the work item."""
-    return backend._run_experiment(circuit, shots, seed, memory, **options)
+def _run_span(backend_name: str, circuit: QuantumCircuit, shots: int) -> telemetry.span:
+    """Span plus throughput counters for one experiment on *backend_name*.
+
+    The counters are the per-engine traffic axes the service aggregates
+    (experiments, shots, gate volume); the span is what nests under the
+    worker's per-job trace.  Guarded on the telemetry switch so a disabled
+    run allocates nothing.
+    """
+    if telemetry.enabled():
+        telemetry.counter(f"engine.{backend_name}.experiments").inc()
+        telemetry.counter(f"engine.{backend_name}.shots").inc(shots)
+        telemetry.counter(f"engine.{backend_name}.gates").inc(len(circuit.data))
+    return telemetry.span(
+        f"engine.{backend_name}.run",
+        circuit=circuit.name,
+        gates=len(circuit.data),
+        shots=shots,
+    )
 
 
 class Backend(abc.ABC):
-    """Abstract execution backend: ``run() -> Job -> Result``."""
+    """Abstract execution backend: ``run() -> Job -> Result``.
+
+    Subclasses set ``self._engine`` (anything with ``run(circuit, shots=,
+    memory=) -> ExperimentResult``) in ``__init__`` and implement
+    :meth:`_fresh_engine`.
+    """
 
     #: registry name; subclasses override (third-party engines pick their own)
     name: str = "abstract"
 
-    def __init__(self, seed: Optional[int] = None):
-        self._rng = np.random.default_rng(seed)
+    _engine: Any
 
     # -- subclass contract -------------------------------------------------------
 
     @abc.abstractmethod
-    def _run_experiment(
-        self,
-        circuit: QuantumCircuit,
-        shots: int,
-        seed: Optional[int],
-        memory: bool,
-        **options: Any,
-    ) -> ExperimentResult:
-        """Execute one circuit and return its :class:`ExperimentResult`.
+    def _fresh_engine(self, seed: int) -> Any:
+        """A new engine configured like ``self._engine``, seeded with *seed*.
 
-        Must be safe to call concurrently when *seed* is not ``None`` (the
-        dispatch layer only parallelises seeded experiments), which in
-        practice means: build a fresh engine instance per call instead of
-        mutating shared state.
+        Seeded experiments run on it, so they never touch the template
+        engine's sequential RNG stream.
         """
 
     # -- public API --------------------------------------------------------------
@@ -93,13 +99,11 @@ class Backend(abc.ABC):
         circuits: Union[QuantumCircuit, Sequence[QuantumCircuit]],
         *args: Any,
         shots: int = 1024,
-        seed: Union[int, Sequence[int], None] = None,
+        seed: Union[int, Sequence[Optional[int]], None] = None,
         memory: bool = False,
-        workers: Optional[int] = None,
-        executor: str = "process",
         **options: Any,
     ) -> Job:
-        """Submit one circuit or a batch and return a :class:`Job`.
+        """Run one circuit or a batch, in order, and return its :class:`Job`.
 
         Only the circuit batch may be passed positionally; every run option
         is keyword-only, identically across all engines and the service
@@ -108,17 +112,15 @@ class Backend(abc.ABC):
 
         Args:
             circuits: a single :class:`QuantumCircuit` or a sequence of them.
-            shots: shots per circuit.
+            shots: shots per circuit, a positive ``int``.
             seed: per-call seed override (see the module docstring for the
                 ``None`` / int / sequence semantics).
             memory: also record per-shot bitstrings.
-            workers: degree of batch parallelism.  ``None``, 0 or 1 run the
-                batch serially in the calling thread; ``N > 1`` dispatches
-                experiments onto a worker pool.
-            executor: ``"process"`` (default; real multi-core parallelism via
-                fork) or ``"thread"`` for a thread pool.
-            **options: further engine-specific run options, forwarded to
-                :meth:`_run_experiment`.
+            **options: accepted only to be rejected by name: no engine
+                takes further run options.
+
+        The batch stops at the first experiment that raises; the job then
+        reports that error from :meth:`Job.result`.
         """
         if args:
             raise TypeError(
@@ -127,55 +129,62 @@ class Backend(abc.ABC):
                 "run(circuit, shots=2000, seed=7)"
             )
         batch = self._normalize_circuits(circuits)
-        if shots <= 0:
-            raise BackendError("shots must be positive")
-        if executor not in _EXECUTORS:
-            raise BackendError(f"unknown executor {executor!r} (choose from {_EXECUTORS})")
-        parallel = workers is not None and workers > 1 and len(batch) > 1
-        seeds = self._resolve_seeds(seed, len(batch), force_explicit=parallel)
+        if not _is_int(shots) or shots <= 0:
+            raise BackendError(f"shots must be a positive int, got {shots!r}")
+        shots = int(shots)
+        seeds = self._resolve_seeds(seed, len(batch))
+        if options:
+            raise BackendError(f"unknown run options {sorted(options)} for {self.name!r}")
 
         if telemetry.enabled():
             telemetry.counter("backend.batches").inc()
             telemetry.counter("backend.circuits").inc(len(batch))
         submitted_at = time.perf_counter()
-        if not parallel:
-            # serial dispatch runs in the calling thread, so the batch span
-            # encloses every engine.<name>.run span the experiments open
-            with telemetry.span(
-                "backend.run", backend=self.name, circuits=len(batch), dispatch="serial"
-            ):
-                futures: List[Future] = []
-                for circuit, circuit_seed in zip(batch, seeds):
-                    future: Future = Future()
-                    try:
-                        future.set_result(
-                            self._run_experiment(circuit, shots, circuit_seed, memory, **options)
-                        )
-                    except BaseException as exc:  # noqa: BLE001 - delivered via Job.result()
-                        future.set_exception(exc)
-                    futures.append(future)
-                    if future.exception() is not None:
-                        break
-            return Job(self, futures, submitted_at=submitted_at)
-
-        # parallel dispatch: the span covers submission only -- the pool's
-        # workers trace into their own threads/processes
-        with telemetry.span(
-            "backend.run", backend=self.name, circuits=len(batch), dispatch=executor
-        ):
-            pool_cls = ProcessPoolExecutor if executor == "process" else ThreadPoolExecutor
-            pool = pool_cls(max_workers=min(workers, len(batch)))
-            try:
-                futures = [
-                    pool.submit(
-                        _execute_experiment, self, circuit, shots, circuit_seed, memory, options
+        results: List[ExperimentResult] = []
+        error: Optional[BaseException] = None
+        # the batch span encloses every engine.<name>.run span of the batch
+        with telemetry.span("backend.run", backend=self.name, circuits=len(batch)):
+            for circuit, circuit_seed in zip(batch, seeds):
+                try:
+                    results.append(
+                        self._run_experiment(circuit, shots, circuit_seed, memory)
                     )
-                    for circuit, circuit_seed in zip(batch, seeds)
-                ]
-            except BaseException:
-                pool.shutdown(wait=False)
-                raise
-        return Job(self, futures, executor=pool, submitted_at=submitted_at)
+                except Exception as exc:  # noqa: BLE001 - delivered via Job.result()
+                    error = exc
+                    break
+        return Job(self, results, error=error, submitted_at=submitted_at)
+
+    def _run_experiment(
+        self,
+        circuit: QuantumCircuit,
+        shots: int,
+        seed: Optional[int],
+        memory: bool,
+    ) -> ExperimentResult:
+        """Execute one circuit on the engine and return its :class:`ExperimentResult`.
+
+        An unseeded experiment runs on the template engine (its sequential
+        RNG stream); a seeded one on :meth:`_fresh_engine`.  The engine's
+        ``metadata`` tags the run span, and a non-``sampled`` method counts
+        its shots under ``engine.<name>.<method>``.  Engine errors surface as
+        :class:`BackendError`.
+        """
+        started = time.perf_counter()
+        engine = self._engine if seed is None else self._fresh_engine(seed)
+        with _run_span(self.name, circuit, shots) as sp:
+            try:
+                result = engine.run(circuit, shots=shots, memory=memory)
+            except SimulationError as exc:
+                raise BackendError(str(exc)) from exc
+            method = result.metadata.get("method")
+            if telemetry.enabled() and method not in (None, "sampled"):
+                telemetry.counter(f"engine.{self.name}.{method}").inc(shots)
+            sp.tag(**result.metadata)
+        result.seed = seed
+        result.time_taken = time.perf_counter() - started
+        if telemetry.enabled():
+            telemetry.histogram("engine.run.seconds").observe(result.time_taken)
+        return result
 
     # -- internals ---------------------------------------------------------------
 
@@ -193,26 +202,28 @@ class Backend(abc.ABC):
                 raise BackendError(f"cannot run {type(entry).__name__} (expected QuantumCircuit)")
         return batch
 
+    @staticmethod
     def _resolve_seeds(
-        self,
-        seed: Union[int, Sequence[int], None],
-        num_circuits: int,
-        force_explicit: bool,
+        seed: Union[int, Sequence[Optional[int]], None], num_circuits: int
     ) -> List[Optional[int]]:
         if seed is None:
-            if not force_explicit:
-                return [None] * num_circuits
-            # parallel dispatch: engines must not share RNG state across
-            # workers, so derive concrete (but backend-reproducible) seeds
-            return [int(self._rng.integers(0, 2**63)) for _ in range(num_circuits)]
-        if isinstance(seed, (int, np.integer)):
+            return [None] * num_circuits
+        if _is_int(seed) and seed >= 0:
             return [int(seed) + i for i in range(num_circuits)]
-        seeds = [int(s) for s in seed]
-        if len(seeds) != num_circuits:
-            raise BackendError(
-                f"got {len(seeds)} seeds for {num_circuits} circuits"
-            )
-        return seeds
+        sequence = isinstance(seed, (collections.abc.Sequence, np.ndarray))
+        if sequence and not isinstance(seed, (str, bytes)):
+            seeds = list(seed)
+            if len(seeds) != num_circuits:
+                raise BackendError(
+                    f"seed must be one seed per circuit: got {len(seeds)} seeds "
+                    f"for {num_circuits} circuits"
+                )
+            if all(s is None or (_is_int(s) and s >= 0) for s in seeds):
+                return [None if s is None else int(s) for s in seeds]
+        raise BackendError(
+            "seed must be None, a non-negative int, or a sequence of them "
+            f"(one per circuit), got {seed!r}"
+        )
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"

@@ -1,10 +1,11 @@
 """Job handles returned by :meth:`Backend.run`.
 
-A :class:`Job` decouples *submitting* a batch of circuits from *consuming*
-its results: serial jobs are executed eagerly and are ``DONE`` the moment
-``run()`` returns, while parallel jobs own a ``concurrent.futures`` pool and
-complete in the background.  Either way the caller sees the same three
-methods -- ``result()``, ``status()``, ``cancel()``.
+:meth:`Backend.run` executes its batch in the calling thread, so a
+:class:`Job` is finished the moment it exists: it holds either every
+experiment's result or the error that stopped the batch.  Callers consume it
+through ``result()``, ``status()``, ``cancel()`` and ``done()``; the
+execution service (:mod:`repro.qsim.service`) is the asynchronous,
+multi-process path.
 """
 
 from __future__ import annotations
@@ -12,12 +13,10 @@ from __future__ import annotations
 import enum
 import itertools
 import time
-from concurrent.futures import CancelledError, Executor, Future
-from concurrent.futures import TimeoutError as FuturesTimeoutError
 from typing import List, Optional, TYPE_CHECKING
 
 from ..exceptions import BackendError
-from .result import ExperimentResult, Result
+from ..result import ExperimentResult, Result
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .backend import Backend
@@ -30,135 +29,58 @@ _JOB_COUNTER = itertools.count()
 class JobStatus(enum.Enum):
     """Lifecycle states of a :class:`Job`."""
 
-    QUEUED = "QUEUED"
-    RUNNING = "RUNNING"
     DONE = "DONE"
-    CANCELLED = "CANCELLED"
     ERROR = "ERROR"
 
 
 class Job:
-    """A submitted batch of circuits and its (eventual) :class:`Result`.
+    """A finished batch of circuits: its :class:`Result`, or the error that
+    stopped it.
 
     Instances are created by :meth:`Backend.run`; user code only consumes
-    them.  ``result()`` blocks until every experiment finished, assembles the
-    unified :class:`Result` and releases the worker pool.
+    them.
     """
 
     def __init__(
         self,
         backend: "Backend",
-        futures: List[Future],
-        executor: Optional[Executor] = None,
-        submitted_at: Optional[float] = None,
+        results: List[ExperimentResult],
+        error: Optional[BaseException],
+        submitted_at: float,
     ):
         self.backend = backend
         self.job_id = f"{backend.name}-{next(_JOB_COUNTER)}"
-        self._futures = futures
-        self._executor = executor
-        self._submitted_at = submitted_at if submitted_at is not None else time.perf_counter()
-        self._result: Optional[Result] = None
-        self._error: Optional[BaseException] = None
-        self._cancelled = False
-
-    # -- lifecycle ---------------------------------------------------------------
+        self._error = error
+        self._result = Result(
+            backend_name=backend.name,
+            job_id=self.job_id,
+            results=results,
+            time_taken=time.perf_counter() - submitted_at,
+        )
 
     def result(self, timeout: Optional[float] = None) -> Result:
-        """Block until the batch finished and return the unified :class:`Result`.
+        """The unified :class:`Result` of the batch.
 
-        *timeout* bounds the **total** wait in seconds; on expiry a
-        :class:`BackendError` is raised but the job stays alive -- the work
-        keeps running and a later ``result()`` call can still collect it.
+        Raises :class:`BackendError` naming the job when an experiment
+        failed.  *timeout* is kept for existing callers; the batch has
+        already run, so it never expires.
         """
-        if self._result is not None:
-            return self._result
-        if self._cancelled:
-            raise BackendError(f"job {self.job_id} was cancelled")
         if self._error is not None:
             raise BackendError(f"job {self.job_id} failed: {self._error}") from self._error
-        deadline = None if timeout is None else time.monotonic() + timeout
-        experiments: List[ExperimentResult] = []
-        try:
-            for future in self._futures:
-                remaining = None if deadline is None else max(0.0, deadline - time.monotonic())
-                experiments.append(future.result(timeout=remaining))
-        except FuturesTimeoutError:
-            # transient by design: do not poison the job or kill the pool
-            raise BackendError(
-                f"job {self.job_id} did not finish within {timeout} s "
-                "(still running; call result() again)"
-            ) from None
-        except CancelledError:
-            self._cancelled = True
-            self._shutdown()
-            raise BackendError(f"job {self.job_id} was cancelled") from None
-        except BaseException as exc:  # noqa: BLE001 - rewrap with job context
-            self._error = exc
-            self._shutdown()
-            raise BackendError(f"job {self.job_id} failed: {exc}") from exc
-        self._shutdown()
-        self._result = Result(
-            backend_name=self.backend.name,
-            job_id=self.job_id,
-            results=experiments,
-            time_taken=time.perf_counter() - self._submitted_at,
-        )
         return self._result
 
     def status(self) -> JobStatus:
-        """Current lifecycle state of the job."""
-        if self._cancelled:
-            return JobStatus.CANCELLED
-        if self._error is not None:
-            return JobStatus.ERROR
-        if self._result is not None or all(f.done() for f in self._futures):
-            # terminal either way: the pool has no more work, release it even
-            # if the consumer only ever polls status()/done()
-            self._shutdown()
-            if any(f.cancelled() for f in self._futures):
-                return JobStatus.CANCELLED
-            if any(f.done() and f.exception() is not None for f in self._futures):
-                return JobStatus.ERROR
-            return JobStatus.DONE
-        if any(f.running() or f.done() for f in self._futures):
-            return JobStatus.RUNNING
-        return JobStatus.QUEUED
+        """``ERROR`` when an experiment failed, else ``DONE``."""
+        return JobStatus.ERROR if self._error is not None else JobStatus.DONE
 
     def cancel(self) -> bool:
-        """Cancel every experiment that has not started yet.
-
-        Returns ``True`` if the whole job was cancelled before any work
-        started; the job is then terminal.  Otherwise ``False`` is returned
-        and the job is **partially cancelled**: experiments already running
-        finish, but the batch is incomplete, so ``result()`` reports the job
-        as cancelled rather than returning a partial batch.  (On a finished
-        job, ``cancel()`` is a no-op returning ``False`` and ``result()``
-        stays available.)
-        """
-        if self._result is not None:
-            return False
-        cancelled_all = True
-        for future in self._futures:
-            if not future.cancel():
-                cancelled_all = False
-        if cancelled_all:
-            self._cancelled = True
-            self._shutdown()
-        return cancelled_all
+        """Always ``False``: the batch already ran, so there is nothing to
+        cancel, and ``result()`` stays available."""
+        return False
 
     def done(self) -> bool:
-        """Whether every experiment has finished (successfully or not)."""
-        finished = all(f.done() for f in self._futures)
-        if finished:
-            self._shutdown()
-        return finished
-
-    # -- internals ---------------------------------------------------------------
-
-    def _shutdown(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(wait=False)
-            self._executor = None
+        """Always ``True``: every experiment has finished (or one failed)."""
+        return True
 
     def __repr__(self) -> str:
         return f"Job(id={self.job_id!r}, status={self.status().value})"

@@ -70,16 +70,7 @@ def get_backend(name: str, **options) -> Backend:
     ``get_backend("statevector", seed=7)`` or
     ``get_backend("density_matrix", gate_noise={1: depolarizing_kraus(0.05)})``.
     """
-    key = name.lower()
-    key = _ALIASES.get(key, key)
-    factory = _REGISTRY.get(key)
-    if factory is None:
-        aliases = ", ".join(sorted(_ALIASES))
-        raise BackendError(
-            f"unknown backend {name!r}; available: {', '.join(list_backends())}"
-            + (f" (aliases: {aliases})" if aliases else "")
-        )
-    backend = factory(**options)
+    backend = _REGISTRY[resolve_backend_name(name)](**options)
     if not isinstance(backend, Backend):
         raise BackendError(
             f"factory for {name!r} returned {type(backend).__name__}, not a Backend"

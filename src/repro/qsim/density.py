@@ -33,7 +33,8 @@ from . import gates, kernels
 from .circuit import CircuitInstruction, QuantumCircuit
 from .exceptions import SimulationError
 from .instruction import Barrier, Initialize, Instruction, Measure, Reset
-from .simulator import Result, condition_met, format_bits, sample_final
+from .result import ExperimentResult
+from .simulator import condition_met, format_bits, sample_final
 from .statevector import Statevector
 
 __all__ = [
@@ -429,8 +430,8 @@ class DensityMatrixSimulator:
         shots: int = 1024,
         memory: bool = False,
         seed: Optional[int] = None,
-    ) -> Result:
-        """Execute *circuit* for *shots* shots and return a :class:`Result`.
+    ) -> ExperimentResult:
+        """Execute *circuit* for *shots* shots and return its :class:`ExperimentResult`.
 
         One walk over shot-weighted branches (:meth:`_walk`), each leaf
         sampling its deferred measurements with one multinomial: a
@@ -471,7 +472,8 @@ class DensityMatrixSimulator:
         metadata["classical_prefix"] = prefix
         if branches == 1 and isinstance(state, _Populations):
             state = state.density()
-        return Result(
+        return ExperimentResult(
+            name=circuit.name,
             counts=counts,
             shots=shots,
             density_matrix=state if branches == 1 else None,

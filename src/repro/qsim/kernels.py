@@ -27,13 +27,8 @@ the benchmarks all dispatch through here.  :func:`basis_table` /
 which both dense engines run on basis rows or populations instead of
 amplitudes.
 
-Every kernel takes an optional ``ops`` argument -- an
-:class:`~repro.qsim.ops.ArrayOps` backend from the pluggable array-ops
-backplane -- and performs *all* array arithmetic through it; ``ops=None``
-resolves the active backend via :func:`repro.qsim.ops.get_ops` (numpy by
-default).  On :class:`~repro.qsim.ops.NumpyOps` the arithmetic is
-bit-identical to the pre-backplane kernels (property-tested in
-``tests/qsim/test_ops.py``).
+Temporaries come from :func:`scratch`, a per-thread pool of reusable
+buffers, so no gate allocates half-state temporaries.
 
 All kernels mutate the underlying buffer in place and assume the caller
 (:class:`~repro.qsim.statevector.Statevector`) has validated qubit indices
@@ -43,7 +38,8 @@ and operator shapes.
 from __future__ import annotations
 
 import functools
-from typing import Optional, Sequence
+import threading
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -57,7 +53,6 @@ from .instruction import (
     Reset,
     UnitaryGate,
 )
-from .ops import ArrayOps, get_ops
 
 __all__ = [
     "apply_single_qubit",
@@ -73,6 +68,7 @@ __all__ = [
     "basis_lookup",
     "target_value",
     "is_monomial",
+    "scratch",
 ]
 
 #: diagonal and monomial detection is only attempted for operators up to
@@ -80,6 +76,29 @@ __all__ = [
 #: of phase gates keep executing on the diagonal kernel; the check itself is
 #: a cheap count_nonzero on at most a 64x64 matrix)
 _MAX_DIAG_CHECK_QUBITS = 6
+
+
+_SCRATCH = threading.local()
+
+
+def scratch(shape: Tuple[int, ...], count: int = 3) -> tuple:
+    """*count* disjoint complex buffers of *shape*, valid until the next call.
+
+    The buffers are views into one per-thread pool that grows on demand: no
+    kernel allocates temporaries per gate, independent simulators on
+    different threads never share a buffer (numpy releases the GIL
+    mid-kernel), and a thread retains at most ~1.5x the largest state it has
+    simulated.  Each kernel uses the views within a single call only.
+    """
+    per_buffer = 1
+    for dim in shape:
+        per_buffer *= dim
+    pool = getattr(_SCRATCH, "pool", None)
+    if pool is None or pool.size < per_buffer * count:
+        pool = _SCRATCH.pool = np.empty(per_buffer * count, dtype=complex)
+    return tuple(
+        pool[i * per_buffer : (i + 1) * per_buffer].reshape(shape) for i in range(count)
+    )
 
 
 def _qubit_view(data, num_qubits: int, qubits: Sequence[int]):
@@ -119,37 +138,25 @@ _MIN_STRIDE = 16
 _MAX_GEMM_BLOCKS = 32
 
 
-def dense_apply(
-    data, num_qubits: int, matrix, targets, ops: Optional[ArrayOps] = None
-):
+def dense_apply(data, num_qubits: int, matrix, targets):
     """moveaxis/reshape + BLAS application; returns a new contiguous array.
 
     The single implementation of the generic dense path:
     :meth:`Statevector.apply_unitary` rebinds its buffer to the result, while
-    the kernels' :func:`_apply_dense_fallback` copies it back in place.
+    :func:`apply_two_qubit` copies it back in place.
     """
-    if ops is None:
-        ops = get_ops()
     k = len(targets)
     axes = [num_qubits - 1 - t for t in targets]
     psi = data.reshape((2,) * num_qubits)
-    psi = ops.moveaxis(psi, axes, range(k))
+    psi = np.moveaxis(psi, axes, range(k))
     tail_shape = psi.shape[k:]
     flat = psi.reshape(2**k, -1)
-    flat = ops.matmul(matrix, flat)
+    flat = matrix @ flat
     flat = flat.reshape((2,) * k + tail_shape)
-    return ops.ascontiguousarray(ops.moveaxis(flat, range(k), axes).reshape(-1))
+    return np.ascontiguousarray(np.moveaxis(flat, range(k), axes).reshape(-1))
 
 
-def _apply_dense_fallback(data, num_qubits: int, matrix, targets, ops: ArrayOps) -> None:
-    """In-place variant of :func:`dense_apply`, used by the dense kernels for
-    qubit layouts where strided slicing is slower than one packed matmul."""
-    data[:] = dense_apply(data, num_qubits, matrix, targets, ops=ops)
-
-
-def apply_single_qubit(
-    data, num_qubits: int, matrix, qubit: int, ops: Optional[ArrayOps] = None
-) -> None:
+def apply_single_qubit(data, num_qubits: int, matrix, qubit: int) -> None:
     """Apply a 2x2 unitary to *qubit* in place without a full-tensor transpose.
 
     Three regimes, chosen by where the qubit sits in the flat index:
@@ -160,37 +167,35 @@ def apply_single_qubit(
     * middle qubits: scalar-times-slice arithmetic on the ``(high, 2, low)``
       view, the cheapest path when the inner runs are long enough to vectorise.
     """
-    if ops is None:
-        ops = get_ops()
     low = 1 << qubit
     high = data.size >> (qubit + 1)
     view = data.reshape(-1, 2, low)
     if _is_x_matrix(matrix):
         a0 = view[:, 0, :]
         a1 = view[:, 1, :]
-        (tmp,) = ops.scratch(a1.shape, 1)
-        ops.copyto(tmp, a1)
+        (tmp,) = scratch(a1.shape, 1)
+        np.copyto(tmp, a1)
         view[:, 1, :] = a0
         view[:, 0, :] = tmp
         return
     if high <= _MAX_GEMM_BLOCKS:
         for block in view:
-            block[:] = ops.matmul(matrix, block)
+            block[:] = matrix @ block
         return
     if low < _MIN_STRIDE:
-        expanded = ops.kron(matrix, ops.eye(low, dtype=complex))
+        expanded = np.kron(matrix, np.eye(low, dtype=complex))
         packed = data.reshape(-1, 2 * low)
-        packed[:] = ops.matmul(packed, expanded.T)
+        packed[:] = packed @ expanded.T
         return
     a0 = view[:, 0, :]
     a1 = view[:, 1, :]
-    s0, s1, s2 = ops.scratch((high, low))
-    ops.multiply(a0, matrix[0, 0], out=s0)
-    ops.multiply(a1, matrix[0, 1], out=s1)
-    ops.add(s0, s1, out=s0)
-    ops.multiply(a0, matrix[1, 0], out=s1)
-    ops.multiply(a1, matrix[1, 1], out=s2)
-    ops.add(s1, s2, out=s1)
+    s0, s1, s2 = scratch((high, low))
+    np.multiply(a0, matrix[0, 0], out=s0)
+    np.multiply(a1, matrix[0, 1], out=s1)
+    np.add(s0, s1, out=s0)
+    np.multiply(a0, matrix[1, 0], out=s1)
+    np.multiply(a1, matrix[1, 1], out=s2)
+    np.add(s1, s2, out=s1)
     view[:, 0, :] = s0
     view[:, 1, :] = s1
 
@@ -201,9 +206,7 @@ def apply_single_qubit(
 _DIAG_DENSE_MIN_ENTRIES = 4
 
 
-def apply_diagonal(
-    data, num_qubits: int, diag, targets: Sequence[int], ops: Optional[ArrayOps] = None
-) -> None:
+def apply_diagonal(data, num_qubits: int, diag, targets: Sequence[int]) -> None:
     """Multiply basis-aligned slices by the entries of a diagonal gate.
 
     ``diag[v]`` multiplies the amplitudes whose *targets* bits spell the value
@@ -214,8 +217,6 @@ def apply_diagonal(
     phase runs, ``rzz``-style products) are applied as one broadcast multiply
     over the full state instead of one strided write per non-unit entry.
     """
-    if ops is None:
-        ops = get_ops()
     k = len(targets)
     if k == 1:
         low = 1 << targets[0]
@@ -227,7 +228,7 @@ def apply_diagonal(
         return
     view, axes = _qubit_view(data, num_qubits, targets)
     ndim = view.ndim
-    nonunit = ops.flatnonzero(diag != 1)
+    nonunit = np.flatnonzero(diag != 1)
     if nonunit.size > _DIAG_DENSE_MIN_ENTRIES and 2 * int(nonunit.size) >= diag.size:
         # dense diagonal: broadcast the 2^k entries against the state's qubit
         # axes and multiply once.  Unit entries multiply by exactly 1.0, which
@@ -258,13 +259,10 @@ def apply_controlled(
     matrix,
     controls: Sequence[int],
     target: int,
-    ops: Optional[ArrayOps] = None,
 ) -> None:
     """Apply a 2x2 unitary to *target* on the slice where all *controls* are 1."""
-    if ops is None:
-        ops = get_ops()
     if not controls:
-        apply_single_qubit(data, num_qubits, matrix, target, ops=ops)
+        apply_single_qubit(data, num_qubits, matrix, target)
         return
     view, axes = _qubit_view(data, num_qubits, (*controls, target))
     base = [slice(None)] * view.ndim
@@ -279,8 +277,8 @@ def apply_controlled(
     a0 = view[index0]
     a1 = view[index1]
     if _is_x_matrix(matrix):
-        (tmp,) = ops.scratch(a1.shape, 1)
-        ops.copyto(tmp, a1)
+        (tmp,) = scratch(a1.shape, 1)
+        np.copyto(tmp, a1)
         view[index1] = a0
         view[index0] = tmp
         return
@@ -292,13 +290,13 @@ def apply_controlled(
         if matrix[1, 1] != 1:
             a1 *= matrix[1, 1]
         return
-    s0, s1, s2 = ops.scratch(a0.shape)
-    ops.multiply(a0, matrix[0, 0], out=s0)
-    ops.multiply(a1, matrix[0, 1], out=s1)
-    ops.add(s0, s1, out=s0)
-    ops.multiply(a0, matrix[1, 0], out=s1)
-    ops.multiply(a1, matrix[1, 1], out=s2)
-    ops.add(s1, s2, out=s1)
+    s0, s1, s2 = scratch(a0.shape)
+    np.multiply(a0, matrix[0, 0], out=s0)
+    np.multiply(a1, matrix[0, 1], out=s1)
+    np.add(s0, s1, out=s0)
+    np.multiply(a0, matrix[1, 0], out=s1)
+    np.multiply(a1, matrix[1, 1], out=s2)
+    np.add(s1, s2, out=s1)
     view[index0] = s0
     view[index1] = s1
 
@@ -309,7 +307,6 @@ def apply_two_qubit(
     matrix,
     target0: int,
     target1: int,
-    ops: Optional[ArrayOps] = None,
 ) -> None:
     """Apply a dense 4x4 unitary to ``(target0, target1)`` without transposes.
 
@@ -318,10 +315,8 @@ def apply_two_qubit(
     for sparse matrices (permutation-like gates, controlled rotations); dense
     matrices and low-qubit layouts go through one packed BLAS matmul instead.
     """
-    if ops is None:
-        ops = get_ops()
-    if (1 << min(target0, target1)) < _MIN_STRIDE or ops.count_nonzero(matrix) > 8:
-        _apply_dense_fallback(data, num_qubits, matrix, (target0, target1), ops)
+    if (1 << min(target0, target1)) < _MIN_STRIDE or np.count_nonzero(matrix) > 8:
+        data[:] = dense_apply(data, num_qubits, matrix, (target0, target1))
         return
     view, axes = _qubit_view(data, num_qubits, (target0, target1))
     ndim = view.ndim
@@ -334,7 +329,7 @@ def apply_two_qubit(
         index = tuple(index)
         indices.append(index)
         slices.append(view[index])
-    buffers = ops.scratch(slices[0].shape, 5)
+    buffers = scratch(slices[0].shape, 5)
     tmp = buffers[4]
     updated = []
     for row in range(4):
@@ -345,10 +340,10 @@ def apply_two_qubit(
                 continue
             if acc is None:
                 acc = buffers[row]
-                ops.multiply(slices[col], entry, out=acc)
+                np.multiply(slices[col], entry, out=acc)
             else:
-                ops.multiply(slices[col], entry, out=tmp)
-                ops.add(acc, tmp, out=acc)
+                np.multiply(slices[col], entry, out=tmp)
+                np.add(acc, tmp, out=acc)
         updated.append(acc)
     for row in range(4):
         if updated[row] is None:
@@ -364,15 +359,12 @@ def apply_swap(
     qubit2: int,
     controls: Sequence[int] = (),
     phase: complex = 1.0,
-    ops: Optional[ArrayOps] = None,
 ) -> None:
     """Exchange the |01> and |10> slices of two qubits (optionally controlled).
 
     *phase* multiplies the exchanged amplitudes, so ``phase=1j`` implements
     the ``iswap`` gate.
     """
-    if ops is None:
-        ops = get_ops()
     view, axes = _qubit_view(data, num_qubits, (*controls, qubit1, qubit2))
     base = [slice(None)] * view.ndim
     for control in controls:
@@ -385,8 +377,8 @@ def apply_swap(
     index10[axes[qubit2]] = 0
     index01 = tuple(index01)
     index10 = tuple(index10)
-    (tmp,) = ops.scratch(view[index01].shape, 1)
-    ops.copyto(tmp, view[index01])
+    (tmp,) = scratch(view[index01].shape, 1)
+    np.copyto(tmp, view[index01])
     if phase == 1.0:
         view[index01] = view[index10]
         view[index10] = tmp
@@ -399,13 +391,13 @@ def apply_swap(
 # Dispatch layer
 # ---------------------------------------------------------------------------
 
-def _matrix_diagonal(matrix, ops: ArrayOps):
+def _matrix_diagonal(matrix):
     """The diagonal of *matrix* if it is exactly diagonal, else ``None``."""
     dim = matrix.shape[0]
     if dim > (1 << _MAX_DIAG_CHECK_QUBITS):
         return None
     diag = np.diagonal(matrix)
-    if ops.count_nonzero(matrix) != ops.count_nonzero(diag):
+    if np.count_nonzero(matrix) != np.count_nonzero(diag):
         return None
     return diag
 
@@ -510,7 +502,6 @@ def apply_named_gate(
     name: str,
     params: Sequence[float],
     targets: Sequence[int],
-    ops: Optional[ArrayOps] = None,
 ) -> bool:
     """Apply the named gate through a specialized kernel if one exists.
 
@@ -521,8 +512,6 @@ def apply_named_gate(
     returns ``False``, so the fallback raises the same shape error the
     generic path always has instead of corrupting the state.
     """
-    if ops is None:
-        ops = get_ops()
     data, num_qubits = state.data, state.num_qubits
     entry = gates.GATE_REGISTRY.get(name)
     if entry is not None and entry[0] != len(targets):
@@ -532,7 +521,7 @@ def apply_named_gate(
         diag = diag_factory(*params)
         if diag.size != 1 << len(targets):
             return False
-        apply_diagonal(data, num_qubits, diag, targets, ops=ops)
+        apply_diagonal(data, num_qubits, diag, targets)
         return True
     controlled = gates.CONTROLLED_GATES.get(name)
     if controlled is not None:
@@ -545,32 +534,29 @@ def apply_named_gate(
             base_factory(*params),
             targets[:num_controls],
             targets[num_controls],
-            ops=ops,
         )
         return True
     if name == "swap" and len(targets) == 2:
-        apply_swap(data, num_qubits, targets[0], targets[1], ops=ops)
+        apply_swap(data, num_qubits, targets[0], targets[1])
         return True
     if name == "iswap" and len(targets) == 2:
-        apply_swap(data, num_qubits, targets[0], targets[1], phase=1j, ops=ops)
+        apply_swap(data, num_qubits, targets[0], targets[1], phase=1j)
         return True
     if name == "cswap" and len(targets) == 3:
-        apply_swap(data, num_qubits, targets[1], targets[2], controls=(targets[0],), ops=ops)
+        apply_swap(data, num_qubits, targets[1], targets[2], controls=(targets[0],))
         return True
     if entry is not None:
         arity, factory = entry
         if arity == 1:
-            apply_single_qubit(data, num_qubits, factory(*params), targets[0], ops=ops)
+            apply_single_qubit(data, num_qubits, factory(*params), targets[0])
             return True
         if arity == 2:
-            apply_two_qubit(data, num_qubits, factory(*params), targets[0], targets[1], ops=ops)
+            apply_two_qubit(data, num_qubits, factory(*params), targets[0], targets[1])
             return True
     return False
 
 
-def apply_instruction(
-    state, operation: Instruction, targets: Sequence[int], ops: Optional[ArrayOps] = None
-) -> bool:
+def apply_instruction(state, operation: Instruction, targets: Sequence[int]) -> bool:
     """Fast-path dispatch for a bound circuit instruction.
 
     Routes *operation* to the cheapest kernel based on its structure; returns
@@ -581,8 +567,6 @@ def apply_instruction(
         return False
     if len(targets) != operation.num_qubits:
         return False
-    if ops is None:
-        ops = get_ops()
     data, num_qubits = state.data, state.num_qubits
     if isinstance(operation, ControlledGate):
         base = operation.base_gate
@@ -591,25 +575,25 @@ def apply_instruction(
         if base.num_qubits == 1:
             # diagonal bases are caught by apply_controlled's phase special
             # case, so a single dispatch covers mcz/mcp/crz and dense bases
-            apply_controlled(data, num_qubits, base.to_matrix(), targets[:-1], targets[-1], ops=ops)
+            apply_controlled(data, num_qubits, base.to_matrix(), targets[:-1], targets[-1])
             return True
         if base.name == "swap" and not isinstance(base, UnitaryGate):
-            apply_swap(data, num_qubits, targets[-2], targets[-1], controls=targets[:-2], ops=ops)
+            apply_swap(data, num_qubits, targets[-2], targets[-1], controls=targets[:-2])
             return True
         return False
     if isinstance(operation, UnitaryGate):
         matrix = operation.to_matrix()
         if operation.num_qubits == 1:
-            apply_single_qubit(data, num_qubits, matrix, targets[0], ops=ops)
+            apply_single_qubit(data, num_qubits, matrix, targets[0])
             return True
-        diag = _matrix_diagonal(matrix, ops)
+        diag = _matrix_diagonal(matrix)
         if diag is not None:
-            apply_diagonal(data, num_qubits, diag, targets, ops=ops)
+            apply_diagonal(data, num_qubits, diag, targets)
             return True
         if operation.num_qubits == 2:
-            apply_two_qubit(data, num_qubits, matrix, targets[0], targets[1], ops=ops)
+            apply_two_qubit(data, num_qubits, matrix, targets[0], targets[1])
             return True
         return False
     if isinstance(operation, Gate):
-        return apply_named_gate(state, operation.name, operation.params, targets, ops=ops)
+        return apply_named_gate(state, operation.name, operation.params, targets)
     return False

@@ -1,12 +1,12 @@
-"""Unified result types of the backend execution API.
+"""Result types: one :class:`ExperimentResult` per circuit, and the batch
+:class:`Result` a :class:`~repro.qsim.backends.job.Job` returns.
 
-Every engine behind a :class:`~repro.qsim.backends.backend.Backend` reports
-its outcomes in the same shape: a :class:`Result` holding one
-:class:`ExperimentResult` per submitted circuit.  Counts are always keyed by
+Every engine's ``run`` builds an :class:`ExperimentResult` directly, and the
+backend only fills in ``seed`` and ``time_taken``.  Counts are always keyed by
 **MSB-first classical-register bitstrings** (the last classical bit is the
-leftmost character), matching the convention of the statevector engine's
-legacy :class:`repro.qsim.simulator.Result` -- so the same post-processing
-works no matter which backend produced the data.
+leftmost character), so the same post-processing works no matter which engine
+produced the data.  This module imports nothing but the exception types, so
+every engine can build results without importing the backend layer.
 """
 
 from __future__ import annotations
@@ -14,14 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Union
 
-from ..exceptions import BackendError
+from .exceptions import BackendError, SimulationError
 
 __all__ = ["ExperimentResult", "Result"]
 
 
 @dataclass
 class ExperimentResult:
-    """Outcome of one circuit of a batch.
+    """Outcome of one circuit.
 
     Attributes:
         name: name of the circuit that produced this result.
@@ -30,12 +30,13 @@ class ExperimentResult:
         seed: the concrete RNG seed this experiment ran with (``None`` when
             the engine's own sequential RNG stream was used).
         time_taken: wall-clock seconds spent executing this experiment.
-        statevector: final pre-measurement statevector, when the engine ran
-            the sampled fast path (statevector backend only).
-        density_matrix: final density matrix, when produced by the
-            density-matrix backend's single-pass path.
+        statevector: final pre-measurement statevector, when the
+            statevector engine sampled one final state.
+        density_matrix: final pre-measurement density matrix, when every
+            shot of a density-matrix run followed one branch.
         memory: per-shot bitstrings when ``memory=True`` was requested.
-        metadata: engine-specific extras (execution strategy, noise, ...).
+        metadata: how the engine computed the counts (``method`` and, where
+            the engine reports them, ``branches`` or ``fallback_reason``).
     """
 
     name: str
@@ -51,7 +52,7 @@ class ExperimentResult:
     def most_frequent(self) -> str:
         """The most frequently observed bitstring."""
         if not self.counts:
-            raise BackendError("experiment has no counts (no measurements in circuit)")
+            raise SimulationError("result has no counts (no measurements in circuit)")
         return max(self.counts.items(), key=lambda kv: kv[1])[0]
 
     def probabilities(self) -> Dict[str, float]:

@@ -3,9 +3,8 @@
 The service's expected traffic shape is many users submitting the *same*
 circuits (textbook algorithms, benchmark corpora), so every worker compiles
 through this cache.  Entries are keyed by a SHA-256 over
-``(submitted circuit QASM, canonical backend name, noise config, active
-array-ops backend)`` -- the exact inputs the compile pipeline depends on --
-and live in two layers:
+``(submitted circuit QASM, canonical backend name, noise config)`` -- the
+exact inputs the compile pipeline depends on -- and live in two layers:
 
 * a **persistent layer** (the ``compiled_circuits`` table of the
   :class:`~repro.qsim.service.store.JobStore`) holding the compiled
@@ -41,7 +40,6 @@ from .. import telemetry
 from ..circuit import QuantumCircuit
 from ..exceptions import QasmError
 from ..fusion import fuse_gates
-from ..ops import active_ops_name
 from ..qasm import from_qasm, to_qasm
 from ..simulator import SIMULATOR_MAX_FUSED_QUBITS
 from ..transpiler import transpile
@@ -64,15 +62,9 @@ class CircuitCache:
 
     @staticmethod
     def key(qasm: str, backend_name: str, noise_tag: str) -> str:
-        """SHA-256 cache key over everything the compile depends on.
-
-        The active array-ops backend (:func:`repro.qsim.ops.active_ops_name`)
-        is part of the key: an accelerated ops module may fuse or order
-        floating-point arithmetic differently, so its compiled artifacts must
-        never be served to a worker running a different backend.
-        """
+        """SHA-256 cache key over everything the compile depends on."""
         digest = hashlib.sha256()
-        for part in (backend_name.lower(), noise_tag, active_ops_name(), qasm):
+        for part in (backend_name.lower(), noise_tag, qasm):
             digest.update(part.encode("utf-8"))
             digest.update(b"\x00")
         return digest.hexdigest()

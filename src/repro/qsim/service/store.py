@@ -5,7 +5,7 @@ One database file holds both tables of the execution service:
 * ``jobs`` -- every submitted batch payload with its full lifecycle state
   (``QUEUED -> RUNNING -> DONE / FAILED / CANCELLED``), attempt counter,
   lease bookkeeping and per-job artifacts (the serialized
-  :class:`~repro.qsim.backends.result.Result` counts/timing JSON on
+  :class:`~repro.qsim.result.Result` counts/timing JSON on
   success, the formatted traceback on failure).
 * ``compiled_circuits`` -- the persistent layer of the compiled-circuit
   cache (:mod:`~repro.qsim.service.cache`).

@@ -35,10 +35,9 @@ to one per shot for the rest of the plan.
 
 Determinism and the per-shot/batched contract
 ---------------------------------------------
-Both ``shot_batching="batched"`` and ``shot_batching="per_shot"`` on
-:class:`~repro.qsim.backends.engines.StatevectorBackend` run *this* executor
-(with the cache-sized default batch and ``batch_size=1`` respectively), and
-the two are **bit-identical for the same seed** by construction:
+Every batch size -- the cache-sized default or ``batch_size=1``, one
+trajectory at a time -- gives **bit-identical results for the same seed**
+by construction:
 
 * every random number is pre-drawn from one ``Generator`` in circuit order
   (per unitary instruction: one uniform per touched qubit; per measurement
@@ -59,9 +58,8 @@ the two are **bit-identical for the same seed** by construction:
   multiply per gate, the same exact Pauli arithmetic, the same ``abs2``
   against the same tracked norm at a measurement), so expanding it later
   changes nothing;
-* probability reductions go through
-  :meth:`~repro.qsim.ops.ArrayOps.row_sums`, which reduces every row
-  independently in a fixed order.
+* probability reductions go through :func:`row_sums`, which reduces every
+  row independently in a fixed order.
 
 Every circuit runs here; :func:`ineligible_reason` only names noise without
 a trajectory form (a model whose ``pauli_terms()`` is ``None``, or fused
@@ -80,8 +78,8 @@ from .circuit import QuantumCircuit
 from .exceptions import SimulationError
 from .instruction import Barrier, Initialize, Measure, Reset
 from .noise import NoiseModel
-from .ops import ArrayOps, get_ops
-from .simulator import Result, tally
+from .result import ExperimentResult
+from .simulator import tally
 from .statevector import Statevector
 
 __all__ = ["ineligible_reason", "run_batched", "MAX_BATCH_AMPLITUDES"]
@@ -104,6 +102,20 @@ _TARGET_BATCH_AMPLITUDES = 1 << 16
 #: a collapsed row whose tracked norm falls below this is rescaled by a power
 #: of two, long before a run of measurements could underflow it to zero
 _RESCALE_BELOW = 2.0**-64
+
+
+def abs2(a: np.ndarray) -> np.ndarray:
+    """``|a|^2`` as a real array."""
+    return np.real(a) ** 2 + np.imag(a) ** 2
+
+
+def row_sums(a: np.ndarray) -> np.ndarray:
+    """Per-row sums of a 2-D array, with a batch-size-invariant reduction."""
+    # np.add.reduce over the last axis reduces every row independently
+    # (pairwise, in index order), so the result for a given row does not
+    # depend on how many other rows share the array -- the invariance the
+    # batched shot executor's per-shot equivalence rests on
+    return np.add.reduce(a, axis=1)
 
 
 def ineligible_reason(
@@ -196,9 +208,7 @@ def _value_index(ndim: int, axes, targets: Sequence[int], value: int) -> tuple:
     return tuple(index)
 
 
-def _lower_unitary(
-    matrix: np.ndarray, targets: Sequence[int], num_qubits: int, ops: ArrayOps
-) -> tuple:
+def _lower_unitary(matrix: np.ndarray, targets: Sequence[int], num_qubits: int) -> tuple:
     """One gate -> a ``diag`` / ``perm`` / ``dense`` step with indices baked in."""
     shape, axes, ndim = _axis_layout(num_qubits, targets)
     dim = matrix.shape[0]
@@ -248,7 +258,6 @@ def _build_plan(
     noise_model: Optional[NoiseModel],
     shots: int,
     rng: np.random.Generator,
-    ops: ArrayOps,
 ) -> Tuple[List[tuple], List[int]]:
     """Lower the circuit to executor steps, pre-drawing every random number.
 
@@ -282,7 +291,7 @@ def _build_plan(
             steps = [("row", op, targets)]
         else:
             matrix = np.asarray(op.to_matrix(), dtype=complex)
-            steps = [_lower_unitary(matrix, targets, circuit.num_qubits, ops)]
+            steps = [_lower_unitary(matrix, targets, circuit.num_qubits)]
         if intervals and op.is_unitary:
             for qubit in targets:
                 uniforms = rng.random(shots)
@@ -316,12 +325,12 @@ def _apply_diag_batched(states, shape, entries) -> None:
         view[index] *= value
 
 
-def _apply_diag_full_batched(states, factor, ops: ArrayOps) -> None:
+def _apply_diag_full_batched(states, factor) -> None:
     """One contiguous broadcast multiply of a full-state diagonal factor."""
-    ops.multiply(states, factor, out=states)
+    np.multiply(states, factor, out=states)
 
 
-def _apply_perm_batched(states, shape, indices, moves, ops: ArrayOps) -> None:
+def _apply_perm_batched(states, shape, indices, moves) -> None:
     """Permutation gate: snapshot every source slice, then one write per row.
 
     ``entry`` is always unit-modulus here; a plain ``copyto`` handles the
@@ -332,48 +341,48 @@ def _apply_perm_batched(states, shape, indices, moves, ops: ArrayOps) -> None:
     view = states.reshape((states.shape[0], *shape))
     touched = sorted({col for _, col, _ in moves})
     slot = {col: i for i, col in enumerate(touched)}
-    buffers = ops.scratch(view[indices[0]].shape, max(len(touched), 1))
+    buffers = kernels.scratch(view[indices[0]].shape, max(len(touched), 1))
     for col in touched:
-        ops.copyto(buffers[slot[col]], view[indices[col]])
+        np.copyto(buffers[slot[col]], view[indices[col]])
     for row, col, entry in moves:
         if entry == 1:
-            ops.copyto(view[indices[row]], buffers[slot[col]])
+            np.copyto(view[indices[row]], buffers[slot[col]])
         else:
-            ops.multiply(buffers[slot[col]], entry, out=view[indices[row]])
+            np.multiply(buffers[slot[col]], entry, out=view[indices[row]])
 
 
-def _apply_dense_batched(states, shape, indices, rows, ops: ArrayOps) -> None:
+def _apply_dense_batched(states, shape, indices, rows) -> None:
     """Scalar-times-slice accumulation of a 2^k x 2^k unitary over the batch.
 
     Fixed accumulation order (ascending column, zeros dropped at lowering)
     and purely elementwise arithmetic: the value computed for one shot row
-    never depends on the batch size, which is what makes ``per_shot`` and
-    ``batched`` modes bit-identical.
+    never depends on the batch size, which is what makes every batch split
+    bit-identical.
     """
     view = states.reshape((states.shape[0], *shape))
     dim = len(indices)
     # snapshot every input slice into contiguous scratch first: the strided
     # state memory is then read exactly once and written exactly once per
     # gate, and the multiply/add ladder runs contiguous-to-contiguous
-    buffers = ops.scratch(view[indices[0]].shape, 2 * dim + 1)
+    buffers = kernels.scratch(view[indices[0]].shape, 2 * dim + 1)
     snap = buffers[:dim]
     accs = buffers[dim : 2 * dim]
     tmp = buffers[2 * dim]
     for col in range(dim):
-        ops.copyto(snap[col], view[indices[col]])
+        np.copyto(snap[col], view[indices[col]])
     for row, cols in rows:
         acc = None
         for col, entry in cols:
             if acc is None:
                 acc = accs[row]
-                ops.multiply(snap[col], entry, out=acc)
+                np.multiply(snap[col], entry, out=acc)
             else:
-                ops.multiply(snap[col], entry, out=tmp)
-                ops.add(acc, tmp, out=acc)
+                np.multiply(snap[col], entry, out=tmp)
+                np.add(acc, tmp, out=acc)
         view[indices[row]] = 0.0 if acc is None else acc
 
 
-def _apply_per_row(states, norm, operation, targets, ops: ArrayOps) -> None:
+def _apply_per_row(states, norm, operation, targets) -> None:
     """Apply *operation* one row at a time through the single-state kernels.
 
     The step for gates too wide to lower and for ``initialize``, whose
@@ -387,7 +396,7 @@ def _apply_per_row(states, norm, operation, targets, ops: ArrayOps) -> None:
             state.initialize_qubits(operation.statevector, targets)
         else:
             state = Statevector(states[row], validate=False)
-            if not kernels.apply_instruction(state, operation, targets, ops=ops):
+            if not kernels.apply_instruction(state, operation, targets):
                 state.apply_unitary(operation.to_matrix(), targets)
         states[row] = state.data
 
@@ -417,7 +426,7 @@ def _apply_pauli_rows(states, pauli: str, qubit: int, rows) -> None:
         raise SimulationError(f"unknown Pauli {pauli!r}")
 
 
-def _collapse(p0, uniforms, norm, ops: ArrayOps):
+def _collapse(p0, uniforms, norm):
     """Draw every row's outcome from its probability of 0, *p0*, against the
     tracked *norm*, which is updated in place to the surviving norm.
 
@@ -432,7 +441,7 @@ def _collapse(p0, uniforms, norm, ops: ArrayOps):
     survived = np.where(outcome == 0, p0, norm - p0)
     if not np.all(survived > 0):
         raise SimulationError("collapse produced a zero-norm state")
-    faint = ops.flatnonzero(survived < _RESCALE_BELOW)
+    faint = np.flatnonzero(survived < _RESCALE_BELOW)
     scale = None
     if faint.size:
         shift = -(np.frexp(survived[faint])[1] // 2)
@@ -442,7 +451,7 @@ def _collapse(p0, uniforms, norm, ops: ArrayOps):
     return outcome, faint, scale
 
 
-def _measure_batched(states, qubit: int, uniforms, norm, ops: ArrayOps):
+def _measure_batched(states, qubit: int, uniforms, norm):
     """Measure *qubit* on every row, collapse in place, return the outcome
     bits; *norm* is updated in place to the surviving (unnormalised) norm.
 
@@ -459,10 +468,10 @@ def _measure_batched(states, qubit: int, uniforms, norm, ops: ArrayOps):
     view = states.reshape(batch, -1, 2, low)
     # abs2 materialises a contiguous array from the strided 0-half directly,
     # skipping a separate complex-valued snapshot of the slice
-    p0 = ops.row_sums(ops.abs2(view[:, :, 0, :]).reshape(batch, -1))
-    outcome, faint, scale = _collapse(p0, uniforms, norm, ops)
-    zero_rows = ops.flatnonzero(outcome == 0)
-    one_rows = ops.flatnonzero(outcome)
+    p0 = row_sums(abs2(view[:, :, 0, :]).reshape(batch, -1))
+    outcome, faint, scale = _collapse(p0, uniforms, norm)
+    zero_rows = np.flatnonzero(outcome == 0)
+    one_rows = np.flatnonzero(outcome)
     if zero_rows.size:
         view[zero_rows, :, 1, :] = 0.0
     if one_rows.size:
@@ -497,8 +506,8 @@ class _BasisRows:
     """Shots as phased basis states: ``index`` (int64) and ``phase``
     (complex) per row, plus the tracked ``norm`` of :func:`_collapse`."""
 
-    def __init__(self, index, phase, norm, ops: ArrayOps):
-        self.index, self.phase, self.norm, self.ops = index, phase, norm, ops
+    def __init__(self, index, phase, norm):
+        self.index, self.phase, self.norm = index, phase, norm
 
     def apply(self, step) -> None:
         if step[0] == "diag_full":
@@ -534,8 +543,8 @@ class _BasisRows:
 
     def measure(self, qubit: int, uniforms):
         bit = (self.index >> qubit) & 1
-        p0 = np.where(bit == 0, self.ops.abs2(self.phase), 0.0)
-        outcome, faint, scale = _collapse(p0, uniforms, self.norm, self.ops)
+        p0 = np.where(bit == 0, abs2(self.phase), 0.0)
+        outcome, faint, scale = _collapse(p0, uniforms, self.norm)
         # a row that reads against its basis bit collapses to all zeros
         self.phase[outcome != bit] = 0.0
         if faint.size:
@@ -543,7 +552,7 @@ class _BasisRows:
         return outcome
 
     def take(self, rows) -> "_BasisRows":
-        return _BasisRows(self.index[rows], self.phase[rows], self.norm[rows], self.ops)
+        return _BasisRows(self.index[rows], self.phase[rows], self.norm[rows])
 
     def put(self, rows, sub: "_BasisRows") -> None:
         self.index[rows], self.phase[rows], self.norm[rows] = sub.index, sub.phase, sub.norm
@@ -558,23 +567,23 @@ class _BasisRows:
 class _AmplitudeRows:
     """Shots as ``(rows, 2^n)`` amplitude rows plus their tracked norms."""
 
-    def __init__(self, states, norm, ops: ArrayOps):
-        self.states, self.norm, self.ops = states, norm, ops
+    def __init__(self, states, norm):
+        self.states, self.norm = states, norm
 
     def apply(self, step) -> None:
         if step[0] == "row":
-            _apply_per_row(self.states, self.norm, step[1], step[2], self.ops)
+            _apply_per_row(self.states, self.norm, step[1], step[2])
         else:
-            _apply_unitary(self.states, step, self.ops)
+            _apply_unitary(self.states, step)
 
     def pauli(self, pauli: str, qubit: int, rows) -> None:
         _apply_pauli_rows(self.states, pauli, qubit, rows)
 
     def measure(self, qubit: int, uniforms):
-        return _measure_batched(self.states, qubit, uniforms, self.norm, self.ops)
+        return _measure_batched(self.states, qubit, uniforms, self.norm)
 
     def take(self, rows) -> "_AmplitudeRows":
-        return _AmplitudeRows(self.states[rows], self.norm[rows], self.ops)
+        return _AmplitudeRows(self.states[rows], self.norm[rows])
 
     def put(self, rows, sub: "_AmplitudeRows") -> None:
         self.states[rows], self.norm[rows] = sub.states, sub.norm
@@ -604,21 +613,21 @@ def _local_rows(rows_for_run: np.ndarray, shots) -> np.ndarray:
     return np.flatnonzero(np.isin(shots, rows_for_run))
 
 
-def _apply_unitary(states, step, ops: ArrayOps) -> None:
+def _apply_unitary(states, step) -> None:
     """Apply a ``diag`` / ``diag_full`` / ``perm`` / ``dense`` step to every
     row of *states*."""
     kind = step[0]
     if kind == "diag":
         _apply_diag_batched(states, step[1], step[2])
     elif kind == "diag_full":
-        _apply_diag_full_batched(states, step[1], ops)
+        _apply_diag_full_batched(states, step[1])
     elif kind == "perm":
-        _apply_perm_batched(states, step[1], step[2], step[3], ops)
+        _apply_perm_batched(states, step[1], step[2], step[3])
     else:
-        _apply_dense_batched(states, step[1], step[2], step[3], ops)
+        _apply_dense_batched(states, step[1], step[2], step[3])
 
 
-def _run_steps(steps, rows, bits, shots, ops: ArrayOps) -> None:
+def _run_steps(steps, rows, bits, shots) -> None:
     """Execute *steps* in place on *rows* (:class:`_BasisRows` or
     :class:`_AmplitudeRows`).
 
@@ -638,18 +647,18 @@ def _run_steps(steps, rows, bits, shots, ops: ArrayOps) -> None:
             bits[:, clbit] = rows.measure(qubit, table[shots])
         elif kind == "reset":
             _, qubit, table = step
-            ones = ops.flatnonzero(rows.measure(qubit, table[shots]))
+            ones = np.flatnonzero(rows.measure(qubit, table[shots]))
             if ones.size:
                 rows.pauli("X", qubit, ones)
         elif kind == "cond":  # gather the matching rows, step them, scatter back
             _, clbits, pattern, inner = step
-            matching = ops.flatnonzero(np.all(bits[:, clbits] == pattern, axis=1))
+            matching = np.flatnonzero(np.all(bits[:, clbits] == pattern, axis=1))
             if matching.size == bits.shape[0]:
-                _run_steps(inner, rows, bits, shots, ops)
+                _run_steps(inner, rows, bits, shots)
             elif matching.size:
                 ids = np.arange(shots.start, shots.stop) if isinstance(shots, slice) else shots
                 sub, sub_bits = rows.take(matching), bits[matching]
-                _run_steps(inner, sub, sub_bits, ids[matching], ops)
+                _run_steps(inner, sub, sub_bits, ids[matching])
                 rows.put(matching, sub)
                 bits[matching] = sub_bits
         else:
@@ -722,7 +731,7 @@ class _SharedRows:
                 owner[shot] = moved.get(owner[shot], owner[shot])
         return targets
 
-    def evolve(self, prefix, hits, batch: int, start: int, ops: ArrayOps) -> int:
+    def evolve(self, prefix, hits, batch: int, start: int) -> int:
         """Run *prefix* on the shared rows; return how many steps ran.
 
         Stops early once every shot owns a row: nothing is left to share.
@@ -731,7 +740,7 @@ class _SharedRows:
             if self.live == len(self.owner):
                 return position
             if hits[position] is None:
-                _apply_unitary(self.rows(), step, ops)
+                _apply_unitary(self.rows(), step)
                 continue
             for pauli, rows_for_run, cuts in hits[position]:
                 lo, hi = cuts[batch], cuts[batch + 1]
@@ -767,19 +776,17 @@ def run_batched(
     seed: Union[int, np.random.Generator, None],
     memory: bool = False,
     batch_size: Optional[int] = None,
-    ops: Optional[ArrayOps] = None,
     initial_state: Optional[Statevector] = None,
-) -> Result:
+) -> ExperimentResult:
     """Run *shots* trajectories of *circuit* as batched tensors.
 
     *seed* is an int, or a ``Generator`` whose stream the run continues
     (how :class:`~repro.qsim.simulator.StatevectorSimulator` keeps its
     sequential stream).  *batch_size* caps how many trajectories evolve
     simultaneously (default: the cache-sized :func:`default_batch_size`);
-    results are bit-identical for every batch size at a fixed *seed*, which
-    is how the backend's ``per_shot`` mode (``batch_size=1``) and
-    ``batched`` mode stay interchangeable.  *initial_state* is broadcast
-    into every row.
+    results are bit-identical for every batch size at a fixed *seed*, down
+    to ``batch_size=1`` (one trajectory at a time).  *initial_state* is
+    broadcast into every row.
 
     While the state is a (phased) basis state -- from ``|0...0>`` or a
     basis *initial_state*, through the plan's leading monomial steps -- every
@@ -798,41 +805,38 @@ def run_batched(
     reason = ineligible_reason(circuit, noise_model)
     if reason is not None:
         raise SimulationError(f"circuit is not batchable: {reason}")
-    if ops is None:
-        ops = get_ops()
     n = circuit.num_qubits
     if initial_state is None:
         initial_state = Statevector.zero_state(n)
     elif initial_state.num_qubits != n:
         raise SimulationError("initial state size does not match circuit")
     first = initial_state.data.reshape(1, -1)
-    rng = seed if isinstance(seed, np.random.Generator) else ops.rng(seed)
-    plan, origins = _build_plan(circuit, noise_model, shots, rng, ops)
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    plan, origins = _build_plan(circuit, noise_model, shots, rng)
     if batch_size is None:
         batch_size = default_batch_size(n, shots)
     batch_size = max(1, min(int(batch_size), shots, MAX_BATCH_AMPLITUDES >> n or 1))
 
-    norm0 = float(ops.row_sums(ops.abs2(first))[0])  # exactly 1.0 from |0...0>
+    norm0 = float(row_sums(abs2(first))[0])  # exactly 1.0 from |0...0>
     values = np.zeros((shots, circuit.num_clbits), dtype=np.uint8)
     basis: Optional[_BasisRows] = None
     done = classical_prefix = 0
-    nonzero = ops.flatnonzero(first[0])
+    nonzero = np.flatnonzero(first[0])
     if nonzero.size == 1:
         start_index = int(nonzero[0])
         basis = _BasisRows(
             np.full(shots, start_index, dtype=np.int64),
             np.full(shots, first[0, start_index]),
             np.full(shots, norm0),
-            ops,
         )
         done = next((i for i, step in enumerate(plan) if not _in_basis(step)), len(plan))
-        _run_steps(plan[:done], basis, values, slice(0, shots), ops)
+        _run_steps(plan[:done], basis, values, slice(0, shots))
         classical_prefix = origins[done] if done < len(plan) else len(circuit.data)
     rest = plan[done:]
 
     trajectories = shots
     if rest:
-        trajectories = _run_amplitudes(rest, basis, first, norm0, values, batch_size, ops)
+        trajectories = _run_amplitudes(rest, basis, first, norm0, values, batch_size)
 
     metadata = {
         "method": "batched_shots" if batch_size > 1 else "per_shot_trajectory",
@@ -840,14 +844,10 @@ def run_batched(
         "trajectories": trajectories,
         "classical_prefix": classical_prefix,
     }
-    if not any(isinstance(instr.operation, Measure) for instr in circuit.data):
-        return Result(counts={}, shots=shots, memory=[] if memory else None, metadata=metadata)
-    result = tally(values, memory)
-    result.metadata = metadata
-    return result
+    return tally(circuit, values, memory, metadata)
 
 
-def _run_amplitudes(plan, basis, first, norm0, values, batch_size: int, ops: ArrayOps) -> int:
+def _run_amplitudes(plan, basis, first, norm0, values, batch_size: int) -> int:
     """Run *plan* on ``(rows, 2^n)`` amplitude rows, batch by batch; return
     the trajectories.
 
@@ -869,7 +869,7 @@ def _run_amplitudes(plan, basis, first, norm0, values, batch_size: int, ops: Arr
         else None
         for step in prefix
     ]
-    buffer = ops.empty((batch_size, first.shape[1]), dtype=complex)
+    buffer = np.empty((batch_size, first.shape[1]), dtype=complex)
     trajectories = 0
     for batch, start in enumerate(bounds[:-1]):
         stop = bounds[batch + 1]
@@ -882,7 +882,7 @@ def _run_amplitudes(plan, basis, first, norm0, values, batch_size: int, ops: Arr
             else:
                 owner = _distinct_basis_rows(rows, states)
             shared = _SharedRows(states, owner)
-            done = shared.evolve(prefix, hits, batch, start, ops)
+            done = shared.evolve(prefix, hits, batch, start)
             trajectories += shared.live
             shared.expand()
         else:  # every shot is its own trajectory from the start
@@ -894,6 +894,6 @@ def _run_amplitudes(plan, basis, first, norm0, values, batch_size: int, ops: Arr
             trajectories += stop - start
         if done < len(plan):
             norm = np.full(stop - start, norm0) if rows is None else rows.norm
-            amplitudes = _AmplitudeRows(states, norm, ops)
-            _run_steps(plan[done:], amplitudes, values[start:stop], slice(start, stop), ops)
+            amplitudes = _AmplitudeRows(states, norm)
+            _run_steps(plan[done:], amplitudes, values[start:stop], slice(start, stop))
     return trajectories

@@ -25,7 +25,6 @@ single pass over the state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -36,11 +35,11 @@ from .exceptions import SimulationError
 from .fusion import fuse_gates
 from .instruction import Barrier, Initialize, Measure, Reset
 from .noise import NoiseModel
+from .result import ExperimentResult
 from .statevector import Statevector
 
 __all__ = [
     "StatevectorSimulator",
-    "Result",
     "SIMULATOR_MAX_FUSED_QUBITS",
     "measurements_are_final",
     "condition_met",
@@ -112,19 +111,37 @@ def format_bits(bits: Dict[int, int], num_clbits: int) -> str:
     return "".join(chars)
 
 
-def tally(values: np.ndarray, memory: bool) -> "Result":
-    """Counts (and per-shot *memory*) of a ``(shots, clbits)`` 0/1 uint8 matrix.
+def tally(
+    circuit: QuantumCircuit, values: np.ndarray, memory: bool, metadata: Dict[str, Any]
+) -> ExperimentResult:
+    """The result of *circuit* from a ``(shots, clbits)`` 0/1 uint8
+    matrix: counts, and per-shot *memory* when asked for.  A circuit that
+    measures nothing has no counts (and empty *memory*).
 
     Each row's MSB-first ``'0'``/``'1'`` bytes are viewed as one
     fixed-width string, so ``np.unique`` sorts the keys in ascending
     register value.  The engines' one tally routine.
     """
+    if not circuit.has_measurements():
+        return ExperimentResult(
+            name=circuit.name,
+            counts={},
+            shots=values.shape[0],
+            memory=[] if memory else None,
+            metadata=metadata,
+        )
     chars = np.ascontiguousarray(values[:, ::-1]) + ord("0")
     keys = chars.view(f"S{chars.shape[1]}").ravel()
     unique, freq = np.unique(keys, return_counts=True)
     counts = {key.decode(): int(count) for key, count in zip(unique, freq)}
     shot_values = [key.decode() for key in keys] if memory else None
-    return Result(counts=counts, shots=values.shape[0], memory=shot_values)
+    return ExperimentResult(
+        name=circuit.name,
+        counts=counts,
+        shots=values.shape[0],
+        memory=shot_values,
+        metadata=metadata,
+    )
 
 
 def sample_final(
@@ -146,48 +163,6 @@ def sample_final(
             values[clbit] = (value >> position) & 1
         pairs.append((format_bits(values, num_clbits), int(hits[value])))
     return pairs
-
-
-@dataclass
-class Result:
-    """Outcome of a simulation run.
-
-    Attributes:
-        counts: histogram of classical-register bitstrings (MSB first, i.e.
-            the last classical bit is the leftmost character), over all shots.
-        shots: number of shots sampled.
-        statevector: final pre-measurement statevector when available (fast
-            path only; ``None`` when per-shot collapse was required).
-        density_matrix: final pre-measurement density matrix when every
-            shot of a density-matrix run followed one branch.
-        memory: per-shot bitstrings when ``memory=True`` was requested.
-        metadata: how the engine computed the counts (``method`` and, where
-            the engine reports them, ``branches`` or ``fallback_reason``).
-    """
-
-    counts: Dict[str, int]
-    shots: int
-    statevector: Optional[Statevector] = None
-    density_matrix: Optional["object"] = None
-    memory: Optional[List[str]] = None
-    metadata: Dict[str, Any] = field(default_factory=dict)
-
-    def most_frequent(self) -> str:
-        """The most frequently observed bitstring."""
-        if not self.counts:
-            raise SimulationError("result has no counts (no measurements in circuit)")
-        return max(self.counts.items(), key=lambda kv: kv[1])[0]
-
-    def probabilities(self) -> Dict[str, float]:
-        """Counts normalised to relative frequencies."""
-        total = sum(self.counts.values())
-        if total == 0:
-            return {}
-        return {key: value / total for key, value in self.counts.items()}
-
-    def int_counts(self) -> Dict[int, int]:
-        """Counts keyed by the integer value of the bitstring."""
-        return {int(key, 2): value for key, value in self.counts.items()}
 
 
 class StatevectorSimulator:
@@ -220,22 +195,36 @@ class StatevectorSimulator:
         memory: bool = False,
         initial_state: Optional[Statevector] = None,
         seed: Optional[int] = None,
-    ) -> Result:
-        """Execute *circuit* for *shots* shots and return a :class:`Result`.
+    ) -> ExperimentResult:
+        """Execute *circuit* for *shots* shots and return its :class:`ExperimentResult`.
 
-        *seed* overrides the constructor RNG for this call only, making the
-        run independently reproducible; the simulator's own RNG stream is
-        left untouched.
-
-        .. deprecated::
-            Prefer the unified execution API --
-            ``get_backend("statevector").run(...)`` from
-            :mod:`repro.qsim.backends` -- which adds batching, parallel
-            dispatch and a backend-independent result type.  This method is
-            kept as a thin compatibility shim.
+        The engine entry point: one final state is evolved and sampled when
+        the circuit allows it (no noise, no reset, only final measurements),
+        every other run goes to the batched trajectory executor
+        (:func:`repro.qsim.shotbatch.run_batched`).  *seed* overrides the
+        constructor RNG for this call only, making the run independently
+        reproducible; the simulator's own RNG stream is left untouched.
         """
+        from .shotbatch import ineligible_reason, run_batched  # shotbatch builds on this module
+
+        if shots <= 0:
+            raise SimulationError("shots must be positive")
+        reason = ineligible_reason(circuit, self.noise_model)
+        if reason is not None:
+            raise SimulationError(f"cannot run on 'statevector': {reason}")
         rng = self._rng if seed is None else np.random.default_rng(seed)
-        return self._execute(circuit, shots, memory, rng, initial_state=initial_state)
+        prepared = self._prepare(circuit)
+        if (
+            self.noise_model is None
+            and measurements_are_final(prepared)
+            and not any(isinstance(instr.operation, Reset) for instr in prepared.data)
+        ):
+            return self._run_sampled(circuit.name, prepared, shots, memory, initial_state, rng)
+        result = run_batched(
+            prepared, self.noise_model, shots, rng, memory, initial_state=initial_state
+        )
+        result.name = circuit.name
+        return result
 
     def evolve(
         self,
@@ -273,33 +262,6 @@ class StatevectorSimulator:
         return state
 
     # -- internals ----------------------------------------------------------------
-
-    def _execute(
-        self,
-        circuit: QuantumCircuit,
-        shots: int,
-        memory: bool,
-        rng: np.random.Generator,
-        batch_size: Optional[int] = None,
-        initial_state: Optional[Statevector] = None,
-    ) -> Result:
-        """The one dispatch of every run: sample one final state when the
-        circuit allows it, else the batched trajectory executor (with
-        *batch_size* rows at a time, default cache-sized)."""
-        if shots <= 0:
-            raise SimulationError("shots must be positive")
-        circuit = self._prepare(circuit)
-        if (
-            self.noise_model is None
-            and measurements_are_final(circuit)
-            and not any(isinstance(instr.operation, Reset) for instr in circuit.data)
-        ):
-            return self._run_sampled(circuit, shots, memory, initial_state, rng)
-        from .shotbatch import run_batched  # shotbatch builds on this module
-
-        return run_batched(
-            circuit, self.noise_model, shots, rng, memory, batch_size, initial_state=initial_state
-        )
 
     def _prepare(self, circuit: QuantumCircuit) -> QuantumCircuit:
         """Pre-process *circuit* for execution (gate fusion when applicable)."""
@@ -353,12 +315,13 @@ class StatevectorSimulator:
 
     def _run_sampled(
         self,
+        name: str,
         circuit: QuantumCircuit,
         shots: int,
         memory: bool,
         initial_state: Optional[Statevector],
         rng: np.random.Generator,
-    ) -> Result:
+    ) -> ExperimentResult:
         state = self._initial_state(circuit, initial_state)
         measure_map: List[Tuple[int, int]] = []  # (qubit index, clbit index)
         for instr in circuit.data:
@@ -380,7 +343,8 @@ class StatevectorSimulator:
                     shot_values.extend([key] * hits)
             if memory:
                 rng.shuffle(shot_values)
-        return Result(
+        return ExperimentResult(
+            name=name,
             counts=counts,
             shots=shots,
             statevector=state,

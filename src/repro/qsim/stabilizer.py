@@ -66,7 +66,8 @@ from .circuit import QuantumCircuit
 from .exceptions import SimulationError
 from .instruction import Barrier, Initialize, Measure
 from .noise import NoiseModel
-from .simulator import Result, tally
+from .result import ExperimentResult
+from .simulator import tally
 from .transpiler import _clifford_classification
 
 __all__ = [
@@ -672,7 +673,7 @@ class StabilizerSimulator:
     """Polynomial-time execution engine for (optionally noisy) Clifford circuits.
 
     Mirrors the :class:`~repro.qsim.simulator.StatevectorSimulator` calling
-    convention (``run(circuit, shots, memory, seed) -> Result``) so it slots
+    convention (``run(circuit, shots, memory, seed) -> ExperimentResult``) so it slots
     behind the unified backend API unchanged.  The circuit -- mid-circuit
     measurements and resets included -- is evolved **once** with symbolic
     measurement phases; all shots are then sampled with a single mod-2
@@ -727,8 +728,8 @@ class StabilizerSimulator:
         shots: int = 1024,
         memory: bool = False,
         seed: Optional[int] = None,
-    ) -> Result:
-        """Execute *circuit* for *shots* shots and return a :class:`Result`.
+    ) -> ExperimentResult:
+        """Execute *circuit* for *shots* shots and return its :class:`ExperimentResult`.
 
         *seed* overrides the constructor RNG for this call only, leaving the
         simulator's own stream untouched (same contract as the dense
@@ -760,11 +761,11 @@ class StabilizerSimulator:
                 "symbolic phase frame over MAX_SYMBOLIC_PHASE_CELLS (see docs/noise.md)"
             )
         if reason is not None:
-            result = self._run_per_shot(
-                ops, circuit.num_qubits, circuit.num_clbits, shots, memory, rng, encoding
+            values = self._run_per_shot(
+                ops, circuit.num_qubits, circuit.num_clbits, shots, rng, encoding
             )
-            result.metadata = {"method": method + "_per_shot", "fallback_reason": reason}
-            return result
+            metadata = {"method": method + "_per_shot", "fallback_reason": reason}
+            return tally(circuit, values, memory, metadata)
 
         tableau = StabilizerTableau(circuit.num_qubits, max_symbols=capacity)
         recorded: List[Tuple[int, np.ndarray]] = []
@@ -801,16 +802,12 @@ class StabilizerSimulator:
                 tableau._reset_symbolic(targets[0])
                 if tableau._num_symbols > before:
                     specs.append(("uniform", None, None))
-        if not recorded:
-            result = Result(counts={}, shots=shots, memory=[] if memory else None)
-        else:
+        values = np.zeros((shots, circuit.num_clbits), dtype=np.uint8)
+        if recorded:
             outcomes = self._sample_outcomes(recorded, specs, shots, rng)
-            values = np.zeros((shots, circuit.num_clbits), dtype=np.uint8)
             for position, (clbit, _) in enumerate(recorded):
                 values[:, clbit] = outcomes[:, position]  # later writes win
-            result = tally(values, memory)
-        result.metadata = {"method": method}
-        return result
+        return tally(circuit, values, memory, {"method": method})
 
     def evolve(
         self, circuit: QuantumCircuit, collapse_measurements: bool = False
@@ -918,11 +915,11 @@ class StabilizerSimulator:
         num_qubits: int,
         num_clbits: int,
         shots: int,
-        memory: bool,
         rng: np.random.Generator,
         encoding: Optional[Tuple[str, Any]],
-    ) -> Result:
-        """Concrete fallback: re-evolve the tableau for every shot.
+    ) -> np.ndarray:
+        """Concrete fallback: re-evolve the tableau for every shot; returns
+        the ``(shots, clbits)`` outcome matrix.
 
         Also the execution path for circuits with a conditioned non-Pauli
         instruction (with or without noise): each shot evaluates conditions
@@ -950,9 +947,7 @@ class StabilizerSimulator:
                     bits[payload] = tableau.measure(targets[0], rng=rng)
                 else:  # reset
                     tableau.reset(targets[0], rng=rng)
-        if not any(kind == "measure" for kind, _, _, _ in ops):
-            return Result(counts={}, shots=shots, memory=[] if memory else None)
-        return tally(values, memory)
+        return values
 
     @staticmethod
     def _sample_outcomes(

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.qsim import QuantumCircuit
+from repro.qsim import DepolarizingNoise, QuantumCircuit, StabilizerSimulator
 from repro.qsim.backends import (
     Backend,
     DensityMatrixBackend,
     ExperimentResult,
     JobStatus,
+    StabilizerBackend,
     StatevectorBackend,
     get_backend,
     list_backends,
@@ -18,6 +19,7 @@ from repro.qsim.backends import (
 from repro.qsim.backends.registry import _ALIASES, _REGISTRY
 from repro.qsim.density import DensityMatrixSimulator, depolarizing_kraus
 from repro.qsim.exceptions import BackendError
+from repro.qsim.shotbatch import run_batched
 from repro.qsim.simulator import StatevectorSimulator
 
 
@@ -90,19 +92,26 @@ class TestRegistry:
         assert counts_a == counts_b
 
     def test_register_third_party_backend(self):
+        class EchoEngine:
+            def run(self, circuit, shots, memory):
+                return ExperimentResult(name=circuit.name, counts={"0": shots}, shots=shots)
+
         class EchoBackend(Backend):
             name = "echo"
 
-            def _run_experiment(self, circuit, shots, seed, memory, **options):
-                return ExperimentResult(
-                    name=circuit.name, counts={"0": shots}, shots=shots, seed=seed
-                )
+            def __init__(self, seed=None):
+                self._engine = EchoEngine()
+
+            def _fresh_engine(self, seed):
+                return EchoEngine()
 
         register_backend("echo", EchoBackend)
         try:
             backend = get_backend("echo")
             result = backend.run(bell_circuit(), shots=7).result()
             assert result.get_counts() == {"0": 7}
+            seeded = backend.run(bell_circuit(), shots=7, seed=3).result()[0]
+            assert seeded.seed == 3 and seeded.name == "bell"
         finally:
             _REGISTRY.pop("echo", None)
 
@@ -201,33 +210,24 @@ class TestRunContract:
         assert experiment.probabilities() == {"101": 1.0}
 
 
-class TestParallelDispatch:
+class TestBatchDispatch:
     CIRCUITS = 6
 
     def _batch(self):
         return [bell_circuit(f"c{i}") for i in range(self.CIRCUITS)]
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_parallel_equals_serial_with_same_seeds(self, executor):
+    def test_batch_entry_reruns_alone_with_seed_plus_i(self):
         backend = get_backend("statevector")
-        serial = backend.run(self._batch(), shots=96, seed=8).result()
-        parallel = backend.run(
-            self._batch(), shots=96, seed=8, workers=2, executor=executor
-        ).result()
-        assert [e.counts for e in serial] == [e.counts for e in parallel]
+        batch = backend.run(self._batch(), shots=96, seed=8).result()
+        for i, circuit in enumerate(self._batch()):
+            alone = backend.run(circuit, shots=96, seed=8 + i).result()[0]
+            assert batch[i].counts == alone.counts
+            assert batch[i].seed == 8 + i
 
-    def test_unseeded_parallel_reproducible_from_backend_seed(self):
-        a = get_backend("statevector", seed=17).run(
-            self._batch(), shots=48, workers=2, executor="thread"
-        ).result()
-        b = get_backend("statevector", seed=17).run(
-            self._batch(), shots=48, workers=2, executor="thread"
-        ).result()
+    def test_unseeded_batch_reproducible_from_backend_seed(self):
+        a = get_backend("statevector", seed=17).run(self._batch(), shots=48).result()
+        b = get_backend("statevector", seed=17).run(self._batch(), shots=48).result()
         assert [e.counts for e in a] == [e.counts for e in b]
-
-    def test_unknown_executor(self):
-        with pytest.raises(BackendError, match="unknown executor"):
-            get_backend("statevector").run(self._batch(), shots=8, seed=0, workers=2, executor="fiber")
 
     def test_mid_circuit_batch_size_invariant(self):
         reference = get_backend("statevector").run(
@@ -240,10 +240,8 @@ class TestParallelDispatch:
             "classical_prefix": 0,
         }
         assert sum(reference.counts.values()) == 103
-        for mode in ("per_shot", "batched"):
-            other = StatevectorBackend(shot_batching=mode).run(
-                midcircuit_circuit(), shots=103, seed=6
-            ).result()[0]
+        for batch_size in (1, 7):
+            other = run_batched(midcircuit_circuit(), None, 103, seed=6, batch_size=batch_size)
             assert reference.counts == other.counts
 
     def test_unseeded_mid_circuit_follows_backend_seed(self):
@@ -258,9 +256,7 @@ class TestParallelDispatch:
         assert job.result() is first  # still retrievable afterwards
 
     def test_mid_circuit_memory_order_deterministic(self):
-        m1 = StatevectorBackend(shot_batching="per_shot").run(
-            midcircuit_circuit(), shots=40, seed=9, memory=True
-        ).result().get_memory()
+        m1 = run_batched(midcircuit_circuit(), None, 40, seed=9, memory=True, batch_size=1).memory
         m2 = get_backend("statevector").run(
             midcircuit_circuit(), shots=40, seed=9, memory=True
         ).result().get_memory()
@@ -300,17 +296,11 @@ class TestDensityBackend:
 
 class TestResolveBackend:
     def test_default_builds_seeded_statevector(self):
-        backend = resolve_backend(None, None, default_seed=44)
+        backend = resolve_backend(None, default_seed=44)
         assert isinstance(backend, StatevectorBackend)
         a = backend.run(bell_circuit(), shots=64).result().get_counts()
         b = StatevectorSimulator(seed=44).run(bell_circuit(), shots=64).counts
         assert a == b
-
-    def test_wraps_legacy_simulator(self):
-        engine = StatevectorSimulator(seed=3)
-        backend = resolve_backend(None, engine, default_seed=0)
-        counts = backend.run(bell_circuit(), shots=64).result().get_counts()
-        assert counts == StatevectorSimulator(seed=3).run(bell_circuit(), shots=64).counts
 
     def test_name_resolution(self):
         assert isinstance(resolve_backend("density_matrix"), DensityMatrixBackend)
@@ -332,10 +322,6 @@ class TestResolveBackend:
             second.index,
             second.grover_rounds,
         )
-
-    def test_both_rejected(self):
-        with pytest.raises(BackendError, match="not both"):
-            resolve_backend(StatevectorBackend(), StatevectorSimulator())
 
     def test_bad_type_rejected(self):
         with pytest.raises(BackendError, match="cannot use"):
@@ -409,3 +395,79 @@ class TestResultSerialization:
             Result.from_dict({"job_id": "x"})
         with pytest.raises(BackendError, match="malformed experiment dict"):
             ExperimentResult.from_dict({"name": "a"})
+
+
+ENGINES = ["statevector", "density_matrix", "stabilizer"]
+
+
+class TestRunArgumentValidation:
+    """shots and seed are checked once, in Backend.run, before any engine runs."""
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize(
+        "kwargs,argument",
+        [
+            ({"shots": 2.5}, "shots"),
+            ({"shots": True}, "shots"),
+            ({"shots": "8"}, "shots"),
+            ({"shots": -1}, "shots"),
+            ({"seed": "12"}, "seed"),
+            ({"seed": 1.5}, "seed"),
+            ({"seed": -3}, "seed"),
+            ({"seed": True}, "seed"),
+            ({"seed": [1, -2]}, "seed"),
+            ({"seed": [1, 2, 3]}, "seed"),
+            ({"seed": [1, "2"]}, "seed"),
+        ],
+    )
+    def test_bad_argument_named_before_any_engine_runs(self, engine, kwargs, argument, monkeypatch):
+        backend = get_backend(engine)
+
+        def no_engine(*args, **kw):
+            raise AssertionError("an engine ran")
+
+        monkeypatch.setattr(backend, "_run_experiment", no_engine)
+        options = {"shots": 8, **kwargs}
+        with pytest.raises(BackendError, match=f"^{argument} must be"):
+            backend.run([bell_circuit("a"), bell_circuit("b")], **options)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_valid_forms_run(self, engine):
+        backend = get_backend(engine)
+        batch = [bell_circuit("a"), bell_circuit("b")]
+        for seed in (None, 0, np.int64(4), [3, None], (5, 6), np.array([7, 8])):
+            result = backend.run(batch, shots=np.int64(16), seed=seed).result()
+            assert [sum(e.counts.values()) for e in result] == [16, 16]
+        assert [e.seed for e in backend.run(batch, shots=4, seed=[3, None]).result()] == [3, None]
+
+
+def engine_and_backend(engine, noisy, seed):
+    """A seeded engine and the backend over an equally configured one."""
+    if engine == "density_matrix":
+        noise = {1: depolarizing_kraus(0.05), 2: depolarizing_kraus(0.05)} if noisy else None
+        return DensityMatrixSimulator(seed=seed, gate_noise=noise), DensityMatrixBackend(
+            gate_noise=noise
+        )
+    noise = DepolarizingNoise(0.05) if noisy else None
+    if engine == "statevector":
+        return StatevectorSimulator(seed=seed, noise_model=noise), StatevectorBackend(
+            noise_model=noise
+        )
+    return StabilizerSimulator(seed=seed, noise_model=noise), StabilizerBackend(noise_model=noise)
+
+
+class TestEngineRunMatchesBackend:
+    """engine.run(...) returns the same ExperimentResult the backend reports."""
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("noisy", [False, True])
+    @pytest.mark.parametrize("circuit", [bell_circuit(), midcircuit_circuit()], ids=["final", "mid"])
+    def test_counts_memory_and_metadata_agree(self, engine, noisy, circuit):
+        direct_engine, backend = engine_and_backend(engine, noisy, seed=11)
+        direct = direct_engine.run(circuit, shots=64, memory=True)
+        via_backend = backend.run(circuit, shots=64, seed=11, memory=True).result()[0]
+        assert direct.counts == via_backend.counts
+        assert direct.memory == via_backend.memory
+        assert direct.metadata == via_backend.metadata
+        assert direct.name == via_backend.name == circuit.name
+        assert via_backend.seed == 11 and direct.seed is None

@@ -13,8 +13,8 @@ tests pin that down three ways:
   resets and Pauli noise);
 * statistical (TVD) agreement between *active* teleportation (measure +
   conditioned corrections) and its deferred-measurement rewrite;
-* serial vs parallel backend dispatch, and every executor batch size,
-  staying bit-for-bit equal.
+* batch entries re-run alone with ``seed + i``, and every executor batch
+  size, staying bit-for-bit equal.
 """
 
 import math
@@ -494,42 +494,35 @@ class TestActiveVsDeferredTVD:
 
 
 class TestBackendDispatch:
-    def test_serial_and_parallel_batch_dispatch_bit_equal(self):
+    def test_batch_entries_rerun_alone_with_seed_plus_i(self):
         circuits = [active_teleport(), conditioned_flip()]
-        serial = get_backend("statevector").run(circuits, shots=150, seed=9).result()
-        parallel = (
-            get_backend("statevector")
-            .run(circuits, shots=150, seed=9, workers=2, executor="thread")
-            .result()
-        )
-        for a, b in zip(serial.results, parallel.results):
-            assert a.counts == b.counts
+        batch = get_backend("statevector").run(circuits, shots=150, seed=9).result()
+        for i, circuit in enumerate(circuits):
+            alone = get_backend("statevector").run(circuit, shots=150, seed=9 + i).result()
+            assert batch[i].counts == alone[0].counts
 
-    def test_per_shot_and_batched_modes_bit_equal(self):
+    def test_per_shot_and_batched_bit_equal(self):
         # every random number is pre-drawn per shot in circuit order, so one
         # trajectory at a time and the cache-sized batch give the same
         # counts and the same memory order, with and without noise
         circuit = active_teleport(theta=1.3)
         for noise in (None, DepolarizingNoise(0.05)):
-            results = [
-                StatevectorBackend(noise_model=noise, shot_batching=mode)
+            batched = (
+                StatevectorBackend(noise_model=noise)
                 .run(circuit, shots=200, seed=9, memory=True)
-                .result()
-                for mode in ("per_shot", "batched")
-            ]
-            assert results[0].get_counts() == results[1].get_counts()
-            assert results[0].get_memory() == results[1].get_memory()
-            assert results[0][0].metadata["method"] == "per_shot_trajectory"
-            assert results[1][0].metadata["method"] == "batched_shots"
+                .result()[0]
+            )
+            per_shot = run_batched(circuit, noise, 200, seed=9, memory=True, batch_size=1)
+            assert batched.counts == per_shot.counts
+            assert batched.memory == per_shot.memory
+            assert per_shot.metadata["method"] == "per_shot_trajectory"
+            assert batched.metadata["method"] == "batched_shots"
 
     @pytest.mark.parametrize("noise", [None, DepolarizingNoise(0.2)])
-    def test_wrapped_simulator_seed_is_honoured(self, noise):
-        # resolve_backend(simulator=...) wraps an algorithm module's engine:
-        # an unseeded run must draw from that engine's seeded stream
+    def test_backend_seed_is_honoured(self, noise):
+        # an unseeded run must draw from the backend engine's seeded stream
         def counts(circuit):
-            backend = StatevectorBackend(
-                simulator=StatevectorSimulator(seed=5, noise_model=noise)
-            )
+            backend = StatevectorBackend(seed=5, noise_model=noise)
             return backend.run(circuit, shots=200).result().get_counts()
 
         for circuit in (active_teleport(theta=0.9), deferred_teleport(theta=0.9)):

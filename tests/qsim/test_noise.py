@@ -4,8 +4,8 @@ Covers the trajectory models themselves (PhaseFlipNoise, target bounds
 checks, the ``pauli_terms`` channel description), the noise-aware stabilizer
 engine (symbolic Pauli-frame vs per-shot fallback, crossover, rejection of
 non-Pauli channels), cross-engine statistical agreement (chi-squared against
-the exact density-matrix channel), and seed+i bit-equality of noisy parallel
-dispatch.
+the exact density-matrix channel), and seed+i bit-equality of noisy
+batches.
 """
 
 import numpy as np
@@ -187,20 +187,6 @@ class TestNoisyStabilizer:
         assert result.get_counts() == {"1": 100}
         assert result[0].metadata["method"] == "stabilizer_noisy"
 
-    def test_backend_rejects_simulator_plus_noise_options(self):
-        # conflicting constructor arguments must raise, not silently drop
-        # the noise configuration
-        from repro.qsim.backends import StabilizerBackend
-
-        with pytest.raises(BackendError, match="not both"):
-            StabilizerBackend(
-                noise_model=BitFlipNoise(0.1), simulator=StabilizerSimulator(seed=0)
-            )
-        with pytest.raises(BackendError, match="not both"):
-            StabilizerBackend(
-                noise_method="per_shot", simulator=StabilizerSimulator(seed=0)
-            )
-
     def test_backend_rejects_non_pauli_noise_cleanly(self):
         class NotPauli(NoiseModel):
             pass
@@ -300,27 +286,22 @@ class TestCrossEngineAgreement:
 
 
 # ---------------------------------------------------------------------------
-# noisy parallel dispatch: seed+i bit-equality
+# noisy batches: seed+i bit-equality
 # ---------------------------------------------------------------------------
 
-class TestNoisyParallelDispatch:
+class TestNoisyBatchSeeds:
     @pytest.mark.parametrize("engine_options", [
         ("stabilizer", {"noise_model": DepolarizingNoise(0.05)}),
         ("statevector", {"noise_model": BitFlipNoise(0.05)}),
     ])
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_seed_plus_i_bit_equality(self, engine_options, executor):
+    def test_seed_plus_i_bit_equality(self, engine_options):
         name, options = engine_options
         circuits = [ghz_circuit(3) for _ in range(3)]
-        serial = get_backend(name, **options).run(circuits, shots=300, seed=40).result()
-        parallel = (
-            get_backend(name, **options)
-            .run(circuits, shots=300, seed=40, workers=2, executor=executor)
-            .result()
-        )
+        batch = get_backend(name, **options).run(circuits, shots=300, seed=40).result()
         for i in range(3):
-            assert serial.get_counts(i) == parallel.get_counts(i)
-            assert parallel[i].seed == 40 + i
+            alone = get_backend(name, **options).run(circuits[i], shots=300, seed=40 + i)
+            assert batch.get_counts(i) == alone.result().get_counts(0)
+            assert batch[i].seed == 40 + i
 
     def test_single_experiment_reproducible_with_seed_plus_i(self):
         name, options = "stabilizer", {"noise_model": DepolarizingNoise(0.05)}

@@ -1,20 +1,18 @@
-"""The array-ops backplane and the batched noisy-shot executor.
+"""The dense kernels and the batched trajectory executor.
 
 Three property families:
 
-* **registry** -- `register_ops` / `get_ops` / `set_default_ops` /
-  ``QSIM_ARRAY_OPS`` resolution, duplicate rejection, instance caching;
-* **kernels through the ops layer** -- every kernel routes its arithmetic
-  through the active :class:`ArrayOps` (verified with a call-recording
-  backend), agrees with the dense `moveaxis`+matmul fallback to 1e-12 on
-  random circuits, and is *bit-identical* wherever the arithmetic is
-  structurally exact (diagonal sparse vs dense branch, swap/iswap slice
-  exchange, the X special case);
-* **batched shots** -- ``shot_batching="batched"`` and ``"per_shot"``
-  produce bit-equal counts and memory at a fixed seed on 8-14 qubits, the
-  result is invariant under the batch split (also with mid-circuit
-  measurement, reset and wide gates), and a non-Pauli noise model is
-  rejected with its reason.
+* **helpers** -- the batch-invariant row reduction, ``abs2`` and the
+  per-thread scratch pool;
+* **kernels** -- every kernel agrees with the dense `moveaxis`+matmul
+  fallback to 1e-12 on random circuits, and is *bit-identical* wherever the
+  arithmetic is structurally exact (diagonal sparse vs dense branch,
+  swap/iswap slice exchange, the X special case);
+* **batched shots** -- every batch size, down to ``batch_size=1`` (one
+  trajectory at a time), produces bit-equal counts and memory at a fixed
+  seed on 8-14 qubits (also with mid-circuit measurement, reset and wide
+  gates), the backend's run equals the executor's, and a non-Pauli noise
+  model is rejected with its reason.
 """
 
 import numpy as np
@@ -31,7 +29,6 @@ from repro.qsim import (
     kernels,
     shotbatch,
 )
-from repro.qsim import ops as ops_module
 from repro.qsim.backends import DensityMatrixBackend
 from repro.qsim.analysis import estimate_resources
 from repro.qsim.exceptions import BackendError, SimulationError
@@ -39,14 +36,6 @@ from repro.qsim.fusion import fuse_gates
 from repro.qsim.instruction import ControlledGate, Gate, UnitaryGate
 from repro.qsim.simulator import StatevectorSimulator
 from repro.qsim.qasm import from_qasm
-from repro.qsim.ops import (
-    NumpyOps,
-    OPS_ENV_VAR,
-    available_ops,
-    get_ops,
-    register_ops,
-    set_default_ops,
-)
 
 from test_shotbatch_golden import (
     CIRCUITS,
@@ -129,168 +118,12 @@ def assert_batch_sizes_bit_equal(qc, noise, shots=120, seed=31, initial_state=No
     return runs[2]
 
 
-class RecordingOps(NumpyOps):
-    """NumpyOps that counts elementwise calls, proving kernels use the seam."""
-
-    name = "recording"
-
-    def __init__(self):
-        super().__init__()
-        self.calls = {"multiply": 0, "add": 0, "copyto": 0, "scratch": 0}
-
-    def multiply(self, a, b, out=None):
-        self.calls["multiply"] += 1
-        return super().multiply(a, b, out=out)
-
-    def add(self, a, b, out=None):
-        self.calls["add"] += 1
-        return super().add(a, b, out=out)
-
-    def copyto(self, dst, src):
-        self.calls["copyto"] += 1
-        super().copyto(dst, src)
-
-    def scratch(self, shape, count=3):
-        self.calls["scratch"] += 1
-        return super().scratch(shape, count)
-
-
 # ---------------------------------------------------------------------------
-# Registry
+# Helper contracts
 # ---------------------------------------------------------------------------
 
 
-class TestRegistry:
-    def test_numpy_is_registered_and_default(self):
-        assert "numpy" in available_ops()
-        ops = get_ops()
-        assert isinstance(ops, NumpyOps)
-        assert ops.name == "numpy"
-        assert ops_module.active_ops_name() == "numpy"
-
-    def test_instances_are_cached(self):
-        assert get_ops("numpy") is get_ops("NUMPY") is get_ops()
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(SimulationError, match="unknown array-ops backend"):
-            get_ops("no-such-backend")
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(SimulationError, match="already registered"):
-            register_ops("numpy", NumpyOps)
-
-    def test_register_and_overwrite(self):
-        try:
-            register_ops("recording", RecordingOps)
-            assert "recording" in available_ops()
-            assert isinstance(get_ops("recording"), RecordingOps)
-            register_ops("recording", NumpyOps, overwrite=True)
-            # the cached instance is dropped with the old factory
-            assert type(get_ops("recording")) is NumpyOps
-        finally:
-            ops_module._REGISTRY.pop("recording", None)
-            ops_module._INSTANCES.pop("recording", None)
-
-    def test_set_default_ops(self):
-        try:
-            register_ops("recording", RecordingOps)
-            set_default_ops("recording")
-            assert ops_module.active_ops_name() == "recording"
-            assert isinstance(get_ops(), RecordingOps)
-            # explicit name still wins over the default
-            assert isinstance(get_ops("numpy"), NumpyOps)
-            set_default_ops(None)
-            assert ops_module.active_ops_name() == "numpy"
-        finally:
-            set_default_ops(None)
-            ops_module._REGISTRY.pop("recording", None)
-            ops_module._INSTANCES.pop("recording", None)
-
-    def test_set_default_validates_eagerly(self):
-        with pytest.raises(SimulationError, match="unknown array-ops backend"):
-            set_default_ops("typo-backend")
-        assert ops_module.active_ops_name() == "numpy"
-
-    def test_env_var_selection(self, monkeypatch):
-        try:
-            register_ops("recording", RecordingOps)
-            monkeypatch.setenv(OPS_ENV_VAR, "recording")
-            assert ops_module.active_ops_name() == "recording"
-            # set_default_ops takes precedence over the environment
-            set_default_ops("numpy")
-            assert ops_module.active_ops_name() == "numpy"
-        finally:
-            set_default_ops(None)
-            ops_module._REGISTRY.pop("recording", None)
-            ops_module._INSTANCES.pop("recording", None)
-
-    def test_factory_must_return_array_ops(self):
-        try:
-            register_ops("broken", lambda: object())
-            with pytest.raises(SimulationError, match="not an ArrayOps"):
-                get_ops("broken")
-        finally:
-            ops_module._REGISTRY.pop("broken", None)
-            ops_module._INSTANCES.pop("broken", None)
-
-
-class TestAliases:
-    """Alias support mirroring the backend registry (``np`` -> ``numpy``)."""
-
-    def test_np_alias_resolves_to_numpy(self):
-        assert get_ops("np") is get_ops("numpy")
-        assert get_ops("NP").name == "numpy"
-
-    def test_available_ops_can_include_aliases(self):
-        assert "np" not in available_ops()
-        assert "np" in available_ops(include_aliases=True)
-
-    def test_unknown_name_error_lists_names_and_aliases(self):
-        with pytest.raises(SimulationError) as excinfo:
-            get_ops("cupy")
-        message = str(excinfo.value)
-        assert "unknown array-ops backend 'cupy'" in message
-        assert "numpy" in message
-        assert "aliases: np" in message
-
-    def test_set_default_accepts_alias(self):
-        try:
-            set_default_ops("np")
-            assert ops_module.active_ops_name() == "numpy"
-        finally:
-            set_default_ops(None)
-
-    def test_env_var_accepts_alias(self, monkeypatch):
-        monkeypatch.setenv(OPS_ENV_VAR, "np")
-        assert ops_module.active_ops_name() == "numpy"
-
-    def test_env_var_typo_raises_with_names(self, monkeypatch):
-        monkeypatch.setenv(OPS_ENV_VAR, "nope")
-        with pytest.raises(SimulationError, match="available: numpy"):
-            get_ops()
-
-    def test_alias_collision_rejected(self):
-        with pytest.raises(SimulationError, match="already registered"):
-            register_ops("fresh", NumpyOps, aliases=("np",))
-        # the half-registered name is still present; clean it up
-        ops_module._REGISTRY.pop("fresh", None)
-
-    def test_register_with_new_alias(self):
-        try:
-            register_ops("recording", RecordingOps, aliases=("rec",))
-            assert get_ops("rec") is get_ops("recording")
-        finally:
-            ops_module._REGISTRY.pop("recording", None)
-            ops_module._INSTANCES.pop("recording", None)
-            ops_module._ALIASES.pop("rec", None)
-
-
-# ---------------------------------------------------------------------------
-# NumpyOps primitive contracts
-# ---------------------------------------------------------------------------
-
-
-class TestNumpyOpsPrimitives:
+class TestBatchHelpers:
     def test_row_sums_is_batch_invariant(self):
         """row_sums(x[i:i+1]) must be bit-identical to row_sums(x)[i].
 
@@ -300,21 +133,20 @@ class TestNumpyOpsPrimitives:
         """
         rng = np.random.default_rng(5)
         x = rng.normal(size=(32, 1 << 10))
-        whole = NumpyOps().row_sums(x)
+        whole = shotbatch.row_sums(x)
         for i in (0, 1, 7, 31):
-            row = NumpyOps().row_sums(x[i : i + 1])
+            row = shotbatch.row_sums(x[i : i + 1])
             assert row[0] == whole[i]
 
     def test_abs2(self):
         rng = np.random.default_rng(6)
         a = rng.normal(size=64) + 1j * rng.normal(size=64)
-        got = NumpyOps().abs2(a)
+        got = shotbatch.abs2(a)
         assert got.dtype == np.float64
         np.testing.assert_array_equal(got, np.real(a) ** 2 + np.imag(a) ** 2)
 
     def test_scratch_buffers_are_disjoint(self):
-        ops = NumpyOps()
-        a, b, c = ops.scratch((4, 8), 3)
+        a, b, c = kernels.scratch((4, 8), 3)
         assert a.shape == b.shape == c.shape == (4, 8)
         a[:] = 1.0
         b[:] = 2.0
@@ -322,45 +154,15 @@ class TestNumpyOpsPrimitives:
         assert np.all(a == 1.0) and np.all(b == 2.0) and np.all(c == 3.0)
 
     def test_scratch_pool_grows(self):
-        ops = NumpyOps()
-        (small,) = ops.scratch((16,), 1)
-        (big,) = ops.scratch((1 << 12,), 1)
+        (small,) = kernels.scratch((16,), 1)
+        (big,) = kernels.scratch((1 << 12,), 1)
         assert big.size == 1 << 12
         assert small.size == 16
 
 
 # ---------------------------------------------------------------------------
-# Kernels compute through the ops layer
+# Kernels
 # ---------------------------------------------------------------------------
-
-
-class TestKernelsUseOpsLayer:
-    def test_kernels_route_arithmetic_through_ops(self):
-        """A recording backend observes the kernels' elementwise arithmetic."""
-        rng = np.random.default_rng(7)
-        recording = RecordingOps()
-        n = 6
-        state = random_state(n, rng)
-        kernels.apply_single_qubit(state, n, random_unitary(2, rng), 4, ops=recording)
-        kernels.apply_controlled(state, n, random_unitary(2, rng), [1], 5, ops=recording)
-        kernels.apply_two_qubit(state, n, random_unitary(4, rng), 5, 4, ops=recording)
-        kernels.apply_swap(state, n, 0, 3, ops=recording)
-        assert recording.calls["multiply"] > 0
-        assert recording.calls["add"] > 0
-        assert recording.calls["scratch"] > 0
-
-    def test_explicit_ops_matches_registry_default(self):
-        """Passing ops explicitly is bit-identical to registry resolution."""
-        rng = np.random.default_rng(8)
-        n = 7
-        u = random_unitary(2, rng)
-        base = random_state(n, rng)
-        via_default = base.copy()
-        via_explicit = base.copy()
-        for q in range(n):
-            kernels.apply_single_qubit(via_default, n, u, q)
-            kernels.apply_single_qubit(via_explicit, n, u, q, ops=NumpyOps())
-        np.testing.assert_array_equal(via_default, via_explicit)
 
 
 class TestKernelDenseFallbackAgreement:
@@ -781,15 +583,6 @@ class TestSharedPrefix:
         assert runs[2].metadata["trajectories"] < self.SHOTS
 
 
-class _NoAmplitudeOps(NumpyOps):
-    """NumpyOps that refuses to allocate amplitude rows."""
-
-    name = "no-amplitudes"
-
-    def empty(self, shape, dtype=float):
-        raise AssertionError(f"amplitude rows allocated: {shape}")
-
-
 class TestClassicalPrefix:
     """The plan's leading monomial steps run on basis rows (an index and a
     phase per shot) and expand into amplitude rows at the first step that is
@@ -798,14 +591,19 @@ class TestClassicalPrefix:
 
     @pytest.mark.parametrize("name", ["qec_cond_n5", "qec_repetition_n5"])
     @pytest.mark.parametrize("p", [0.02, 0.3])
-    def test_monomial_end_to_end_with_conditions_and_resets(self, name, p):
+    def test_monomial_end_to_end_with_conditions_and_resets(self, name, p, monkeypatch):
         qc = from_qasm((CIRCUITS / f"{name}.qasm").read_text(encoding="utf-8"))
         run = assert_batch_sizes_bit_equal(qc, DepolarizingNoise(p), shots=300)
         assert run.metadata["classical_prefix"] == len(qc.data)
         assert run.metadata["trajectories"] == 300
-        # no amplitude row is ever allocated
+
+        # no amplitude row is ever allocated: only _run_amplitudes makes them
+        def no_amplitudes(*args, **kwargs):
+            raise AssertionError("amplitude rows allocated")
+
+        monkeypatch.setattr(shotbatch, "_run_amplitudes", no_amplitudes)
         again = shotbatch.run_batched(
-            qc, DepolarizingNoise(p), shots=300, seed=31, memory=True, ops=_NoAmplitudeOps()
+            qc, DepolarizingNoise(p), shots=300, seed=31, memory=True
         )
         assert again.memory == run.memory
 
@@ -838,45 +636,41 @@ class TestClassicalPrefix:
         assert result.metadata["classical_prefix"] == len(qc.data)
 
 
-class TestShotBatchingModes:
+class TestBatchSizes:
+    """The backend's batched run equals the executor one trajectory at a
+    time (``batch_size=1``), bit for bit, at the same seed."""
+
     @pytest.mark.parametrize("num_qubits,shots", [(8, 400), (10, 300), (12, 200), (14, 100)])
     def test_batched_and_per_shot_counts_bit_equal(self, num_qubits, shots):
-        """Same seed, same counts and memory, 8-14 qubits (the ISSUE's
-        acceptance property)."""
+        """Same seed, same counts and memory, 8-14 qubits."""
         rng = np.random.default_rng(1000 + num_qubits)
         qc = noisy_circuit(num_qubits, 3 * num_qubits, rng)
-        results = {}
-        for mode in ("batched", "per_shot"):
-            backend = StatevectorBackend(
-                noise_model=DepolarizingNoise(0.02), shot_batching=mode, fusion=False
-            )
-            results[mode] = backend.run(qc, shots=shots, seed=77, memory=True).result()
-        assert results["batched"].get_counts() == results["per_shot"].get_counts()
-        assert results["batched"].get_memory() == results["per_shot"].get_memory()
-        assert results["batched"][0].metadata["method"] == "batched_shots"
-        assert results["per_shot"][0].metadata["method"] == "per_shot_trajectory"
-        assert results["batched"][0].metadata["batch_size"] > 1
-        assert results["per_shot"][0].metadata["batch_size"] == 1
+        noise = DepolarizingNoise(0.02)
+        backend = StatevectorBackend(noise_model=noise, fusion=False)
+        batched = backend.run(qc, shots=shots, seed=77, memory=True).result()[0]
+        per_shot = shotbatch.run_batched(qc, noise, shots, seed=77, memory=True, batch_size=1)
+        assert batched.counts == per_shot.counts
+        assert batched.memory == per_shot.memory
+        assert batched.metadata["method"] == "batched_shots"
+        assert per_shot.metadata["method"] == "per_shot_trajectory"
+        assert batched.metadata["batch_size"] > 1
+        assert per_shot.metadata["batch_size"] == 1
 
     @pytest.mark.parametrize("noise_cls", [BitFlipNoise, PhaseFlipNoise, DepolarizingNoise])
     def test_every_pauli_channel(self, noise_cls):
         qc = noisy_circuit(8, 24, np.random.default_rng(55))
-        results = []
-        for mode in ("batched", "per_shot"):
-            backend = StatevectorBackend(
-                noise_model=noise_cls(0.05), shot_batching=mode, fusion=False
-            )
-            results.append(backend.run(qc, shots=300, seed=5).result().get_counts())
-        assert results[0] == results[1]
+        backend = StatevectorBackend(noise_model=noise_cls(0.05), fusion=False)
+        batched = backend.run(qc, shots=300, seed=5).result().get_counts()
+        per_shot = shotbatch.run_batched(qc, noise_cls(0.05), 300, seed=5, batch_size=1)
+        assert batched == per_shot.counts
 
-    def test_auto_picks_batched_when_eligible(self):
+    def test_noise_runs_batched(self):
         qc = noisy_circuit(6, 12, np.random.default_rng(60))
         backend = StatevectorBackend(noise_model=BitFlipNoise(0.05), fusion=False)
-        assert backend.shot_batching == "auto"
         result = backend.run(qc, shots=100, seed=1).result()
         assert result[0].metadata["method"] == "batched_shots"
 
-    def test_auto_runs_mid_circuit_batched(self):
+    def test_mid_circuit_runs_batched(self):
         qc = QuantumCircuit(2, 2)
         qc.h(0)
         qc.measure(0, 0)
@@ -892,29 +686,21 @@ class TestShotBatchingModes:
             "classical_prefix": 0,
         }
 
-    def test_forced_batched_rejects_ineligible(self):
+    def test_non_pauli_noise_rejected(self):
         qc = QuantumCircuit(2, 2)
         qc.h(0)
         qc.measure(0, 0)
         qc.x(0)
         qc.measure(1, 1)
-        for mode in StatevectorBackend.SHOT_BATCHING_MODES:
-            backend = StatevectorBackend(
-                noise_model=_NonPauliNoise(), shot_batching=mode, fusion=False
-            )
-            job = backend.run(qc, shots=50, seed=2)
-            with pytest.raises(BackendError, match="not a single-qubit Pauli.*density_matrix"):
-                job.result()
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(BackendError, match="unknown shot_batching mode"):
-            StatevectorBackend(shot_batching="warp")
+        backend = StatevectorBackend(noise_model=_NonPauliNoise(), fusion=False)
+        job = backend.run(qc, shots=50, seed=2)
+        with pytest.raises(BackendError, match="not a single-qubit Pauli.*density_matrix"):
+            job.result()
 
     def test_noiseless_runs_stay_on_sampled_path(self):
         """Without a noise model the trajectory executor never engages."""
         qc = noisy_circuit(5, 10, np.random.default_rng(70))
-        backend = StatevectorBackend(shot_batching="batched")
-        result = backend.run(qc, shots=200, seed=4).result()
+        result = StatevectorBackend().run(qc, shots=200, seed=4).result()
         assert sum(result.get_counts().values()) == 200
         assert result[0].metadata.get("method") not in (
             "batched_shots",
@@ -953,8 +739,8 @@ class TestRunSignature:
             assert sum(counts.values()) == 64
 
     def test_shot_workers_keyword_is_forwarded(self):
-        # no longer a Backend.run parameter: like any unknown option it is
-        # forwarded to the engine, which rejects it by name
+        # no longer a Backend.run parameter: like any unknown option,
+        # Backend.run rejects it by name
         qc = QuantumCircuit(2, 2)
         qc.h(0)
         qc.measure(0, 0)

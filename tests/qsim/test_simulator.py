@@ -7,7 +7,8 @@ from repro.qsim.circuit import QuantumCircuit
 from repro.qsim.exceptions import SimulationError
 from repro.qsim.noise import BitFlipNoise, DepolarizingNoise
 from repro.qsim.registers import ClassicalRegister, QuantumRegister
-from repro.qsim.simulator import Result, StatevectorSimulator
+from repro.qsim.result import ExperimentResult
+from repro.qsim.simulator import StatevectorSimulator
 from repro.qsim.statevector import Statevector
 
 
@@ -100,7 +101,7 @@ class TestRun:
         assert result.statevector is not None
 
     def test_most_frequent_raises_without_counts(self, sim):
-        result = Result(counts={}, shots=1)
+        result = ExperimentResult(name="empty", counts={}, shots=1)
         with pytest.raises(SimulationError):
             result.most_frequent()
 

@@ -454,14 +454,6 @@ class TestStabilizerBackend:
             solo = get_backend("stabilizer").run(circuit, shots=100, seed=50 + i).result()
             assert batch[i].counts == solo[0].counts
 
-    def test_parallel_dispatch_matches_serial(self):
-        circuits = [random_clifford_circuit(4, 20, seed=s) for s in range(4)]
-        serial = get_backend("stabilizer").run(circuits, shots=80, seed=7).result()
-        threaded = get_backend("stabilizer").run(
-            circuits, shots=80, seed=7, workers=2, executor="thread"
-        ).result()
-        assert all(a.counts == b.counts for a, b in zip(serial, threaded))
-
     def test_non_clifford_raises_backend_error(self):
         qc = QuantumCircuit(2, 2)
         qc.h(0)

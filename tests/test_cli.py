@@ -499,28 +499,3 @@ class TestSubmitValidation:
         captured = capsys.readouterr()
         assert captured.out.strip().startswith("job-")
         assert "warning[QA101]" in captured.err  # surfaced, not fatal
-
-
-class TestArrayOpsSelection:
-    def test_unknown_array_ops_flag_lists_names(self, program_file, capsys):
-        assert main([program_file, "--array-ops", "bogus"]) == 1
-        err = capsys.readouterr().err
-        assert "unknown array-ops backend 'bogus'" in err
-        assert "numpy" in err and "aliases: np" in err
-
-    def test_unknown_env_var_fails_eagerly(self, program_file, capsys, monkeypatch):
-        monkeypatch.setenv("QSIM_ARRAY_OPS", "bogus")
-        assert main([program_file]) == 1
-        err = capsys.readouterr().err
-        assert "$QSIM_ARRAY_OPS" in err
-        assert "unknown array-ops backend 'bogus'" in err
-
-    def test_np_alias_accepted(self, program_file, capsys, monkeypatch):
-        from repro.qsim.ops import set_default_ops
-
-        monkeypatch.setenv("QSIM_ARRAY_OPS", "np")
-        try:
-            assert main([program_file, "--seed", "1"]) == 0
-        finally:
-            set_default_ops(None)
-        assert "8" in capsys.readouterr().out

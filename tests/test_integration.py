@@ -6,8 +6,14 @@ written in Qutes, the measurement record, and consistency between the
 statevector and density-matrix engines on language-generated circuits.
 """
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+
+import repro
 
 from repro import compile_source, run_source
 from repro.lang.stdlib import get_program
@@ -42,6 +48,29 @@ class TestExecutionResult:
     def test_variables_reflect_final_state(self):
         result = run_source("int x = 1; x = x + 41;", seed=0)
         assert result.variable("x") == 42
+
+
+class TestPackageImports:
+    def test_simulator_import_leaves_language_unloaded(self):
+        """``import repro.qsim`` loads neither the language front end, the
+        algorithm library nor a process pool (the root package is lazy)."""
+        probe = (
+            "import sys, repro.qsim\n"
+            "heavy = ('repro.lang', 'repro.algorithms', 'concurrent.futures.process')\n"
+            "print(','.join(m for m in heavy if m in sys.modules))"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == ""
+
+    def test_root_exports_resolve_lazily(self):
+        assert repro.run_source is run_source
+        assert set(repro.__all__) <= set(dir(repro))
+        with pytest.raises(AttributeError):
+            repro.no_such_name
 
 
 class TestCircuitInteroperability:

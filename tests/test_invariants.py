@@ -33,42 +33,6 @@ def check_source(tmp_path, source, rel="repro/qsim/kernels.py"):
     return checker.check_file(path, f"src/{rel}")
 
 
-class TestArrayOpsSeam:
-    def test_direct_numpy_arithmetic_in_kernels_flagged(self, tmp_path):
-        findings = check_source(
-            tmp_path, "import numpy as np\nnp.multiply(a, b, out=c)\n"
-        )
-        assert [f.code for f in findings] == ["INV001"]
-        assert findings[0].line == 2
-        assert "ArrayOps seam" in findings[0].message
-
-    def test_matmul_operator_in_kernels_flagged(self, tmp_path):
-        findings = check_source(tmp_path, "c = a @ b\n", rel="repro/qsim/shotbatch.py")
-        assert [f.code for f in findings] == ["INV002"]
-
-    def test_structural_numpy_allowed_in_kernels(self, tmp_path):
-        source = "import numpy as np\nd = np.diagonal(m)\ni = np.flatnonzero(d)\n"
-        assert check_source(tmp_path, source) == []
-
-    def test_arithmetic_fine_outside_kernel_files(self, tmp_path):
-        findings = check_source(
-            tmp_path,
-            "import numpy as np\nnp.kron(a, b)\n",
-            rel="repro/qsim/transpiler.py",
-        )
-        assert findings == []
-
-    def test_respects_numpy_import_alias(self, tmp_path):
-        findings = check_source(
-            tmp_path, "import numpy as xp\nxp.matmul(a, b)\n"
-        )
-        assert [f.code for f in findings] == ["INV001"]
-
-    def test_non_numpy_attribute_not_flagged(self, tmp_path):
-        # ops.multiply IS the seam; only the numpy module itself is banned
-        assert check_source(tmp_path, "ops.multiply(a, b, out=c)\n") == []
-
-
 class TestSeededRandomness:
     def test_stdlib_random_import_flagged_anywhere(self, tmp_path):
         findings = check_source(
@@ -162,8 +126,8 @@ class TestTreeAndCli:
 
 def test_findings_format_is_gcc_style(tmp_path):
     findings = check_source(
-        tmp_path, "import numpy as np\nnp.dot(a, b)\n"
+        tmp_path, "import numpy as np\nnp.random.seed(0)\n"
     )
     line = findings[0].format()
     assert line.startswith("src/repro/qsim/kernels.py:2:")
-    assert ": INV001: " in line
+    assert ": INV102: " in line

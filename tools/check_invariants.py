@@ -1,14 +1,5 @@
 #!/usr/bin/env python3
-"""Repo invariant checker: an AST lint over ``src/`` enforcing two seams.
-
-**The ArrayOps seam** (``INV001``/``INV002``): every dense kernel computes
-through the pluggable :class:`repro.qsim.ops.ArrayOps` backplane, so an
-accelerated array module can replace numpy without touching gate code.
-Direct numpy *arithmetic* (``np.multiply``, ``np.kron``, the ``@`` matmul
-operator, ...) inside ``kernels.py`` / ``shotbatch.py`` bypasses that seam
-and silently pins the hot path to the CPU; structural helpers
-(``np.flatnonzero``, ``np.diagonal``, dtype plumbing) are fine and stay
-allowed.
+"""Repo invariant checker: an AST lint over ``src/`` enforcing seeded randomness.
 
 **Seeded randomness** (``INV101``/``INV102``/``INV103``): reproducibility is
 a headline property of the simulator, so library code must draw randomness
@@ -40,31 +31,6 @@ from typing import List, NamedTuple, Set
 #: marker comment that silences every rule on its line
 ALLOW_MARKER = "invariant: allow"
 
-#: numpy arithmetic entry points that must go through ArrayOps in kernel code
-ARITHMETIC_NAMES = frozenset(
-    {
-        "multiply",
-        "add",
-        "subtract",
-        "divide",
-        "true_divide",
-        "matmul",
-        "dot",
-        "vdot",
-        "einsum",
-        "kron",
-        "tensordot",
-        "inner",
-        "outer",
-        "power",
-        "sqrt",
-        "exp",
-    }
-)
-
-#: files where the ArrayOps-seam rules apply (relative to the source root)
-KERNEL_FILES = frozenset({"repro/qsim/kernels.py", "repro/qsim/shotbatch.py"})
-
 #: the seedable new-style pieces of ``np.random`` library code may touch
 ALLOWED_NP_RANDOM = frozenset(
     {"default_rng", "Generator", "SeedSequence", "BitGenerator", "PCG64", "Philox", "SFC64"}
@@ -90,9 +56,8 @@ def _allow_lines(source: str) -> Set[int]:
 
 
 class _Checker(ast.NodeVisitor):
-    def __init__(self, path: str, is_kernel: bool, allow: Set[int]):
+    def __init__(self, path: str, allow: Set[int]):
         self.path = path
-        self.is_kernel = is_kernel
         self.allow = allow
         self.numpy_aliases: Set[str] = set()
         self.findings: List[Finding] = []
@@ -130,7 +95,7 @@ class _Checker(ast.NodeVisitor):
             )
         self.generic_visit(node)
 
-    # -- the ArrayOps seam -----------------------------------------------------
+    # -- the legacy global np.random API ---------------------------------------
 
     def _is_numpy_attr(self, node: ast.AST, attr_path: List[str]) -> bool:
         """True when *node* is ``<numpy alias>.attr_path[0].attr_path[1]...``."""
@@ -141,16 +106,6 @@ class _Checker(ast.NodeVisitor):
         return isinstance(node, ast.Name) and node.id in self.numpy_aliases
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
-        if self.is_kernel and node.attr in ARITHMETIC_NAMES and self._is_numpy_attr(
-            node, [node.attr]
-        ):
-            self._emit(
-                node,
-                "INV001",
-                f"direct numpy arithmetic 'np.{node.attr}' in kernel code "
-                "bypasses the ArrayOps seam; call the ops backplane instead "
-                "(see docs/kernels.md)",
-            )
         if self._is_numpy_attr(node, ["random", node.attr]):
             if node.attr not in ALLOWED_NP_RANDOM:
                 self._emit(
@@ -159,16 +114,6 @@ class _Checker(ast.NodeVisitor):
                     f"legacy 'np.random.{node.attr}' uses the global seed state; "
                     "use a threaded np.random.default_rng(seed) Generator",
                 )
-        self.generic_visit(node)
-
-    def visit_BinOp(self, node: ast.BinOp) -> None:
-        if self.is_kernel and isinstance(node.op, ast.MatMult):
-            self._emit(
-                node,
-                "INV002",
-                "'@' matrix multiplication in kernel code bypasses the ArrayOps "
-                "seam; use ops.matmul (see docs/kernels.md)",
-            )
         self.generic_visit(node)
 
     # -- unseeded randomness ---------------------------------------------------
@@ -200,9 +145,7 @@ def check_file(path: Path, rel: str) -> List[Finding]:
         return [
             Finding(rel, exc.lineno or 0, (exc.offset or 0), "INV000", f"syntax error: {exc.msg}")
         ]
-    posix = Path(rel).as_posix()
-    is_kernel = any(posix.endswith(name) for name in KERNEL_FILES)
-    checker = _Checker(rel, is_kernel, _allow_lines(source))
+    checker = _Checker(rel, _allow_lines(source))
     checker.visit(tree)
     return checker.findings
 
