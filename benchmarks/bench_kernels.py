@@ -5,12 +5,13 @@ Builds a random circuit of 1- and 2-qubit gates (the shapes dominating the
 Grover / arithmetic / Fig. 6 workloads) and times three execution strategies
 over the same statevector evolution:
 
-* ``generic`` -- every gate through ``Statevector.apply_unitary`` (the
-  moveaxis/reshape path, what the engine did before the kernel layer),
-* ``kernels`` -- the fast-path dispatcher in :mod:`repro.qsim.kernels` with
-  ``apply_unitary`` as fallback,
+* ``generic`` -- every gate through :func:`repro.qsim.kernels.dense_apply`
+  (the moveaxis/reshape + matmul path, what the engine did before the
+  kernel layer),
+* ``kernels`` -- every gate through :func:`repro.qsim.kernels.apply_gate`,
+  the one entry point of the step kernels every dense engine shares,
 * ``fused``   -- gate fusion (:mod:`repro.qsim.fusion`) first, then the
-  kernel dispatcher (this is what ``StatevectorSimulator`` does by default);
+  step kernels (this is what ``StatevectorSimulator`` does by default);
   the reported time includes the fusion pass itself.
 
 Every strategy's final statevector is checked against the generic path to
@@ -50,9 +51,10 @@ statevector engine ran noise and feed-forward before the batched executor):
   :func:`reference_full_rho`, a full ``2^n x 2^n`` walk kept in this
   script.  Each pair must agree in distribution (the corpus TVD floor),
   and the acceptance target at 2000 shots is a >= 10x speedup on both.
-* **dense diagonals** -- regression guard for the vectorised dense branch of
-  :func:`repro.qsim.kernels.apply_diagonal`: one broadcast multiply must not
-  be slower than the historic per-entry slice loop it replaced, and must
+* **dense diagonals** -- regression guard for the batched executor's
+  choice of a ``diag_full`` step (one ``(2^n,)`` factor and one broadcast
+  multiply) over the per-entry ``diag`` step a single application runs, for
+  a dense diagonal on low qubits: applying it must not be slower, and must
   produce bitwise-identical amplitudes.
 
 Run directly::
@@ -112,7 +114,9 @@ def run_generic(circuit: QuantumCircuit) -> Statevector:
     state = Statevector.zero_state(circuit.num_qubits)
     for instr in circuit.data:
         targets = [circuit.qubit_index(q) for q in instr.qubits]
-        state.apply_unitary(instr.operation.to_matrix(), targets)
+        state.data = kernels.dense_apply(
+            state.data, state.num_qubits, instr.operation.to_matrix(), targets
+        )
     return state
 
 
@@ -120,8 +124,7 @@ def run_kernels(circuit: QuantumCircuit) -> Statevector:
     state = Statevector.zero_state(circuit.num_qubits)
     for instr in circuit.data:
         targets = [circuit.qubit_index(q) for q in instr.qubits]
-        if not kernels.apply_instruction(state, instr.operation, targets):
-            state.apply_unitary(instr.operation.to_matrix(), targets)
+        kernels.apply_gate(state.data, instr.operation, targets)
     return state
 
 
@@ -145,7 +148,7 @@ FEEDFORWARD_FILES = ("teleport_cond_n3", "ghz_cond_n4", "qec_cond_n5", "qec_repe
 
 def reference_per_shot_loop(circuit, noise, shots: int, seed: int) -> Dict[str, int]:
     """One full circuit pass per shot in a Python loop (the regression
-    baseline): gates through the kernel dispatcher, noise through
+    baseline): gates through :func:`kernels.apply_gate`, noise through
     ``NoiseModel.apply``, collapse through ``Statevector.measure``/``reset``."""
     rng = np.random.default_rng(seed)
     counts: Dict[str, int] = {}
@@ -162,8 +165,7 @@ def reference_per_shot_loop(circuit, noise, shots: int, seed: int) -> Dict[str, 
             elif isinstance(op, Reset):
                 state.reset_qubit(targets[0], rng=rng)
             else:
-                if not kernels.apply_instruction(state, op, targets):
-                    state.apply_unitary(op.to_matrix(), targets)
+                kernels.apply_gate(state.data, op, targets)
                 if noise is not None:
                     noise.apply(state, targets, rng)
         key = format_bits(bits, circuit.num_clbits)
@@ -391,22 +393,8 @@ def marginal_ones(counts, num_qubits: int, shots: int) -> List[float]:
 
 
 # ---------------------------------------------------------------------------
-# Dense-diagonal regression: vectorised broadcast vs historic per-entry loop
+# Dense-diagonal regression: the diag_full factor vs per-entry diag slices
 # ---------------------------------------------------------------------------
-
-
-def diag_per_entry_reference(data, num_qubits: int, diag, targets) -> None:
-    """The pre-vectorisation dense-diagonal code path: one strided slice
-    multiply per non-unit entry (kept here as the regression baseline)."""
-    view, axes = kernels._qubit_view(data, num_qubits, targets)
-    ndim = view.ndim
-    k = len(targets)
-    for value in np.flatnonzero(diag != 1):
-        value = int(value)
-        index = [slice(None)] * ndim
-        for position, target in enumerate(targets):
-            index[axes[target]] = (value >> (k - 1 - position)) & 1
-        view[tuple(index)] *= diag[value]
 
 
 def _time_interleaved(funcs, repeats: int) -> List[float]:
@@ -510,26 +498,34 @@ def main(argv: List[str] | None = None) -> int:
     diag = np.exp(1j * rng.uniform(0.1, 2 * np.pi, 1 << len(diag_targets)))
     base = rng.standard_normal(1 << diag_qubits) * (1 + 0j)
     base /= np.linalg.norm(base)
+    matrix = np.diag(diag)
+    # the batched executor's plan lowers with the state width (diag_full);
+    # a single application lowers without it (the per-entry diag step)
+    full = kernels.lower(matrix, diag_targets, diag_qubits)
+    per_entry = kernels.lower(matrix, diag_targets)
+    if (full[0], per_entry[0]) != ("diag_full", "diag"):
+        failures.append("a dense diagonal on low qubits no longer lowers to diag_full")
     vectorised, reference = base.copy(), base.copy()
-    kernels.apply_diagonal(vectorised, diag_qubits, diag, diag_targets)
-    diag_per_entry_reference(reference, diag_qubits, diag, diag_targets)
+    kernels.apply_step(vectorised, full)
+    kernels.apply_step(reference, per_entry)
     if not np.array_equal(vectorised, reference):
-        failures.append("vectorised dense diagonal is not bitwise equal to the loop")
+        failures.append("diag_full is not bitwise equal to the per-entry diag step")
     t_vec, t_ref = _time_interleaved(
         [
-            lambda: kernels.apply_diagonal(base.copy(), diag_qubits, diag, diag_targets),
-            lambda: diag_per_entry_reference(base.copy(), diag_qubits, diag, diag_targets),
+            lambda: kernels.apply_step(base.copy(), full),
+            lambda: kernels.apply_step(base.copy(), per_entry),
         ],
         max(args.repeats, 3) * 5,
     )
     print(f"\ndense diagonal ({diag_qubits} qubits, {len(diag_targets)} targets, "
           f"all {diag.size} entries non-unit): "
-          f"vectorised {t_vec * 1e3:.2f} ms, per-entry loop {t_ref * 1e3:.2f} ms "
+          f"diag_full {t_vec * 1e3:.2f} ms, per-entry diag {t_ref * 1e3:.2f} ms "
           f"({t_ref / t_vec:.2f}x)")
-    # regression guard for the vectorised dense branch: it must never lose
-    # to the per-entry loop it replaced
+    # regression guard for the lowering's choice: applying a diag_full step
+    # (what every batch of a plan does) must never lose to the per-entry
+    # step it replaces
     if t_vec > t_ref:
-        failures.append("vectorised dense diagonal slower than the per-entry loop")
+        failures.append("diag_full slower than the per-entry diag step")
 
     write_results(
         args.out,

@@ -81,22 +81,25 @@ class QuantumCircuitHandler:
         if builder is None or name not in gates.GATE_REGISTRY:
             raise QutesRuntimeError(f"unsupported gate {name!r}")
         builder(*params, *qubits)
-        if not kernels.apply_named_gate(self.state, name, params, qubits):
-            self.state.apply_unitary(gates.gate_matrix(name, params), qubits)
+        self._apply_logged(qubits)
 
     def apply_mcz(self, controls: Sequence[int], target: int) -> None:
         """Multi-controlled Z (used by oracle constructions)."""
         controls = list(controls)
         self.circuit.mcz(controls, target)
-        # one phase multiply over the control-satisfied slice instead of a
-        # dense 2^(k+1) x 2^(k+1) unitary
-        self.state.apply_controlled(gates.Z, controls, target)
+        self._apply_logged([*controls, target])
 
     def apply_mcx(self, controls: Sequence[int], target: int) -> None:
         """Multi-controlled X."""
         controls = list(controls)
         self.circuit.mcx(controls, target)
-        self.state.apply_controlled(gates.X, controls, target)
+        self._apply_logged([*controls, target])
+
+    def _apply_logged(self, qubits: List[int]) -> None:
+        """Apply the instruction just logged to the live state.  A wide
+        multi-controlled gate touches only its control-satisfied slice: its
+        matrix is never built (see :func:`repro.qsim.kernels.lower`)."""
+        kernels.apply_gate(self.state.data, self.circuit.data[-1].operation, qubits)
 
     def initialize(self, amplitudes: Sequence[complex], qubits: Sequence[int]) -> None:
         """Initialise freshly allocated *qubits* to the given amplitude vector."""
@@ -141,8 +144,7 @@ class QuantumCircuitHandler:
             if not op.is_unitary:
                 raise QutesRuntimeError(f"cannot splice instruction {op.name!r}")
             self.circuit.append(op.copy(), targets)
-            if not kernels.apply_instruction(self.state, op, targets):
-                self.state.apply_unitary(op.to_matrix(), targets)
+            self._apply_logged(targets)
 
     def barrier(self) -> None:
         """Insert a barrier over every allocated qubit."""

@@ -274,7 +274,7 @@ class Interpreter:
             if isinstance(operand, list):
                 return self.casting.to_classical(operand)
             return operand
-        return self.operations.apply_named_gate(node.gate, operand)
+        return self.operations.apply_gate_keyword(node.gate, operand)
 
     def _eval_Binary(self, node: ast.Binary) -> Any:
         left = self._evaluate(node.left)

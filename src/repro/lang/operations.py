@@ -56,7 +56,7 @@ class OperationEngine:
 
     # ------------------------------------------------------------------ gates
 
-    def apply_named_gate(self, gate: str, value) -> QuantumVariable:
+    def apply_gate_keyword(self, gate: str, value) -> QuantumVariable:
         """Apply a prefix gate keyword (``hadamard``/``paulix``/.../``phase``).
 
         The gate is applied to every qubit of the operand; classical operands

@@ -32,7 +32,7 @@ import numpy as np
 from . import gates, kernels
 from .circuit import CircuitInstruction, QuantumCircuit
 from .exceptions import SimulationError
-from .instruction import Barrier, Initialize, Instruction, Measure, Reset
+from .instruction import Barrier, Initialize, Measure, Reset
 from .result import ExperimentResult
 from .simulator import condition_met, format_bits, sample_final
 from .statevector import Statevector
@@ -179,34 +179,28 @@ class DensityMatrix:
 
     # -- evolution ---------------------------------------------------------------
 
-    def _apply_flat(
-        self, qubits: Sequence[int], matrix=None, operation: Optional[Instruction] = None
-    ) -> None:
-        """Apply *operation* (through the kernel dispatcher) or *matrix* to
-        *qubits* of the flattened ``2n``-qubit vector, in place."""
+    def _sandwich(self, targets: Sequence[int], gate) -> None:
+        """``rho <- U rho U^dagger`` as ``U (U rho)^dagger``, for Hermitian
+        ``rho``: *gate* (an instruction or a matrix) is lowered once, for
+        the row bits of the flattened ``2n``-qubit vector, and the step
+        runs twice."""
+        n = self.num_qubits
+        step = kernels.lower(gate, [t + n for t in targets])
         self.data = np.ascontiguousarray(self.data)
-        vector = Statevector.__new__(Statevector)  # a view: the kernels write into rho
-        vector.data, vector.num_qubits = self.data.reshape(-1), 2 * self.num_qubits
-        if operation is not None:
-            if kernels.apply_instruction(vector, operation, qubits):
-                return
-            matrix = operation.to_matrix()
-        flat = kernels.dense_apply(vector.data, vector.num_qubits, matrix, qubits)
-        self.data = flat.reshape(self.data.shape)
-
-    def _sandwich(
-        self, targets: Sequence[int], matrix=None, operation: Optional[Instruction] = None
-    ) -> None:
-        """``rho <- U rho U^dagger`` as ``U (U rho)^dagger``, for Hermitian ``rho``."""
-        rows = [t + self.num_qubits for t in targets]
-        self._apply_flat(rows, matrix, operation)
+        kernels.apply_step(self.data.reshape(1, -1), step)
         adjoint = np.empty_like(self.data)
         np.conjugate(self.data.T, out=adjoint)
         self.data = adjoint
-        self._apply_flat(rows, matrix, operation)
+        kernels.apply_step(self.data.reshape(1, -1), step)
 
     def _apply_channel(self, superoperator: np.ndarray, targets: Sequence[int]) -> None:
-        self._apply_flat([t + self.num_qubits for t in targets] + list(targets), superoperator)
+        # a superoperator is not unitary and runs on dense_apply's matrix
+        # product: the engine's noisy seed streams rest on its arithmetic
+        n = self.num_qubits
+        self.data = np.ascontiguousarray(self.data)
+        qubits = [t + n for t in targets] + list(targets)
+        flat = kernels.dense_apply(self.data.reshape(-1), 2 * n, superoperator, qubits)
+        self.data = flat.reshape(self.data.shape)
 
     def _check_operator(self, matrix: np.ndarray, targets: Sequence[int]) -> np.ndarray:
         matrix = np.asarray(matrix, dtype=complex)
@@ -593,7 +587,7 @@ class DensityMatrixSimulator:
             return DensityMatrix.from_statevector(pure)
         if not op.is_unitary:
             raise SimulationError(f"cannot simulate instruction {op.name!r}")
-        state._sandwich(targets, operation=op)
+        state._sandwich(targets, op)
         channel = self._channels.get(min(len(targets), 2))
         if channel is not None:
             for qubit in targets:

@@ -13,10 +13,8 @@ The module exposes:
   :func:`u3`, ...),
 * combinators (:func:`controlled`, :func:`expand`) used by the circuit IR and
   the transpiler,
-* :data:`GATE_REGISTRY`, mapping canonical gate names to matrix factories,
-  which the simulator uses to resolve instructions,
-* :data:`DIAGONAL_GATES` and :data:`CONTROLLED_GATES`, structural metadata
-  consumed by the fast-path kernels in :mod:`repro.qsim.kernels`.
+* :data:`GATE_REGISTRY`, mapping canonical gate names to their arity and
+  matrix factory, which the simulator uses to resolve instructions.
 """
 
 from __future__ import annotations
@@ -64,8 +62,6 @@ __all__ = [
     "is_unitary",
     "gate_matrix",
     "GATE_REGISTRY",
-    "DIAGONAL_GATES",
-    "CONTROLLED_GATES",
 ]
 
 _SQRT2_INV = 1.0 / math.sqrt(2.0)
@@ -293,74 +289,6 @@ GATE_REGISTRY: Dict[str, tuple] = {
     "rzz": (2, _parametric(rzz, 1)),
     "ccx": (3, _fixed(CCX)),
     "cswap": (3, _fixed(CSWAP)),
-}
-
-
-# ---------------------------------------------------------------------------
-# Structural metadata for the fast-path kernels
-# ---------------------------------------------------------------------------
-
-def _fixed_diag(diag: Sequence[complex]) -> Callable[..., np.ndarray]:
-    arr = np.asarray(diag, dtype=complex)
-
-    def factory(*params: float) -> np.ndarray:
-        if params:
-            raise ValueError("gate takes no parameters")
-        return arr
-
-    return factory
-
-
-def _rz_diag(theta: float) -> np.ndarray:
-    return np.array([cmath.exp(-0.5j * theta), cmath.exp(0.5j * theta)])
-
-
-def _phase_diag(lam: float) -> np.ndarray:
-    return np.array([1.0, cmath.exp(1j * lam)])
-
-
-def _crz_diag(theta: float) -> np.ndarray:
-    return np.array([1.0, 1.0, cmath.exp(-0.5j * theta), cmath.exp(0.5j * theta)])
-
-
-def _cphase_diag(lam: float) -> np.ndarray:
-    return np.array([1.0, 1.0, 1.0, cmath.exp(1j * lam)])
-
-
-def _rzz_diag(theta: float) -> np.ndarray:
-    minus = cmath.exp(-0.5j * theta)
-    plus = cmath.exp(0.5j * theta)
-    return np.array([minus, plus, plus, minus])
-
-
-#: Maps the names of diagonal gates to factories returning their diagonal as a
-#: 1-D array, indexed with the same convention as the full matrices (the first
-#: target qubit is the most significant bit).
-DIAGONAL_GATES: Dict[str, Callable[..., np.ndarray]] = {
-    "id": _fixed_diag([1, 1]),
-    "z": _fixed_diag([1, -1]),
-    "s": _fixed_diag([1, 1j]),
-    "sdg": _fixed_diag([1, -1j]),
-    "t": _fixed_diag([1, cmath.exp(1j * math.pi / 4)]),
-    "tdg": _fixed_diag([1, cmath.exp(-1j * math.pi / 4)]),
-    "rz": _parametric(_rz_diag, 1),
-    "p": _parametric(_phase_diag, 1),
-    "cz": _fixed_diag([1, 1, 1, -1]),
-    "crz": _parametric(_crz_diag, 1),
-    "cp": _parametric(_cphase_diag, 1),
-    "rzz": _parametric(_rzz_diag, 1),
-}
-
-#: Maps the names of controlled gates with a single-qubit base to
-#: ``(num_controls, base_matrix_factory)``.  Diagonal controlled gates (``cz``,
-#: ``crz``, ``cp``) are deliberately absent: the diagonal kernel is cheaper.
-CONTROLLED_GATES: Dict[str, tuple] = {
-    "cx": (1, _fixed(X)),
-    "cy": (1, _fixed(Y)),
-    "ch": (1, _fixed(H)),
-    "crx": (1, _parametric(rx, 1)),
-    "cry": (1, _parametric(ry, 1)),
-    "ccx": (2, _fixed(X)),
 }
 
 

@@ -78,9 +78,19 @@ class Instruction:
 
 
 class Gate(Instruction):
-    """A named unitary gate resolved through :data:`repro.qsim.gates.GATE_REGISTRY`."""
+    """A named unitary gate resolved through :data:`repro.qsim.gates.GATE_REGISTRY`.
+
+    A registry gate must be declared with its registered arity: every engine
+    and the Clifford classifier read the gate by its name, so a ``z`` declared
+    on two qubits is rejected here, once, rather than run differently by each.
+    """
 
     def __init__(self, name: str, num_qubits: int, params: Sequence[float] | None = None):
+        entry = gates.GATE_REGISTRY.get(name)
+        if entry is not None and entry[0] != num_qubits:
+            raise CircuitError(
+                f"gate {name!r} acts on {entry[0]} qubit(s), not {num_qubits}"
+            )
         super().__init__(name, num_qubits, 0, params)
 
     @property

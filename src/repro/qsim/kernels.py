@@ -1,67 +1,66 @@
-"""Specialized in-place gate kernels and the fast-path dispatcher.
+"""The gate kernels shared by every dense engine.
 
-The generic :meth:`repro.qsim.statevector.Statevector.apply_unitary` pays for
-two full tensor transpositions (``moveaxis`` + contiguity copies) per gate.
-The kernels in this module exploit the structure of the hot gate shapes so a
-gate costs at most one vectorised pass over the statevector and no transpose:
+A gate is *lowered* once into a **step** -- a plain tuple whose element 0
+names its kind -- and the step is applied in place to every row of a
+``(rows, 2^n)`` array of amplitudes.  A single state is a one-row view of
+the same kernels, so the sampled statevector path, the batched trajectory
+executor (:mod:`repro.qsim.shotbatch`), the density matrix's ``2n``-qubit
+vector, the language's live state and :meth:`Statevector.apply_unitary`
+all run one kernel set.  The step kinds:
 
-* :func:`apply_single_qubit` -- any 1-qubit unitary via strided slice
-  arithmetic on a 3-axis view ``(high, 2, low)`` of the flat state,
-* :func:`apply_diagonal` -- diagonal gates (``z``, ``s``, ``t``, ``rz``,
-  ``cz``, ``cp``, multi-controlled phases, ...) as pure phase multiplies on
-  basis-aligned slices, skipping unit phases entirely (dense diagonals go
-  through a single broadcast multiply instead of a per-entry loop),
-* :func:`apply_controlled` -- controlled-1q gates (``cx``, ``ch``, ``crx``,
-  ``ccx``, ``mcx`` ...) touching only the control-satisfied ``1/2^c`` fraction
-  of the amplitudes,
-* :func:`apply_two_qubit` -- dense 2-qubit unitaries (including the fused
-  blocks produced by :mod:`repro.qsim.fusion`) without ``moveaxis``,
-* :func:`apply_swap` -- (controlled) qubit swaps as slice exchanges.
+* ``("diag", shape, entries, lookup)`` -- one slice multiply per non-unit
+  diagonal entry (``z``, ``s``, ``t``, ``rz``, ``cz``, ``cp``, ``mcz``, ...);
+* ``("diag_full", factor)`` -- a diagonal whose entries cover much of the
+  state, baked into one ``(2^n,)`` factor and applied as a single
+  contiguous broadcast multiply;
+* ``("perm", shape, indices, moves, lookup)`` -- a monomial gate (``x``,
+  ``cx``, ``swap``, ``iswap``, ``ccx``, ...): snapshot the moved slices,
+  then one (scaled) copy per output slice;
+* ``("dense", shape, indices, rows)`` -- any other unitary, as
+  scalar-times-slice accumulation over its nonzero entries;
+* ``("wide", matrix, targets)`` -- a non-controlled unitary wider than
+  :data:`MAX_LOWERED_QUBITS`, row by row through :func:`dense_apply`.
 
-:func:`apply_instruction` / :func:`apply_named_gate` are the dispatch layer:
-they inspect an instruction (or gate name) and route it to the cheapest
-kernel, returning ``False`` when only the generic path can handle it.  The
-statevector and density-matrix engines, the language's circuit handler and
-the benchmarks all dispatch through here.  :func:`basis_table` /
-:func:`is_monomial` classify the gates that keep a basis state a basis state,
-which both dense engines run on basis rows or populations instead of
-amplitudes.
+``shape`` gives every qubit the gate touches its own length-2 axis and
+leaves the leading block axis to ``reshape`` (``-1``), so one step fits any
+register width; ``indices`` select the slice of each matrix index.  A
+:class:`~repro.qsim.instruction.ControlledGate` wider than
+:data:`MAX_LOWERED_QUBITS` lowers its base gate with the control axes
+pinned to 1, so a 20-control ``mcx`` touches only its ``1/2^20`` slice and
+never builds its matrix.  The arithmetic is elementwise in a fixed order,
+never a BLAS product across rows, so every row computes exactly what a
+one-row application would (the batched executor's bit-identity contract).
 
-Temporaries come from :func:`scratch`, a per-thread pool of reusable
-buffers, so no gate allocates half-state temporaries.
+:func:`lower` memoises the width-independent steps in a bounded memo keyed
+on the matrix bytes and the targets.  A ``diag_full`` factor holds ``2^n``
+amplitudes: it is built only for a plan that applies the step to many rows
+(the batched executor), on every call, and never memoised.
+:func:`apply_gate` is the single-state entry point (:func:`lower`, then
+:func:`apply_step`).
 
-All kernels mutate the underlying buffer in place and assume the caller
-(:class:`~repro.qsim.statevector.Statevector`) has validated qubit indices
-and operator shapes.
+:func:`basis_table` / :func:`is_monomial` classify the gates that keep a
+basis state a basis state, which both dense engines run on basis rows or
+populations instead of amplitudes.  Temporaries come from :func:`scratch`,
+a per-thread pool of reusable buffers, so no gate allocates half-state
+temporaries.
 """
 
 from __future__ import annotations
 
 import functools
 import threading
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import gates
-from .instruction import (
-    Barrier,
-    ControlledGate,
-    Gate,
-    Instruction,
-    Measure,
-    Reset,
-    UnitaryGate,
-)
+from .exceptions import SimulationError
+from .instruction import Barrier, ControlledGate, Instruction, Measure, Reset
 
 __all__ = [
-    "apply_single_qubit",
-    "apply_two_qubit",
-    "apply_diagonal",
-    "apply_controlled",
-    "apply_swap",
-    "apply_named_gate",
-    "apply_instruction",
+    "MAX_LOWERED_QUBITS",
+    "lower",
+    "apply_step",
+    "apply_gate",
     "dense_apply",
     "basis_table",
     "gate_basis_table",
@@ -71,11 +70,11 @@ __all__ = [
     "scratch",
 ]
 
-#: diagonal and monomial detection is only attempted for operators up to
-#: this many qubits (must cover the simulator's fusion budget so fused runs
-#: of phase gates keep executing on the diagonal kernel; the check itself is
-#: a cheap count_nonzero on at most a 64x64 matrix)
-_MAX_DIAG_CHECK_QUBITS = 6
+#: widest gate lowered to a diag / perm / dense step (2^k slices per gate)
+#: and classified as monomial; wider non-controlled unitaries are ``wide``
+#: steps.  Covers the simulator's fusion budget, so fused runs of phase
+#: gates stay diagonal.
+MAX_LOWERED_QUBITS = 6
 
 
 _SCRATCH = threading.local()
@@ -87,8 +86,10 @@ def scratch(shape: Tuple[int, ...], count: int = 3) -> tuple:
     The buffers are views into one per-thread pool that grows on demand: no
     kernel allocates temporaries per gate, independent simulators on
     different threads never share a buffer (numpy releases the GIL
-    mid-kernel), and a thread retains at most ~1.5x the largest state it has
-    simulated.  Each kernel uses the views within a single call only.
+    mid-kernel), and a thread retains at most about twice the largest state
+    (or batch) it has simulated: a one-qubit ``dense`` step snapshots both
+    halves and sums into two more.  Each kernel uses the views within a
+    single call only.
     """
     per_buffer = 1
     for dim in shape:
@@ -101,49 +102,11 @@ def scratch(shape: Tuple[int, ...], count: int = 3) -> tuple:
     )
 
 
-def _qubit_view(data, num_qubits: int, qubits: Sequence[int]):
-    """Reshape *data* so every qubit in *qubits* owns a length-2 axis.
-
-    Returns ``(view, axes)`` where ``axes[q]`` is the axis of qubit ``q`` in
-    the returned view.  The reshape is always a view: slicing it with basic
-    indexing yields writable windows into the original buffer.
-    """
-    ordered = sorted(qubits)
-    shape = []
-    low = 0
-    for q in ordered:
-        shape.append(1 << (q - low))
-        shape.append(2)
-        low = q + 1
-    shape.append(1 << (num_qubits - low))
-    shape.reverse()
-    view = data.reshape(shape)
-    ndim = len(shape)
-    axes = {q: ndim - 2 - 2 * i for i, q in enumerate(ordered)}
-    return view, axes
-
-
-def _is_x_matrix(matrix) -> bool:
-    return (
-        matrix[0, 0] == 0
-        and matrix[1, 1] == 0
-        and matrix[0, 1] == 1
-        and matrix[1, 0] == 1
-    )
-
-
-#: below this inner-slice length the strided kernels lose to a BLAS matmul
-_MIN_STRIDE = 16
-#: with at most this many leading blocks a per-block matmul is cheapest
-_MAX_GEMM_BLOCKS = 32
-
-
 def dense_apply(data, num_qubits: int, matrix, targets):
     """moveaxis/reshape + BLAS application; returns a new contiguous array.
 
-    The single implementation of the generic dense path:
-    :meth:`Statevector.apply_unitary` rebinds its buffer to the result, while
-    :func:`apply_two_qubit` copies it back in place.
+    What a ``wide`` step runs on each row, and the reference the kernel
+    tests compare every step against.
     """
     k = len(targets)
     axes = [num_qubits - 1 - t for t in targets]
@@ -154,252 +117,6 @@ def dense_apply(data, num_qubits: int, matrix, targets):
     flat = matrix @ flat
     flat = flat.reshape((2,) * k + tail_shape)
     return np.ascontiguousarray(np.moveaxis(flat, range(k), axes).reshape(-1))
-
-
-def apply_single_qubit(data, num_qubits: int, matrix, qubit: int) -> None:
-    """Apply a 2x2 unitary to *qubit* in place without a full-tensor transpose.
-
-    Three regimes, chosen by where the qubit sits in the flat index:
-
-    * high qubits (few leading blocks): one BLAS matmul per ``(2, low)`` block,
-    * low qubits (tiny inner stride): one packed matmul against
-      ``kron(matrix, I_low)`` -- strided slicing would thrash on short runs,
-    * middle qubits: scalar-times-slice arithmetic on the ``(high, 2, low)``
-      view, the cheapest path when the inner runs are long enough to vectorise.
-    """
-    low = 1 << qubit
-    high = data.size >> (qubit + 1)
-    view = data.reshape(-1, 2, low)
-    if _is_x_matrix(matrix):
-        a0 = view[:, 0, :]
-        a1 = view[:, 1, :]
-        (tmp,) = scratch(a1.shape, 1)
-        np.copyto(tmp, a1)
-        view[:, 1, :] = a0
-        view[:, 0, :] = tmp
-        return
-    if high <= _MAX_GEMM_BLOCKS:
-        for block in view:
-            block[:] = matrix @ block
-        return
-    if low < _MIN_STRIDE:
-        expanded = np.kron(matrix, np.eye(low, dtype=complex))
-        packed = data.reshape(-1, 2 * low)
-        packed[:] = packed @ expanded.T
-        return
-    a0 = view[:, 0, :]
-    a1 = view[:, 1, :]
-    s0, s1, s2 = scratch((high, low))
-    np.multiply(a0, matrix[0, 0], out=s0)
-    np.multiply(a1, matrix[0, 1], out=s1)
-    np.add(s0, s1, out=s0)
-    np.multiply(a0, matrix[1, 0], out=s1)
-    np.multiply(a1, matrix[1, 1], out=s2)
-    np.add(s1, s2, out=s1)
-    view[:, 0, :] = s0
-    view[:, 1, :] = s1
-
-
-#: sparse/dense crossover for :func:`apply_diagonal`: with more non-unit
-#: entries than this fraction of the diagonal, one broadcast multiply over
-#: the whole state beats per-entry slice writes
-_DIAG_DENSE_MIN_ENTRIES = 4
-
-
-def apply_diagonal(data, num_qubits: int, diag, targets: Sequence[int]) -> None:
-    """Multiply basis-aligned slices by the entries of a diagonal gate.
-
-    ``diag[v]`` multiplies the amplitudes whose *targets* bits spell the value
-    ``v`` with ``targets[0]`` as the most significant bit (the package's
-    matrix-index convention).  Sparse diagonals such as ``cz`` or a
-    multi-controlled phase skip unit entries entirely and cost a single slice
-    multiply over their control-satisfied subspace; *dense* diagonals (fused
-    phase runs, ``rzz``-style products) are applied as one broadcast multiply
-    over the full state instead of one strided write per non-unit entry.
-    """
-    k = len(targets)
-    if k == 1:
-        low = 1 << targets[0]
-        view = data.reshape(-1, 2, low)
-        if diag[0] != 1:
-            view[:, 0, :] *= diag[0]
-        if diag[1] != 1:
-            view[:, 1, :] *= diag[1]
-        return
-    view, axes = _qubit_view(data, num_qubits, targets)
-    ndim = view.ndim
-    nonunit = np.flatnonzero(diag != 1)
-    if nonunit.size > _DIAG_DENSE_MIN_ENTRIES and 2 * int(nonunit.size) >= diag.size:
-        # dense diagonal: broadcast the 2^k entries against the state's qubit
-        # axes and multiply once.  Unit entries multiply by exactly 1.0, which
-        # is an exact IEEE operation, so this stays bit-identical to the
-        # sparse path.  ``diag`` axis j belongs to targets[j] (MSB first);
-        # transpose into ascending view-axis order before aligning.
-        tensor = diag.reshape((2,) * k)
-        perm = sorted(range(k), key=lambda j: axes[targets[j]])
-        bshape = [1] * ndim
-        for target in targets:
-            bshape[axes[target]] = 2
-        view *= tensor.transpose(perm).reshape(bshape)
-        return
-    # iterate only the non-unit entries: a multi-controlled phase has one,
-    # so e.g. a 21-control mcz costs a single slice multiply instead of a
-    # 2^22-iteration Python loop
-    for value in nonunit:
-        value = int(value)
-        index = [slice(None)] * ndim
-        for position, target in enumerate(targets):
-            index[axes[target]] = (value >> (k - 1 - position)) & 1
-        view[tuple(index)] *= diag[value]
-
-
-def apply_controlled(
-    data,
-    num_qubits: int,
-    matrix,
-    controls: Sequence[int],
-    target: int,
-) -> None:
-    """Apply a 2x2 unitary to *target* on the slice where all *controls* are 1."""
-    if not controls:
-        apply_single_qubit(data, num_qubits, matrix, target)
-        return
-    view, axes = _qubit_view(data, num_qubits, (*controls, target))
-    base = [slice(None)] * view.ndim
-    for control in controls:
-        base[axes[control]] = 1
-    index0 = list(base)
-    index0[axes[target]] = 0
-    index1 = list(base)
-    index1[axes[target]] = 1
-    index0 = tuple(index0)
-    index1 = tuple(index1)
-    a0 = view[index0]
-    a1 = view[index1]
-    if _is_x_matrix(matrix):
-        (tmp,) = scratch(a1.shape, 1)
-        np.copyto(tmp, a1)
-        view[index1] = a0
-        view[index0] = tmp
-        return
-    if matrix[0, 1] == 0 and matrix[1, 0] == 0:
-        # diagonal base (controlled-Z/P/RZ, mcz, mcp): pure phase multiplies
-        # on the control-satisfied slices, no scratch needed
-        if matrix[0, 0] != 1:
-            a0 *= matrix[0, 0]
-        if matrix[1, 1] != 1:
-            a1 *= matrix[1, 1]
-        return
-    s0, s1, s2 = scratch(a0.shape)
-    np.multiply(a0, matrix[0, 0], out=s0)
-    np.multiply(a1, matrix[0, 1], out=s1)
-    np.add(s0, s1, out=s0)
-    np.multiply(a0, matrix[1, 0], out=s1)
-    np.multiply(a1, matrix[1, 1], out=s2)
-    np.add(s1, s2, out=s1)
-    view[index0] = s0
-    view[index1] = s1
-
-
-def apply_two_qubit(
-    data,
-    num_qubits: int,
-    matrix,
-    target0: int,
-    target1: int,
-) -> None:
-    """Apply a dense 4x4 unitary to ``(target0, target1)`` without transposes.
-
-    *target0* is the most significant bit of the matrix index, matching
-    :meth:`Statevector.apply_unitary`.  The strided slice path only pays off
-    for sparse matrices (permutation-like gates, controlled rotations); dense
-    matrices and low-qubit layouts go through one packed BLAS matmul instead.
-    """
-    if (1 << min(target0, target1)) < _MIN_STRIDE or np.count_nonzero(matrix) > 8:
-        data[:] = dense_apply(data, num_qubits, matrix, (target0, target1))
-        return
-    view, axes = _qubit_view(data, num_qubits, (target0, target1))
-    ndim = view.ndim
-    slices = []
-    indices = []
-    for value in range(4):
-        index = [slice(None)] * ndim
-        index[axes[target0]] = (value >> 1) & 1
-        index[axes[target1]] = value & 1
-        index = tuple(index)
-        indices.append(index)
-        slices.append(view[index])
-    buffers = scratch(slices[0].shape, 5)
-    tmp = buffers[4]
-    updated = []
-    for row in range(4):
-        acc = None
-        for col in range(4):
-            entry = matrix[row, col]
-            if entry == 0:
-                continue
-            if acc is None:
-                acc = buffers[row]
-                np.multiply(slices[col], entry, out=acc)
-            else:
-                np.multiply(slices[col], entry, out=tmp)
-                np.add(acc, tmp, out=acc)
-        updated.append(acc)
-    for row in range(4):
-        if updated[row] is None:
-            view[indices[row]] = 0.0
-        else:
-            view[indices[row]] = updated[row]
-
-
-def apply_swap(
-    data,
-    num_qubits: int,
-    qubit1: int,
-    qubit2: int,
-    controls: Sequence[int] = (),
-    phase: complex = 1.0,
-) -> None:
-    """Exchange the |01> and |10> slices of two qubits (optionally controlled).
-
-    *phase* multiplies the exchanged amplitudes, so ``phase=1j`` implements
-    the ``iswap`` gate.
-    """
-    view, axes = _qubit_view(data, num_qubits, (*controls, qubit1, qubit2))
-    base = [slice(None)] * view.ndim
-    for control in controls:
-        base[axes[control]] = 1
-    index01 = list(base)
-    index01[axes[qubit1]] = 0
-    index01[axes[qubit2]] = 1
-    index10 = list(base)
-    index10[axes[qubit1]] = 1
-    index10[axes[qubit2]] = 0
-    index01 = tuple(index01)
-    index10 = tuple(index10)
-    (tmp,) = scratch(view[index01].shape, 1)
-    np.copyto(tmp, view[index01])
-    if phase == 1.0:
-        view[index01] = view[index10]
-        view[index10] = tmp
-    else:
-        view[index01] = phase * view[index10]
-        view[index10] = phase * tmp
-
-
-# ---------------------------------------------------------------------------
-# Dispatch layer
-# ---------------------------------------------------------------------------
-
-def _matrix_diagonal(matrix):
-    """The diagonal of *matrix* if it is exactly diagonal, else ``None``."""
-    dim = matrix.shape[0]
-    if dim > (1 << _MAX_DIAG_CHECK_QUBITS):
-        return None
-    diag = np.diagonal(matrix)
-    if np.count_nonzero(matrix) != np.count_nonzero(diag):
-        return None
-    return diag
 
 
 def basis_table(matrix):
@@ -449,7 +166,7 @@ def gate_basis_table(operation: Instruction):
     """:func:`basis_table` of a unitary *operation*, or ``None`` when it is
     not unitary, not monomial, or wider than the engines lower to a table
     (the diagonal-detection bound: its matrix is never built)."""
-    if not operation.is_unitary or operation.num_qubits > _MAX_DIAG_CHECK_QUBITS:
+    if not operation.is_unitary or operation.num_qubits > MAX_LOWERED_QUBITS:
         return None
     return basis_table(operation.to_matrix())
 
@@ -497,103 +214,231 @@ def is_monomial(operation: Instruction) -> bool:
     return gate_basis_table(operation) is not None
 
 
-def apply_named_gate(
-    state,
-    name: str,
-    params: Sequence[float],
-    targets: Sequence[int],
-) -> bool:
-    """Apply the named gate through a specialized kernel if one exists.
+# ---------------------------------------------------------------------------
+# Steps: lowering and the step kernels
+# ---------------------------------------------------------------------------
 
-    *state* is a :class:`~repro.qsim.statevector.Statevector`.  Returns
-    ``True`` when a kernel handled the gate, ``False`` when the caller must
-    fall back to the generic :meth:`Statevector.apply_unitary` path.  A gate
-    whose declared operand count does not match its registry arity also
-    returns ``False``, so the fallback raises the same shape error the
-    generic path always has instead of corrupting the state.
+
+def _axis_layout(qubits: Sequence[int]):
+    """The view giving every qubit in *qubits* its own length-2 axis: its
+    shape without the leading row axis (the highest block left to
+    ``reshape`` as ``-1``), the axis map ``axes[q]`` into the view with the
+    row axis, and that view's dimension count."""
+    ordered = sorted(qubits)
+    shape = []
+    low = 0
+    for q in ordered:
+        shape.append(1 << (q - low))
+        shape.append(2)
+        low = q + 1
+    shape.append(-1)
+    shape.reverse()
+    ndim = len(shape) + 1  # + leading row axis
+    axes = {q: ndim - 2 - 2 * i for i, q in enumerate(ordered)}
+    return tuple(shape), axes, ndim
+
+
+def _value_index(base: list, axes, targets: Sequence[int], value: int) -> tuple:
+    """The view index *base* with the *targets* axes selecting the slice
+    whose bits spell *value* (``targets[0]`` most significant, matching the
+    matrix convention)."""
+    k = len(targets)
+    index = list(base)
+    for position, target in enumerate(targets):
+        index[axes[target]] = (value >> (k - 1 - position)) & 1
+    return tuple(index)
+
+
+def _lower_matrix(matrix: np.ndarray, targets: tuple, controls: tuple) -> Tuple[tuple, bool]:
+    """*matrix* on *targets*, on the slice where every qubit of *controls*
+    reads 1, as a ``diag`` / ``perm`` / ``dense`` step with its indices
+    baked in; plus whether a ``diag`` step runs as a ``diag_full`` factor.
+
+    A control-pinned step carries no basis lookup (basis rows never run it).
     """
-    data, num_qubits = state.data, state.num_qubits
-    entry = gates.GATE_REGISTRY.get(name)
-    if entry is not None and entry[0] != len(targets):
-        return False
-    diag_factory = gates.DIAGONAL_GATES.get(name)
-    if diag_factory is not None:
-        diag = diag_factory(*params)
-        if diag.size != 1 << len(targets):
-            return False
-        apply_diagonal(data, num_qubits, diag, targets)
-        return True
-    controlled = gates.CONTROLLED_GATES.get(name)
-    if controlled is not None:
-        num_controls, base_factory = controlled
-        if len(targets) != num_controls + 1:
-            return False
-        apply_controlled(
-            data,
-            num_qubits,
-            base_factory(*params),
-            targets[:num_controls],
-            targets[num_controls],
+    qubits = controls + targets
+    shape, axes, ndim = _axis_layout(qubits)
+    base: list = [slice(None)] * ndim
+    for control in controls:
+        base[axes[control]] = 1
+    dim = matrix.shape[0]
+    indices = [_value_index(base, axes, targets, value) for value in range(dim)]
+    table = basis_table(matrix)
+    if table is None:
+        rows = [
+            (row, [(col, matrix[row, col]) for col in range(dim) if matrix[row, col] != 0])
+            for row in range(dim)
+        ]
+        return ("dense", shape, indices, rows), False
+    dest, factor = table
+    lookup = None if controls else basis_lookup(table, targets)
+    if np.array_equal(dest, np.arange(dim)):  # diagonal
+        entries = [(indices[v], factor[v]) for v in np.flatnonzero(factor != 1).tolist()]
+        # Low-qubit slices have short strided runs that thrash; when the
+        # entries cover a large fraction of the state anyway, bake the whole
+        # diagonal into one (2^n,) factor and apply it as a single contiguous
+        # broadcast multiply.  Untouched amplitudes multiply by exactly 1.0,
+        # so the result stays bitwise identical to the per-entry slices.  A
+        # control-pinned diagonal covers at most half the state: slices.
+        full = bool(entries) and not controls and (
+            len(entries) > 4 or ((1 << min(targets)) < 32 and 4 * len(entries) >= dim)
         )
-        return True
-    if name == "swap" and len(targets) == 2:
-        apply_swap(data, num_qubits, targets[0], targets[1])
-        return True
-    if name == "iswap" and len(targets) == 2:
-        apply_swap(data, num_qubits, targets[0], targets[1], phase=1j)
-        return True
-    if name == "cswap" and len(targets) == 3:
-        apply_swap(data, num_qubits, targets[1], targets[2], controls=(targets[0],))
-        return True
-    if entry is not None:
-        arity, factory = entry
-        if arity == 1:
-            apply_single_qubit(data, num_qubits, factory(*params), targets[0])
-            return True
-        if arity == 2:
-            apply_two_qubit(data, num_qubits, factory(*params), targets[0], targets[1])
-            return True
-    return False
+        return ("diag", shape, entries, lookup), full
+    # permutation-like gate (x, cx, swap, iswap, cy, ...): each output slice
+    # is one scaled input slice -- snapshot + write, no accumulate.  Identity
+    # moves (the control-0 slices of a cx) are dropped so the gate only
+    # touches the slices it permutes.
+    moves = [
+        (int(dest[col]), col, factor[col])
+        for col in range(dim)
+        if not (dest[col] == col and factor[col] == 1)
+    ]
+    return ("perm", shape, indices, moves, lookup), False
 
 
-def apply_instruction(state, operation: Instruction, targets: Sequence[int]) -> bool:
-    """Fast-path dispatch for a bound circuit instruction.
+#: widest matrix whose step is memoised, and how many steps the memo keeps:
+#: a 4-qubit dense step (the fusion budget's widest) holds 256 entries, so
+#: the memo stays within a few MB
+_MAX_MEMO_STEP_DIM = 16
+_STEP_MEMO_SIZE = 256
 
-    Routes *operation* to the cheapest kernel based on its structure; returns
-    ``False`` (without touching the state) when only the generic
-    ``apply_unitary`` fallback can simulate it.
+
+@functools.lru_cache(maxsize=_STEP_MEMO_SIZE)
+def _memo_step(data: bytes, dim: int, targets: tuple, controls: tuple) -> Tuple[tuple, bool]:
+    return _lower_matrix(np.frombuffer(data, dtype=complex).reshape(dim, dim), targets, controls)
+
+
+def lower(gate, targets: Sequence[int], num_qubits: Optional[int] = None) -> tuple:
+    """*gate* -- an :class:`~repro.qsim.instruction.Instruction` or a
+    ``2^k x 2^k`` matrix -- on the qubits *targets*, as one step (see the
+    module docstring).
+
+    Raises :class:`SimulationError` when the matrix does not match the
+    targets.  A :class:`ControlledGate` wider than
+    :data:`MAX_LOWERED_QUBITS` is lowered as its base gate with the control
+    axes pinned to 1.  Steps of matrices up to 4 qubits come from a bounded
+    memo.  Given the state's *num_qubits*, a diagonal whose entries cover
+    much of the state comes back as a ``diag_full`` factor, built on every
+    call: worth it for a step applied to many rows or batches (the batched
+    executor's plan), not for one application.
     """
-    if not operation.is_unitary:
-        return False
-    if len(targets) != operation.num_qubits:
-        return False
-    data, num_qubits = state.data, state.num_qubits
-    if isinstance(operation, ControlledGate):
-        base = operation.base_gate
-        # a UnitaryGate's name is a free-form label, so only its matrix (never
-        # its name) may be trusted for structure detection
-        if base.num_qubits == 1:
-            # diagonal bases are caught by apply_controlled's phase special
-            # case, so a single dispatch covers mcz/mcp/crz and dense bases
-            apply_controlled(data, num_qubits, base.to_matrix(), targets[:-1], targets[-1])
-            return True
-        if base.name == "swap" and not isinstance(base, UnitaryGate):
-            apply_swap(data, num_qubits, targets[-2], targets[-1], controls=targets[:-2])
-            return True
-        return False
-    if isinstance(operation, UnitaryGate):
-        matrix = operation.to_matrix()
-        if operation.num_qubits == 1:
-            apply_single_qubit(data, num_qubits, matrix, targets[0])
-            return True
-        diag = _matrix_diagonal(matrix)
-        if diag is not None:
-            apply_diagonal(data, num_qubits, diag, targets)
-            return True
-        if operation.num_qubits == 2:
-            apply_two_qubit(data, num_qubits, matrix, targets[0], targets[1])
-            return True
-        return False
-    if isinstance(operation, Gate):
-        return apply_named_gate(state, operation.name, operation.params, targets)
-    return False
+    targets = tuple(targets)
+    controls: tuple = ()
+    if isinstance(gate, Instruction):
+        if (
+            isinstance(gate, ControlledGate)
+            and gate.num_qubits > MAX_LOWERED_QUBITS
+            and gate.base_gate.num_qubits <= MAX_LOWERED_QUBITS
+        ):
+            controls, targets = targets[: gate.num_controls], targets[gate.num_controls :]
+            gate = gate.base_gate
+        gate = gate.to_matrix()
+    matrix = np.asarray(gate, dtype=complex)
+    if matrix.shape != (1 << len(targets),) * 2:
+        raise SimulationError(
+            f"matrix shape {matrix.shape} does not match {len(targets)} target qubits"
+        )
+    if len(targets) > MAX_LOWERED_QUBITS:
+        return ("wide", matrix, targets)
+    if matrix.shape[0] <= _MAX_MEMO_STEP_DIM:
+        step, full = _memo_step(matrix.tobytes(), matrix.shape[0], targets, controls)
+    else:
+        step, full = _lower_matrix(matrix, targets, controls)
+    if not full or num_qubits is None:
+        return step
+    factor = np.ones(1 << num_qubits, dtype=complex)
+    view = factor.reshape((1, *step[1]))
+    for index, value in step[2]:
+        view[index] = value
+    return ("diag_full", factor)
+
+
+def _apply_diag_batched(states, shape, entries) -> None:
+    """Per-entry slice phase multiplies over the whole batch (unit entries
+    were dropped at lowering time)."""
+    view = states.reshape((states.shape[0], *shape))
+    for index, value in entries:
+        view[index] *= value
+
+
+def _apply_diag_full_batched(states, factor) -> None:
+    """One contiguous broadcast multiply of a full-state diagonal factor."""
+    np.multiply(states, factor, out=states)
+
+
+def _apply_perm_batched(states, shape, indices, moves) -> None:
+    """Permutation gate: snapshot every source slice, then one write per row.
+
+    ``entry`` is always unit-modulus here; a plain ``copyto`` handles the
+    ``entry == 1`` case and a single scalar multiply the phased ones, so the
+    whole gate costs two passes over its slices instead of the generic
+    multiply-accumulate's four-plus.
+    """
+    view = states.reshape((states.shape[0], *shape))
+    touched = sorted({col for _, col, _ in moves})
+    slot = {col: i for i, col in enumerate(touched)}
+    buffers = scratch(view[indices[0]].shape, max(len(touched), 1))
+    for col in touched:
+        np.copyto(buffers[slot[col]], view[indices[col]])
+    for row, col, entry in moves:
+        if entry == 1:
+            np.copyto(view[indices[row]], buffers[slot[col]])
+        else:
+            np.multiply(buffers[slot[col]], entry, out=view[indices[row]])
+
+
+def _apply_dense_batched(states, shape, indices, rows) -> None:
+    """Scalar-times-slice accumulation of a 2^k x 2^k unitary over the batch.
+
+    Fixed accumulation order (ascending column, zeros dropped at lowering)
+    and purely elementwise arithmetic: the value computed for one shot row
+    never depends on the batch size, which is what makes every batch split
+    bit-identical.
+    """
+    view = states.reshape((states.shape[0], *shape))
+    dim = len(indices)
+    # snapshot every input slice into contiguous scratch first: the strided
+    # state memory is then read exactly once and written exactly once per
+    # gate, the multiply/add ladder runs contiguous-to-contiguous, and each
+    # output slice can be written as soon as it is summed
+    buffers = scratch(view[indices[0]].shape, dim + 2)
+    snap = buffers[:dim]
+    acc, tmp = buffers[dim], buffers[dim + 1]
+    for col in range(dim):
+        np.copyto(snap[col], view[indices[col]])
+    for row, cols in rows:
+        for position, (col, entry) in enumerate(cols):
+            if position == 0:
+                np.multiply(snap[col], entry, out=acc)
+            else:
+                np.multiply(snap[col], entry, out=tmp)
+                np.add(acc, tmp, out=acc)
+        view[indices[row]] = acc if cols else 0.0
+
+
+def apply_step(states: np.ndarray, step: tuple) -> None:
+    """Apply a :func:`lower` step in place to every row of *states*, a
+    contiguous ``(rows, 2^n)`` array (a flat ``(2^n,)`` state is one row)."""
+    if states.ndim == 1:
+        states = states.reshape(1, -1)
+    kind = step[0]
+    if kind == "diag":
+        _apply_diag_batched(states, step[1], step[2])
+    elif kind == "diag_full":
+        _apply_diag_full_batched(states, step[1])
+    elif kind == "perm":
+        _apply_perm_batched(states, step[1], step[2], step[3])
+    elif kind == "dense":
+        _apply_dense_batched(states, step[1], step[2], step[3])
+    else:  # wide
+        _, matrix, targets = step
+        num_qubits = states.shape[1].bit_length() - 1
+        for row in states:
+            row[:] = dense_apply(row, num_qubits, matrix, targets)
+
+
+def apply_gate(data: np.ndarray, gate, targets: Sequence[int]) -> None:
+    """Apply *gate* (an instruction or a matrix, as for :func:`lower`) to
+    *targets* of the flat state *data* in place: the single-state entry
+    point."""
+    apply_step(data, lower(gate, targets))

@@ -1047,7 +1047,7 @@ class _QasmParser:
             for i in range(repeat):
                 qubits = [arg[i] if len(arg) > 1 else arg[0] for arg in arguments]
                 if num_controls:
-                    self._apply_controlled(
+                    self._append_controlled(
                         spec, num_controls, params, qubits, (name.line, name.column)
                     )
                 else:
@@ -1055,7 +1055,7 @@ class _QasmParser:
         except CircuitError as exc:
             raise QasmError(str(exc), name.line, name.column) from exc
 
-    def _apply_controlled(
+    def _append_controlled(
         self,
         spec: _NativeGate,
         num_controls: int,

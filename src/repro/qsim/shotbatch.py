@@ -5,10 +5,12 @@ a noise model, a mid-circuit measurement, a ``reset`` or a classically
 conditioned instruction -- runs here, all shots evolving together: one
 vectorised elementwise kernel per gate for the whole batch, noise injected by
 fancy-indexing exactly the shot rows whose pre-drawn uniforms selected an
-error.  The circuit is lowered **once** into steps that carry their
-precomputed slice indices, non-zero matrix entries and error rows;
-permutation gates (``x``, ``cx``, ``swap``, ...) take a snapshot-and-write
-path instead of the generic multiply-accumulate.  Feed-forward is row-masked:
+error.  The circuit is lowered **once** into steps: every gate through
+:func:`repro.qsim.kernels.lower`, the gate kernels every dense engine
+shares (precomputed slice indices and non-zero matrix entries; permutation
+gates such as ``x``, ``cx`` and ``swap`` snapshot and write instead of
+multiply-accumulate), every noise site into the shot rows it hits.
+Feed-forward is row-masked:
 
 * a **measurement** collapses every row against its tracked norm and writes
   the outcome into that row's classical bits;
@@ -16,8 +18,8 @@ path instead of the generic multiply-accumulate.  Feed-forward is row-masked:
 * a **conditioned** instruction gathers the rows whose register matches,
   runs its steps on them (noise included, so a skipped gate draws no error)
   and scatters them back;
-* gates wider than :data:`_MAX_BATCH_GATE_QUBITS` and ``initialize`` run
-  row by row through the single-state kernels.
+* non-controlled unitaries wider than :data:`~repro.qsim.kernels.MAX_LOWERED_QUBITS`
+  and ``initialize`` run row by row.
 
 Before any amplitude exists, the plan's leading *monomial* steps -- gates
 with one nonzero per row and column (``x``, ``cx``, ``ccx``, ``s``, ``t``,
@@ -84,10 +86,6 @@ from .statevector import Statevector
 
 __all__ = ["ineligible_reason", "run_batched", "MAX_BATCH_AMPLITUDES"]
 
-#: widest gate the batched executor accumulates (2^k slices per gate; matches
-#: the diagonal-detection bound in kernels.py); wider gates run row by row
-_MAX_BATCH_GATE_QUBITS = 6
-
 #: hard cap on simultaneous amplitudes (batch_rows * 2^n); bounds the working
 #: set of a batch plus its scratch to a few hundred MB
 MAX_BATCH_AMPLITUDES = 1 << 23
@@ -145,19 +143,14 @@ def ineligible_reason(
 # Plan construction: circuit -> steps with precomputed indexing
 # ---------------------------------------------------------------------------
 #
-# Step kinds (plain tuples; the executor switches on element 0):
-#   ("diag",    shape, [(index, scalar), ...])
-#   ("diag_full", factor)                   factor = (2^n,) per-amplitude phases
-#   ("dense",   shape, indices, rows)       rows = [(row, [(col, entry), ...])]
-#   ("perm",    shape, indices, moves)      moves = [(row, col, entry), ...]
-#   ("row",     operation, targets)         one row at a time, single-state kernels
+# Step kinds (plain tuples; the executor switches on element 0): the gate
+# steps of :func:`repro.qsim.kernels.lower` -- "diag", "diag_full", "perm",
+# "dense", "wide" -- plus
+#   ("initialize", operation, targets)      one row at a time
 #   ("noise",   qubit, [(pauli, rows_for_whole_run), ...])
 #   ("measure", qubit, clbit, uniforms)
 #   ("reset",   qubit, uniforms)
 #   ("cond",    clbits, pattern, steps)     steps run where bits[clbits] == pattern
-#
-# ``shape`` excludes the leading batch axis; every ``index`` tuple starts with
-# slice(None) for it, so the per-batch loop only reshapes and indexes.
 
 
 def _pauli_intervals(noise_model: NoiseModel) -> List[Tuple[str, float, float]]:
@@ -178,79 +171,6 @@ def _pauli_intervals(noise_model: NoiseModel) -> List[Tuple[str, float, float]]:
     if edge > 1.0 + 1e-12:
         raise SimulationError("Pauli channel probabilities exceed 1")
     return intervals
-
-
-def _axis_layout(num_qubits: int, qubits: Sequence[int]):
-    """Static version of the batch view: tensor shape (without the batch
-    axis) giving every qubit in *qubits* its own length-2 axis, plus the
-    axis map ``axes[q]`` into the batched view."""
-    ordered = sorted(qubits)
-    shape = []
-    low = 0
-    for q in ordered:
-        shape.append(1 << (q - low))
-        shape.append(2)
-        low = q + 1
-    shape.append(1 << (num_qubits - low))
-    shape.reverse()
-    ndim = len(shape) + 1  # + leading batch axis
-    axes = {q: ndim - 2 - 2 * i for i, q in enumerate(ordered)}
-    return tuple(shape), axes, ndim
-
-
-def _value_index(ndim: int, axes, targets: Sequence[int], value: int) -> tuple:
-    """The view index selecting the slice whose *targets* bits spell *value*
-    (``targets[0]`` most significant, matching the matrix convention)."""
-    k = len(targets)
-    index: list = [slice(None)] * ndim
-    for position, target in enumerate(targets):
-        index[axes[target]] = (value >> (k - 1 - position)) & 1
-    return tuple(index)
-
-
-def _lower_unitary(matrix: np.ndarray, targets: Sequence[int], num_qubits: int) -> tuple:
-    """One gate -> a ``diag`` / ``perm`` / ``dense`` step with indices baked in."""
-    shape, axes, ndim = _axis_layout(num_qubits, targets)
-    dim = matrix.shape[0]
-    table = kernels.basis_table(matrix)
-    if table is None:
-        indices = [_value_index(ndim, axes, targets, value) for value in range(dim)]
-        rows = [
-            (row, [(col, matrix[row, col]) for col in range(dim) if matrix[row, col] != 0])
-            for row in range(dim)
-        ]
-        return ("dense", shape, indices, rows)
-    dest, factor = table
-    lookup = kernels.basis_lookup(table, targets)
-    if lookup[2] is None:  # diagonal
-        entries = [
-            (_value_index(ndim, axes, targets, int(v)), factor[int(v)])
-            for v in np.flatnonzero(factor != 1)
-        ]
-        # Low-qubit slices have short strided runs that thrash; when the
-        # entries cover a large fraction of the state anyway, bake the whole
-        # diagonal into one (2^n,) factor and apply it as a single contiguous
-        # broadcast multiply.  Untouched amplitudes multiply by exactly 1.0,
-        # so the result stays bitwise identical to the per-entry slices.
-        affected = len(entries) << (num_qubits - len(targets))
-        run = 1 << min(targets)
-        if entries and (len(entries) > 4 or (run < 32 and 4 * affected >= (1 << num_qubits))):
-            full = np.ones((1, *shape), dtype=complex)
-            for index, value in entries:
-                full[index] = value
-            return ("diag_full", full.reshape(-1))
-        return ("diag", shape, entries, lookup)
-    # permutation-like gate (x, cx, swap, iswap, cy, ...): each output slice
-    # is one scaled input slice -- snapshot + write, no accumulate.  Identity
-    # moves (the control-0 slices of a cx) are dropped so the gate only
-    # touches the slices it permutes.
-    indices = [_value_index(ndim, axes, targets, value) for value in range(dim)]
-    moves = [
-        (int(dest[col]), col, factor[col])
-        for col in range(dim)
-        if not (dest[col] == col and factor[col] == 1)
-    ]
-    return ("perm", shape, indices, moves, lookup)
 
 
 def _build_plan(
@@ -284,14 +204,11 @@ def _build_plan(
         elif isinstance(op, Reset):
             steps = [("reset", targets[0], rng.random(shots))]
         elif isinstance(op, Initialize):
-            steps = [("row", op, targets)]
+            steps = [("initialize", op, targets)]
         elif not op.is_unitary:
             raise SimulationError(f"cannot simulate instruction {op.name!r}")
-        elif op.num_qubits > _MAX_BATCH_GATE_QUBITS:
-            steps = [("row", op, targets)]
         else:
-            matrix = np.asarray(op.to_matrix(), dtype=complex)
-            steps = [_lower_unitary(matrix, targets, circuit.num_qubits)]
+            steps = [kernels.lower(op, targets, circuit.num_qubits)]
         if intervals and op.is_unitary:
             for qubit in targets:
                 uniforms = rng.random(shots)
@@ -312,92 +229,13 @@ def _build_plan(
     return plan, origins
 
 
-# ---------------------------------------------------------------------------
-# Batched kernels (elementwise only -- see the module docstring)
-# ---------------------------------------------------------------------------
-
-
-def _apply_diag_batched(states, shape, entries) -> None:
-    """Per-entry slice phase multiplies over the whole batch (unit entries
-    were dropped at lowering time)."""
-    view = states.reshape((states.shape[0], *shape))
-    for index, value in entries:
-        view[index] *= value
-
-
-def _apply_diag_full_batched(states, factor) -> None:
-    """One contiguous broadcast multiply of a full-state diagonal factor."""
-    np.multiply(states, factor, out=states)
-
-
-def _apply_perm_batched(states, shape, indices, moves) -> None:
-    """Permutation gate: snapshot every source slice, then one write per row.
-
-    ``entry`` is always unit-modulus here; a plain ``copyto`` handles the
-    ``entry == 1`` case and a single scalar multiply the phased ones, so the
-    whole gate costs two passes over its slices instead of the generic
-    multiply-accumulate's four-plus.
-    """
-    view = states.reshape((states.shape[0], *shape))
-    touched = sorted({col for _, col, _ in moves})
-    slot = {col: i for i, col in enumerate(touched)}
-    buffers = kernels.scratch(view[indices[0]].shape, max(len(touched), 1))
-    for col in touched:
-        np.copyto(buffers[slot[col]], view[indices[col]])
-    for row, col, entry in moves:
-        if entry == 1:
-            np.copyto(view[indices[row]], buffers[slot[col]])
-        else:
-            np.multiply(buffers[slot[col]], entry, out=view[indices[row]])
-
-
-def _apply_dense_batched(states, shape, indices, rows) -> None:
-    """Scalar-times-slice accumulation of a 2^k x 2^k unitary over the batch.
-
-    Fixed accumulation order (ascending column, zeros dropped at lowering)
-    and purely elementwise arithmetic: the value computed for one shot row
-    never depends on the batch size, which is what makes every batch split
-    bit-identical.
-    """
-    view = states.reshape((states.shape[0], *shape))
-    dim = len(indices)
-    # snapshot every input slice into contiguous scratch first: the strided
-    # state memory is then read exactly once and written exactly once per
-    # gate, and the multiply/add ladder runs contiguous-to-contiguous
-    buffers = kernels.scratch(view[indices[0]].shape, 2 * dim + 1)
-    snap = buffers[:dim]
-    accs = buffers[dim : 2 * dim]
-    tmp = buffers[2 * dim]
-    for col in range(dim):
-        np.copyto(snap[col], view[indices[col]])
-    for row, cols in rows:
-        acc = None
-        for col, entry in cols:
-            if acc is None:
-                acc = accs[row]
-                np.multiply(snap[col], entry, out=acc)
-            else:
-                np.multiply(snap[col], entry, out=tmp)
-                np.add(acc, tmp, out=acc)
-        view[indices[row]] = 0.0 if acc is None else acc
-
-
-def _apply_per_row(states, norm, operation, targets) -> None:
-    """Apply *operation* one row at a time through the single-state kernels.
-
-    The step for gates too wide to lower and for ``initialize``, whose
-    precondition (targets in ``|0...0>``) is checked on the row scaled to
-    unit norm.
-    """
+def _initialize_rows(states, norm, operation, targets) -> None:
+    """Run ``initialize`` one row at a time; its precondition (targets in
+    ``|0...0>``) is checked on the row scaled to unit norm."""
     for row in range(states.shape[0]):
-        if isinstance(operation, Initialize):
-            state = Statevector(states[row] / math.sqrt(norm[row]), validate=False)
-            norm[row] = 1.0
-            state.initialize_qubits(operation.statevector, targets)
-        else:
-            state = Statevector(states[row], validate=False)
-            if not kernels.apply_instruction(state, operation, targets):
-                state.apply_unitary(operation.to_matrix(), targets)
+        state = Statevector(states[row] / math.sqrt(norm[row]), validate=False)
+        norm[row] = 1.0
+        state.initialize_qubits(operation.statevector, targets)
         states[row] = state.data
 
 
@@ -499,7 +337,9 @@ def _in_basis(step) -> bool:
     kind = step[0]
     if kind == "cond":
         return all(_in_basis(inner) for inner in step[3])
-    return kind not in ("dense", "row")
+    if kind in ("diag", "perm"):
+        return step[-1] is not None  # a control-pinned step has no lookup
+    return kind not in ("dense", "wide", "initialize")
 
 
 class _BasisRows:
@@ -571,10 +411,10 @@ class _AmplitudeRows:
         self.states, self.norm = states, norm
 
     def apply(self, step) -> None:
-        if step[0] == "row":
-            _apply_per_row(self.states, self.norm, step[1], step[2])
+        if step[0] == "initialize":
+            _initialize_rows(self.states, self.norm, step[1], step[2])
         else:
-            _apply_unitary(self.states, step)
+            kernels.apply_step(self.states, step)
 
     def pauli(self, pauli: str, qubit: int, rows) -> None:
         _apply_pauli_rows(self.states, pauli, qubit, rows)
@@ -611,20 +451,6 @@ def _local_rows(rows_for_run: np.ndarray, shots) -> np.ndarray:
         hi = int(np.searchsorted(rows_for_run, shots.stop))
         return rows_for_run[lo:hi] - shots.start
     return np.flatnonzero(np.isin(shots, rows_for_run))
-
-
-def _apply_unitary(states, step) -> None:
-    """Apply a ``diag`` / ``diag_full`` / ``perm`` / ``dense`` step to every
-    row of *states*."""
-    kind = step[0]
-    if kind == "diag":
-        _apply_diag_batched(states, step[1], step[2])
-    elif kind == "diag_full":
-        _apply_diag_full_batched(states, step[1])
-    elif kind == "perm":
-        _apply_perm_batched(states, step[1], step[2], step[3])
-    else:
-        _apply_dense_batched(states, step[1], step[2], step[3])
 
 
 def _run_steps(steps, rows, bits, shots) -> None:
@@ -671,8 +497,8 @@ def _run_steps(steps, rows, bits, shots) -> None:
 # ---------------------------------------------------------------------------
 
 #: step kinds that end the shared prefix: each one reads or rewrites the
-#: state shot by shot
-_PREFIX_END_KINDS = frozenset({"measure", "reset", "cond", "row"})
+#: state shot by shot, or runs row by row
+_PREFIX_END_KINDS = frozenset({"measure", "reset", "cond", "initialize", "wide"})
 
 
 def _shared_prefix(plan) -> list:
@@ -740,7 +566,7 @@ class _SharedRows:
             if self.live == len(self.owner):
                 return position
             if hits[position] is None:
-                _apply_unitary(self.rows(), step)
+                kernels.apply_step(self.rows(), step)
                 continue
             for pauli, rows_for_run, cuts in hits[position]:
                 lo, hi = cuts[batch], cuts[batch + 1]

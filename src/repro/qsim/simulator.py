@@ -15,12 +15,11 @@ Execution strategy
   ``if`` -- evolves all shots at once on the batched trajectory executor
   in :mod:`repro.qsim.shotbatch`, with genuine per-shot collapse.
 
-Gate application is routed through the specialized kernels in
-:mod:`repro.qsim.kernels` (single-qubit, diagonal, controlled, 2-qubit
-shapes) with :meth:`Statevector.apply_unitary` as the general fallback, and
--- unless a noise model needs per-gate hooks -- circuits are pre-processed by
-the gate-fusion pass (:mod:`repro.qsim.fusion`) so runs of small gates cost a
-single pass over the state.
+Both paths apply gates through the one step-kernel set of
+:mod:`repro.qsim.kernels` (a single state is a one-row view of the batched
+executor's kernels), and -- unless a noise model needs per-gate hooks --
+circuits are pre-processed by the gate-fusion pass (:mod:`repro.qsim.fusion`)
+so runs of small gates cost a single pass over the state.
 """
 
 from __future__ import annotations
@@ -306,8 +305,7 @@ class StatevectorSimulator:
             state.initialize_qubits(op.statevector, targets)
             return
         if op.is_unitary:
-            if not kernels.apply_instruction(state, op, targets):
-                state.apply_unitary(op.to_matrix(), targets)
+            kernels.apply_gate(state.data, op, targets)
             if self.noise_model is not None:
                 self.noise_model.apply(state, targets, self._rng)
             return

@@ -3,9 +3,9 @@
 The statevector of an ``n``-qubit system is stored as a flat complex NumPy
 array of length ``2**n``.  Basis-state indices are interpreted little-endian
 with respect to qubit numbers: bit ``q`` of the flat index is the value of
-qubit ``q``.  Gate application uses the tensor-reshape technique so the cost
-of a ``k``-qubit gate is ``O(2^n * 2^k)`` with vectorised NumPy kernels (see
-the HPC guidance on avoiding Python-level loops).
+qubit ``q``.  Gates evolve the state in place through the step kernels of
+:mod:`repro.qsim.kernels`, the ones every dense engine shares: the state is
+a one-row view of the batched executor's ``(rows, 2^n)`` layout.
 """
 
 from __future__ import annotations
@@ -130,67 +130,14 @@ class Statevector:
         return targets
 
     def apply_unitary(self, matrix: np.ndarray, targets: Sequence[int]) -> None:
-        """Apply *matrix* to *targets* in place (the general fallback path).
+        """Apply *matrix* to *targets* in place.
 
         The matrix index convention matches :mod:`repro.qsim.gates`:
-        ``targets[0]`` is the most significant bit of the matrix index.
-        Structured gates (single-qubit, diagonal, controlled) have cheaper
-        entry points below; the dispatcher in :mod:`repro.qsim.kernels`
-        chooses between them automatically.
+        ``targets[0]`` is the most significant bit of the matrix index.  The
+        gate runs on the shared step kernels (:func:`repro.qsim.kernels.apply_gate`),
+        which pick a diagonal, permutation or dense kernel from its structure.
         """
-        targets = self._check_targets(targets)
-        k = len(targets)
-        matrix = np.asarray(matrix, dtype=complex)
-        if matrix.shape != (2**k, 2**k):
-            raise SimulationError(
-                f"matrix shape {matrix.shape} does not match {k} target qubits"
-            )
-        # Tensor axis j corresponds to qubit n-1-j (axis 0 is the MSB of the
-        # flat index); the shared helper moves the target axes to the front,
-        # applies the matrix to the flattened front block, and moves them back.
-        self.data = kernels.dense_apply(self.data, self.num_qubits, matrix, targets)
-
-    # -- fast-path evolution (specialized kernels) ------------------------------
-
-    def apply_single_qubit(self, matrix: np.ndarray, qubit: int) -> None:
-        """Apply a 2x2 unitary to *qubit* via the strided single-qubit kernel."""
-        self._check_targets([qubit])
-        matrix = np.asarray(matrix, dtype=complex)
-        if matrix.shape != (2, 2):
-            raise SimulationError(f"expected a 2x2 matrix, got shape {matrix.shape}")
-        kernels.apply_single_qubit(self.data, self.num_qubits, matrix, qubit)
-
-    def apply_diagonal(self, diag: Sequence[complex], targets: Sequence[int]) -> None:
-        """Apply a diagonal gate given by its diagonal *diag* to *targets*.
-
-        ``diag[v]`` multiplies the amplitudes whose *targets* bits read ``v``
-        with ``targets[0]`` as the most significant bit, matching the matrix
-        index convention of :meth:`apply_unitary`.
-        """
-        targets = self._check_targets(targets)
-        diag = np.asarray(diag, dtype=complex).ravel()
-        if diag.size != 2 ** len(targets):
-            raise SimulationError(
-                f"diagonal of length {diag.size} does not match {len(targets)} target qubits"
-            )
-        kernels.apply_diagonal(self.data, self.num_qubits, diag, targets)
-
-    def apply_controlled(
-        self, matrix: np.ndarray, controls: Sequence[int], target: int
-    ) -> None:
-        """Apply a 2x2 unitary to *target*, conditioned on all *controls* being 1."""
-        controls = list(controls)
-        self._check_targets([*controls, target])
-        matrix = np.asarray(matrix, dtype=complex)
-        if matrix.shape != (2, 2):
-            raise SimulationError(f"expected a 2x2 matrix, got shape {matrix.shape}")
-        kernels.apply_controlled(self.data, self.num_qubits, matrix, controls, target)
-
-    def apply_swap(self, qubit1: int, qubit2: int, controls: Sequence[int] = ()) -> None:
-        """Exchange *qubit1* and *qubit2* (optionally controlled) in place."""
-        controls = list(controls)
-        self._check_targets([*controls, qubit1, qubit2])
-        kernels.apply_swap(self.data, self.num_qubits, qubit1, qubit2, controls)
+        kernels.apply_gate(self.data, matrix, self._check_targets(targets))
 
     def initialize_qubits(self, amplitudes: np.ndarray, targets: Sequence[int]) -> None:
         """Set *targets* (currently all |0>) to the given *amplitudes*.
@@ -272,10 +219,10 @@ class Statevector:
             rng = np.random.default_rng()  # invariant: allow -- explicit no-rng fallback
         probs = self.probabilities(targets)
         outcome = int(rng.choice(probs.size, p=probs / probs.sum()))
-        self._collapse(targets, outcome, math.sqrt(probs[outcome]))
+        self._collapse(targets, outcome)
         return outcome
 
-    def _collapse(self, targets: Sequence[int], outcome: int, amplitude_norm: float) -> None:
+    def _collapse(self, targets: Sequence[int], outcome: int) -> None:
         mask = np.ones(self.data.size, dtype=bool)
         indices = np.arange(self.data.size)
         for bit_pos, qubit in enumerate(targets):

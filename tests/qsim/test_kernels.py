@@ -1,27 +1,45 @@
-"""Kernel dispatch layer: specialized kernels must match the generic path.
+"""The one gate-kernel set: every gate through ``kernels.lower`` + ``apply_step``.
 
-Property-style equivalence tests: random circuits are applied once through
-the fast-path dispatcher (:mod:`repro.qsim.kernels`) and once through the
-generic ``Statevector.apply_unitary`` fallback, and the resulting
-statevectors must agree to 1e-10.  Individual kernels are also checked
-against explicitly constructed matrices.
+Property-style checks of the single-state entry point
+(:func:`repro.qsim.kernels.apply_gate`) on every gate shape the engines
+emit -- every registry gate, multi-controlled gates up to eleven controls
+(wide ones lowered with their control axes pinned), a controlled two-qubit
+base, random unitaries of one to seven qubits.  Each case must
+
+* match :func:`~repro.qsim.kernels.dense_apply` (the moveaxis + matmul
+  reference) to 1e-12 on a single state, and
+* be bit-equal to every row of a three-row batched application of the same
+  step -- the batched executor's per-shot contract;
+
+``perm`` and ``diag`` steps must moreover be bit-exact against a plain
+slice-move or slice-multiply reference.  The step memo, thread safety,
+buffer ownership, shape validation and the registry-arity check ride along.
 """
+
+import threading
 
 import numpy as np
 import pytest
 
 from repro.qsim import QuantumCircuit, Statevector
 from repro.qsim import gates, kernels
-from repro.qsim.exceptions import SimulationError
+from repro.qsim.backends import get_backend
+from repro.qsim.exceptions import CircuitError, SimulationError
 from repro.qsim.instruction import ControlledGate, Gate, UnitaryGate
+from repro.qsim.transpiler import is_clifford
 
-ATOL = 1e-10
+ATOL = 1e-12
 
-#: gate name -> number of parameters, for every registry gate with <= 3 qubits
+#: gate name -> number of parameters, for the parametric registry gates
 _PARAM_COUNTS = {
     "rx": 1, "ry": 1, "rz": 1, "p": 1, "u2": 2, "u3": 3,
     "crx": 1, "cry": 1, "crz": 1, "cp": 1, "rxx": 1, "ryy": 1, "rzz": 1,
 }
+
+
+def random_amplitudes(num_qubits: int, rng: np.random.Generator) -> np.ndarray:
+    data = rng.normal(size=2**num_qubits) + 1j * rng.normal(size=2**num_qubits)
+    return data / np.linalg.norm(data)
 
 
 def random_state(num_qubits: int, rng: np.random.Generator) -> Statevector:
@@ -35,8 +53,14 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
+def registry_gate(name: str, rng: np.random.Generator) -> Gate:
+    arity, _ = gates.GATE_REGISTRY[name]
+    return Gate(name, arity, list(rng.uniform(0, 2 * np.pi, _PARAM_COUNTS.get(name, 0))))
+
+
 def random_circuit(num_qubits: int, num_gates: int, rng: np.random.Generator) -> QuantumCircuit:
-    """A random circuit covering every fast-path gate shape."""
+    """A random circuit covering every gate shape: registry gates,
+    multi-controlled gates and explicit unitaries."""
     qc = QuantumCircuit(num_qubits)
     names = list(gates.GATE_REGISTRY)
     while qc.size() < num_gates:
@@ -48,7 +72,6 @@ def random_circuit(num_qubits: int, num_gates: int, rng: np.random.Generator) ->
             targets = [int(q) for q in rng.choice(num_qubits, arity, replace=False)]
             qc.append(Gate(name, arity, params), targets)
         elif roll < 0.90:
-            # multi-controlled gates exercise the ControlledGate dispatch
             num_controls = int(rng.integers(2, 4))
             base = [Gate("x", 1), Gate("z", 1), Gate("p", 1, [float(rng.uniform(0, np.pi))]),
                     Gate("h", 1)][rng.integers(4)]
@@ -61,210 +84,267 @@ def random_circuit(num_qubits: int, num_gates: int, rng: np.random.Generator) ->
     return qc
 
 
-def evolve_generic(circuit: QuantumCircuit, state: Statevector) -> Statevector:
+def reference(state: np.ndarray, num_qubits: int, gate, targets) -> np.ndarray:
+    """*gate* on *targets* through :func:`kernels.dense_apply`.  A controlled
+    gate applies its base matrix to the control-satisfied sub-state, so a
+    wide ``mcx`` needs no ``2^k x 2^k`` matrix here either."""
+    if not isinstance(gate, ControlledGate):
+        matrix = gate.to_matrix() if isinstance(gate, Gate) else gate
+        return kernels.dense_apply(state.copy(), num_qubits, np.asarray(matrix), targets)
+    controls, base_targets = targets[: gate.num_controls], targets[gate.num_controls :]
     out = state.copy()
-    for instr in circuit.data:
-        targets = [circuit.qubit_index(q) for q in instr.qubits]
-        out.apply_unitary(instr.operation.to_matrix(), targets)
+    psi = out.reshape((2,) * num_qubits)
+    index = [slice(None)] * num_qubits
+    for control in controls:
+        index[num_qubits - 1 - control] = 1
+    index = tuple(index)
+    # the sub-state's qubits are the non-control qubits, renumbered upwards
+    remap = {q: sum(1 for c in controls if c < q) for q in base_targets}
+    sub = np.ascontiguousarray(psi[index]).reshape(-1)
+    sub = kernels.dense_apply(
+        sub,
+        num_qubits - len(controls),
+        gate.base_gate.to_matrix(),
+        [q - remap[q] for q in base_targets],
+    )
+    psi[index] = sub.reshape(psi[index].shape)
     return out
 
 
-def evolve_kernels(circuit: QuantumCircuit, state: Statevector) -> Statevector:
-    out = state.copy()
-    for instr in circuit.data:
-        targets = [circuit.qubit_index(q) for q in instr.qubits]
-        if not kernels.apply_instruction(out, instr.operation, targets):
-            out.apply_unitary(instr.operation.to_matrix(), targets)
+def check_gate(gate, targets, num_qubits: int, rng: np.random.Generator) -> tuple:
+    """The two properties every step must have: the single application,
+    and the step a batched plan runs (lowered with the state width, so a
+    dense diagonal may come back as a ``diag_full`` factor); returns the
+    plan's step."""
+    state = random_amplitudes(num_qubits, rng)
+    single = state.copy()
+    kernels.apply_gate(single, gate, targets)
+    np.testing.assert_allclose(single, reference(state, num_qubits, gate, targets), atol=ATOL, rtol=0)
+    rows = np.stack([random_amplitudes(num_qubits, rng), state, random_amplitudes(num_qubits, rng)])
+    step = kernels.lower(gate, targets, num_qubits)
+    batched = rows.copy()
+    kernels.apply_step(batched, step)
+    for row, before in zip(batched, rows):
+        alone = before.copy()
+        kernels.apply_gate(alone, gate, targets)
+        np.testing.assert_array_equal(row, alone)
+    return step
+
+
+def exact_monomial_reference(state, num_qubits: int, matrix, targets, controls=()) -> np.ndarray:
+    """Basis state ``i`` (whose *controls* all read 1) moves to ``dest`` on
+    its target bits and takes one scalar multiply by its factor (skipped for
+    a unit factor): the slice moves and slice multiplies of a ``perm`` /
+    ``diag`` step, done index by index."""
+    dest, factor = kernels.basis_table(matrix)
+    index = np.arange(2**num_qubits)
+    active = np.ones(index.size, dtype=bool)
+    for control in controls:
+        active &= (index >> control) & 1 == 1
+    value = kernels.target_value(index, targets)
+    k = len(targets)
+    moved = index.copy()
+    for position, target in enumerate(targets):
+        bit = (dest[value] >> (k - 1 - position)) & 1
+        moved = np.where(active, (moved & ~(1 << target)) | (bit << target), moved)
+    scale = np.where(active, factor[value], 1)
+    scaled = state.copy()
+    nonunit = scale != 1
+    scaled[nonunit] = state[nonunit] * scale[nonunit]
+    out = np.empty_like(state)
+    out[moved] = scaled
     return out
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_random_circuit_dispatch_matches_generic_path(seed):
-    rng = np.random.default_rng(seed)
-    num_qubits = 6
-    circuit = random_circuit(num_qubits, 80, rng)
-    state = random_state(num_qubits, rng)
-    reference = evolve_generic(circuit, state)
-    fast = evolve_kernels(circuit, state)
-    assert np.allclose(fast.data, reference.data, atol=ATOL)
+# ---------------------------------------------------------------------------
+# Every gate shape: dense reference, batch rows, exact monomials
+# ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("name", sorted(n for n, (k, _) in gates.GATE_REGISTRY.items() if k <= 2))
-def test_every_small_registry_gate_takes_the_fast_path(name):
-    rng = np.random.default_rng(11)
-    arity, factory = gates.GATE_REGISTRY[name]
-    params = list(rng.uniform(0.1, 1.5, _PARAM_COUNTS.get(name, 0)))
-    state = random_state(4, rng)
-    reference = state.copy()
-    targets = [2, 0][:arity]
-    handled = kernels.apply_named_gate(state, name, params, targets)
-    assert handled, f"gate {name!r} fell back to the generic path"
-    reference.apply_unitary(factory(*params), targets)
-    assert np.allclose(state.data, reference.data, atol=ATOL)
+@pytest.mark.parametrize("name", sorted(gates.GATE_REGISTRY))
+def test_every_registry_gate(name):
+    rng = np.random.default_rng(sorted(gates.GATE_REGISTRY).index(name))
+    gate = registry_gate(name, rng)
+    for targets in ([5, 0, 3][: gate.num_qubits], [1, 6, 2][: gate.num_qubits]):
+        step = check_gate(gate, targets, 7, rng)
+        if step[0] in ("perm", "diag", "diag_full"):
+            state = random_amplitudes(7, rng)
+            fast = state.copy()
+            kernels.apply_gate(fast, gate, targets)
+            np.testing.assert_array_equal(
+                fast, exact_monomial_reference(state, 7, gate.to_matrix(), targets)
+            )
 
 
-@pytest.mark.parametrize("name,arity", [("ccx", 3), ("cswap", 3)])
-def test_three_qubit_named_gates_take_the_fast_path(name, arity):
-    rng = np.random.default_rng(13)
-    state = random_state(5, rng)
-    reference = state.copy()
-    targets = [4, 1, 3]
-    handled = kernels.apply_named_gate(state, name, [], targets)
-    assert handled
-    reference.apply_unitary(gates.gate_matrix(name), targets)
-    assert np.allclose(state.data, reference.data, atol=ATOL)
+def test_registry_gates_lower_to_their_structure():
+    kinds = {
+        name: kernels.lower(registry_gate(name, np.random.default_rng(0)), targets, 8)[0]
+        for name, targets in (
+            ("x", [5]), ("cx", [6, 7]), ("swap", [4, 7]), ("iswap", [4, 7]), ("ccx", [5, 6, 7]),
+            ("z", [7]), ("cz", [6, 7]), ("cp", [6, 7]), ("rzz", [6, 7]),
+            ("h", [5]), ("crx", [6, 7]), ("rxx", [6, 7]),
+        )
+    }
+    assert kinds == {
+        "x": "perm", "cx": "perm", "swap": "perm", "iswap": "perm", "ccx": "perm",
+        "z": "diag", "cz": "diag", "cp": "diag", "rzz": "diag",
+        "h": "dense", "crx": "dense", "rxx": "dense",
+    }
 
 
-def test_diagonal_factories_match_full_matrices():
-    rng = np.random.default_rng(3)
-    for name, factory in gates.DIAGONAL_GATES.items():
-        params = list(rng.uniform(0.1, 2.0, _PARAM_COUNTS.get(name, 0)))
-        diag = factory(*params)
-        matrix = gates.gate_matrix(name, params)
-        assert np.allclose(np.diag(diag), matrix, atol=ATOL), name
+@pytest.mark.parametrize("num_controls", range(2, 12))
+@pytest.mark.parametrize("base", ["x", "z", "p"])
+def test_multi_controlled_gates(base, num_controls):
+    rng = np.random.default_rng(100 + num_controls)
+    gate = ControlledGate(registry_gate(base, rng), num_controls)
+    n = num_controls + 2
+    qubits = [int(q) for q in rng.permutation(n)]
+    targets = qubits[: num_controls + 1]
+    step = check_gate(gate, targets, n, rng)
+    state = random_amplitudes(n, rng)
+    fast = state.copy()
+    kernels.apply_gate(fast, gate, targets)
+    if gate.num_qubits <= kernels.MAX_LOWERED_QUBITS:
+        expected = exact_monomial_reference(state, n, gate.to_matrix(), targets)
+    else:  # the base, lowered with the control axes pinned to 1
+        assert step[0] == ("perm" if base == "x" else "diag")
+        expected = exact_monomial_reference(
+            state, n, gate.base_gate.to_matrix(), targets[-1:], targets[:-1]
+        )
+    np.testing.assert_array_equal(fast, expected)
 
 
-def test_controlled_bases_match_full_matrices():
-    rng = np.random.default_rng(4)
-    for name, (num_controls, base_factory) in gates.CONTROLLED_GATES.items():
-        params = list(rng.uniform(0.1, 2.0, _PARAM_COUNTS.get(name, 0)))
-        rebuilt = gates.controlled(base_factory(*params), num_controls)
-        assert np.allclose(rebuilt, gates.gate_matrix(name, params), atol=ATOL), name
+@pytest.mark.parametrize(
+    "base,num_controls,kind",
+    [(Gate("rxx", 2, [0.83]), 5, "dense"), (Gate("swap", 2), 1, "perm"), (Gate("swap", 2), 5, "perm")],
+)
+def test_controlled_two_qubit_bases(base, num_controls, kind):
+    rng = np.random.default_rng(7 + num_controls)
+    gate = ControlledGate(base, num_controls)
+    n = gate.num_qubits + 1
+    targets = [int(q) for q in rng.permutation(n)[: gate.num_qubits]]
+    step = check_gate(gate, targets, n, rng)
+    assert step[0] == kind
+    if gate.num_qubits > kernels.MAX_LOWERED_QUBITS:
+        assert len(step[2]) == 4  # the base's four slices, controls pinned
 
 
-def test_apply_single_qubit_matches_generic():
-    rng = np.random.default_rng(5)
-    matrix = random_unitary(2, rng)
-    for qubit in range(4):
-        state = random_state(4, rng)
-        reference = state.copy()
-        state.apply_single_qubit(matrix, qubit)
-        reference.apply_unitary(matrix, [qubit])
-        assert np.allclose(state.data, reference.data, atol=ATOL)
-
-
-def test_apply_two_qubit_matches_generic_in_both_orders():
-    rng = np.random.default_rng(6)
-    matrix = random_unitary(4, rng)
-    for targets in ([0, 3], [3, 0], [1, 2]):
-        state = random_state(4, rng)
-        reference = state.copy()
-        kernels.apply_two_qubit(state.data, 4, matrix, targets[0], targets[1])
-        reference.apply_unitary(matrix, targets)
-        assert np.allclose(state.data, reference.data, atol=ATOL)
-
-
-def test_apply_diagonal_matches_diag_matrix():
-    rng = np.random.default_rng(7)
-    phases = np.exp(1j * rng.uniform(0, 2 * np.pi, 8))
-    for targets in ([0, 2, 4], [4, 2, 0], [3, 1, 2]):
-        state = random_state(5, rng)
-        reference = state.copy()
-        state.apply_diagonal(phases, targets)
-        reference.apply_unitary(np.diag(phases), targets)
-        assert np.allclose(state.data, reference.data, atol=ATOL)
-
-
-def test_apply_controlled_matches_controlled_matrix():
-    rng = np.random.default_rng(8)
-    base = random_unitary(2, rng)
-    for controls, target in (([1], 3), ([3, 0], 2), ([0, 2, 4], 1)):
-        state = random_state(5, rng)
-        reference = state.copy()
-        state.apply_controlled(base, controls, target)
-        reference.apply_unitary(gates.controlled(base, len(controls)), [*controls, target])
-        assert np.allclose(state.data, reference.data, atol=ATOL)
-
-
-def test_apply_swap_matches_swap_matrix():
-    rng = np.random.default_rng(9)
-    state = random_state(4, rng)
-    reference = state.copy()
-    state.apply_swap(0, 3)
-    reference.apply_unitary(gates.SWAP, [0, 3])
-    assert np.allclose(state.data, reference.data, atol=ATOL)
-
-
-def test_multi_controlled_instructions_dispatch():
-    rng = np.random.default_rng(10)
-    cases = [
-        (ControlledGate(Gate("x", 1), 3), [0, 2, 4, 1]),
-        (ControlledGate(Gate("z", 1), 3), [4, 3, 1, 0]),
-        (ControlledGate(Gate("p", 1, [0.7]), 2), [1, 3, 2]),
-        (ControlledGate(Gate("h", 1), 2), [2, 0, 4]),
-        (ControlledGate(Gate("swap", 2), 1), [0, 2, 3]),
-    ]
-    for operation, targets in cases:
-        state = random_state(5, rng)
-        reference = state.copy()
-        assert kernels.apply_instruction(state, operation, targets), operation.name
-        reference.apply_unitary(operation.to_matrix(), targets)
-        assert np.allclose(state.data, reference.data, atol=ATOL), operation.name
-
-
-def test_diagonal_unitary_gate_detected_and_dispatched():
-    rng = np.random.default_rng(12)
-    phases = np.exp(1j * rng.uniform(0, 2 * np.pi, 4))
-    operation = UnitaryGate(np.diag(phases), label="diagtest")
-    state = random_state(4, rng)
-    reference = state.copy()
-    assert kernels.apply_instruction(state, operation, [1, 3])
-    reference.apply_unitary(operation.to_matrix(), [1, 3])
-    assert np.allclose(state.data, reference.data, atol=ATOL)
-
-
-def test_controlled_unitary_label_collision_uses_matrix_not_name():
+def test_controlled_unitary_label_collision_uses_the_matrix():
     # a UnitaryGate's label is free-form: one that collides with a registry
-    # gate name ("s", "swap") must not hijack the name-keyed fast paths
+    # gate name ("s", "swap") must be applied by its matrix
     rng = np.random.default_rng(15)
     for label, base_dim, targets in (("s", 2, [0, 2]), ("swap", 4, [1, 0, 3])):
         base = UnitaryGate(random_unitary(base_dim, rng), label=label)
-        operation = ControlledGate(base, 1)
-        state = random_state(4, rng)
-        reference = state.copy()
-        if not kernels.apply_instruction(state, operation, targets):
-            state.apply_unitary(operation.to_matrix(), targets)
-        reference.apply_unitary(operation.to_matrix(), targets)
-        assert np.allclose(state.data, reference.data, atol=ATOL), label
+        check_gate(ControlledGate(base, 1), targets, 4, rng)
 
 
-def test_wide_operations_fall_back_to_generic():
-    rng = np.random.default_rng(14)
-    state = random_state(4, rng)
-    wide = UnitaryGate(random_unitary(8, rng), label="wide")
-    assert not kernels.apply_instruction(state, wide, [0, 1, 2])
+@pytest.mark.parametrize("num_qubits", range(1, 8))
+def test_random_unitary_gates(num_qubits):
+    rng = np.random.default_rng(200 + num_qubits)
+    gate = UnitaryGate(random_unitary(2**num_qubits, rng))
+    n = num_qubits + 2
+    targets = [int(q) for q in rng.permutation(n)[:num_qubits]]
+    step = check_gate(gate, targets, n, rng)
+    assert step[0] == ("wide" if num_qubits > kernels.MAX_LOWERED_QUBITS else "dense")
 
 
-def test_malformed_gate_arity_falls_back_and_raises():
-    # a Gate whose declared qubit count contradicts its registry arity must
-    # not be silently mangled by a name-keyed kernel: the dispatcher bows out
-    # and the generic path raises, exactly as before the kernel layer existed
-    from repro.qsim import QuantumCircuit, StatevectorSimulator
+def test_diagonal_unitary_gate_lowers_to_a_diagonal_step():
+    rng = np.random.default_rng(12)
+    phases = np.exp(1j * rng.uniform(0, 2 * np.pi, 4))
+    gate = UnitaryGate(np.diag(phases), label="diagtest")
+    # all four entries non-unit: a plan applies one (2^n,) factor, a single
+    # application the per-entry slices; on high targets a plan keeps slices
+    assert check_gate(gate, [5, 3], 6, rng)[0] == "diag_full"
+    assert kernels.lower(gate, [5, 3])[0] == "diag"
+    assert kernels.lower(gate, [5, 7], 8)[0] == "diag"
 
-    state = random_state(3, np.random.default_rng(16))
-    assert not kernels.apply_named_gate(state, "z", [], [0, 1])
-    assert not kernels.apply_named_gate(state, "cx", [], [0, 1, 2])
-    assert not kernels.apply_instruction(state, Gate("z", 2), [0, 1])
-    qc = QuantumCircuit(2)
-    qc.append(Gate("z", 2), [0, 1])
-    with pytest.raises(SimulationError):
-        StatevectorSimulator().evolve(qc)
+
+@pytest.mark.parametrize("seed", range(5))
+def test_random_circuit_matches_dense_apply(seed):
+    rng = np.random.default_rng(seed)
+    circuit = random_circuit(6, 80, rng)
+    fast = random_state(6, rng)
+    slow = fast.data.copy()
+    for instr in circuit.data:
+        targets = [circuit.qubit_index(q) for q in instr.qubits]
+        kernels.apply_gate(fast.data, instr.operation, targets)
+        slow = kernels.dense_apply(slow, 6, instr.operation.to_matrix(), targets)
+    np.testing.assert_allclose(fast.data, slow, atol=1e-10, rtol=0)
+
+
+def test_wide_controlled_gate_never_builds_its_matrix(monkeypatch):
+    def refuse(self):
+        raise AssertionError(f"built the {self.num_qubits}-qubit matrix of {self.name}")
+
+    monkeypatch.setattr(ControlledGate, "to_matrix", refuse)
+    gate = ControlledGate(Gate("x", 1), 11)
+    state = np.zeros(2**13, dtype=complex)
+    state[0b0111111111110] = 1.0  # every control (qubits 1..11) reads 1
+    kernels.apply_gate(state, gate, list(range(1, 12)) + [0])
+    assert state[0b0111111111111] == 1.0
+    assert np.count_nonzero(state) == 1
+
+
+# ---------------------------------------------------------------------------
+# The step memo
+# ---------------------------------------------------------------------------
+
+
+def test_memo_is_bounded_and_holds_no_full_diagonal_factor():
+    rng = np.random.default_rng(21)
+    cap = kernels._memo_step.cache_info().maxsize
+    for _ in range(cap + 40):
+        kernels.lower(np.diag(np.exp(1j * rng.uniform(0, 6, 4))), [0, 1], 10)
+    assert kernels._memo_step.cache_info().currsize <= cap
+    # a dense diagonal on low qubits runs as a (2^n,) factor in a plan, built
+    # per call from the width-independent per-entry step the memo holds; a
+    # single application runs that per-entry step
+    matrix = np.diag(np.exp(1j * rng.uniform(0, 6, 8)))
+    first, second = kernels.lower(matrix, [0, 1, 2], 10), kernels.lower(matrix, [0, 1, 2], 10)
+    assert first[0] == second[0] == "diag_full"
+    assert first[1] is not second[1]
+    assert kernels.lower(matrix, [0, 1, 2])[0] == "diag"
+    memoised, full = kernels._memo_step(matrix.tobytes(), 8, (0, 1, 2), ())
+    assert memoised[0] == "diag" and full
+    state = random_amplitudes(10, rng)
+    planned, single = state.copy(), state.copy()
+    kernels.apply_step(planned, first)
+    kernels.apply_gate(single, matrix, [0, 1, 2])
+    np.testing.assert_array_equal(planned, single)
+
+
+def test_one_memoised_step_fits_every_register_width():
+    # the Qutes live state grows as registers are allocated: the same step
+    # serves a 3- and a 9-qubit state
+    rng = np.random.default_rng(22)
+    for n in (3, 9):
+        check_gate(Gate("h", 1), [2], n, rng)
+        check_gate(Gate("cx", 2), [0, 2], n, rng)
+
+
+# ---------------------------------------------------------------------------
+# Engines and ownership
+# ---------------------------------------------------------------------------
 
 
 def test_kernels_are_thread_safe_across_statevectors():
-    import threading
-
     rng = np.random.default_rng(17)
     circuits = [random_circuit(8, 40, np.random.default_rng(30 + i)) for i in range(4)]
     initial = [random_state(8, rng) for _ in circuits]
-    expected = [evolve_generic(c, s) for c, s in zip(circuits, initial)]
+
+    def evolve(circuit, state):
+        out = state.copy()
+        for instr in circuit.data:
+            targets = [circuit.qubit_index(q) for q in instr.qubits]
+            kernels.apply_gate(out.data, instr.operation, targets)
+        return out
+
+    expected = [evolve(c, s) for c, s in zip(circuits, initial)]
     results = [None] * len(circuits)
 
     def work(index):
-        out = initial[index].copy()
         for _ in range(5):  # repeat to widen the interleaving window
-            out = evolve_kernels(circuits[index], initial[index])
-        results[index] = out
+            results[index] = evolve(circuits[index], initial[index])
 
     threads = [threading.Thread(target=work, args=(i,)) for i in range(len(circuits))]
     for thread in threads:
@@ -272,7 +352,7 @@ def test_kernels_are_thread_safe_across_statevectors():
     for thread in threads:
         thread.join()
     for got, want in zip(results, expected):
-        assert np.allclose(got.data, want.data, atol=ATOL)
+        np.testing.assert_array_equal(got.data, want.data)
 
 
 def test_statevector_owns_its_buffer():
@@ -282,20 +362,46 @@ def test_statevector_owns_its_buffer():
     original = buf.copy()
     state = Statevector(buf)
     assert not np.shares_memory(state.data, buf)
-    state.apply_single_qubit(gates.H, 0)
-    state.apply_diagonal(np.array([1, 1j]), [1])
+    state.apply_unitary(gates.H, [0])
+    state.apply_unitary(np.diag([1, 1j]), [1])
     assert np.array_equal(buf, original)
 
 
-def test_fast_path_validation_errors():
+def test_apply_unitary_validation_errors():
     state = Statevector.zero_state(3)
-    with pytest.raises(SimulationError):
-        state.apply_single_qubit(np.eye(4), 0)
-    with pytest.raises(SimulationError):
-        state.apply_single_qubit(np.eye(2), 5)
-    with pytest.raises(SimulationError):
-        state.apply_diagonal(np.ones(3), [0, 1])
-    with pytest.raises(SimulationError):
-        state.apply_controlled(np.eye(2), [0], 0)
-    with pytest.raises(SimulationError):
-        state.apply_swap(1, 1)
+    with pytest.raises(SimulationError, match="does not match 1 target"):
+        state.apply_unitary(np.eye(4), [0])
+    with pytest.raises(SimulationError, match="out of range"):
+        state.apply_unitary(np.eye(2), [5])
+    with pytest.raises(SimulationError, match="does not match 2 target"):
+        state.apply_unitary(np.ones(4), [0, 1])
+    with pytest.raises(SimulationError, match="duplicate"):
+        state.apply_unitary(gates.SWAP, [1, 1])
+
+
+def _measured(qc: QuantumCircuit) -> QuantumCircuit:
+    qc.measure_all()
+    return qc
+
+
+ENGINES = {
+    "statevector": lambda qc: get_backend("statevector").run(_measured(qc), shots=8).result(),
+    "density_matrix": lambda qc: get_backend("density_matrix").run(_measured(qc), shots=8).result(),
+    "stabilizer": lambda qc: get_backend("stabilizer").run(_measured(qc), shots=8).result(),
+    "is_clifford": is_clifford,
+}
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+@pytest.mark.parametrize("name,arity", [("z", 2), ("cx", 3), ("h", 2)])
+def test_gate_contradicting_its_registered_arity_is_rejected(engine, name, arity):
+    # never silently mangled: a z declared on two qubits would run as z on
+    # the first target on one engine and fail on another
+    def malformed():
+        qc = QuantumCircuit(3)
+        qc.append(Gate(name, arity), list(range(arity)))
+        return qc
+
+    registered = gates.GATE_REGISTRY[name][0]
+    with pytest.raises(CircuitError, match=f"gate '{name}' acts on {registered} qubit"):
+        ENGINES[engine](malformed())

@@ -4,10 +4,9 @@ Three property families:
 
 * **helpers** -- the batch-invariant row reduction, ``abs2`` and the
   per-thread scratch pool;
-* **kernels** -- every kernel agrees with the dense `moveaxis`+matmul
-  fallback to 1e-12 on random circuits, and is *bit-identical* wherever the
-  arithmetic is structurally exact (diagonal sparse vs dense branch,
-  swap/iswap slice exchange, the X special case);
+* **diagonal steps** -- per-entry slices and the full-state factor are
+  both *bit-identical* to a per-entry multiply (every other step shape is
+  covered by ``test_kernels.py``);
 * **batched shots** -- every batch size, down to ``batch_size=1`` (one
   trajectory at a time), produces bit-equal counts and memory at a fixed
   seed on 8-14 qubits (also with mid-circuit measurement, reset and wide
@@ -25,7 +24,6 @@ from repro.qsim import (
     PhaseFlipNoise,
     QuantumCircuit,
     StatevectorBackend,
-    gates,
     kernels,
     shotbatch,
 )
@@ -33,7 +31,7 @@ from repro.qsim.backends import DensityMatrixBackend
 from repro.qsim.analysis import estimate_resources
 from repro.qsim.exceptions import BackendError, SimulationError
 from repro.qsim.fusion import fuse_gates
-from repro.qsim.instruction import ControlledGate, Gate, UnitaryGate
+from repro.qsim.instruction import Gate, UnitaryGate
 from repro.qsim.simulator import StatevectorSimulator
 from repro.qsim.qasm import from_qasm
 
@@ -165,117 +163,6 @@ class TestBatchHelpers:
 # ---------------------------------------------------------------------------
 
 
-class TestKernelDenseFallbackAgreement:
-    """Every kernel regime vs the moveaxis+matmul fallback, to 1e-12."""
-
-    @pytest.mark.parametrize("qubit", range(8))
-    def test_single_qubit_all_regimes(self, qubit):
-        # qubit 0-3 hits the packed-kron path, middle qubits the strided
-        # path, high qubits the per-block matmul tier
-        rng = np.random.default_rng(100 + qubit)
-        n = 8
-        u = random_unitary(2, rng)
-        state = random_state(n, rng)
-        fast = state.copy()
-        kernels.apply_single_qubit(fast, n, u, qubit)
-        ref = kernels.dense_apply(state.copy(), n, u, (qubit,))
-        np.testing.assert_allclose(fast, ref, atol=ATOL, rtol=0)
-
-    def test_single_qubit_x_special_case_is_exact(self):
-        rng = np.random.default_rng(110)
-        n = 8
-        state = random_state(n, rng)
-        fast = state.copy()
-        kernels.apply_single_qubit(fast, n, gates.X, 6)
-        ref = kernels.dense_apply(state.copy(), n, gates.X, (6,))
-        np.testing.assert_array_equal(fast, ref)
-
-    @pytest.mark.parametrize("targets", [(7, 5), (5, 7), (2, 6)])
-    def test_two_qubit_sparse(self, targets):
-        rng = np.random.default_rng(120)
-        n = 8
-        u = np.eye(4, dtype=complex)
-        u[2:, 2:] = random_unitary(2, rng)  # controlled-rotation shape, 6 nonzeros
-        state = random_state(n, rng)
-        fast = state.copy()
-        kernels.apply_two_qubit(fast, n, u, *targets)
-        ref = kernels.dense_apply(state.copy(), n, u, targets)
-        np.testing.assert_allclose(fast, ref, atol=ATOL, rtol=0)
-
-    @pytest.mark.parametrize("targets", [(0, 1), (3, 6), (7, 2)])
-    def test_two_qubit_dense_goes_through_fallback(self, targets):
-        rng = np.random.default_rng(130)
-        n = 8
-        u = random_unitary(4, rng)
-        state = random_state(n, rng)
-        fast = state.copy()
-        kernels.apply_two_qubit(fast, n, u, *targets)
-        ref = kernels.dense_apply(state.copy(), n, u, targets)
-        np.testing.assert_allclose(fast, ref, atol=ATOL, rtol=0)
-
-    @pytest.mark.parametrize("controls", [(4,), (4, 6), (1, 4, 6)])
-    def test_controlled(self, controls):
-        rng = np.random.default_rng(140 + len(controls))
-        n = 8
-        u = random_unitary(2, rng)
-        state = random_state(n, rng)
-        fast = state.copy()
-        kernels.apply_controlled(fast, n, u, list(controls), 7)
-        dim = 1 << (len(controls) + 1)
-        full = np.eye(dim, dtype=complex)
-        full[-2:, -2:] = u
-        ref = kernels.dense_apply(state.copy(), n, full, (*controls, 7))
-        np.testing.assert_allclose(fast, ref, atol=ATOL, rtol=0)
-
-    def test_controlled_x_is_exact(self):
-        rng = np.random.default_rng(150)
-        n = 8
-        state = random_state(n, rng)
-        fast = state.copy()
-        kernels.apply_controlled(fast, n, gates.X, [2, 5], 7)
-        full = np.eye(8, dtype=complex)
-        full[6:, 6:] = gates.X
-        ref = kernels.dense_apply(state.copy(), n, full, (2, 5, 7))
-        np.testing.assert_array_equal(fast, ref)
-
-    @pytest.mark.parametrize("phase", [1.0, 1j])
-    def test_swap_is_exact(self, phase):
-        rng = np.random.default_rng(160)
-        n = 8
-        state = random_state(n, rng)
-        fast = state.copy()
-        kernels.apply_swap(fast, n, 2, 6, phase=phase)
-        matrix = np.eye(4, dtype=complex)
-        matrix[1, 1] = matrix[2, 2] = 0
-        matrix[1, 2] = matrix[2, 1] = phase
-        ref = kernels.dense_apply(state.copy(), n, matrix, (2, 6))
-        np.testing.assert_array_equal(fast, ref)
-
-    def test_random_instruction_stream(self):
-        """Property sweep: a whole random circuit through the dispatcher vs
-        the dense fallback, gate by gate."""
-        rng = np.random.default_rng(170)
-        n = 8
-        qc = noisy_circuit(n, 120, rng)
-        fast = np.zeros(2**n, dtype=complex)
-        fast[0] = 1.0
-        ref = fast.copy()
-        from repro.qsim import Statevector
-        from repro.qsim.instruction import Measure
-
-        fast_state = Statevector(fast)
-        for instr in qc.data:
-            if isinstance(instr.operation, Measure):
-                continue
-            targets = [qc.qubit_index(q) for q in instr.qubits]
-            handled = kernels.apply_instruction(fast_state, instr.operation, targets)
-            assert handled, f"{instr.operation.name} missed every fast path"
-            ref = kernels.dense_apply(
-                ref, n, np.asarray(instr.operation.to_matrix(), dtype=complex), tuple(targets)
-            )
-        np.testing.assert_allclose(fast_state.data, ref, atol=1e-10, rtol=0)
-
-
 class TestDiagonalKernel:
     def _per_entry_reference(self, state, n, diag, targets):
         """The full-state diagonal factor, built index by index (exact)."""
@@ -288,6 +175,14 @@ class TestDiagonalKernel:
             factor[i] = diag[value]
         return state * factor
 
+    def _apply(self, state, n, diag, targets):
+        """The diagonal as the batched executor lowers it; returns the state
+        and the kind of step it lowered to."""
+        fast = state.copy()
+        step = kernels.lower(np.diag(diag), targets, n)
+        kernels.apply_step(fast, step)
+        return fast, step[0]
+
     def test_sparse_branch_is_exact(self):
         rng = np.random.default_rng(200)
         n = 8
@@ -295,39 +190,38 @@ class TestDiagonalKernel:
         diag[7] = np.exp(1j * 0.7)  # ccz-like: one non-unit entry
         targets = (6, 3, 1)
         state = random_state(n, rng)
-        fast = state.copy()
-        kernels.apply_diagonal(fast, n, diag, targets)
+        fast, kind = self._apply(state, n, diag, targets)
+        assert kind == "diag"
         np.testing.assert_array_equal(
             fast, self._per_entry_reference(state, n, diag, targets)
         )
 
     @pytest.mark.parametrize("targets", [(6, 3, 1), (1, 3, 6), (0, 7, 4)])
     def test_dense_branch_is_exact(self, targets):
-        """The vectorized dense-diagonal branch (the apply_diagonal bugfix)
-        must stay bit-identical to per-entry multiplication for every
-        target-axis permutation."""
+        """The full-state factor (``diag_full``) must stay bit-identical to
+        per-entry multiplication for every target-axis permutation."""
         rng = np.random.default_rng(210)
         n = 8
         diag = np.exp(1j * rng.normal(size=8))  # all 8 entries non-unit
-        assert np.count_nonzero(diag != 1) > kernels._DIAG_DENSE_MIN_ENTRIES
         state = random_state(n, rng)
-        fast = state.copy()
-        kernels.apply_diagonal(fast, n, diag, targets)
+        fast, kind = self._apply(state, n, diag, targets)
+        assert kind == "diag_full"
         np.testing.assert_array_equal(
             fast, self._per_entry_reference(state, n, diag, targets)
         )
 
-    def test_dense_branch_threshold(self):
-        """Exactly at the boundary (4 non-unit of 8) the sparse path runs;
-        both sides of the gate agree bitwise anyway."""
+    @pytest.mark.parametrize("targets,kind", [((7, 5, 6), "diag"), ((5, 2, 0), "diag_full")])
+    def test_dense_branch_threshold(self, targets, kind):
+        """Four non-unit entries of eight: slices on high qubits, the full
+        factor once the lowest target's runs are short; both sides of the
+        choice agree bitwise with the per-entry reference."""
         rng = np.random.default_rng(220)
         n = 8
         diag = np.ones(8, dtype=complex)
         diag[:4] = np.exp(1j * rng.normal(size=4))
-        targets = (5, 2, 0)
         state = random_state(n, rng)
-        fast = state.copy()
-        kernels.apply_diagonal(fast, n, diag, targets)
+        fast, lowered = self._apply(state, n, diag, targets)
+        assert lowered == kind
         np.testing.assert_array_equal(
             fast, self._per_entry_reference(state, n, diag, targets)
         )
@@ -407,6 +301,21 @@ class TestEligibility:
         qc.measure_all()
         assert shotbatch.ineligible_reason(qc, BitFlipNoise(0.1)) is None
         assert_batch_sizes_bit_equal(qc, BitFlipNoise(0.1), shots=40)
+
+    def test_wide_controlled_gate(self):
+        """A 7-control ``mcx`` runs batched on its control-satisfied slice
+        (its base lowered with the controls pinned) and ends the basis-row
+        prefix, like any gate with no basis lookup."""
+        qc = QuantumCircuit(9)
+        for qubit in range(7):
+            qc.x(qubit)
+        qc.mcx(list(range(7)), 8)
+        qc.h(7)
+        qc.measure_all()
+        assert_batch_sizes_bit_equal(qc, BitFlipNoise(0.05), shots=40)
+        clean = shotbatch.run_batched(qc, None, shots=50, seed=3)
+        assert set(clean.counts) == {"101111111", "111111111"}
+        assert clean.metadata["classical_prefix"] == 7
 
 
 class TestBatchedExecutor:
