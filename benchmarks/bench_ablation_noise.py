@@ -13,7 +13,6 @@ import pytest
 
 from repro.qsim.backends import get_backend
 from repro.qsim.circuit import QuantumCircuit
-from repro.qsim.density import depolarizing_kraus
 from repro.qsim.noise import DepolarizingNoise
 
 NOISE_LEVELS = [0.0, 0.01, 0.05, 0.1, 0.2]
@@ -32,10 +31,8 @@ def _correlation(counts: dict, shots: int) -> float:
 
 def _correlation_exact(p: float) -> float:
     # exact channel and trajectory model run through the same unified
-    # backend API -- only the registry name differs
-    backend = get_backend(
-        "density_matrix", seed=0, gate_noise={1: depolarizing_kraus(p), 2: depolarizing_kraus(p)}
-    )
+    # backend API and the same noise model -- only the registry name differs
+    backend = get_backend("density_matrix", seed=0, noise_model=DepolarizingNoise(p))
     counts = backend.run(_bell_circuit(), shots=20000).result().get_counts()
     return _correlation(counts, sum(counts.values()))
 

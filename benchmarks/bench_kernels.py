@@ -73,9 +73,10 @@ from typing import Dict, List
 import numpy as np
 
 from repro.qsim import DepolarizingNoise, QuantumCircuit, Statevector, from_qasm
-from repro.qsim import kernels
+from repro.qsim import gates, kernels
 from repro.qsim.backends import StatevectorBackend, build_noisy_backend
-from repro.qsim.density import DensityMatrix, depolarizing_kraus
+from repro.qsim.density import DensityMatrix
+from repro.qsim.noise import depolarizing_kraus
 from repro.qsim.fusion import fuse_gates, fusion_summary
 from repro.qsim.instruction import Barrier, Gate, Measure, Reset
 from repro.qsim.shotbatch import run_batched
@@ -142,15 +143,19 @@ CIRCUITS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "circuit
 #: shot errs within a few gates, so no trajectory is shared
 HIGH_NOISE_P = 0.2
 
+PAULIS = {"X": gates.X, "Y": gates.Y, "Z": gates.Z}
+
 #: the corpus files with mid-circuit measurement, reset or ``if``
 FEEDFORWARD_FILES = ("teleport_cond_n3", "ghz_cond_n4", "qec_cond_n5", "qec_repetition_n5")
 
 
 def reference_per_shot_loop(circuit, noise, shots: int, seed: int) -> Dict[str, int]:
     """One full circuit pass per shot in a Python loop (the regression
-    baseline): gates through :func:`kernels.apply_gate`, noise through
-    ``NoiseModel.apply``, collapse through ``Statevector.measure``/``reset``."""
+    baseline): gates through :func:`kernels.apply_gate`, one Pauli error per
+    touched qubit drawn from the model's ``pauli_terms()``, collapse through
+    ``Statevector.measure``/``reset``."""
     rng = np.random.default_rng(seed)
+    terms = () if noise is None else noise.pauli_terms()
     counts: Dict[str, int] = {}
     for _ in range(shots):
         state = Statevector.zero_state(circuit.num_qubits)
@@ -166,8 +171,13 @@ def reference_per_shot_loop(circuit, noise, shots: int, seed: int) -> Dict[str, 
                 state.reset_qubit(targets[0], rng=rng)
             else:
                 kernels.apply_gate(state.data, op, targets)
-                if noise is not None:
-                    noise.apply(state, targets, rng)
+                for qubit in targets if terms else ():
+                    draw, edge = rng.random(), 0.0
+                    for pauli, probability in terms:
+                        edge += probability
+                        if draw < edge:
+                            state.apply_unitary(PAULIS[pauli], [qubit])
+                            break
         key = format_bits(bits, circuit.num_clbits)
         counts[key] = counts.get(key, 0) + 1
     return counts

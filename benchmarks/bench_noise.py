@@ -33,7 +33,6 @@ from repro.algorithms import run_repetition_code
 from repro.algorithms.entanglement import ghz_circuit
 from repro.qsim import QuantumCircuit
 from repro.qsim.backends import get_backend
-from repro.qsim.density import depolarizing_kraus
 from repro.qsim.noise import DepolarizingNoise
 
 from benchutil import add_out_argument, total_variation, write_results
@@ -48,9 +47,8 @@ def noisy_ghz_circuit(num_qubits: int) -> QuantumCircuit:
 def convergence_rows(num_qubits: int, p: float, shot_ladder: List[int], seed: int):
     """TVD of each sampled engine against the exact channel, per shot count."""
     circuit = noisy_ghz_circuit(num_qubits)
-    kraus = depolarizing_kraus(p)
     exact = (
-        get_backend("density_matrix", seed=seed, gate_noise={1: kraus, 2: kraus})
+        get_backend("density_matrix", seed=seed, noise_model=DepolarizingNoise(p))
         .run(circuit, shots=200_000)
         .result()
         .get_counts()

@@ -22,12 +22,12 @@ well past ``--require-qubits 100``) must complete all shots in under one
 second wall-clock.
 
 A second axis, **feed-forward**, times classically conditioned circuits
-under depolarizing noise (``NOISE_P``) on the symbolic path against
-``noise_method="per_shot"`` (one concrete tableau per shot) on the same
-circuit: the three conditioned corpus files plus a generated
-active-correction round of the repetition code (``FEEDFORWARD_DISTANCE``
-data qubits, 51 qubits in all) with one 2-bit syndrome register per
-interior data qubit.  Each pair of runs must agree within the corpus TVD
+under depolarizing noise (``NOISE_P``) on the symbolic path against the
+per-shot path (one concrete tableau per shot, reached by setting
+``stabilizer.MAX_SYMBOLIC_PHASE_CELLS`` to 0) on the same circuit: the
+three conditioned corpus files plus a generated active-correction round
+of the repetition code (``FEEDFORWARD_DISTANCE`` data qubits, 51 qubits in
+all) with one 2-bit syndrome register per interior data qubit.  Each pair of runs must agree within the corpus TVD
 floor (on the repetition round: the distribution of the number of data
 bits read as 0), the symbolic run must report ``stabilizer_noisy`` with no
 fallback, the noiseless repetition round must read every data bit as 1,
@@ -50,7 +50,7 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro.qsim import QuantumCircuit, from_qasm
+from repro.qsim import QuantumCircuit, from_qasm, stabilizer
 from repro.qsim.backends import get_backend
 from repro.qsim.noise import DepolarizingNoise
 from repro.qsim.registers import ClassicalRegister, QuantumRegister
@@ -149,17 +149,13 @@ def feedforward_axis(distance: int, shots: int, noise_p: float, seed: int, repea
     print(f"{'circuit':<22} {'qubits':>7} {'per-shot (ms)':>14} {'symbolic (ms)':>14} "
           f"{'speedup':>9} {'tvd':>7}")
     for name, circuit, weights_of in circuits:
-        backends = {
-            mode: get_backend("stabilizer", noise_model=DepolarizingNoise(noise_p),
-                              noise_method=mode)
-            for mode in ("per_shot", "symbolic")
-        }
-        results = {
-            mode: backend.run(circuit, shots=shots, seed=seed).result()[0]
-            for mode, backend in backends.items()
-        }
+        backend = get_backend("stabilizer", noise_model=DepolarizingNoise(noise_p))
+        modes = ("per_shot", "symbolic")
+        results = {mode: run_mode(backend, circuit, shots, seed, mode) for mode in modes}
         if results["symbolic"].metadata != {"method": "stabilizer_noisy"}:
             failures.append(f"{name}: symbolic run reported {results['symbolic'].metadata}")
+        if results["per_shot"].metadata["method"] != "stabilizer_noisy_per_shot":
+            failures.append(f"{name}: per-shot run reported {results['per_shot'].metadata}")
         a, b = (results[mode].counts for mode in ("per_shot", "symbolic"))
         if weights_of is not None:
             a, b = zero_weights(a, weights_of), zero_weights(b, weights_of)
@@ -167,11 +163,11 @@ def feedforward_axis(distance: int, shots: int, noise_p: float, seed: int, repea
         allowed = tvd_floor(max(len(a), len(b)), shots)
         if tvd > allowed:
             failures.append(f"{name}: TVD {tvd:.3f} between the two paths exceeds {allowed:.3f}")
-        best = {mode: float("inf") for mode in backends}
+        best = {mode: float("inf") for mode in modes}
         for _ in range(repeats):
-            for mode, backend in backends.items():
+            for mode in modes:
                 start = time.perf_counter()
-                backend.run(circuit, shots=shots, seed=seed).result()
+                run_mode(backend, circuit, shots, seed, mode)
                 best[mode] = min(best[mode], time.perf_counter() - start)
         speedup = best["per_shot"] / best["symbolic"]
         print(f"{name:<22} {circuit.num_qubits:>7} {best['per_shot'] * 1e3:>14.1f} "
@@ -183,6 +179,18 @@ def feedforward_axis(distance: int, shots: int, noise_p: float, seed: int, repea
         if speedup < 10.0 and shots >= 1000:
             failures.append(f"{name}: symbolic speedup {speedup:.1f}x below the 10x target")
     return rows
+
+
+def run_mode(backend, circuit: QuantumCircuit, shots: int, seed: int, mode: str):
+    """One run on the symbolic path, or, for ``mode="per_shot"``, with a zero
+    phase-cell budget, which sends every noisy run to the per-shot path."""
+    budget = stabilizer.MAX_SYMBOLIC_PHASE_CELLS
+    if mode == "per_shot":
+        stabilizer.MAX_SYMBOLIC_PHASE_CELLS = 0
+    try:
+        return backend.run(circuit, shots=shots, seed=seed).result()[0]
+    finally:
+        stabilizer.MAX_SYMBOLIC_PHASE_CELLS = budget
 
 
 def run_once(backend_name: str, circuit: QuantumCircuit, shots: int, seed: int) -> Dict[str, int]:

@@ -10,9 +10,8 @@ syndrome extraction, ancilla measure-and-reset rounds, transversal readout
 injected into the tableau, where the dense engines stop at ~20.
 
 This is the QEC-style showcase of the noise-aware stabilizer engine: noise
-is injected by the *backend* (``noise_model=`` on ``stabilizer`` /
-``statevector``, ``gate_noise=`` on ``density_matrix``), the syndrome
-circuit detects the injected errors, and the classical decoder
+is injected by the *backend* (the same ``noise_model=`` on every engine),
+the syndrome circuit detects the injected errors, and the classical decoder
 (majority vote, the exact maximum-likelihood decoder for independent
 bit-flips) recovers the logical value.
 """
@@ -141,8 +140,6 @@ def run_repetition_code(
     if isinstance(backend, Backend):
         resolved = backend
     elif p > 0:
-        # the shared helper maps the channel onto whichever noise form the
-        # named backend takes (noise_model= vs gate_noise=)
         resolved = build_noisy_backend(backend, p, noise, seed=seed)
     else:
         resolved = get_backend(backend, seed=seed)

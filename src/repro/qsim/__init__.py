@@ -20,7 +20,7 @@ implementation with a self-contained, NumPy-based stack:
   API over every engine,
 * :mod:`repro.qsim.transpiler` -- decomposition and analysis passes,
 * :mod:`repro.qsim.qasm` -- OpenQASM 2.0 export and import,
-* :mod:`repro.qsim.noise` -- simple stochastic noise models,
+* :mod:`repro.qsim.noise` -- the one noise model every engine takes,
 * :mod:`repro.qsim.telemetry` -- always-on observability: tracing spans,
   the process-wide metrics registry, JSON/Prometheus exporters.
 
@@ -47,15 +47,17 @@ from .transpiler import count_ops, decompose, circuit_depth, is_clifford, transp
 from .optimizer import optimize, optimization_summary
 from .fusion import fuse_gates, fusion_summary
 from .qasm import from_qasm, from_qasm_file, to_qasm
-from .noise import BitFlipNoise, DepolarizingNoise, NoiseModel, PhaseFlipNoise
-from .density import (
-    DensityMatrix,
-    DensityMatrixSimulator,
+from .noise import (
+    BitFlipNoise,
+    DepolarizingNoise,
+    NoiseModel,
+    PhaseFlipNoise,
     amplitude_damping_kraus,
     bit_flip_kraus,
     depolarizing_kraus,
     phase_flip_kraus,
 )
+from .density import DensityMatrix, DensityMatrixSimulator
 from .backends import (
     Backend,
     DensityMatrixBackend,

@@ -13,12 +13,11 @@ regression seeds rely on.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
-
-import numpy as np
+from typing import Optional, Union
 
 from ..density import DensityMatrixSimulator
 from ..exceptions import BackendError, SimulationError
+from ..noise import BitFlipNoise, DepolarizingNoise, NoiseModel, PhaseFlipNoise
 from ..simulator import SIMULATOR_MAX_FUSED_QUBITS, StatevectorSimulator
 from ..stabilizer import StabilizerSimulator
 from .backend import Backend
@@ -32,13 +31,14 @@ __all__ = [
     "NOISE_CHANNELS",
 ]
 
-#: channel names understood by :func:`build_noisy_backend` (and the CLI's
-#: ``--noise-model`` flag)
-NOISE_CHANNELS = ("bit_flip", "phase_flip", "depolarizing")
-
-#: registry names (and aliases) that take exact Kraus ``gate_noise`` instead
-#: of a trajectory / Pauli-frame ``noise_model``
-_KRAUS_BACKENDS = frozenset({"density_matrix", "dm", "density"})
+#: the noise model behind each channel name understood by
+#: :func:`build_noisy_backend` (and the CLI's ``--noise-model`` flag)
+_CHANNELS = {
+    "bit_flip": BitFlipNoise,
+    "phase_flip": PhaseFlipNoise,
+    "depolarizing": DepolarizingNoise,
+}
+NOISE_CHANNELS = tuple(_CHANNELS)
 
 
 class StatevectorBackend(Backend):
@@ -61,7 +61,7 @@ class StatevectorBackend(Backend):
     def __init__(
         self,
         seed: Optional[int] = None,
-        noise_model: Optional[object] = None,
+        noise_model: Optional[NoiseModel] = None,
         fusion: bool = True,
         max_fused_qubits: int = SIMULATOR_MAX_FUSED_QUBITS,
     ):
@@ -85,22 +85,17 @@ class StatevectorBackend(Backend):
 class DensityMatrixBackend(Backend):
     """Exact density-matrix execution behind the unified backend API.
 
-    ``gate_noise`` maps gate arity (1 or 2) to single-qubit Kraus operators,
-    exactly as on :class:`DensityMatrixSimulator`, whose run metadata
-    (``method``, ``branches``) also tags the run span.
+    ``noise_model`` is applied exactly, as on :class:`DensityMatrixSimulator`,
+    whose run metadata (``method``, ``branches``) also tags the run span.
     """
 
     name = "density_matrix"
 
-    def __init__(
-        self,
-        seed: Optional[int] = None,
-        gate_noise: Optional[Dict[int, List[np.ndarray]]] = None,
-    ):
-        self._engine = DensityMatrixSimulator(seed=seed, gate_noise=gate_noise)
+    def __init__(self, seed: Optional[int] = None, noise_model: Optional[NoiseModel] = None):
+        self._engine = DensityMatrixSimulator(seed=seed, noise_model=noise_model)
 
     def _fresh_engine(self, seed: int) -> DensityMatrixSimulator:
-        return DensityMatrixSimulator(seed=seed, gate_noise=self._engine.gate_noise)
+        return DensityMatrixSimulator(seed=seed, noise_model=self._engine.noise_model)
 
 
 class StabilizerBackend(Backend):
@@ -116,36 +111,19 @@ class StabilizerBackend(Backend):
     (:class:`~repro.qsim.noise.BitFlipNoise`,
     :class:`~repro.qsim.noise.PhaseFlipNoise`,
     :class:`~repro.qsim.noise.DepolarizingNoise`) after every unitary
-    instruction -- the same hook the statevector engine exposes, but still
-    polynomial because Pauli errors ride the tableau's symbolic phases.
-    ``noise_method`` (``"auto"``/``"symbolic"``/``"per_shot"``) picks the
-    execution strategy for noisy runs; see ``docs/noise.md``.
+    instruction -- as on every engine, but still polynomial because Pauli
+    errors ride the tableau's symbolic phases; see ``docs/noise.md``.
     """
 
     name = "stabilizer"
 
-    def __init__(
-        self,
-        seed: Optional[int] = None,
-        noise_model: Optional[object] = None,
-        noise_method: str = "auto",
-    ):
-        try:
-            self._engine = StabilizerSimulator(
-                seed=seed, noise_model=noise_model, noise_method=noise_method
-            )
-        except SimulationError as exc:
-            raise BackendError(str(exc)) from exc
+    def __init__(self, seed: Optional[int] = None, noise_model: Optional[NoiseModel] = None):
+        self._engine = StabilizerSimulator(seed=seed, noise_model=noise_model)
 
     def _fresh_engine(self, seed: int) -> StabilizerSimulator:
-        # seeded experiments must carry the template's noise configuration,
-        # or a noisy backend would silently run noiseless under a seed
-        template = self._engine
-        return StabilizerSimulator(
-            seed=seed,
-            noise_model=template.noise_model,
-            noise_method=template.noise_method,
-        )
+        # seeded experiments must carry the template's noise model, or a
+        # noisy backend would silently run noiseless under a seed
+        return StabilizerSimulator(seed=seed, noise_model=self._engine.noise_model)
 
 
 def build_noisy_backend(
@@ -156,35 +134,22 @@ def build_noisy_backend(
 ) -> Backend:
     """Instantiate backend *name* with noise *channel* at probability *p*.
 
-    The one place that knows which noise form each engine takes:
-    density-matrix style backends receive the exact single-qubit Kraus
-    channel as ``gate_noise={1: ..., 2: ...}``, every other backend the
-    matching trajectory / Pauli-frame ``noise_model`` -- so the CLI's
-    ``--noise`` flag and the algorithm drivers construct noisy engines
-    identically.  *name* may be ``None`` (defaults to ``statevector``).
-    Raises :class:`SimulationError` for an unknown channel name and
-    :class:`BackendError` for a backend that accepts neither noise form.
+    Every built-in backend takes the same :class:`~repro.qsim.noise.NoiseModel`
+    as ``noise_model=``, so the CLI's ``--noise`` flag and the algorithm
+    drivers construct noisy engines identically.  *name* may be ``None``
+    (defaults to ``statevector``).  Raises :class:`SimulationError` for an
+    unknown channel name and :class:`BackendError` for a backend that takes
+    no ``noise_model``.
     """
-    from ..density import bit_flip_kraus, depolarizing_kraus, phase_flip_kraus
-    from ..noise import BitFlipNoise, DepolarizingNoise, PhaseFlipNoise
     from .registry import get_backend
 
-    channels = {
-        "bit_flip": (BitFlipNoise, bit_flip_kraus),
-        "phase_flip": (PhaseFlipNoise, phase_flip_kraus),
-        "depolarizing": (DepolarizingNoise, depolarizing_kraus),
-    }
-    if channel not in channels:
+    if channel not in _CHANNELS:
         raise SimulationError(
-            f"unknown noise channel {channel!r} (choose from {sorted(channels)})"
+            f"unknown noise channel {channel!r} (choose from {sorted(_CHANNELS)})"
         )
-    model_cls, kraus_fn = channels[channel]
     name = name or "statevector"
-    if name.lower() in _KRAUS_BACKENDS:
-        kraus = kraus_fn(p)
-        return get_backend(name, seed=seed, gate_noise={1: kraus, 2: kraus})
     try:
-        return get_backend(name, seed=seed, noise_model=model_cls(p))
+        return get_backend(name, seed=seed, noise_model=_CHANNELS[channel](p))
     except TypeError as exc:
         raise BackendError(
             f"backend {name!r} does not support noise injection: {exc}"

@@ -68,7 +68,7 @@ def get_backend(name: str, **options) -> Backend:
 
     Keyword *options* are forwarded to the factory, e.g.
     ``get_backend("statevector", seed=7)`` or
-    ``get_backend("density_matrix", gate_noise={1: depolarizing_kraus(0.05)})``.
+    ``get_backend("density_matrix", noise_model=DepolarizingNoise(0.05))``.
     """
     backend = _REGISTRY[resolve_backend_name(name)](**options)
     if not isinstance(backend, Backend):

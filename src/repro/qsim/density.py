@@ -1,12 +1,12 @@
 """Density-matrix simulation and exact noise channels.
 
-The Monte-Carlo noise models in :mod:`repro.qsim.noise` sample error
-trajectories; this module provides the exact counterpart: a
-:class:`DensityMatrix` representation evolved under unitaries and Kraus
-channels, plus a :class:`DensityMatrixSimulator` able to run the same
-:class:`~repro.qsim.circuit.QuantumCircuit` objects as the statevector
+The statevector and stabilizer engines sample the errors of a
+:class:`~repro.qsim.noise.NoiseModel`; this module runs its Kraus channel
+exactly: a :class:`DensityMatrix` representation evolved under unitaries
+and Kraus channels, plus a :class:`DensityMatrixSimulator` able to run the
+same :class:`~repro.qsim.circuit.QuantumCircuit` objects as the statevector
 engine.  It is the substrate for the noise-robustness ablations and for
-verifying the trajectory models against their exact channels.
+verifying the sampling engines against the exact channel.
 
 ``rho`` is stored as a ``2^n x 2^n`` matrix whose flattening is a
 ``2n``-qubit vector with row qubit ``t`` at bit ``t + n``, so the gate
@@ -29,103 +29,16 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 import numpy as np
 
-from . import gates, kernels
+from . import kernels
 from .circuit import CircuitInstruction, QuantumCircuit
 from .exceptions import SimulationError
 from .instruction import Barrier, Initialize, Measure, Reset
+from .noise import NoiseModel, check_unfused
 from .result import ExperimentResult
 from .simulator import condition_met, format_bits, sample_final
 from .statevector import Statevector
 
-__all__ = [
-    "DensityMatrix",
-    "DensityMatrixSimulator",
-    "bit_flip_kraus",
-    "phase_flip_kraus",
-    "depolarizing_kraus",
-    "amplitude_damping_kraus",
-]
-
-
-# ---------------------------------------------------------------------------
-# Kraus channel constructors (single qubit)
-# ---------------------------------------------------------------------------
-
-def bit_flip_kraus(p: float) -> List[np.ndarray]:
-    """Bit-flip channel: X applied with probability *p*."""
-    _check_probability(p)
-    return [math.sqrt(1 - p) * gates.I1, math.sqrt(p) * gates.X]
-
-
-def phase_flip_kraus(p: float) -> List[np.ndarray]:
-    """Phase-flip channel: Z applied with probability *p*."""
-    _check_probability(p)
-    return [math.sqrt(1 - p) * gates.I1, math.sqrt(p) * gates.Z]
-
-
-def depolarizing_kraus(p: float) -> List[np.ndarray]:
-    """Depolarizing channel with error probability *p* (X, Y, Z equally likely)."""
-    _check_probability(p)
-    return [
-        math.sqrt(1 - p) * gates.I1,
-        math.sqrt(p / 3) * gates.X,
-        math.sqrt(p / 3) * gates.Y,
-        math.sqrt(p / 3) * gates.Z,
-    ]
-
-
-def amplitude_damping_kraus(gamma: float) -> List[np.ndarray]:
-    """Amplitude damping (T1 decay) with decay probability *gamma*."""
-    _check_probability(gamma)
-    k0 = np.array([[1, 0], [0, math.sqrt(1 - gamma)]], dtype=complex)
-    k1 = np.array([[0, math.sqrt(gamma)], [0, 0]], dtype=complex)
-    return [k0, k1]
-
-
-def _check_probability(p: float) -> None:
-    if not 0.0 <= p <= 1.0:
-        raise SimulationError("channel probability must be in [0, 1]")
-
-
-def _validate_gate_noise(
-    gate_noise: Dict[int, List[np.ndarray]],
-) -> Dict[int, List[np.ndarray]]:
-    """Validate a ``gate_noise`` mapping and normalise its operators.
-
-    The convention (now enforced instead of silently assumed): the key is
-    the **gate arity** (1 or 2; wider gates reuse the key-2 channel) and the
-    value is a list of **single-qubit** (2x2) Kraus operators applied
-    *independently to every qubit the gate touched*.  A 4x4 two-qubit Kraus
-    channel under key 2 used to silently degrade into nonsense -- it is now
-    rejected with an error naming the convention.  Completeness
-    (``sum K^dagger K = I``) is checked so non-trace-preserving channels
-    fail at construction, not as drifting probabilities mid-run.
-    """
-    validated: Dict[int, List[np.ndarray]] = {}
-    for arity, kraus_operators in gate_noise.items():
-        if arity not in (1, 2):
-            raise SimulationError(
-                f"gate_noise key {arity!r} is not a supported gate arity: use 1 "
-                "(single-qubit gates) or 2 (two-qubit-and-wider gates)"
-            )
-        operators = [np.asarray(k, dtype=complex) for k in kraus_operators]
-        if not operators:
-            raise SimulationError(f"gate_noise[{arity}] must contain at least one Kraus operator")
-        for kraus in operators:
-            if kraus.shape != (2, 2):
-                raise SimulationError(
-                    f"gate_noise[{arity}] expects single-qubit (2x2) Kraus operators, "
-                    f"applied independently to each qubit a {arity}-qubit gate "
-                    f"touches; got an operator of shape {kraus.shape}"
-                )
-        completeness = sum(kraus.conj().T @ kraus for kraus in operators)
-        if not np.allclose(completeness, np.eye(2), atol=1e-8):
-            raise SimulationError(
-                f"gate_noise[{arity}] Kraus operators are not complete "
-                "(sum K^dagger K != I); the channel would not be trace-preserving"
-            )
-        validated[arity] = operators
-    return validated
+__all__ = ["DensityMatrix", "DensityMatrixSimulator"]
 
 
 def _superoperator(kraus_operators: Iterable[np.ndarray]) -> np.ndarray:
@@ -377,37 +290,28 @@ def deferred_measurements(circuit: QuantumCircuit) -> Set[int]:
 class DensityMatrixSimulator:
     """Runs :class:`QuantumCircuit` objects on a density matrix.
 
-    ``gate_noise`` maps a gate **arity** (1, or 2 for two-qubit-and-wider
-    gates) to a list of **single-qubit** (2x2) Kraus operators that are
-    applied *independently to every qubit the gate touched* -- the exact
-    analogue of the per-touched-qubit trajectory models in
-    :mod:`repro.qsim.noise`, not a correlated multi-qubit channel.  The
-    mapping is validated at construction: wrong-shape operators and
-    non-trace-preserving sets (``sum K^dagger K != I``) raise a
-    :class:`SimulationError` immediately.
+    *noise_model* (a :class:`~repro.qsim.noise.NoiseModel`) is applied
+    exactly: its single-qubit Kraus channel acts independently on every
+    qubit each unitary instruction touched -- not a correlated multi-qubit
+    channel -- so any channel runs here, Pauli or not.
     """
 
-    def __init__(
-        self,
-        seed: Optional[int] = None,
-        gate_noise: Optional[Dict[int, List[np.ndarray]]] = None,
-    ):
+    def __init__(self, seed: Optional[int] = None, noise_model: Optional[NoiseModel] = None):
         self._rng = np.random.default_rng(seed)
-        self.gate_noise = _validate_gate_noise(gate_noise) if gate_noise else {}
-        self._channels = {arity: _superoperator(k) for arity, k in self.gate_noise.items()}
-        #: per arity, the channel's action on populations, or None when a
-        #: Kraus operator is not monomial
-        self._stochastic = {
-            arity: (
-                sum(np.abs(k) ** 2 for k in kraus)
-                if all(kernels.basis_table(k) is not None for k in kraus)
-                else None
-            )
-            for arity, kraus in self.gate_noise.items()
-        }
+        self.noise_model = noise_model
+        kraus = () if noise_model is None else noise_model.kraus
+        self._channel = _superoperator(kraus) if kraus else None
+        #: the channel's action on populations, or None when there is no
+        #: channel or a Kraus operator is not monomial
+        self._stochastic = (
+            sum(np.abs(k) ** 2 for k in kraus)
+            if kraus and all(kernels.basis_table(k) is not None for k in kraus)
+            else None
+        )
 
     def evolve(self, circuit: QuantumCircuit, initial: Optional[DensityMatrix] = None) -> DensityMatrix:
         """Return the density matrix after running *circuit* (measurements collapse)."""
+        check_unfused(circuit, self.noise_model)
         if initial is None:
             prefix, sources = self._lower(circuit)
             start = _zero_state(circuit.num_qubits, prefix)
@@ -436,6 +340,7 @@ class DensityMatrixSimulator:
         """
         if shots <= 0:
             raise SimulationError("shots must be positive")
+        check_unfused(circuit, self.noise_model)
         rng = self._rng if seed is None else np.random.default_rng(seed)
         deferred = deferred_measurements(circuit)
         final = [
@@ -490,8 +395,7 @@ class DensityMatrixSimulator:
                 sources.append(None)
                 continue
             table = kernels.gate_basis_table(op)
-            arity = min(op.num_qubits, 2)
-            if table is None or (arity in self._channels and self._stochastic[arity] is None):
+            if table is None or (self._channel is not None and self._stochastic is None):
                 break
             targets = [circuit.qubit_index(q) for q in instr.qubits]
             _, mask, moves, _ = kernels.basis_lookup(table, targets)
@@ -558,10 +462,9 @@ class DensityMatrixSimulator:
             return
         if source is not None:
             state.permute(source)
-        channel = self._stochastic.get(min(len(targets), 2))
-        if channel is not None:
+        if self._stochastic is not None:
             for qubit in targets:
-                state.apply_stochastic(channel, qubit)
+                state.apply_stochastic(self._stochastic, qubit)
 
     def _apply(
         self, state: DensityMatrix, circuit: QuantumCircuit, instr: CircuitInstruction
@@ -588,8 +491,7 @@ class DensityMatrixSimulator:
         if not op.is_unitary:
             raise SimulationError(f"cannot simulate instruction {op.name!r}")
         state._sandwich(targets, op)
-        channel = self._channels.get(min(len(targets), 2))
-        if channel is not None:
+        if self._channel is not None:
             for qubit in targets:
-                state._apply_channel(channel, [qubit])
+                state._apply_channel(self._channel, [qubit])
         return state

@@ -63,9 +63,9 @@ by construction:
 * probability reductions go through :func:`row_sums`, which reduces every
   row independently in a fixed order.
 
-Every circuit runs here; :func:`ineligible_reason` only names noise without
-a trajectory form (a model whose ``pauli_terms()`` is ``None``, or fused
-blocks under noise).
+Every circuit runs here; only noise can rule a run out: a model without
+Pauli terms (:func:`repro.qsim.noise.require_pauli`), or fused blocks under
+noise (:func:`repro.qsim.noise.check_unfused`).
 """
 
 from __future__ import annotations
@@ -79,12 +79,12 @@ from . import kernels
 from .circuit import QuantumCircuit
 from .exceptions import SimulationError
 from .instruction import Barrier, Initialize, Measure, Reset
-from .noise import NoiseModel
+from .noise import NoiseModel, PauliTerms, check_unfused, require_pauli
 from .result import ExperimentResult
 from .simulator import tally
 from .statevector import Statevector
 
-__all__ = ["ineligible_reason", "run_batched", "MAX_BATCH_AMPLITUDES"]
+__all__ = ["run_batched", "MAX_BATCH_AMPLITUDES"]
 
 #: hard cap on simultaneous amplitudes (batch_rows * 2^n); bounds the working
 #: set of a batch plus its scratch to a few hundred MB
@@ -116,29 +116,6 @@ def row_sums(a: np.ndarray) -> np.ndarray:
     return np.add.reduce(a, axis=1)
 
 
-def ineligible_reason(
-    circuit: QuantumCircuit, noise_model: Optional[NoiseModel]
-) -> Optional[str]:
-    """Why *circuit* under *noise_model* cannot run batched, or ``None``.
-
-    Only the noise configuration can rule a run out; the string is a
-    human-readable reason suitable for error messages.
-    """
-    if noise_model is None:
-        return None
-    if noise_model.pauli_terms() is None:
-        return (
-            "noise model is not a single-qubit Pauli channel; run it on the "
-            "density_matrix backend with gate_noise= (exact Kraus channels)"
-        )
-    for instr in circuit.data:
-        if getattr(instr.operation, "is_fused_block", False):
-            # noise is defined per gate; a fused block would receive one
-            # error per *block*
-            return "circuit contains fused blocks (noise is defined per gate)"
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Plan construction: circuit -> steps with precomputed indexing
 # ---------------------------------------------------------------------------
@@ -153,23 +130,17 @@ def ineligible_reason(
 #   ("cond",    clbits, pattern, steps)     steps run where bits[clbits] == pattern
 
 
-def _pauli_intervals(noise_model: NoiseModel) -> List[Tuple[str, float, float]]:
+def _pauli_intervals(terms: PauliTerms) -> List[Tuple[str, float, float]]:
     """``(pauli, lo, hi)`` half-open subintervals of [0, 1) per error term.
 
     A pre-drawn uniform ``u`` selects the Pauli whose interval contains it
-    (identity when none does) -- the same distribution the trajectory
-    models sample with ``rng.random() < p`` plus ``rng.integers``.
+    (identity when none does).
     """
-    terms = noise_model.pauli_terms()
-    if terms is None:  # callers check eligibility first
-        raise SimulationError("noise model is not a Pauli channel")
     intervals = []
     edge = 0.0
     for pauli, probability in terms:
         intervals.append((pauli, edge, edge + probability))
         edge += probability
-    if edge > 1.0 + 1e-12:
-        raise SimulationError("Pauli channel probabilities exceed 1")
     return intervals
 
 
@@ -190,7 +161,7 @@ def _build_plan(
     per step, the position in ``circuit.data`` of the instruction it came
     from.
     """
-    intervals = _pauli_intervals(noise_model) if noise_model is not None else []
+    intervals = _pauli_intervals(require_pauli(noise_model)) if noise_model is not None else []
     plan: List[tuple] = []
     origins: List[int] = []
     for position, instr in enumerate(circuit.data):
@@ -628,9 +599,7 @@ def run_batched(
     """
     if shots <= 0:
         raise SimulationError("shots must be positive")
-    reason = ineligible_reason(circuit, noise_model)
-    if reason is not None:
-        raise SimulationError(f"circuit is not batchable: {reason}")
+    check_unfused(circuit, noise_model)
     n = circuit.num_qubits
     if initial_state is None:
         initial_state = Statevector.zero_state(n)

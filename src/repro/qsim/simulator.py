@@ -17,7 +17,7 @@ Execution strategy
 
 Both paths apply gates through the one step-kernel set of
 :mod:`repro.qsim.kernels` (a single state is a one-row view of the batched
-executor's kernels), and -- unless a noise model needs per-gate hooks --
+executor's kernels), and -- unless a noise model follows every gate --
 circuits are pre-processed by the gate-fusion pass (:mod:`repro.qsim.fusion`)
 so runs of small gates cost a single pass over the state.
 """
@@ -42,6 +42,7 @@ __all__ = [
     "SIMULATOR_MAX_FUSED_QUBITS",
     "measurements_are_final",
     "condition_met",
+    "check_evolvable",
     "format_bits",
     "sample_final",
     "tally",
@@ -100,6 +101,23 @@ def condition_met(
     for position, clbit in enumerate(creg):
         register_value |= bits.get(circuit.clbit_index(clbit), 0) << position
     return register_value == value
+
+
+def check_evolvable(
+    circuit: QuantumCircuit, noise_model: Optional[NoiseModel], collapse: bool = False
+) -> None:
+    """Refuse what one ``evolve()`` pass cannot follow: a noise model, which
+    only ``run()`` samples, and -- unless measurements *collapse* -- a
+    classical condition, which reads measurement outcomes."""
+    if noise_model is not None:
+        raise SimulationError(
+            "evolve() is noiseless: run() samples the noise model attached to this engine"
+        )
+    if not collapse and any(instr.condition is not None for instr in circuit.data):
+        raise SimulationError(
+            "cannot evolve a classically-conditioned circuit: its conditions read "
+            "measurement outcomes, which only run() samples"
+        )
 
 
 def format_bits(bits: Dict[int, int], num_clbits: int) -> str:
@@ -165,7 +183,9 @@ def sample_final(
 
 
 class StatevectorSimulator:
-    """Exact dense simulator with optional stochastic noise injection.
+    """Exact dense simulator; *noise_model* (a Pauli
+    :class:`~repro.qsim.noise.NoiseModel`) is sampled per shot by
+    :meth:`run`.
 
     *fusion* (default on) pre-processes circuits with
     :func:`repro.qsim.fusion.fuse_gates` before execution; it is skipped
@@ -204,13 +224,10 @@ class StatevectorSimulator:
         constructor RNG for this call only, making the run independently
         reproducible; the simulator's own RNG stream is left untouched.
         """
-        from .shotbatch import ineligible_reason, run_batched  # shotbatch builds on this module
+        from .shotbatch import run_batched  # shotbatch builds on this module
 
         if shots <= 0:
             raise SimulationError("shots must be positive")
-        reason = ineligible_reason(circuit, self.noise_model)
-        if reason is not None:
-            raise SimulationError(f"cannot run on 'statevector': {reason}")
         rng = self._rng if seed is None else np.random.default_rng(seed)
         prepared = self._prepare(circuit)
         if (
@@ -226,58 +243,29 @@ class StatevectorSimulator:
         return result
 
     def evolve(
-        self,
-        circuit: QuantumCircuit,
-        initial_state: Optional[Statevector] = None,
-        collapse_measurements: bool = False,
+        self, circuit: QuantumCircuit, initial_state: Optional[Statevector] = None
     ) -> Statevector:
-        """Return the statevector after running *circuit* once.
+        """Return the statevector after running *circuit* once, noiselessly.
 
-        Measurements are skipped unless *collapse_measurements* is set, in
-        which case they collapse the state using the simulator's RNG.
+        Measurements are skipped; a noise model or a classical condition
+        raises (see :func:`check_evolvable`).
         """
+        check_evolvable(circuit, self.noise_model)
         circuit = self._prepare(circuit)
         state = self._initial_state(circuit, initial_state)
-        bits: Dict[int, int] = {}
         for instr in circuit.data:
-            op = instr.operation
-            if instr.condition is not None and not collapse_measurements:
-                raise SimulationError(
-                    "cannot evolve a classically-conditioned circuit without "
-                    "collapse_measurements=True: the condition depends on "
-                    "measurement outcomes"
-                )
-            if not condition_met(circuit, instr.condition, bits):
-                continue
-            if isinstance(op, Measure):
-                if collapse_measurements:
-                    outcome = state.measure(
-                        [circuit.qubit_index(q) for q in instr.qubits], rng=self._rng
-                    )
-                    if instr.clbits:
-                        bits[circuit.clbit_index(instr.clbits[0])] = outcome & 1
-                continue
-            self._apply(state, circuit, instr)
+            if not isinstance(instr.operation, Measure):
+                self._apply(state, circuit, instr)
         return state
 
     # -- internals ----------------------------------------------------------------
 
     def _prepare(self, circuit: QuantumCircuit) -> QuantumCircuit:
-        """Pre-process *circuit* for execution (gate fusion when applicable)."""
-        if self.noise_model is not None:
-            # noise is injected after every individual gate, so a circuit
-            # that was already fused (transpile(level=2), optimize(fuse=True))
-            # would silently receive one error per *block* instead of one per
-            # gate -- refuse instead of corrupting the noise strength
-            for instr in circuit.data:
-                if getattr(instr.operation, "is_fused_block", False):
-                    raise SimulationError(
-                        "cannot run a fused circuit under a noise model: noise "
-                        "is defined per gate; pass the unfused circuit instead"
-                    )
-            return circuit
+        """Pre-process *circuit* for execution (gate fusion when applicable;
+        never under noise, which follows every individual gate)."""
         if (
-            not self.fusion
+            self.noise_model is not None
+            or not self.fusion
             or circuit.num_qubits < _MIN_FUSION_QUBITS
             or len(circuit.data) < 2
         ):
@@ -306,8 +294,6 @@ class StatevectorSimulator:
             return
         if op.is_unitary:
             kernels.apply_gate(state.data, op, targets)
-            if self.noise_model is not None:
-                self.noise_model.apply(state, targets, self._rng)
             return
         raise SimulationError(f"cannot simulate instruction {op.name!r}")
 

@@ -44,7 +44,7 @@ is supported for computational-basis states.
 circuits in polynomial time: a :class:`~repro.qsim.noise.NoiseModel` whose
 :meth:`~repro.qsim.noise.NoiseModel.pauli_terms` describes a single-qubit
 Pauli channel is injected after every unitary instruction on the qubits it
-touched, mirroring the statevector engine's trajectory hook.  The injection
+touched, at the same sites as on every other engine.  The injection
 rides the symbolic-phase machinery: a Pauli error never changes the
 tableau's x/z bit-matrix -- only row signs -- so each potential error
 location contributes one (bit/phase flip) or two (general Pauli channel,
@@ -65,9 +65,9 @@ import numpy as np
 from .circuit import QuantumCircuit
 from .exceptions import SimulationError
 from .instruction import Barrier, Initialize, Measure
-from .noise import NoiseModel
+from .noise import NoiseModel, check_unfused, require_pauli
 from .result import ExperimentResult
-from .simulator import tally
+from .simulator import check_evolvable, tally
 from .transpiler import _clifford_classification
 
 __all__ = [
@@ -84,8 +84,8 @@ STABILIZER_GATES = frozenset(
 
 #: crossover bound of the noisy symbolic fast path: when the phase matrix
 #: (``(2n + 1) x (1 + symbols)`` uint8 cells) would exceed this many cells
-#: (~64 MB), ``noise_method="auto"`` switches to per-shot tableau evolution
-#: instead of materialising a huge symbol frame (see docs/noise.md)
+#: (~64 MB), a noisy run switches to per-shot tableau evolution instead of
+#: materialising a huge symbol frame (see docs/noise.md)
 MAX_SYMBOLIC_PHASE_CELLS = 64_000_000
 
 _PAULI_CHARS = ("I", "Z", "X", "Y")  # indexed by the 2x + z code
@@ -543,8 +543,8 @@ def _compile(
     With *noise* set, a ``("noise", None, targets)`` marker is emitted after
     every **unitary instruction** (one per source instruction, not per
     lowered primitive, and never after measure/reset/initialize/barriers) --
-    the exact hook placement of the statevector engine's trajectory models,
-    so cross-engine noise statistics are comparable.
+    where every engine applies a :class:`~repro.qsim.noise.NoiseModel`, so
+    cross-engine noise statistics are comparable.
     """
     ops: List[_CompiledOp] = []
     events = 0
@@ -619,16 +619,11 @@ def _pauli_channel_encoding(terms) -> Optional[Tuple[str, Any]]:
     general Pauli channel (two correlated symbols per location: the X-part
     and Z-part of the error ``X^a Z^b``, with Y = both).  ``None`` means the
     channel never fires (all probabilities zero) and injection is skipped.
+    The terms were validated when their :class:`NoiseModel` was built.
     """
     probs = {"X": 0.0, "Y": 0.0, "Z": 0.0}
     for pauli, p in terms:
-        if pauli not in probs:
-            raise SimulationError(f"unknown Pauli {pauli!r} in noise channel")
-        if not 0.0 <= p <= 1.0:
-            raise SimulationError("Pauli error probability must be in [0, 1]")
         probs[pauli] += p
-    if sum(probs.values()) > 1.0 + 1e-9:
-        raise SimulationError("Pauli error probabilities sum to more than 1")
     active = [pauli for pauli, p in probs.items() if p > 0.0]
     if not active:
         return None
@@ -666,7 +661,63 @@ def _condition_bits(earlier: np.ndarray, register: np.ndarray, value: int) -> np
     return np.all(parity == wanted, axis=1)
 
 
-_NOISE_METHODS = ("auto", "symbolic", "per_shot")
+def _evolve_concrete(
+    ops: List[_CompiledOp],
+    num_qubits: int,
+    bits: np.ndarray,
+    rng: np.random.Generator,
+    encoding: Optional[Tuple[str, Any]] = None,
+    collapse: bool = True,
+) -> StabilizerTableau:
+    """One concrete tableau through *ops*: conditions read and measurements
+    (when they *collapse*) write this shot's *bits*; resets draw from *rng*,
+    and so do the errors of *encoding*."""
+    tableau = StabilizerTableau(num_qubits)
+    for kind, payload, targets, condition in ops:
+        if not _compiled_condition_met(condition, bits):
+            continue
+        if kind == "gate":
+            getattr(tableau, payload)(*targets)
+        elif kind == "table":
+            tableau.apply_pauli_table(payload, targets)
+        elif kind == "pauli":
+            for pauli, qubit in payload:
+                tableau.apply_pauli(qubit, pauli)
+        elif kind == "initialize":
+            tableau.initialize_basis(payload, targets)
+        elif kind == "noise":
+            for qubit in targets:
+                _inject_concrete(tableau, qubit, encoding, rng)
+        elif kind == "measure":
+            if collapse:
+                bits[payload] = tableau.measure(targets[0], rng=rng)
+        else:  # reset
+            tableau.reset(targets[0], rng=rng)
+    return tableau
+
+
+def _inject_concrete(
+    tableau: StabilizerTableau,
+    qubit: int,
+    encoding: Optional[Tuple[str, Any]],
+    rng: np.random.Generator,
+) -> None:
+    """Sample and apply one concrete error for the per-shot path."""
+    if encoding is None:
+        return
+    if encoding[0] == "single":
+        _, pauli, p = encoding
+        if rng.random() < p:
+            tableau.apply_pauli(qubit, pauli)
+        return
+    p_x, p_y, p_z = encoding[1]
+    draw = rng.random()
+    if draw < p_x:
+        tableau.x(qubit)
+    elif draw < p_x + p_y:
+        tableau.y(qubit)
+    elif draw < p_x + p_y + p_z:
+        tableau.z(qubit)
 
 
 class StabilizerSimulator:
@@ -679,48 +730,21 @@ class StabilizerSimulator:
     measurement phases; all shots are then sampled with a single mod-2
     matrix multiply (see the module docstring).
 
-    *noise_model* injects a single-qubit Pauli channel
-    (:class:`~repro.qsim.noise.BitFlipNoise`,
+    *noise_model* (a :class:`~repro.qsim.noise.NoiseModel` with Pauli terms:
+    :class:`~repro.qsim.noise.BitFlipNoise`,
     :class:`~repro.qsim.noise.PhaseFlipNoise`,
-    :class:`~repro.qsim.noise.DepolarizingNoise`, or any model whose
-    ``pauli_terms()`` is not ``None``) after every unitary instruction, on
-    the qubits it touched.  *noise_method* selects how noisy runs execute:
-
-    * ``"symbolic"`` -- error locations become extra phase-symbol columns;
-      the evolve-once / sample-all-shots fast path is kept (preferred).
-    * ``"per_shot"`` -- every shot re-evolves a concrete tableau with
-      concretely sampled errors (no symbol memory, linear in shots).
-    * ``"auto"`` (default) -- symbolic unless the phase matrix would exceed
-      :data:`MAX_SYMBOLIC_PHASE_CELLS` cells.
+    :class:`~repro.qsim.noise.DepolarizingNoise`, or
+    :meth:`NoiseModel.pauli <repro.qsim.noise.NoiseModel.pauli>`) is injected
+    after every unitary instruction, on the qubits it touched.  Its error
+    locations become extra phase-symbol columns, keeping the evolve-once /
+    sample-all-shots path, unless the phase matrix would exceed
+    :data:`MAX_SYMBOLIC_PHASE_CELLS` cells: then every shot re-evolves a
+    concrete tableau with concretely sampled errors.
     """
 
-    def __init__(
-        self,
-        seed: Optional[int] = None,
-        noise_model: Optional[NoiseModel] = None,
-        noise_method: str = "auto",
-    ):
+    def __init__(self, seed: Optional[int] = None, noise_model: Optional[NoiseModel] = None):
         self._rng = np.random.default_rng(seed)
-        if noise_method not in _NOISE_METHODS:
-            raise SimulationError(
-                f"unknown noise_method {noise_method!r} (choose from {_NOISE_METHODS})"
-            )
         self.noise_model = noise_model
-        self.noise_method = noise_method
-
-    def _noise_encoding(self) -> Optional[Tuple[str, Any]]:
-        """Validate the attached noise model and return its symbol encoding."""
-        if self.noise_model is None:
-            return None
-        terms = self.noise_model.pauli_terms()
-        if terms is None:
-            raise SimulationError(
-                f"the stabilizer engine only supports Pauli noise channels; "
-                f"{type(self.noise_model).__name__} does not describe itself as "
-                "one (pauli_terms() returned None) -- use the statevector or "
-                "density-matrix engine for non-Pauli noise"
-            )
-        return _pauli_channel_encoding(terms)
 
     def run(
         self,
@@ -739,7 +763,10 @@ class StabilizerSimulator:
         """
         if shots <= 0:
             raise SimulationError("shots must be positive")
-        encoding = self._noise_encoding()
+        check_unfused(circuit, self.noise_model)
+        encoding = None
+        if self.noise_model is not None:
+            encoding = _pauli_channel_encoding(require_pauli(self.noise_model))
         ops, max_events, blocker = _compile(circuit, noise=encoding is not None)
         rng = self._rng if seed is None else np.random.default_rng(seed)
 
@@ -756,14 +783,18 @@ class StabilizerSimulator:
             # only a Pauli leaves the x/z bit-matrix alone; any other
             # conditioned instruction makes the evolution itself branch
             reason = f"classically-conditioned non-Pauli instruction {blocker!r}"
-        elif encoding is not None and self._use_per_shot(circuit.num_qubits, capacity):
-            reason = "noise_method='per_shot'" if self.noise_method == "per_shot" else (
-                "symbolic phase frame over MAX_SYMBOLIC_PHASE_CELLS (see docs/noise.md)"
-            )
+        elif (
+            encoding is not None
+            and (2 * circuit.num_qubits + 1) * (1 + capacity) > MAX_SYMBOLIC_PHASE_CELLS
+        ):
+            reason = "symbolic phase frame over MAX_SYMBOLIC_PHASE_CELLS (see docs/noise.md)"
         if reason is not None:
-            values = self._run_per_shot(
-                ops, circuit.num_qubits, circuit.num_clbits, shots, rng, encoding
-            )
+            # also the path of a conditioned non-Pauli instruction (with or
+            # without noise): each shot evaluates conditions against its own
+            # row of clbit values
+            values = np.zeros((shots, circuit.num_clbits), dtype=np.uint8)
+            for bits in values:
+                _evolve_concrete(ops, circuit.num_qubits, bits, rng, encoding)
             metadata = {"method": method + "_per_shot", "fallback_reason": reason}
             return tally(circuit, values, memory, metadata)
 
@@ -812,55 +843,22 @@ class StabilizerSimulator:
     def evolve(
         self, circuit: QuantumCircuit, collapse_measurements: bool = False
     ) -> StabilizerTableau:
-        """Return the tableau after running *circuit* once.
+        """Return the tableau after running *circuit* once, noiselessly.
 
         Measurements are skipped unless *collapse_measurements* is set (then
-        they collapse using the simulator's RNG); resets always apply.  With
-        a noise model attached, one concrete error trajectory is sampled
-        from the simulator's RNG (the symbolic frame only exists inside
-        :meth:`run`).
+        they collapse using the simulator's RNG); resets always apply.  A
+        noise model, or a classical condition without
+        *collapse_measurements*, raises (see
+        :func:`~repro.qsim.simulator.check_evolvable`).
         """
-        encoding = self._noise_encoding()
-        ops, _, _ = _compile(circuit, noise=encoding is not None)
-        tableau = StabilizerTableau(circuit.num_qubits)
+        check_evolvable(circuit, self.noise_model, collapse=collapse_measurements)
+        ops, _, _ = _compile(circuit)
         bits = np.zeros(circuit.num_clbits, dtype=np.uint8)
-        for kind, payload, targets, condition in ops:
-            if condition is not None and not collapse_measurements:
-                raise SimulationError(
-                    "cannot evolve a classically-conditioned circuit without "
-                    "collapse_measurements=True: the condition depends on "
-                    "measurement outcomes"
-                )
-            if not _compiled_condition_met(condition, bits):
-                continue
-            if kind == "gate":
-                getattr(tableau, payload)(*targets)
-            elif kind == "table":
-                tableau.apply_pauli_table(payload, targets)
-            elif kind == "pauli":
-                for pauli, qubit in payload:
-                    tableau.apply_pauli(qubit, pauli)
-            elif kind == "initialize":
-                tableau.initialize_basis(payload, targets)
-            elif kind == "noise":
-                for qubit in targets:
-                    self._inject_concrete(tableau, qubit, encoding, self._rng)
-            elif kind == "measure":
-                if collapse_measurements:
-                    bits[payload] = tableau.measure(targets[0], rng=self._rng)
-            else:
-                tableau.reset(targets[0], rng=self._rng)
-        return tableau
+        return _evolve_concrete(
+            ops, circuit.num_qubits, bits, self._rng, collapse=collapse_measurements
+        )
 
     # -- internals ---------------------------------------------------------------
-
-    def _use_per_shot(self, num_qubits: int, capacity: int) -> bool:
-        """The symbolic-vs-per-shot crossover (see docs/noise.md)."""
-        if self.noise_method == "per_shot":
-            return True
-        if self.noise_method == "symbolic":
-            return False
-        return (2 * num_qubits + 1) * (1 + capacity) > MAX_SYMBOLIC_PHASE_CELLS
 
     @staticmethod
     def _inject_symbolic(
@@ -884,70 +882,6 @@ class StabilizerSimulator:
                 tableau.inject_pauli_symbol(qubit, "X", tableau.allocate_symbol())
                 tableau.inject_pauli_symbol(qubit, "Z", tableau.allocate_symbol())
                 specs.append(("pair", encoding[1], gate))
-
-    @staticmethod
-    def _inject_concrete(
-        tableau: StabilizerTableau,
-        qubit: int,
-        encoding: Optional[Tuple[str, Any]],
-        rng: np.random.Generator,
-    ) -> None:
-        """Sample and apply one concrete error for the per-shot path."""
-        if encoding is None:
-            return
-        if encoding[0] == "single":
-            _, pauli, p = encoding
-            if rng.random() < p:
-                tableau.apply_pauli(qubit, pauli)
-            return
-        p_x, p_y, p_z = encoding[1]
-        draw = rng.random()
-        if draw < p_x:
-            tableau.x(qubit)
-        elif draw < p_x + p_y:
-            tableau.y(qubit)
-        elif draw < p_x + p_y + p_z:
-            tableau.z(qubit)
-
-    def _run_per_shot(
-        self,
-        ops: List[_CompiledOp],
-        num_qubits: int,
-        num_clbits: int,
-        shots: int,
-        rng: np.random.Generator,
-        encoding: Optional[Tuple[str, Any]],
-    ) -> np.ndarray:
-        """Concrete fallback: re-evolve the tableau for every shot; returns
-        the ``(shots, clbits)`` outcome matrix.
-
-        Also the execution path for circuits with a conditioned non-Pauli
-        instruction (with or without noise): each shot evaluates conditions
-        against its own row of clbit values.
-        """
-        values = np.zeros((shots, num_clbits), dtype=np.uint8)
-        for bits in values:
-            tableau = StabilizerTableau(num_qubits)
-            for kind, payload, targets, condition in ops:
-                if not _compiled_condition_met(condition, bits):
-                    continue
-                if kind == "gate":
-                    getattr(tableau, payload)(*targets)
-                elif kind == "table":
-                    tableau.apply_pauli_table(payload, targets)
-                elif kind == "pauli":
-                    for pauli, qubit in payload:
-                        tableau.apply_pauli(qubit, pauli)
-                elif kind == "initialize":
-                    tableau.initialize_basis(payload, targets)
-                elif kind == "noise":
-                    for qubit in targets:
-                        self._inject_concrete(tableau, qubit, encoding, rng)
-                elif kind == "measure":
-                    bits[payload] = tableau.measure(targets[0], rng=rng)
-                else:  # reset
-                    tableau.reset(targets[0], rng=rng)
-        return values
 
     @staticmethod
     def _sample_outcomes(

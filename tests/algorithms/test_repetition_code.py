@@ -84,8 +84,7 @@ class TestNoisyRuns:
         assert abs(stab.detection_rate - sv.detection_rate) < 0.04
 
     def test_density_matrix_backend_validates_small_code(self):
-        # regression: the density-matrix path takes gate_noise=, not
-        # noise_model= -- the driver must map the channel accordingly
+        # the density-matrix engine applies the same noise model exactly
         result = run_repetition_code(
             3, p=0.05, noise="bit_flip", shots=1500, backend="density_matrix", seed=11
         )

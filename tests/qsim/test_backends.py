@@ -17,7 +17,7 @@ from repro.qsim.backends import (
     resolve_backend,
 )
 from repro.qsim.backends.registry import _ALIASES, _REGISTRY
-from repro.qsim.density import DensityMatrixSimulator, depolarizing_kraus
+from repro.qsim.density import DensityMatrixSimulator
 from repro.qsim.exceptions import BackendError
 from repro.qsim.shotbatch import run_batched
 from repro.qsim.simulator import StatevectorSimulator
@@ -278,10 +278,8 @@ class TestDensityBackend:
         dm = get_backend("density_matrix").run(qc, shots=50, seed=1).result()
         assert sv.get_counts() == dm.get_counts() == {"110": 50}
 
-    def test_gate_noise_option(self):
-        backend = get_backend(
-            "density_matrix", seed=0, gate_noise={1: depolarizing_kraus(0.2), 2: depolarizing_kraus(0.2)}
-        )
+    def test_noise_model_option(self):
+        backend = get_backend("density_matrix", seed=0, noise_model=DepolarizingNoise(0.2))
         counts = backend.run(bell_circuit(), shots=2000, seed=0).result().get_counts()
         correlated = counts.get("00", 0) + counts.get("11", 0)
         assert 0.6 < correlated / 2000 < 0.98  # noise visibly degrades the Bell pair
@@ -443,12 +441,11 @@ class TestRunArgumentValidation:
 
 def engine_and_backend(engine, noisy, seed):
     """A seeded engine and the backend over an equally configured one."""
-    if engine == "density_matrix":
-        noise = {1: depolarizing_kraus(0.05), 2: depolarizing_kraus(0.05)} if noisy else None
-        return DensityMatrixSimulator(seed=seed, gate_noise=noise), DensityMatrixBackend(
-            gate_noise=noise
-        )
     noise = DepolarizingNoise(0.05) if noisy else None
+    if engine == "density_matrix":
+        return DensityMatrixSimulator(seed=seed, noise_model=noise), DensityMatrixBackend(
+            noise_model=noise
+        )
     if engine == "statevector":
         return StatevectorSimulator(seed=seed, noise_model=noise), StatevectorBackend(
             noise_model=noise

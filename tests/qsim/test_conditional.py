@@ -26,11 +26,7 @@ import pytest
 from repro.qsim import QuantumCircuit
 from repro.qsim.backends import StatevectorBackend, get_backend
 from repro.qsim.circuit import CircuitError
-from repro.qsim.density import (
-    DensityMatrixSimulator,
-    bit_flip_kraus,
-    depolarizing_kraus,
-)
+from repro.qsim.density import DensityMatrixSimulator
 from repro.qsim.exceptions import SimulationError
 from repro.qsim.fusion import fuse_gates
 from repro.qsim.instruction import Initialize, UnitaryGate
@@ -38,7 +34,7 @@ from repro.qsim.noise import BitFlipNoise, DepolarizingNoise
 from repro.qsim.optimizer import optimize
 from repro.qsim.qasm import from_qasm, to_qasm
 from repro.qsim.registers import ClassicalRegister, QuantumRegister
-from repro.qsim.shotbatch import ineligible_reason, run_batched
+from repro.qsim.shotbatch import run_batched
 from repro.qsim.simulator import StatevectorSimulator, measurements_are_final
 from repro.qsim.stabilizer import StabilizerSimulator
 from repro.qsim.transpiler import decompose
@@ -140,7 +136,6 @@ class TestConditionSemantics:
 
     def test_shotbatch_accepts_conditionals(self):
         circuit = active_teleport(theta=0.7)
-        assert ineligible_reason(circuit, None) is None
         runs = [
             run_batched(circuit, None, shots=150, seed=4, memory=True, batch_size=size)
             for size in (1, 7, None)
@@ -156,9 +151,10 @@ class TestConditionSemantics:
         }
 
     def test_evolve_without_collapse_raises(self):
-        with pytest.raises(SimulationError, match="collapse_measurements=True"):
+        message = "cannot evolve a classically-conditioned circuit"
+        with pytest.raises(SimulationError, match=message):
             StatevectorSimulator(seed=0).evolve(active_teleport())
-        with pytest.raises(SimulationError, match="collapse_measurements=True"):
+        with pytest.raises(SimulationError, match=message):
             StabilizerSimulator(seed=0).evolve(active_teleport())
 
     def test_inverse_rejected(self):
@@ -345,15 +341,10 @@ class TestDensityMatrixOracle:
         rng = np.random.default_rng(500 + case)
         circuit = random_feedforward_circuit(rng)
         p = 0.05
-        if case % 2:
-            noise, kraus = DepolarizingNoise(p), depolarizing_kraus(p)
-        else:
-            noise, kraus = BitFlipNoise(p), bit_flip_kraus(p)
+        noise = DepolarizingNoise(p) if case % 2 else BitFlipNoise(p)
         shots = 3000
         sv = StatevectorSimulator(seed=case, noise_model=noise).run(circuit, shots=shots)
-        dm = DensityMatrixSimulator(seed=case, gate_noise={1: kraus, 2: kraus}).run(
-            circuit, shots=shots
-        )
+        dm = DensityMatrixSimulator(seed=case, noise_model=noise).run(circuit, shots=shots)
         assert sv.metadata["method"] == "batched_shots"
         assert tvd(sv.counts, dm.counts) < 0.06
 
@@ -398,15 +389,10 @@ class TestDensityMatrixOracle:
         rng = np.random.default_rng(700 + case)
         circuit = random_clifford_feedforward_circuit(rng)
         p = 0.05
-        if case % 2:
-            noise, kraus = DepolarizingNoise(p), depolarizing_kraus(p)
-        else:
-            noise, kraus = BitFlipNoise(p), bit_flip_kraus(p)
+        noise = DepolarizingNoise(p) if case % 2 else BitFlipNoise(p)
         shots = 3000
         st = StabilizerSimulator(seed=case, noise_model=noise).run(circuit, shots=shots)
-        dm = DensityMatrixSimulator(seed=case, gate_noise={1: kraus, 2: kraus}).run(
-            circuit, shots=shots
-        )
+        dm = DensityMatrixSimulator(seed=case, noise_model=noise).run(circuit, shots=shots)
         assert st.metadata == {"method": "stabilizer_noisy"}
         assert tvd(st.counts, dm.counts) < 0.06
 

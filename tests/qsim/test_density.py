@@ -7,16 +7,17 @@ import pytest
 
 from repro.qsim import gates
 from repro.qsim.circuit import QuantumCircuit
-from repro.qsim.density import (
-    DensityMatrix,
-    DensityMatrixSimulator,
+from repro.qsim.density import DensityMatrix, DensityMatrixSimulator
+from repro.qsim.exceptions import SimulationError
+from repro.qsim.noise import (
+    BitFlipNoise,
+    DepolarizingNoise,
+    NoiseModel,
     amplitude_damping_kraus,
     bit_flip_kraus,
     depolarizing_kraus,
     phase_flip_kraus,
 )
-from repro.qsim.exceptions import SimulationError
-from repro.qsim.noise import BitFlipNoise
 from repro.qsim.simulator import StatevectorSimulator
 from repro.qsim.statevector import Statevector
 
@@ -40,45 +41,44 @@ class TestKrausChannels:
         assert np.allclose(dm.data, before)
 
 
-class TestGateNoiseValidation:
-    """``gate_noise`` convention: single-qubit Kraus per touched qubit, validated."""
+class TestNoiseModelValidation:
+    """A noise model is one single-qubit channel, validated when it is built."""
 
-    def test_valid_mapping_accepted(self):
-        sim = DensityMatrixSimulator(
-            gate_noise={1: bit_flip_kraus(0.1), 2: depolarizing_kraus(0.05)}
-        )
-        assert set(sim.gate_noise) == {1, 2}
+    def test_valid_channel_accepted(self):
+        model = NoiseModel(amplitude_damping_kraus(0.1))
+        assert len(model.kraus) == 2
+        assert model.pauli_terms() is None
+        assert DensityMatrixSimulator(noise_model=model).noise_model is model
 
     def test_two_qubit_kraus_rejected_with_convention_in_message(self):
-        # a 4x4 operator under key 2 used to silently degrade into nonsense;
-        # it must now fail loudly, naming the per-touched-qubit convention
+        # a 4x4 operator would silently degrade into nonsense; it fails
+        # loudly, naming the per-touched-qubit convention
         bad = [np.eye(4, dtype=complex)]
         with pytest.raises(SimulationError, match="single-qubit .2x2. Kraus"):
-            DensityMatrixSimulator(gate_noise={2: bad})
+            NoiseModel(bad)
 
     def test_incomplete_kraus_set_rejected(self):
         # K^dagger K sums to 0.5 I -- not trace preserving
         half = [math.sqrt(0.5) * gates.I1]
         with pytest.raises(SimulationError, match="sum K\\^dagger K != I"):
-            DensityMatrixSimulator(gate_noise={1: half})
+            NoiseModel(half)
 
-    def test_unsupported_arity_key_rejected(self):
-        with pytest.raises(SimulationError, match="arity"):
-            DensityMatrixSimulator(gate_noise={3: bit_flip_kraus(0.1)})
+    def test_pauli_terms_must_describe_the_kraus_channel(self):
+        with pytest.raises(SimulationError, match="do not describe"):
+            NoiseModel(bit_flip_kraus(0.1), (("Z", 0.1),))
 
     def test_empty_operator_list_rejected(self):
         with pytest.raises(SimulationError, match="at least one"):
-            DensityMatrixSimulator(gate_noise={1: []})
+            NoiseModel([])
 
-    def test_wide_gates_reuse_key_two_channel(self):
-        # three-qubit unitary gates draw the key-2 (i.e. min(arity, 2)) channel,
-        # applied independently per touched qubit
+    def test_wide_gates_take_the_channel_on_every_qubit(self):
+        # a three-qubit unitary takes the channel independently per touched qubit
         qc = QuantumCircuit(3, 3)
         qc.ccx(0, 1, 2)
         qc.measure([0, 1, 2], [0, 1, 2])
-        sim = DensityMatrixSimulator(seed=0, gate_noise={2: bit_flip_kraus(0.5)})
+        sim = DensityMatrixSimulator(seed=0, noise_model=BitFlipNoise(0.5))
         counts = sim.run(qc, shots=400).counts
-        assert len(counts) > 1  # noise visibly fired on the 3-qubit gate
+        assert len(counts) == 8  # every qubit flips independently
 
 
 class TestDensityMatrix:
@@ -175,10 +175,10 @@ class TestDensityMatrixSimulator:
         with pytest.raises(SimulationError):
             DensityMatrixSimulator(seed=0).evolve(qc)
 
-    def test_gate_noise_degrades_bell_fidelity(self):
+    def test_noise_model_degrades_bell_fidelity(self):
         qc = QuantumCircuit(2)
         qc.h(0).cx(0, 1)
-        noisy = DensityMatrixSimulator(seed=0, gate_noise={1: depolarizing_kraus(0.05), 2: depolarizing_kraus(0.05)})
+        noisy = DensityMatrixSimulator(seed=0, noise_model=DepolarizingNoise(0.05))
         dm = noisy.evolve(qc)
         bell = StatevectorSimulator(seed=0).evolve(qc)
         fidelity = dm.fidelity_with_pure(bell)
@@ -189,7 +189,7 @@ class TestDensityMatrixSimulator:
         qc = QuantumCircuit(1, 1)
         qc.x(0)
         qc.measure(0, 0)
-        exact = DensityMatrixSimulator(seed=1, gate_noise={1: bit_flip_kraus(0.2)})
+        exact = DensityMatrixSimulator(seed=1, noise_model=BitFlipNoise(0.2))
         exact_counts = exact.run(qc, shots=200_00).int_counts()
         trajectory = StatevectorSimulator(seed=1, noise_model=BitFlipNoise(0.2))
         traj_counts = trajectory.run(qc, shots=200_00).counts

@@ -24,11 +24,10 @@ from repro.qsim.density import (
     DensityMatrixSimulator,
     _Populations,
     _zero_state,
-    amplitude_damping_kraus,
     deferred_measurements,
-    depolarizing_kraus,
 )
 from repro.qsim.instruction import Gate, UnitaryGate, mcx_gate
+from repro.qsim.noise import DepolarizingNoise, NoiseModel, amplitude_damping_kraus
 
 CIRCUITS = Path(__file__).resolve().parents[2] / "benchmarks" / "circuits"
 
@@ -102,7 +101,9 @@ def random_circuit(seed, num_qubits=4, num_gates=30):
     return circuit
 
 
-def reference_evolution(circuit, gate_noise):
+def reference_evolution(circuit, kraus):
+    """rho after *circuit*, each gate followed by the single-qubit *kraus*
+    channel on every qubit it touched."""
     n = circuit.num_qubits
     rho = np.zeros((2**n, 2**n), dtype=complex)
     rho[0, 0] = 1.0
@@ -110,11 +111,9 @@ def reference_evolution(circuit, gate_noise):
         targets = [circuit.qubit_index(q) for q in instr.qubits]
         full = embed(instr.operation.to_matrix(), targets, n)
         rho = full @ rho @ full.conj().T
-        for qubit in targets:
-            kraus = gate_noise.get(min(len(targets), 2), [])
-            if kraus:
-                terms = [embed(k, [qubit], n) for k in kraus]
-                rho = sum(term @ rho @ term.conj().T for term in terms)
+        for qubit in targets if kraus else []:
+            terms = [embed(k, [qubit], n) for k in kraus]
+            rho = sum(term @ rho @ term.conj().T for term in terms)
     return rho
 
 
@@ -128,14 +127,17 @@ class TestKernelEvolution:
     def test_noiseless_matches_kron_reference(self, seed):
         circuit = random_circuit(seed)
         got = DensityMatrixSimulator(seed=0).evolve(circuit).data
-        assert np.abs(got - reference_evolution(circuit, {})).max() < 1e-12
+        assert np.abs(got - reference_evolution(circuit, [])).max() < 1e-12
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_kraus_noise_matches_kron_reference(self, seed):
+    @pytest.mark.parametrize(
+        "model", [NoiseModel(amplitude_damping_kraus(0.1)), DepolarizingNoise(0.05)],
+        ids=["amplitude_damping", "depolarizing"],
+    )
+    def test_kraus_noise_matches_kron_reference(self, seed, model):
         circuit = random_circuit(100 + seed, num_qubits=3, num_gates=20)
-        gate_noise = {1: amplitude_damping_kraus(0.1), 2: depolarizing_kraus(0.05)}
-        got = DensityMatrixSimulator(seed=0, gate_noise=gate_noise).evolve(circuit).data
-        assert np.abs(got - reference_evolution(circuit, gate_noise)).max() < 1e-12
+        got = DensityMatrixSimulator(seed=0, noise_model=model).evolve(circuit).data
+        assert np.abs(got - reference_evolution(circuit, model.kraus)).max() < 1e-12
 
     def test_two_qubit_kraus_matches_kron_reference(self):
         rng = np.random.default_rng(5)
@@ -196,7 +198,7 @@ def random_monomial_circuit(seed, num_qubits=4, num_gates=25, measure=True):
     return circuit
 
 
-def reference_branch(circuit, gate_noise, bits):
+def reference_branch(circuit, kraus, bits):
     """:func:`reference_evolution` along one branch: each measurement
     projects onto its outcome in *bits* (renormalised), a reset is the
     exact channel."""
@@ -217,11 +219,9 @@ def reference_branch(circuit, gate_noise, bits):
         else:
             terms = [embed(op.to_matrix(), targets, n)]
         rho = sum(term @ rho @ term.conj().T for term in terms)
-        for qubit in targets if op.is_unitary else []:
-            kraus = gate_noise.get(min(len(targets), 2), [])
-            if kraus:
-                noise = [embed(k, [qubit], n) for k in kraus]
-                rho = sum(term @ rho @ term.conj().T for term in noise)
+        for qubit in targets if op.is_unitary and kraus else []:
+            noise = [embed(k, [qubit], n) for k in kraus]
+            rho = sum(term @ rho @ term.conj().T for term in noise)
     return rho
 
 
@@ -229,19 +229,23 @@ class TestPopulationPath:
     """While every instruction is monomial the walk carries ``diag(rho)``
     only; each leaf must equal the kron-built reference along its branch."""
 
-    GATE_NOISE = {
-        1: amplitude_damping_kraus(0.2),
-        2: [
+    #: monomial channels: amplitude damping, and a Z-or-X Pauli channel
+    #: given by Kraus operators alone
+    CHANNELS = {
+        "amplitude_damping": NoiseModel(amplitude_damping_kraus(0.2)),
+        "z_or_x": NoiseModel([
             np.sqrt(0.9) * np.eye(2),
             np.sqrt(0.05) * np.diag([1, -1]),
             np.sqrt(0.05) * np.array([[0, 1], [1, 0]]),
-        ],
+        ]),
     }
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_leaves_match_kron_reference(self, seed):
+    @pytest.mark.parametrize("channel", sorted(CHANNELS))
+    def test_leaves_match_kron_reference(self, seed, channel):
+        model = self.CHANNELS[channel]
         circuit = random_monomial_circuit(seed)
-        sim = DensityMatrixSimulator(seed=0, gate_noise=self.GATE_NOISE)
+        sim = DensityMatrixSimulator(seed=0, noise_model=model)
         prefix, sources = sim._lower(circuit)
         assert prefix == len(circuit.data)
         start = _zero_state(circuit.num_qubits, prefix)
@@ -249,26 +253,30 @@ class TestPopulationPath:
         assert sum(count for _, count, _ in leaves) == 400
         for bits, _, state in leaves:
             assert isinstance(state, _Populations)
-            reference = reference_branch(circuit, self.GATE_NOISE, bits)
+            reference = reference_branch(circuit, model.kraus, bits)
             # the reference stays diagonal, and its diagonal is the populations
             assert np.abs(reference - np.diag(np.diagonal(reference))).max() < 1e-12
             assert np.abs(state.probs - np.diagonal(reference).real).max() < 1e-12
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_expansion_matches_kron_reference(self, seed):
+    @pytest.mark.parametrize("channel", sorted(CHANNELS))
+    def test_expansion_matches_kron_reference(self, seed, channel):
+        model = self.CHANNELS[channel]
         # a monomial prefix, then gates that leave the basis: evolve expands
         # the populations to diag(p) and continues on the full rho
         circuit = random_monomial_circuit(seed, num_qubits=3, num_gates=12, measure=False)
         tail = random_circuit(50 + seed, num_qubits=3, num_gates=8)
         for instr in tail.data:
             circuit.append(instr.operation, [tail.qubit_index(q) for q in instr.qubits])
-        sim = DensityMatrixSimulator(seed=0, gate_noise=self.GATE_NOISE)
+        sim = DensityMatrixSimulator(seed=0, noise_model=model)
         assert 12 <= sim._lower(circuit)[0] < len(circuit.data)
         got = sim.evolve(circuit).data
-        assert np.abs(got - reference_branch(circuit, self.GATE_NOISE, {})).max() < 1e-12
+        assert np.abs(got - reference_branch(circuit, model.kraus, {})).max() < 1e-12
 
     def test_non_monomial_channel_ends_the_prefix_at_the_first_gate(self):
-        hadamard_noise = {1: [np.sqrt(0.9) * np.eye(2), np.sqrt(0.1) * Gate("h", 1).to_matrix()]}
+        hadamard_noise = NoiseModel(
+            [np.sqrt(0.9) * np.eye(2), np.sqrt(0.1) * Gate("h", 1).to_matrix()]
+        )
         circuit = QuantumCircuit(2, 2)
         circuit.barrier()
         circuit.x(0).cx(0, 1)
@@ -277,18 +285,18 @@ class TestPopulationPath:
             "method": "sampled",
             "classical_prefix": len(circuit.data),
         }
-        noisy = DensityMatrixSimulator(seed=1, gate_noise=hadamard_noise)
+        noisy = DensityMatrixSimulator(seed=1, noise_model=hadamard_noise)
         assert noisy.run(circuit, shots=10).metadata["classical_prefix"] == 1
 
     def test_adder_population_run_matches_the_full_rho(self):
         # the same walk forced onto the full rho from the start draws the
         # same binomials and multinomial: counts agree exactly
         circuit = corpus("adder_n10")
-        gate_noise = {1: depolarizing_kraus(0.01), 2: depolarizing_kraus(0.01)}
-        sim = DensityMatrixSimulator(gate_noise=gate_noise)
+        noise = DepolarizingNoise(0.01)
+        sim = DensityMatrixSimulator(noise_model=noise)
         populations = sim.run(circuit, shots=2000, seed=7)
         assert populations.metadata["classical_prefix"] == len(circuit.data)
-        full = DensityMatrixSimulator(gate_noise=gate_noise)
+        full = DensityMatrixSimulator(noise_model=noise)
         full._lower = lambda circuit: (0, [])
         reference = full.run(circuit, shots=2000, seed=7)
         assert reference.metadata["classical_prefix"] == 0

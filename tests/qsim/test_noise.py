@@ -1,23 +1,35 @@
 """Tests for the noise stack across all three engines.
 
-Covers the trajectory models themselves (PhaseFlipNoise, target bounds
-checks, the ``pauli_terms`` channel description), the noise-aware stabilizer
-engine (symbolic Pauli-frame vs per-shot fallback, crossover, rejection of
-non-Pauli channels), cross-engine statistical agreement (chi-squared against
-the exact density-matrix channel), and seed+i bit-equality of noisy
-batches.
+Covers the one noise model (its channel description and its validation at
+construction), the one guard against fused blocks under noise, the
+noise-aware stabilizer engine (symbolic Pauli frame vs per-shot fallback,
+rejection of non-Pauli channels), cross-engine statistical agreement
+(chi-squared of every engine against the exact density-matrix
+distribution of the same model), and seed+i bit-equality of noisy batches.
 """
+
+import re
 
 import numpy as np
 import pytest
 
-from repro.qsim import QuantumCircuit
-from repro.qsim.backends import get_backend
-from repro.qsim.density import DensityMatrixSimulator, depolarizing_kraus
+from repro.qsim import QuantumCircuit, stabilizer, transpile
+from repro.qsim.backends import build_noisy_backend, get_backend
+from repro.qsim.density import DensityMatrixSimulator
 from repro.qsim.exceptions import BackendError, SimulationError
-from repro.qsim.noise import BitFlipNoise, DepolarizingNoise, NoiseModel, PhaseFlipNoise
+from repro.qsim.instruction import Measure
+from repro.qsim.noise import (
+    BitFlipNoise,
+    DepolarizingNoise,
+    NoiseModel,
+    PhaseFlipNoise,
+    amplitude_damping_kraus,
+    bit_flip_kraus,
+)
 from repro.qsim.stabilizer import StabilizerSimulator
-from repro.qsim.statevector import Statevector
+from repro.qsim.simulator import StatevectorSimulator
+
+ENGINES = ("statevector", "density_matrix", "stabilizer")
 
 
 def bell_circuit() -> QuantumCircuit:
@@ -36,6 +48,18 @@ def ghz_circuit(n: int) -> QuantumCircuit:
     return qc
 
 
+def ghz_x_basis(n: int) -> QuantumCircuit:
+    """A GHZ state read out in the X basis: phase flips become bit flips."""
+    qc = QuantumCircuit(n, n)
+    qc.h(0)
+    for i in range(1, n):
+        qc.cx(i - 1, i)
+    for i in range(n):
+        qc.h(i)
+    qc.measure(list(range(n)), list(range(n)))
+    return qc
+
+
 def hadamard_sandwich() -> QuantumCircuit:
     """Phase flips between two H's become observable bit flips."""
     qc = QuantumCircuit(1, 1)
@@ -45,7 +69,7 @@ def hadamard_sandwich() -> QuantumCircuit:
 
 
 # ---------------------------------------------------------------------------
-# trajectory models
+# the noise model
 # ---------------------------------------------------------------------------
 
 class TestNoiseModels:
@@ -73,24 +97,94 @@ class TestNoiseModels:
     def test_pauli_terms_descriptions(self):
         assert BitFlipNoise(0.1).pauli_terms() == (("X", 0.1),)
         assert PhaseFlipNoise(0.2).pauli_terms() == (("Z", 0.2),)
-        terms = dict(DepolarizingNoise(0.3).pauli_terms())
-        assert set(terms) == {"X", "Y", "Z"}
-        assert all(abs(p - 0.1) < 1e-12 for p in terms.values())
-        assert NoiseModel().pauli_terms() is None
+        third = 0.3 / 3
+        assert DepolarizingNoise(0.3).pauli_terms() == (("X", third), ("Y", third), ("Z", third))
+        assert NoiseModel.pauli(x=0.2, z=0.1).pauli_terms() == (
+            ("X", 0.2), ("Y", 0.0), ("Z", 0.1)
+        )
+        assert NoiseModel(amplitude_damping_kraus(0.1)).pauli_terms() is None
 
-    @pytest.mark.parametrize("model_cls", [BitFlipNoise, PhaseFlipNoise, DepolarizingNoise])
-    def test_out_of_range_target_named_in_error(self, model_cls):
-        state = Statevector.zero_state(2)
-        rng = np.random.default_rng(0)
-        with pytest.raises(SimulationError, match="qubit 5.*2-qubit"):
-            model_cls(1.0).apply(state, [0, 5], rng)
+    def test_constructors_carry_the_kraus_channel(self):
+        model = BitFlipNoise(0.25)
+        np.testing.assert_array_equal(model.kraus, bit_flip_kraus(0.25))
+        pauli = NoiseModel.pauli(x=0.25)
+        np.testing.assert_allclose(pauli.kraus[:2], bit_flip_kraus(0.25), atol=1e-15)
 
-    def test_out_of_range_target_checked_before_mutation(self):
-        state = Statevector.zero_state(1)
-        with pytest.raises(SimulationError):
-            BitFlipNoise(1.0).apply(state, [1, 0], np.random.default_rng(0))
-        # qubit 0 untouched: the bounds check fires before any error lands
-        assert abs(state.data[0] - 1.0) < 1e-12
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: NoiseModel.pauli(x=0.1, y=-0.2),
+            lambda: NoiseModel.pauli(x=0.5, z=0.5 + 5e-10),
+            lambda: NoiseModel(bit_flip_kraus(0.1), (("W", 0.1),)),
+        ],
+        ids=["negative", "sum_over_one", "unknown_pauli"],
+    )
+    def test_bad_pauli_channel_rejected_at_construction(self, build):
+        # regression: these used to reach the engines, where statevector ran
+        # a negative probability silently, stabilizer accepted a sum of
+        # 1 + 5e-10 that statevector refused, and an unknown Pauli failed
+        # mid-run with a different message on each engine
+        with pytest.raises(SimulationError, match="Pauli"):
+            build()
+
+
+class TestFusedBlocksUnderNoise:
+    """One guard: a fused block would take one error for all its gates."""
+
+    @staticmethod
+    def fused_circuit():
+        qc = QuantumCircuit(2, 2)
+        for _ in range(5):
+            qc.h(0).cx(0, 1).s(1).cx(1, 0)
+        qc.measure([0, 1], [0, 1])
+        return qc, transpile(qc, optimization_level=2, max_fused_qubits=2)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_every_backend_refuses_a_fused_circuit(self, engine):
+        qc, fused = self.fused_circuit()
+        assert len(qc.data) == 22
+        assert any(getattr(i.operation, "is_fused_block", False) for i in fused.data)
+        backend = build_noisy_backend(engine, 0.1, "depolarizing", seed=1)
+        with pytest.raises(BackendError, match="fused circuit under a noise model"):
+            backend.run(fused, shots=100).result()
+        assert sum(backend.run(qc, shots=100).result().get_counts().values()) == 100
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_fused_circuit_runs_noiseless(self, engine):
+        _, fused = self.fused_circuit()
+        counts = get_backend(engine, seed=1).run(fused, shots=100).result().get_counts()
+        assert sum(counts.values()) == 100
+
+
+class TestNonPauliModel:
+    MODEL = NoiseModel(amplitude_damping_kraus(0.1))
+
+    def test_runs_on_density_matrix(self):
+        qc = QuantumCircuit(1, 1)
+        qc.x(0).id(0)
+        qc.measure(0, 0)
+        counts = get_backend("density_matrix", seed=2, noise_model=self.MODEL).run(
+            qc, shots=4000
+        ).result().get_counts()
+        # two decay chances of 0.1 each: P(0) = 1 - 0.9^2 = 0.19
+        assert abs(counts["0"] / 4000 - 0.19) < 0.03
+
+    def test_statevector_and_stabilizer_refuse_it_alike(self):
+        messages = set()
+        for engine in (StatevectorSimulator, StabilizerSimulator):
+            with pytest.raises(SimulationError, match="density_matrix") as info:
+                engine(seed=0, noise_model=self.MODEL).run(bell_circuit(), shots=10)
+            messages.add(str(info.value))
+        (message,) = messages
+        for engine in ("statevector", "stabilizer"):
+            backend = get_backend(engine, seed=0, noise_model=self.MODEL)
+            with pytest.raises(BackendError, match=re.escape(message)):
+                backend.run(bell_circuit(), shots=10).result()
+
+    def test_evolve_refuses_noise(self):
+        for engine in (StatevectorSimulator, StabilizerSimulator):
+            with pytest.raises(SimulationError, match="evolve\\(\\) is noiseless"):
+                engine(noise_model=BitFlipNoise(0.1)).evolve(bell_circuit())
 
 
 # ---------------------------------------------------------------------------
@@ -126,14 +220,14 @@ class TestNoisyStabilizer:
 
     @pytest.mark.parametrize("model", [BitFlipNoise(0.1), PhaseFlipNoise(0.15),
                                        DepolarizingNoise(0.12)])
-    def test_symbolic_and_per_shot_agree(self, model):
+    def test_symbolic_and_per_shot_agree(self, model, monkeypatch):
         shots = 6000
-        symbolic = StabilizerSimulator(
-            seed=5, noise_model=model, noise_method="symbolic"
-        ).run(bell_circuit(), shots=shots).counts
-        per_shot = StabilizerSimulator(
-            seed=5, noise_model=model, noise_method="per_shot"
-        ).run(bell_circuit(), shots=shots).counts
+        symbolic = StabilizerSimulator(seed=5, noise_model=model).run(bell_circuit(), shots=shots)
+        monkeypatch.setattr(stabilizer, "MAX_SYMBOLIC_PHASE_CELLS", 0)
+        per_shot = StabilizerSimulator(seed=5, noise_model=model).run(bell_circuit(), shots=shots)
+        assert symbolic.metadata == {"method": "stabilizer_noisy"}
+        assert per_shot.metadata["method"] == "stabilizer_noisy_per_shot"
+        symbolic, per_shot = symbolic.counts, per_shot.counts
         keys = set(symbolic) | set(per_shot)
         tvd = 0.5 * sum(abs(symbolic.get(k, 0) - per_shot.get(k, 0)) for k in keys) / shots
         assert tvd < 0.04
@@ -150,33 +244,18 @@ class TestNoisyStabilizer:
         assert len(result.memory) == 500
         assert sum(result.counts.values()) == 500
 
-    def test_non_pauli_model_rejected_with_clear_error(self):
-        class AmplitudeDampingish(NoiseModel):
-            def apply(self, state, targets, rng):  # pragma: no cover
-                pass
-
-        sim = StabilizerSimulator(seed=0, noise_model=AmplitudeDampingish())
-        with pytest.raises(SimulationError, match="only supports Pauli noise"):
-            sim.run(bell_circuit(), shots=10)
-
-    def test_unknown_noise_method_rejected(self):
-        with pytest.raises(SimulationError, match="noise_method"):
-            StabilizerSimulator(noise_method="bogus")
-
-    def test_auto_crossover_picks_per_shot_for_huge_frames(self):
-        sim = StabilizerSimulator(noise_model=DepolarizingNoise(0.01))
-        assert not sim._use_per_shot(num_qubits=100, capacity=1000)
-        assert sim._use_per_shot(num_qubits=100, capacity=2_000_000)
-        forced = StabilizerSimulator(noise_model=DepolarizingNoise(0.01),
-                                     noise_method="per_shot")
-        assert forced._use_per_shot(num_qubits=2, capacity=1)
-
-    def test_noisy_evolve_samples_a_trajectory(self):
-        qc = QuantumCircuit(1, 0)
-        qc.id(0)
-        sim = StabilizerSimulator(seed=0, noise_model=BitFlipNoise(1.0))
-        tableau = sim.evolve(qc)
-        assert tableau.stabilizers() == ["-Z"]  # the X error fired concretely
+    def test_crossover_picks_per_shot_for_huge_frames(self, monkeypatch):
+        sim = StabilizerSimulator(seed=0, noise_model=DepolarizingNoise(0.01))
+        # bell: 2 noise touches x 2 symbols + 2 measure events over 5 rows
+        frame = (2 * 2 + 1) * (1 + 2 * 3 + 2)
+        monkeypatch.setattr(stabilizer, "MAX_SYMBOLIC_PHASE_CELLS", frame)
+        assert sim.run(bell_circuit(), shots=10).metadata == {"method": "stabilizer_noisy"}
+        monkeypatch.setattr(stabilizer, "MAX_SYMBOLIC_PHASE_CELLS", frame - 1)
+        assert sim.run(bell_circuit(), shots=10).metadata == {
+            "method": "stabilizer_noisy_per_shot",
+            "fallback_reason": "symbolic phase frame over MAX_SYMBOLIC_PHASE_CELLS "
+            "(see docs/noise.md)",
+        }
 
     def test_backend_noise_model_option(self):
         backend = get_backend("stabilizer", seed=1, noise_model=BitFlipNoise(1.0))
@@ -186,14 +265,6 @@ class TestNoisyStabilizer:
         result = backend.run(qc, shots=100).result()
         assert result.get_counts() == {"1": 100}
         assert result[0].metadata["method"] == "stabilizer_noisy"
-
-    def test_backend_rejects_non_pauli_noise_cleanly(self):
-        class NotPauli(NoiseModel):
-            pass
-
-        backend = get_backend("stabilizer", noise_model=NotPauli())
-        with pytest.raises(BackendError, match="only supports Pauli noise"):
-            backend.run(bell_circuit(), shots=10).result()
 
 
 # ---------------------------------------------------------------------------
@@ -218,81 +289,59 @@ def chi_squared(counts, probabilities, shots: int, num_clbits: int) -> float:
     return statistic
 
 
-CHI2_CASES = [
-    # (circuit builder, qubits, channel factory)
-    (bell_circuit, 2, lambda p: DepolarizingNoise(p)),
-    (lambda: ghz_circuit(3), 3, lambda p: DepolarizingNoise(p)),
-    (lambda: ghz_circuit(4), 4, lambda p: BitFlipNoise(p)),
-]
+def exact_distribution(circuit: QuantumCircuit, model: NoiseModel) -> np.ndarray:
+    """The exact outcome distribution of a final-measurement *circuit*."""
+    unmeasured = QuantumCircuit(circuit.num_qubits, circuit.num_clbits)
+    measured = []
+    for instr in circuit.data:
+        if isinstance(instr.operation, Measure):
+            measured.append(circuit.qubit_index(instr.qubits[0]))
+            continue
+        unmeasured.append(instr.operation, [circuit.qubit_index(q) for q in instr.qubits])
+    rho = DensityMatrixSimulator(noise_model=model).evolve(unmeasured)
+    return rho.probabilities(measured)
+
+
+CIRCUITS = {
+    "bell": bell_circuit,
+    "ghz3": lambda: ghz_circuit(3),
+    "ghz4_x_basis": lambda: ghz_x_basis(4),
+}
+
+MODELS = {
+    "bit_flip": BitFlipNoise(0.1),
+    "phase_flip": PhaseFlipNoise(0.1),
+    "depolarizing": DepolarizingNoise(0.1),
+}
 
 
 class TestCrossEngineAgreement:
-    @pytest.mark.parametrize("builder,num_qubits,channel", CHI2_CASES)
-    @pytest.mark.parametrize("engine", ["stabilizer", "statevector"])
-    def test_chi_squared_against_exact_channel(self, builder, num_qubits, channel, engine):
-        p, shots = 0.1, 8000
-        model = channel(p)
-        if engine == "stabilizer" and model.pauli_terms() is None:
-            pytest.skip("non-Pauli channel")
-        # exact reference distribution needs the matching Kraus channel
-        from repro.qsim.density import bit_flip_kraus
-
-        kraus = depolarizing_kraus(p) if isinstance(model, DepolarizingNoise) else bit_flip_kraus(p)
-        sim = DensityMatrixSimulator(seed=0, gate_noise={1: kraus, 2: kraus})
-        circuit = builder()
-        from repro.qsim.instruction import Measure
-
-        unmeasured = QuantumCircuit(num_qubits, num_qubits)
-        measured_qubits = []
-        for instr in circuit.data:
-            if isinstance(instr.operation, Measure):
-                measured_qubits.append(circuit.qubit_index(instr.qubits[0]))
-                continue
-            unmeasured.append(instr.operation,
-                              [circuit.qubit_index(q) for q in instr.qubits])
-        probs = sim.evolve(unmeasured).probabilities(measured_qubits)
-
-        counts = (
-            get_backend(engine, seed=13, noise_model=model)
-            .run(builder(), shots=shots)
-            .result()
-            .get_counts()
-        )
-        statistic = chi_squared(counts, probs, shots, num_qubits)
-        # dof = 2^n - 1; mean dof, std sqrt(2 dof) -- allow ~5 sigma (seeded,
-        # so this is a regression bound, not a flaky statistical test)
-        dof = 2**num_qubits - 1
-        assert statistic < dof + 5.0 * np.sqrt(2.0 * dof)
-
-    def test_three_engine_bell_correlation_agrees(self):
-        p, shots = 0.08, 12000
-        kraus = depolarizing_kraus(p)
-        correlations = {}
-        exact_counts = (
-            get_backend("density_matrix", seed=3, gate_noise={1: kraus, 2: kraus})
-            .run(bell_circuit(), shots=shots).result().get_counts()
-        )
-        correlations["density_matrix"] = (
-            exact_counts.get("00", 0) + exact_counts.get("11", 0)
-        ) / shots
-        for engine in ("stabilizer", "statevector"):
+    @pytest.mark.parametrize("circuit", sorted(CIRCUITS))
+    @pytest.mark.parametrize("channel", sorted(MODELS))
+    def test_one_model_on_every_engine_matches_the_exact_distribution(self, circuit, channel):
+        """The same NoiseModel instance goes to all three backends."""
+        model, shots = MODELS[channel], 8000
+        qc = CIRCUITS[circuit]()
+        probs = exact_distribution(qc, model)
+        for engine in ENGINES:
             counts = (
-                get_backend(engine, seed=3, noise_model=DepolarizingNoise(p))
-                .run(bell_circuit(), shots=shots).result().get_counts()
+                get_backend(engine, seed=13, noise_model=model)
+                .run(qc, shots=shots)
+                .result()
+                .get_counts()
             )
-            correlations[engine] = (counts.get("00", 0) + counts.get("11", 0)) / shots
-        values = list(correlations.values())
-        assert max(values) - min(values) < 0.03, correlations
+            statistic = chi_squared(counts, probs, shots, qc.num_clbits)
+            # dof = 2^n - 1; mean dof, std sqrt(2 dof) -- allow ~5 sigma (seeded,
+            # so this is a regression bound, not a flaky statistical test)
+            dof = 2**qc.num_clbits - 1
+            assert statistic < dof + 5.0 * np.sqrt(2.0 * dof), engine
 
-
-# ---------------------------------------------------------------------------
-# noisy batches: seed+i bit-equality
-# ---------------------------------------------------------------------------
 
 class TestNoisyBatchSeeds:
     @pytest.mark.parametrize("engine_options", [
         ("stabilizer", {"noise_model": DepolarizingNoise(0.05)}),
         ("statevector", {"noise_model": BitFlipNoise(0.05)}),
+        ("density_matrix", {"noise_model": PhaseFlipNoise(0.05)}),
     ])
     def test_seed_plus_i_bit_equality(self, engine_options):
         name, options = engine_options

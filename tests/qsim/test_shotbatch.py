@@ -24,6 +24,7 @@ from repro.qsim import (
     PhaseFlipNoise,
     QuantumCircuit,
     StatevectorBackend,
+    amplitude_damping_kraus,
     kernels,
     shotbatch,
 )
@@ -232,30 +233,24 @@ class TestDiagonalKernel:
 # ---------------------------------------------------------------------------
 
 
-class _NonPauliNoise(NoiseModel):
-    def apply(self, state, targets, rng):  # pragma: no cover - never sampled
-        pass
-
-    def pauli_terms(self):
-        return None
+#: a channel with no Pauli description: only the density matrix runs it
+NON_PAULI = NoiseModel(amplitude_damping_kraus(0.1))
 
 
 class TestEligibility:
     def test_eligible_circuit(self):
         qc = noisy_circuit(4, 10, np.random.default_rng(0))
-        assert shotbatch.ineligible_reason(qc, DepolarizingNoise(0.01)) is None
+        assert_batch_sizes_bit_equal(qc, DepolarizingNoise(0.01))
 
     def test_zero_qubits(self):
         qc = QuantumCircuit(0)
-        assert shotbatch.ineligible_reason(qc, BitFlipNoise(0.1)) is None
         result = shotbatch.run_batched(qc, BitFlipNoise(0.1), shots=5, seed=0)
         assert result.counts == {}
 
     def test_non_pauli_noise(self):
         qc = noisy_circuit(3, 5, np.random.default_rng(1))
-        reason = shotbatch.ineligible_reason(qc, _NonPauliNoise())
-        assert "not a single-qubit Pauli channel" in reason
-        assert "density_matrix" in reason
+        with pytest.raises(SimulationError, match="not a single-qubit Pauli.*density_matrix"):
+            shotbatch.run_batched(qc, NON_PAULI, shots=5, seed=0)
 
     def test_mid_circuit_measurement(self):
         qc = QuantumCircuit(2, 2)
@@ -263,7 +258,6 @@ class TestEligibility:
         qc.measure(0, 0)
         qc.x(0)
         qc.measure(1, 1)
-        assert shotbatch.ineligible_reason(qc, BitFlipNoise(0.1)) is None
         assert_batch_sizes_bit_equal(qc, BitFlipNoise(0.1))
 
     def test_reset_requires_collapse(self):
@@ -274,7 +268,6 @@ class TestEligibility:
         qc.cx(0, 1)
         qc.reset(0)
         qc.measure([0, 1], [0, 1])
-        assert shotbatch.ineligible_reason(qc, BitFlipNoise(0.1)) is None
         assert_batch_sizes_bit_equal(qc, BitFlipNoise(0.1))
         noiseless = assert_batch_sizes_bit_equal(qc, None)
         assert set(noiseless.counts) == {"00", "10"}
@@ -288,10 +281,10 @@ class TestEligibility:
             qc.h(0)
             qc.cx(0, 1)
         fused = fuse_gates(qc)
-        reason = shotbatch.ineligible_reason(fused, PhaseFlipNoise(0.1))
-        assert "fused" in reason
+        with pytest.raises(SimulationError, match="fused circuit under a noise model"):
+            shotbatch.run_batched(fused, PhaseFlipNoise(0.1), shots=5, seed=0)
         # without noise the fused run is batchable
-        assert shotbatch.ineligible_reason(fused, None) is None
+        assert shotbatch.run_batched(fused, None, shots=5, seed=0).shots == 5
 
     def test_wide_gate(self):
         n = 7
@@ -299,7 +292,6 @@ class TestEligibility:
         qc.h(0)
         qc.append(UnitaryGate(random_unitary(2**n, np.random.default_rng(3))), list(range(n)))
         qc.measure_all()
-        assert shotbatch.ineligible_reason(qc, BitFlipNoise(0.1)) is None
         assert_batch_sizes_bit_equal(qc, BitFlipNoise(0.1), shots=40)
 
     def test_wide_controlled_gate(self):
@@ -331,15 +323,6 @@ class TestBatchedExecutor:
         )
         assert result.counts == reference.counts
         assert result.memory == reference.memory
-
-    def test_ineligible_raises(self):
-        qc = QuantumCircuit(2, 2)
-        qc.h(0)
-        qc.measure(0, 0)
-        qc.x(0)
-        qc.measure(1, 1)
-        with pytest.raises(SimulationError, match="not batchable.*density_matrix"):
-            shotbatch.run_batched(qc, _NonPauliNoise(), shots=10, seed=0)
 
     def test_long_measure_chain_does_not_underflow(self):
         """1100 rounds of h + measure halve the tracked norm each time; the
@@ -374,38 +357,9 @@ class TestBatchedExecutor:
         big = shotbatch.default_batch_size(14, 10**6)
         assert big * (1 << 14) <= shotbatch.MAX_BATCH_AMPLITUDES
 
-    def test_noise_statistics_match_legacy_trajectories(self):
-        """Distribution sanity: batched depolarizing on a Bell pair agrees
-        with the exact density-matrix channel to a small total-variation
-        distance."""
-        from repro.qsim.density import DensityMatrixSimulator, depolarizing_kraus
-
-        qc = QuantumCircuit(2, 2)
-        qc.h(0)
-        qc.cx(0, 1)
-        qc.measure_all()
-        shots = 4000
-        batched = shotbatch.run_batched(qc, DepolarizingNoise(0.1), shots=shots, seed=3)
-        kraus = depolarizing_kraus(0.1)
-        exact = DensityMatrixSimulator(seed=3, gate_noise={1: kraus, 2: kraus}).run(
-            qc, shots=shots
-        )
-        keys = set(batched.counts) | set(exact.counts)
-        tvd = 0.5 * sum(
-            abs(batched.counts.get(k, 0) - exact.counts.get(k, 0)) / shots for k in keys
-        )
-        assert tvd < 0.05
-
-
-class _XorZNoise(NoiseModel):
-    """Every touched qubit takes X or Z, never nothing: every shot errs at
-    every noise site, and the shots of one row split between two Paulis."""
-
-    def apply(self, state, targets, rng):  # pragma: no cover - never sampled
-        pass
-
-    def pauli_terms(self):
-        return (("X", 0.5), ("Z", 0.5))
+#: every touched qubit takes X or Z, never nothing: every shot errs at every
+#: noise site, and the shots of one row split between two Paulis
+X_OR_Z = NoiseModel.pauli(x=0.5, z=0.5)
 
 
 class TestSharedPrefix:
@@ -439,7 +393,7 @@ class TestSharedPrefix:
         qc.h(0)
         qc.cx(0, 1)
         qc.measure_all()
-        runs = self.check(qc, _XorZNoise())
+        runs = self.check(qc, X_OR_Z)
         # batches of 256 and 44 shots, 8 rows each
         assert runs[2].metadata["trajectories"] == 16
 
@@ -601,7 +555,7 @@ class TestBatchSizes:
         qc.measure(0, 0)
         qc.x(0)
         qc.measure(1, 1)
-        backend = StatevectorBackend(noise_model=_NonPauliNoise(), fusion=False)
+        backend = StatevectorBackend(noise_model=NON_PAULI, fusion=False)
         job = backend.run(qc, shots=50, seed=2)
         with pytest.raises(BackendError, match="not a single-qubit Pauli.*density_matrix"):
             job.result()

@@ -84,15 +84,9 @@ def test_memory_matches_golden_digest(key):
     assert memory_digest(*key) == GOLDEN[key]
 
 
-class EveryPauliNoise(NoiseModel):
-    """Every touched qubit takes X, Y or Z, never nothing: each shot errs at
-    every noise site, so basis rows carry many distinct phases."""
-
-    def apply(self, state, targets, rng):  # pragma: no cover - never sampled
-        pass
-
-    def pauli_terms(self):
-        return (("X", 1 / 3), ("Y", 1 / 3), ("Z", 1 / 3))
+#: every touched qubit takes X, Y or Z, never nothing: each shot errs at
+#: every noise site, so basis rows carry many distinct phases
+EVERY_PAULI = NoiseModel.pauli(x=1 / 3, y=1 / 3, z=1 / 3)
 
 
 def monomial_then_h():
@@ -104,7 +98,7 @@ def monomial_then_h():
     qc.reset(4)
     qc.h(1).cx(1, 5).t(5).h(5).cx(0, 4)
     qc.measure(list(range(6)), list(range(6)))
-    return qc, EveryPauliNoise(), None
+    return qc, EVERY_PAULI, None
 
 
 def basis_free_start():

@@ -417,7 +417,8 @@ class TestStabilizerBackend:
         assert experiment.metadata["method"] == "stabilizer"
         assert all(len(key) == 2 for key in experiment.counts)
 
-    def test_per_shot_fallback_is_labelled(self):
+    def test_per_shot_fallback_is_labelled(self, monkeypatch):
+        from repro.qsim import stabilizer
         from repro.qsim.noise import DepolarizingNoise
 
         def conditioned(gate):
@@ -437,14 +438,15 @@ class TestStabilizerBackend:
         bell = QuantumCircuit(2, 2)
         bell.h(0).cx(0, 1)
         bell.measure([0, 1], [0, 1])
-        for noise_method, method in (("per_shot", "stabilizer_noisy_per_shot"),
-                                     ("auto", "stabilizer_noisy")):
-            backend = get_backend(
-                "stabilizer", noise_model=DepolarizingNoise(0.01), noise_method=noise_method
-            )
-            metadata = backend.run(bell, shots=20, seed=3).result()[0].metadata
-            assert metadata["method"] == method
-            assert ("fallback_reason" in metadata) == (noise_method == "per_shot")
+        backend = get_backend("stabilizer", noise_model=DepolarizingNoise(0.01))
+        assert backend.run(bell, shots=20, seed=3).result()[0].metadata == {
+            "method": "stabilizer_noisy"
+        }
+        # a frame over the cell budget re-evolves every shot
+        monkeypatch.setattr(stabilizer, "MAX_SYMBOLIC_PHASE_CELLS", 1)
+        metadata = backend.run(bell, shots=20, seed=3).result()[0].metadata
+        assert metadata["method"] == "stabilizer_noisy_per_shot"
+        assert "MAX_SYMBOLIC_PHASE_CELLS" in metadata["fallback_reason"]
 
     def test_batch_seeding_semantics(self):
         # batch entry i runs with seed + i, independently reproducible
