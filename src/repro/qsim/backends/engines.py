@@ -3,8 +3,10 @@
 All are thin adapters over
 :class:`~repro.qsim.simulator.StatevectorSimulator`,
 :class:`~repro.qsim.density.DensityMatrixSimulator` and
-:class:`~repro.qsim.stabilizer.StabilizerSimulator`: each holds a template
-engine and says how to build a freshly seeded copy of it, and
+:class:`~repro.qsim.stabilizer.StabilizerSimulator`, and differ only in
+their ``name`` and engine class: each is built from ``(seed=None,
+noise_model=None)``, holds a template engine built from the same two
+arguments, and builds a freshly seeded copy of it for a seeded experiment;
 :meth:`Backend._run_experiment <repro.qsim.backends.backend.Backend._run_experiment>`
 does the rest.  An unseeded experiment runs on the template engine itself,
 preserving the sequential RNG stream that the algorithm drivers and their
@@ -13,12 +15,12 @@ regression seeds rely on.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Any, Optional, Union
 
 from ..density import DensityMatrixSimulator
 from ..exceptions import BackendError, SimulationError
 from ..noise import BitFlipNoise, DepolarizingNoise, NoiseModel, PhaseFlipNoise
-from ..simulator import SIMULATOR_MAX_FUSED_QUBITS, StatevectorSimulator
+from ..simulator import StatevectorSimulator
 from ..stabilizer import StabilizerSimulator
 from .backend import Backend
 
@@ -41,48 +43,40 @@ _CHANNELS = {
 NOISE_CHANNELS = tuple(_CHANNELS)
 
 
-class StatevectorBackend(Backend):
+class _EngineBackend(Backend):
+    """A built-in backend: its engine is ``engine_class(seed=, noise_model=)``."""
+
+    engine_class: type
+
+    def __init__(self, seed: Optional[int] = None, noise_model: Optional[NoiseModel] = None):
+        self._engine = self.engine_class(seed=seed, noise_model=noise_model)
+
+    def _fresh_engine(self, seed: int) -> Any:
+        # seeded experiments must carry the template's noise model, or a
+        # noisy backend would silently run noiseless under a seed
+        return self.engine_class(seed=seed, noise_model=self._engine.noise_model)
+
+
+class StatevectorBackend(_EngineBackend):
     """Dense statevector execution behind the unified backend API.
 
-    Takes the engine options ``seed``, ``noise_model``, ``fusion`` and
-    ``max_fused_qubits``; an unseeded experiment draws from the engine's
-    own RNG, so ``seed`` alone makes a backend reproducible.
+    An unseeded experiment draws from the engine's own RNG, so ``seed``
+    alone makes a backend reproducible.
 
     Final-measurement circuits without noise are sampled from one evolved
     state; every other run (Pauli noise, mid-circuit measurement, reset,
     classical conditions) evolves its shots on the batched trajectory
-    executor of :mod:`repro.qsim.shotbatch`.  A noise model that is not a
+    executor of :mod:`repro.qsim.shotbatch`.  Noiseless runs are fused by
+    :func:`repro.qsim.simulator.prepare`.  A noise model that is not a
     Pauli channel raises :class:`BackendError` naming the density-matrix
     backend, which runs any Kraus channel exactly.
     """
 
     name = "statevector"
-
-    def __init__(
-        self,
-        seed: Optional[int] = None,
-        noise_model: Optional[NoiseModel] = None,
-        fusion: bool = True,
-        max_fused_qubits: int = SIMULATOR_MAX_FUSED_QUBITS,
-    ):
-        self._engine = StatevectorSimulator(
-            seed=seed,
-            noise_model=noise_model,
-            fusion=fusion,
-            max_fused_qubits=max_fused_qubits,
-        )
-
-    def _fresh_engine(self, seed: int) -> StatevectorSimulator:
-        template = self._engine
-        return StatevectorSimulator(
-            seed=seed,
-            noise_model=template.noise_model,
-            fusion=template.fusion,
-            max_fused_qubits=template.max_fused_qubits,
-        )
+    engine_class = StatevectorSimulator
 
 
-class DensityMatrixBackend(Backend):
+class DensityMatrixBackend(_EngineBackend):
     """Exact density-matrix execution behind the unified backend API.
 
     ``noise_model`` is applied exactly, as on :class:`DensityMatrixSimulator`,
@@ -90,15 +84,10 @@ class DensityMatrixBackend(Backend):
     """
 
     name = "density_matrix"
-
-    def __init__(self, seed: Optional[int] = None, noise_model: Optional[NoiseModel] = None):
-        self._engine = DensityMatrixSimulator(seed=seed, noise_model=noise_model)
-
-    def _fresh_engine(self, seed: int) -> DensityMatrixSimulator:
-        return DensityMatrixSimulator(seed=seed, noise_model=self._engine.noise_model)
+    engine_class = DensityMatrixSimulator
 
 
-class StabilizerBackend(Backend):
+class StabilizerBackend(_EngineBackend):
     """Polynomial-time Clifford execution behind the unified backend API.
 
     Wraps :class:`~repro.qsim.stabilizer.StabilizerSimulator` (CHP tableau
@@ -116,14 +105,7 @@ class StabilizerBackend(Backend):
     """
 
     name = "stabilizer"
-
-    def __init__(self, seed: Optional[int] = None, noise_model: Optional[NoiseModel] = None):
-        self._engine = StabilizerSimulator(seed=seed, noise_model=noise_model)
-
-    def _fresh_engine(self, seed: int) -> StabilizerSimulator:
-        # seeded experiments must carry the template's noise model, or a
-        # noisy backend would silently run noiseless under a seed
-        return StabilizerSimulator(seed=seed, noise_model=self._engine.noise_model)
+    engine_class = StabilizerSimulator
 
 
 def build_noisy_backend(

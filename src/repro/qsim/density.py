@@ -323,11 +323,7 @@ class DensityMatrixSimulator:
         return state.density() if isinstance(state, _Populations) else state
 
     def run(
-        self,
-        circuit: QuantumCircuit,
-        shots: int = 1024,
-        memory: bool = False,
-        seed: Optional[int] = None,
+        self, circuit: QuantumCircuit, shots: int = 1024, memory: bool = False
     ) -> ExperimentResult:
         """Execute *circuit* for *shots* shots and return its :class:`ExperimentResult`.
 
@@ -336,12 +332,11 @@ class DensityMatrixSimulator:
         final-measurement circuit is one branch and one draw.  ``metadata``
         reads ``method`` ``sampled`` or ``branched`` (plus ``branches``), and
         ``classical_prefix``: how many instructions ran on populations.
-        *seed* overrides the constructor RNG for this call only.
         """
         if shots <= 0:
             raise SimulationError("shots must be positive")
         check_unfused(circuit, self.noise_model)
-        rng = self._rng if seed is None else np.random.default_rng(seed)
+        rng = self._rng
         deferred = deferred_measurements(circuit)
         final = [
             (circuit.qubit_index(i.qubits[0]), circuit.clbit_index(i.clbits[0]))

@@ -231,7 +231,7 @@ def check_unfused(circuit, noise_model: Optional[NoiseModel]) -> None:
     """Refuse a circuit with fused blocks under a noise model.
 
     The channel follows every unitary instruction, so a block fused from
-    several gates (``transpile(level=2)``, ``optimize(fuse=True)``) would
+    several gates (:func:`repro.qsim.fusion.fuse_gates`) would
     take one error where the gates it merged take one each.
     """
     if noise_model is None:

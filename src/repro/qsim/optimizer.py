@@ -10,10 +10,7 @@ provides the subset that matters for the circuits the Qutes front-end emits:
   total angle is a multiple of 2*pi,
 * :func:`remove_identities` -- drops explicit ``id`` gates and zero-angle
   rotations,
-* :func:`optimize` -- runs the passes to a fixed point, optionally followed
-  by the gate-fusion pass from :mod:`repro.qsim.fusion` (``fuse=True``),
-  which merges the surviving small gates into larger unitaries for faster
-  simulation.
+* :func:`optimize` -- runs the passes to a fixed point.
 
 All passes preserve the circuit's unitary action exactly (they never touch
 measurements, resets, barriers or ``initialize``).
@@ -25,7 +22,6 @@ import math
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .circuit import CircuitInstruction, QuantumCircuit
-from .fusion import DEFAULT_MAX_FUSED_QUBITS, fuse_gates
 from .instruction import Barrier, Gate, Initialize, Measure, Reset
 
 __all__ = [
@@ -174,20 +170,8 @@ def remove_identities(circuit: QuantumCircuit) -> QuantumCircuit:
     return _rebuild(circuit, kept, "_noid")
 
 
-def optimize(
-    circuit: QuantumCircuit,
-    max_rounds: int = 10,
-    fuse: bool = False,
-    max_fused_qubits: int = DEFAULT_MAX_FUSED_QUBITS,
-) -> QuantumCircuit:
-    """Run all passes repeatedly until the circuit stops shrinking.
-
-    With ``fuse=True`` the peephole fixed point is followed by
-    :func:`repro.qsim.fusion.fuse_gates`, which replaces runs of adjacent
-    gates on at most *max_fused_qubits* qubits with single unitaries.  Fused
-    circuits are meant for simulation; keep ``fuse=False`` when the output
-    feeds gate-count metrics or QASM export.
-    """
+def optimize(circuit: QuantumCircuit, max_rounds: int = 10) -> QuantumCircuit:
+    """Run all passes repeatedly until the circuit stops shrinking."""
     current = circuit
     for _ in range(max_rounds):
         before = len(current.data)
@@ -196,8 +180,6 @@ def optimize(
         current = cancel_adjacent_inverses(current)
         if len(current.data) == before:
             break
-    if fuse:
-        current = fuse_gates(current, max_fused_qubits)
     current.name = f"{circuit.name}_opt"
     return current
 

@@ -11,9 +11,10 @@ exact inputs the compile pipeline depends on -- and live in two layers:
   circuit *as OpenQASM text*, shared by every worker on the database and
   surviving restarts;
 * a **per-process memory layer** (bounded LRU) holding the ready-to-run
-  :class:`~repro.qsim.circuit.QuantumCircuit` object -- including the
-  fused :class:`~repro.qsim.instruction.UnitaryGate` blocks that have no
-  QASM form -- so a warm worker skips even the parse.
+  :class:`~repro.qsim.circuit.QuantumCircuit` object, so a warm worker
+  skips even the parse.  For noiseless statevector jobs the object holds
+  fused :class:`~repro.qsim.instruction.UnitaryGate` blocks, which have
+  no QASM form; the engine runs a circuit holding fused blocks as it is.
 
 Bit-equality across hit and miss paths is by construction: a **miss**
 compiles (parse, peephole at optimization level 1), writes the compiled
@@ -81,9 +82,9 @@ class CircuitCache:
         return to_qasm(transpile(circuit, optimization_level=1))
 
     @staticmethod
-    def _finalize(circuit: QuantumCircuit, fuse: bool) -> QuantumCircuit:
+    def _finalize(circuit: QuantumCircuit, prepared: bool) -> QuantumCircuit:
         """Compiled circuit -> ready-to-run object (fusion for dense engines)."""
-        if fuse and circuit.num_qubits >= 1 and len(circuit.data) >= 2:
+        if prepared and circuit.num_qubits >= 1 and len(circuit.data) >= 2:
             return fuse_gates(circuit, SIMULATOR_MAX_FUSED_QUBITS)
         return circuit
 
@@ -98,7 +99,7 @@ class CircuitCache:
         qasm: str,
         backend_name: str,
         noise_tag: str,
-        fuse: bool,
+        prepared: bool,
     ) -> Tuple[QuantumCircuit, str]:
         """The ready-to-run circuit for *qasm*, plus how it was obtained.
 
@@ -109,7 +110,7 @@ class CircuitCache:
         """
         noisy = noise_tag != "noiseless"
         with telemetry.span("cache.lookup", backend=backend_name) as sp:
-            circuit, kind = self._compiled_inner(qasm, backend_name, noise_tag, fuse, noisy)
+            circuit, kind = self._compiled_inner(qasm, backend_name, noise_tag, prepared, noisy)
         sp.tag(kind=kind)
         if telemetry.enabled():
             # process-wide twins of the per-job stats dict: the service-level
@@ -129,7 +130,7 @@ class CircuitCache:
         qasm: str,
         backend_name: str,
         noise_tag: str,
-        fuse: bool,
+        prepared: bool,
         noisy: bool,
     ) -> Tuple[QuantumCircuit, str]:
         cache_key = self.key(qasm, backend_name, noise_tag)
@@ -143,7 +144,7 @@ class CircuitCache:
         if compiled_text is not None:
             try:
                 with telemetry.span("cache.parse"):
-                    circuit = self._finalize(from_qasm(compiled_text), fuse)
+                    circuit = self._finalize(from_qasm(compiled_text), prepared)
                 self._remember(cache_key, circuit)
                 return circuit, "disk_hit"
             except QasmError:
@@ -157,7 +158,7 @@ class CircuitCache:
             # execute what the store holds, not the in-flight object: a future
             # disk hit then re-parses the identical text, so hit and miss paths
             # run float-for-float identical circuits
-            circuit = self._finalize(from_qasm(compiled_text), fuse)
+            circuit = self._finalize(from_qasm(compiled_text), prepared)
         self._remember(cache_key, circuit)
         return circuit, kind
 
@@ -165,7 +166,7 @@ class CircuitCache:
         self,
         payload: BatchPayload,
         backend_name: str,
-        fuse: bool,
+        prepared: bool,
     ) -> Tuple[list, Dict[str, int]]:
         """Compile every experiment of *payload* through the cache.
 
@@ -178,7 +179,7 @@ class CircuitCache:
         circuits = []
         with telemetry.span("cache.compile_batch", circuits=len(payload.circuits)):
             for index, entry in enumerate(payload.circuits):
-                circuit, kind = self.compiled(entry["qasm"], backend_name, noise_tag, fuse)
+                circuit, kind = self.compiled(entry["qasm"], backend_name, noise_tag, prepared)
                 if kind == "memory_hit":
                     stats["memory_hits"] += 1
                 elif kind == "disk_hit":

@@ -36,7 +36,7 @@ import threading
 import time
 import traceback
 import uuid
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from .. import telemetry
 from .cache import CircuitCache
@@ -80,31 +80,6 @@ def _new_worker_id() -> str:
     return f"{socket.gethostname()}-{os.getpid()}-{uuid.uuid4().hex[:6]}"
 
 
-def _build_backend(payload: BatchPayload) -> Tuple[Any, bool]:
-    """The backend a payload runs on, plus whether circuits are pre-fused.
-
-    Noiseless statevector payloads get ``fusion=False`` engines because the
-    cache already delivers fused circuits (fusing twice would waste the
-    cache's work); every other engine takes its registry default.  Noisy
-    payloads go through :func:`build_noisy_backend`, exactly like the CLI's
-    ``--noise`` flag.
-    """
-    from ..backends import build_noisy_backend, get_backend
-    from ..backends.engines import StatevectorBackend
-
-    if payload.noise is not None:
-        backend = build_noisy_backend(
-            payload.backend,
-            float(payload.noise["p"]),
-            payload.noise.get("channel", "depolarizing"),
-        )
-        return backend, False
-    backend = get_backend(payload.backend)
-    if isinstance(backend, StatevectorBackend):
-        return get_backend(payload.backend, fusion=False), True
-    return backend, False
-
-
 def execute_payload(payload: BatchPayload, cache: CircuitCache) -> Dict[str, Any]:
     """Run one payload through the cache and backend; return ``Result.to_dict()``.
 
@@ -113,8 +88,20 @@ def execute_payload(payload: BatchPayload, cache: CircuitCache) -> Dict[str, Any
     compile pipeline.  Raises whatever the compile or execution raises --
     the caller decides between retry and ``FAILED``.
     """
-    backend, fuse = _build_backend(payload)
-    circuits, cache_stats = cache.compile_batch(payload, backend.name, fuse=fuse)
+    from ..backends import StatevectorBackend, build_noisy_backend, get_backend
+
+    if payload.noise is None:
+        backend = get_backend(payload.backend)
+    else:  # exactly like the CLI's --noise/--noise-model flags
+        backend = build_noisy_backend(
+            payload.backend,
+            float(payload.noise["p"]),
+            payload.noise.get("channel", "depolarizing"),
+        )
+    # the statevector engine's own fusion runs once, in the cache, so the
+    # memory layer keeps the circuit the engine would have prepared
+    prepared = payload.noise is None and isinstance(backend, StatevectorBackend)
+    circuits, cache_stats = cache.compile_batch(payload, backend.name, prepared=prepared)
     job = backend.run(
         circuits, shots=payload.shots, seed=payload.seed, memory=payload.memory
     )

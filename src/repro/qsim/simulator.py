@@ -18,8 +18,8 @@ Execution strategy
 Both paths apply gates through the one step-kernel set of
 :mod:`repro.qsim.kernels` (a single state is a one-row view of the batched
 executor's kernels), and -- unless a noise model follows every gate --
-circuits are pre-processed by the gate-fusion pass (:mod:`repro.qsim.fusion`)
-so runs of small gates cost a single pass over the state.
+circuits go through :func:`prepare`, the one gate-fusion policy, so runs of
+small gates cost a single pass over the state.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .statevector import Statevector
 __all__ = [
     "StatevectorSimulator",
     "SIMULATOR_MAX_FUSED_QUBITS",
+    "prepare",
     "measurements_are_final",
     "condition_met",
     "check_evolvable",
@@ -57,6 +58,25 @@ SIMULATOR_MAX_FUSED_QUBITS = 4
 #: below this many qubits a pass over the statevector is so cheap that the
 #: fusion pass costs more than it saves, so the simulator skips it
 _MIN_FUSION_QUBITS = 10
+
+
+def prepare(circuit: QuantumCircuit) -> QuantumCircuit:
+    """*circuit* ready for noiseless statevector execution: the one gate-fusion
+    policy, applied by the engine to every noiseless run and by the service
+    cache before it keeps a compiled circuit.
+
+    Fuses with :data:`SIMULATOR_MAX_FUSED_QUBITS` and returns *circuit*
+    itself when it has fewer than ``_MIN_FUSION_QUBITS`` qubits or fewer
+    than two instructions, or already holds a fused block (it was prepared,
+    or fused by its author), so preparing twice never fuses twice.
+    """
+    if (
+        circuit.num_qubits < _MIN_FUSION_QUBITS
+        or len(circuit.data) < 2
+        or any(getattr(instr.operation, "is_fused_block", False) for instr in circuit.data)
+    ):
+        return circuit
+    return fuse_gates(circuit, SIMULATOR_MAX_FUSED_QUBITS)
 
 
 def measurements_are_final(circuit: QuantumCircuit) -> bool:
@@ -185,60 +205,39 @@ def sample_final(
 class StatevectorSimulator:
     """Exact dense simulator; *noise_model* (a Pauli
     :class:`~repro.qsim.noise.NoiseModel`) is sampled per shot by
-    :meth:`run`.
-
-    *fusion* (default on) pre-processes circuits with
-    :func:`repro.qsim.fusion.fuse_gates` before execution; it is skipped
-    automatically when a noise model is attached, since noise is injected
-    after every individual gate.
+    :meth:`run`.  Noiseless runs go through :func:`prepare` (gate fusion);
+    a noise model follows every individual gate, so noisy runs never fuse.
     """
 
-    def __init__(
-        self,
-        seed: Optional[int] = None,
-        noise_model: Optional[NoiseModel] = None,
-        fusion: bool = True,
-        max_fused_qubits: int = SIMULATOR_MAX_FUSED_QUBITS,
-    ):
+    def __init__(self, seed: Optional[int] = None, noise_model: Optional[NoiseModel] = None):
         self._rng = np.random.default_rng(seed)
         self.noise_model = noise_model
-        self.fusion = fusion
-        self.max_fused_qubits = max_fused_qubits
 
     # -- public API -------------------------------------------------------------
 
     def run(
-        self,
-        circuit: QuantumCircuit,
-        shots: int = 1024,
-        memory: bool = False,
-        initial_state: Optional[Statevector] = None,
-        seed: Optional[int] = None,
+        self, circuit: QuantumCircuit, shots: int = 1024, memory: bool = False
     ) -> ExperimentResult:
         """Execute *circuit* for *shots* shots and return its :class:`ExperimentResult`.
 
         The engine entry point: one final state is evolved and sampled when
         the circuit allows it (no noise, no reset, only final measurements),
         every other run goes to the batched trajectory executor
-        (:func:`repro.qsim.shotbatch.run_batched`).  *seed* overrides the
-        constructor RNG for this call only, making the run independently
-        reproducible; the simulator's own RNG stream is left untouched.
+        (:func:`repro.qsim.shotbatch.run_batched`).
         """
         from .shotbatch import run_batched  # shotbatch builds on this module
 
         if shots <= 0:
             raise SimulationError("shots must be positive")
-        rng = self._rng if seed is None else np.random.default_rng(seed)
-        prepared = self._prepare(circuit)
+        noiseless = self.noise_model is None
+        prepared = prepare(circuit) if noiseless else circuit
         if (
-            self.noise_model is None
+            noiseless
             and measurements_are_final(prepared)
             and not any(isinstance(instr.operation, Reset) for instr in prepared.data)
         ):
-            return self._run_sampled(circuit.name, prepared, shots, memory, initial_state, rng)
-        result = run_batched(
-            prepared, self.noise_model, shots, rng, memory, initial_state=initial_state
-        )
+            return self._run_sampled(circuit.name, prepared, shots, memory)
+        result = run_batched(prepared, self.noise_model, shots, self._rng, memory)
         result.name = circuit.name
         return result
 
@@ -251,35 +250,19 @@ class StatevectorSimulator:
         raises (see :func:`check_evolvable`).
         """
         check_evolvable(circuit, self.noise_model)
-        circuit = self._prepare(circuit)
-        state = self._initial_state(circuit, initial_state)
+        circuit = prepare(circuit)
+        if initial_state is None:
+            state = Statevector.zero_state(circuit.num_qubits)
+        elif initial_state.num_qubits != circuit.num_qubits:
+            raise SimulationError("initial state size does not match circuit")
+        else:
+            state = initial_state.copy()
         for instr in circuit.data:
             if not isinstance(instr.operation, Measure):
                 self._apply(state, circuit, instr)
         return state
 
     # -- internals ----------------------------------------------------------------
-
-    def _prepare(self, circuit: QuantumCircuit) -> QuantumCircuit:
-        """Pre-process *circuit* for execution (gate fusion when applicable;
-        never under noise, which follows every individual gate)."""
-        if (
-            self.noise_model is not None
-            or not self.fusion
-            or circuit.num_qubits < _MIN_FUSION_QUBITS
-            or len(circuit.data) < 2
-        ):
-            return circuit
-        return fuse_gates(circuit, self.max_fused_qubits)
-
-    def _initial_state(
-        self, circuit: QuantumCircuit, initial_state: Optional[Statevector]
-    ) -> Statevector:
-        if initial_state is None:
-            return Statevector.zero_state(circuit.num_qubits)
-        if initial_state.num_qubits != circuit.num_qubits:
-            raise SimulationError("initial state size does not match circuit")
-        return initial_state.copy()
 
     def _apply(self, state: Statevector, circuit: QuantumCircuit, instr: CircuitInstruction) -> None:
         op = instr.operation
@@ -298,15 +281,9 @@ class StatevectorSimulator:
         raise SimulationError(f"cannot simulate instruction {op.name!r}")
 
     def _run_sampled(
-        self,
-        name: str,
-        circuit: QuantumCircuit,
-        shots: int,
-        memory: bool,
-        initial_state: Optional[Statevector],
-        rng: np.random.Generator,
+        self, name: str, circuit: QuantumCircuit, shots: int, memory: bool
     ) -> ExperimentResult:
-        state = self._initial_state(circuit, initial_state)
+        state = Statevector.zero_state(circuit.num_qubits)
         measure_map: List[Tuple[int, int]] = []  # (qubit index, clbit index)
         for instr in circuit.data:
             op = instr.operation
@@ -321,12 +298,13 @@ class StatevectorSimulator:
         shot_values: List[str] = []
         if measure_map:
             probs = state.probabilities([q for q, _ in measure_map])
-            for key, hits in sample_final(probs, shots, measure_map, {}, circuit.num_clbits, rng):
+            pairs = sample_final(probs, shots, measure_map, {}, circuit.num_clbits, self._rng)
+            for key, hits in pairs:
                 counts[key] = counts.get(key, 0) + hits
                 if memory:
                     shot_values.extend([key] * hits)
             if memory:
-                rng.shuffle(shot_values)
+                self._rng.shuffle(shot_values)
         return ExperimentResult(
             name=name,
             counts=counts,

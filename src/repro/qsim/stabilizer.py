@@ -724,7 +724,7 @@ class StabilizerSimulator:
     """Polynomial-time execution engine for (optionally noisy) Clifford circuits.
 
     Mirrors the :class:`~repro.qsim.simulator.StatevectorSimulator` calling
-    convention (``run(circuit, shots, memory, seed) -> ExperimentResult``) so it slots
+    convention (``run(circuit, shots, memory) -> ExperimentResult``) so it slots
     behind the unified backend API unchanged.  The circuit -- mid-circuit
     measurements and resets included -- is evolved **once** with symbolic
     measurement phases; all shots are then sampled with a single mod-2
@@ -747,19 +747,13 @@ class StabilizerSimulator:
         self.noise_model = noise_model
 
     def run(
-        self,
-        circuit: QuantumCircuit,
-        shots: int = 1024,
-        memory: bool = False,
-        seed: Optional[int] = None,
+        self, circuit: QuantumCircuit, shots: int = 1024, memory: bool = False
     ) -> ExperimentResult:
         """Execute *circuit* for *shots* shots and return its :class:`ExperimentResult`.
 
-        *seed* overrides the constructor RNG for this call only, leaving the
-        simulator's own stream untouched (same contract as the dense
-        engines).  Counts are keyed by MSB-first classical-register
-        bitstrings, identical to every other engine.  ``metadata`` names the
-        method, with a ``fallback_reason`` when every shot re-evolved.
+        Counts are keyed by MSB-first classical-register bitstrings,
+        identical to every other engine.  ``metadata`` names the method,
+        with a ``fallback_reason`` when every shot re-evolved.
         """
         if shots <= 0:
             raise SimulationError("shots must be positive")
@@ -768,7 +762,7 @@ class StabilizerSimulator:
         if self.noise_model is not None:
             encoding = _pauli_channel_encoding(require_pauli(self.noise_model))
         ops, max_events, blocker = _compile(circuit, noise=encoding is not None)
-        rng = self._rng if seed is None else np.random.default_rng(seed)
+        rng = self._rng
 
         noise_columns = 0
         if encoding is not None:

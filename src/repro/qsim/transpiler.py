@@ -5,9 +5,9 @@ The reproduction does not need a full transpiler; it needs just enough to
 figures, (b) lower the handful of composite gates (multi-controlled X/Z,
 SWAP, Toffoli) to a {1-qubit, CX} basis so those metrics are comparable to
 what the paper's Qiskit backend would report, (c) offer
-:func:`transpile`, the one-call pipeline that prepares a circuit for the
-simulator (peephole optimisation, then gate fusion at the highest level),
-and (d) the Clifford-detection pass (:func:`is_clifford`,
+:func:`transpile`, the one-call peephole pipeline (gate fusion is the
+statevector engine's own step, :func:`repro.qsim.simulator.prepare`), and
+(d) the Clifford-detection pass (:func:`is_clifford`,
 :func:`clifford_sequence`, :func:`pauli_conjugation_table`) that routes
 circuits onto the polynomial-time stabilizer engine.
 """
@@ -22,7 +22,6 @@ import numpy as np
 
 from .circuit import CircuitInstruction, QuantumCircuit
 from .exceptions import CircuitError
-from .fusion import DEFAULT_MAX_FUSED_QUBITS
 from .instruction import (
     Barrier,
     ControlledGate,
@@ -50,21 +49,17 @@ __all__ = [
 ]
 
 
-def transpile(
-    circuit: QuantumCircuit,
-    optimization_level: int = 1,
-    max_fused_qubits: int = DEFAULT_MAX_FUSED_QUBITS,
-) -> QuantumCircuit:
+def transpile(circuit: QuantumCircuit, optimization_level: int = 1) -> QuantumCircuit:
     """Prepare *circuit* for execution at the given *optimization_level*.
 
     * level 0 -- return an unmodified copy,
     * level 1 -- peephole optimisation (inverse cancellation, rotation
-      merging, identity removal),
-    * level 2 -- peephole optimisation followed by gate fusion; the result
-      contains anonymous :class:`UnitaryGate` blocks and is intended for the
-      simulator, not for gate-count metrics or QASM export.
+      merging, identity removal).
     """
     from . import telemetry
+
+    if optimization_level not in (0, 1):
+        raise ValueError(f"optimization_level must be 0 or 1, got {optimization_level!r}")
 
     if telemetry.enabled():
         telemetry.counter("transpile.circuits").inc()
@@ -72,11 +67,9 @@ def transpile(
     with telemetry.span(
         "transpile", circuit=circuit.name, level=optimization_level, gates=len(circuit.data)
     ) as sp:
-        if optimization_level <= 0:
+        if optimization_level == 0:
             return circuit.copy()
-        out = optimize(
-            circuit, fuse=optimization_level >= 2, max_fused_qubits=max_fused_qubits
-        )
+        out = optimize(circuit)
         sp.tag(gates_out=len(out.data))
         return out
 
@@ -452,7 +445,7 @@ def _pauli_conjugation_table_impl(
     * ``sign[i]`` — 1 when the image carries a minus sign.
 
     This is how the stabilizer engine executes composite and fused gates
-    (e.g. anonymous ``UnitaryGate`` blocks produced by ``transpile(level=2)``)
+    (e.g. anonymous ``UnitaryGate`` blocks produced by ``fuse_gates``)
     without a generator-level resynthesis.  Returns ``None`` when *matrix*
     is not Clifford (or too large to analyse).
     """

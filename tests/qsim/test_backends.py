@@ -171,10 +171,11 @@ class TestRunContract:
             get_backend("statevector").run([bell_circuit()], shots=8, seed=[1, 2])
 
     def test_per_call_seed_leaves_engine_stream_untouched(self):
-        a = StatevectorSimulator(seed=2)
-        b = StatevectorSimulator(seed=2)
+        a = get_backend("statevector", seed=2)
+        b = get_backend("statevector", seed=2)
         a.run(bell_circuit(), shots=50, seed=999)  # seeded call must not advance the stream
-        assert a.run(bell_circuit(), shots=50).counts == b.run(bell_circuit(), shots=50).counts
+        first = a.run(bell_circuit(), shots=50).result().get_counts()
+        assert first == b.run(bell_circuit(), shots=50).result().get_counts()
 
     def test_result_lookup_by_name_and_index(self):
         circuits = [bell_circuit("first"), bell_circuit("second")]

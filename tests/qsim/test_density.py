@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.qsim import gates
+from repro.qsim.backends import get_backend
 from repro.qsim.circuit import QuantumCircuit
 from repro.qsim.density import DensityMatrix, DensityMatrixSimulator
 from repro.qsim.exceptions import SimulationError
@@ -229,9 +230,9 @@ class TestDensityMatrixSimulator:
         qc = QuantumCircuit(1, 1)
         qc.h(0)
         qc.measure(0, 0)
-        sim = DensityMatrixSimulator(seed=0)
-        first = sim.run(qc, shots=100, seed=5).counts
-        second = sim.run(qc, shots=100, seed=5).counts
+        backend = get_backend("density_matrix", seed=0)
+        first = backend.run(qc, shots=100, seed=5).result().get_counts()
+        second = backend.run(qc, shots=100, seed=5).result().get_counts()
         assert first == second
 
     def test_run_memory(self):

@@ -293,12 +293,12 @@ class TestPopulationPath:
         # same binomials and multinomial: counts agree exactly
         circuit = corpus("adder_n10")
         noise = DepolarizingNoise(0.01)
-        sim = DensityMatrixSimulator(noise_model=noise)
-        populations = sim.run(circuit, shots=2000, seed=7)
+        sim = DensityMatrixSimulator(seed=7, noise_model=noise)
+        populations = sim.run(circuit, shots=2000)
         assert populations.metadata["classical_prefix"] == len(circuit.data)
-        full = DensityMatrixSimulator(noise_model=noise)
+        full = DensityMatrixSimulator(seed=7, noise_model=noise)
         full._lower = lambda circuit: (0, [])
-        reference = full.run(circuit, shots=2000, seed=7)
+        reference = full.run(circuit, shots=2000)
         assert reference.metadata["classical_prefix"] == 0
         assert populations.counts == reference.counts
         assert np.abs(

@@ -2,27 +2,46 @@
 
 Covers statevector equivalence (fusion on/off, random circuits), structural
 guarantees (support bound, non-unitary instructions never crossed), and the
-integration points (simulator pre-pass, ``optimize(fuse=True)``,
-``transpile`` levels).
+one integration point, :func:`repro.qsim.simulator.prepare`: the statevector
+engine's fusion policy.  References are built gate by gate with
+:func:`repro.qsim.kernels.apply_gate`, so no engine's own fusion hides in
+them.
 """
 
 import numpy as np
 import pytest
 
 from repro.qsim import (
+    BitFlipNoise,
     QuantumCircuit,
     Statevector,
     StatevectorSimulator,
     fuse_gates,
     fusion_summary,
+    kernels,
     optimize,
+    simulator,
     transpile,
 )
 from repro.qsim.instruction import Barrier, Measure, Reset, UnitaryGate
+from repro.qsim.shotbatch import run_batched
+from repro.qsim.simulator import prepare
 
 from test_kernels import random_circuit, random_state
 
 ATOL = 1e-10
+
+
+def gate_by_gate(circuit, initial=None):
+    """The state after *circuit*'s gates, each applied alone by the kernels."""
+    data = (initial or Statevector.zero_state(circuit.num_qubits)).data.copy()
+    for instr in circuit.data:
+        kernels.apply_gate(data, instr.operation, [circuit.qubit_index(q) for q in instr.qubits])
+    return data
+
+
+def has_fused_block(circuit):
+    return any(getattr(i.operation, "is_fused_block", False) for i in circuit.data)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -32,9 +51,8 @@ def test_fused_circuit_preserves_statevector(seed, max_fused_qubits):
     circuit = random_circuit(6, 60, rng)
     fused = fuse_gates(circuit, max_fused_qubits)
     initial = random_state(6, rng)
-    reference = StatevectorSimulator(fusion=False).evolve(circuit, initial_state=initial)
-    fused_state = StatevectorSimulator(fusion=False).evolve(fused, initial_state=initial)
-    assert np.allclose(fused_state.data, reference.data, atol=ATOL)
+    fused_state = StatevectorSimulator().evolve(fused, initial_state=initial)
+    assert np.allclose(fused_state.data, gate_by_gate(circuit, initial), atol=ATOL)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -42,18 +60,38 @@ def test_simulator_fusion_on_off_agree(seed):
     # 10 qubits: wide enough that the simulator's fusion pre-pass engages
     rng = np.random.default_rng(100 + seed)
     circuit = random_circuit(10, 60, rng)
-    with_fusion = StatevectorSimulator(fusion=True).evolve(circuit)
-    without = StatevectorSimulator(fusion=False).evolve(circuit)
-    assert np.allclose(with_fusion.data, without.data, atol=ATOL)
+    assert has_fused_block(prepare(circuit))
+    state = StatevectorSimulator().evolve(circuit)
+    assert np.allclose(state.data, gate_by_gate(circuit), atol=ATOL)
 
 
 def test_simulator_skips_fusion_below_size_threshold():
     rng = np.random.default_rng(200)
     small = random_circuit(4, 20, rng)
-    simulator = StatevectorSimulator()
-    assert simulator._prepare(small) is small  # a state pass is cheaper than fusing
+    assert prepare(small) is small  # a state pass is cheaper than fusing
     wide = random_circuit(10, 20, rng)
-    assert simulator._prepare(wide) is not wide
+    assert prepare(wide) is not wide
+
+
+def test_prepare_leaves_a_fused_circuit_alone():
+    wide = random_circuit(10, 20, np.random.default_rng(201))
+    prepared = prepare(wide)
+    assert prepare(prepared) is prepared  # preparing twice never fuses twice
+    by_hand = fuse_gates(wide, 2)
+    assert prepare(by_hand) is by_hand
+
+
+def test_noisy_engine_never_fuses(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("fused under noise")
+
+    monkeypatch.setattr(simulator, "fuse_gates", refuse)
+    wide = random_circuit(10, 20, np.random.default_rng(202))
+    wide.measure_all()
+    noisy = StatevectorSimulator(seed=1, noise_model=BitFlipNoise(0.01))
+    assert sum(noisy.run(wide, shots=20).counts.values()) == 20
+    with pytest.raises(AssertionError, match="fused under noise"):
+        StatevectorSimulator(seed=1).run(wide, shots=20)
 
 
 def test_noise_model_rejects_pre_fused_circuits():
@@ -144,15 +182,21 @@ def test_fusion_never_crosses_non_unitary_instructions():
 
 
 def test_mid_circuit_measurement_counts_match_with_fusion():
-    qc = QuantumCircuit(2, 2)
+    # 10 qubits, so the engine fuses the gates around the mid-circuit measure
+    qc = QuantumCircuit(10, 10)
     qc.h(0)
     qc.measure(0, 0)
     qc.cx(0, 1)
     qc.x(0)
-    qc.measure(1, 1)
-    fused_counts = StatevectorSimulator(seed=42, fusion=True).run(qc, shots=300).counts
-    plain_counts = StatevectorSimulator(seed=42, fusion=False).run(qc, shots=300).counts
-    assert fused_counts == plain_counts
+    for qubit in range(2, 10):
+        qc.h(qubit).t(qubit).h(qubit)
+    qc.measure(list(range(1, 10)), list(range(1, 10)))
+    assert has_fused_block(prepare(qc))
+    fused = StatevectorSimulator(seed=42).run(qc, shots=300, memory=True)
+    plain = run_batched(qc, None, 300, 42, memory=True)
+    assert fused.metadata["method"] == plain.metadata["method"] == "batched_shots"
+    assert fused.counts == plain.counts
+    assert fused.memory == plain.memory
 
 
 def test_run_of_diagonal_gates_fuses_to_diagonal_matrix():
@@ -168,15 +212,13 @@ def test_run_of_diagonal_gates_fuses_to_diagonal_matrix():
     assert np.allclose(matrix, np.diag(np.diagonal(matrix)), atol=ATOL)
 
 
-def test_optimize_with_fusion_is_equivalent():
+def test_optimize_is_equivalent_and_never_fuses():
     rng = np.random.default_rng(3)
     circuit = random_circuit(5, 50, rng)
-    optimized = optimize(circuit, fuse=True)
-    reference = StatevectorSimulator(fusion=False).evolve(circuit)
-    state = StatevectorSimulator(fusion=False).evolve(optimized)
-    assert np.allclose(state.data, reference.data, atol=ATOL)
-    # default stays peephole-only so metrics pipelines are unaffected
-    assert not any(i.operation.name.startswith("fused") for i in optimize(circuit).data)
+    optimized = optimize(circuit)
+    assert np.allclose(gate_by_gate(optimized), gate_by_gate(circuit), atol=ATOL)
+    # peephole-only, so metrics pipelines see real gates
+    assert not has_fused_block(optimized)
 
 
 def test_transpile_levels():
@@ -184,11 +226,11 @@ def test_transpile_levels():
     circuit = random_circuit(5, 40, rng)
     level0 = transpile(circuit, optimization_level=0)
     assert level0.size() == circuit.size()
-    level2 = transpile(circuit, optimization_level=2)
-    assert level2.size() <= transpile(circuit, optimization_level=1).size()
-    reference = StatevectorSimulator(fusion=False).evolve(circuit)
-    state = StatevectorSimulator(fusion=False).evolve(level2)
-    assert np.allclose(state.data, reference.data, atol=ATOL)
+    level1 = transpile(circuit, optimization_level=1)
+    assert level1.size() <= circuit.size()
+    assert np.allclose(gate_by_gate(level1), gate_by_gate(circuit), atol=ATOL)
+    with pytest.raises(ValueError, match="0 or 1"):
+        transpile(circuit, optimization_level=2)
 
 
 def test_fusion_rejects_bad_budget():

@@ -13,7 +13,7 @@ import re
 import numpy as np
 import pytest
 
-from repro.qsim import QuantumCircuit, stabilizer, transpile
+from repro.qsim import QuantumCircuit, fuse_gates, stabilizer
 from repro.qsim.backends import build_noisy_backend, get_backend
 from repro.qsim.density import DensityMatrixSimulator
 from repro.qsim.exceptions import BackendError, SimulationError
@@ -137,7 +137,7 @@ class TestFusedBlocksUnderNoise:
         for _ in range(5):
             qc.h(0).cx(0, 1).s(1).cx(1, 0)
         qc.measure([0, 1], [0, 1])
-        return qc, transpile(qc, optimization_level=2, max_fused_qubits=2)
+        return qc, fuse_gates(qc, max_fused_qubits=2)
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_every_backend_refuses_a_fused_circuit(self, engine):

@@ -509,7 +509,7 @@ class TestBatchSizes:
         rng = np.random.default_rng(1000 + num_qubits)
         qc = noisy_circuit(num_qubits, 3 * num_qubits, rng)
         noise = DepolarizingNoise(0.02)
-        backend = StatevectorBackend(noise_model=noise, fusion=False)
+        backend = StatevectorBackend(noise_model=noise)
         batched = backend.run(qc, shots=shots, seed=77, memory=True).result()[0]
         per_shot = shotbatch.run_batched(qc, noise, shots, seed=77, memory=True, batch_size=1)
         assert batched.counts == per_shot.counts
@@ -522,14 +522,14 @@ class TestBatchSizes:
     @pytest.mark.parametrize("noise_cls", [BitFlipNoise, PhaseFlipNoise, DepolarizingNoise])
     def test_every_pauli_channel(self, noise_cls):
         qc = noisy_circuit(8, 24, np.random.default_rng(55))
-        backend = StatevectorBackend(noise_model=noise_cls(0.05), fusion=False)
+        backend = StatevectorBackend(noise_model=noise_cls(0.05))
         batched = backend.run(qc, shots=300, seed=5).result().get_counts()
         per_shot = shotbatch.run_batched(qc, noise_cls(0.05), 300, seed=5, batch_size=1)
         assert batched == per_shot.counts
 
     def test_noise_runs_batched(self):
         qc = noisy_circuit(6, 12, np.random.default_rng(60))
-        backend = StatevectorBackend(noise_model=BitFlipNoise(0.05), fusion=False)
+        backend = StatevectorBackend(noise_model=BitFlipNoise(0.05))
         result = backend.run(qc, shots=100, seed=1).result()
         assert result[0].metadata["method"] == "batched_shots"
 
@@ -539,7 +539,7 @@ class TestBatchSizes:
         qc.measure(0, 0)
         qc.x(0)
         qc.measure(1, 1)
-        backend = StatevectorBackend(noise_model=BitFlipNoise(0.05), fusion=False)
+        backend = StatevectorBackend(noise_model=BitFlipNoise(0.05))
         result = backend.run(qc, shots=50, seed=2).result()
         assert sum(result.get_counts().values()) == 50
         assert result[0].metadata == {
@@ -555,7 +555,7 @@ class TestBatchSizes:
         qc.measure(0, 0)
         qc.x(0)
         qc.measure(1, 1)
-        backend = StatevectorBackend(noise_model=NON_PAULI, fusion=False)
+        backend = StatevectorBackend(noise_model=NON_PAULI)
         job = backend.run(qc, shots=50, seed=2)
         with pytest.raises(BackendError, match="not a single-qubit Pauli.*density_matrix"):
             job.result()

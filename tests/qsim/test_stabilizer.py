@@ -19,7 +19,7 @@ from repro.algorithms.teleportation import (
     deferred_teleportation_circuit,
     run_teleportation,
 )
-from repro.qsim import QuantumCircuit, StatevectorSimulator, transpile
+from repro.qsim import QuantumCircuit, StatevectorSimulator, fuse_gates
 from repro.qsim.backends import StabilizerBackend, get_backend, list_backends
 from repro.qsim.exceptions import BackendError, SimulationError
 from repro.qsim.instruction import Gate
@@ -270,9 +270,8 @@ class TestStabilizerSimulator:
 
     def test_per_call_seed_override(self):
         qc = random_clifford_circuit(4, 30, seed=8)
-        sim = StabilizerSimulator(seed=1)
-        a = sim.run(qc, shots=150, seed=42).counts
-        b = StabilizerSimulator(seed=99).run(qc, shots=150, seed=42).counts
+        a = get_backend("stabilizer", seed=1).run(qc, shots=150, seed=42).result().get_counts()
+        b = get_backend("stabilizer", seed=99).run(qc, shots=150, seed=42).result().get_counts()
         assert a == b
 
     def test_non_clifford_rejected(self):
@@ -377,11 +376,11 @@ class TestCliffordPass:
         assert pauli_conjugation_table(gate_lib.crz(np.pi)) is not None
 
     def test_fused_clifford_circuit_runs_identically(self):
-        # transpile(level=2) produces anonymous UnitaryGate blocks; the
+        # fuse_gates produces anonymous UnitaryGate blocks; the
         # conjugation-table path must execute them with the exact same
         # symbol structure, hence bit-identical counts under one seed
         qc = random_clifford_circuit(11, 60, seed=5)
-        fused = transpile(qc, optimization_level=2)
+        fused = fuse_gates(qc)
         assert any(op.operation.name.startswith("fused") for op in fused.data)
         assert is_clifford(fused)
         plain = StabilizerSimulator(seed=3).run(qc, shots=2000).counts

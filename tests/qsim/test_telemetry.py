@@ -391,7 +391,7 @@ class TestInstrumentationEndToEnd:
         ghz.measure_all()
 
         def trajectories(p):
-            backend = StatevectorBackend(noise_model=DepolarizingNoise(p), fusion=False)
+            backend = StatevectorBackend(noise_model=DepolarizingNoise(p))
             experiment = backend.run(ghz, shots=64, seed=5).result()[0]
             sv = find(telemetry.drain_spans(), "engine.statevector.run")
             assert sv.tags["trajectories"] == experiment.metadata["trajectories"]
