@@ -12,9 +12,10 @@ exact inputs the compile pipeline depends on -- and live in two layers:
   surviving restarts;
 * a **per-process memory layer** (bounded LRU) holding the ready-to-run
   :class:`~repro.qsim.circuit.QuantumCircuit` object, so a warm worker
-  skips even the parse.  For noiseless statevector jobs the object holds
-  fused :class:`~repro.qsim.instruction.UnitaryGate` blocks, which have
-  no QASM form; the engine runs a circuit holding fused blocks as it is.
+  skips even the parse.  For noiseless statevector jobs the object is
+  kept after :func:`repro.qsim.simulator.prepare`, the engine's own fusion
+  function: its fused :class:`~repro.qsim.instruction.UnitaryGate` blocks
+  have no QASM form, and the engine runs a prepared circuit as it is.
 
 Bit-equality across hit and miss paths is by construction: a **miss**
 compiles (parse, peephole at optimization level 1), writes the compiled
@@ -40,9 +41,8 @@ from typing import Dict, Tuple
 from .. import telemetry
 from ..circuit import QuantumCircuit
 from ..exceptions import QasmError
-from ..fusion import fuse_gates
 from ..qasm import from_qasm, to_qasm
-from ..simulator import SIMULATOR_MAX_FUSED_QUBITS
+from ..simulator import prepare
 from ..transpiler import transpile
 from .payload import BatchPayload
 from .store import JobStore
@@ -83,10 +83,9 @@ class CircuitCache:
 
     @staticmethod
     def _finalize(circuit: QuantumCircuit, prepared: bool) -> QuantumCircuit:
-        """Compiled circuit -> ready-to-run object (fusion for dense engines)."""
-        if prepared and circuit.num_qubits >= 1 and len(circuit.data) >= 2:
-            return fuse_gates(circuit, SIMULATOR_MAX_FUSED_QUBITS)
-        return circuit
+        """Compiled circuit -> ready-to-run object (*prepared* for the
+        statevector engine when it runs noiselessly)."""
+        return prepare(circuit) if prepared else circuit
 
     def _remember(self, cache_key: str, circuit: QuantumCircuit) -> None:
         self._memory[cache_key] = circuit

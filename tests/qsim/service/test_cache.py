@@ -7,11 +7,15 @@ the cache **key must be sensitive** to everything the compile depends on
 must fall back to recompilation instead of failing the job.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from repro.qsim import QuantumCircuit
+from repro.qsim import QuantumCircuit, from_qasm, get_backend, to_qasm, transpile
 from repro.qsim.service import BatchPayload, CircuitCache, JobStore, execute_payload
+
+CIRCUITS = Path(__file__).resolve().parents[3] / "benchmarks" / "circuits"
 
 
 def dense_circuit(name="dense", num_qubits=4, num_gates=40, seed=2):
@@ -116,6 +120,22 @@ class TestHitMissBitEquality:
         stats = result["metadata"]["cache"]
         assert stats["memory_hits"] == 1
         assert stats["misses"] == 1
+
+
+def test_service_and_local_runs_agree(store):
+    """A noiseless statevector job counts exactly like a local run of the
+    circuit the cache compiled: both sides fuse through the engine's one
+    ``prepare``, so no seed stream depends on the path."""
+    qasm = (CIRCUITS / "qft_n8.qasm").read_text()
+    compiled = from_qasm(to_qasm(transpile(from_qasm(qasm), optimization_level=1)))
+    cache = CircuitCache(store)
+    for seed in range(20):
+        payload = BatchPayload(
+            circuits=[{"name": "qft_n8", "qasm": qasm}], shots=1000, seed=seed
+        )
+        service = counts_of(execute_payload(payload, cache))[0]
+        local = get_backend("statevector").run(compiled, shots=1000, seed=seed)
+        assert service == local.result().get_counts(), f"seed {seed}"
 
 
 class TestKeySensitivity:
