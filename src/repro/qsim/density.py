@@ -480,6 +480,10 @@ class DensityMatrixSimulator:
                 raise SimulationError(
                     "DensityMatrixSimulator supports initialize only over all qubits"
                 )
+            if abs(state.probabilities(targets)[0] - 1.0) > 1e-8:
+                raise SimulationError(
+                    "initialize requires the target qubits to be in the |0...0> state"
+                )
             pure = Statevector.zero_state(circuit.num_qubits)
             pure.initialize_qubits(op.statevector, targets)
             return DensityMatrix.from_statevector(pure)

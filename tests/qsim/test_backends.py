@@ -1,5 +1,7 @@
 """Tests for the unified Backend/Job/Result execution API."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -440,18 +442,73 @@ class TestRunArgumentValidation:
         assert [e.seed for e in backend.run(batch, shots=4, seed=[3, None]).result()] == [3, None]
 
 
+class TestInterchangeableEngines:
+    """Every built-in engine is built from (seed, noise_model) and runs
+    run(circuit, shots=, memory=): whichever engine is picked, one set of
+    arguments builds and runs it."""
+
+    @pytest.mark.parametrize(
+        "cls",
+        [
+            StatevectorSimulator,
+            DensityMatrixSimulator,
+            StabilizerSimulator,
+            StatevectorBackend,
+            DensityMatrixBackend,
+            StabilizerBackend,
+        ],
+    )
+    def test_constructor_is_seed_and_noise_model(self, cls):
+        parameters = inspect.signature(cls).parameters
+        assert [(p.name, p.default) for p in parameters.values()] == [
+            ("seed", None),
+            ("noise_model", None),
+        ]
+
+    @pytest.mark.parametrize(
+        "cls", [StatevectorSimulator, DensityMatrixSimulator, StabilizerSimulator]
+    )
+    def test_run_takes_circuit_shots_and_memory(self, cls):
+        assert list(inspect.signature(cls.run).parameters) == [
+            "self",
+            "circuit",
+            "shots",
+            "memory",
+        ]
+
+
+class TestInitializePrecondition:
+    """initialize needs its targets in |0...0> on every engine: a state the
+    circuit already moved is refused, never silently overwritten."""
+
+    @pytest.mark.parametrize(
+        "engine,state",
+        [(engine, 2) for engine in ENGINES]
+        # the stabilizer engine initializes basis states only
+        + [(engine, [0.6, 0.8, 0, 0]) for engine in ENGINES[:2]],
+    )
+    def test_initialize_after_a_gate_is_refused(self, engine, state):
+        qc = QuantumCircuit(2, 2)
+        qc.x(0)
+        qc.initialize(state, [0, 1])
+        qc.measure([0, 1], [0, 1])
+        with pytest.raises(BackendError, match=r"target qubits to be in the \|0\.\.\.0> state"):
+            get_backend(engine).run(qc, shots=1000, seed=1).result()
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_initialize_from_zero_runs(self, engine):
+        qc = QuantumCircuit(2, 2)
+        qc.initialize(2, [0, 1])
+        qc.measure([0, 1], [0, 1])
+        counts = get_backend(engine).run(qc, shots=100, seed=1).result().get_counts()
+        assert counts == {"10": 100}
+
+
 def engine_and_backend(engine, noisy, seed):
     """A seeded engine and the backend over an equally configured one."""
     noise = DepolarizingNoise(0.05) if noisy else None
-    if engine == "density_matrix":
-        return DensityMatrixSimulator(seed=seed, noise_model=noise), DensityMatrixBackend(
-            noise_model=noise
-        )
-    if engine == "statevector":
-        return StatevectorSimulator(seed=seed, noise_model=noise), StatevectorBackend(
-            noise_model=noise
-        )
-    return StabilizerSimulator(seed=seed, noise_model=noise), StabilizerBackend(noise_model=noise)
+    backend = get_backend(engine, noise_model=noise)
+    return backend.engine_class(seed=seed, noise_model=noise), backend
 
 
 class TestEngineRunMatchesBackend:
