@@ -321,9 +321,6 @@ def _lint_main(argv: List[str]) -> int:
         except OSError as exc:
             print(f"error: cannot read {path}: {exc}", file=sys.stderr)
             return 2
-        except UnicodeDecodeError:
-            print(f"error: {path} is not a UTF-8 text file", file=sys.stderr)
-            return 2
         except QasmError as exc:
             reports.append(_parse_error_report(path, exc))
             continue
@@ -550,9 +547,6 @@ def _run_qasm_file(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"error: cannot read {args.from_qasm}: {exc}", file=sys.stderr)
         return 2
-    except UnicodeDecodeError:
-        print(f"error: {args.from_qasm} is not a UTF-8 text file", file=sys.stderr)
-        return 1
     except QasmError as exc:
         print(f"error: {args.from_qasm}: {exc}", file=sys.stderr)
         return 1

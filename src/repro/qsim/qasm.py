@@ -1342,9 +1342,18 @@ def from_qasm(
 
 
 def from_qasm_file(path: Union[str, "os.PathLike"], name: Optional[str] = None) -> QuantumCircuit:
-    """Parse the OpenQASM 2.0/3 file at *path* (circuit named after the file)."""
+    """Parse the OpenQASM 2.0/3 file at *path* (circuit named after the file).
+
+    A file that is not UTF-8 text raises :class:`QasmError` at its first
+    undecodable byte, like any other source the parser cannot read.
+    """
     with open(path, "r", encoding="utf-8") as handle:
-        source = handle.read()
+        try:
+            source = handle.read()
+        except UnicodeDecodeError as exc:
+            line = exc.object.count(b"\n", 0, exc.start) + 1
+            column = exc.start - exc.object.rfind(b"\n", 0, exc.start)
+            raise QasmError("not a UTF-8 text file", line, column) from None
     if name is None:
         name = os.path.splitext(os.path.basename(str(path)))[0] or "from_qasm"
     return from_qasm(source, name=name, filename=str(path))

@@ -417,6 +417,21 @@ class TestLintVerb:
         assert "no such file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verb", ["--from-qasm", "submit", "lint"])
+def test_every_verb_reads_a_binary_file_like_a_parse_error(verb, tmp_path, capsys):
+    path = tmp_path / "blob.qasm"
+    path.write_bytes(b"\xff\xfe\x00\x01binary")
+    argv = [verb, str(path)]
+    if verb == "submit":
+        argv += ["--db", str(tmp_path / "jobs.db")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert "not a UTF-8 text file" in captured.out + captured.err
+    assert "Traceback" not in captured.err
+    if verb == "lint":  # positioned at the first undecodable byte
+        assert f"{path}:1:1: error[QA001]" in captured.out
+
+
 class TestLintFlag:
     def test_lint_aborts_run_on_error(self, tmp_path, capsys):
         path = tmp_path / "t.qasm"
