@@ -12,7 +12,8 @@ Two families are provided, both operating on little-endian registers:
   operands.
 
 All in-place adders compute ``b <- (a + b) mod 2**len(b)`` and leave ``a``
-unchanged.
+unchanged; the two Fourier adders also subtract (``sign=-1``), and are what
+the Qutes ``+``/``-`` operators emit.
 """
 
 from __future__ import annotations
@@ -82,19 +83,23 @@ def build_draper_adder(
     circuit: QuantumCircuit,
     a_qubits: Sequence,
     b_qubits: Sequence,
+    sign: int = 1,
 ) -> QuantumCircuit:
-    """Append a Draper (QFT) adder computing ``b <- a + b`` onto *circuit*."""
+    """Append a Draper (QFT) adder computing ``b <- b + sign * a`` onto *circuit*.
+
+    *a* may be narrower than *b*; ``sign=-1`` subtracts.
+    """
     a_qubits = list(a_qubits)
     b_qubits = list(b_qubits)
-    if len(a_qubits) != len(b_qubits):
-        raise CircuitError("Draper adder requires equally sized registers")
+    if len(a_qubits) > len(b_qubits):
+        raise CircuitError("Draper adder requires a source register no wider than the target")
     n = len(b_qubits)
     build_qft(circuit, b_qubits, do_swaps=False)
     # In the no-swap QFT the phase accumulated on b_qubits[j] encodes the
     # bits j..n-1; adding a shifts that phase by the matching powers of two.
     for j in range(n):
-        for k in range(j + 1):
-            angle = math.pi / (2 ** (j - k))
+        for k in range(min(j + 1, len(a_qubits))):
+            angle = sign * math.pi / (2 ** (j - k))
             circuit.cp(angle, a_qubits[k], b_qubits[j])
     build_iqft(circuit, b_qubits, do_swaps=False)
     return circuit
@@ -104,8 +109,9 @@ def build_constant_adder(
     circuit: QuantumCircuit,
     value: int,
     target_qubits: Sequence,
+    sign: int = 1,
 ) -> QuantumCircuit:
-    """Append ``target <- target + value (mod 2^n)`` for a classical *value*."""
+    """Append ``target <- target + sign * value (mod 2^n)`` for a classical *value*."""
     target_qubits = list(target_qubits)
     n = len(target_qubits)
     if n == 0:
@@ -118,7 +124,7 @@ def build_constant_adder(
             if (value >> k) & 1:
                 angle += math.pi / (2 ** (j - k))
         if angle:
-            circuit.p(angle, target_qubits[j])
+            circuit.p(sign * angle, target_qubits[j])
     build_iqft(circuit, target_qubits, do_swaps=False)
     return circuit
 

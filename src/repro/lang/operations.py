@@ -13,11 +13,11 @@ intrinsically classical operations such as comparisons, division and logic).
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from ..algorithms.grover import grover_circuit, substring_match_positions
+from ..arithmetic.adder import build_constant_adder, build_draper_adder
 from ..arithmetic.multiplier import build_fourier_multiplier
-from ..arithmetic.qft import build_iqft, build_qft
 from ..arithmetic.rotations import rotate_indices
 from ..qsim.circuit import QuantumCircuit
 from .casting import TypeCastingHandler
@@ -217,46 +217,21 @@ class OperationEngine:
         sign = -1 if subtract else 1
         b_hint: Optional[int] = None
         if b_quantum:
-            self._fourier_add_register(b.qubits, result_qubits, sign)
+            sub = QuantumCircuit(b.size + result_size, name="qadd")
+            positions = list(range(sub.num_qubits))
+            build_draper_adder(sub, positions[: b.size], positions[b.size :], sign)
+            self.handler.append_subcircuit(sub, b.qubits + result_qubits)
             b_hint = b.classical_hint
         else:
             b_value = self.casting.to_int(b)
-            self._fourier_add_constant(b_value, result_qubits, sign)
+            sub = QuantumCircuit(result_size, name="qadd_const")
+            build_constant_adder(sub, b_value, list(range(result_size)), sign)
+            self.handler.append_subcircuit(sub, result_qubits)
             b_hint = b_value
 
         if a_hint is not None and b_hint is not None:
             result.classical_hint = (a_hint + sign * b_hint) % (2**result_size)
         return result
-
-    def _fourier_add_register(self, source: Sequence[int], target: Sequence[int], sign: int) -> None:
-        source = list(source)
-        target = list(target)
-        sub = QuantumCircuit(len(source) + len(target), name="qadd")
-        src_pos = list(range(len(source)))
-        tgt_pos = list(range(len(source), len(source) + len(target)))
-        build_qft(sub, tgt_pos, do_swaps=False)
-        for j in range(len(target)):
-            for k in range(min(j + 1, len(source))):
-                angle = sign * math.pi / (2 ** (j - k))
-                sub.cp(angle, src_pos[k], tgt_pos[j])
-        build_iqft(sub, tgt_pos, do_swaps=False)
-        self.handler.append_subcircuit(sub, source + target)
-
-    def _fourier_add_constant(self, value: int, target: Sequence[int], sign: int) -> None:
-        target = list(target)
-        n = len(target)
-        value %= 2**n
-        sub = QuantumCircuit(n, name="qadd_const")
-        build_qft(sub, list(range(n)), do_swaps=False)
-        for j in range(n):
-            angle = 0.0
-            for k in range(j + 1):
-                if (value >> k) & 1:
-                    angle += math.pi / (2 ** (j - k))
-            if angle:
-                sub.p(sign * angle, j)
-        build_iqft(sub, list(range(n)), do_swaps=False)
-        self.handler.append_subcircuit(sub, target)
 
     # -- quantum multiplication -----------------------------------------------------------
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.arithmetic import (
     build_constant_adder,
+    build_draper_adder,
     build_greater_than,
     build_qft,
     build_iqft,
@@ -111,6 +112,21 @@ class TestAdders:
         assert np.isclose(state.probability_of((a + b) % 2**n, b_qubits), 1.0, atol=1e-6)
         assert np.isclose(state.probability_of(a, list(range(n))), 1.0, atol=1e-6)
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("a,b", [(0, 5), (1, 14), (3, 3), (2, 9)])
+    def test_draper_adder_with_narrower_source(self, a, b, sign):
+        # a 2-qubit source added into (or subtracted from) a 4-qubit target
+        qc = QuantumCircuit(6)
+        qc.initialize(a | (b << 2), list(range(6)))
+        build_draper_adder(qc, [0, 1], [2, 3, 4, 5], sign=sign)
+        state = SIM.evolve(qc)
+        assert np.isclose(state.probability_of((b + sign * a) % 16, [2, 3, 4, 5]), 1.0, atol=1e-6)
+        assert np.isclose(state.probability_of(a, [0, 1]), 1.0, atol=1e-6)
+
+    def test_draper_adder_rejects_a_wider_source(self):
+        with pytest.raises(CircuitError, match="no wider than the target"):
+            build_draper_adder(QuantumCircuit(3), [0, 1], [2])
+
     @given(a=st.integers(0, 15), b=st.integers(0, 15))
     @settings(max_examples=25, deadline=None)
     def test_adders_agree_property(self, a, b):
@@ -129,6 +145,15 @@ class TestAdders:
         build_constant_adder(qc, value, list(range(n)))
         state = SIM.evolve(qc)
         assert np.isclose(state.probability_of((start + value) % 2**n, list(range(n))), 1.0, atol=1e-6)
+
+    @pytest.mark.parametrize("value,start", [(3, 1), (7, 7), (5, 2)])
+    def test_constant_subtractor(self, value, start):
+        n = 3
+        qc = QuantumCircuit(n)
+        qc.initialize(start, list(range(n)))
+        build_constant_adder(qc, value, list(range(n)), sign=-1)
+        state = SIM.evolve(qc)
+        assert np.isclose(state.probability_of((start - value) % 2**n, list(range(n))), 1.0, atol=1e-6)
 
     def test_adder_on_superposed_input(self):
         # |a> = (|1> + |2>)/sqrt(2), b = 3 -> result superposes 4 and 5
