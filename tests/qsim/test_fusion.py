@@ -34,7 +34,8 @@ ATOL = 1e-10
 
 def gate_by_gate(circuit, initial=None):
     """The state after *circuit*'s gates, each applied alone by the kernels."""
-    data = (initial or Statevector.zero_state(circuit.num_qubits)).data.copy()
+    start = Statevector.zero_state(circuit.num_qubits) if initial is None else initial
+    data = start.data.copy()
     for instr in circuit.data:
         kernels.apply_gate(data, instr.operation, [circuit.qubit_index(q) for q in instr.qubits])
     return data
