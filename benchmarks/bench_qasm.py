@@ -6,7 +6,11 @@ Drives the importer over the committed QASMBench-style corpus in
 
 * **Parse throughput** — every ``.qasm`` file is parsed ``--repeats`` times
   through :func:`repro.qsim.qasm.from_qasm`; the table reports file size,
-  instruction count, parse time and MB/s.
+  instruction count, the best parse time in ms per call and MB/s.  Two
+  generated programs join the table, parsed only: the random 16-qubit,
+  1000-gate circuit of ``bench_kernels`` (its ``GATE_POOL`` without
+  ``iswap``, measured) and the 10-qubit, 200-gate cold-job payload of
+  ``bench_service``.
 
 * **Cross-engine agreement** — each imported circuit is executed end-to-end
   through ``get_backend(...).run(...)`` on every engine that can take it
@@ -46,9 +50,14 @@ import os
 import time
 from typing import Dict, List
 
-from repro.qsim import from_qasm, is_clifford
-from repro.qsim.backends import get_backend
+import numpy as np
 
+from repro.qsim import QuantumCircuit, from_qasm, is_clifford, to_qasm
+from repro.qsim.backends import get_backend
+from repro.qsim.instruction import Gate
+
+from bench_kernels import GATE_POOL
+from bench_service import workload_circuit
 from benchutil import add_out_argument, total_variation, write_results
 
 CIRCUITS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "circuits")
@@ -78,10 +87,25 @@ GOLDEN_SUPPORT: Dict[str, set] = {
 CONDITIONAL_FILES = {"teleport_cond_n3.qasm", "qec_cond_n5.qasm", "ghz_cond_n4.qasm"}
 
 
-def parse_throughput(path: str, repeats: int) -> Dict[str, object]:
-    """Parse *path* ``repeats`` times and report instructions + MB/s."""
-    with open(path, "r", encoding="utf-8") as handle:
-        source = handle.read()
+def generated_sources(seed: int) -> Dict[str, str]:
+    """The benchmark programs that are generated, not read from the corpus."""
+    pool = [entry for entry in GATE_POOL if entry[0] != "iswap"]
+    rng = np.random.default_rng(seed)
+    random_circuit = QuantumCircuit(16)
+    for _ in range(1000):
+        name, arity, num_params = pool[rng.integers(len(pool))]
+        params = list(rng.uniform(0, 2 * np.pi, num_params))
+        targets = [int(q) for q in rng.choice(16, arity, replace=False)]
+        random_circuit.append(Gate(name, arity, params), targets)
+    random_circuit.measure_all()
+    return {
+        "random_n16 (generated)": to_qasm(random_circuit),
+        "service_n10 (generated)": to_qasm(workload_circuit(10, 200, seed)),
+    }
+
+
+def parse_throughput(label: str, source: str, repeats: int) -> Dict[str, object]:
+    """Parse *source* ``repeats`` times and report instructions, ms per call and MB/s."""
     circuit = from_qasm(source)
     best = float("inf")
     for _ in range(repeats):
@@ -89,11 +113,12 @@ def parse_throughput(path: str, repeats: int) -> Dict[str, object]:
         from_qasm(source)
         best = min(best, time.perf_counter() - started)
     return {
-        "file": os.path.basename(path),
+        "file": label,
         "bytes": len(source),
         "qubits": circuit.num_qubits,
         "instructions": len(circuit.data),
         "parse_seconds": best,
+        "parse_ms": best * 1e3,
         "mb_per_second": len(source) / best / 1e6,
         "circuit": circuit,
     }
@@ -161,7 +186,8 @@ def main(argv: List[str] | None = None) -> int:
     largest_clifford: Dict[str, object] = {}
     print(f"{'file':28} {'qubits':>6} {'instrs':>7} {'parse ms':>9} {'MB/s':>7}  engines (max TVD)")
     for path in paths:
-        row = parse_throughput(path, args.repeats)
+        with open(path, "r", encoding="utf-8") as handle:
+            row = parse_throughput(os.path.basename(path), handle.read(), args.repeats)
         circuit = row.pop("circuit")
         agreement = agreement_run(circuit, args.shots, args.seed, args.dm_qubits)
         counts = agreement.pop("counts")
@@ -203,8 +229,17 @@ def main(argv: List[str] | None = None) -> int:
         engines = ", ".join(agreement["engines"]) or "none (too large for dense engines)"
         print(
             f"{row['file']:28} {row['qubits']:>6} {row['instructions']:>7} "
-            f"{row['parse_seconds'] * 1e3:>9.2f} {row['mb_per_second']:>7.2f}  "
+            f"{row['parse_ms']:>9.2f} {row['mb_per_second']:>7.2f}  "
             f"{engines} ({agreement['max_tvd']:.3f})"
+        )
+
+    for label, source in generated_sources(args.seed).items():
+        row = parse_throughput(label, source, args.repeats)
+        del row["circuit"]
+        rows.append(row)
+        print(
+            f"{label:28} {row['qubits']:>6} {row['instructions']:>7} "
+            f"{row['parse_ms']:>9.2f} {row['mb_per_second']:>7.2f}  parse only"
         )
 
     if largest_clifford:

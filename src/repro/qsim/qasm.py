@@ -14,8 +14,10 @@ module implements both directions of that interoperability path:
 
 * :func:`from_qasm` / :func:`from_qasm_file` parse an OpenQASM 2.0 *or*
   OpenQASM 3 (subset) program into a
-  :class:`~repro.qsim.circuit.QuantumCircuit` via a hand-written tokenizer
-  and recursive-descent parser.  The 2.0 subset covers the header,
+  :class:`~repro.qsim.circuit.QuantumCircuit` via a hand-written scanner
+  and recursive-descent parser; a plain one-line gate call or ``measure``
+  is read from one regex match instead, and the full parser re-reads any
+  statement that match cannot settle.  The 2.0 subset covers the header,
   ``include "qelib1.inc"``, register declarations, the qelib1 gate set,
   parameter expressions, user ``gate`` definitions (inlined at the call
   site), ``measure``/``reset``/``barrier``, register broadcast and
@@ -35,7 +37,8 @@ from __future__ import annotations
 import math
 import os
 import re
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from collections import deque
+from typing import Callable, Deque, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .circuit import QuantumCircuit, SourceSpan
 from .exceptions import CircuitError, QasmError
@@ -215,7 +218,7 @@ def _sanitize_register_names(circuit: QuantumCircuit) -> Dict[object, str]:
 
 
 # ---------------------------------------------------------------------------
-# Import: tokenizer
+# Import: scanner
 # ---------------------------------------------------------------------------
 
 class _Token(NamedTuple):
@@ -240,38 +243,33 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
+#: blanks and comments before a statement
+_BLANK_RE = re.compile(r"(?:[ \t\r\n]+|//[^\n]*)*")
 
-def _tokenize(source: str) -> List[_Token]:
-    tokens: List[_Token] = []
-    pos, line, line_start = 0, 1, 0
-    length = len(source)
-    while pos < length:
-        match = _TOKEN_RE.match(source, pos)
-        if match is None:
-            raise QasmError(
-                f"unexpected character {source[pos]!r}", line, pos - line_start + 1
-            )
-        kind = match.lastgroup
-        text = match.group()
-        column = pos - line_start + 1
-        if kind == "newline":
-            line += 1
-            line_start = match.end()
-        elif kind == "real":
-            tokens.append(_Token("real", float(text), line, column))
-        elif kind == "int":
-            tokens.append(_Token("int", int(text), line, column))
-        elif kind == "id":
-            tokens.append(_Token("id", text, line, column))
-        elif kind == "string":
-            tokens.append(_Token("string", text[1:-1], line, column))
-        elif kind == "badstring":
-            raise QasmError("unterminated string", line, column)
-        elif kind == "symbol":
-            tokens.append(_Token(text, text, line, column))
-        pos = match.end()
-    tokens.append(_Token("eof", None, line, length - line_start + 1))
-    return tokens
+#: the dominant statement, on one line without comments:
+#: ``[if (c == n)] name[(params)] arg, ...;`` or ``[if (c == n)] measure arg -> arg;``
+#: with ``arg`` either ``reg`` or ``reg[i]``; params may nest one level of parentheses
+_ARG = r"[A-Za-z_][A-Za-z0-9_]*(?:[ \t]*\[[ \t]*[0-9]{1,9}[ \t]*\])?"
+_TEXT = r"[^()\n;/]*(?:/(?!/)[^()\n;/]*)*"    # no parentheses, comment, newline or ';'
+_PLAIN_STATEMENT_RE = re.compile(
+    rf"""
+    (?:if[ \t]*\([ \t]*(?P<creg>[A-Za-z_][A-Za-z0-9_]*)[ \t]*
+       ==[ \t]*(?P<value>[0-9]{{1,18}})[ \t]*\)[ \t]*)?
+    (?:
+        (?P<measure>measure)[ \t]+(?P<source>{_ARG})[ \t]*->[ \t]*(?P<target>{_ARG})
+      | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
+        (?:[ \t]*\((?P<params>{_TEXT}(?:\({_TEXT}\){_TEXT})*)\)[ \t]*|[ \t]+)
+        (?P<args>{_ARG}(?:[ \t]*,[ \t]*{_ARG})*)
+    )
+    [ \t]*;
+    """,
+    re.VERBOSE,
+)
+_ARG_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)(?:[ \t]*\[[ \t]*([0-9]+)[ \t]*\])?")
+#: a parameter that is one numeric literal, read with ``float()``
+_LITERAL_RE = re.compile(
+    r"[ \t]*[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?[ \t]*"
+)
 
 
 # ---------------------------------------------------------------------------
@@ -487,8 +485,15 @@ class _QasmParser:
     """One-pass recursive-descent parser building a :class:`QuantumCircuit`."""
 
     def __init__(self, source: str, name: str = "from_qasm", filename: Optional[str] = None):
-        self._tokens = _tokenize(source)
-        self._pos = 0
+        # the scanner reads a statement's tokens from ``_offset`` (up to
+        # ``_end``) when the parser first looks at it; ``_buffer`` holds
+        # the ones not consumed yet
+        self._source = source
+        self._offset = 0
+        self._end = len(source)
+        self._line, self._line_start = 1, 0
+        self._buffer: Deque[_Token] = deque()
+        self._resolved: Dict[Tuple[str, bool], List[List]] = {}
         self._filename = filename
         self.circuit = QuantumCircuit(name=name)
         self._qregs: Dict[str, QuantumRegister] = {}
@@ -507,14 +512,48 @@ class _QasmParser:
 
     # -- token plumbing -----------------------------------------------------
 
-    def _peek(self) -> _Token:
-        return self._tokens[self._pos]
+    def _fill(self) -> None:
+        """Scan the rest of the statement onto the buffer: the tokens up to the
+        next ``;``, ``{`` or ``}``, or ``eof`` at ``_end``."""
+        source, end, append = self._source, self._end, self._buffer.append
+        while self._offset < end:
+            pos = self._offset
+            match = _TOKEN_RE.match(source, pos, end)
+            column = pos - self._line_start + 1
+            if match is None:
+                raise QasmError(f"unexpected character {source[pos]!r}", self._line, column)
+            self._offset = match.end()
+            kind = match.lastgroup
+            if kind == "newline":
+                self._line += 1
+                self._line_start = self._offset
+            elif kind == "real":
+                append(_Token("real", float(match.group()), self._line, column))
+            elif kind == "int":
+                append(_Token("int", int(match.group()), self._line, column))
+            elif kind == "id":
+                append(_Token("id", match.group(), self._line, column))
+            elif kind == "string":
+                append(_Token("string", match.group()[1:-1], self._line, column))
+            elif kind == "badstring":
+                raise QasmError("unterminated string", self._line, column)
+            elif kind == "symbol":
+                text = match.group()
+                append(_Token(text, text, self._line, column))
+                if text in (";", "{", "}"):
+                    return
+        append(_Token("eof", None, self._line, end - self._line_start + 1))
+
+    def _peek(self, ahead: int = 0) -> _Token:
+        while len(self._buffer) <= ahead:
+            self._fill()
+        return self._buffer[ahead]
 
     def _advance(self) -> _Token:
-        token = self._tokens[self._pos]
-        if token.type != "eof":
-            self._pos += 1
-        return token
+        # past the end, scanning again gives the same eof token
+        if not self._buffer:
+            self._fill()
+        return self._buffer.popleft()
 
     def _error(self, message: str, token: Optional[_Token] = None) -> QasmError:
         token = token or self._peek()
@@ -523,11 +562,11 @@ class _QasmParser:
         return QasmError(message, token.line, token.column)
 
     def _expect(self, token_type: str, what: Optional[str] = None) -> _Token:
-        token = self._peek()
+        token = self._advance()
         if token.type != token_type:
             expected = what or f"'{token_type}'"
             raise self._error(f"expected {expected}, found {self._describe(token)}", token)
-        return self._advance()
+        return token
 
     @staticmethod
     def _describe(token: _Token) -> str:
@@ -539,13 +578,138 @@ class _QasmParser:
         """The :class:`SourceSpan` for a ``(line, column)`` statement position."""
         return SourceSpan(loc[0], loc[1], self._filename)
 
+    def _parse_list(self, item: Callable[[], object]) -> list:
+        """``item (',' item)*``."""
+        items = [item()]
+        while self._peek().type == ",":
+            self._advance()
+            items.append(item())
+        return items
+
+    def _parse_parenthesized(self, item: Callable[[], object]) -> list:
+        """An optional ``'(' [item (',' item)*] ')'``; no parentheses is ``[]``."""
+        if self._peek().type != "(":
+            return []
+        self._advance()
+        items = [] if self._peek().type == ")" else self._parse_list(item)
+        self._expect(")")
+        return items
+
     # -- program ------------------------------------------------------------
 
     def parse(self) -> QuantumCircuit:
         self._parse_header()
-        while self._peek().type != "eof":
-            self._parse_statement()
-        return self.circuit
+        source = self._source
+        while True:
+            start = _BLANK_RE.match(source, self._offset).end()
+            newlines = source.count("\n", self._offset, start)
+            if newlines:
+                self._line += newlines
+                self._line_start = source.rindex("\n", self._offset, start) + 1
+            self._offset = start
+            if start == self._end:
+                return self.circuit
+            match = _PLAIN_STATEMENT_RE.match(source, start)
+            if match is None or not self._parse_plain(match):
+                self._offset = start
+                self._parse_statement()
+
+    # -- plain statements ---------------------------------------------------
+    #
+    # A statement matching _PLAIN_STATEMENT_RE is read from the match and
+    # appended through the emit tail the full parser ends in, so the checks
+    # there (arity, broadcast, duplicate qubits) raise the same errors on
+    # both paths.  Anything else the match cannot settle -- an unknown
+    # register or gate, an index out of range, a keyword, a parameter that
+    # does not evaluate to a finite float -- is a miss: the full parser
+    # re-reads the statement from its start and raises its positioned
+    # error, so a miss changes speed, never the result.
+
+    def _parse_plain(self, match: "re.Match[str]") -> bool:
+        """Append the statement *match* read; False (a miss) if it cannot."""
+        creg, measure, name = match.group("creg", "measure", "name")
+        condition = None
+        if creg is not None:
+            register = self._cregs.get(creg)
+            value = int(match["value"])
+            if register is None or value.bit_length() > register.size:
+                return False
+            condition = (register, value)
+        if measure is not None:
+            sources = self._plain_arguments(match["source"], self._qregs)
+            targets = self._plain_arguments(match["target"], self._cregs)
+            if sources is None or targets is None:
+                return False
+            loc = (self._line, match.start("measure") - self._line_start + 1)
+        else:
+            spec = self._gates.get(name)
+            if spec is None or (self._version >= 3 and name in _QASM3_UNSUPPORTED):
+                return False
+            params = self._plain_params(match)
+            arguments = self._plain_arguments(match["args"], self._qregs)
+            if params is None or arguments is None:
+                return False
+            loc = (self._line, match.start("name") - self._line_start + 1)
+        self._condition = condition
+        try:
+            if measure is not None:
+                self._emit_measure(sources[0], targets[0], loc)
+            else:
+                self._emit_gate_call(name, spec, params, arguments, loc)
+        finally:
+            self._condition = None
+        self._offset = match.end()
+        return True
+
+    def _plain_arguments(self, text: str, registers: Dict[str, object]) -> Optional[List[List]]:
+        """The bits of each ``reg``/``reg[i]`` in *text*, or None if one does not
+        resolve; registers are never redeclared, so a resolved text is memoised."""
+        key = (text, registers is self._qregs)
+        arguments = self._resolved.get(key)
+        if arguments is not None:
+            return arguments
+        arguments = []
+        for name, index in _ARG_RE.findall(text):
+            register = registers.get(name)
+            if register is None:
+                return None
+            if not index:
+                arguments.append(list(register))
+            elif int(index) < register.size:
+                arguments.append([register[int(index)]])
+            else:
+                return None
+        self._resolved[key] = arguments
+        return arguments
+
+    def _plain_params(self, match: "re.Match[str]") -> Optional[List[float]]:
+        text = match["params"]
+        if text is None or not text.strip():
+            return []
+        params = []
+        start = match.start("params")
+        for piece in text.split(","):
+            if _LITERAL_RE.fullmatch(piece):
+                value: Optional[float] = float(piece)
+            else:
+                value = self._evaluate_source(start, start + len(piece))
+            if value is None or not math.isfinite(value):
+                return None
+            params.append(value)
+            start += len(piece) + 1
+        return params
+
+    def _evaluate_source(self, start: int, end: int) -> Optional[float]:
+        """The constant expression ``source[start:end]``, or None if it fails."""
+        self._offset, self._end = start, end
+        try:
+            node = self._parse_expression(())
+            return self._evaluate(node, {}) if self._peek().type == "eof" else None
+        except QasmError:
+            return None
+        finally:
+            self._end = len(self._source)
+            self._buffer.clear()
 
     def _parse_header(self) -> None:
         token = self._peek()
@@ -568,23 +732,41 @@ class _QasmParser:
             )
         self._expect(";")
 
-    def _parse_statement(self) -> None:
+    def _parse_statement(self, conditioned: bool = False) -> None:
+        """One statement; *conditioned* ones are in the scope of an ``if``.
+
+        Only quantum operations may be conditioned: gate calls, ``measure``
+        and ``reset`` (plus ``ctrl @`` calls and assignment measurement in
+        QASM3 mode).  Declarations, includes, nested ``if`` and ``barrier``
+        raise a positioned error.
+        """
         token = self._peek()
         if token.type != "id":
-            raise self._error(f"expected a statement, found {self._describe(token)}", token)
+            what = "a conditioned operation" if conditioned else "a statement"
+            raise self._error(f"expected {what}, found {self._describe(token)}", token)
         keyword = token.value
-        if keyword == "include":
+        if keyword == "measure":
+            self._parse_measure()
+        elif keyword == "reset":
+            self._parse_reset()
+        elif self._version >= 3 and keyword == "ctrl":
+            self._parse_gate_call(num_controls=self._parse_ctrl_modifiers())
+        elif conditioned and keyword in _STATEMENT_KEYWORDS:
+            raise self._error(
+                f"{keyword!r} statements cannot be classically conditioned "
+                "(only gate calls, measure and reset can)",
+                token,
+            )
+        elif keyword == "include":
             self._parse_include()
-        elif keyword in ("qreg", "creg"):
-            self._parse_register_decl()
-        elif keyword in ("qubit", "bit"):
-            if self._version < 3:
+        elif keyword in ("qreg", "creg", "qubit", "bit"):
+            if self._version < 3 and keyword in ("qubit", "bit"):
                 raise self._error(
                     f"'{keyword}' declarations require an 'OPENQASM 3;' header "
                     "(use qreg/creg in OpenQASM 2.0)",
                     token,
                 )
-            self._parse_v3_register_decl()
+            self._parse_register_decl()
         elif keyword == "gate":
             self._parse_gate_definition()
         elif keyword == "opaque":
@@ -595,14 +777,8 @@ class _QasmParser:
             )
         elif keyword == "if":
             self._parse_if()
-        elif keyword == "measure":
-            self._parse_measure()
-        elif keyword == "reset":
-            self._parse_reset()
         elif keyword == "barrier":
             self._parse_barrier()
-        elif self._version >= 3 and keyword == "ctrl":
-            self._parse_gate_call(num_controls=self._parse_ctrl_modifiers())
         elif self._version >= 3 and keyword in _QASM3_UNSUPPORTED:
             raise self._error(
                 f"unsupported OpenQASM 3 feature: {keyword!r} is outside the "
@@ -642,49 +818,23 @@ class _QasmParser:
         self._gates.update(table)
 
     def _parse_register_decl(self) -> None:
+        """``qreg name[n];`` / ``creg name[n];``, or OpenQASM 3 ``qubit[n] name;``
+        / ``bit[n] name;`` (bare = size 1)."""
         kind = self._advance()
-        name = self._expect("id", "a register name")
-        self._expect("[")
-        size = self._expect("int", "a register size")
-        self._expect("]")
-        self._expect(";")
-        if name.value in self._qregs or name.value in self._cregs:
-            raise self._error(f"register {name.value!r} is already declared", name)
-        if size.value <= 0:
-            raise self._error(f"register size must be positive, got {size.value}", size)
-        if size.value > _MAX_REGISTER_SIZE:
-            raise self._error(
-                f"register size {size.value} exceeds the supported maximum "
-                f"of {_MAX_REGISTER_SIZE}",
-                size,
-            )
-        if kind.value == "qreg":
-            register = QuantumRegister(size.value, name.value)
-            self._qregs[name.value] = register
-        else:
-            register = ClassicalRegister(size.value, name.value)
-            self._cregs[name.value] = register
-        self.circuit.add_register(register)
-        self.circuit.register_spans[register] = self._span((kind.line, kind.column))
-
-    def _parse_v3_register_decl(self) -> None:
-        """OpenQASM 3 ``qubit[n] name;`` / ``bit[n] name;`` (bare = size 1)."""
-        kind = self._advance()
+        qasm2 = kind.value in ("qreg", "creg")    # name[n], where QASM3 writes [n] name
+        name = self._expect("id", "a register name") if qasm2 else None
         size_token: Optional[_Token] = None
-        size = 1
-        if self._peek().type == "[":
-            self._advance()
+        if qasm2 or self._peek().type == "[":
+            self._expect("[")
             size_token = self._expect("int", "a register size")
             self._expect("]")
-            size = size_token.value
-        name = self._expect("id", "a register name")
+        name = name or self._expect("id", "a register name")
         self._expect(";")
+        size = size_token.value if size_token else 1
         if name.value in self._qregs or name.value in self._cregs:
             raise self._error(f"register {name.value!r} is already declared", name)
         if size <= 0:
-            raise self._error(
-                f"register size must be positive, got {size}", size_token or name
-            )
+            raise self._error(f"register size must be positive, got {size}", size_token or name)
         if size > _MAX_REGISTER_SIZE:
             raise self._error(
                 f"register size {size} exceeds the supported maximum "
@@ -692,7 +842,7 @@ class _QasmParser:
                 size_token or name,
             )
         register: Union[QuantumRegister, ClassicalRegister]
-        if kind.value == "qubit":
+        if kind.value in ("qreg", "qubit"):
             register = QuantumRegister(size, name.value)
             self._qregs[name.value] = register
         else:
@@ -731,50 +881,12 @@ class _QasmParser:
             if self._version >= 3 and self._peek().type == "{":
                 self._advance()
                 while self._peek().type != "}":
-                    self._parse_conditioned_statement()
+                    self._parse_statement(conditioned=True)
                 self._expect("}")
             else:
-                self._parse_conditioned_statement()
+                self._parse_statement(conditioned=True)
         finally:
             self._condition = None
-
-    def _parse_conditioned_statement(self) -> None:
-        """One statement in the scope of an ``if`` condition.
-
-        Only quantum operations may be conditioned: gate calls, ``measure``
-        and ``reset`` (plus ``ctrl @`` calls and assignment measurement in
-        QASM3 mode).  Declarations, includes, nested ``if`` and ``barrier``
-        raise a positioned error.
-        """
-        token = self._peek()
-        if token.type != "id":
-            raise self._error(
-                f"expected a conditioned operation, found {self._describe(token)}",
-                token,
-            )
-        keyword = token.value
-        if keyword == "measure":
-            self._parse_measure()
-        elif keyword == "reset":
-            self._parse_reset()
-        elif self._version >= 3 and keyword == "ctrl":
-            self._parse_gate_call(num_controls=self._parse_ctrl_modifiers())
-        elif keyword in _STATEMENT_KEYWORDS:
-            raise self._error(
-                f"{keyword!r} statements cannot be classically conditioned "
-                "(only gate calls, measure and reset can)",
-                token,
-            )
-        elif self._version >= 3 and keyword in _QASM3_UNSUPPORTED:
-            raise self._error(
-                f"unsupported OpenQASM 3 feature: {keyword!r} is outside the "
-                "supported subset (see docs/qasm.md)",
-                token,
-            )
-        elif self._version >= 3 and self._next_is_assignment():
-            self._parse_v3_measure_assignment()
-        else:
-            self._parse_gate_call()
 
     # -- gate definitions ---------------------------------------------------
 
@@ -787,19 +899,10 @@ class _QasmParser:
             raise self._error(
                 f"{name.value!r} cannot be used as a gate name", name
             )
-        params: List[str] = []
-        if self._peek().type == "(":
-            self._advance()
-            if self._peek().type != ")":
-                params.append(self._expect_param_name())
-                while self._peek().type == ",":
-                    self._advance()
-                    params.append(self._expect_param_name())
-            self._expect(")")
-        qubits: List[str] = [self._expect("id", "a qubit argument name").value]
-        while self._peek().type == ",":
-            self._advance()
-            qubits.append(self._expect("id", "a qubit argument name").value)
+        params: List[str] = self._parse_parenthesized(self._expect_param_name)
+        qubits: List[str] = self._parse_list(
+            lambda: self._expect("id", "a qubit argument name").value
+        )
         if len(set(params)) != len(params) or len(set(qubits)) != len(qubits):
             raise self._error(f"duplicate argument names in gate {name.value!r}", name)
         self._expect("{")
@@ -842,26 +945,12 @@ class _QasmParser:
             )
         if token.value == "barrier":
             self._advance()
-            names = [self._expect_body_qubit(qubits)]
-            while self._peek().type == ",":
-                self._advance()
-                names.append(self._expect_body_qubit(qubits))
+            names = self._parse_list(lambda: self._expect_body_qubit(qubits))
             self._expect(";")
             return ("barrier", tuple(names), (token.line, token.column))
         call_name = self._advance()
-        exprs: List[tuple] = []
-        if self._peek().type == "(":
-            self._advance()
-            if self._peek().type != ")":
-                exprs.append(self._parse_expression(params))
-                while self._peek().type == ",":
-                    self._advance()
-                    exprs.append(self._parse_expression(params))
-            self._expect(")")
-        names = [self._expect_body_qubit(qubits)]
-        while self._peek().type == ",":
-            self._advance()
-            names.append(self._expect_body_qubit(qubits))
+        exprs = self._parse_parenthesized(lambda: self._parse_expression(params))
+        names = self._parse_list(lambda: self._expect_body_qubit(qubits))
         self._expect(";")
         inner = self._gates.get(call_name.value)
         if inner is None:
@@ -904,13 +993,18 @@ class _QasmParser:
         self._expect("->", "'->'")
         targets = self._parse_classical_argument()
         self._expect(";")
+        self._emit_measure(sources, targets, (keyword.line, keyword.column))
+
+    def _emit_measure(
+        self, sources: List[Qubit], targets: List[Clbit], loc: Tuple[int, int]
+    ) -> None:
         if len(sources) != len(targets):
-            raise self._error(
+            raise QasmError(
                 f"measure source and target sizes differ "
                 f"({len(sources)} qubits vs {len(targets)} bits)",
-                keyword,
+                *loc,
             )
-        span = self._span((keyword.line, keyword.column))
+        span = self._span(loc)
         for qubit, clbit in zip(sources, targets):
             self.circuit.append(
                 Measure(), [qubit], [clbit], span=span, condition=self._condition
@@ -930,32 +1024,17 @@ class _QasmParser:
             )
         sources = self._parse_quantum_argument()
         self._expect(";")
-        if len(sources) != len(targets):
-            raise self._error(
-                f"measure source and target sizes differ "
-                f"({len(sources)} qubits vs {len(targets)} bits)",
-                start,
-            )
-        span = self._span((start.line, start.column))
-        for qubit, clbit in zip(sources, targets):
-            self.circuit.append(
-                Measure(), [qubit], [clbit], span=span, condition=self._condition
-            )
+        self._emit_measure(sources, targets, (start.line, start.column))
 
     def _next_is_assignment(self) -> bool:
         """Lookahead: current id starts ``name = ...`` or ``name[i] = ...``."""
-        tokens = self._tokens
-        i = self._pos + 1
-        if tokens[i].type == "[":
-            if (
-                i + 2 < len(tokens)
-                and tokens[i + 1].type == "int"
-                and tokens[i + 2].type == "]"
-            ):
-                i += 3
-            else:
-                return False
-        return tokens[i].type == "="
+        if self._peek(1).type != "[":
+            return self._peek(1).type == "="
+        return (
+            self._peek(2).type == "int"
+            and self._peek(3).type == "]"
+            and self._peek(4).type == "="
+        )
 
     def _parse_reset(self) -> None:
         keyword = self._advance()
@@ -966,10 +1045,7 @@ class _QasmParser:
 
     def _parse_barrier(self) -> None:
         keyword = self._advance()
-        qubits: List[Qubit] = list(self._parse_quantum_argument())
-        while self._peek().type == ",":
-            self._advance()
-            qubits.extend(self._parse_quantum_argument())
+        qubits = [q for arg in self._parse_list(self._parse_quantum_argument) for q in arg]
         self._expect(";")
         try:
             self.circuit.append(
@@ -998,78 +1074,52 @@ class _QasmParser:
                 "(only standard-library gates can be controlled)",
                 name,
             )
-        params: List[float] = []
-        if self._peek().type == "(":
-            self._advance()
-            if self._peek().type != ")":
-                params.append(self._evaluate(self._parse_expression(()), {}))
-                while self._peek().type == ",":
-                    self._advance()
-                    params.append(self._evaluate(self._parse_expression(()), {}))
-            self._expect(")")
-        arguments = [self._parse_quantum_argument()]
-        while self._peek().type == ",":
-            self._advance()
-            arguments.append(self._parse_quantum_argument())
+        params = self._parse_parenthesized(lambda: self._evaluate(self._parse_expression(()), {}))
+        arguments = self._parse_list(self._parse_quantum_argument)
         self._expect(";")
+        self._emit_gate_call(
+            name.value, spec, params, arguments, (name.line, name.column), num_controls
+        )
+
+    def _emit_gate_call(self, name: str, spec: Union[_NativeGate, _MacroGate], params: list,
+                        arguments: List[List[Qubit]], loc: Tuple[int, int],
+                        num_controls: int = 0) -> None:
+        """Check a read gate call and append it: the tail both parse paths share."""
         if len(params) != spec.num_params:
-            raise self._error(
-                f"gate {name.value!r} expects {spec.num_params} parameter(s), "
-                f"got {len(params)}",
-                name,
+            raise QasmError(
+                f"gate {name!r} expects {spec.num_params} parameter(s), got {len(params)}",
+                *loc,
             )
         expected_qubits = spec.num_qubits + num_controls
         if len(arguments) != expected_qubits:
-            call = "ctrl @ " * num_controls + str(name.value)
-            raise self._error(
+            call = "ctrl @ " * num_controls + name
+            raise QasmError(
                 f"gate {call!r} expects {expected_qubits} qubit argument(s), "
                 f"got {len(arguments)}",
-                name,
+                *loc,
             )
         # register broadcast: every register-sized argument must have the same
         # length; single qubits are repeated across the broadcast
-        widths = {len(arg) for arg in arguments if len(arg) > 1}
+        widths = set(map(len, arguments))
+        widths.discard(1)
         if len(widths) > 1:
-            raise self._error(
-                f"mismatched register sizes in {name.value!r} broadcast: "
-                f"{sorted(widths)}",
-                name,
+            raise QasmError(
+                f"mismatched register sizes in {name!r} broadcast: {sorted(widths)}", *loc
             )
         repeat = widths.pop() if widths else 1
         self._expanded_ops += _gate_size(spec) * repeat
         if self._expanded_ops > _MAX_EXPANDED_INSTRUCTIONS:
-            raise self._error(
-                f"gate calls expand to more than {_MAX_EXPANDED_INSTRUCTIONS} "
-                f"instructions",
-                name,
+            raise QasmError(
+                f"gate calls expand to more than {_MAX_EXPANDED_INSTRUCTIONS} instructions",
+                *loc,
             )
+        if repeat > 1:
+            arguments = [arg * repeat if len(arg) == 1 else arg for arg in arguments]
         try:
-            for i in range(repeat):
-                qubits = [arg[i] if len(arg) > 1 else arg[0] for arg in arguments]
-                if num_controls:
-                    self._append_controlled(
-                        spec, num_controls, params, qubits, (name.line, name.column)
-                    )
-                else:
-                    self._apply_gate(spec, params, qubits, (name.line, name.column))
+            for qubits in zip(*arguments):
+                self._apply_gate(spec, params, qubits, loc, num_controls=num_controls)
         except CircuitError as exc:
-            raise QasmError(str(exc), name.line, name.column) from exc
-
-    def _append_controlled(
-        self,
-        spec: _NativeGate,
-        num_controls: int,
-        params: Sequence[float],
-        qubits: Sequence[Qubit],
-        loc: Tuple[int, int],
-    ) -> None:
-        for value in params:
-            if not math.isfinite(value):
-                raise QasmError(f"non-finite gate parameter {value}", *loc)
-        gate = _controlled_gate(spec.build(list(params)), num_controls)
-        self.circuit.append(
-            gate, list(qubits), span=self._span(loc), condition=self._condition
-        )
+            raise QasmError(str(exc), *loc) from exc
 
     def _apply_gate(
         self,
@@ -1078,6 +1128,7 @@ class _QasmParser:
         qubits: Sequence[Qubit],
         loc: Tuple[int, int],
         depth: int = 0,
+        num_controls: int = 0,
     ) -> None:
         if depth > _MAX_GATE_EXPANSION_DEPTH:
             raise QasmError(
@@ -1096,8 +1147,9 @@ class _QasmParser:
             # instruction of `mygate q;` points at that statement; a condition
             # on the call distributes over every expanded gate (exact, since
             # a gate body never writes the condition's register)
+            gate = spec.build(params)
             self.circuit.append(
-                spec.build(params), list(qubits),
+                _controlled_gate(gate, num_controls) if num_controls else gate, qubits,
                 span=self._span(loc), condition=self._condition,
             )
             return

@@ -20,11 +20,13 @@ _anonymous_counter = itertools.count()
 class _Bit:
     """A single addressable bit inside a register."""
 
-    __slots__ = ("register", "index")
+    __slots__ = ("register", "index", "_hash")
 
     def __init__(self, register: "_Register", index: int):
         self.register = register
         self.index = index
+        # bits never change after their register builds them: hash them once
+        self._hash = hash((id(register), index, type(self).__name__))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, type(self)):
@@ -32,7 +34,7 @@ class _Bit:
         return self.register is other.register and self.index == other.index
 
     def __hash__(self) -> int:
-        return hash((id(self.register), self.index, type(self).__name__))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.register.name!r}, {self.index})"

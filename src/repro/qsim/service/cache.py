@@ -78,7 +78,8 @@ class CircuitCache:
         if noisy:
             # per-gate noise semantics forbid any gate-count-changing pass
             return qasm
-        circuit = from_qasm(qasm)
+        with telemetry.span("cache.parse"):
+            circuit = from_qasm(qasm)
         return to_qasm(transpile(circuit, optimization_level=1))
 
     @staticmethod
@@ -157,7 +158,9 @@ class CircuitCache:
             # execute what the store holds, not the in-flight object: a future
             # disk hit then re-parses the identical text, so hit and miss paths
             # run float-for-float identical circuits
-            circuit = self._finalize(from_qasm(compiled_text), prepared)
+            with telemetry.span("cache.parse"):
+                circuit = from_qasm(compiled_text)
+            circuit = self._finalize(circuit, prepared)
         self._remember(cache_key, circuit)
         return circuit, kind
 
