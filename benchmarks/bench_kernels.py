@@ -21,8 +21,9 @@ a >= 2x wall-clock speedup of ``kernels`` over ``generic`` at 16 qubits /
 
 Four further axes ride along, three of them timed against
 :func:`reference_per_shot_loop`, a short per-shot trajectory loop kept in
-this script (one full circuit pass per shot in Python, the way the
-statevector engine ran noise and feed-forward before the batched executor):
+this script (one full circuit pass per shot in Python on a statevector
+session, the way the statevector engine ran noise and feed-forward before
+the batched executor):
 
 * **noisy shots** -- the same random circuit family with a full final
   measurement and a depolarizing channel, executed three ways: the
@@ -73,14 +74,14 @@ from typing import Dict, List
 import numpy as np
 
 from repro.qsim import DepolarizingNoise, QuantumCircuit, Statevector, from_qasm
-from repro.qsim import gates, kernels
+from repro.qsim import kernels
 from repro.qsim.backends import StatevectorBackend, build_noisy_backend
 from repro.qsim.density import DensityMatrix
 from repro.qsim.noise import depolarizing_kraus
 from repro.qsim.fusion import fuse_gates, fusion_summary
-from repro.qsim.instruction import Barrier, Gate, Measure, Reset
+from repro.qsim.instruction import Barrier, Gate, Measure
 from repro.qsim.shotbatch import run_batched
-from repro.qsim.simulator import condition_met, format_bits, sample_final
+from repro.qsim.simulator import StatevectorSimulator, condition_met, format_bits, sample_final
 
 from benchutil import add_out_argument, total_variation, tvd_floor, write_results
 
@@ -143,45 +144,33 @@ CIRCUITS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "circuit
 #: shot errs within a few gates, so no trajectory is shared
 HIGH_NOISE_P = 0.2
 
-PAULIS = {"X": gates.X, "Y": gates.Y, "Z": gates.Z}
-
 #: the corpus files with mid-circuit measurement, reset or ``if``
 FEEDFORWARD_FILES = ("teleport_cond_n3", "ghz_cond_n4", "qec_cond_n5", "qec_repetition_n5")
 
 
 def reference_per_shot_loop(circuit, noise, shots: int, seed: int) -> Dict[str, int]:
     """One full circuit pass per shot in a Python loop (the regression
-    baseline): gates through :func:`kernels.apply_gate`, one Pauli error per
-    touched qubit drawn from the model's ``pauli_terms()``, collapse through
-    ``Statevector.measure``/``reset``."""
-    rng = np.random.default_rng(seed)
-    terms = () if noise is None else noise.pauli_terms()
+    baseline), each shot on a fresh statevector session of one engine:
+    gates and resets through ``apply`` (which draws one Pauli error per
+    touched qubit from the model's ``pauli_terms()``), collapse through
+    ``measure``."""
+    engine = StatevectorSimulator(seed=seed, noise_model=noise)
     counts: Dict[str, int] = {}
     for _ in range(shots):
-        state = Statevector.zero_state(circuit.num_qubits)
+        session = engine.session()
+        session.allocate(circuit.num_qubits)
         bits: Dict[int, int] = {}
         for instr in circuit.data:
-            op = instr.operation
-            if isinstance(op, Barrier) or not condition_met(circuit, instr.condition, bits):
+            if not condition_met(circuit, instr.condition, bits):
                 continue
             targets = [circuit.qubit_index(q) for q in instr.qubits]
-            if isinstance(op, Measure):
-                bits[circuit.clbit_index(instr.clbits[0])] = state.measure(targets, rng=rng)
-            elif isinstance(op, Reset):
-                state.reset_qubit(targets[0], rng=rng)
+            if isinstance(instr.operation, Measure):
+                bits[circuit.clbit_index(instr.clbits[0])] = session.measure(targets)
             else:
-                kernels.apply_gate(state.data, op, targets)
-                for qubit in targets if terms else ():
-                    draw, edge = rng.random(), 0.0
-                    for pauli, probability in terms:
-                        edge += probability
-                        if draw < edge:
-                            state.apply_unitary(PAULIS[pauli], [qubit])
-                            break
+                session.apply(instr.operation, targets)
         key = format_bits(bits, circuit.num_clbits)
         counts[key] = counts.get(key, 0) + 1
     return counts
-
 
 
 def noisy_random_circuit(num_qubits: int, num_gates: int, seed: int) -> QuantumCircuit:

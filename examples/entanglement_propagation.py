@@ -12,9 +12,9 @@ from repro.algorithms.entanglement import run_entanglement_propagation
 
 # Language-level illustration: Bell pairs from the cx() builtin.  The full
 # swapping chain needs classical feed-forward on the Bell-measurement
-# outcomes, which the runtime performs on its live statevector (library level
-# below); here we show that the language's measurements expose the Bell
-# correlations directly.
+# outcomes, which the library level below runs as a circuit with mid-circuit
+# measurements and conditioned corrections; here we show that the language's
+# measurements expose the Bell correlations directly.
 QUTES_BELL_PROGRAM = """
     qubit left = |+>;
     qubit right = |0>;

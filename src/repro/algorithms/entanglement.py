@@ -11,15 +11,12 @@ though they never interacted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional
 
-import numpy as np
-
-from ..qsim import gates
+from ..qsim.backends import resolve_backend
 from ..qsim.circuit import QuantumCircuit
 from ..qsim.exceptions import CircuitError
-from ..qsim.registers import QuantumRegister
-from ..qsim.statevector import Statevector
+from ..qsim.registers import ClassicalRegister, QuantumRegister
 
 __all__ = [
     "build_bell_pair",
@@ -81,14 +78,14 @@ def w_state_circuit(num_qubits: int) -> QuantumCircuit:
 
 
 def entanglement_swapping_chain(num_qubits: int) -> QuantumCircuit:
-    """Circuit for the swapping chain over an even number of qubits.
+    """The swapping protocol over an even number of qubits, feed-forward included.
 
     Neighbouring pairs ``(0,1), (2,3), ...`` are prepared as Bell pairs and
-    every interior junction ``(1,2), (3,4), ...`` is rotated into the Bell
-    basis and measured.  The classically controlled Pauli corrections cannot
-    be expressed in the (feed-forward-free) circuit IR; they are applied by
-    :func:`run_entanglement_propagation`, which is what the Qutes runtime
-    does as well.
+    every interior junction ``(j, j+1)`` is rotated into the Bell basis and
+    measured into its own registers ``phase<k>`` and ``parity<k>``; the
+    Pauli corrections conditioned on them (``x`` on a parity of 1, ``z`` on
+    a phase of 1) land on qubit ``j + 2``, the new end of the entangled
+    chain, before the next junction uses it.
     """
     if num_qubits < 2 or num_qubits % 2:
         raise CircuitError("the swapping chain needs an even number (>= 2) of qubits")
@@ -96,16 +93,15 @@ def entanglement_swapping_chain(num_qubits: int) -> QuantumCircuit:
     qc = QuantumCircuit(reg, name="entanglement_chain")
     for i in range(0, num_qubits, 2):
         build_bell_pair(qc, reg[i], reg[i + 1])
-    from ..qsim.registers import ClassicalRegister
-
-    junctions = list(range(1, num_qubits - 1, 2))
-    if junctions:
-        creg = ClassicalRegister(2 * len(junctions), "bellm")
-        qc.add_register(creg)
-        for idx, j in enumerate(junctions):
-            qc.cx(reg[j], reg[j + 1])
-            qc.h(reg[j])
-            qc.measure([reg[j], reg[j + 1]], [creg[2 * idx], creg[2 * idx + 1]])
+    for k, j in enumerate(range(1, num_qubits - 1, 2)):
+        phase, parity = ClassicalRegister(1, f"phase{k}"), ClassicalRegister(1, f"parity{k}")
+        qc.add_register(phase)
+        qc.add_register(parity)
+        qc.cx(reg[j], reg[j + 1])
+        qc.h(reg[j])
+        qc.measure([reg[j], reg[j + 1]], [phase[0], parity[0]])
+        qc.x(reg[j + 2]).c_if(parity, 1)
+        qc.z(reg[j + 2]).c_if(phase, 1)
     return qc
 
 
@@ -123,8 +119,6 @@ def sample_ghz(
     where the dense engines hit their exponential wall; a perfect backend
     returns only the two keys ``0...0`` and ``1...1``.
     """
-    from ..qsim.backends import resolve_backend
-
     resolved = resolve_backend(backend, default_seed=seed)
     circuit = ghz_circuit(num_qubits)
     circuit.measure_all()
@@ -148,71 +142,36 @@ def run_entanglement_propagation(
 ) -> EntanglementPropagationResult:
     """Propagate entanglement along a chain and report end-to-end correlation.
 
-    The protocol needs classical feed-forward (the Pauli corrections depend
-    on the Bell-measurement outcomes), so the driver evolves a live
-    statevector shot by shot -- exactly how the Qutes runtime executes the
-    showcase.  ``correlation`` is the probability that the first and last
-    qubits agree in the computational basis (1.0 for a perfect Phi+ pair) and
-    ``fidelity_with_bell`` the fidelity of the end-pair state with Phi+.
+    Runs :func:`entanglement_swapping_chain` -- mid-circuit Bell
+    measurements and classically conditioned corrections -- through a
+    statevector backend seeded with *seed*, twice per shot count: once
+    reading the end pair in the computational basis, once in the Bell
+    basis.  ``correlation`` is the fraction of shots whose first and last
+    qubits agree (1.0 for a perfect Phi+ pair) and ``fidelity_with_bell``
+    the fraction whose end pair reads Phi+ in the Bell basis, an unbiased
+    estimate of its fidelity with Phi+.
     """
-    if num_qubits < 2 or num_qubits % 2:
-        raise CircuitError("the swapping chain needs an even number (>= 2) of qubits")
-    rng = np.random.default_rng(seed)
-
-    correlation_total = 0.0
-    fidelity_total = 0.0
-    last = num_qubits - 1
-    for _ in range(shots):
-        state = _run_single_chain(num_qubits, rng)
-        probs = state.probabilities([0, last])
-        correlation_total += float(probs[0] + probs[3])
-        fidelity_total += _end_pair_bell_fidelity(state, 0, last)
-
+    chain = entanglement_swapping_chain(num_qubits)
+    first, last = chain.qubits[0], chain.qubits[-1]
+    readouts = []
+    for bell_basis in (False, True):
+        readout = chain.copy()
+        ends = ClassicalRegister(2, "ends")
+        readout.add_register(ends)
+        if bell_basis:
+            readout.cx(first, last)
+            readout.h(first)
+        readout.measure([first, last], [ends[0], ends[1]])
+        readouts.append(readout)
+    backend = resolve_backend(None, default_seed=seed)
+    result = backend.run(readouts, shots=shots).result()
+    z_basis, bell = result.get_counts(0), result.get_counts(1)
+    # ``ends`` is the last register: the two leftmost characters of a key
+    agree = sum(count for key, count in z_basis.items() if key[0] == key[1])
+    phi_plus = sum(count for key, count in bell.items() if key[:2] == "00")
     return EntanglementPropagationResult(
         num_qubits=num_qubits,
-        correlation=correlation_total / shots,
-        fidelity_with_bell=fidelity_total / shots,
+        correlation=agree / shots,
+        fidelity_with_bell=phi_plus / shots,
         shots=shots,
     )
-
-
-def _run_single_chain(num_qubits: int, rng: np.random.Generator) -> Statevector:
-    state = Statevector.zero_state(num_qubits)
-    for i in range(0, num_qubits, 2):
-        state.apply_unitary(gates.H, [i])
-        state.apply_unitary(gates.CX, [i, i + 1])
-    for j in range(1, num_qubits - 1, 2):
-        # Bell measurement of the junction (j, j+1); the pair being absorbed
-        # is (j+1, j+2), so the corrections land on qubit j+2, which becomes
-        # the new end of the entangled chain.
-        state.apply_unitary(gates.CX, [j, j + 1])
-        state.apply_unitary(gates.H, [j])
-        m_phase = state.measure([j], rng=rng)
-        m_parity = state.measure([j + 1], rng=rng)
-        target = j + 2
-        if m_parity:
-            state.apply_unitary(gates.X, [target])
-        if m_phase:
-            state.apply_unitary(gates.Z, [target])
-    return state
-
-
-def _end_pair_bell_fidelity(state: Statevector, first: int, last: int) -> float:
-    """Fidelity of the (first, last) qubit pair with the Phi+ Bell state.
-
-    Valid because every other qubit of *state* is in a definite basis state
-    (they have all been measured), so the pair is pure.
-    """
-    data = state.data
-    pair_amplitudes = np.zeros(4, dtype=complex)
-    for idx in np.nonzero(np.abs(data) > 1e-12)[0]:
-        b_first = (int(idx) >> first) & 1
-        b_last = (int(idx) >> last) & 1
-        pair_amplitudes[b_first + 2 * b_last] += data[idx]
-    norm = np.linalg.norm(pair_amplitudes)
-    if norm < 1e-12:
-        return 0.0
-    pair_amplitudes /= norm
-    bell = np.zeros(4, dtype=complex)
-    bell[0] = bell[3] = 1 / np.sqrt(2)
-    return float(abs(np.vdot(bell, pair_amplitudes)) ** 2)

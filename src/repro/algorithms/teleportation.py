@@ -2,9 +2,10 @@
 
 Transfers an arbitrary single-qubit state from Alice to Bob using one shared
 Bell pair and two classical bits.  Like the entanglement-propagation
-showcase, the protocol requires classical feed-forward, so the driver runs on
-a live statevector (exactly how the Qutes runtime executes it) while the
-circuit builder exposes the unitary + measurement part for inspection.
+showcase, the protocol requires classical feed-forward: :func:`teleport_state`
+runs it as a circuit with mid-circuit measurements and classically
+conditioned corrections, while :func:`teleportation_circuit` exposes the
+unitary + measurement part for inspection.
 """
 
 from __future__ import annotations
@@ -14,11 +15,10 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..qsim import gates
+from ..qsim.backends import get_backend, resolve_backend
 from ..qsim.circuit import QuantumCircuit
 from ..qsim.exceptions import CircuitError, SimulationError
 from ..qsim.registers import ClassicalRegister, QuantumRegister
-from ..qsim.statevector import Statevector
 
 __all__ = [
     "TeleportationResult",
@@ -62,41 +62,43 @@ def teleport_state(
     amplitudes,
     seed: Optional[int] = 17,
 ) -> TeleportationResult:
-    """Teleport the single-qubit state *amplitudes* and report the fidelity."""
+    """Teleport the single-qubit state *amplitudes* and report the fidelity.
+
+    The payload is prepared by a unitary whose first column is the state,
+    :func:`teleportation_circuit` measures Alice's two bits, and Bob's
+    ``x``/``z`` corrections are conditioned on them; then the inverse
+    preparation is applied to Bob.  One shot runs on a density-matrix
+    backend seeded with *seed*, whose collapsed final state gives the exact
+    fidelity: the probability that Bob now reads 0.
+    """
     amplitudes = np.asarray(amplitudes, dtype=complex).ravel()
     if amplitudes.size != 2:
         raise SimulationError("teleportation payload must be a single-qubit state")
     norm = np.linalg.norm(amplitudes)
     if norm < 1e-12:
         raise SimulationError("payload state must be non-zero")
-    amplitudes = amplitudes / norm
+    a, b = amplitudes / norm
+    prepare = np.array([[a, -np.conj(b)], [b, np.conj(a)]])
 
-    rng = np.random.default_rng(seed)
-    state = Statevector.zero_state(3)
-    state.initialize_qubits(amplitudes, [0])
-    # shared Bell pair between qubits 1 (Alice) and 2 (Bob)
-    state.apply_unitary(gates.H, [1])
-    state.apply_unitary(gates.CX, [1, 2])
-    # Alice's Bell measurement of (payload, her half)
-    state.apply_unitary(gates.CX, [0, 1])
-    state.apply_unitary(gates.H, [0])
-    m_phase = state.measure([0], rng=rng)
-    m_parity = state.measure([1], rng=rng)
-    # Bob's corrections
-    if m_parity:
-        state.apply_unitary(gates.X, [2])
-    if m_phase:
-        state.apply_unitary(gates.Z, [2])
+    protocol = teleportation_circuit()
+    payload, _, bob = protocol.qubits
+    (alice_bits,) = protocol.cregs
+    qc = QuantumCircuit(*protocol.qregs, alice_bits, name="teleport_state")
+    qc.unitary(prepare, [payload], label="payload")
+    qc.compose(protocol)
+    # alice_bits = (phase, parity), little-endian: X on a parity of 1, Z on a phase of 1
+    for value in (2, 3):
+        qc.x(bob).c_if(alice_bits, value)
+    for value in (1, 3):
+        qc.z(bob).c_if(alice_bits, value)
+    qc.unitary(prepare.conj().T, [bob], label="payload_dg")
 
-    # Bob's qubit is pure (the other two are collapsed): extract and compare.
-    bob_amplitudes = np.zeros(2, dtype=complex)
-    for index in np.nonzero(np.abs(state.data) > 1e-12)[0]:
-        bob_amplitudes[(int(index) >> 2) & 1] += state.data[index]
-    bob_amplitudes /= np.linalg.norm(bob_amplitudes)
-    fidelity = float(abs(np.vdot(amplitudes, bob_amplitudes)) ** 2)
+    experiment = get_backend("density_matrix", seed=seed).run(qc, shots=1).result()[0]
+    (key,) = experiment.counts
+    fidelity = float(experiment.density_matrix.probabilities([2])[0])
     return TeleportationResult(
         fidelity=fidelity,
-        alice_bits=(m_phase, m_parity),
+        alice_bits=(int(key[1]), int(key[0])),
         success=fidelity > 1 - 1e-9,
     )
 
@@ -178,8 +180,6 @@ def run_teleportation(
     yields ``success_probability == 1.0``: Bob's bit (the leftmost counts
     character) always reads 0.
     """
-    from ..qsim.backends import resolve_backend
-
     resolved = resolve_backend(backend, default_seed=seed)
     circuit = deferred_teleportation_circuit(payload_prep)
     experiment = resolved.run(circuit, shots=shots).result()[0]

@@ -76,8 +76,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "--backend",
         default=None,
         metavar="NAME",
-        help="execution backend for the statistics builtins (sample, min_of, "
-        "max_of); see --list-backends",
+        help="execution backend that runs the program (every gate, measurement "
+        "and sample(); stabilizer accepts Clifford programs only); see "
+        "--list-backends",
     )
     parser.add_argument(
         "--list-backends",

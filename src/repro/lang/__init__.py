@@ -11,7 +11,7 @@ pipeline mirrors the one described in Section 3 of the paper:
 3. A second pass (:class:`repro.lang.interpreter.Interpreter`) executes the
    program: classical operations run directly in Python, quantum operations
    are logged by the :class:`~repro.lang.circuit_handler.QuantumCircuitHandler`
-   and applied to a live statevector.
+   and applied to the live session of the program's execution backend.
 4. The :class:`~repro.lang.casting.TypeCastingHandler` mediates every
    classical <-> quantum conversion (encoding values into registers,
    automatic measurement when quantum data meets classical context).

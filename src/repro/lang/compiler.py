@@ -15,8 +15,6 @@ from ..qsim.circuit import QuantumCircuit
 from . import ast_nodes as ast
 from .interpreter import Interpreter
 from .parser import parse
-from .symbols import SymbolTable
-from .values import QuantumVariable
 
 __all__ = [
     "CompiledProgram",
@@ -40,10 +38,11 @@ class CompiledProgram:
     ) -> "QutesExecutionResult":
         """Execute the compiled program.
 
-        *backend* selects the execution backend used for the program's
-        statistics paths (``sample``, ``min_of``/``max_of``); it accepts a
-        :class:`repro.qsim.backends.Backend` instance or a registry name
-        such as ``"density_matrix"``.
+        *backend* (a :class:`repro.qsim.backends.Backend` instance or a
+        registry name such as ``"stabilizer"``) is the engine that runs the
+        whole program: every gate goes to its session, and ``sample``,
+        ``min_of`` and ``max_of`` run on it too.  ``None`` means a fresh
+        statevector backend.
         """
         return _execute(self.source, self.ast, shots=shots, seed=seed, backend=backend)
 
@@ -59,6 +58,9 @@ class QutesExecutionResult:
     gate_counts: Dict[str, int] = field(default_factory=dict)
     depth: int = 0
     num_qubits: int = 0
+    #: how the program was computed: ``engine`` (the backend's name) and
+    #: ``method`` (``"session"``)
+    metadata: Dict[str, Any] = field(default_factory=dict)
 
     @property
     def printed(self) -> str:
@@ -107,6 +109,7 @@ def _execute(
         gate_counts=interpreter.handler.gate_counts(),
         depth=interpreter.handler.depth(),
         num_qubits=interpreter.handler.num_qubits,
+        metadata={"engine": interpreter.handler.backend.name, "method": "session"},
     )
 
 
@@ -116,7 +119,7 @@ def run_source(
     """Parse and execute Qutes *source* text.
 
     *backend* (a :class:`repro.qsim.backends.Backend` or registry name)
-    selects the engine behind the program's statistics builtins.
+    selects the engine that runs the program (see :meth:`CompiledProgram.run`).
     """
     return _execute(source, parse(source), shots=shots, seed=seed, backend=backend)
 

@@ -72,10 +72,11 @@ class Interpreter:
         seed: Optional[int] = None,
         backend=None,
     ):
-        # the execution backend (repro.qsim.backends) drives the program's
-        # batch-style statistics: sample(), min_of()/max_of() quantum search
-        # rounds.  A registry name is resolved here, seeded like the handler
-        # so `--backend NAME --seed S` runs stay deterministic end to end.
+        # the execution backend (repro.qsim.backends) runs the program: the
+        # handler's session comes from it, and so do the min_of()/max_of()
+        # quantum search rounds.  A registry name is resolved here, seeded
+        # like the session so `--backend NAME --seed S` runs stay
+        # deterministic end to end.
         if isinstance(backend, str):
             from ..qsim.backends import get_backend
 

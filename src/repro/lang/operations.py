@@ -380,7 +380,7 @@ class OperationEngine:
         # candidate position, check it classically, retry a bounded number of
         # times.  Every attempt reuses one index register, returned to
         # |0...0> by an x on each qubit that measured 1, so a retry does not
-        # grow the live statevector.
+        # grow the live session.
         index_qubits = self.handler.allocate_register("grover_idx", index_qubits_count)
         search = grover_circuit(index_qubits_count, positions, measure=False)
         measured_position = 0

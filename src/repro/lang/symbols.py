@@ -133,9 +133,6 @@ class SymbolTable:
             raise QutesNameError(f"undefined variable {name!r}", line)
         return symbol
 
-    def is_declared(self, name: str) -> bool:
-        return self._current.resolve(name) is not None
-
     # -- functions -------------------------------------------------------------------
 
     def declare_function(self, function: FunctionSymbol) -> FunctionSymbol:

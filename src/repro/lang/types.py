@@ -134,15 +134,6 @@ class QutesType:
             return self.element.is_classical  # type: ignore[union-attr]
         return self.kind in _CLASSICAL_VALUE_KINDS
 
-    @property
-    def is_numeric(self) -> bool:
-        """Whether arithmetic is defined on this type."""
-        return self.kind in (TypeKind.BOOL, TypeKind.INT, TypeKind.FLOAT, TypeKind.QUBIT, TypeKind.QUINT)
-
-    @property
-    def is_array(self) -> bool:
-        return self.kind is TypeKind.ARRAY
-
     # -- conversions ---------------------------------------------------------------
 
     def measured_type(self) -> "QutesType":

@@ -186,6 +186,22 @@ class Backend(abc.ABC):
             telemetry.histogram("engine.run.seconds").observe(result.time_taken)
         return result
 
+    def session(self, seed: Optional[int] = None) -> Any:
+        """A live register on this backend's engine, built up one
+        instruction at a time: ``allocate(k)``, ``apply(instruction,
+        qubits)``, ``measure(qubits) -> int`` (collapses) and
+        ``sample(qubits, shots) -> counts`` (does not), with integer
+        outcomes little-endian over *qubits*.  The Qutes runtime runs every
+        program on one.
+
+        Like an experiment, an unseeded session draws on the template
+        engine's RNG and a seeded one on :meth:`_fresh_engine`.
+        """
+        engine = self._engine if seed is None else self._fresh_engine(seed)
+        if not hasattr(engine, "session"):
+            raise BackendError(f"backend {self.name!r} has no session to run a program on")
+        return engine.session()
+
     # -- internals ---------------------------------------------------------------
 
     @staticmethod

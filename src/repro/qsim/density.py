@@ -35,10 +35,10 @@ from .exceptions import SimulationError
 from .instruction import Barrier, Initialize, Measure, Reset
 from .noise import NoiseModel, check_unfused
 from .result import ExperimentResult
-from .simulator import condition_met, format_bits, sample_final
+from .simulator import condition_met, format_bits, sample_final, sample_values
 from .statevector import Statevector
 
-__all__ = ["DensityMatrix", "DensityMatrixSimulator"]
+__all__ = ["DensityMatrix", "DensityMatrixSimulator", "DensityMatrixSession"]
 
 
 def _superoperator(kraus_operators: Iterable[np.ndarray]) -> np.ndarray:
@@ -83,10 +83,6 @@ class DensityMatrix:
     def from_statevector(cls, state: Statevector) -> "DensityMatrix":
         return cls(np.outer(state.data, state.data.conj()), validate=False)
 
-    @classmethod
-    def maximally_mixed(cls, num_qubits: int) -> "DensityMatrix":
-        return cls(np.eye(2**num_qubits, dtype=complex) / 2**num_qubits, validate=False)
-
     def copy(self) -> "DensityMatrix":
         return DensityMatrix(self.data, validate=False)
 
@@ -130,6 +126,21 @@ class DensityMatrix:
         operators = [self._check_operator(kraus, targets) for kraus in kraus_operators]
         self._apply_channel(_superoperator(operators), targets)
 
+    def initialize_qubits(self, amplitudes: np.ndarray, targets: Sequence[int]) -> None:
+        """Set *targets* (currently all |0>) to the pure state *amplitudes*,
+        little-endian over *targets* as in :meth:`Statevector.initialize_qubits`.
+
+        ``rho`` flattened is a ``2n``-qubit vector: the row bits take the
+        amplitudes and the column bits their conjugates, each through the
+        statevector routine (which also checks the precondition).
+        """
+        n = self.num_qubits
+        scale = np.linalg.norm(self.data)
+        vector = Statevector(self.data.reshape(-1))  # a normalised copy
+        vector.initialize_qubits(amplitudes, [t + n for t in targets])
+        vector.initialize_qubits(np.conj(amplitudes), targets)
+        self.data = (vector.data * scale).reshape(self.data.shape)
+
     def reset_qubit(self, qubit: int) -> None:
         """The exact reset channel ``P0 rho P0 + X P1 rho P1 X`` on *qubit*."""
         blocks = self._qubit_blocks(qubit)
@@ -161,32 +172,11 @@ class DensityMatrix:
             raise SimulationError("measurement projected onto a zero-probability outcome")
         self.data /= trace
 
-    def measure(self, targets: Sequence[int], rng: Optional[np.random.Generator] = None) -> int:
-        """Projectively measure *targets* and collapse the state."""
-        targets = list(targets)
-        if rng is None:
-            rng = np.random.default_rng()  # invariant: allow -- explicit no-rng fallback
-        probs = self.probabilities(targets)
-        outcome = int(rng.choice(probs.size, p=probs))
-        self.project(targets, outcome)
-        return outcome
-
     # -- analysis --------------------------------------------------------------------
 
     def purity(self) -> float:
         """``Tr(rho^2)``: 1.0 for pure states, ``1/2^n`` for maximally mixed."""
         return float(np.real(np.trace(self.data @ self.data)))
-
-    def fidelity_with_pure(self, state: Statevector) -> float:
-        """Fidelity ``<psi| rho |psi>`` with a pure reference state."""
-        if state.num_qubits != self.num_qubits:
-            raise SimulationError("fidelity requires states of equal size")
-        return float(np.real(state.data.conj() @ self.data @ state.data))
-
-    def expectation_z(self, qubit: int) -> float:
-        """Expectation value of Pauli-Z on *qubit*."""
-        probs = self.probabilities([qubit])
-        return float(probs[0] - probs[1])
 
     def __repr__(self) -> str:
         return f"DensityMatrix(num_qubits={self.num_qubits}, purity={self.purity():.4f})"
@@ -322,6 +312,10 @@ class DensityMatrixSimulator:
         ((_, _, state),) = self._walk(circuit, 1, self._rng, set(), start, prefix, sources)
         return state.density() if isinstance(state, _Populations) else state
 
+    def session(self) -> "DensityMatrixSession":
+        """A :class:`DensityMatrixSession` on this engine's RNG and noise model."""
+        return DensityMatrixSession(self)
+
     def run(
         self, circuit: QuantumCircuit, shots: int = 1024, memory: bool = False
     ) -> ExperimentResult:
@@ -425,7 +419,8 @@ class DensityMatrixSimulator:
                     if isinstance(state, _Populations):
                         self._apply_populations(state, circuit, instr, sources[position])
                     else:
-                        state = self._apply(state, circuit, instr)
+                        targets = [circuit.qubit_index(q) for q in instr.qubits]
+                        state = self._apply(state, instr.operation, targets)
                     continue
                 qubit = circuit.qubit_index(instr.qubits[0])
                 clbit = circuit.clbit_index(instr.clbits[0])
@@ -461,32 +456,22 @@ class DensityMatrixSimulator:
             for qubit in targets:
                 state.apply_stochastic(self._stochastic, qubit)
 
-    def _apply(
-        self, state: DensityMatrix, circuit: QuantumCircuit, instr: CircuitInstruction
-    ) -> DensityMatrix:
+    def _apply(self, state: DensityMatrix, op, targets: Sequence[int]) -> DensityMatrix:
         """Apply one non-measurement instruction, returning the evolved state."""
-        op = instr.operation
-        targets = [circuit.qubit_index(q) for q in instr.qubits]
         if isinstance(op, Barrier):
             return state
         if isinstance(op, Reset):
             state.reset_qubit(targets[0])
             return state
         if isinstance(op, Initialize):
-            # mirror the statevector engine's contract (targets must be in
-            # |0>); the dense representation only supports the whole-register
-            # case, which is all the front-end ever emits for pure prep.
-            if len(targets) != circuit.num_qubits:
+            # the engine's contract: a circuit initializes its whole register
+            # (what the front-ends emit for pure preparation)
+            if len(targets) != state.num_qubits:
                 raise SimulationError(
                     "DensityMatrixSimulator supports initialize only over all qubits"
                 )
-            if abs(state.probabilities(targets)[0] - 1.0) > 1e-8:
-                raise SimulationError(
-                    "initialize requires the target qubits to be in the |0...0> state"
-                )
-            pure = Statevector.zero_state(circuit.num_qubits)
-            pure.initialize_qubits(op.statevector, targets)
-            return DensityMatrix.from_statevector(pure)
+            state.initialize_qubits(op.statevector, targets)
+            return state
         if not op.is_unitary:
             raise SimulationError(f"cannot simulate instruction {op.name!r}")
         state._sandwich(targets, op)
@@ -494,3 +479,45 @@ class DensityMatrixSimulator:
             for qubit in targets:
                 state._apply_channel(self._channel, [qubit])
         return state
+
+
+class DensityMatrixSession:
+    """One live ``rho``, built up one instruction at a time under the
+    engine's noise model, applied exactly: the Qutes runtime's register on
+    the density-matrix engine.
+
+    ``allocate(k)`` appends *k* qubits in ``|0>``; ``apply`` runs one
+    instruction as :meth:`DensityMatrixSimulator.run` does, except that
+    ``initialize`` may target any qubits in ``|0...0>``, not only the whole
+    register; ``measure``
+    draws each qubit's outcome from its exact marginal and projects;
+    ``sample`` draws counts from the exact marginals without projecting.
+    """
+
+    def __init__(self, engine: DensityMatrixSimulator):
+        self.rng = engine._rng
+        self._engine = engine
+        self.state = DensityMatrix.zero_state(0)
+
+    def allocate(self, num_qubits: int) -> None:
+        old = self.state.data
+        data = np.zeros((old.shape[0] << num_qubits,) * 2, dtype=complex)
+        data[: old.shape[0], : old.shape[0]] = old
+        self.state = DensityMatrix(data, validate=False)
+
+    def apply(self, instruction, qubits: Sequence[int]) -> None:
+        if isinstance(instruction, Initialize):
+            self.state.initialize_qubits(instruction.statevector, list(qubits))
+        else:
+            self.state = self._engine._apply(self.state, instruction, list(qubits))
+
+    def measure(self, qubits: Sequence[int]) -> int:
+        outcome = 0
+        for position, qubit in enumerate(qubits):
+            bit = int(self.rng.binomial(1, min(1.0, self.state.probabilities([qubit])[1])))
+            self.state.project([qubit], bit)
+            outcome |= bit << position
+        return outcome
+
+    def sample(self, qubits: Sequence[int], shots: int) -> Dict[int, int]:
+        return sample_values(self.state.probabilities(qubits), shots, self.rng)

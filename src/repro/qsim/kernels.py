@@ -5,7 +5,7 @@ names its kind -- and the step is applied in place to every row of a
 ``(rows, 2^n)`` array of amplitudes.  A single state is a one-row view of
 the same kernels, so the sampled statevector path, the batched trajectory
 executor (:mod:`repro.qsim.shotbatch`), the density matrix's ``2n``-qubit
-vector, the language's live state and :meth:`Statevector.apply_unitary`
+vector, the statevector session and :meth:`Statevector.apply_unitary`
 all run one kernel set.  The step kinds:
 
 * ``("diag", shape, entries, lookup)`` -- one slice multiply per non-unit

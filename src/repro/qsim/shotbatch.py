@@ -71,7 +71,7 @@ noise (:func:`repro.qsim.noise.check_unfused`).
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -81,10 +81,10 @@ from .exceptions import SimulationError
 from .instruction import Barrier, Initialize, Measure, Reset
 from .noise import NoiseModel, PauliTerms, check_unfused, require_pauli
 from .result import ExperimentResult
-from .simulator import tally
+from .simulator import sample_values, tally
 from .statevector import Statevector
 
-__all__ = ["run_batched", "MAX_BATCH_AMPLITUDES"]
+__all__ = ["run_batched", "StatevectorSession", "MAX_BATCH_AMPLITUDES"]
 
 #: hard cap on simultaneous amplitudes (batch_rows * 2^n); bounds the working
 #: set of a batch plus its scratch to a few hundred MB
@@ -398,6 +398,79 @@ class _AmplitudeRows:
 
     def put(self, rows, sub: "_AmplitudeRows") -> None:
         self.states[rows], self.norm[rows] = sub.states, sub.norm
+
+
+class StatevectorSession:
+    """One live trajectory on a one-row :class:`_AmplitudeRows`: the state a
+    Qutes program (and :meth:`StatevectorSimulator.evolve
+    <repro.qsim.simulator.StatevectorSimulator.evolve>`) builds up one
+    instruction at a time.
+
+    ``allocate(k)`` appends *k* qubits in ``|0>`` (the highest indices);
+    ``apply`` runs one instruction and, under a Pauli *noise_model*, draws
+    one error per touched qubit from the same intervals as the batched plan;
+    ``measure`` collapses through :func:`_measure_batched` and returns the
+    little-endian outcome; ``sample`` draws counts through
+    :func:`~repro.qsim.simulator.sample_values` without collapsing.
+    """
+
+    def __init__(
+        self,
+        rng: np.random.Generator,
+        noise_model: Optional[NoiseModel] = None,
+        state: Optional[Statevector] = None,
+    ):
+        self.rng = rng
+        self._intervals = [] if noise_model is None else _pauli_intervals(require_pauli(noise_model))
+        start = Statevector.zero_state(0) if state is None else state
+        self._rows = _AmplitudeRows(start.data.reshape(1, -1).copy(), np.ones(1))
+        self.num_qubits = start.num_qubits
+
+    @property
+    def state(self) -> Statevector:
+        """The live state, normalised (a view of the row while its tracked
+        norm is 1)."""
+        state = Statevector.__new__(Statevector)
+        row, norm = self._rows.states[0], self._rows.norm[0]
+        state.data = row if norm == 1.0 else row / math.sqrt(norm)
+        state.num_qubits = self.num_qubits
+        return state
+
+    def allocate(self, num_qubits: int) -> None:
+        old = self._rows.states
+        self._rows.states = np.zeros((1, old.shape[1] << num_qubits), dtype=complex)
+        self._rows.states[:, : old.shape[1]] = old
+        self.num_qubits += num_qubits
+
+    def apply(self, instruction, qubits: Sequence[int]) -> None:
+        qubits = tuple(qubits)
+        if isinstance(instruction, Barrier):
+            return
+        if isinstance(instruction, Reset):
+            if self.measure(qubits):
+                self._rows.pauli("X", qubits[0], [0])
+            return
+        if isinstance(instruction, Initialize):
+            self._rows.apply(("initialize", instruction, qubits))
+            return
+        if not instruction.is_unitary:
+            raise SimulationError(f"cannot simulate instruction {instruction.name!r}")
+        self._rows.apply(kernels.lower(instruction, qubits))
+        for qubit in qubits if self._intervals else ():
+            draw = self.rng.random()
+            for pauli, lo, hi in self._intervals:
+                if lo <= draw < hi:
+                    self._rows.pauli(pauli, qubit, [0])
+                    break
+
+    def measure(self, qubits: Sequence[int]) -> int:
+        outcome = 0
+        for position, qubit in enumerate(qubits):
+            outcome |= int(self._rows.measure(qubit, self.rng.random(1))[0]) << position
+        return outcome
+
+    def sample(self, qubits: Sequence[int], shots: int) -> Dict[int, int]:
+        return sample_values(self.state.probabilities(qubits), shots, self.rng)
 
 
 # ---------------------------------------------------------------------------

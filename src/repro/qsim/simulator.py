@@ -28,11 +28,10 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import kernels
-from .circuit import CircuitInstruction, QuantumCircuit
+from .circuit import QuantumCircuit
 from .exceptions import SimulationError
 from .fusion import fuse_gates
-from .instruction import Barrier, Initialize, Measure, Reset
+from .instruction import Barrier, Measure, Reset
 from .noise import NoiseModel
 from .result import ExperimentResult
 from .statevector import Statevector
@@ -46,6 +45,7 @@ __all__ = [
     "check_evolvable",
     "format_bits",
     "sample_final",
+    "sample_values",
     "tally",
 ]
 
@@ -181,6 +181,13 @@ def tally(
     )
 
 
+def sample_values(probs: np.ndarray, shots: int, rng: np.random.Generator) -> Dict[int, int]:
+    """Hits per value of one multinomial over *probs* (renormalised): the
+    engines' one sampling routine."""
+    hits = rng.multinomial(shots, probs / probs.sum())
+    return {value: int(hits[value]) for value in np.flatnonzero(hits).tolist()}
+
+
 def sample_final(
     probs: np.ndarray,
     shots: int,
@@ -189,16 +196,15 @@ def sample_final(
     num_clbits: int,
     rng: np.random.Generator,
 ) -> List[Tuple[str, int]]:
-    """``(bitstring, hits)`` per outcome of one multinomial over the joint
-    *probs* of the *final* ``(qubit, clbit)`` measurements; other clbits
-    read as in *bits*.  The dense engines' one sampling routine."""
+    """``(bitstring, hits)`` per outcome of :func:`sample_values` over the
+    joint *probs* of the *final* ``(qubit, clbit)`` measurements; other
+    clbits read as in *bits*."""
     pairs = []
-    hits = rng.multinomial(shots, probs / probs.sum())
-    for value in np.flatnonzero(hits).tolist():
+    for value, hits in sample_values(probs, shots, rng).items():
         values = dict(bits)
         for position, (_, clbit) in enumerate(final):
             values[clbit] = (value >> position) & 1
-        pairs.append((format_bits(values, num_clbits), int(hits[value])))
+        pairs.append((format_bits(values, num_clbits), hits))
     return pairs
 
 
@@ -246,44 +252,37 @@ class StatevectorSimulator:
     ) -> Statevector:
         """Return the statevector after running *circuit* once, noiselessly.
 
-        Measurements are skipped; a noise model or a classical condition
-        raises (see :func:`check_evolvable`).
+        Measurements are skipped; a reset collapses with the engine's RNG.  A
+        noise model or a classical condition raises (see
+        :func:`check_evolvable`).
         """
         check_evolvable(circuit, self.noise_model)
         circuit = prepare(circuit)
-        if initial_state is None:
-            state = Statevector.zero_state(circuit.num_qubits)
-        elif initial_state.num_qubits != circuit.num_qubits:
+        if initial_state is not None and initial_state.num_qubits != circuit.num_qubits:
             raise SimulationError("initial state size does not match circuit")
-        else:
-            state = initial_state.copy()
+        session = self.session(initial_state)
+        if initial_state is None:
+            session.allocate(circuit.num_qubits)
         for instr in circuit.data:
             if not isinstance(instr.operation, Measure):
-                self._apply(state, circuit, instr)
-        return state
+                session.apply(instr.operation, [circuit.qubit_index(q) for q in instr.qubits])
+        return session.state
+
+    def session(self, state: Optional[Statevector] = None):
+        """A :class:`~repro.qsim.shotbatch.StatevectorSession` on this
+        engine's RNG and noise model, holding a copy of *state* (default: no
+        qubits): one live trajectory, built up instruction by instruction."""
+        from .shotbatch import StatevectorSession
+
+        return StatevectorSession(self._rng, self.noise_model, state)
 
     # -- internals ----------------------------------------------------------------
-
-    def _apply(self, state: Statevector, circuit: QuantumCircuit, instr: CircuitInstruction) -> None:
-        op = instr.operation
-        targets = [circuit.qubit_index(q) for q in instr.qubits]
-        if isinstance(op, Barrier):
-            return
-        if isinstance(op, Reset):
-            state.reset_qubit(targets[0], rng=self._rng)
-            return
-        if isinstance(op, Initialize):
-            state.initialize_qubits(op.statevector, targets)
-            return
-        if op.is_unitary:
-            kernels.apply_gate(state.data, op, targets)
-            return
-        raise SimulationError(f"cannot simulate instruction {op.name!r}")
 
     def _run_sampled(
         self, name: str, circuit: QuantumCircuit, shots: int, memory: bool
     ) -> ExperimentResult:
-        state = Statevector.zero_state(circuit.num_qubits)
+        session = self.session()
+        session.allocate(circuit.num_qubits)
         measure_map: List[Tuple[int, int]] = []  # (qubit index, clbit index)
         for instr in circuit.data:
             op = instr.operation
@@ -292,7 +291,8 @@ class StatevectorSimulator:
                     (circuit.qubit_index(instr.qubits[0]), circuit.clbit_index(instr.clbits[0]))
                 )
                 continue
-            self._apply(state, circuit, instr)
+            session.apply(op, [circuit.qubit_index(q) for q in instr.qubits])
+        state = session.state
 
         counts: Dict[str, int] = {}
         shot_values: List[str] = []

@@ -73,6 +73,7 @@ from .transpiler import _clifford_classification
 __all__ = [
     "StabilizerTableau",
     "StabilizerSimulator",
+    "StabilizerSession",
     "STABILIZER_GATES",
     "MAX_SYMBOLIC_PHASE_CELLS",
 ]
@@ -373,11 +374,6 @@ class StabilizerTableau:
             return None
         return self.num_qubits + int(hits[0])
 
-    def is_deterministic(self, qubit: int) -> bool:
-        """Whether measuring *qubit* has a predetermined outcome."""
-        self._check_qubit(qubit)
-        return self._pivot(qubit) is None
-
     def _collapse(self, qubit: int, pivot: int) -> None:
         """Project onto the Z_qubit eigenbasis using stabilizer row *pivot*."""
         rows = np.nonzero(self.xs[: 2 * self.num_qubits, qubit])[0]
@@ -524,6 +520,51 @@ def _compiled_condition_met(
     return register_value == value
 
 
+def _classify(op) -> Tuple[str, Any]:
+    """:func:`~repro.qsim.transpiler._clifford_classification` of *op*, or a
+    :class:`SimulationError` naming it when it is not Clifford."""
+    classification = _clifford_classification(op)
+    if classification is None:
+        if isinstance(op, Initialize):
+            raise SimulationError(
+                "initialize to a superposition is not a Clifford operation; "
+                "the stabilizer engine only supports computational-basis "
+                "initialization"
+            )
+        raise SimulationError(
+            f"instruction {op.name!r} is not a Clifford operation; the stabilizer "
+            f"engine supports {sorted(STABILIZER_GATES)}, rotations at multiples "
+            "of pi/2, Clifford unitary blocks, measure and reset"
+        )
+    return classification
+
+
+def _lower(
+    kind: str,
+    payload: Any,
+    targets: Tuple[int, ...],
+    condition: Optional[Tuple[Tuple[int, ...], int]],
+    symbolic_condition: bool,
+    noise: bool,
+) -> List[_CompiledOp]:
+    """The tableau ops of one classified instruction that is not a
+    passthrough (measure, reset, barrier); with *noise*, a unitary is
+    followed by its noise marker."""
+    if kind == "initialize":
+        return [("initialize", payload, targets, condition)]
+    if symbolic_condition:
+        paulis = tuple((name.upper(), targets[i[0]]) for name, i in payload)
+        ops: List[_CompiledOp] = [("pauli", paulis, targets, condition)]
+    elif kind == "sequence":
+        ops = [("gate", name, tuple(targets[i] for i in local), condition) for name, local in payload]
+    else:  # "table"
+        ops = [("table", payload, targets, condition)]
+    if noise:
+        # noise fires only when the instruction it follows actually executed
+        ops.append(("noise", None, targets, condition))
+    return ops
+
+
 def _compile(
     circuit: QuantumCircuit, noise: bool = False
 ) -> Tuple[List[_CompiledOp], int, Optional[str]]:
@@ -555,20 +596,7 @@ def _compile(
         if instr.condition is not None:
             creg, value = instr.condition
             condition = (tuple(circuit.clbit_index(c) for c in creg), value)
-        classification = _clifford_classification(op)
-        if classification is None:
-            if isinstance(op, Initialize):
-                raise SimulationError(
-                    "initialize to a superposition is not a Clifford operation; "
-                    "the stabilizer engine only supports computational-basis "
-                    "initialization"
-                )
-            raise SimulationError(
-                f"instruction {op.name!r} is not a Clifford operation; the stabilizer "
-                f"engine supports {sorted(STABILIZER_GATES)}, rotations at multiples "
-                "of pi/2, Clifford unitary blocks, measure and reset"
-            )
-        kind, payload = classification
+        kind, payload = _classify(op)
         symbolic_condition = (
             condition is not None
             and kind == "sequence"
@@ -576,10 +604,10 @@ def _compile(
         )
         if condition is not None and not symbolic_condition and blocker is None:
             blocker = op.name
+        targets = tuple(circuit.qubit_index(q) for q in instr.qubits)
         if kind == "passthrough":
             if isinstance(op, Barrier):
                 continue
-            targets = tuple(circuit.qubit_index(q) for q in instr.qubits)
             if isinstance(op, Measure):
                 ops.append(
                     ("measure", circuit.clbit_index(instr.clbits[0]), targets[:1], condition)
@@ -588,26 +616,7 @@ def _compile(
                 ops.append(("reset", None, targets[:1], condition))
             events += 1
             continue
-        targets = tuple(circuit.qubit_index(q) for q in instr.qubits)
-        if kind == "initialize":
-            ops.append(("initialize", payload, targets, condition))
-        elif symbolic_condition:
-            paulis = tuple((name.upper(), targets[i[0]]) for name, i in payload)
-            ops.append(("pauli", paulis, targets, condition))
-            if noise:
-                ops.append(("noise", None, targets, condition))
-        elif kind == "sequence":
-            for name, local_indices in payload:
-                ops.append(
-                    ("gate", name, tuple(targets[i] for i in local_indices), condition)
-                )
-            if noise:
-                # noise fires only when the gate it follows actually executed
-                ops.append(("noise", None, targets, condition))
-        else:  # "table"
-            ops.append(("table", payload, targets, condition))
-            if noise:
-                ops.append(("noise", None, targets, condition))
+        ops.extend(_lower(kind, payload, targets, condition, symbolic_condition, noise))
     return ops, events, blocker
 
 
@@ -673,27 +682,40 @@ def _evolve_concrete(
     (when they *collapse*) write this shot's *bits*; resets draw from *rng*,
     and so do the errors of *encoding*."""
     tableau = StabilizerTableau(num_qubits)
-    for kind, payload, targets, condition in ops:
-        if not _compiled_condition_met(condition, bits):
-            continue
-        if kind == "gate":
-            getattr(tableau, payload)(*targets)
-        elif kind == "table":
-            tableau.apply_pauli_table(payload, targets)
-        elif kind == "pauli":
-            for pauli, qubit in payload:
-                tableau.apply_pauli(qubit, pauli)
-        elif kind == "initialize":
-            tableau.initialize_basis(payload, targets)
-        elif kind == "noise":
-            for qubit in targets:
-                _inject_concrete(tableau, qubit, encoding, rng)
-        elif kind == "measure":
-            if collapse:
-                bits[payload] = tableau.measure(targets[0], rng=rng)
-        else:  # reset
-            tableau.reset(targets[0], rng=rng)
+    for op in ops:
+        if _compiled_condition_met(op[3], bits):
+            _step_concrete(tableau, op, bits, rng, encoding, collapse)
     return tableau
+
+
+def _step_concrete(
+    tableau: StabilizerTableau,
+    op: _CompiledOp,
+    bits: Optional[np.ndarray],
+    rng: np.random.Generator,
+    encoding: Optional[Tuple[str, Any]],
+    collapse: bool = True,
+) -> None:
+    """Run one compiled op on a concrete *tableau*; a collapsing measurement
+    writes *bits*."""
+    kind, payload, targets, _ = op
+    if kind == "gate":
+        getattr(tableau, payload)(*targets)
+    elif kind == "table":
+        tableau.apply_pauli_table(payload, targets)
+    elif kind == "pauli":
+        for pauli, qubit in payload:
+            tableau.apply_pauli(qubit, pauli)
+    elif kind == "initialize":
+        tableau.initialize_basis(payload, targets)
+    elif kind == "noise":
+        for qubit in targets:
+            _inject_concrete(tableau, qubit, encoding, rng)
+    elif kind == "measure":
+        if collapse:
+            bits[payload] = tableau.measure(targets[0], rng=rng)
+    else:  # reset
+        tableau.reset(targets[0], rng=rng)
 
 
 def _inject_concrete(
@@ -834,6 +856,10 @@ class StabilizerSimulator:
                 values[:, clbit] = outcomes[:, position]  # later writes win
         return tally(circuit, values, memory, {"method": method})
 
+    def session(self) -> "StabilizerSession":
+        """A :class:`StabilizerSession` on this engine's RNG and noise model."""
+        return StabilizerSession(self)
+
     def evolve(
         self, circuit: QuantumCircuit, collapse_measurements: bool = False
     ) -> StabilizerTableau:
@@ -922,3 +948,68 @@ class StabilizerSimulator:
         coefficients = exprs[:, 1 : 1 + num_symbols].astype(np.int32)
         parity = (bits @ coefficients.T) & 1
         return (parity.astype(np.uint8)) ^ constants
+
+
+class StabilizerSession:
+    """One live tableau, built up one instruction at a time: the Qutes
+    runtime's register on the stabilizer engine.
+
+    ``allocate(k)`` appends *k* qubits in ``|0>``; ``apply`` runs one
+    Clifford instruction (a non-Clifford one raises a
+    :class:`SimulationError` naming it) and, under the engine's Pauli noise
+    model, one concretely drawn error per touched qubit; ``measure``
+    collapses the tableau with the engine's RNG; ``sample`` measures a copy
+    of the tableau symbolically and evaluates the outcome expressions for
+    every shot at once, leaving the live tableau untouched.
+    """
+
+    def __init__(self, engine: StabilizerSimulator):
+        self.rng = engine._rng
+        noise_model = engine.noise_model
+        self._encoding = (
+            None if noise_model is None else _pauli_channel_encoding(require_pauli(noise_model))
+        )
+        self.tableau = StabilizerTableau(0)
+
+    def allocate(self, num_qubits: int) -> None:
+        old, n = self.tableau, self.tableau.num_qubits
+        new = StabilizerTableau(n + num_qubits)
+        # the old qubits keep their destabilizer and stabilizer rows; the new
+        # ones start as X_q / Z_q
+        rows = np.r_[0:n, new.num_qubits : new.num_qubits + n]
+        new.xs[rows, :n], new.zs[rows, :n] = old.xs[: 2 * n], old.zs[: 2 * n]
+        new.phases[rows] = old.phases[: 2 * n]
+        self.tableau = new
+
+    def apply(self, instruction, qubits: Sequence[int]) -> None:
+        kind, payload = _classify(instruction)
+        targets = tuple(qubits)
+        if kind == "passthrough":
+            if isinstance(instruction, Measure):
+                raise SimulationError("a session measures through measure(), not apply()")
+            ops: List[_CompiledOp] = [] if isinstance(instruction, Barrier) else [
+                ("reset", None, targets[:1], None)
+            ]
+        else:
+            ops = _lower(kind, payload, targets, None, False, self._encoding is not None)
+        for op in ops:
+            _step_concrete(self.tableau, op, None, self.rng, self._encoding)
+
+    def measure(self, qubits: Sequence[int]) -> int:
+        outcome = 0
+        for position, qubit in enumerate(qubits):
+            outcome |= self.tableau.measure(qubit, rng=self.rng) << position
+        return outcome
+
+    def sample(self, qubits: Sequence[int], shots: int) -> Dict[int, int]:
+        frame = self.tableau.copy()  # measured symbolically: one symbol per qubit at most
+        frame.phases = np.zeros((frame.xs.shape[0], 1 + len(qubits)), dtype=np.uint8)
+        frame.phases[:, 0] = self.tableau.phases[:, 0]
+        recorded = [(position, frame._measure_symbolic(q)) for position, q in enumerate(qubits)]
+        specs: List[_SymbolSpec] = [("uniform", None, None)] * frame._num_symbols
+        outcomes = StabilizerSimulator._sample_outcomes(recorded, specs, shots, self.rng)
+        rows, hits = np.unique(outcomes, axis=0, return_counts=True)
+        return {
+            sum(int(bit) << position for position, bit in enumerate(row)): int(count)
+            for row, count in zip(rows, hits)
+        }

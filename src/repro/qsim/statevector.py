@@ -11,7 +11,7 @@ a one-row view of the batched executor's ``(rows, 2^n)`` layout.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -66,26 +66,6 @@ class Statevector:
         data[value] = 1.0
         return cls(data, validate=False)
 
-    @classmethod
-    def from_label(cls, label: str) -> "Statevector":
-        """Build a product state from a label of ``0 1 + -`` characters.
-
-        The leftmost character describes the most significant qubit, matching
-        the usual ket notation |q_{n-1} ... q_0>.
-        """
-        single = {
-            "0": np.array([1, 0], dtype=complex),
-            "1": np.array([0, 1], dtype=complex),
-            "+": np.array([1, 1], dtype=complex) / math.sqrt(2),
-            "-": np.array([1, -1], dtype=complex) / math.sqrt(2),
-        }
-        if not label or any(ch not in single for ch in label):
-            raise SimulationError(f"invalid state label {label!r}")
-        data = np.array([1.0 + 0.0j])
-        for ch in label:
-            data = np.kron(data, single[ch])
-        return cls(data, validate=False)
-
     def copy(self) -> "Statevector":
         sv = Statevector.__new__(Statevector)
         sv.data = self.data.copy()
@@ -93,23 +73,6 @@ class Statevector:
         return sv
 
     # -- composition -----------------------------------------------------------
-
-    def expand(self, num_new_qubits: int) -> "Statevector":
-        """Return a state with *num_new_qubits* fresh |0> qubits appended.
-
-        The new qubits receive the highest indices, so existing amplitudes
-        keep their flat positions.
-        """
-        if num_new_qubits < 0:
-            raise SimulationError("cannot expand by a negative number of qubits")
-        if num_new_qubits == 0:
-            return self.copy()
-        new = np.zeros(self.data.size * 2**num_new_qubits, dtype=complex)
-        new[: self.data.size] = self.data
-        sv = Statevector.__new__(Statevector)
-        sv.data = new
-        sv.num_qubits = self.num_qubits + num_new_qubits
-        return sv
 
     def tensor(self, other: "Statevector") -> "Statevector":
         """Return ``other (x) self``: *other*'s qubits get the higher indices."""
@@ -161,23 +124,14 @@ class Statevector:
                 "initialize requires the target qubits to be in the |0...0> state"
             )
         n = self.num_qubits
-        axes = [n - 1 - t for t in targets]
-        psi = self.data.reshape((2,) * n)
-        psi = np.moveaxis(psi, axes, range(k))
+        # targets[0] (least significant) becomes the last front axis, so the
+        # front index is the little-endian value over targets
+        axes = [n - 1 - t for t in reversed(targets)]
+        psi = np.moveaxis(self.data.reshape((2,) * n), axes, range(k))
         tail_shape = psi.shape[k:]
-        psi = psi.reshape(2**k, -1)
-        rest = psi[0].copy()
-        # amplitudes are little-endian over targets while the front block index
-        # has targets[0] as MSB, so reorder via bit reversal of the index.
-        block = np.zeros_like(psi)
-        for value in range(2**k):
-            front_index = 0
-            for bit_pos in range(k):
-                if (value >> bit_pos) & 1:
-                    front_index |= 1 << (k - 1 - bit_pos)
-            block[front_index] = amplitudes[value] * rest
-        psi = block.reshape((2,) * k + tail_shape)
-        psi = np.moveaxis(psi, range(k), axes)
+        rest = psi.reshape(2**k, -1)[0]
+        block = amplitudes[:, None] * rest
+        psi = np.moveaxis(block.reshape((2,) * k + tail_shape), range(k), axes)
         self.data = np.ascontiguousarray(psi.reshape(-1))
 
     # -- measurement ---------------------------------------------------------------
@@ -202,79 +156,13 @@ class Statevector:
         tensor = tensor.reshape(2**k, -1)
         return tensor.sum(axis=1)
 
-    def probability_of(self, value: int, targets: Sequence[int]) -> float:
-        """Probability of reading the little-endian *value* from *targets*."""
-        probs = self.probabilities(targets)
-        if not 0 <= value < probs.size:
-            raise SimulationError(f"value {value} out of range for {len(list(targets))} qubits")
-        return float(probs[value])
-
-    def measure(self, targets: Sequence[int], rng: Optional[np.random.Generator] = None) -> int:
-        """Projectively measure *targets*, collapse in place, return the value.
-
-        The returned integer is little-endian over *targets*.
-        """
-        targets = self._check_targets(targets)
-        if rng is None:
-            rng = np.random.default_rng()  # invariant: allow -- explicit no-rng fallback
-        probs = self.probabilities(targets)
-        outcome = int(rng.choice(probs.size, p=probs / probs.sum()))
-        self._collapse(targets, outcome)
-        return outcome
-
-    def _collapse(self, targets: Sequence[int], outcome: int) -> None:
-        mask = np.ones(self.data.size, dtype=bool)
-        indices = np.arange(self.data.size)
-        for bit_pos, qubit in enumerate(targets):
-            bit = (outcome >> bit_pos) & 1
-            mask &= ((indices >> qubit) & 1) == bit
-        self.data = np.where(mask, self.data, 0.0)
-        norm = np.linalg.norm(self.data)
-        if norm < _ATOL:
-            raise SimulationError("collapse produced a zero-norm state")
-        self.data /= norm
-
-    def sample_counts(
-        self,
-        targets: Optional[Sequence[int]] = None,
-        shots: int = 1024,
-        rng: Optional[np.random.Generator] = None,
-    ) -> Dict[int, int]:
-        """Sample *shots* measurement outcomes without collapsing the state."""
-        if shots <= 0:
-            raise SimulationError("shots must be positive")
-        if rng is None:
-            rng = np.random.default_rng()  # invariant: allow -- explicit no-rng fallback
-        probs = self.probabilities(targets)
-        outcomes = rng.multinomial(shots, probs / probs.sum())
-        return {value: int(count) for value, count in enumerate(outcomes) if count}
-
-    def reset_qubit(self, qubit: int, rng: Optional[np.random.Generator] = None) -> None:
-        """Reset *qubit* to |0> (measure, then flip if the outcome was 1)."""
-        outcome = self.measure([qubit], rng=rng)
-        if outcome == 1:
-            from .gates import X  # local import to avoid a cycle at module load
-
-            self.apply_unitary(X, [qubit])
-
     # -- analysis -------------------------------------------------------------------
-
-    def expectation_z(self, qubit: int) -> float:
-        """Expectation value of Pauli-Z on *qubit*."""
-        probs = self.probabilities([qubit])
-        return float(probs[0] - probs[1])
 
     def fidelity(self, other: "Statevector") -> float:
         """Squared overlap |<self|other>|^2."""
         if self.num_qubits != other.num_qubits:
             raise SimulationError("fidelity requires states of equal size")
         return float(abs(np.vdot(self.data, other.data)) ** 2)
-
-    def equiv(self, other: "Statevector", atol: float = 1e-8) -> bool:
-        """Whether the two states are equal up to a global phase."""
-        if self.num_qubits != other.num_qubits:
-            return False
-        return bool(abs(abs(np.vdot(self.data, other.data)) - 1.0) < atol)
 
     def to_dict(self, atol: float = 1e-12) -> Dict[str, complex]:
         """Non-negligible amplitudes keyed by bitstring (MSB first)."""

@@ -34,10 +34,10 @@ class TestBernsteinVazirani:
         sim = StatevectorSimulator(seed=0)
         # input x = 0b111 -> parity of (x & s) = parity(0b101) = 0 -> y stays 0
         state = sim.evolve(oracle, initial_state=Statevector.from_int(0b0111, 4))
-        assert np.isclose(state.probability_of(0, [3]), 1.0)
+        assert np.isclose(state.probabilities([3])[0], 1.0)
         # input x = 0b001 -> parity 1 -> y flips
         state = sim.evolve(oracle, initial_state=Statevector.from_int(0b0001, 4))
-        assert np.isclose(state.probability_of(1, [3]), 1.0)
+        assert np.isclose(state.probabilities([3])[1], 1.0)
 
     def test_secret_out_of_range(self):
         with pytest.raises(CircuitError):

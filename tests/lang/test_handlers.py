@@ -37,17 +37,17 @@ class TestCircuitHandler:
         qubits = handler.allocate_register("a", 1)
         handler.apply_gate("x", qubits)
         assert handler.gate_counts() == {"x": 1}
-        assert np.isclose(handler.state.probability_of(1, qubits), 1.0)
+        assert np.isclose(handler.session.state.probabilities(qubits)[1], 1.0)
 
     def test_apply_parametric_gate(self, handler):
         qubits = handler.allocate_register("a", 1)
         handler.apply_gate("rx", qubits, [np.pi])
-        assert np.isclose(handler.state.probability_of(1, qubits), 1.0)
+        assert np.isclose(handler.session.state.probabilities(qubits)[1], 1.0)
 
     def test_initialize_basis(self, handler):
         qubits = handler.allocate_register("a", 3)
         handler.initialize_basis(5, qubits)
-        assert np.isclose(handler.state.probability_of(5, qubits), 1.0)
+        assert np.isclose(handler.session.state.probabilities(qubits)[5], 1.0)
         assert handler.gate_counts().get("x", 0) == 2
 
     def test_initialize_basis_too_large(self, handler):
@@ -58,7 +58,7 @@ class TestCircuitHandler:
     def test_initialize_amplitudes(self, handler):
         qubits = handler.allocate_register("a", 2)
         handler.initialize(np.array([1, 0, 0, 1]) / np.sqrt(2), qubits)
-        probs = handler.state.probabilities(qubits)
+        probs = handler.session.state.probabilities(qubits)
         assert np.allclose(probs, [0.5, 0, 0, 0.5])
 
     def test_measure_collapses_and_logs(self, handler):
@@ -66,7 +66,7 @@ class TestCircuitHandler:
         handler.apply_gate("h", qubits)
         outcome = handler.measure(qubits)
         assert outcome in (0, 1)
-        assert np.isclose(handler.state.probability_of(outcome, qubits), 1.0)
+        assert np.isclose(handler.session.state.probabilities(qubits)[outcome], 1.0)
         assert handler.circuit.has_measurements()
         assert len(handler.measurements) == 1
 
@@ -79,14 +79,14 @@ class TestCircuitHandler:
         handler.apply_gate("h", qubits)
         counts = handler.sample(qubits, shots=200)
         assert sum(counts.values()) == 200
-        assert np.allclose(handler.state.probabilities(qubits), [0.5, 0.5])
+        assert np.allclose(handler.session.state.probabilities(qubits), [0.5, 0.5])
 
     def test_append_subcircuit(self, handler):
         qubits = handler.allocate_register("a", 2)
         sub = QuantumCircuit(2)
         sub.h(0).cx(0, 1)
         handler.append_subcircuit(sub, qubits)
-        probs = handler.state.probabilities(qubits)
+        probs = handler.session.state.probabilities(qubits)
         assert np.allclose(probs, [0.5, 0, 0, 0.5])
         assert handler.gate_counts() == {"h": 1, "cx": 1}
 
@@ -111,27 +111,18 @@ class TestCircuitHandler:
         assert handler.depth() == 2
         assert handler.size() == 2
 
-    def test_mcx_and_mcz(self, handler):
-        qubits = handler.allocate_register("a", 3)
-        handler.initialize_basis(3, qubits)
-        handler.apply_mcx(qubits[:2], qubits[2])
-        assert np.isclose(handler.state.probability_of(7, qubits), 1.0)
-        handler.apply_mcz(qubits[:2], qubits[2])
-        # phase only: probabilities unchanged
-        assert np.isclose(handler.state.probability_of(7, qubits), 1.0)
-
 
 class TestTypeCasting:
     def test_encode_bool(self, casting, handler):
         qv = casting.encode_bool(True)
         assert qv.size == 1
         assert qv.classical_hint == 1
-        assert np.isclose(handler.state.probability_of(1, qv.qubits), 1.0)
+        assert np.isclose(handler.session.state.probabilities(qv.qubits)[1], 1.0)
 
     def test_encode_int(self, casting, handler):
         qv = casting.encode_int(6)
         assert qv.size == 3
-        assert np.isclose(handler.state.probability_of(6, qv.qubits), 1.0)
+        assert np.isclose(handler.session.state.probabilities(qv.qubits)[6], 1.0)
 
     def test_encode_int_with_explicit_size(self, casting):
         qv = casting.encode_int(1, num_qubits=4)
@@ -145,7 +136,7 @@ class TestTypeCasting:
         qv = casting.encode_bitstring("101")
         assert qv.size == 3
         # char 0 = '1' -> qubit 0 set, char 1 = '0', char 2 = '1'
-        assert np.isclose(handler.state.probability_of(0b101, qv.qubits), 1.0)
+        assert np.isclose(handler.session.state.probabilities(qv.qubits)[0b101], 1.0)
         assert qv.hint_as_string() == "101"
 
     def test_encode_bitstring_rejects_non_bits(self, casting):
@@ -156,13 +147,13 @@ class TestTypeCasting:
 
     def test_encode_superposition(self, casting, handler):
         qv = casting.encode_superposition([1, 3])
-        probs = handler.state.probabilities(qv.qubits)
+        probs = handler.session.state.probabilities(qv.qubits)
         assert np.isclose(probs[1], 0.5) and np.isclose(probs[3], 0.5)
         assert qv.classical_hint is None
 
     def test_encode_ket_states(self, casting, handler):
         plus = casting.encode_ket("+")
-        assert np.allclose(handler.state.probabilities(plus.qubits), [0.5, 0.5])
+        assert np.allclose(handler.session.state.probabilities(plus.qubits), [0.5, 0.5])
         one = casting.encode_ket("1")
         assert one.classical_hint == 1
 

@@ -1,0 +1,301 @@
+"""Engine sessions: one live register per engine, built up instruction by
+instruction (the Qutes runtime's execution model).
+
+Every built-in backend hands out a session through ``Backend.session(seed)``
+with ``allocate(k)``, ``apply(instruction, qubits)``, ``measure(qubits)``
+(collapses) and ``sample(qubits, shots)`` (does not); outcomes are
+little-endian integers over the measured qubits.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from repro.lang.compiler import run_source
+from repro.lang.stdlib import get_program
+from repro.qsim.backends import build_noisy_backend, get_backend
+from repro.qsim.circuit import QuantumCircuit
+from repro.qsim.density import DensityMatrixSimulator
+from repro.qsim.exceptions import SimulationError
+from repro.qsim.instruction import Gate, Initialize, Reset
+from repro.qsim.noise import BitFlipNoise
+
+ENGINES = ["statevector", "density_matrix", "stabilizer"]
+DENSE = ["statevector", "density_matrix"]
+
+
+def chi_square_ok(counts, probs, trials):
+    """Every outcome lies in the support of *probs*, and Pearson's
+    chi-square of *counts* against *trials* draws from *probs* stays below
+    its upper 1e-4 quantile (Wilson-Hilferty approximation): a bound that
+    scales with *trials*, so a wrong distribution fails at any size."""
+    support = [v for v, p in enumerate(probs) if p > 1e-12]
+    assert set(counts) <= set(support), (counts, probs)
+    chi2 = sum((counts.get(v, 0) - trials * probs[v]) ** 2 / (trials * probs[v]) for v in support)
+    dof = max(1, len(support) - 1)
+    z = 3.719  # the standard normal's upper 1e-4 quantile
+    return chi2 < dof * (1 - 2 / (9 * dof) + z * math.sqrt(2 / (9 * dof))) ** 3
+
+
+def build(engine, seed, ops, num_qubits, noise_model=None):
+    backend = get_backend(engine, noise_model=noise_model)
+    session = backend.session(seed)
+    session.allocate(num_qubits)
+    for name, params, qubits in ops:
+        session.apply(Gate(name, len(qubits), list(params)), qubits)
+    return session
+
+
+# |GHZ-like> on 0,1 plus |+> on 2: Clifford, so every engine runs it
+CLIFFORD_OPS = [("h", (), [0]), ("cx", (), [0, 1]), ("x", (), [1]), ("h", (), [2])]
+CLIFFORD_PROBS = [0, 0.25, 0.25, 0, 0, 0.25, 0.25, 0]  # over qubits [0, 1, 2]
+
+# a non-uniform state for the dense engines
+DENSE_OPS = [("ry", (1.1,), [0]), ("cx", (), [0, 1]), ("ry", (0.4,), [2])]
+
+
+def dense_probs():
+    c0, s0 = math.cos(0.55) ** 2, math.sin(0.55) ** 2
+    c2, s2 = math.cos(0.2) ** 2, math.sin(0.2) ** 2
+    probs = [0.0] * 8
+    probs[0b000], probs[0b011] = c0 * c2, s0 * c2
+    probs[0b100], probs[0b111] = c0 * s2, s0 * s2
+    return probs
+
+
+class TestMeasure:
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_frequencies_over_seeds_match_exact_marginals(self, engine):
+        trials = 400
+        counts = {}
+        for seed in range(trials):
+            outcome = build(engine, seed, CLIFFORD_OPS, 3).measure([0, 1, 2])
+            counts[outcome] = counts.get(outcome, 0) + 1
+        assert chi_square_ok(counts, CLIFFORD_PROBS, trials)
+
+    @pytest.mark.parametrize("engine", DENSE)
+    def test_dense_frequencies_match_a_non_uniform_state(self, engine):
+        trials = 600
+        counts = {}
+        for seed in range(trials):
+            outcome = build(engine, seed, DENSE_OPS, 3).measure([0, 1, 2])
+            counts[outcome] = counts.get(outcome, 0) + 1
+        assert chi_square_ok(counts, dense_probs(), trials)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_measurement_collapses_and_repeats(self, engine):
+        for seed in range(10):
+            session = build(engine, seed, CLIFFORD_OPS, 3)
+            first = session.measure([0])
+            # the Bell partner now agrees, and a repeat reads the same bit
+            assert session.measure([1]) == 1 - first
+            assert session.measure([0]) == first
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_outcomes_are_little_endian_over_the_listed_qubits(self, engine):
+        session = build(engine, 0, [("x", (), [0]), ("x", (), [3])], 4)
+        assert session.measure([0, 1, 2, 3]) == 0b1001
+        assert session.measure([3, 0]) == 0b11
+        assert session.measure([1, 2]) == 0
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_allocate_keeps_the_existing_state(self, engine):
+        session = get_backend(engine).session(3)
+        session.allocate(1)
+        session.apply(Gate("x", 1), [0])
+        session.allocate(2)
+        session.apply(Gate("cx", 2), [0, 2])
+        assert session.measure([0, 1, 2]) == 0b101
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_reset_returns_a_qubit_to_zero(self, engine):
+        for seed in range(6):
+            session = build(engine, seed, CLIFFORD_OPS, 3)
+            session.apply(Reset(), [0])
+            assert session.measure([0]) == 0
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_same_seed_same_outcomes(self, engine):
+        runs = [
+            [build(engine, 11, CLIFFORD_OPS, 3).measure([0, 2]) for _ in range(2)]
+            for _ in range(2)
+        ]
+        assert runs[0] == runs[1]
+
+
+class TestSample:
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_sample_leaves_the_state_uncollapsed(self, engine):
+        trials = 300
+        after = {}
+        for seed in range(trials):
+            session = build(engine, seed, CLIFFORD_OPS, 3)
+            counts = session.sample([0, 1, 2], 64)
+            assert sum(counts.values()) == 64
+            assert set(counts) <= {1, 2, 5, 6}
+            outcome = session.measure([0, 1, 2])
+            after[outcome] = after.get(outcome, 0) + 1
+        # sampling first did not pin the later measurement
+        assert chi_square_ok(after, CLIFFORD_PROBS, trials)
+
+    @pytest.mark.parametrize("engine", DENSE)
+    def test_dense_sample_matches_the_marginals(self, engine):
+        shots = 4000
+        counts = build(engine, 5, DENSE_OPS, 3).sample([0, 1, 2], shots)
+        assert chi_square_ok(counts, dense_probs(), shots)
+        # a marginal over a subset, in the listed order
+        counts = build(engine, 6, DENSE_OPS, 3).sample([2, 0], shots)
+        probs = dense_probs()
+        marginal = [
+            sum(p for v, p in enumerate(probs) if ((v >> 2) & 1) == (m & 1) and (v & 1) == (m >> 1))
+            for m in range(4)
+        ]
+        assert chi_square_ok(counts, marginal, shots)
+
+    def test_stabilizer_sample_of_many_qubits(self):
+        session = get_backend("stabilizer").session(2)
+        session.allocate(80)
+        session.apply(Gate("h", 1), [0])
+        for qubit in range(1, 80):
+            session.apply(Gate("cx", 2), [0, qubit])
+        counts = session.sample(list(range(80)), 500)
+        assert set(counts) <= {0, 2**80 - 1} and sum(counts.values()) == 500
+        assert session.measure(list(range(80))) in (0, 2**80 - 1)
+
+    def test_statevector_sample_does_not_touch_the_state(self):
+        session = build("statevector", 0, DENSE_OPS, 3)
+        before = session.state.data.copy()
+        session.sample([0, 1], 100)
+        assert np.array_equal(session.state.data, before)
+
+    def test_density_sample_does_not_touch_the_state(self):
+        session = build("density_matrix", 0, DENSE_OPS, 3)
+        before = session.state.data.copy()
+        session.sample([0, 1], 100)
+        assert np.array_equal(session.state.data, before)
+
+    def test_stabilizer_sample_does_not_touch_the_tableau(self):
+        session = build("stabilizer", 0, CLIFFORD_OPS, 3)
+        before = session.tableau.copy()
+        session.sample([0, 1, 2], 100)
+        for name in ("xs", "zs", "phases"):
+            assert np.array_equal(getattr(session.tableau, name), getattr(before, name))
+
+
+class TestEngineSpecifics:
+    def test_stabilizer_rejects_a_non_clifford_gate_by_name(self):
+        session = get_backend("stabilizer").session(0)
+        session.allocate(2)
+        with pytest.raises(SimulationError, match="instruction 'cp' is not a Clifford"):
+            session.apply(Gate("cp", 2, [0.3]), [0, 1])
+
+    def test_stabilizer_rejects_a_superposition_initialize(self):
+        session = get_backend("stabilizer").session(0)
+        session.allocate(1)
+        with pytest.raises(SimulationError, match="initialize to a superposition"):
+            session.apply(Initialize([1, 1]), [0])
+
+    @pytest.mark.parametrize("engine", DENSE)
+    def test_initialize_a_register_next_to_a_live_one(self, engine):
+        session = get_backend(engine).session(0)
+        session.allocate(1)
+        session.apply(Gate("x", 1), [0])
+        session.allocate(2)
+        session.apply(Initialize(np.array([0, 1, 0, 1]) / math.sqrt(2)), [1, 2])
+        probs = session.state.probabilities([0, 1, 2])
+        assert np.allclose(probs, [0, 0, 0, 0.5, 0, 0, 0, 0.5])
+
+    def test_density_initialize_refuses_qubits_not_in_zero(self):
+        session = get_backend("density_matrix").session(0)
+        session.allocate(2)
+        session.apply(Gate("h", 1), [0])
+        with pytest.raises(SimulationError, match="initialize requires"):
+            session.apply(Initialize([0, 1]), [0])
+
+    def test_density_session_applies_the_channel_exactly(self):
+        backend = get_backend("density_matrix", noise_model=BitFlipNoise(0.25))
+        session = backend.session(0)
+        session.allocate(1)
+        session.apply(Gate("x", 1), [0])
+        assert np.allclose(session.state.probabilities([0]), [0.25, 0.75])
+
+    def test_statevector_session_draws_one_trajectory(self):
+        # a bit flip after every x: one trajectory reads a definite state,
+        # and flips occur at the channel's rate across seeds
+        flips = 0
+        for seed in range(400):
+            session = get_backend("statevector", noise_model=BitFlipNoise(0.25)).session(seed)
+            session.allocate(1)
+            session.apply(Gate("x", 1), [0])
+            probs = session.state.probabilities([0])
+            assert np.allclose(sorted(probs), [0, 1])
+            flips += int(probs[0] > 0.5)
+        assert chi_square_ok({0: flips, 1: 400 - flips}, [0.25, 0.75], 400)
+
+    def test_statevector_evolve_runs_on_its_session(self):
+        qc = QuantumCircuit(2)
+        qc.h(0).cx(0, 1)
+        state = get_backend("statevector")._engine.evolve(qc)
+        assert np.allclose(state.probabilities([0, 1]), [0.5, 0, 0, 0.5])
+
+
+class TestQutesOnEngines:
+    CLIFFORD_PROGRAMS = [
+        "bell_pair", "coin_flip", "cyclic_shift", "deutsch_jozsa_balanced", "deutsch_jozsa_constant",
+    ]
+
+    @pytest.mark.parametrize("name", CLIFFORD_PROGRAMS)
+    def test_clifford_stdlib_program_prints_the_same_distribution_everywhere(self, name):
+        source = get_program(name)
+        trials = 120
+        printed = {}
+        for engine in ENGINES:
+            counts = {}
+            for seed in range(trials):
+                result = run_source(source, seed=seed, backend=engine)
+                counts[result.printed] = counts.get(result.printed, 0) + 1
+            printed[engine] = counts
+        reference = printed["statevector"]
+        outputs = sorted(set().union(*printed.values()))
+        if len(reference) == 1:
+            assert all(counts == reference for counts in printed.values()), printed
+            return
+        # coin_flip: heads or tails with probability 1/2 each, on every engine
+        assert outputs == ["heads", "tails"]
+        for counts in printed.values():
+            assert chi_square_ok({0: counts.get("heads", 0), 1: counts.get("tails", 0)},
+                                 [0.5, 0.5], trials)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_noisy_run_collapses_to_the_exact_channel_probabilities(self, engine):
+        # x on both qubits, a bit flip p=0.2 after each: DM's exact rho gives
+        # the outcome distribution every engine's runs must follow
+        source = "quint[2] a = 3q; print a;"
+        trials = 300
+        counts = {}
+        for seed in range(trials):
+            backend = build_noisy_backend(engine, 0.2, "bit_flip", seed=seed)
+            value = int(run_source(source, seed=seed, backend=backend).printed)
+            counts[value] = counts.get(value, 0) + 1
+        qc = QuantumCircuit(2)
+        qc.x(0).x(1)
+        exact = DensityMatrixSimulator(noise_model=BitFlipNoise(0.2)).evolve(qc)
+        assert chi_square_ok(counts, list(exact.probabilities([0, 1])), trials)
+
+    def test_wide_clifford_program_runs_on_the_tableau(self):
+        source = "quint[200] a = 0q; hadamard a; print a; print a;"
+        result = run_source(source, seed=4, backend="stabilizer")
+        first, second = result.output
+        assert first == second and 0 <= int(first) < 2**200
+        assert result.num_qubits == 200
+        assert result.metadata == {"engine": "stabilizer", "method": "session"}
+
+    def test_result_names_the_engine_and_method(self):
+        assert run_source("print 1;").metadata == {"engine": "statevector", "method": "session"}
+        result = run_source("qubit a = |1>; print a;", backend="density_matrix")
+        assert result.metadata == {"engine": "density_matrix", "method": "session"}
+
+    def test_non_clifford_program_fails_at_its_first_non_clifford_gate(self):
+        with pytest.raises(SimulationError, match="'cp'"):
+            run_source("quint a = 5q; quint b = a + 3; print b;", backend="stabilizer")

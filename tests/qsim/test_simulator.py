@@ -27,25 +27,25 @@ class TestEvolve:
     def test_initial_state_override(self, sim):
         qc = QuantumCircuit(1)
         qc.x(0)
-        state = sim.evolve(qc, initial_state=Statevector.from_label("1"))
+        state = sim.evolve(qc, initial_state=Statevector.from_int(1, 1))
         assert np.isclose(abs(state.data[0]), 1.0)
 
     def test_initial_state_size_mismatch(self, sim):
         qc = QuantumCircuit(2)
         with pytest.raises(SimulationError):
-            sim.evolve(qc, initial_state=Statevector.from_label("1"))
+            sim.evolve(qc, initial_state=Statevector.from_int(1, 1))
 
     def test_initialize_instruction(self, sim):
         qc = QuantumCircuit(3)
         qc.initialize(6, [0, 1, 2])
         state = sim.evolve(qc)
-        assert np.isclose(state.probability_of(6, [0, 1, 2]), 1.0)
+        assert np.isclose(state.probabilities([0, 1, 2])[6], 1.0)
 
     def test_reset_instruction(self, sim):
         qc = QuantumCircuit(1)
         qc.x(0).reset(0)
         state = sim.evolve(qc)
-        assert np.isclose(state.probability_of(0, [0]), 1.0)
+        assert np.isclose(state.probabilities([0])[0], 1.0)
 
     def test_barrier_is_noop(self, sim):
         qc = QuantumCircuit(2)

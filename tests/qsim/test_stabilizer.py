@@ -100,7 +100,7 @@ class TestTableauStates:
         tableau = StabilizerSimulator(seed=11).evolve(circuit, collapse_measurements=True)
         # bob is qubit 2; his inverse-prep (h then x) has been applied, so
         # bob must sit exactly in |0>, i.e. +Z on qubit 2 is a stabilizer
-        assert tableau.is_deterministic(2)
+        assert tableau._pivot(2) is None
         assert tableau.measure(2, rng=np.random.default_rng(0)) == 0
 
     def test_swap_moves_columns(self):
@@ -119,23 +119,23 @@ class TestTableauStates:
 class TestMeasurement:
     def test_zero_state_deterministic(self):
         tab = StabilizerTableau(1)
-        assert tab.is_deterministic(0)
+        assert tab._pivot(0) is None
         assert tab.measure(0, rng=np.random.default_rng(1)) == 0
 
     def test_flipped_state_deterministic_one(self):
         tab = StabilizerTableau(1)
         tab.x(0)
-        assert tab.is_deterministic(0)
+        assert tab._pivot(0) is None
         assert tab.measure(0, rng=np.random.default_rng(1)) == 1
 
     def test_plus_state_random_then_repeatable(self):
         rng = np.random.default_rng(5)
         tab = StabilizerTableau(1)
         tab.h(0)
-        assert not tab.is_deterministic(0)
+        assert tab._pivot(0) is not None
         first = tab.measure(0, rng=rng)
         # collapsed: every further measurement is deterministic and equal
-        assert tab.is_deterministic(0)
+        assert tab._pivot(0) is None
         assert tab.measure(0, rng=rng) == first
 
     def test_plus_state_outcomes_are_unbiased(self):
@@ -153,7 +153,7 @@ class TestMeasurement:
             tab.cx(0, 1)
             rng = np.random.default_rng(seed)
             first = tab.measure(0, rng=rng)
-            assert tab.is_deterministic(1)
+            assert tab._pivot(1) is None
             assert tab.measure(1, rng=rng) == first
 
     def test_reset_returns_to_zero(self):

@@ -82,11 +82,11 @@ class TestDecompose:
             expected = value ^ (1 << controls) if all(
                 (value >> c) & 1 for c in range(controls)
             ) else value
-            assert np.isclose(state.probability_of(expected, list(range(controls + 1))), 1.0)
+            assert np.isclose(state.probabilities(list(range(controls + 1)))[expected], 1.0)
             # ancillas restored to zero
             anc = list(range(controls + 1, lowered.num_qubits))
             if anc:
-                assert np.isclose(state.probability_of(0, anc), 1.0)
+                assert np.isclose(state.probabilities(anc)[0], 1.0)
 
     def test_basis_gates_pass_through(self):
         qc = QuantumCircuit(2, 1)

@@ -232,13 +232,27 @@ class TestNoiseOptions:
         args = build_arg_parser().parse_args(["prog.qut", "--noise", "0.1"])
         assert args.noise_model == "depolarizing"
 
-    @pytest.mark.parametrize("backend", [None, "statevector", "stabilizer", "density_matrix"])
+    @pytest.mark.parametrize("backend", [None, "statevector", "density_matrix"])
     def test_program_runs_with_noise(self, program_file, capsys, backend):
         argv = [program_file, "--seed", "1", "--noise", "0.01"]
         if backend is not None:
             argv += ["--backend", backend]
         assert main(argv) == 0
         assert capsys.readouterr().out
+
+    def test_non_clifford_program_fails_on_stabilizer(self, program_file, capsys):
+        # the adder logs controlled phases: the tableau refuses the first one
+        argv = [program_file, "--seed", "1", "--noise", "0.01", "--backend", "stabilizer"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "instruction 'cp' is not a Clifford operation" in err
+
+    def test_clifford_program_runs_with_noise_on_stabilizer(self, tmp_path, capsys):
+        path = tmp_path / "bell.qut"
+        path.write_text("qubit a = |+>; qubit b = |0>; cx(a, b); print a == b;")
+        argv = [str(path), "--seed", "1", "--noise", "0.01", "--backend", "stabilizer"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.strip() in ("true", "false")
 
     def test_invalid_probability_fails_cleanly(self, program_file, capsys):
         assert main([program_file, "--noise", "1.5"]) == 1
