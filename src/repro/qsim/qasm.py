@@ -266,6 +266,15 @@ _PLAIN_STATEMENT_RE = re.compile(
     re.VERBOSE,
 )
 _ARG_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)(?:[ \t]*\[[ \t]*([0-9]+)[ \t]*\])?")
+def _digits(text: str) -> Optional[int]:
+    """A run of decimal digits as an int, or None past Python's limit on
+    int-string conversion (4300 digits by default)."""
+    try:
+        return int(text)
+    except ValueError:
+        return None
+
+
 #: a parameter that is one numeric literal, read with ``float()``
 _LITERAL_RE = re.compile(
     r"[ \t]*[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?[ \t]*"
@@ -530,7 +539,14 @@ class _QasmParser:
             elif kind == "real":
                 append(_Token("real", float(match.group()), self._line, column))
             elif kind == "int":
-                append(_Token("int", int(match.group()), self._line, column))
+                value = _digits(match.group())
+                if value is None:
+                    raise QasmError(
+                        f"integer literal of {match.end() - pos} digits is too long",
+                        self._line,
+                        column,
+                    )
+                append(_Token("int", value, self._line, column))
             elif kind == "id":
                 append(_Token("id", match.group(), self._line, column))
             elif kind == "string":
@@ -631,8 +647,8 @@ class _QasmParser:
         condition = None
         if creg is not None:
             register = self._cregs.get(creg)
-            value = int(match["value"])
-            if register is None or value.bit_length() > register.size:
+            value = _digits(match["value"])
+            if register is None or value is None or value.bit_length() > register.size:
                 return False
             condition = (register, value)
         if measure is not None:
@@ -673,10 +689,11 @@ class _QasmParser:
             register = registers.get(name)
             if register is None:
                 return None
+            position = _digits(index) if index else None
             if not index:
                 arguments.append(list(register))
-            elif int(index) < register.size:
-                arguments.append([register[int(index)]])
+            elif position is not None and position < register.size:
+                arguments.append([register[position]])
             else:
                 return None
         self._resolved[key] = arguments
@@ -1272,7 +1289,10 @@ class _QasmParser:
         token = self._peek()
         if token.type in ("real", "int"):
             self._advance()
-            return ("num", float(token.value))
+            try:
+                return ("num", float(token.value))
+            except OverflowError:  # an int literal past the float range
+                raise self._error("integer literal too large for a parameter", token) from None
         if token.type == "(":
             self._advance()
             node = self._parse_expression(params)

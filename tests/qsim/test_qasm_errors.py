@@ -406,6 +406,28 @@ class TestExpressionErrors:
         assert "non-finite gate parameter" in str(err)
         assert err.line == 4
 
+    @pytest.mark.parametrize(
+        "body, message, line, column",
+        [
+            # an int literal past the float range, as a gate parameter
+            pytest.param("qreg q[1];\nrz(" + "1" * 400 + ") q[0];",
+                         "too large for a parameter", 4, 4, id="param"),
+            pytest.param("qreg q[1];\nrz(2 * " + "1" * 400 + ") q[0];",
+                         "too large for a parameter", 4, 8, id="param-in-expression"),
+            # past Python's int-string limit, anywhere an int literal goes
+            pytest.param("qreg q[" + "1" * 5000 + "];",
+                         "of 5000 digits is too long", 3, 8, id="register-size"),
+            pytest.param("qreg q[2];\nh q[" + "1" * 5000 + "];",
+                         "of 5000 digits is too long", 4, 5, id="index"),
+            pytest.param("qreg q[1];\nrz(" + "1" * 5000 + ") q[0];",
+                         "of 5000 digits is too long", 4, 4, id="param-digits"),
+        ],
+    )
+    def test_oversized_integer_literals_are_positioned(self, body, message, line, column):
+        err = error_for(HEADER + body)
+        assert message in str(err)
+        assert (err.line, err.column) == (line, column)
+
     def test_non_finite_parameter_from_macro_body(self):
         err = error_for(
             HEADER + "qreg q[1];\ngate g(t) a { rx(t * 1e308) a; }\ng(10) q[0];"

@@ -197,6 +197,8 @@ def test_generated_plain_statements_parse_identically(source):
         "qreg q[2];\nh q[2];\n",                       # index out of range
         "qreg q[2];\nh r[0];\n",                       # unknown register
         "qreg q[2];\nrz(1e400) q[0];\n",               # non-finite literal
+        pytest.param("qreg q[2];\nrz(" + "1" * 400 + ") q[0];\n", id="int-past-float-range"),
+        pytest.param("qreg q[2];\nh q[" + "1" * 5000 + "];\n", id="index-past-int-limit"),
         "qreg q[2];\nrz(pi*1e308*10) q[0];\n",         # non-finite expression
         "qreg q[2];\ncx q[0], q[0];\n",                # duplicate qubits
         "qreg q[2];\ncx q[0];\n",                      # arity
