@@ -144,8 +144,8 @@ def run_entanglement_propagation(
 
     Runs :func:`entanglement_swapping_chain` -- mid-circuit Bell
     measurements and classically conditioned corrections -- through a
-    statevector backend seeded with *seed*, twice per shot count: once
-    reading the end pair in the computational basis, once in the Bell
+    statevector backend seeded with *seed*, in two readouts of *shots*
+    shots each: the end pair in the computational basis and in the Bell
     basis.  ``correlation`` is the fraction of shots whose first and last
     qubits agree (1.0 for a perfect Phi+ pair) and ``fidelity_with_bell``
     the fraction whose end pair reads Phi+ in the Bell basis, an unbiased
