@@ -15,7 +15,7 @@ from repro.arithmetic.adder import draper_adder_circuit, ripple_carry_adder_circ
 from repro.qsim.circuit import QuantumCircuit
 from repro.qsim.simulator import StatevectorSimulator
 from repro.qsim.statevector import Statevector
-from repro.qsim.transpiler import basis_gate_count, circuit_depth, two_qubit_gate_count
+from repro.qsim.transpiler import basis_gate_count, decompose, two_qubit_gate_count
 
 WIDTHS = [2, 3, 4, 5, 6]
 SIM = StatevectorSimulator(seed=0)
@@ -47,10 +47,10 @@ def test_ablation_adder_series(report, benchmark):
                 width,
                 ripple.size(),
                 basis_gate_count(ripple),
-                circuit_depth(ripple, decompose_first=True),
+                decompose(ripple).depth(),
                 draper.size(),
                 basis_gate_count(draper),
-                circuit_depth(draper, decompose_first=True),
+                decompose(draper).depth(),
             ]
         )
     report(

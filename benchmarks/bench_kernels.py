@@ -81,7 +81,13 @@ from repro.qsim.noise import depolarizing_kraus
 from repro.qsim.fusion import fuse_gates, fusion_summary
 from repro.qsim.instruction import Barrier, Gate, Measure
 from repro.qsim.shotbatch import run_batched
-from repro.qsim.simulator import StatevectorSimulator, condition_met, format_bits, sample_final
+from repro.qsim.simulator import (
+    StatevectorSimulator,
+    compile_condition,
+    condition_met,
+    sample_rows,
+    tally,
+)
 
 from benchutil import add_out_argument, total_variation, tvd_floor, write_results
 
@@ -155,22 +161,20 @@ def reference_per_shot_loop(circuit, noise, shots: int, seed: int) -> Dict[str, 
     touched qubit from the model's ``pauli_terms()``), collapse through
     ``measure``."""
     engine = StatevectorSimulator(seed=seed, noise_model=noise)
-    counts: Dict[str, int] = {}
-    for _ in range(shots):
+    conditions = [compile_condition(circuit, instr.condition) for instr in circuit.data]
+    values = np.zeros((shots, circuit.num_clbits), dtype=np.uint8)
+    for bits in values:
         session = engine.session()
         session.allocate(circuit.num_qubits)
-        bits: Dict[int, int] = {}
-        for instr in circuit.data:
-            if not condition_met(circuit, instr.condition, bits):
+        for instr, condition in zip(circuit.data, conditions):
+            if not condition_met(condition, bits):
                 continue
             targets = [circuit.qubit_index(q) for q in instr.qubits]
             if isinstance(instr.operation, Measure):
                 bits[circuit.clbit_index(instr.clbits[0])] = session.measure(targets)
             else:
                 session.apply(instr.operation, targets)
-        key = format_bits(bits, circuit.num_clbits)
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+    return tally(circuit, values, False, {}).counts
 
 
 def noisy_random_circuit(num_qubits: int, num_gates: int, seed: int) -> QuantumCircuit:
@@ -329,8 +333,9 @@ def reference_full_rho(circuit, noise_p: float, shots: int, seed: int) -> Dict[s
         for qubit in targets:
             state.apply_kraus(kraus, [qubit])
     probs = state.probabilities([qubit for qubit, _ in final])
-    rng = np.random.default_rng(seed)
-    return dict(sample_final(probs, shots, final, {}, circuit.num_clbits, rng))
+    bits = np.zeros(circuit.num_clbits, dtype=np.uint8)
+    values = sample_rows(probs, shots, final, bits, np.random.default_rng(seed))
+    return tally(circuit, values, False, {}).counts
 
 
 def classical_prefix_axis(shots: int, noise_p: float, seed: int, repeats: int,

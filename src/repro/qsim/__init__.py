@@ -43,7 +43,7 @@ from .statevector import Statevector
 from .result import ExperimentResult
 from .simulator import StatevectorSimulator
 from .stabilizer import StabilizerSimulator, StabilizerTableau
-from .transpiler import count_ops, decompose, circuit_depth, is_clifford, transpile
+from .transpiler import decompose, is_clifford, transpile
 from .optimizer import optimize, optimization_summary
 from .fusion import fuse_gates, fusion_summary
 from .qasm import from_qasm, from_qasm_file, to_qasm
@@ -62,7 +62,6 @@ from .backends import (
     Backend,
     DensityMatrixBackend,
     Job,
-    JobStatus,
     StatevectorBackend,
     get_backend,
     list_backends,
@@ -92,9 +91,7 @@ __all__ = [
     "StatevectorSimulator",
     "StabilizerSimulator",
     "StabilizerTableau",
-    "count_ops",
     "decompose",
-    "circuit_depth",
     "is_clifford",
     "transpile",
     "optimize",
@@ -116,7 +113,6 @@ __all__ = [
     "amplitude_damping_kraus",
     "Backend",
     "Job",
-    "JobStatus",
     "ExperimentResult",
     "StatevectorBackend",
     "DensityMatrixBackend",

@@ -4,8 +4,8 @@
 :class:`ResourceEstimate`: width, depth, gate histogram, two-qubit-gate
 count, measurement structure, Clifford facts, and the estimated peak bytes
 each engine would need for the state alone.  The transpiler's metric
-helpers (``count_ops``, ``circuit_depth``, ``two_qubit_gate_count``,
-``is_clifford``) delegate here, and the backend-compatibility pass uses the
+helpers (``basis_gate_count``, ``two_qubit_gate_count``, ``is_clifford``)
+delegate here, and the backend-compatibility pass uses the
 memory/Clifford facts to reject impossible jobs before any amplitude is
 allocated.
 """

@@ -13,8 +13,8 @@ One stable contract over every simulation engine::
 * :mod:`~repro.qsim.backends.backend` -- the :class:`Backend` ABC with
   argument validation, batching, seed resolution and the one experiment
   runner,
-* :mod:`~repro.qsim.backends.job` -- :class:`Job` (``result() / status() /
-  cancel()``) and :class:`JobStatus`,
+* :mod:`~repro.qsim.backends.job` -- :class:`Job`, a finished batch whose
+  ``result()`` returns the :class:`Result` or raises the batch's error,
 * :class:`Result` + :class:`ExperimentResult` (bitstring counts,
   probabilities, optional state, timing metadata), re-exported from
   :mod:`repro.qsim.result`,
@@ -29,7 +29,7 @@ a third-party engine.
 """
 
 from .backend import Backend
-from .job import Job, JobStatus
+from .job import Job
 from ..result import ExperimentResult, Result
 from .engines import (
     NOISE_CHANNELS,
@@ -44,7 +44,6 @@ from .registry import get_backend, list_backends, register_backend
 __all__ = [
     "Backend",
     "Job",
-    "JobStatus",
     "ExperimentResult",
     "Result",
     "StatevectorBackend",

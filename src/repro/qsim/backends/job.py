@@ -3,14 +3,12 @@
 :meth:`Backend.run` executes its batch in the calling thread, so a
 :class:`Job` is finished the moment it exists: it holds either every
 experiment's result or the error that stopped the batch.  Callers consume it
-through ``result()``, ``status()``, ``cancel()`` and ``done()``; the
-execution service (:mod:`repro.qsim.service`) is the asynchronous,
-multi-process path.
+through ``result()``; the execution service (:mod:`repro.qsim.service`) is
+the asynchronous, multi-process path.
 """
 
 from __future__ import annotations
 
-import enum
 import itertools
 import time
 from typing import List, Optional, TYPE_CHECKING
@@ -21,16 +19,9 @@ from ..result import ExperimentResult, Result
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .backend import Backend
 
-__all__ = ["Job", "JobStatus"]
+__all__ = ["Job"]
 
 _JOB_COUNTER = itertools.count()
-
-
-class JobStatus(enum.Enum):
-    """Lifecycle states of a :class:`Job`."""
-
-    DONE = "DONE"
-    ERROR = "ERROR"
 
 
 class Job:
@@ -58,29 +49,16 @@ class Job:
             time_taken=time.perf_counter() - submitted_at,
         )
 
-    def result(self, timeout: Optional[float] = None) -> Result:
+    def result(self) -> Result:
         """The unified :class:`Result` of the batch.
 
         Raises :class:`BackendError` naming the job when an experiment
-        failed.  *timeout* is kept for existing callers; the batch has
-        already run, so it never expires.
+        failed.
         """
         if self._error is not None:
             raise BackendError(f"job {self.job_id} failed: {self._error}") from self._error
         return self._result
 
-    def status(self) -> JobStatus:
-        """``ERROR`` when an experiment failed, else ``DONE``."""
-        return JobStatus.ERROR if self._error is not None else JobStatus.DONE
-
-    def cancel(self) -> bool:
-        """Always ``False``: the batch already ran, so there is nothing to
-        cancel, and ``result()`` stays available."""
-        return False
-
-    def done(self) -> bool:
-        """Always ``True``: every experiment has finished (or one failed)."""
-        return True
-
     def __repr__(self) -> str:
-        return f"Job(id={self.job_id!r}, status={self.status().value})"
+        state = "ERROR" if self._error is not None else "DONE"
+        return f"Job(id={self.job_id!r}, status={state})"

@@ -35,7 +35,14 @@ from .exceptions import SimulationError
 from .instruction import Barrier, Initialize, Measure, Reset
 from .noise import NoiseModel, check_unfused
 from .result import ExperimentResult
-from .simulator import condition_met, format_bits, sample_final, sample_values
+from .simulator import (
+    check_allocation,
+    compile_condition,
+    condition_met,
+    sample_rows,
+    sample_values,
+    tally,
+)
 from .statevector import Statevector
 
 __all__ = ["DensityMatrix", "DensityMatrixSimulator", "DensityMatrixSession"]
@@ -336,8 +343,7 @@ class DensityMatrixSimulator:
             (circuit.qubit_index(i.qubits[0]), circuit.clbit_index(i.clbits[0]))
             for i in (circuit.data[p] for p in sorted(deferred))
         ]
-        counts: Dict[str, int] = {}
-        shot_values: List[str] = []
+        leaves: List[np.ndarray] = []  # each leaf's shots as clbit rows
         branches = 0
         prefix, sources = self._lower(circuit)
         start = _zero_state(circuit.num_qubits, prefix)
@@ -345,29 +351,20 @@ class DensityMatrixSimulator:
             branches += 1
             if final:
                 probs = state.probabilities([qubit for qubit, _ in final])
-                leaf = sample_final(probs, count, final, bits, circuit.num_clbits, rng)
+                leaves.append(sample_rows(probs, count, final, bits, rng))
             else:
-                leaf = [(format_bits(bits, circuit.num_clbits), count)] if bits else []
-            for key, hits in leaf:
-                counts[key] = counts.get(key, 0) + hits
-                if memory:
-                    shot_values.extend([key] * hits)
-        if memory:
-            rng.shuffle(shot_values)
+                leaves.append(np.repeat(np.array([bits], dtype=np.uint8), count, axis=0))
+        values = np.concatenate(leaves)
+        if memory and circuit.has_measurements():
+            rng.shuffle(values)
         metadata: Dict[str, object] = {"method": "sampled"}
         if len(final) < sum(isinstance(i.operation, Measure) for i in circuit.data):
             metadata = {"method": "branched", "branches": branches}
         metadata["classical_prefix"] = prefix
-        if branches == 1 and isinstance(state, _Populations):
-            state = state.density()
-        return ExperimentResult(
-            name=circuit.name,
-            counts=counts,
-            shots=shots,
-            density_matrix=state if branches == 1 else None,
-            memory=shot_values if memory else None,
-            metadata=metadata,
-        )
+        result = tally(circuit, values, memory, metadata)
+        if branches == 1:
+            result.density_matrix = state.density() if isinstance(state, _Populations) else state
+        return result
 
     # -- internals ---------------------------------------------------------------
 
@@ -401,19 +398,21 @@ class DensityMatrixSimulator:
         """Yield ``(clbit values, shot count, rho)`` per leaf, depth first: a
         measurement not in *deferred* splits a branch's shots by a binomial
         draw into projected children; a condition applies where it holds.
+        Each branch owns its clbit values, a list over every clbit.
 
         A branch on :class:`_Populations` runs the first *prefix*
         instructions with the population *sources* of :meth:`_lower`, and
         expands to a :class:`DensityMatrix` after them (a leaf of a monomial
         circuit stays populations)."""
-        stack = [(0, {}, shots, state)]
+        conditions = [compile_condition(circuit, instr.condition) for instr in circuit.data]
+        stack = [(0, [0] * circuit.num_clbits, shots, state)]
         while stack:
             start, bits, count, state = stack.pop()
             for position in range(start, len(circuit.data)):
                 if position == prefix and isinstance(state, _Populations):
                     state = state.density()
                 instr = circuit.data[position]
-                if position in deferred or not condition_met(circuit, instr.condition, bits):
+                if position in deferred or not condition_met(conditions[position], bits):
                     continue
                 if not isinstance(instr.operation, Measure):
                     if isinstance(state, _Populations):
@@ -427,12 +426,13 @@ class DensityMatrixSimulator:
                 ones = int(rng.binomial(count, min(1.0, state.probabilities([qubit])[1])))
                 outcome = int(ones == count)
                 if 0 < ones < count:
-                    child = state.copy()
+                    child, child_bits = state.copy(), bits.copy()
                     child.project([qubit], 1)
-                    stack.append((position + 1, {**bits, clbit: 1}, ones, child))
+                    child_bits[clbit] = 1
+                    stack.append((position + 1, child_bits, ones, child))
                     count -= ones
                 state.project([qubit], outcome)
-                bits = {**bits, clbit: outcome}
+                bits[clbit] = outcome
             yield bits, count, state
 
     def _apply_populations(
@@ -464,12 +464,6 @@ class DensityMatrixSimulator:
             state.reset_qubit(targets[0])
             return state
         if isinstance(op, Initialize):
-            # the engine's contract: a circuit initializes its whole register
-            # (what the front-ends emit for pure preparation)
-            if len(targets) != state.num_qubits:
-                raise SimulationError(
-                    "DensityMatrixSimulator supports initialize only over all qubits"
-                )
             state.initialize_qubits(op.statevector, targets)
             return state
         if not op.is_unitary:
@@ -486,12 +480,11 @@ class DensityMatrixSession:
     engine's noise model, applied exactly: the Qutes runtime's register on
     the density-matrix engine.
 
-    ``allocate(k)`` appends *k* qubits in ``|0>``; ``apply`` runs one
-    instruction as :meth:`DensityMatrixSimulator.run` does, except that
-    ``initialize`` may target any qubits in ``|0...0>``, not only the whole
-    register; ``measure``
-    draws each qubit's outcome from its exact marginal and projects;
-    ``sample`` draws counts from the exact marginals without projecting.
+    ``allocate(k)`` appends *k* qubits in ``|0>`` (refusing a ``rho`` over
+    the memory budget); ``apply`` runs one instruction as
+    :meth:`DensityMatrixSimulator.run` does; ``measure`` draws each qubit's
+    outcome from its exact marginal and projects; ``sample`` draws counts
+    from the exact marginals without projecting.
     """
 
     def __init__(self, engine: DensityMatrixSimulator):
@@ -501,15 +494,14 @@ class DensityMatrixSession:
 
     def allocate(self, num_qubits: int) -> None:
         old = self.state.data
-        data = np.zeros((old.shape[0] << num_qubits,) * 2, dtype=complex)
+        size = old.shape[0] << num_qubits
+        check_allocation("density matrix", self.state.num_qubits + num_qubits, size * size)
+        data = np.zeros((size, size), dtype=complex)
         data[: old.shape[0], : old.shape[0]] = old
         self.state = DensityMatrix(data, validate=False)
 
     def apply(self, instruction, qubits: Sequence[int]) -> None:
-        if isinstance(instruction, Initialize):
-            self.state.initialize_qubits(instruction.statevector, list(qubits))
-        else:
-            self.state = self._engine._apply(self.state, instruction, list(qubits))
+        self.state = self._engine._apply(self.state, instruction, list(qubits))
 
     def measure(self, qubits: Sequence[int]) -> int:
         outcome = 0

@@ -1,7 +1,8 @@
 """Result types: one :class:`ExperimentResult` per circuit, and the batch
 :class:`Result` a :class:`~repro.qsim.backends.job.Job` returns.
 
-Every engine's ``run`` builds an :class:`ExperimentResult` directly, and the
+Every built-in engine's ``run`` builds its :class:`ExperimentResult` from a
+per-shot outcome matrix through :func:`repro.qsim.simulator.tally`, and the
 backend only fills in ``seed`` and ``time_taken``.  Counts are always keyed by
 **MSB-first classical-register bitstrings** (the last classical bit is the
 leftmost character), so the same post-processing works no matter which engine

@@ -21,13 +21,11 @@ transitions; the worker adds the *liveness* half:
 
 :class:`WorkerFleet` spawns N such loops as separate OS processes (real
 parallelism, real crash isolation -- the test harness SIGKILLs them).
-``python -m repro.qsim.service.worker --db ...`` runs a fleet from the
-shell; the ``qutes worker`` CLI verb wraps the same entry point.
+The ``qutes worker`` CLI verb runs a worker or a fleet from the shell.
 """
 
 from __future__ import annotations
 
-import argparse
 import logging
 import multiprocessing
 import os
@@ -224,7 +222,6 @@ def worker_loop(
     retry_delay: float = DEFAULT_RETRY_DELAY,
     burst: bool = False,
     max_jobs: Optional[int] = None,
-    cache_memory_entries: int = 256,
 ) -> int:
     """Drain jobs from *db_path* until stopped; returns jobs processed.
 
@@ -235,7 +232,7 @@ def worker_loop(
     """
     worker_id = worker_id or _new_worker_id()
     store = JobStore(db_path)
-    cache = CircuitCache(store, max_memory_entries=cache_memory_entries)
+    cache = CircuitCache(store)
     processed = 0
     logger.info("event=worker-start worker=%s db=%s burst=%s", worker_id, db_path, burst)
     try:
@@ -332,58 +329,3 @@ class WorkerFleet:
 
     def __exit__(self, *exc_info: Any) -> None:
         self.terminate()
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """``python -m repro.qsim.service.worker``: run a fleet from the shell."""
-    parser = argparse.ArgumentParser(
-        prog="repro.qsim.service.worker",
-        description="Run execution-service workers against a job database.",
-    )
-    parser.add_argument("--db", required=True, help="path to the service database")
-    parser.add_argument("--workers", type=int, default=1, help="worker processes")
-    parser.add_argument(
-        "--burst", action="store_true", help="exit when the queue is empty"
-    )
-    parser.add_argument("--max-jobs", type=int, default=None, help="jobs per worker cap")
-    parser.add_argument(
-        "--lease", type=float, default=DEFAULT_LEASE_TIMEOUT, help="lease timeout (s)"
-    )
-    parser.add_argument(
-        "--poll", type=float, default=DEFAULT_POLL_INTERVAL, help="idle poll interval (s)"
-    )
-    parser.add_argument(
-        "--retry-delay",
-        type=float,
-        default=DEFAULT_RETRY_DELAY,
-        help="base of the exponential retry backoff (s)",
-    )
-    parser.add_argument(
-        "-v", "--verbose", action="count", default=0, help="log per-claim detail (DEBUG)"
-    )
-    parser.add_argument(
-        "-q", "--quiet", action="count", default=0, help="log only problems (WARNING)"
-    )
-    args = parser.parse_args(argv)
-    configure_logging(args.verbose - args.quiet)
-    kwargs = dict(
-        lease_timeout=args.lease,
-        poll_interval=args.poll,
-        retry_delay=args.retry_delay,
-        burst=args.burst,
-        max_jobs=args.max_jobs,
-    )
-    if args.workers == 1:
-        worker_loop(args.db, **kwargs)
-        return 0
-    fleet = WorkerFleet(args.db, workers=args.workers, **kwargs)
-    fleet.start()
-    try:
-        fleet.join()
-    except KeyboardInterrupt:  # pragma: no cover - interactive only
-        fleet.terminate()
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

@@ -81,7 +81,7 @@ from .exceptions import SimulationError
 from .instruction import Barrier, Initialize, Measure, Reset
 from .noise import NoiseModel, PauliTerms, check_unfused, require_pauli
 from .result import ExperimentResult
-from .simulator import sample_values, tally
+from .simulator import check_allocation, compile_condition, sample_values, tally
 from .statevector import Statevector
 
 __all__ = ["run_batched", "StatevectorSession", "MAX_BATCH_AMPLITUDES"]
@@ -191,10 +191,9 @@ def _build_plan(
                     hits = [(p, errors[(picked >= lo) & (picked < hi)]) for p, lo, hi in intervals]
                     steps.append(("noise", qubit, [(p, r) for p, r in hits if r.size]))
         if instr.condition is not None:
-            creg, value = instr.condition
-            clbits = np.array([circuit.clbit_index(c) for c in creg], dtype=np.intp)
+            clbits, value = compile_condition(circuit, instr.condition)
             pattern = np.array([(value >> bit) & 1 for bit in range(len(clbits))], dtype=np.uint8)
-            steps = [("cond", clbits, pattern, steps)]
+            steps = [("cond", np.array(clbits, dtype=np.intp), pattern, steps)]
         plan.extend(steps)
         origins.extend([position] * len(steps))
     return plan, origins
@@ -406,7 +405,8 @@ class StatevectorSession:
     <repro.qsim.simulator.StatevectorSimulator.evolve>`) builds up one
     instruction at a time.
 
-    ``allocate(k)`` appends *k* qubits in ``|0>`` (the highest indices);
+    ``allocate(k)`` appends *k* qubits in ``|0>`` (the highest indices),
+    refusing a state over the memory budget;
     ``apply`` runs one instruction and, under a Pauli *noise_model*, draws
     one error per touched qubit from the same intervals as the batched plan;
     ``measure`` collapses through :func:`_measure_batched` and returns the
@@ -438,7 +438,9 @@ class StatevectorSession:
 
     def allocate(self, num_qubits: int) -> None:
         old = self._rows.states
-        self._rows.states = np.zeros((1, old.shape[1] << num_qubits), dtype=complex)
+        size = old.shape[1] << num_qubits
+        check_allocation("statevector", self.num_qubits + num_qubits, size)
+        self._rows.states = np.zeros((1, size), dtype=complex)
         self._rows.states[:, : old.shape[1]] = old
         self.num_qubits += num_qubits
 

@@ -41,11 +41,12 @@ __all__ = [
     "SIMULATOR_MAX_FUSED_QUBITS",
     "prepare",
     "measurements_are_final",
+    "compile_condition",
     "condition_met",
     "check_evolvable",
-    "format_bits",
-    "sample_final",
+    "check_allocation",
     "sample_values",
+    "sample_rows",
     "tally",
 ]
 
@@ -103,23 +104,30 @@ def measurements_are_final(circuit: QuantumCircuit) -> bool:
     return True
 
 
-def condition_met(
-    circuit: QuantumCircuit,
-    condition: Optional[tuple],
-    bits: Dict[int, int],
-) -> bool:
-    """Evaluate an instruction ``condition`` against the per-shot *bits* dict.
+def compile_condition(
+    circuit: QuantumCircuit, condition: Optional[tuple]
+) -> Optional[Tuple[Tuple[int, ...], int]]:
+    """An instruction ``condition`` as ``(clbit indices, value)``, or ``None``."""
+    if condition is None:
+        return None
+    creg, value = condition
+    return tuple(circuit.clbit_index(clbit) for clbit in creg), value
 
-    The register value is assembled little-endian from *bits* (clbit global
-    index -> 0/1); bits never written read as 0, matching hardware where the
+
+def condition_met(condition: Optional[Tuple[Tuple[int, ...], int]], bits: Sequence[int]) -> bool:
+    """Evaluate a :func:`compile_condition` result against one shot's clbit
+    values *bits* (a list or a uint8 row).
+
+    The register value is assembled little-endian over the condition's
+    clbits; a clbit never written reads 0, matching hardware where the
     classical register starts zeroed.  A ``None`` condition is trivially met.
     """
     if condition is None:
         return True
-    creg, value = condition
+    clbits, value = condition
     register_value = 0
-    for position, clbit in enumerate(creg):
-        register_value |= bits.get(circuit.clbit_index(clbit), 0) << position
+    for position, clbit in enumerate(clbits):
+        register_value |= int(bits[clbit]) << position
     return register_value == value
 
 
@@ -140,12 +148,18 @@ def check_evolvable(
         )
 
 
-def format_bits(bits: Dict[int, int], num_clbits: int) -> str:
-    """Render clbit values as the MSB-first bitstring used by every result type."""
-    chars = ["0"] * num_clbits
-    for position, value in bits.items():
-        chars[num_clbits - 1 - position] = "1" if value else "0"
-    return "".join(chars)
+def check_allocation(engine: str, num_qubits: int, entries: int) -> None:
+    """Refuse a state of *entries* complex amplitudes that would exceed
+    :data:`~repro.qsim.analysis.DEFAULT_MEMORY_BUDGET_BYTES`, before any
+    memory is requested."""
+    from .analysis import DEFAULT_MEMORY_BUDGET_BYTES  # loaded on demand
+
+    needed = 16 * entries
+    if needed > DEFAULT_MEMORY_BUDGET_BYTES:
+        raise SimulationError(
+            f"a {num_qubits}-qubit {engine} needs {needed} bytes, over the memory "
+            f"budget of {DEFAULT_MEMORY_BUDGET_BYTES} bytes"
+        )
 
 
 def tally(
@@ -157,7 +171,8 @@ def tally(
 
     Each row's MSB-first ``'0'``/``'1'`` bytes are viewed as one
     fixed-width string, so ``np.unique`` sorts the keys in ascending
-    register value.  The engines' one tally routine.
+    register value.  The one place every engine builds its counts and
+    memory.
     """
     if not circuit.has_measurements():
         return ExperimentResult(
@@ -188,24 +203,25 @@ def sample_values(probs: np.ndarray, shots: int, rng: np.random.Generator) -> Di
     return {value: int(hits[value]) for value in np.flatnonzero(hits).tolist()}
 
 
-def sample_final(
+def sample_rows(
     probs: np.ndarray,
     shots: int,
     final: Sequence[Tuple[int, int]],
-    bits: Dict[int, int],
-    num_clbits: int,
+    bits: Sequence[int],
     rng: np.random.Generator,
-) -> List[Tuple[str, int]]:
-    """``(bitstring, hits)`` per outcome of :func:`sample_values` over the
-    joint *probs* of the *final* ``(qubit, clbit)`` measurements; other
-    clbits read as in *bits*."""
-    pairs = []
-    for value, hits in sample_values(probs, shots, rng).items():
-        values = dict(bits)
-        for position, (_, clbit) in enumerate(final):
-            values[clbit] = (value >> position) & 1
-        pairs.append((format_bits(values, num_clbits), hits))
-    return pairs
+) -> np.ndarray:
+    """One :func:`sample_values` draw over the joint *probs* of the *final*
+    ``(qubit, clbit)`` measurements as a ``(shots, clbits)`` uint8 matrix
+    for :func:`tally`: each drawn value's row repeated by its hits, in
+    ascending value; other clbits as in *bits*, and a clbit measured twice
+    reads its later measurement."""
+    draws = sample_values(probs, shots, rng)
+    outcomes = np.fromiter(draws, dtype=np.int64, count=len(draws))
+    rows = np.empty((len(draws), len(bits)), dtype=np.uint8)
+    rows[:] = bits
+    for position, (_, clbit) in enumerate(final):
+        rows[:, clbit] = (outcomes >> position) & 1
+    return np.repeat(rows, list(draws.values()), axis=0)
 
 
 class StatevectorSimulator:
@@ -294,22 +310,12 @@ class StatevectorSimulator:
             session.apply(op, [circuit.qubit_index(q) for q in instr.qubits])
         state = session.state
 
-        counts: Dict[str, int] = {}
-        shot_values: List[str] = []
+        values = np.zeros((shots, circuit.num_clbits), dtype=np.uint8)
         if measure_map:
             probs = state.probabilities([q for q, _ in measure_map])
-            pairs = sample_final(probs, shots, measure_map, {}, circuit.num_clbits, self._rng)
-            for key, hits in pairs:
-                counts[key] = counts.get(key, 0) + hits
-                if memory:
-                    shot_values.extend([key] * hits)
+            values = sample_rows(probs, shots, measure_map, values[0], self._rng)
             if memory:
-                self._rng.shuffle(shot_values)
-        return ExperimentResult(
-            name=name,
-            counts=counts,
-            shots=shots,
-            statevector=state,
-            memory=shot_values if memory else None,
-            metadata={"method": "sampled"},
-        )
+                self._rng.shuffle(values)
+        result = tally(circuit, values, memory, {"method": "sampled"})
+        result.name, result.statevector = name, state
+        return result

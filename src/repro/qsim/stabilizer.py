@@ -67,7 +67,7 @@ from .exceptions import SimulationError
 from .instruction import Barrier, Initialize, Measure
 from .noise import NoiseModel, check_unfused, require_pauli
 from .result import ExperimentResult
-from .simulator import check_evolvable, tally
+from .simulator import check_evolvable, compile_condition, condition_met, tally
 from .transpiler import _clifford_classification
 
 __all__ = [
@@ -497,27 +497,15 @@ class StabilizerTableau:
 #: instruction that lowers to Paulis only | ("initialize", basis_value,
 #: qubits, cond) | ("measure", clbit, (qubit,), cond) | ("reset", None,
 #: (qubit,), cond) | ("noise", None, qubits, cond) -- error-injection point
-#: after a unitary instruction.  ``cond`` is ``None`` or ``(clbit_indices,
-#: value)``: the op executes in a shot only when the little-endian integer
-#: over those clbits equals *value*.  run() keeps a conditioned "pauli" op
-#: (and its noise marker) on the symbolic path; any other conditioned op
-#: forces the concrete per-shot path.
+#: after a unitary instruction.  ``cond`` is
+#: :func:`~repro.qsim.simulator.compile_condition`'s ``None`` or
+#: ``(clbit_indices, value)``: the op executes in a shot only when
+#: :func:`~repro.qsim.simulator.condition_met` holds.  run() keeps a
+#: conditioned "pauli" op (and its noise marker) on the symbolic path; any
+#: other conditioned op forces the concrete per-shot path.
 _CompiledOp = Tuple[str, Any, Tuple[int, ...], Optional[Tuple[Tuple[int, ...], int]]]
 
 _PAULI_GATES = frozenset({"x", "y", "z"})
-
-
-def _compiled_condition_met(
-    condition: Optional[Tuple[Tuple[int, ...], int]], clbits: np.ndarray
-) -> bool:
-    """Evaluate a compiled-op condition against one shot's clbit values."""
-    if condition is None:
-        return True
-    clbit_indices, value = condition
-    register_value = 0
-    for position, clbit in enumerate(clbit_indices):
-        register_value |= int(clbits[clbit]) << position
-    return register_value == value
 
 
 def _classify(op) -> Tuple[str, Any]:
@@ -592,10 +580,7 @@ def _compile(
     blocker: Optional[str] = None
     for instr in circuit.data:
         op = instr.operation
-        condition: Optional[Tuple[Tuple[int, ...], int]] = None
-        if instr.condition is not None:
-            creg, value = instr.condition
-            condition = (tuple(circuit.clbit_index(c) for c in creg), value)
+        condition = compile_condition(circuit, instr.condition)
         kind, payload = _classify(op)
         symbolic_condition = (
             condition is not None
@@ -683,7 +668,7 @@ def _evolve_concrete(
     and so do the errors of *encoding*."""
     tableau = StabilizerTableau(num_qubits)
     for op in ops:
-        if _compiled_condition_met(op[3], bits):
+        if condition_met(op[3], bits):
             _step_concrete(tableau, op, bits, rng, encoding, collapse)
     return tableau
 

@@ -74,13 +74,6 @@ class Statevector:
 
     # -- composition -----------------------------------------------------------
 
-    def tensor(self, other: "Statevector") -> "Statevector":
-        """Return ``other (x) self``: *other*'s qubits get the higher indices."""
-        sv = Statevector.__new__(Statevector)
-        sv.data = np.kron(other.data, self.data)
-        sv.num_qubits = self.num_qubits + other.num_qubits
-        return sv
-
     # -- evolution ---------------------------------------------------------------
 
     def _check_targets(self, targets: Sequence[int]) -> List[int]:
@@ -157,12 +150,6 @@ class Statevector:
         return tensor.sum(axis=1)
 
     # -- analysis -------------------------------------------------------------------
-
-    def fidelity(self, other: "Statevector") -> float:
-        """Squared overlap |<self|other>|^2."""
-        if self.num_qubits != other.num_qubits:
-            raise SimulationError("fidelity requires states of equal size")
-        return float(abs(np.vdot(self.data, other.data)) ** 2)
 
     def to_dict(self, atol: float = 1e-12) -> Dict[str, complex]:
         """Non-negligible amplitudes keyed by bitstring (MSB first)."""

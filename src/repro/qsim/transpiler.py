@@ -38,8 +38,6 @@ from .registers import QuantumRegister
 __all__ = [
     "transpile",
     "decompose",
-    "count_ops",
-    "circuit_depth",
     "basis_gate_count",
     "two_qubit_gate_count",
     "is_clifford",
@@ -74,21 +72,6 @@ def transpile(circuit: QuantumCircuit, optimization_level: int = 1) -> QuantumCi
         return out
 
 _BASIS = {"id", "x", "y", "z", "h", "s", "sdg", "t", "tdg", "sx", "rx", "ry", "rz", "p", "u2", "u3", "cx"}
-
-
-def count_ops(circuit: QuantumCircuit) -> Dict[str, int]:
-    """Histogram of instruction names (from the analyzer's resource facts)."""
-    from .analysis.resources import estimate_resources  # local import: cycle
-
-    return dict(estimate_resources(circuit).gate_counts)
-
-
-def circuit_depth(circuit: QuantumCircuit, decompose_first: bool = False) -> int:
-    """Circuit depth, optionally after lowering to the {1q, CX} basis."""
-    from .analysis.resources import estimate_resources  # local import: cycle
-
-    target = decompose(circuit) if decompose_first else circuit
-    return estimate_resources(target).depth
 
 
 def basis_gate_count(circuit: QuantumCircuit) -> int:

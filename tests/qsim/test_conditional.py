@@ -254,6 +254,53 @@ class TestCrossEngineAgreement:
         assert tvd(active.counts, deferred.counts) < 0.08
 
 
+ENGINES = {
+    "statevector": StatevectorSimulator,
+    "density_matrix": DensityMatrixSimulator,
+    "stabilizer": StabilizerSimulator,
+}
+
+
+class TestEveryShotIsCounted:
+    """Every engine counts every shot, whichever measurements a shot ran:
+    a clbit never written reads 0, and counts iterate in ascending register
+    value."""
+
+    NEVER_FIRES = (
+        'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\ncreg c[1];\n'
+        "if(c==1) measure q[0] -> c[0];\n"
+    )
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    @pytest.mark.parametrize("shots", [1, 100])
+    def test_never_firing_conditioned_measurement(self, engine, shots):
+        result = ENGINES[engine](seed=3).run(from_qasm(self.NEVER_FIRES), shots=shots, memory=True)
+        assert result.counts == {"0": shots}
+        assert result.memory == ["0"] * shots
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_branched_measurement_counts_every_shot(self, engine):
+        c = ClassicalRegister(2, "c")
+        qc = QuantumCircuit(QuantumRegister(2, "q"), c)
+        qc.h(0)
+        qc.measure(0, c[0])
+        qc.h(1)
+        qc.measure(1, c[1]).c_if(c, 1)
+        result = ENGINES[engine](seed=5).run(qc, shots=400, memory=True)
+        assert sum(result.counts.values()) == 400 and len(result.memory) == 400
+        assert set(result.counts) == {"00", "01", "11"}
+        assert {key: result.memory.count(key) for key in result.counts} == result.counts
+        assert list(result.counts) == sorted(result.counts)
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_final_counts_iterate_in_ascending_register_value(self, engine):
+        qc = QuantumCircuit(3, 3)
+        qc.h(0).h(1).h(2)
+        qc.measure([2, 1, 0], [2, 1, 0])  # clbit 2 is the first measured
+        counts = ENGINES[engine](seed=9).run(qc, shots=500).counts
+        assert len(counts) == 8 and list(counts) == sorted(counts)
+
+
 FEEDFORWARD_FILES = ("teleport_cond_n3", "ghz_cond_n4", "qec_cond_n5", "qec_repetition_n5")
 
 

@@ -151,10 +151,23 @@ class TestDensityMatrixSimulator:
         dm = DensityMatrixSimulator(seed=0).evolve(qc)
         assert np.allclose(dm.probabilities([0, 1]), [0.5, 0, 0, 0.5])
 
-    def test_partial_initialize_rejected(self):
+    def test_partial_initialize_matches_statevector(self):
+        qc = QuantumCircuit(3, 3)
+        qc.h(2)
+        qc.initialize(np.array([0.6, 0.0, 0.0, 0.8j]), [0, 1])
+        qc.cx(0, 2)
+        dm = DensityMatrixSimulator(seed=0).evolve(qc)
+        sv = StatevectorSimulator(seed=0).evolve(qc)
+        assert np.allclose(dm.probabilities(), sv.probabilities(), atol=1e-12)
+        qc.measure([0, 1, 2], [0, 1, 2])
+        counts = DensityMatrixSimulator(seed=4).run(qc, shots=500).counts
+        assert set(counts) <= {"011", "100", "111", "000"} and sum(counts.values()) == 500
+
+    def test_initialize_on_excited_targets_rejected(self):
         qc = QuantumCircuit(2)
+        qc.x(0)
         qc.initialize(1, [0])
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError, match=r"\|0\.\.\.0>"):
             DensityMatrixSimulator(seed=0).evolve(qc)
 
     def test_noise_model_degrades_bell_fidelity(self):

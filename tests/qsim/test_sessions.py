@@ -14,6 +14,7 @@ import pytest
 
 from repro.lang.compiler import run_source
 from repro.lang.stdlib import get_program
+from repro.qsim.analysis import DEFAULT_MEMORY_BUDGET_BYTES
 from repro.qsim.backends import build_noisy_backend, get_backend
 from repro.qsim.circuit import QuantumCircuit
 from repro.qsim.density import DensityMatrixSimulator
@@ -212,6 +213,22 @@ class TestEngineSpecifics:
         session.apply(Gate("h", 1), [0])
         with pytest.raises(SimulationError, match="initialize requires"):
             session.apply(Initialize([0, 1]), [0])
+
+    @pytest.mark.parametrize(
+        "engine, first, total, needed",
+        [("density_matrix", 10, 20, 16 * 4**20), ("statevector", 0, 40, 16 * 2**40)],
+    )
+    def test_allocation_over_the_memory_budget_is_refused(self, engine, first, total, needed):
+        # refused before numpy is asked for the memory; the live state stays
+        session = get_backend(engine).session(0)
+        session.allocate(first)
+        message = (
+            f"a {total}-qubit {engine.replace('_', ' ')} needs {needed} bytes, over the "
+            f"memory budget of {DEFAULT_MEMORY_BUDGET_BYTES} bytes"
+        )
+        with pytest.raises(SimulationError, match=message):
+            session.allocate(total - first)
+        assert session.state.num_qubits == first
 
     def test_density_session_applies_the_channel_exactly(self):
         backend = get_backend("density_matrix", noise_model=BitFlipNoise(0.25))

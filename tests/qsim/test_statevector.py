@@ -140,21 +140,6 @@ class TestMeasurement:
         assert np.isclose(probs[6], 1.0)
 
 class TestAnalysis:
-    def test_fidelity(self):
-        a = Statevector([1.0, 1.0])
-        b = Statevector([1.0, 1.0])
-        assert np.isclose(a.fidelity(b), 1.0)
-        c = Statevector([1.0, -1.0])
-        assert np.isclose(a.fidelity(c), 0.0)
-
     def test_to_dict(self):
         sv = Statevector.from_int(2, 2)
         assert list(sv.to_dict()) == ["10"]
-
-    def test_tensor(self):
-        a = Statevector.from_int(1, 1)
-        b = Statevector.from_int(0, 1)
-        combined = a.tensor(b)  # b gets the higher index
-        assert combined.num_qubits == 2
-        assert np.isclose(combined.probabilities([0])[1], 1.0)
-        assert np.isclose(combined.probabilities([1])[0], 1.0)

@@ -8,13 +8,7 @@ from repro.qsim.exceptions import CircuitError
 from repro.qsim.qasm import to_qasm
 from repro.qsim.registers import QuantumRegister
 from repro.qsim.simulator import StatevectorSimulator
-from repro.qsim.transpiler import (
-    basis_gate_count,
-    circuit_depth,
-    count_ops,
-    decompose,
-    two_qubit_gate_count,
-)
+from repro.qsim.transpiler import basis_gate_count, decompose, two_qubit_gate_count
 
 _BASIS = {"id", "x", "y", "z", "h", "s", "sdg", "t", "tdg", "sx",
           "rx", "ry", "rz", "p", "u2", "u3", "cx", "measure", "reset", "barrier"}
@@ -98,11 +92,11 @@ class TestDecompose:
     def test_metric_helpers(self):
         qc = QuantumCircuit(2)
         qc.h(0).swap(0, 1)
-        assert count_ops(qc) == {"h": 1, "swap": 1}
+        assert qc.count_ops() == {"h": 1, "swap": 1}
         assert basis_gate_count(qc) == 4  # h + 3 cx
         assert two_qubit_gate_count(qc) == 3
-        assert circuit_depth(qc) == 2
-        assert circuit_depth(qc, decompose_first=True) == 4
+        assert qc.depth() == 2
+        assert decompose(qc).depth() == 4
 
 
 class TestQasm:
