@@ -24,6 +24,7 @@ from ..circuit import QuantumCircuit, SourceSpan
 from ..exceptions import BackendError
 from ..instruction import Barrier, Measure, Reset
 from ..registers import Clbit, Qubit
+from ..simulator import DEFAULT_MEMORY_BUDGET_BYTES
 from .diagnostics import Diagnostic, Severity
 from .resources import ResourceEstimate, estimate_resources
 
@@ -36,11 +37,6 @@ __all__ = [
     "available_passes",
     "DEFAULT_MEMORY_BUDGET_BYTES",
 ]
-
-#: default ceiling for the per-engine state-memory checks (QA402/QA403);
-#: 4 GiB admits a 28-qubit statevector or a 14-qubit density matrix
-DEFAULT_MEMORY_BUDGET_BYTES = 4 * 1024**3
-
 
 @dataclass(frozen=True)
 class AnalysisTarget:
@@ -55,6 +51,7 @@ class AnalysisTarget:
     shots: Optional[int] = None
     noise_p: Optional[float] = None
     noise_channel: Optional[str] = None
+    #: the ceiling of the per-engine state-memory checks (QA402/QA403)
     memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET_BYTES
 
 

@@ -45,6 +45,7 @@ __all__ = [
     "condition_met",
     "check_evolvable",
     "check_allocation",
+    "DEFAULT_MEMORY_BUDGET_BYTES",
     "sample_values",
     "sample_rows",
     "tally",
@@ -55,6 +56,11 @@ __all__ = [
 #: the statevector outweigh the cost of building 16x16 block unitaries (see
 #: benchmarks/bench_kernels.py for the measurement behind this choice)
 SIMULATOR_MAX_FUSED_QUBITS = 4
+
+#: the most memory one engine state may take: a session refuses to allocate
+#: past it, and the analyzer's state-memory checks (QA402/QA403) default to
+#: it; 4 GiB admits a 28-qubit statevector or a 14-qubit density matrix
+DEFAULT_MEMORY_BUDGET_BYTES = 4 * 1024**3
 
 #: below this many qubits a pass over the statevector is so cheap that the
 #: fusion pass costs more than it saves, so the simulator skips it
@@ -150,10 +156,7 @@ def check_evolvable(
 
 def check_allocation(engine: str, num_qubits: int, entries: int) -> None:
     """Refuse a state of *entries* complex amplitudes that would exceed
-    :data:`~repro.qsim.analysis.DEFAULT_MEMORY_BUDGET_BYTES`, before any
-    memory is requested."""
-    from .analysis import DEFAULT_MEMORY_BUDGET_BYTES  # loaded on demand
-
+    :data:`DEFAULT_MEMORY_BUDGET_BYTES`, before any memory is requested."""
     needed = 16 * entries
     if needed > DEFAULT_MEMORY_BUDGET_BYTES:
         raise SimulationError(
