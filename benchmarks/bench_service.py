@@ -10,13 +10,18 @@ algorithms).  Two phases are timed:
 * **cold** -- a fresh database and one *distinct* circuit per job: every
   job pays the compile pipeline (QASM parse, peephole optimization,
   fusion);
-* **warm** -- the identical jobs resubmitted: the compiled-circuit cache
-  serves every experiment, so workers skip transpile/fusion entirely.
+* **warm** -- the identical jobs resubmitted to a fresh fleet: every
+  experiment is a persistent-layer hit, so workers skip the submitted
+  QASM's parse and the peephole pass (they still parse the stored compiled
+  text and fuse it, as a cold job does).
 
-The ratio is the cache's end-to-end payoff and is gated: the run fails if
-warm throughput is below ``--min-speedup`` x cold (default 2.0; pass 0 to
-disable the gate).  Counts are also asserted bit-identical between the
-phases -- a cache that changes results would be worse than no cache.
+The gate sits where the cache acts: the mean per-job ``cache.compile_batch``
+time, read from each job's telemetry artifact, must be at least
+``--min-speedup`` x shorter warm than cold (default 2.0; pass 0 to disable
+the gate).  Every warm experiment must be a cache hit, and counts must be
+bit-identical between the phases -- a cache that changes results would be
+worse than no cache.  The end-to-end warm/cold throughput ratio is printed
+but not gated: it also moves when the compile the cache skips gets cheaper.
 
 Run directly::
 
@@ -83,6 +88,7 @@ def run_phase(
     elapsed = drain(db_path, jobs, workers)
     counts: List[Dict[str, int]] = []
     cache_totals = {"hits": 0, "misses": 0}
+    compile_s: List[float] = []
     for job_id in job_ids:
         record = store.get(job_id)
         if record.state != "DONE":
@@ -94,13 +100,21 @@ def run_phase(
         cache = result["metadata"]["cache"]
         cache_totals["hits"] += cache["hits"]
         cache_totals["misses"] += cache["misses"]
+        compile_s.append(compile_batch_s(record.telemetry_dict()["trace"]))
     return {
         "elapsed_s": elapsed,
         "jobs_per_sec": jobs / elapsed,
+        "compile_batch_ms": 1000.0 * sum(compile_s) / jobs,
         "cache_hits": cache_totals["hits"],
         "cache_misses": cache_totals["misses"],
         "counts": counts,
     }
+
+
+def compile_batch_s(trace: Dict[str, object]) -> float:
+    """Wall seconds of the ``cache.compile_batch`` span in one job's trace."""
+    (span,) = [c for c in trace.get("children", []) if c["name"] == "cache.compile_batch"]
+    return span["wall_s"]
 
 
 def main() -> int:
@@ -116,7 +130,8 @@ def main() -> int:
         "--min-speedup",
         type=float,
         default=2.0,
-        help="fail unless warm/cold throughput ratio reaches this (0 disables)",
+        help="fail unless cold/warm per-job cache.compile_batch time reaches this"
+        " (0 disables)",
     )
     parser.add_argument(
         "--db",
@@ -152,17 +167,27 @@ def main() -> int:
         store.close()
 
     speedup = warm["jobs_per_sec"] / cold["jobs_per_sec"]
+    compile_speedup = cold["compile_batch_ms"] / warm["compile_batch_ms"]
     for label, phase in (("cold", cold), ("warm", warm)):
         print(
             f"  {label}: {phase['jobs_per_sec']:8.2f} jobs/s"
-            f"  ({phase['elapsed_s']:.3f} s; cache {phase['cache_hits']} hits,"
+            f"  ({phase['elapsed_s']:.3f} s; cache.compile_batch"
+            f" {phase['compile_batch_ms']:.3f} ms/job; cache {phase['cache_hits']} hits,"
             f" {phase['cache_misses']} misses)"
         )
-    print(f"  warm/cold speedup: {speedup:.2f}x")
+    print(f"  cache.compile_batch cold/warm: {compile_speedup:.2f}x")
+    print(f"  end-to-end warm/cold throughput: {speedup:.2f}x (not gated)")
 
     if cold["counts"] != warm["counts"]:
         print("error: warm counts differ from cold counts (cache broke results)",
               file=sys.stderr)
+        return 1
+    if warm["cache_misses"] or warm["cache_hits"] != args.jobs:
+        print(
+            f"error: warm phase had {warm['cache_misses']} cache misses"
+            f" ({warm['cache_hits']} hits for {args.jobs} experiments)",
+            file=sys.stderr,
+        )
         return 1
 
     rows = [
@@ -172,6 +197,7 @@ def main() -> int:
             "workers": args.workers,
             "elapsed_s": phase["elapsed_s"],
             "jobs_per_sec": phase["jobs_per_sec"],
+            "compile_batch_ms": phase["compile_batch_ms"],
             "cache_hits": phase["cache_hits"],
             "cache_misses": phase["cache_misses"],
         }
@@ -191,12 +217,13 @@ def main() -> int:
         },
         results=rows,
         speedup=speedup,
+        compile_speedup=compile_speedup,
         counts_bit_equal=True,
     )
 
-    if args.min_speedup > 0 and speedup < args.min_speedup:
+    if args.min_speedup > 0 and compile_speedup < args.min_speedup:
         print(
-            f"error: warm throughput only {speedup:.2f}x cold"
+            f"error: warm cache.compile_batch only {compile_speedup:.2f}x faster than cold"
             f" (gate: {args.min_speedup}x)",
             file=sys.stderr,
         )

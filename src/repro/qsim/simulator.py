@@ -87,26 +87,25 @@ def prepare(circuit: QuantumCircuit) -> QuantumCircuit:
 
 
 def measurements_are_final(circuit: QuantumCircuit) -> bool:
-    """Whether no gate touches a measured qubit after its measurement.
+    """Whether no instruction touches a measured qubit after its measurement.
 
-    Shared by every engine: circuits with only-final measurements can be
-    evolved once and sampled, instead of simulated shot by shot.  Any
+    Circuits with only-final measurements can be evolved once and sampled,
+    instead of simulated shot by shot.  A second measurement of a measured
+    qubit is not final (it must read the collapsed qubit).  Any
     classically-conditioned instruction also returns ``False`` -- the
     condition reads the classical register mid-circuit, so every shot must
     be simulated with genuine collapse to know which branch it takes.
     """
     measured: set = set()
     for instr in circuit.data:
-        op = instr.operation
         if instr.condition is not None:
             return False
-        if isinstance(op, Measure):
-            measured.add(instr.qubits[0])
-        elif isinstance(op, Barrier):
+        if isinstance(instr.operation, Barrier):
             continue
-        else:
-            if any(q in measured for q in instr.qubits):
-                return False
+        if any(q in measured for q in instr.qubits):
+            return False
+        if isinstance(instr.operation, Measure):
+            measured.add(instr.qubits[0])
     return True
 
 

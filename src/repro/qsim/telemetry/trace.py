@@ -276,7 +276,8 @@ def format_span_tree(node: Dict[str, Any], total_wall_s: Optional[float] = None)
     """Render a :meth:`Span.to_dict` tree as an indented text table.
 
     Each line shows the span name, wall milliseconds, percentage of the
-    root's wall time, and tags; children are drawn with box characters.
+    root's wall time, self milliseconds (wall time no child span accounts
+    for), and tags; children are drawn with box characters.
     """
     if not node:
         return "(empty trace)"
@@ -285,13 +286,17 @@ def format_span_tree(node: Dict[str, Any], total_wall_s: Optional[float] = None)
 
     def walk(current: Dict[str, Any], prefix: str, child_prefix: str) -> None:
         wall = current.get("wall_s", 0.0)
+        children = current.get("children", [])
+        self_s = wall - sum(child.get("wall_s", 0.0) for child in children)
         share = f"{100.0 * wall / total:5.1f}%" if total > 0 else "    -"
-        text = f"{prefix}{current.get('name', '?')}  {wall * 1000.0:9.3f} ms  {share}"
+        text = (
+            f"{prefix}{current.get('name', '?')}  {wall * 1000.0:9.3f} ms  {share}"
+            f"  self {self_s * 1000.0:9.3f} ms"
+        )
         tags = current.get("tags")
         if tags:
             text += f"  {_format_tags(tags)}"
         lines.append(text)
-        children = current.get("children", [])
         for index, child in enumerate(children):
             last = index == len(children) - 1
             walk(

@@ -278,6 +278,25 @@ class TestEveryShotIsCounted:
         assert result.counts == {"0": shots}
         assert result.memory == ["0"] * shots
 
+    #: circuit -> the outcomes every engine must return, and only those
+    SUPPORT = {
+        "never_fires": (NEVER_FIRES, {"0"}),
+        # the second measurement reads the collapsed qubit: both bits agree
+        "double_final_measure": (
+            'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\ncreg c[2];\n'
+            "h q[0];\nmeasure q[0] -> c[0];\nmeasure q[0] -> c[1];\n",
+            {"00", "11"},
+        ),
+    }
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    @pytest.mark.parametrize("case", sorted(SUPPORT))
+    def test_support(self, engine, case):
+        source, support = self.SUPPORT[case]
+        result = ENGINES[engine](seed=3).run(from_qasm(source), shots=200, memory=True)
+        assert set(result.counts) == support
+        assert sum(result.counts.values()) == 200 and len(result.memory) == 200
+
     @pytest.mark.parametrize("engine", sorted(ENGINES))
     def test_branched_measurement_counts_every_shot(self, engine):
         c = ClassicalRegister(2, "c")

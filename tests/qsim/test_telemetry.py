@@ -324,6 +324,21 @@ class TestFormatSpanTree:
         text = telemetry.format_span_tree(tree)
         assert "job" in text and "run" in text
 
+    def test_self_time_column_subtracts_children(self):
+        tree = {
+            "name": "job",
+            "wall_s": 0.010,
+            "children": [
+                {"name": "compile", "wall_s": 0.003, "children": [{"name": "parse", "wall_s": 0.001}]},
+                {"name": "run", "wall_s": 0.002},
+            ],
+        }
+        lines = telemetry.format_span_tree(tree).splitlines()
+        assert "self     5.000 ms" in lines[0]
+        assert "self     2.000 ms" in lines[1]  # compile less its parse
+        assert "self     1.000 ms" in lines[2]  # a leaf is all self time
+        assert "self     2.000 ms" in lines[3]
+
 
 class TestInstrumentationEndToEnd:
     def test_backend_run_emits_spans_and_metrics(self):
