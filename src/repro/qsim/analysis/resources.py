@@ -133,14 +133,16 @@ def estimate_resources(circuit: QuantumCircuit) -> ResourceEstimate:
         if isinstance(op, Barrier):
             continue
         size += 1
+        # anything on a measured qubit, a second measurement included,
+        # reads or disturbs the collapsed state: the measurement was not final
+        if any(q in measured for q in instr.qubits):
+            mid_circuit = True
         if isinstance(op, Measure):
             measurements += 1
             measured.add(instr.qubits[0])
         else:
             if isinstance(op, Reset):
                 resets += 1
-            if any(q in measured for q in instr.qubits):
-                mid_circuit = True
             if len(instr.qubits) == 2:
                 two_qubit += 1
             elif len(instr.qubits) > 2:

@@ -36,6 +36,20 @@ QubitSpec = Union[Qubit, int]
 ClbitSpec = Union[Clbit, int]
 
 
+def unique_register_name(
+    registers: Iterable[Union[QuantumRegister, ClassicalRegister]], base: str
+) -> str:
+    """*base*, or *base* with the smallest number suffix that no register
+    in *registers* (one kind: the circuit's qregs or its cregs) is named."""
+    existing = {r.name for r in registers}
+    if base not in existing:
+        return base
+    i = 0
+    while f"{base}{i}" in existing:
+        i += 1
+    return f"{base}{i}"
+
+
 class SourceSpan(NamedTuple):
     """Where an instruction (or register declaration) came from in a source text.
 
@@ -444,20 +458,11 @@ class QuantumCircuit:
 
     def measure_all(self) -> "QuantumCircuit":
         """Measure every qubit into a fresh classical register ``meas``."""
-        creg = ClassicalRegister(self.num_qubits, self._unique_creg_name("meas"))
+        creg = ClassicalRegister(self.num_qubits, unique_register_name(self.cregs, "meas"))
         self.add_register(creg)
         for i, qubit in enumerate(self.qubits):
             self.append(Measure(), [qubit], [creg[i]])
         return self
-
-    def _unique_creg_name(self, base: str) -> str:
-        existing = {r.name for r in self.cregs}
-        if base not in existing:
-            return base
-        i = 0
-        while f"{base}{i}" in existing:
-            i += 1
-        return f"{base}{i}"
 
     def reset(self, qubit: QubitSpec) -> "QuantumCircuit":
         """Reset *qubit* to |0>."""

@@ -196,12 +196,8 @@ class DensityMatrix:
 def _marginal(diag: np.ndarray, num_qubits: int, targets: Optional[Sequence[int]]) -> np.ndarray:
     """Normalised marginal of the real diagonal *diag* on *targets*
     (little-endian), negative rounding residue clipped to zero."""
-    n = num_qubits
-    targets = list(range(n)) if targets is None else list(targets)
-    diag = diag.clip(min=0.0).reshape((2,) * n)
-    # targets[0] is the last front axis: the least significant bit
-    probs = np.moveaxis(diag, [n - 1 - t for t in reversed(targets)], range(len(targets)))
-    probs = probs.reshape(2 ** len(targets), -1).sum(axis=1)
+    targets = range(num_qubits) if targets is None else list(targets)
+    probs = kernels.marginal(diag.clip(min=0.0), num_qubits, targets)
     total = probs.sum()
     return probs / total if total > 0 else probs
 

@@ -25,10 +25,11 @@ kernel.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 import numpy as np
 
+from . import kernels
 from .circuit import CircuitInstruction, QuantumCircuit
 from .instruction import UnitaryGate
 
@@ -56,45 +57,22 @@ class _Block:
         self.qubits.update(other.qubits)
 
 
-def _expand_into_product(
-    gate_matrix: np.ndarray, gate_positions: Sequence[int], product: np.ndarray, k: int
-) -> np.ndarray:
-    """Return ``expand(gate) @ product`` for a gate on a subset of k qubits.
-
-    ``gate_positions[j]`` is the axis (0 = most significant) of the gate's
-    j-th qubit within the fused block's index, matching the convention of
-    :meth:`Statevector.apply_unitary` applied to each column of *product*.
-    """
-    m = len(gate_positions)
-    if list(gate_positions) == list(range(gate_positions[0], gate_positions[0] + m)):
-        # gate qubits sit on consecutive block axes in order: the expansion
-        # is a batched matmul over the leading axes, no transpose needed
-        if m == k:
-            return gate_matrix @ product
-        tensor = product.reshape(1 << gate_positions[0], 1 << m, -1)
-        return np.matmul(gate_matrix, tensor).reshape(product.shape)
-    tensor = product.reshape((2,) * k + (product.shape[1],))
-    tensor = np.moveaxis(tensor, gate_positions, range(m))
-    tail_shape = tensor.shape[m:]
-    tensor = tensor.reshape(2**m, -1)
-    tensor = gate_matrix @ tensor
-    tensor = tensor.reshape((2,) * m + tail_shape)
-    tensor = np.moveaxis(tensor, range(m), gate_positions)
-    return tensor.reshape(product.shape)
-
-
 def _emit(block: _Block, circuit: QuantumCircuit) -> List[CircuitInstruction]:
     if len(block.instructions) == 1:
         return block.instructions
     qubits = sorted(block.qubits, key=circuit.qubit_index)
     k = len(qubits)
-    position = {qubit: axis for axis, qubit in enumerate(qubits)}
-    product = np.eye(2**k, dtype=complex)
+    # the product's flattening is a 2k-qubit vector whose row index holds
+    # the block's qubits, qubits[0] on the highest bit (2k - 1), so each
+    # gate multiplies it from the left as a dense_apply on those bits
+    row_bit = {qubit: 2 * k - 1 - axis for axis, qubit in enumerate(qubits)}
+    product = np.eye(2**k, dtype=complex).reshape(-1)
     for instruction in block.instructions:
-        gate_positions = [position[q] for q in instruction.qubits]
-        product = _expand_into_product(
-            instruction.operation.to_matrix(), gate_positions, product, k
+        product = kernels.dense_apply(
+            product, 2 * k, instruction.operation.to_matrix(),
+            [row_bit[q] for q in instruction.qubits],
         )
+    product = product.reshape(2**k, 2**k)
     # products of unitaries are unitary, so skip the O(8^k) re-verification
     fused = UnitaryGate.unchecked(product, label=f"fused_{k}q")
     # labels are free-form, so consumers (e.g. the simulator's noise guard)

@@ -13,15 +13,16 @@ The module exposes:
   :func:`u3`, ...),
 * combinators (:func:`controlled`, :func:`expand`) used by the circuit IR and
   the transpiler,
-* :data:`GATE_REGISTRY`, mapping canonical gate names to their arity and
-  matrix factory, which the simulator uses to resolve instructions.
+* :data:`GATE_REGISTRY`, mapping canonical gate names to a :class:`GateSpec`
+  (arity, parameter count, matrix): the one gate table, which the circuit
+  IR, the simulator and the OpenQASM tables all read.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Dict, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -61,6 +62,7 @@ __all__ = [
     "expand",
     "is_unitary",
     "gate_matrix",
+    "GateSpec",
     "GATE_REGISTRY",
 ]
 
@@ -238,57 +240,50 @@ def rzz(theta: float) -> np.ndarray:
 # Registry used by the circuit IR and the simulator
 # ---------------------------------------------------------------------------
 
-def _fixed(matrix: np.ndarray) -> Callable[..., np.ndarray]:
-    def factory(*params: float) -> np.ndarray:
-        if params:
-            raise ValueError("gate takes no parameters")
-        return matrix
+class GateSpec(NamedTuple):
+    """A registry gate: its arity, its parameter count and its matrix, a
+    constant for a fixed gate or a function of the parameters."""
 
-    return factory
-
-
-def _parametric(func: Callable[..., np.ndarray], arity: int) -> Callable[..., np.ndarray]:
-    def factory(*params: float) -> np.ndarray:
-        if len(params) != arity:
-            raise ValueError(f"gate expects {arity} parameter(s), got {len(params)}")
-        return func(*params)
-
-    return factory
+    num_qubits: int
+    num_params: int
+    matrix: Union[np.ndarray, Callable[..., np.ndarray]]
 
 
-#: Maps canonical gate names to ``(num_qubits, matrix_factory)``.
-GATE_REGISTRY: Dict[str, tuple] = {
-    "id": (1, _fixed(I1)),
-    "x": (1, _fixed(X)),
-    "y": (1, _fixed(Y)),
-    "z": (1, _fixed(Z)),
-    "h": (1, _fixed(H)),
-    "s": (1, _fixed(S)),
-    "sdg": (1, _fixed(SDG)),
-    "t": (1, _fixed(T)),
-    "tdg": (1, _fixed(TDG)),
-    "sx": (1, _fixed(SX)),
-    "rx": (1, _parametric(rx, 1)),
-    "ry": (1, _parametric(ry, 1)),
-    "rz": (1, _parametric(rz, 1)),
-    "p": (1, _parametric(phase, 1)),
-    "u2": (1, _parametric(u2, 2)),
-    "u3": (1, _parametric(u3, 3)),
-    "cx": (2, _fixed(CX)),
-    "cy": (2, _fixed(CY)),
-    "cz": (2, _fixed(CZ)),
-    "ch": (2, _fixed(CH)),
-    "swap": (2, _fixed(SWAP)),
-    "iswap": (2, _fixed(ISWAP)),
-    "crx": (2, _parametric(crx, 1)),
-    "cry": (2, _parametric(cry, 1)),
-    "crz": (2, _parametric(crz, 1)),
-    "cp": (2, _parametric(cphase, 1)),
-    "rxx": (2, _parametric(rxx, 1)),
-    "ryy": (2, _parametric(ryy, 1)),
-    "rzz": (2, _parametric(rzz, 1)),
-    "ccx": (3, _fixed(CCX)),
-    "cswap": (3, _fixed(CSWAP)),
+#: The one gate table: canonical name -> :class:`GateSpec`.  The circuit IR
+#: checks arities against it, and :mod:`repro.qsim.qasm` derives its qelib1
+#: import and export tables from it.
+GATE_REGISTRY: Dict[str, GateSpec] = {
+    "id": GateSpec(1, 0, I1),
+    "x": GateSpec(1, 0, X),
+    "y": GateSpec(1, 0, Y),
+    "z": GateSpec(1, 0, Z),
+    "h": GateSpec(1, 0, H),
+    "s": GateSpec(1, 0, S),
+    "sdg": GateSpec(1, 0, SDG),
+    "t": GateSpec(1, 0, T),
+    "tdg": GateSpec(1, 0, TDG),
+    "sx": GateSpec(1, 0, SX),
+    "rx": GateSpec(1, 1, rx),
+    "ry": GateSpec(1, 1, ry),
+    "rz": GateSpec(1, 1, rz),
+    "p": GateSpec(1, 1, phase),
+    "u2": GateSpec(1, 2, u2),
+    "u3": GateSpec(1, 3, u3),
+    "cx": GateSpec(2, 0, CX),
+    "cy": GateSpec(2, 0, CY),
+    "cz": GateSpec(2, 0, CZ),
+    "ch": GateSpec(2, 0, CH),
+    "swap": GateSpec(2, 0, SWAP),
+    "iswap": GateSpec(2, 0, ISWAP),
+    "crx": GateSpec(2, 1, crx),
+    "cry": GateSpec(2, 1, cry),
+    "crz": GateSpec(2, 1, crz),
+    "cp": GateSpec(2, 1, cphase),
+    "rxx": GateSpec(2, 1, rxx),
+    "ryy": GateSpec(2, 1, ryy),
+    "rzz": GateSpec(2, 1, rzz),
+    "ccx": GateSpec(3, 0, CCX),
+    "cswap": GateSpec(3, 0, CSWAP),
 }
 
 
@@ -301,7 +296,11 @@ def gate_matrix(name: str, params: Sequence[float] = ()) -> np.ndarray:
     :mod:`repro.qsim.instruction` instead.
     """
     try:
-        _, factory = GATE_REGISTRY[name]
+        spec = GATE_REGISTRY[name]
     except KeyError as exc:
         raise KeyError(f"unknown gate {name!r}") from exc
-    return factory(*params)
+    if len(params) != spec.num_params:
+        raise ValueError(
+            f"gate {name!r} expects {spec.num_params} parameter(s), got {len(params)}"
+        )
+    return spec.matrix(*params) if spec.num_params else spec.matrix

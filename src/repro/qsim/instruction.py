@@ -86,10 +86,10 @@ class Gate(Instruction):
     """
 
     def __init__(self, name: str, num_qubits: int, params: Sequence[float] | None = None):
-        entry = gates.GATE_REGISTRY.get(name)
-        if entry is not None and entry[0] != num_qubits:
+        spec = gates.GATE_REGISTRY.get(name)
+        if spec is not None and spec.num_qubits != num_qubits:
             raise CircuitError(
-                f"gate {name!r} acts on {entry[0]} qubit(s), not {num_qubits}"
+                f"gate {name!r} acts on {spec.num_qubits} qubit(s), not {num_qubits}"
             )
         super().__init__(name, num_qubits, 0, params)
 

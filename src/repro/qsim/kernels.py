@@ -38,6 +38,11 @@ amplitudes: it is built only for a plan that applies the step to many rows
 :func:`apply_gate` is the single-state entry point (:func:`lower`, then
 :func:`apply_step`).
 
+It is the one module that maps qubits to tensor axes: besides
+:func:`dense_apply`, :func:`marginal` sums per-basis-state weights over the
+values of some qubits and :func:`place` sets qubits in ``|0...0>`` to given
+amplitudes.
+
 :func:`basis_table` / :func:`is_monomial` classify the gates that keep a
 basis state a basis state, which both dense engines run on basis rows or
 populations instead of amplitudes.  Temporaries come from :func:`scratch`,
@@ -62,6 +67,8 @@ __all__ = [
     "apply_step",
     "apply_gate",
     "dense_apply",
+    "marginal",
+    "place",
     "basis_table",
     "gate_basis_table",
     "basis_lookup",
@@ -105,11 +112,22 @@ def scratch(shape: Tuple[int, ...], count: int = 3) -> tuple:
 def dense_apply(data, num_qubits: int, matrix, targets):
     """moveaxis/reshape + BLAS application; returns a new contiguous array.
 
-    What a ``wide`` step runs on each row, and the reference the kernel
-    tests compare every step against.
+    What a ``wide`` step runs on each row, what a density matrix's Kraus
+    superoperator runs on, how fusion builds a block's product (on its
+    ``2k``-qubit flattening), and the reference the kernel tests compare
+    every step against.  Targets on consecutive axes in order (``targets[0]``
+    the highest, each next one one lower) take one batched matmul over the
+    leading axes, with no transpose, when that gives the same bits.
     """
     k = len(targets)
     axes = [num_qubits - 1 - t for t in targets]
+    first = axes[0] if k else 0
+    # several products narrower than 4 columns run BLAS's narrow kernels,
+    # which round differently from the one wide product below; they stay
+    # there, so both paths give the same bits
+    batches, columns = 1 << first, data.size >> (first + k)
+    if axes == list(range(first, first + k)) and (batches == 1 or columns >= 4):
+        return np.matmul(matrix, data.reshape(batches, 1 << k, columns)).reshape(-1)
     psi = data.reshape((2,) * num_qubits)
     psi = np.moveaxis(psi, axes, range(k))
     tail_shape = psi.shape[k:]
@@ -117,6 +135,39 @@ def dense_apply(data, num_qubits: int, matrix, targets):
     flat = matrix @ flat
     flat = flat.reshape((2,) * k + tail_shape)
     return np.ascontiguousarray(np.moveaxis(flat, range(k), axes).reshape(-1))
+
+
+def _little_endian_axes(num_qubits: int, targets: Sequence[int]) -> list:
+    """The axes of the ``(2,) * num_qubits`` view that *targets* occupy, in
+    the order that puts ``targets[0]`` (the least significant bit) last
+    when moved to the front: the front index is then the little-endian
+    value over *targets*, the way registers encode integers."""
+    return [num_qubits - 1 - t for t in reversed(targets)]
+
+
+def marginal(weights, num_qubits: int, targets: Sequence[int]):
+    """The sums of the real per-basis-state *weights* (``|amplitude|^2``, or
+    the diagonal of ``rho``) over every value of *targets*: element ``v``
+    is the weight of reading the little-endian value ``v``."""
+    k = len(targets)
+    tensor = weights.reshape((2,) * num_qubits)
+    tensor = np.moveaxis(tensor, _little_endian_axes(num_qubits, targets), range(k))
+    return tensor.reshape(2**k, -1).sum(axis=1)
+
+
+def place(data, num_qubits: int, amplitudes, targets: Sequence[int]):
+    """The state *data* with *targets*, all ``|0>``, set to *amplitudes*
+    (little-endian over *targets*, as :func:`marginal` reads them): the
+    product of the rest of the state with *amplitudes*.  Returns a new
+    contiguous array."""
+    k = len(targets)
+    axes = _little_endian_axes(num_qubits, targets)
+    psi = np.moveaxis(data.reshape((2,) * num_qubits), axes, range(k))
+    tail_shape = psi.shape[k:]
+    rest = psi.reshape(2**k, -1)[0]
+    block = amplitudes[:, None] * rest
+    psi = np.moveaxis(block.reshape((2,) * k + tail_shape), range(k), axes)
+    return np.ascontiguousarray(psi.reshape(-1))
 
 
 def basis_table(matrix):

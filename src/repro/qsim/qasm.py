@@ -42,6 +42,7 @@ from typing import Callable, Deque, Dict, List, NamedTuple, Optional, Sequence, 
 
 from .circuit import QuantumCircuit, SourceSpan
 from .exceptions import CircuitError, QasmError
+from .gates import GATE_REGISTRY
 from .instruction import (
     Barrier,
     ControlledGate,
@@ -57,39 +58,11 @@ from .registers import ClassicalRegister, Clbit, QuantumRegister, Qubit
 
 __all__ = ["to_qasm", "from_qasm", "from_qasm_file"]
 
-_SIMPLE_GATES = {
-    "id",
-    "x",
-    "y",
-    "z",
-    "h",
-    "s",
-    "sdg",
-    "t",
-    "tdg",
-    "sx",
-    "cx",
-    "cy",
-    "cz",
-    "ch",
-    "swap",
-    "ccx",
-    "cswap",
-}
-_PARAM_GATES = {
-    "rx": 1,
-    "ry": 1,
-    "rz": 1,
-    "p": 1,
-    "u2": 2,
-    "u3": 3,
-    "cp": 1,
-    "crx": 1,
-    "cry": 1,
-    "crz": 1,
-    "rxx": 1,
-    "rzz": 1,
-}
+#: registry gates OpenQASM 2.0's qelib1 has no gate for: :func:`to_qasm`
+#: sends them to lowering and :func:`from_qasm` does not know them
+_NOT_IN_QELIB1 = frozenset({"iswap", "ryy"})
+#: the registry gates :func:`to_qasm` writes under their own name
+_QASM2_GATES = frozenset(GATE_REGISTRY) - _NOT_IN_QELIB1
 
 
 # ---------------------------------------------------------------------------
@@ -132,12 +105,11 @@ def to_qasm(circuit: QuantumCircuit, lower: bool = True) -> str:
         if isinstance(op, Reset):
             lines.append(f"{prefix}reset {qubit_refs[0]};")
             continue
-        if op.name in _SIMPLE_GATES:
-            lines.append(f"{prefix}{op.name} {', '.join(qubit_refs)};")
-            continue
-        if op.name in _PARAM_GATES:
-            params = ", ".join(_format_param(p) for p in op.params)
-            lines.append(f"{prefix}{op.name}({params}) {', '.join(qubit_refs)};")
+        if op.name in _QASM2_GATES:
+            call = op.name
+            if GATE_REGISTRY[op.name].num_params:
+                call += f"({', '.join(_format_param(p) for p in op.params)})"
+            lines.append(f"{prefix}{call} {', '.join(qubit_refs)};")
             continue
         raise CircuitError(f"instruction {op.name!r} has no OpenQASM 2.0 form")
     return "\n".join(lines) + "\n"
@@ -150,7 +122,7 @@ def _needs_lowering(circuit: QuantumCircuit) -> bool:
             continue
         if isinstance(op, Initialize):
             return True
-        if op.name not in _SIMPLE_GATES and op.name not in _PARAM_GATES:
+        if op.name not in _QASM2_GATES:
             return True
     return False
 
@@ -286,11 +258,15 @@ _LITERAL_RE = re.compile(
 # ---------------------------------------------------------------------------
 
 class _NativeGate(NamedTuple):
-    """A QASM gate that maps directly onto a registry :class:`Gate`."""
+    """A QASM gate that maps directly onto the registry gate *name*."""
 
+    name: str
     num_params: int
     num_qubits: int
-    build: Callable[[Sequence[float]], Gate]
+    drop_params: bool = False
+
+    def build(self, params: Sequence[float]) -> Gate:
+        return Gate(self.name, self.num_qubits, [] if self.drop_params else list(params))
 
 
 class _MacroGate(NamedTuple):
@@ -325,9 +301,9 @@ def _controlled_gate(base: Gate, num_controls: int) -> Gate:
     helpers; anything else becomes a generic :class:`ControlledGate`.
     """
     name = "c" * num_controls + base.name
-    arity = _CTRL_NATIVE_ARITY.get(name)
-    if arity is not None:
-        return Gate(name, arity, list(base.params))
+    spec = GATE_REGISTRY.get(name)
+    if spec is not None:
+        return Gate(name, spec.num_qubits, list(base.params))
     if base.name == "x" and not base.params:
         return mcx_gate(num_controls)
     if base.name == "z" and not base.params:
@@ -337,56 +313,20 @@ def _controlled_gate(base: Gate, num_controls: int) -> Gate:
     return ControlledGate(base, num_controls)
 
 
-def _native(qasm_name: str, num_params: int, num_qubits: int, registry_name: str,
-            drop_params: bool = False) -> Tuple[str, _NativeGate]:
-    if drop_params:
-        def build(params: Sequence[float]) -> Gate:
-            return Gate(registry_name, num_qubits)
-    else:
-        def build(params: Sequence[float]) -> Gate:
-            return Gate(registry_name, num_qubits, list(params))
-    return qasm_name, _NativeGate(num_params, num_qubits, build)
-
-
-#: qelib1 gates with a one-to-one registry counterpart (name -> spec);
-#: ``u1``/``cu1``/``u`` are spelled ``p``/``cp``/``u3`` internally, ``u0`` is
-#: an identity-length marker whose duration parameter is dropped
-_QELIB1_NATIVE: Dict[str, _NativeGate] = dict(
-    [
-        _native("u3", 3, 1, "u3"),
-        _native("u2", 2, 1, "u2"),
-        _native("u1", 1, 1, "p"),
-        _native("u", 3, 1, "u3"),
-        _native("p", 1, 1, "p"),
-        _native("u0", 1, 1, "id", drop_params=True),
-        _native("id", 0, 1, "id"),
-        _native("x", 0, 1, "x"),
-        _native("y", 0, 1, "y"),
-        _native("z", 0, 1, "z"),
-        _native("h", 0, 1, "h"),
-        _native("s", 0, 1, "s"),
-        _native("sdg", 0, 1, "sdg"),
-        _native("t", 0, 1, "t"),
-        _native("tdg", 0, 1, "tdg"),
-        _native("sx", 0, 1, "sx"),
-        _native("rx", 1, 1, "rx"),
-        _native("ry", 1, 1, "ry"),
-        _native("rz", 1, 1, "rz"),
-        _native("cx", 0, 2, "cx"),
-        _native("cy", 0, 2, "cy"),
-        _native("cz", 0, 2, "cz"),
-        _native("ch", 0, 2, "ch"),
-        _native("swap", 0, 2, "swap"),
-        _native("crx", 1, 2, "crx"),
-        _native("cry", 1, 2, "cry"),
-        _native("crz", 1, 2, "crz"),
-        _native("cu1", 1, 2, "cp"),
-        _native("cp", 1, 2, "cp"),
-        _native("rxx", 1, 2, "rxx"),
-        _native("rzz", 1, 2, "rzz"),
-        _native("ccx", 0, 3, "ccx"),
-        _native("cswap", 0, 3, "cswap"),
-    ]
+#: qelib1 gates with a registry counterpart (name -> spec): every gate
+#: :func:`to_qasm` writes, plus the qelib1 spellings ``u1``/``cu1``/``u`` of
+#: ``p``/``cp``/``u3`` and ``u0``, an identity-length marker whose duration
+#: parameter is dropped
+_QELIB1_NATIVE: Dict[str, _NativeGate] = {
+    name: _NativeGate(name, spec.num_params, spec.num_qubits)
+    for name, spec in GATE_REGISTRY.items()
+    if name in _QASM2_GATES
+}
+_QELIB1_NATIVE.update(
+    u1=_QELIB1_NATIVE["p"],
+    cu1=_QELIB1_NATIVE["cp"],
+    u=_QELIB1_NATIVE["u3"],
+    u0=_NativeGate("id", 1, 1, drop_params=True),
 )
 
 #: composite qelib1 gates without a registry counterpart, defined here in
@@ -457,13 +397,6 @@ _QASM3_UNSUPPORTED = frozenset(
         "end", "pragma", "gphase", "negctrl", "inv", "pow",
     }
 )
-
-#: ``ctrl @`` combinations with a dedicated registry gate, keyed by the
-#: would-be name ("c" * controls + base); value is the gate's total arity
-_CTRL_NATIVE_ARITY = {
-    "cx": 2, "ccx": 3, "cy": 2, "cz": 2, "ch": 2, "cswap": 3,
-    "cp": 2, "crx": 2, "cry": 2, "crz": 2,
-}
 
 #: nesting ceilings keeping pathological inputs from blowing the Python
 #: stack with a raw RecursionError instead of a positioned QasmError
@@ -821,11 +754,11 @@ class _QasmParser:
         if self._included_qelib1:
             return
         table = _qelib1_table()
-        for gate_name in table:
+        for gate_name in self._gates:
             # a user gate defined before the include would be silently
             # overwritten by update(); mirror the 'already defined' error
             # the parser raises for the opposite ordering
-            if gate_name in self._gates:
+            if gate_name in table:
                 raise self._error(
                     f"gate {gate_name!r} is already defined "
                     '(put include "qelib1.inc" before gate definitions)',

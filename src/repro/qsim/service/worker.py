@@ -230,6 +230,13 @@ def worker_loop(
     and is meant to be killed.  ``max_jobs`` bounds the number of processed
     jobs either way.
     """
+    # import what a job would import lazily -- the backends, the engines'
+    # session module and numpy.random -- before the first claim, so a fresh
+    # worker's start-up cost lands outside every job's span
+    import numpy.random  # noqa: F401
+
+    from .. import backends, shotbatch  # noqa: F401
+
     worker_id = worker_id or _new_worker_id()
     store = JobStore(db_path)
     cache = CircuitCache(store)

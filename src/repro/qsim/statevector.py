@@ -116,16 +116,7 @@ class Statevector:
             raise SimulationError(
                 "initialize requires the target qubits to be in the |0...0> state"
             )
-        n = self.num_qubits
-        # targets[0] (least significant) becomes the last front axis, so the
-        # front index is the little-endian value over targets
-        axes = [n - 1 - t for t in reversed(targets)]
-        psi = np.moveaxis(self.data.reshape((2,) * n), axes, range(k))
-        tail_shape = psi.shape[k:]
-        rest = psi.reshape(2**k, -1)[0]
-        block = amplitudes[:, None] * rest
-        psi = np.moveaxis(block.reshape((2,) * k + tail_shape), range(k), axes)
-        self.data = np.ascontiguousarray(psi.reshape(-1))
+        self.data = kernels.place(self.data, self.num_qubits, amplitudes, targets)
 
     # -- measurement ---------------------------------------------------------------
 
@@ -135,19 +126,10 @@ class Statevector:
         Element ``v`` of the result is the probability of reading the
         little-endian value ``v`` from *targets*.
         """
-        probs_full = np.abs(self.data) ** 2
         if targets is None:
             targets = list(range(self.num_qubits))
         targets = self._check_targets(targets)
-        k = len(targets)
-        n = self.num_qubits
-        tensor = probs_full.reshape((2,) * n)
-        # Move target axes to the front in little-endian order (targets[0]
-        # least significant -> last front axis).
-        axes = [n - 1 - t for t in reversed(targets)]
-        tensor = np.moveaxis(tensor, axes, range(k))
-        tensor = tensor.reshape(2**k, -1)
-        return tensor.sum(axis=1)
+        return kernels.marginal(np.abs(self.data) ** 2, self.num_qubits, targets)
 
     # -- analysis -------------------------------------------------------------------
 

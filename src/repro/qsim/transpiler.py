@@ -20,7 +20,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .circuit import CircuitInstruction, QuantumCircuit
+from .circuit import CircuitInstruction, QuantumCircuit, unique_register_name
 from .exceptions import CircuitError
 from .instruction import (
     Barrier,
@@ -111,7 +111,7 @@ def decompose(circuit: QuantumCircuit) -> QuantumCircuit:
         out.add_register(reg)
     ancillas: List = []
     if num_ancillas:
-        anc_reg = QuantumRegister(num_ancillas, _unique_qreg_name(circuit, "mcx_anc"))
+        anc_reg = QuantumRegister(num_ancillas, unique_register_name(circuit.qregs, "mcx_anc"))
         out.add_register(anc_reg)
         ancillas = list(anc_reg)
 
@@ -126,16 +126,6 @@ def decompose(circuit: QuantumCircuit) -> QuantumCircuit:
             for lowered in out.data[start:]:
                 lowered.condition = instr.condition
     return out
-
-
-def _unique_qreg_name(circuit: QuantumCircuit, base: str) -> str:
-    existing = {r.name for r in circuit.qregs}
-    if base not in existing:
-        return base
-    i = 0
-    while f"{base}{i}" in existing:
-        i += 1
-    return f"{base}{i}"
 
 
 def _lower_instruction(out: QuantumCircuit, instr: CircuitInstruction, ancillas: Sequence) -> None:

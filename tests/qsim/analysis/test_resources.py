@@ -3,6 +3,8 @@
 from repro.qsim import transpiler
 from repro.qsim.analysis import estimate_resources
 from repro.qsim.circuit import QuantumCircuit
+from repro.qsim.qasm import from_qasm
+from repro.qsim.simulator import measurements_are_final
 
 
 def bell():
@@ -65,6 +67,17 @@ class TestEstimate:
         qc.measure(0, 0)
         qc.x(0)
         assert estimate_resources(qc).has_mid_circuit_measurement
+
+    def test_second_measurement_of_a_qubit_is_mid_circuit(self):
+        # agrees with the engines: the first measurement is not final
+        qc = from_qasm(
+            'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\ncreg c[2];\n'
+            "h q[0];\nmeasure q[0] -> c[0];\nmeasure q[0] -> c[1];\n"
+        )
+        est = estimate_resources(qc)
+        assert est.has_mid_circuit_measurement
+        assert est.measurements == 2
+        assert not measurements_are_final(qc)
 
     def test_memory_estimates(self):
         est = estimate_resources(bell())

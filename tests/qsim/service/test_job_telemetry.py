@@ -1,5 +1,9 @@
 """Per-job telemetry artifacts: worker capture, store persistence, aggregation."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.qsim import QuantumCircuit, telemetry
@@ -71,6 +75,25 @@ class TestArtifactCapture:
             child["wall_s"] <= artifact["duration_s"] + 1e-9
             for child in artifact["trace"]["children"]
         )
+
+    def test_fresh_worker_imports_the_job_path_before_its_first_claim(self, store):
+        # a module a job imports lazily would charge its import to the first
+        # job's spans; a fresh process shows which are loaded by the claim
+        probe = (
+            "import sys\n"
+            "from repro.qsim.service import worker\n"
+            "from repro.qsim.service.store import JobStore\n"
+            "def claim(self, *args):\n"
+            "    print(sorted(m for m in ('numpy.random', 'repro.qsim.backends',\n"
+            "                             'repro.qsim.shotbatch') if m in sys.modules))\n"
+            "JobStore.claim = claim\n"
+            f"worker.worker_loop({str(store.path)!r}, burst=True)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+        ).stdout
+        assert out.strip() == "['numpy.random', 'repro.qsim.backends', 'repro.qsim.shotbatch']"
 
     def test_metrics_delta_is_per_job_not_process_wide(self, store):
         first = store.get(run_one(store)).telemetry_dict()

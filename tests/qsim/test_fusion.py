@@ -8,6 +8,8 @@ engine's fusion policy.  References are built gate by gate with
 them.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,8 @@ from repro.qsim import (
     simulator,
     transpile,
 )
-from repro.qsim.instruction import Barrier, Measure, Reset, UnitaryGate
+from repro.qsim import gates
+from repro.qsim.instruction import Barrier, Gate, Measure, Reset, UnitaryGate
 from repro.qsim.shotbatch import run_batched
 from repro.qsim.simulator import prepare
 
@@ -237,3 +240,73 @@ def test_transpile_levels():
 def test_fusion_rejects_bad_budget():
     with pytest.raises(ValueError):
         fuse_gates(QuantumCircuit(1), max_fused_qubits=0)
+
+
+
+# ---------------------------------------------------------------------------
+# Fused products are pinned bit for bit
+# ---------------------------------------------------------------------------
+
+
+def registry_circuit(num_qubits, num_gates, seed):
+    """Uniformly drawn one- and two-qubit registry gates with uniform angles:
+    the shape of perfbench's random circuit."""
+    pool = [name for name, spec in gates.GATE_REGISTRY.items() if spec.num_qubits <= 2]
+    rng = np.random.default_rng(seed)
+    qc = QuantumCircuit(num_qubits)
+    for _ in range(num_gates):
+        name = pool[rng.integers(len(pool))]
+        spec = gates.GATE_REGISTRY[name]
+        params = list(rng.uniform(0, 2 * np.pi, spec.num_params))
+        targets = [int(q) for q in rng.choice(num_qubits, spec.num_qubits, replace=False)]
+        qc.append(Gate(name, spec.num_qubits, params), targets)
+    return qc
+
+
+def fused_digest(circuit, max_fused_qubits):
+    """sha256 over every output instruction's qubits and matrix bytes."""
+    fused = fuse_gates(circuit, max_fused_qubits)
+    digest = hashlib.sha256()
+    for instr in fused.data:
+        digest.update(repr([fused.qubit_index(q) for q in instr.qubits]).encode())
+        digest.update(instr.operation.to_matrix().tobytes())
+    return digest.hexdigest()[:16]
+
+
+#: digests of the fused products at each budget: a changed digest means
+#: fused runs no longer reproduce their seed streams
+FUSED_DIGESTS = {
+    "kernels-0": {
+        2: "aab2698d0d462600", 3: "5038c522ecdd551c",
+        4: "b248a19b0243ebd0", 5: "712f6fe43e9216d8",
+    },
+    "kernels-1": {
+        2: "fcc91313defc5d17", 3: "fce048e943ca4f61",
+        4: "86ee701f880390b7", 5: "6e7e0752ba743c4b",
+    },
+    "registry-0": {
+        2: "13cc60954fedea86", 3: "1461d8077dbde880",
+        4: "ab51119e11c71578", 5: "ec86af6b61d90659",
+    },
+    "registry-1": {
+        2: "491365d8ac1f75ea", 3: "0af76ce47aa4a1a5",
+        4: "30ff591cb2dc53cb", 5: "d8fa6d7cac4a6322",
+    },
+    "registry-2": {
+        2: "ef050b9144437a77", 3: "9d0f6811018b2545",
+        4: "5be622f516fbff97", 5: "f0fac8b605c7259c",
+    },
+}
+
+
+def digest_circuit(key):
+    kind, seed = key.split("-")
+    if kind == "registry":
+        return registry_circuit(12, 400, int(seed))
+    return random_circuit(8, 120, np.random.default_rng(int(seed)))
+
+
+@pytest.mark.parametrize("key", sorted(FUSED_DIGESTS))
+def test_fused_products_are_bit_identical(key):
+    circuit = digest_circuit(key)
+    assert {width: fused_digest(circuit, width) for width in (2, 3, 4, 5)} == FUSED_DIGESTS[key]

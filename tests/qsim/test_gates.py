@@ -136,15 +136,10 @@ class TestCombinators:
 
 class TestRegistry:
     def test_every_registry_entry_produces_unitary(self):
-        for name, (nq, _) in gates.GATE_REGISTRY.items():
-            params = {
-                "rx": [0.3], "ry": [0.3], "rz": [0.3], "p": [0.3],
-                "u2": [0.1, 0.2], "u3": [0.1, 0.2, 0.3],
-                "crx": [0.3], "cry": [0.3], "crz": [0.3], "cp": [0.3],
-                "rxx": [0.3], "ryy": [0.3], "rzz": [0.3],
-            }.get(name, [])
+        for name, spec in gates.GATE_REGISTRY.items():
+            params = [0.1 * (i + 1) for i in range(spec.num_params)]
             m = gates.gate_matrix(name, params)
-            assert m.shape == (2**nq, 2**nq)
+            assert m.shape == (2**spec.num_qubits, 2**spec.num_qubits)
             assert gates.is_unitary(m)
 
     def test_unknown_gate_raises(self):
@@ -152,9 +147,9 @@ class TestRegistry:
             gates.gate_matrix("bogus")
 
     def test_wrong_param_count_raises(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"gate 'rx' expects 1 parameter\(s\), got 0"):
             gates.gate_matrix("rx")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"gate 'x' expects 0 parameter\(s\), got 1"):
             gates.gate_matrix("x", [0.1])
 
     def test_is_unitary_rejects_non_square(self):

@@ -30,12 +30,6 @@ from repro.qsim.transpiler import is_clifford
 
 ATOL = 1e-12
 
-#: gate name -> number of parameters, for the parametric registry gates
-_PARAM_COUNTS = {
-    "rx": 1, "ry": 1, "rz": 1, "p": 1, "u2": 2, "u3": 3,
-    "crx": 1, "cry": 1, "crz": 1, "cp": 1, "rxx": 1, "ryy": 1, "rzz": 1,
-}
-
 
 def random_amplitudes(num_qubits: int, rng: np.random.Generator) -> np.ndarray:
     data = rng.normal(size=2**num_qubits) + 1j * rng.normal(size=2**num_qubits)
@@ -54,8 +48,8 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def registry_gate(name: str, rng: np.random.Generator) -> Gate:
-    arity, _ = gates.GATE_REGISTRY[name]
-    return Gate(name, arity, list(rng.uniform(0, 2 * np.pi, _PARAM_COUNTS.get(name, 0))))
+    spec = gates.GATE_REGISTRY[name]
+    return Gate(name, spec.num_qubits, list(rng.uniform(0, 2 * np.pi, spec.num_params)))
 
 
 def random_circuit(num_qubits: int, num_gates: int, rng: np.random.Generator) -> QuantumCircuit:
@@ -67,10 +61,10 @@ def random_circuit(num_qubits: int, num_gates: int, rng: np.random.Generator) ->
         roll = rng.random()
         if roll < 0.80:
             name = names[rng.integers(len(names))]
-            arity, _ = gates.GATE_REGISTRY[name]
-            params = list(rng.uniform(0, 2 * np.pi, _PARAM_COUNTS.get(name, 0)))
-            targets = [int(q) for q in rng.choice(num_qubits, arity, replace=False)]
-            qc.append(Gate(name, arity, params), targets)
+            spec = gates.GATE_REGISTRY[name]
+            params = list(rng.uniform(0, 2 * np.pi, spec.num_params))
+            targets = [int(q) for q in rng.choice(num_qubits, spec.num_qubits, replace=False)]
+            qc.append(Gate(name, spec.num_qubits, params), targets)
         elif roll < 0.90:
             num_controls = int(rng.integers(2, 4))
             base = [Gate("x", 1), Gate("z", 1), Gate("p", 1, [float(rng.uniform(0, np.pi))]),
@@ -272,6 +266,33 @@ def test_random_circuit_matches_dense_apply(seed):
     np.testing.assert_allclose(fast.data, slow, atol=1e-10, rtol=0)
 
 
+def moveaxis_apply(data, num_qubits, matrix, targets):
+    """:func:`kernels.dense_apply`'s general path, taken for every target
+    order: the target axes moved to the front, one product, moved back."""
+    k = len(targets)
+    axes = [num_qubits - 1 - t for t in targets]
+    psi = np.moveaxis(data.reshape((2,) * num_qubits), axes, range(k))
+    tail_shape = psi.shape[k:]
+    flat = (matrix @ psi.reshape(2**k, -1)).reshape((2,) * k + tail_shape)
+    return np.ascontiguousarray(np.moveaxis(flat, range(k), axes).reshape(-1))
+
+
+@pytest.mark.parametrize("num_qubits", range(1, 11))
+def test_dense_apply_in_order_path_is_bit_identical(num_qubits):
+    # every run of consecutive targets in order, the shape of each gate in a
+    # fused block's product (its 2k-qubit flattening)
+    rng = np.random.default_rng(num_qubits)
+    for k in range(1, min(num_qubits, 7) + 1):
+        for top in range(k - 1, num_qubits):
+            targets = list(range(top, top - k, -1))
+            matrix = random_unitary(2**k, rng)
+            state = random_amplitudes(num_qubits, rng)
+            np.testing.assert_array_equal(
+                kernels.dense_apply(state, num_qubits, matrix, targets),
+                moveaxis_apply(state, num_qubits, matrix, targets),
+            )
+
+
 def test_wide_controlled_gate_never_builds_its_matrix(monkeypatch):
     def refuse(self):
         raise AssertionError(f"built the {self.num_qubits}-qubit matrix of {self.name}")
@@ -402,6 +423,6 @@ def test_gate_contradicting_its_registered_arity_is_rejected(engine, name, arity
         qc.append(Gate(name, arity), list(range(arity)))
         return qc
 
-    registered = gates.GATE_REGISTRY[name][0]
+    registered = gates.GATE_REGISTRY[name].num_qubits
     with pytest.raises(CircuitError, match=f"gate '{name}' acts on {registered} qubit"):
         ENGINES[engine](malformed())

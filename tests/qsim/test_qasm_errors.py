@@ -156,6 +156,13 @@ class TestBadGateUsage:
         assert "already defined" in str(err)
         assert err.line == 3
 
+    def test_include_names_the_first_shadowed_user_gate(self):
+        err = error_for(
+            "OPENQASM 2.0;\ngate rzz(t) a, b { CX a, b; }\ngate u1(t) a { U(0, 0, t) a; }\n"
+            'include "qelib1.inc";\n'
+        )
+        assert "gate 'rzz' is already defined" in str(err)
+
     def test_pi_as_parameter_name_rejected(self):
         err = error_for(HEADER + "gate bad(pi) a { rz(pi) a; }")
         assert "'pi' cannot be used as a parameter name" in str(err)

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from repro.qsim import from_qasm, from_qasm_file
-from repro.qsim.gates import gate_matrix
+from repro.qsim import QuantumCircuit, from_qasm, from_qasm_file, to_qasm
+from repro.qsim.exceptions import CircuitError
+from repro.qsim.gates import GATE_REGISTRY, gate_matrix
+from repro.qsim.instruction import ControlledGate, Gate
 
 HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
 
@@ -71,17 +73,19 @@ class TestGateMapping:
     def test_u1_u_and_cu1_alias_to_registry_names(self):
         qc = from_qasm(HEADER + "qreg q[2];\nu1(0.5) q[0];\nu(1,2,3) q[0];\ncu1(0.25) q[0], q[1];")
         assert names(qc) == ["p", "u3", "cp"]
-        assert qc.data[0].operation.params == [0.5]
-        assert qc.data[1].operation.params == [1.0, 2.0, 3.0]
+        assert [i.operation.num_qubits for i in qc.data] == [1, 1, 2]
+        assert [i.operation.params for i in qc.data] == [[0.5], [1.0, 2.0, 3.0], [0.25]]
 
     def test_builtin_U_and_CX_without_include(self):
         qc = from_qasm("OPENQASM 2.0;\nqreg q[2];\nU(0.1, 0.2, 0.3) q[0];\nCX q[0], q[1];")
         assert names(qc) == ["u3", "cx"]
+        assert [i.operation.params for i in qc.data] == [[0.1, 0.2, 0.3], []]
 
     def test_u0_drops_duration_parameter(self):
         qc = from_qasm(HEADER + "qreg q[1];\nu0(3) q[0];")
         assert names(qc) == ["id"]
         assert qc.data[0].operation.params == []
+        assert qc.data[0].operation.num_qubits == 1
 
     def test_cu3_macro_matches_controlled_u3(self):
         theta, phi, lam = 0.3, 0.7, -0.4
@@ -107,6 +111,47 @@ class TestGateMapping:
     def test_sxdg_macro_inlines(self):
         qc = from_qasm(HEADER + "qreg q[1];\nsxdg q[0];")
         assert names(qc) == ["s", "h", "s"]
+
+    @pytest.mark.parametrize("name", sorted(GATE_REGISTRY))
+    def test_every_registry_gate_round_trips_or_is_refused(self, name):
+        spec = GATE_REGISTRY[name]
+        params = [0.1 * (i + 1) for i in range(spec.num_params)]
+        qc = QuantumCircuit(spec.num_qubits)
+        qc.append(Gate(name, spec.num_qubits, params), list(range(spec.num_qubits)))
+        if name in ("iswap", "ryy"):
+            # qelib1 has no such gate and lowering has no rule for them
+            with pytest.raises(CircuitError, match="not expressible in OpenQASM 2.0"):
+                to_qasm(qc)
+            return
+        back = from_qasm(to_qasm(qc))
+        assert names(back) == [name]
+        assert back.data[0].operation.params == pytest.approx(params, rel=1e-11)
+
+    @pytest.mark.parametrize(
+        "call, kind, name, params",
+        [
+            ("ctrl @ x q[0], q[1];", Gate, "cx", []),
+            ("ctrl @ ctrl @ x q[0], q[1], q[2];", Gate, "ccx", []),
+            ("ctrl @ cx q[0], q[1], q[2];", Gate, "ccx", []),
+            ("ctrl @ swap q[0], q[1], q[2];", Gate, "cswap", []),
+            ("ctrl @ h q[0], q[1];", Gate, "ch", []),
+            ("ctrl @ rx(0.5) q[0], q[1];", Gate, "crx", [0.5]),
+            ("ctrl @ u1(0.5) q[0], q[1];", Gate, "cp", [0.5]),
+            ("ctrl @ ctrl @ ctrl @ x q[0], q[1], q[2], q[3];", ControlledGate, "cccx", []),
+            ("ctrl @ ctrl @ z q[0], q[1], q[2];", ControlledGate, "ccz", []),
+            ("ctrl @ ctrl @ p(0.5) q[0], q[1], q[2];", ControlledGate, "ccp", [0.5]),
+            ("ctrl @ s q[0], q[1];", ControlledGate, "cs", []),
+            ("ctrl @ u0(3) q[0], q[1];", ControlledGate, "cid", []),
+            ("ctrl @ rzz(0.5) q[0], q[1], q[2];", ControlledGate, "crzz", [0.5]),
+        ],
+    )
+    def test_ctrl_chains_map_onto_registry_gates(self, call, kind, name, params):
+        qc = from_qasm('OPENQASM 3;\ninclude "stdgates.inc";\nqubit[4] q;\n' + call)
+        (instr,) = qc.data
+        assert type(instr.operation) is kind
+        assert instr.operation.name == name
+        assert instr.operation.num_qubits == len(instr.qubits)
+        assert instr.operation.params == params
 
 
 class TestParameterExpressions:

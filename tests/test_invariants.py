@@ -87,6 +87,22 @@ class TestAllowMarker:
         assert [f.line for f in findings] == [3]
 
 
+class TestOneAxisLayout:
+    def test_moveaxis_allowed_in_kernels(self, tmp_path):
+        source = "import numpy as np\npsi = np.moveaxis(psi, [0], [1])\n"
+        assert check_source(tmp_path, source, rel="repro/qsim/kernels.py") == []
+
+    def test_moveaxis_flagged_elsewhere(self, tmp_path):
+        source = "import numpy as np\npsi = np.moveaxis(psi, [0], [1])\n"
+        findings = check_source(tmp_path, source, rel="repro/qsim/fusion.py")
+        assert [(f.code, f.line) for f in findings] == [("INV201", 2)]
+
+    def test_moveaxis_import_flagged_elsewhere(self, tmp_path):
+        source = "from numpy import moveaxis\n"
+        findings = check_source(tmp_path, source, rel="repro/qsim/statevector.py")
+        assert [f.code for f in findings] == ["INV201"]
+
+
 class TestTreeAndCli:
     def test_repo_source_tree_is_clean(self):
         findings = checker.check_tree(REPO_ROOT / "src")

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Repo invariant checker: an AST lint over ``src/`` enforcing seeded randomness.
+"""Repo invariant checker: an AST lint over ``src/`` enforcing seeded randomness
+and one home for the qubit-to-axis mapping.
 
 **Seeded randomness** (``INV101``/``INV102``/``INV103``): reproducibility is
 a headline property of the simulator, so library code must draw randomness
@@ -7,6 +8,10 @@ from an explicitly threaded ``numpy.random.Generator`` -- never the stdlib
 ``random`` module, never the legacy global ``np.random.seed``/``np.random.rand``
 API, and never an argument-less ``np.random.default_rng()`` (OS-entropy
 seeding) unless the line opts out.
+
+**One axis layout** (``INV201``): ``np.moveaxis`` -- placing qubits on
+tensor axes -- appears only in ``src/repro/qsim/kernels.py``, so no engine,
+fusion pass or marginal keeps its own copy of that mapping.
 
 A finding on a deliberate line is silenced by appending the marker comment::
 
@@ -35,6 +40,10 @@ ALLOW_MARKER = "invariant: allow"
 ALLOWED_NP_RANDOM = frozenset(
     {"default_rng", "Generator", "SeedSequence", "BitGenerator", "PCG64", "Philox", "SFC64"}
 )
+
+
+#: the one module that maps qubits to tensor axes (``INV201``)
+AXIS_HOME = "src/repro/qsim/kernels.py"
 
 
 class Finding(NamedTuple):
@@ -93,7 +102,20 @@ class _Checker(ast.NodeVisitor):
                 "stdlib 'random' is banned in library code; thread a seeded "
                 "numpy Generator instead",
             )
+        if node.module == "numpy" and any(alias.name == "moveaxis" for alias in node.names):
+            self._moveaxis(node)
         self.generic_visit(node)
+
+    # -- the qubit-to-axis mapping ---------------------------------------------
+
+    def _moveaxis(self, node: ast.AST) -> None:
+        if self.path != AXIS_HOME:
+            self._emit(
+                node,
+                "INV201",
+                f"np.moveaxis outside {AXIS_HOME}; map qubits to axes through "
+                "repro.qsim.kernels (dense_apply, marginal, place)",
+            )
 
     # -- the legacy global np.random API ---------------------------------------
 
@@ -106,6 +128,8 @@ class _Checker(ast.NodeVisitor):
         return isinstance(node, ast.Name) and node.id in self.numpy_aliases
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
+        if self._is_numpy_attr(node, ["moveaxis"]):
+            self._moveaxis(node)
         if self._is_numpy_attr(node, ["random", node.attr]):
             if node.attr not in ALLOWED_NP_RANDOM:
                 self._emit(
