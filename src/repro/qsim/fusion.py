@@ -27,8 +27,6 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-import numpy as np
-
 from . import kernels
 from .circuit import CircuitInstruction, QuantumCircuit
 from .instruction import UnitaryGate
@@ -62,17 +60,14 @@ def _emit(block: _Block, circuit: QuantumCircuit) -> List[CircuitInstruction]:
         return block.instructions
     qubits = sorted(block.qubits, key=circuit.qubit_index)
     k = len(qubits)
-    # the product's flattening is a 2k-qubit vector whose row index holds
-    # the block's qubits, qubits[0] on the highest bit (2k - 1), so each
-    # gate multiplies it from the left as a dense_apply on those bits
-    row_bit = {qubit: 2 * k - 1 - axis for axis, qubit in enumerate(qubits)}
-    product = np.eye(2**k, dtype=complex).reshape(-1)
-    for instruction in block.instructions:
-        product = kernels.dense_apply(
-            product, 2 * k, instruction.operation.to_matrix(),
-            [row_bit[q] for q in instruction.qubits],
-        )
-    product = product.reshape(2**k, 2**k)
+    position = {qubit: index for index, qubit in enumerate(qubits)}
+    product = kernels.block_product(
+        [
+            (instruction.operation.to_matrix(), [position[q] for q in instruction.qubits])
+            for instruction in block.instructions
+        ],
+        k,
+    )
     # products of unitaries are unitary, so skip the O(8^k) re-verification
     fused = UnitaryGate.unchecked(product, label=f"fused_{k}q")
     # labels are free-form, so consumers (e.g. the simulator's noise guard)

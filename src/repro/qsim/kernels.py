@@ -39,9 +39,9 @@ amplitudes: it is built only for a plan that applies the step to many rows
 :func:`apply_step`).
 
 It is the one module that maps qubits to tensor axes: besides
-:func:`dense_apply`, :func:`marginal` sums per-basis-state weights over the
-values of some qubits and :func:`place` sets qubits in ``|0...0>`` to given
-amplitudes.
+:func:`dense_apply` and fusion's :func:`block_product`, :func:`marginal`
+sums per-basis-state weights over the values of some qubits and
+:func:`place` sets qubits in ``|0...0>`` to given amplitudes.
 
 :func:`basis_table` / :func:`is_monomial` classify the gates that keep a
 basis state a basis state, which both dense engines run on basis rows or
@@ -67,6 +67,7 @@ __all__ = [
     "apply_step",
     "apply_gate",
     "dense_apply",
+    "block_product",
     "marginal",
     "place",
     "basis_table",
@@ -109,24 +110,34 @@ def scratch(shape: Tuple[int, ...], count: int = 3) -> tuple:
     )
 
 
+def _in_order_batches(size: int, axes: Sequence[int]) -> Optional[Tuple[int, int]]:
+    """``(batches, columns)`` when a product on *axes* of a *size*-amplitude
+    vector runs as one batched matmul with no transpose and the same bits:
+    consecutive axes in order, and either one batch or at least 4 columns
+    (several products narrower than 4 columns run BLAS's narrow kernels,
+    which round differently from the one wide product of the other path)."""
+    k = len(axes)
+    first = axes[0] if k else 0
+    batches, columns = 1 << first, size >> (first + k)
+    if list(axes) == list(range(first, first + k)) and (batches == 1 or columns >= 4):
+        return batches, columns
+    return None
+
+
 def dense_apply(data, num_qubits: int, matrix, targets):
     """moveaxis/reshape + BLAS application; returns a new contiguous array.
 
     What a ``wide`` step runs on each row, what a density matrix's Kraus
-    superoperator runs on, how fusion builds a block's product (on its
-    ``2k``-qubit flattening), and the reference the kernel tests compare
+    superoperator runs on, and the reference the kernel tests compare
     every step against.  Targets on consecutive axes in order (``targets[0]``
     the highest, each next one one lower) take one batched matmul over the
     leading axes, with no transpose, when that gives the same bits.
     """
     k = len(targets)
     axes = [num_qubits - 1 - t for t in targets]
-    first = axes[0] if k else 0
-    # several products narrower than 4 columns run BLAS's narrow kernels,
-    # which round differently from the one wide product below; they stay
-    # there, so both paths give the same bits
-    batches, columns = 1 << first, data.size >> (first + k)
-    if axes == list(range(first, first + k)) and (batches == 1 or columns >= 4):
+    batched = _in_order_batches(data.size, axes)
+    if batched is not None:
+        batches, columns = batched
         return np.matmul(matrix, data.reshape(batches, 1 << k, columns)).reshape(-1)
     psi = data.reshape((2,) * num_qubits)
     psi = np.moveaxis(psi, axes, range(k))
@@ -135,6 +146,45 @@ def dense_apply(data, num_qubits: int, matrix, targets):
     flat = matrix @ flat
     flat = flat.reshape((2,) * k + tail_shape)
     return np.ascontiguousarray(np.moveaxis(flat, range(k), axes).reshape(-1))
+
+
+@functools.lru_cache(maxsize=256)
+def _gather_order(num_qubits: int, axes: Tuple[int, ...]) -> np.ndarray:
+    """The flat indices in the order :func:`dense_apply` lays out the
+    operand of its matmul: the *axes* moved to the front."""
+    order = np.arange(1 << num_qubits).reshape((2,) * num_qubits)
+    order = np.moveaxis(order, axes, range(len(axes))).reshape(-1)
+    order.flags.writeable = False
+    return order
+
+
+def block_product(factors, k: int) -> np.ndarray:
+    """The ``2^k x 2^k`` product of *factors* applied in order, each a
+    ``(matrix, positions)`` pair whose *positions* index the block's ``k``
+    qubits (position 0 the most significant bit of a matrix index).
+
+    How fusion builds a block: each factor multiplies the product from the
+    left, as :func:`dense_apply` on the product's ``2k``-qubit flattening
+    would, with the same bits.  Where that takes its transposing path, a
+    memoised gather feeds the same contiguous operand to the same matmul
+    and a scatter puts the result back.
+    """
+    num_qubits = 2 * k
+    product = np.eye(1 << k, dtype=complex).reshape(-1)
+    for matrix, positions in factors:
+        # a factor's row bit is 2k - 1 - position, so its axis is the position
+        axes = tuple(positions)
+        rows = 1 << len(axes)
+        batched = _in_order_batches(product.size, axes)
+        if batched is not None:
+            batches, columns = batched
+            product = np.matmul(matrix, product.reshape(batches, rows, columns)).reshape(-1)
+            continue
+        order = _gather_order(num_qubits, axes)
+        result = np.empty_like(product)
+        result[order] = (matrix @ product[order].reshape(rows, -1)).reshape(-1)
+        product = result
+    return product.reshape(1 << k, 1 << k)
 
 
 def _little_endian_axes(num_qubits: int, targets: Sequence[int]) -> list:
@@ -316,10 +366,11 @@ def _lower_matrix(matrix: np.ndarray, targets: tuple, controls: tuple) -> Tuple[
     indices = [_value_index(base, axes, targets, value) for value in range(dim)]
     table = basis_table(matrix)
     if table is None:
-        rows = [
-            (row, [(col, matrix[row, col]) for col in range(dim) if matrix[row, col] != 0])
-            for row in range(dim)
-        ]
+        rows: list = [(row, []) for row in range(dim)]
+        nonzero_rows, nonzero_cols = np.nonzero(matrix)
+        entries = matrix[nonzero_rows, nonzero_cols]
+        for row, col, entry in zip(nonzero_rows.tolist(), nonzero_cols.tolist(), entries):
+            rows[row][1].append((col, entry))
         return ("dense", shape, indices, rows), False
     dest, factor = table
     lookup = None if controls else basis_lookup(table, targets)

@@ -40,7 +40,7 @@ import re
 from collections import deque
 from typing import Callable, Deque, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .circuit import QuantumCircuit, SourceSpan
+from .circuit import CircuitInstruction, QuantumCircuit, SourceSpan
 from .exceptions import CircuitError, QasmError
 from .gates import GATE_REGISTRY
 from .instruction import (
@@ -48,6 +48,7 @@ from .instruction import (
     ControlledGate,
     Gate,
     Initialize,
+    Instruction,
     Measure,
     Reset,
     mcp_gate,
@@ -56,7 +57,7 @@ from .instruction import (
 )
 from .registers import ClassicalRegister, Clbit, QuantumRegister, Qubit
 
-__all__ = ["to_qasm", "from_qasm", "from_qasm_file"]
+__all__ = ["to_qasm", "exported_circuit", "from_qasm", "from_qasm_file"]
 
 #: registry gates OpenQASM 2.0's qelib1 has no gate for: :func:`to_qasm`
 #: sends them to lowering and :func:`from_qasm` does not know them
@@ -71,14 +72,7 @@ _QASM2_GATES = frozenset(GATE_REGISTRY) - _NOT_IN_QELIB1
 
 def to_qasm(circuit: QuantumCircuit, lower: bool = True) -> str:
     """Serialise *circuit* to an OpenQASM 2.0 program string."""
-    from .transpiler import decompose  # local import avoids a module cycle
-
-    target = circuit
-    if lower and _needs_lowering(circuit):
-        target = decompose(circuit)
-        if _needs_lowering(target):
-            raise CircuitError("circuit contains instructions not expressible in OpenQASM 2.0")
-
+    target = _lowered(circuit) if lower else circuit
     names = _sanitize_register_names(target)
     lines: List[str] = ["OPENQASM 2.0;", 'include "qelib1.inc";']
     for qreg in target.qregs:
@@ -115,6 +109,19 @@ def to_qasm(circuit: QuantumCircuit, lower: bool = True) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _lowered(circuit: QuantumCircuit) -> QuantumCircuit:
+    """*circuit*, or its lowering when it holds an instruction with no
+    OpenQASM 2.0 form; :class:`CircuitError` if lowering leaves one."""
+    from .transpiler import decompose  # local import avoids a module cycle
+
+    if not _needs_lowering(circuit):
+        return circuit
+    target = decompose(circuit)
+    if _needs_lowering(target):
+        raise CircuitError("circuit contains instructions not expressible in OpenQASM 2.0")
+    return target
+
+
 def _needs_lowering(circuit: QuantumCircuit) -> bool:
     for instr in circuit.data:
         op = instr.operation
@@ -129,6 +136,50 @@ def _needs_lowering(circuit: QuantumCircuit) -> bool:
 
 def _format_param(value: float) -> str:
     return format(float(value), ".12g")
+
+
+def exported_circuit(circuit: QuantumCircuit) -> QuantumCircuit:
+    """``from_qasm(to_qasm(circuit))``, built without writing or parsing text.
+
+    *circuit* is lowered as :func:`to_qasm` lowers it (raising the same
+    :class:`CircuitError`), every gate parameter is snapped to the float
+    its :func:`_format_param` text reads back as, and registers are renamed
+    as :func:`to_qasm` names them, so the result runs float-for-float like
+    the parse (it carries no source spans).  A non-finite parameter, whose
+    text would not parse, raises :class:`CircuitError`.
+    """
+    circuit = _lowered(circuit)
+    names = _sanitize_register_names(circuit)
+    out = QuantumCircuit(name="from_qasm")
+    registers: Dict[object, object] = {}
+    for old in circuit.qregs:
+        registers[old] = QuantumRegister(old.size, names[old])
+    for old in circuit.cregs:
+        registers[old] = ClassicalRegister(old.size, names[old])
+    for register in registers.values():
+        out.add_register(register)
+    for instr in circuit.data:
+        op = instr.operation
+        qubits = [registers[q.register][q.index] for q in instr.qubits]
+        clbits = [registers[c.register][c.index] for c in instr.clbits]
+        if isinstance(op, Barrier):
+            copy: Instruction = Barrier(len(qubits))
+        elif isinstance(op, Measure):
+            copy = Measure()
+        elif isinstance(op, Reset):
+            copy = Reset()
+        else:
+            spec = GATE_REGISTRY[op.name]
+            params = [float(_format_param(p)) for p in op.params] if spec.num_params else []
+            if not all(map(math.isfinite, params)):
+                raise CircuitError(f"gate {op.name!r} has a non-finite parameter")
+            copy = Gate(op.name, spec.num_qubits, params)
+        condition = instr.condition
+        if condition is not None:
+            condition = (registers[condition[0]], condition[1])
+        # the source circuit already validated these operands
+        out.data.append(CircuitInstruction(copy, qubits, clbits, condition=condition))
+    return out
 
 
 #: identifiers an emitted register must never shadow: OpenQASM 2.0 keywords,

@@ -19,29 +19,31 @@ exact inputs the compile pipeline depends on -- and live in two layers:
 
 Bit-equality across hit and miss paths is by construction: a **miss**
 compiles (parse, peephole at optimization level 1), writes the compiled
-QASM to the persistent layer, then *re-parses its own stored text* and
-executes that.  A later **disk hit** parses the identical text, so both
-paths run a float-for-float identical circuit; a **memory hit** reuses the
-very object a previous parse produced.  Noisy payloads are deliberately
-*not* optimized (noise is defined per gate -- dropping a cancelling gate
-pair would change the channel strength), so their cached text is the
-submitted QASM itself and the cache only saves the parse.
+QASM to the persistent layer, and executes the circuit that stored text
+parses to, built without parsing it
+(:func:`~repro.qsim.qasm.exported_circuit` snaps every parameter to its
+written digits).  A later **disk hit** parses the identical text, so
+both paths run a float-for-float identical circuit; a **memory hit** reuses
+the very object the miss or a previous parse produced.  Noisy payloads are
+deliberately *not* optimized (noise is defined per gate -- dropping a
+cancelling gate pair would change the channel strength), so their cached
+text is the submitted QASM itself and the cache only saves the parse.
 
 A corrupted persistent entry (truncated file, hand-edited row) is detected
-by the re-parse, deleted, and transparently recompiled -- counted in the
-per-job ``corrupt`` statistic rather than failing the job.
+by the disk hit's parse, deleted, and transparently recompiled -- counted
+in the per-job ``corrupt`` statistic rather than failing the job.
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 from .. import telemetry
 from ..circuit import QuantumCircuit
 from ..exceptions import QasmError
-from ..qasm import from_qasm, to_qasm
+from ..qasm import exported_circuit, from_qasm, to_qasm
 from ..simulator import prepare
 from ..transpiler import transpile
 from .payload import BatchPayload
@@ -73,14 +75,17 @@ class CircuitCache:
     # -- compile pipeline --------------------------------------------------------
 
     @staticmethod
-    def _compile_text(qasm: str, noisy: bool) -> str:
-        """Submitted QASM -> compiled QASM (the persistent-layer value)."""
+    def _compile(qasm: str, noisy: bool) -> Tuple[str, Optional[QuantumCircuit]]:
+        """Submitted QASM -> compiled QASM (the persistent-layer value), plus
+        the circuit that text parses to, built without a parse (``None`` for
+        a noisy payload, whose text is the submitted QASM)."""
         if noisy:
             # per-gate noise semantics forbid any gate-count-changing pass
-            return qasm
+            return qasm, None
         with telemetry.span("cache.parse"):
             circuit = from_qasm(qasm)
-        return to_qasm(transpile(circuit, optimization_level=1))
+        compiled = transpile(circuit, optimization_level=1)
+        return to_qasm(compiled), exported_circuit(compiled)
 
     @staticmethod
     def _finalize(circuit: QuantumCircuit, prepared: bool) -> QuantumCircuit:
@@ -105,7 +110,7 @@ class CircuitCache:
 
         Returns ``(circuit, kind)`` with *kind* one of ``"memory_hit"``,
         ``"disk_hit"``, ``"miss"`` or ``"corrupt"`` (a persistent entry
-        that failed to re-parse and was recompiled).  The returned object
+        that failed to parse and was recompiled).  The returned object
         is shared between callers -- copy before mutating.
         """
         noisy = noise_tag != "noiseless"
@@ -153,13 +158,14 @@ class CircuitCache:
                 kind = "corrupt"
 
         with telemetry.span("cache.compile", noisy=noisy):
-            compiled_text = self._compile_text(qasm, noisy)
+            compiled_text, circuit = self._compile(qasm, noisy)
             self.store.cache_put(cache_key, backend_name.lower(), noise_tag, compiled_text)
             # execute what the store holds, not the in-flight object: a future
-            # disk hit then re-parses the identical text, so hit and miss paths
-            # run float-for-float identical circuits
-            with telemetry.span("cache.parse"):
-                circuit = from_qasm(compiled_text)
+            # disk hit parses the identical text, so hit and miss paths run
+            # float-for-float identical circuits
+            if circuit is None:
+                with telemetry.span("cache.parse"):
+                    circuit = from_qasm(compiled_text)
             circuit = self._finalize(circuit, prepared)
         self._remember(cache_key, circuit)
         return circuit, kind

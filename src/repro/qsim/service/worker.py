@@ -7,9 +7,11 @@ compiled-circuit cache, and record the outcome.  Everything that makes the
 loop safe against crashes and races lives in the store's guarded
 transitions; the worker adds the *liveness* half:
 
-* a **heartbeat thread** (own database connection) extends the claimed
-  job's lease every ``lease_timeout / 4`` seconds, so a healthy worker can
-  run a job far longer than one lease period;
+* one **heartbeat thread** per worker, started before the first claim
+  with its own database connection, extends the lease of the job the
+  worker holds every ``lease_timeout / 4`` seconds, so a healthy worker
+  can run a job far longer than one lease period; the worker points it at
+  each claimed job and takes it off once the job is recorded;
 * a worker that dies -- SIGKILL included -- simply stops heartbeating; its
   lease expires and any surviving (or future) worker's
   ``reclaim_expired`` returns the job to the queue, where it is re-run.
@@ -110,26 +112,43 @@ def execute_payload(payload: BatchPayload, cache: CircuitCache) -> Dict[str, Any
 
 
 class _Heartbeat(threading.Thread):
-    """Extends one claimed job's lease until stopped (own DB connection)."""
+    """Extends the lease of the job its worker holds, until stopped.
 
-    def __init__(self, db_path: str, job_id: str, worker_id: str, lease_timeout: float):
-        super().__init__(daemon=True, name=f"heartbeat-{job_id[:12]}")
+    One per worker: it opens its own database connection once, and the
+    worker names the job it holds with :meth:`watch` and takes it off with
+    :meth:`release`.  Between jobs it only wakes up.
+    """
+
+    def __init__(self, db_path: str, worker_id: str, lease_timeout: float):
+        super().__init__(daemon=True, name=f"heartbeat-{worker_id}")
         self.db_path = db_path
-        self.job_id = job_id
         self.worker_id = worker_id
         self.lease_timeout = lease_timeout
         self.interval = max(0.05, lease_timeout / 4.0)
-        self.lost = False
+        self._job_id: Optional[str] = None
+        # held across a beat, so no beat for a job outlives its release()
+        self._lock = threading.Lock()
         self._stop_event = threading.Event()
+
+    def watch(self, job_id: str) -> None:
+        with self._lock:
+            self._job_id = job_id
+
+    def release(self) -> None:
+        with self._lock:
+            self._job_id = None
 
     def run(self) -> None:
         store = JobStore(self.db_path)
         try:
             while not self._stop_event.wait(self.interval):
-                if not store.heartbeat(self.job_id, self.worker_id, self.lease_timeout):
-                    # the job is no longer ours (cancelled or reclaimed)
-                    self.lost = True
-                    return
+                with self._lock:
+                    job_id = self._job_id
+                    if job_id is not None and not store.heartbeat(
+                        job_id, self.worker_id, self.lease_timeout
+                    ):
+                        # the job is no longer ours (cancelled or reclaimed)
+                        self._job_id = None
         finally:
             store.close()
 
@@ -147,14 +166,10 @@ def _process_one(
     cache: CircuitCache,
     record: JobRecord,
     worker_id: str,
-    db_path: str,
-    lease_timeout: float,
     retry_delay: float,
     claim_wall_s: float = 0.0,
     claim_cpu_s: float = 0.0,
 ) -> None:
-    heartbeat = _Heartbeat(db_path, record.job_id, worker_id, lease_timeout)
-    heartbeat.start()
     # each job gets a fresh trace: drop roots nobody drained plus any span
     # stack a previous exception may have stranded
     telemetry.clear_spans()
@@ -175,7 +190,6 @@ def _process_one(
                     job_id=record.job_id, worker_id=worker_id, attempt=record.attempts
                 )
     except Exception:
-        heartbeat.stop()
         backoff = retry_delay * (2 ** max(0, record.attempts - 1))
         state = store.fail(record.job_id, worker_id, traceback.format_exc(), backoff)
         if state == "FAILED":
@@ -189,7 +203,6 @@ def _process_one(
                 record.job_id, worker_id, record.attempts, backoff, state,
             )
         return
-    heartbeat.stop()
     artifact = None
     tree = {} if job_span is None else job_span.to_dict()
     if tree:
@@ -240,6 +253,8 @@ def worker_loop(
     worker_id = worker_id or _new_worker_id()
     store = JobStore(db_path)
     cache = CircuitCache(store)
+    heartbeat = _Heartbeat(db_path, worker_id, lease_timeout)
+    heartbeat.start()
     processed = 0
     logger.info("event=worker-start worker=%s db=%s burst=%s", worker_id, db_path, burst)
     try:
@@ -260,14 +275,19 @@ def worker_loop(
                 "event=claim job=%s worker=%s attempt=%d",
                 record.job_id, worker_id, record.attempts,
             )
-            _process_one(
-                store, cache, record, worker_id, db_path, lease_timeout, retry_delay,
-                claim_wall_s=claim_wall, claim_cpu_s=claim_cpu,
-            )
+            heartbeat.watch(record.job_id)
+            try:
+                _process_one(
+                    store, cache, record, worker_id, retry_delay,
+                    claim_wall_s=claim_wall, claim_cpu_s=claim_cpu,
+                )
+            finally:
+                heartbeat.release()
             processed += 1
             if max_jobs is not None and processed >= max_jobs:
                 break
     finally:
+        heartbeat.stop()
         store.close()
         logger.info("event=worker-exit worker=%s processed=%d", worker_id, processed)
     return processed

@@ -191,6 +191,28 @@ def _lower_instruction(out: QuantumCircuit, instr: CircuitInstruction, ancillas:
         out.cx(control, target)
         out.h(target)
         return
+    if name == "iswap":
+        a, b = qubits
+        out.s(a)
+        out.s(b)
+        out.h(a)
+        out.cx(a, b)
+        out.cx(b, a)
+        out.h(b)
+        return
+    if name == "ryy":
+        # Ryy = (Rx(pi/2) x Rx(pi/2))^dag Rzz (Rx(pi/2) x Rx(pi/2)), and
+        # Rzz is one Rz between two CXs
+        theta = op.params[0]
+        a, b = qubits
+        out.rx(math.pi / 2, a)
+        out.rx(math.pi / 2, b)
+        out.cx(a, b)
+        out.rz(theta, b)
+        out.cx(a, b)
+        out.rx(-math.pi / 2, a)
+        out.rx(-math.pi / 2, b)
+        return
     if name == "ccx":
         _lower_toffoli(out, *qubits)
         return
@@ -209,8 +231,8 @@ def _lower_instruction(out: QuantumCircuit, instr: CircuitInstruction, ancillas:
         _lower_mcx(out, qubits[:-1], target, ancillas)
         out.h(target)
         return
-    # Anything else (explicit unitaries, iswap, rxx/ryy/rzz, multi-controlled
-    # phase) is kept as-is -- the simulator can run it directly; metrics treat
+    # Anything else (explicit unitaries, rxx/rzz, multi-controlled phase)
+    # is kept as-is -- the simulator can run it directly; metrics treat
     # it as one gate.
     out.append(op.copy(), qubits)
 

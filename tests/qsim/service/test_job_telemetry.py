@@ -95,6 +95,24 @@ class TestArtifactCapture:
         ).stdout
         assert out.strip() == "['numpy.random', 'repro.qsim.backends', 'repro.qsim.shotbatch']"
 
+    @pytest.mark.parametrize("noise_p", [None, 0.01])
+    def test_cold_compile_parses_once(self, store, noise_p):
+        # the submitted text is parsed; the compiled text it stores is not
+        qc = QuantumCircuit(3, 3, name="cold")
+        qc.h(0).cx(0, 1).rz(0.1, 2).rz(0.2, 2).cx(1, 2)
+        payload = BatchPayload.from_circuits([qc], shots=16, seed=5, noise_p=noise_p)
+        trace = store.get(run_one(store, payload)).telemetry_dict()["trace"]
+
+        def find(node, name):
+            found = [node] if node["name"] == name else []
+            for child in node.get("children", []):
+                found += find(child, name)
+            return found
+
+        (compile_span,) = find(trace, "cache.compile")
+        assert len(find(compile_span, "cache.parse")) == 1
+        assert len(find(trace, "cache.parse")) == 1
+
     def test_metrics_delta_is_per_job_not_process_wide(self, store):
         first = store.get(run_one(store)).telemetry_dict()
         second = store.get(run_one(store)).telemetry_dict()

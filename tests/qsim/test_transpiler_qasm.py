@@ -1,11 +1,14 @@
 """Tests for the transpiler passes and the OpenQASM exporter."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.qsim.circuit import QuantumCircuit
 from repro.qsim.exceptions import CircuitError
-from repro.qsim.qasm import to_qasm
+from repro.qsim.instruction import Gate
+from repro.qsim.qasm import from_qasm, to_qasm
 from repro.qsim.registers import QuantumRegister
 from repro.qsim.simulator import StatevectorSimulator
 from repro.qsim.transpiler import basis_gate_count, decompose, two_qubit_gate_count
@@ -88,6 +91,24 @@ class TestDecompose:
         qc.measure(0, 0)
         lowered = decompose(qc)
         assert [i.operation.name for i in lowered.data] == ["h", "cx", "rz", "measure"]
+
+    @pytest.mark.parametrize("name, params", [
+        ("iswap", []), ("ryy", [0.3]), ("ryy", [-2.2]), ("ryy", [math.pi]),
+    ])
+    def test_gates_qelib1_lacks_lower_to_the_basis(self, name, params):
+        qc = QuantumCircuit(3)
+        qc.append(Gate(name, 2, params), [2, 0])
+        lowered = decompose(qc)
+        assert all(i.operation.name in _BASIS for i in lowered.data)
+        original, new = _unitary_of(qc), _unitary_of(lowered)
+        idx = np.unravel_index(np.argmax(np.abs(original)), original.shape)
+        assert np.allclose(new, new[idx] / original[idx] * original, atol=1e-10)
+        # OpenQASM 2.0 writes the lowering, and it reads back unchanged
+        back = from_qasm(to_qasm(qc))
+        assert [i.operation.name for i in back.data] == [i.operation.name for i in lowered.data]
+        assert np.allclose(_unitary_of(back), new, atol=1e-10)
+        assert two_qubit_gate_count(qc) == 2
+        assert basis_gate_count(qc) == len(lowered.data)
 
     def test_metric_helpers(self):
         qc = QuantumCircuit(2)
