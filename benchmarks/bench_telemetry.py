@@ -10,7 +10,7 @@ overhead of the enabled path.
 
 The warm path is what matters: after the first iteration the cache serves
 every experiment, so the measured region is cache lookup + engine run --
-precisely where the spans and counters live.  Both modes run against the
+precisely where the spans live.  Both modes run against the
 *same* warmed cache in alternating rounds, so machine drift (frequency
 scaling, page cache, a noisy neighbour) hits both sides equally instead of
 masquerading as overhead; the median over all rounds decides.
@@ -90,7 +90,6 @@ def main() -> int:
     payload = BatchPayload.from_circuits([circuit], shots=args.shots, seed=11)
 
     telemetry.clear_spans()
-    telemetry.reset_metrics()
     chunk = max(1, args.iterations // (2 * args.rounds))  # 2 chunks/mode/round
     disabled_samples: List[float] = []
     enabled_samples: List[float] = []
@@ -115,7 +114,6 @@ def main() -> int:
                     - 1.0
                 )
     telemetry.enable()
-    telemetry.reset_metrics()
 
     disabled = summarize(False, disabled_samples)
     enabled = summarize(True, enabled_samples)

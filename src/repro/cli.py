@@ -205,7 +205,7 @@ def build_service_parser() -> argparse.ArgumentParser:
     add_db(trace)
 
     metrics = verbs.add_parser(
-        "metrics", help="print metrics aggregated across finished jobs"
+        "metrics", help="print metrics counted from the traces of finished jobs"
     )
     add_db(metrics)
     metrics.add_argument(
@@ -497,7 +497,7 @@ def _service_other(args: argparse.Namespace) -> int:
             if args.verb == "metrics":
                 from .qsim.telemetry import export as telemetry_export
 
-                snapshot = store.aggregate_telemetry_metrics()
+                snapshot = telemetry_export.metrics_from_traces(store.telemetry_traces())
                 if args.fmt == "json":
                     print(telemetry_export.to_json(snapshot))
                 else:

@@ -22,7 +22,7 @@ implementation with a self-contained, NumPy-based stack:
 * :mod:`repro.qsim.qasm` -- OpenQASM 2.0 export and import,
 * :mod:`repro.qsim.noise` -- the one noise model every engine takes,
 * :mod:`repro.qsim.telemetry` -- always-on observability: tracing spans,
-  the process-wide metrics registry, JSON/Prometheus exporters.
+  metrics counted from span trees, JSON/Prometheus exporters.
 
 The public names most users need are re-exported here.
 """

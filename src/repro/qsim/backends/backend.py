@@ -49,26 +49,6 @@ def _is_int(value: Any) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def _run_span(backend_name: str, circuit: QuantumCircuit, shots: int) -> telemetry.span:
-    """Span plus throughput counters for one experiment on *backend_name*.
-
-    The counters are the per-engine traffic axes the service aggregates
-    (experiments, shots, gate volume); the span is what nests under the
-    worker's per-job trace.  Guarded on the telemetry switch so a disabled
-    run allocates nothing.
-    """
-    if telemetry.enabled():
-        telemetry.counter(f"engine.{backend_name}.experiments").inc()
-        telemetry.counter(f"engine.{backend_name}.shots").inc(shots)
-        telemetry.counter(f"engine.{backend_name}.gates").inc(len(circuit.data))
-    return telemetry.span(
-        f"engine.{backend_name}.run",
-        circuit=circuit.name,
-        gates=len(circuit.data),
-        shots=shots,
-    )
-
-
 class Backend(abc.ABC):
     """Abstract execution backend: ``run() -> Job -> Result``.
 
@@ -136,9 +116,6 @@ class Backend(abc.ABC):
         if options:
             raise BackendError(f"unknown run options {sorted(options)} for {self.name!r}")
 
-        if telemetry.enabled():
-            telemetry.counter("backend.batches").inc()
-            telemetry.counter("backend.circuits").inc(len(batch))
         submitted_at = time.perf_counter()
         results: List[ExperimentResult] = []
         error: Optional[BaseException] = None
@@ -165,25 +142,22 @@ class Backend(abc.ABC):
 
         An unseeded experiment runs on the template engine (its sequential
         RNG stream); a seeded one on :meth:`_fresh_engine`.  The engine's
-        ``metadata`` tags the run span, and a non-``sampled`` method counts
-        its shots under ``engine.<name>.<method>``.  Engine errors surface as
-        :class:`BackendError`.
+        ``metadata`` tags the run span, whose tags are the per-engine
+        traffic facts (:func:`repro.qsim.telemetry.export.metrics_from_traces`).
+        Engine errors surface as :class:`BackendError`.
         """
         started = time.perf_counter()
         engine = self._engine if seed is None else self._fresh_engine(seed)
-        with _run_span(self.name, circuit, shots) as sp:
+        with telemetry.span(
+            f"engine.{self.name}.run", circuit=circuit.name, gates=len(circuit.data), shots=shots
+        ) as sp:
             try:
                 result = engine.run(circuit, shots=shots, memory=memory)
             except SimulationError as exc:
                 raise BackendError(str(exc)) from exc
-            method = result.metadata.get("method")
-            if telemetry.enabled() and method not in (None, "sampled"):
-                telemetry.counter(f"engine.{self.name}.{method}").inc(shots)
             sp.tag(**result.metadata)
         result.seed = seed
         result.time_taken = time.perf_counter() - started
-        if telemetry.enabled():
-            telemetry.histogram("engine.run.seconds").observe(result.time_taken)
         return result
 
     def session(self, seed: Optional[int] = None) -> Any:

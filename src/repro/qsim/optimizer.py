@@ -85,12 +85,14 @@ def optimize(circuit: QuantumCircuit) -> QuantumCircuit:
                     continue
                 if period is not None and name == previous:
                     angle = partner.operation.params[0] + operation.params[0]
-                    total = math.remainder(angle, period)
-                    if _is_null_angle(total, period):
-                        _pop(slots, stacks, met)
-                    else:
-                        slots[met] = CircuitInstruction(Gate(name, 1, [total]), qubits)
-                    continue
+                    # a sum past the float range has no remainder: both gates stay
+                    if math.isfinite(angle):
+                        total = math.remainder(angle, period)
+                        if _is_null_angle(total, period):
+                            _pop(slots, stacks, met)
+                        else:
+                            slots[met] = CircuitInstruction(Gate(name, 1, [total]), qubits)
+                        continue
         position = len(slots)
         slots.append(instr)
         for qubit in qubits:

@@ -117,17 +117,6 @@ class CircuitCache:
         with telemetry.span("cache.lookup", backend=backend_name) as sp:
             circuit, kind = self._compiled_inner(qasm, backend_name, noise_tag, prepared, noisy)
         sp.tag(kind=kind)
-        if telemetry.enabled():
-            # process-wide twins of the per-job stats dict: the service-level
-            # hit-rate without reading every job artifact back
-            if kind == "memory_hit":
-                telemetry.counter("cache.memory_hits").inc()
-            elif kind == "disk_hit":
-                telemetry.counter("cache.disk_hits").inc()
-            else:
-                telemetry.counter("cache.misses").inc()
-                if kind == "corrupt":
-                    telemetry.counter("cache.corrupt").inc()
         return circuit, kind
 
     def _compiled_inner(

@@ -41,7 +41,7 @@ import sqlite3
 import time
 import uuid
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
 from ..exceptions import QsimError
 
@@ -122,7 +122,7 @@ class JobRecord:
         return json.loads(self.result)
 
     def telemetry_dict(self) -> Dict[str, Any]:
-        """The stored telemetry artifact (span tree + metrics delta).
+        """The stored telemetry artifact (the job's span tree and duration).
 
         Raises :class:`ServiceError` when the job has none -- either it is
         not ``DONE`` yet, or it ran with telemetry disabled (or on a build
@@ -360,7 +360,7 @@ class JobStore:
         raced the execution wins and the stale result is dropped (the
         ``False`` return tells the worker its work was discarded).
         *telemetry*, when given, is the worker's per-job observability
-        artifact -- the span tree plus the metrics delta -- stored alongside
+        artifact -- the job's span tree and its duration -- stored alongside
         the result and surfaced by the ``trace`` / ``metrics`` CLI verbs.
         """
         cursor = self._conn.execute(
@@ -471,26 +471,23 @@ class JobStore:
 
     # -- telemetry artifacts -------------------------------------------------------
 
-    def aggregate_telemetry_metrics(self) -> Dict[str, Any]:
-        """Merged per-job metrics deltas across every ``DONE`` job.
+    def telemetry_traces(self) -> Iterator[Dict[str, Any]]:
+        """The persisted span tree of every ``DONE`` job.
 
-        Each completed job carries the metrics its execution contributed
-        (see :meth:`finish`); folding the deltas with
-        :func:`repro.qsim.telemetry.merge_snapshots` yields fleet-wide
-        totals -- what the ``metrics`` CLI verb prints.  Jobs without an
-        artifact (telemetry disabled, older builds) are skipped.
+        What the ``metrics`` CLI verb counts
+        (:func:`repro.qsim.telemetry.export.metrics_from_traces`).  Jobs
+        without an artifact (telemetry disabled, older builds) or with an
+        unreadable one are skipped.
         """
-        from ..telemetry import merge_snapshots
-
-        snapshots = []
         for row in self._conn.execute(
             "SELECT telemetry FROM jobs WHERE state = 'DONE' AND telemetry IS NOT NULL"
         ):
             try:
-                snapshots.append(json.loads(row["telemetry"]).get("metrics"))
+                trace = json.loads(row["telemetry"]).get("trace")
             except ValueError:
                 continue
-        return merge_snapshots(snapshots)
+            if trace:
+                yield trace
 
     # -- compiled-circuit cache rows ---------------------------------------------
 

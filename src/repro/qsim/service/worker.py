@@ -157,38 +157,82 @@ class _Heartbeat(threading.Thread):
         self.join(timeout=5.0)
 
 
-#: shape version of the per-job telemetry artifact
-TELEMETRY_ARTIFACT_VERSION = 1
+#: shape version of the per-job telemetry artifact (version 1 also carried a
+#: "metrics" snapshot, which its "trace" already yields)
+TELEMETRY_ARTIFACT_VERSION = 2
 
 
 def _process_one(
     store: JobStore,
     cache: CircuitCache,
-    record: JobRecord,
+    heartbeat: _Heartbeat,
     worker_id: str,
+    lease_timeout: float,
     retry_delay: float,
-    claim_wall_s: float = 0.0,
-    claim_cpu_s: float = 0.0,
-) -> None:
+) -> bool:
+    """Claim the oldest runnable job and run it; ``False`` if there was none.
+
+    The job span opens before the claim, so ``claim`` is the first child
+    of the job's trace and the root's wall time is the job's whole recorded
+    duration.  A claim that finds nothing leaves no span behind.
+    """
     # each job gets a fresh trace: drop roots nobody drained plus any span
     # stack a previous exception may have stranded
     telemetry.clear_spans()
-    metrics_before = telemetry.snapshot() if telemetry.enabled() else None
-    job_span = None
+    result_dict = None
+    with telemetry.span("job", worker=worker_id) as job_span:
+        with telemetry.span("claim"):
+            record = store.claim(worker_id, lease_timeout)
+        if record is not None:
+            logger.debug(
+                "event=claim job=%s worker=%s attempt=%d",
+                record.job_id, worker_id, record.attempts,
+            )
+            heartbeat.watch(record.job_id)
+            job_span.tag(job_id=record.job_id, attempt=record.attempts)
+            result_dict = _run_claimed(store, cache, record, worker_id, retry_delay)
+    telemetry.drain_spans()  # the root that just closed: serialized below, if at all
+    if result_dict is None:
+        return record is not None
+    tree = job_span.to_dict()
+    artifact = None
+    if tree:
+        artifact = {
+            "version": TELEMETRY_ARTIFACT_VERSION,
+            "duration_s": tree["wall_s"],
+            "trace": tree,
+        }
+    # the guarded transition silently drops the result if a cancel or lease
+    # reclaim won the race -- exactly what a durable queue must do
+    if store.finish(record.job_id, worker_id, result_dict, telemetry=artifact):
+        logger.info(
+            "event=done job=%s worker=%s attempt=%d wall=%.3fs",
+            record.job_id, worker_id, record.attempts, tree.get("wall_s", 0.0),
+        )
+    else:
+        logger.warning(
+            "event=dropped job=%s worker=%s reason=lost-ownership", record.job_id, worker_id
+        )
+    return True
+
+
+def _run_claimed(
+    store: JobStore,
+    cache: CircuitCache,
+    record: JobRecord,
+    worker_id: str,
+    retry_delay: float,
+) -> Optional[Dict[str, Any]]:
+    """The claimed job's result dict, or ``None`` once its failure is recorded."""
     try:
-        with telemetry.span(
-            "job", job_id=record.job_id, worker=worker_id, attempt=record.attempts
-        ) as job_span:
-            # the claim ran before we knew there was a job to trace; graft
-            # its hand-measured cost in so the tree accounts for it
-            telemetry.record("claim", claim_wall_s, claim_cpu_s)
-            with telemetry.span("payload.parse"):
-                payload = BatchPayload.from_json(record.payload)
-            result_dict = execute_payload(payload, cache)
-            with telemetry.span("finalize"):
-                result_dict["metadata"].update(
-                    job_id=record.job_id, worker_id=worker_id, attempt=record.attempts
-                )
+        with telemetry.span("payload.parse"):
+            payload = BatchPayload.from_json(record.payload)
+        result_dict = execute_payload(payload, cache)
+        with telemetry.span("finalize"):
+            result_dict["metadata"].update(
+                job_id=record.job_id, worker_id=worker_id, attempt=record.attempts
+            )
+        return result_dict
     except Exception:
         backoff = retry_delay * (2 ** max(0, record.attempts - 1))
         state = store.fail(record.job_id, worker_id, traceback.format_exc(), backoff)
@@ -202,29 +246,7 @@ def _process_one(
                 "event=retry job=%s worker=%s attempt=%d backoff=%.2fs state=%s",
                 record.job_id, worker_id, record.attempts, backoff, state,
             )
-        return
-    artifact = None
-    tree = {} if job_span is None else job_span.to_dict()
-    if tree:
-        telemetry.drain_spans()  # the root we just serialized
-        artifact = {
-            "version": TELEMETRY_ARTIFACT_VERSION,
-            "duration_s": claim_wall_s + tree["wall_s"],
-            "trace": tree,
-            "metrics": telemetry.snapshot_delta(metrics_before or {}, telemetry.snapshot()),
-        }
-    # the guarded transition silently drops the result if a cancel or lease
-    # reclaim won the race -- exactly what a durable queue must do
-    if store.finish(record.job_id, worker_id, result_dict, telemetry=artifact):
-        logger.info(
-            "event=done job=%s worker=%s attempt=%d wall=%.3fs",
-            record.job_id, worker_id, record.attempts,
-            claim_wall_s + (tree.get("wall_s", 0.0) if tree else 0.0),
-        )
-    else:
-        logger.warning(
-            "event=dropped job=%s worker=%s reason=lost-ownership", record.job_id, worker_id
-        )
+        return None
 
 
 def worker_loop(
@@ -262,27 +284,17 @@ def worker_loop(
             reclaimed = store.reclaim_expired(retry_delay)
             if reclaimed:
                 logger.warning("event=reclaimed worker=%s jobs=%d", worker_id, reclaimed)
-            claim_wall0, claim_cpu0 = time.perf_counter(), time.process_time()
-            record = store.claim(worker_id, lease_timeout)
-            claim_wall = time.perf_counter() - claim_wall0
-            claim_cpu = time.process_time() - claim_cpu0
-            if record is None:
+            try:
+                claimed = _process_one(
+                    store, cache, heartbeat, worker_id, lease_timeout, retry_delay
+                )
+            finally:
+                heartbeat.release()
+            if not claimed:
                 if burst:
                     break
                 time.sleep(poll_interval)
                 continue
-            logger.debug(
-                "event=claim job=%s worker=%s attempt=%d",
-                record.job_id, worker_id, record.attempts,
-            )
-            heartbeat.watch(record.job_id)
-            try:
-                _process_one(
-                    store, cache, record, worker_id, retry_delay,
-                    claim_wall_s=claim_wall, claim_cpu_s=claim_cpu,
-                )
-            finally:
-                heartbeat.release()
             processed += 1
             if max_jobs is not None and processed >= max_jobs:
                 break

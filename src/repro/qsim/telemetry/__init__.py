@@ -1,17 +1,16 @@
-"""Always-on observability: tracing spans, metrics, exporters.
+"""Always-on observability: tracing spans, and the metrics they yield.
 
 The zero-dependency instrumentation layer every engine and the execution
 service report into:
 
 * :mod:`~repro.qsim.telemetry.trace` -- context-manager **spans** that nest
   into per-thread trees (worker -> cache -> transpile -> engine), cheap
-  enough to leave enabled and exact no-ops after :func:`disable`;
-* :mod:`~repro.qsim.telemetry.metrics` -- a process-wide registry of
-  counters, gauges and fixed-bucket histograms, with snapshot/delta/merge
-  arithmetic so worker subprocesses ship their numbers back through the
-  job store;
-* :mod:`~repro.qsim.telemetry.export` -- JSON and Prometheus text
-  rendering of those snapshots.
+  enough to leave enabled and exact no-ops after :func:`disable`.  Spans
+  are the one telemetry record: each fact (an engine run's shots, a cache
+  lookup's outcome) is a span tag, recorded once;
+* :mod:`~repro.qsim.telemetry.export` -- :func:`export.metrics_from_traces`
+  counts those facts across any number of span trees, and JSON and
+  Prometheus text rendering of the result.
 
 Typical use::
 
@@ -21,30 +20,16 @@ Typical use::
         ...                       # nested instrumented calls attach here
         sp.tag(outcome="ok")
 
-    telemetry.counter("my.events").inc()
-    print(telemetry.export.to_prometheus(telemetry.snapshot()))
+    trees = [root.to_dict() for root in telemetry.drain_spans()]
+    print(telemetry.export.to_prometheus(telemetry.export.metrics_from_traces(trees)))
 
 See ``docs/observability.md`` for the guide, the ``trace`` / ``metrics``
-CLI verbs for the service-side consumers, and
-``benchmarks/bench_telemetry.py`` for the overhead gate.
+CLI verbs for the service-side consumers (they read the span trees that
+workers persist per job), and ``benchmarks/bench_telemetry.py`` for the
+overhead gate.
 """
 
 from . import export
-from .metrics import (
-    DEFAULT_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    REGISTRY,
-    counter,
-    gauge,
-    histogram,
-    merge_snapshots,
-    reset_metrics,
-    snapshot,
-    snapshot_delta,
-)
 from .trace import (
     Span,
     clear_spans,
@@ -54,14 +39,12 @@ from .trace import (
     enable,
     enabled,
     format_span_tree,
-    record,
     span,
 )
 
 __all__ = [
     "span",
     "Span",
-    "record",
     "current_span",
     "drain_spans",
     "clear_spans",
@@ -69,18 +52,5 @@ __all__ = [
     "disable",
     "enabled",
     "format_span_tree",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "REGISTRY",
-    "DEFAULT_BUCKETS",
-    "counter",
-    "gauge",
-    "histogram",
-    "snapshot",
-    "reset_metrics",
-    "snapshot_delta",
-    "merge_snapshots",
     "export",
 ]

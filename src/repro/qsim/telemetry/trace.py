@@ -31,7 +31,6 @@ from typing import Any, Dict, List, Optional
 __all__ = [
     "Span",
     "span",
-    "record",
     "current_span",
     "drain_spans",
     "clear_spans",
@@ -56,7 +55,7 @@ _EPOCH_ANCHOR = time.time() - time.perf_counter()
 
 
 class _Config:
-    """Process-wide telemetry switch, shared with :mod:`.metrics`."""
+    """Process-wide telemetry switch."""
 
     __slots__ = ("enabled",)
 
@@ -68,12 +67,12 @@ CONFIG = _Config()
 
 
 def enable() -> None:
-    """Turn spans and metrics collection on (the default)."""
+    """Turn span collection on (the default)."""
     CONFIG.enabled = True
 
 
 def disable() -> None:
-    """Turn spans and metrics into exact no-ops."""
+    """Turn every span into an exact no-op."""
     CONFIG.enabled = False
 
 
@@ -220,29 +219,6 @@ _state = _ThreadState()
 #: through the block tags the span ``error=<ExceptionType>`` before
 #: re-raising.
 span = Span
-
-
-def record(name: str, wall_s: float, cpu_s: float = 0.0, **tags: Any) -> None:
-    """Attach an already-measured region as a finished child span.
-
-    For work that happened before its parent span could open (the worker's
-    claim runs before it knows there is a job to trace): the caller times
-    it by hand and grafts it in, so the tree still accounts for it.
-    """
-    if not CONFIG.enabled:
-        return
-    finished = Span(name, **tags)
-    finished._start(_state.stack[-1].span_id if _state.stack else None)
-    finished.wall_s = wall_s
-    finished.cpu_s = cpu_s
-    finished.started_at = time.time() - wall_s
-    if _state.stack:
-        _state.stack[-1].children.append(finished)
-    else:
-        roots = _state.roots
-        roots.append(finished)
-        if len(roots) > MAX_BUFFERED_ROOTS:
-            del roots[:-MAX_BUFFERED_ROOTS]
 
 
 def current_span() -> Optional[Span]:

@@ -59,9 +59,6 @@ def transpile(circuit: QuantumCircuit, optimization_level: int = 1) -> QuantumCi
     if optimization_level not in (0, 1):
         raise ValueError(f"optimization_level must be 0 or 1, got {optimization_level!r}")
 
-    if telemetry.enabled():
-        telemetry.counter("transpile.circuits").inc()
-        telemetry.counter("transpile.gates_in").inc(len(circuit.data))
     with telemetry.span(
         "transpile", circuit=circuit.name, level=optimization_level, gates=len(circuit.data)
     ) as sp:

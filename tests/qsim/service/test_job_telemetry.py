@@ -1,12 +1,15 @@
 """Per-job telemetry artifacts: worker capture, store persistence, aggregation."""
 
+import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 from repro.qsim import QuantumCircuit, telemetry
+from repro.qsim.telemetry.export import metrics_from_traces
 from repro.qsim.service import BatchPayload, JobStore, ServiceError, worker_loop
 from repro.qsim.service.worker import TELEMETRY_ARTIFACT_VERSION
 
@@ -15,11 +18,9 @@ from repro.qsim.service.worker import TELEMETRY_ARTIFACT_VERSION
 def clean_telemetry():
     telemetry.enable()
     telemetry.clear_spans()
-    telemetry.reset_metrics()
     yield
     telemetry.enable()
     telemetry.clear_spans()
-    telemetry.reset_metrics()
 
 
 def bell_payload(shots=32):
@@ -47,7 +48,7 @@ class TestArtifactCapture:
         assert record.state == "DONE"
         artifact = record.telemetry_dict()
         assert artifact["version"] == TELEMETRY_ARTIFACT_VERSION
-        assert set(artifact) == {"version", "duration_s", "trace", "metrics"}
+        assert set(artifact) == {"version", "duration_s", "trace"}
 
     def test_trace_covers_the_whole_job_lifecycle(self, store):
         artifact = store.get(run_one(store)).telemetry_dict()
@@ -62,19 +63,36 @@ class TestArtifactCapture:
         run = next(c for c in tree["children"] if c["name"] == "backend.run")
         assert [g["name"] for g in run["children"]] == ["engine.statevector.run"]
 
-    def test_duration_is_claim_plus_root_wall(self, store):
+    def test_duration_is_the_root_wall_claim_included(self, store):
         artifact = store.get(run_one(store)).telemetry_dict()
-        claim = next(
-            c for c in artifact["trace"]["children"] if c["name"] == "claim"
-        )
-        assert artifact["duration_s"] == pytest.approx(
-            claim["wall_s"] + artifact["trace"]["wall_s"]
-        )
+        assert artifact["trace"]["children"][0]["name"] == "claim"
+        assert artifact["duration_s"] == artifact["trace"]["wall_s"]
         # every child is accounted for inside the total
         assert all(
             child["wall_s"] <= artifact["duration_s"] + 1e-9
             for child in artifact["trace"]["children"]
         )
+
+    def test_slow_claim_leaves_no_negative_self_time(self, store, monkeypatch):
+        claim = JobStore.claim
+
+        def slow_claim(self, *args, **kwargs):
+            time.sleep(0.02)
+            return claim(self, *args, **kwargs)
+
+        monkeypatch.setattr(JobStore, "claim", slow_claim)
+        tree = store.get(run_one(store)).telemetry_dict()["trace"]
+        assert tree["children"][0]["name"] == "claim"
+        assert tree["children"][0]["wall_s"] >= 0.02
+
+        def self_times(node):
+            children = node.get("children", [])
+            yield node["name"], node["wall_s"] - sum(c["wall_s"] for c in children)
+            for child in children:
+                yield from self_times(child)
+
+        negative = [(name, s) for name, s in self_times(tree) if s < 0]
+        assert negative == []
 
     def test_fresh_worker_imports_the_job_path_before_its_first_claim(self, store):
         # a module a job imports lazily would charge its import to the first
@@ -113,12 +131,13 @@ class TestArtifactCapture:
         assert len(find(compile_span, "cache.parse")) == 1
         assert len(find(trace, "cache.parse")) == 1
 
-    def test_metrics_delta_is_per_job_not_process_wide(self, store):
+    def test_metrics_are_per_job_not_process_wide(self, store):
         first = store.get(run_one(store)).telemetry_dict()
         second = store.get(run_one(store)).telemetry_dict()
-        # each job only ships its own contribution, so both deltas match
-        assert first["metrics"]["counters"]["engine.statevector.shots"] == 32
-        assert second["metrics"]["counters"]["engine.statevector.shots"] == 32
+        # each trace holds only its own job's spans, so both count the same
+        for artifact in (first, second):
+            counters = metrics_from_traces([artifact["trace"]])["counters"]
+            assert counters["engine.statevector.shots"] == 32
 
     def test_worker_leaves_no_span_residue(self, store):
         run_one(store)
@@ -140,16 +159,17 @@ class TestArtifactCapture:
 
 
 class TestAggregation:
-    def test_aggregate_merges_done_jobs(self, store):
+    def test_aggregate_counts_done_jobs(self, store):
         run_one(store)
         run_one(store)
-        merged = store.aggregate_telemetry_metrics()
+        merged = metrics_from_traces(store.telemetry_traces())
         assert merged["counters"]["engine.statevector.shots"] == 64
         assert merged["counters"]["engine.statevector.experiments"] == 2
         assert merged["histograms"]["engine.run.seconds"]["count"] == 2
 
     def test_aggregate_empty_store(self, store):
-        assert store.aggregate_telemetry_metrics() == {
+        assert list(store.telemetry_traces()) == []
+        assert metrics_from_traces(store.telemetry_traces()) == {
             "counters": {},
             "gauges": {},
             "histograms": {},
@@ -160,8 +180,20 @@ class TestAggregation:
         telemetry.disable()
         run_one(store)
         telemetry.enable()
-        merged = store.aggregate_telemetry_metrics()
+        merged = metrics_from_traces(store.telemetry_traces())
         assert merged["counters"]["engine.statevector.experiments"] == 1
+
+    def test_version_1_artifacts_still_aggregate(self, store):
+        # a v1 artifact also carried a "metrics" snapshot; its trace counts
+        job_id = run_one(store)
+        artifact = store.get(job_id).telemetry_dict()
+        artifact.update(version=1, metrics={"counters": {"stale": 9.0}})
+        store._conn.execute(
+            "UPDATE jobs SET telemetry = ? WHERE job_id = ?", (json.dumps(artifact), job_id)
+        )
+        merged = metrics_from_traces(store.telemetry_traces())
+        assert merged["counters"]["engine.statevector.shots"] == 32
+        assert "stale" not in merged["counters"]
 
     def test_stats_job_cache_hit_rate(self, store):
         run_one(store)  # cold: compile miss

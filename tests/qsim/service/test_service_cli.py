@@ -11,18 +11,16 @@ import pytest
 
 from repro.cli import main
 from repro.qsim import QuantumCircuit, telemetry, to_qasm
-from repro.qsim.service import JobStore, worker_loop
+from repro.qsim.service import BatchPayload, JobStore, worker_loop
 
 
 @pytest.fixture(autouse=True)
 def clean_telemetry():
     telemetry.enable()
     telemetry.clear_spans()
-    telemetry.reset_metrics()
     yield
     telemetry.enable()
     telemetry.clear_spans()
-    telemetry.reset_metrics()
 
 
 @pytest.fixture
@@ -112,17 +110,12 @@ class TestTraceVerb:
         assert "%" in out
 
     def test_trace_attribution_sums_to_recorded_duration(self, db, qasm_file, capsys):
+        # the job span encloses its claim, so the root is the whole duration
         job_id = submit_done(db, qasm_file, capsys)
         with JobStore(db) as store:
             artifact = store.get(job_id).telemetry_dict()
-        claim = next(
-            child
-            for child in artifact["trace"]["children"]
-            if child["name"] == "claim"
-        )
-        assert artifact["duration_s"] == pytest.approx(
-            claim["wall_s"] + artifact["trace"]["wall_s"]
-        )
+        assert artifact["trace"]["children"][0]["name"] == "claim"
+        assert artifact["duration_s"] == artifact["trace"]["wall_s"]
 
 
 class TestMetricsVerb:
@@ -140,6 +133,83 @@ class TestMetricsVerb:
         data = json.loads(capsys.readouterr().out)
         assert data["counters"]["engine.statevector.shots"] == 32  # two DONE jobs
         assert data["histograms"]["engine.run.seconds"]["count"] == 2
+
+    def test_metrics_counts_a_fixed_job_mix(self, db, capsys):
+        # a cold miss then a memory hit, a 2-circuit batch, noisy
+        # statevector trajectories, a branching density-matrix run and a
+        # stabilizer run; the expected values are what the process-wide
+        # metrics registry reported for this mix before spans replaced it
+        def circuit(num_qubits, name, build):
+            qc = QuantumCircuit(num_qubits, num_qubits, name=name)
+            build(qc)
+            return qc
+
+        def bell(qc):
+            qc.h(0).cx(0, 1)
+            qc.measure([0, 1], [0, 1])
+
+        def feedforward(qc):
+            qc.h(0).measure(0, 0)
+            qc.h(1).c_if(qc.cregs[0], 1)
+            qc.measure(1, 1)
+
+        def ghz(qc):
+            qc.h(0).cx(0, 1).cx(1, 2)
+            qc.measure([0, 1, 2], [0, 1, 2])
+
+        def flip(qc):
+            qc.x(0).measure(0, 0)
+
+        def rotations(qc):
+            qc.h(0).h(1).rz(0.3, 1).rz(0.4, 1)
+            qc.measure([0, 1], [0, 1])
+
+        payloads = [
+            BatchPayload.from_circuits([circuit(2, "bell", bell)], shots=16, seed=3),
+            BatchPayload.from_circuits([circuit(2, "bell", bell)], shots=16, seed=4),
+            BatchPayload.from_circuits(
+                [circuit(1, "a", flip), circuit(2, "b", rotations)], shots=8, seed=5
+            ),
+            BatchPayload.from_circuits(
+                [circuit(2, "bell", bell)], shots=24, seed=6, noise_p=0.01
+            ),
+            BatchPayload.from_circuits(
+                [circuit(2, "ff", feedforward)], shots=40, seed=7, backend="density_matrix"
+            ),
+            BatchPayload.from_circuits(
+                [circuit(3, "ghz", ghz)], shots=12, seed=8, backend="stabilizer"
+            ),
+        ]
+        with JobStore(db) as store:
+            for payload in payloads:
+                store.submit(payload.to_json())
+        assert worker_loop(db, burst=True) == len(payloads)
+        assert main(["metrics", "--db", db, "--format", "json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["counters"] == {
+            "backend.batches": 6,
+            "backend.circuits": 7,
+            "cache.memory_hits": 1,
+            "cache.misses": 6,
+            "engine.density_matrix.branched": 40,
+            "engine.density_matrix.experiments": 1,
+            "engine.density_matrix.gates": 4,
+            "engine.density_matrix.shots": 40,
+            "engine.stabilizer.experiments": 1,
+            "engine.stabilizer.gates": 6,
+            "engine.stabilizer.shots": 12,
+            "engine.stabilizer.stabilizer": 12,
+            "engine.statevector.batched_shots": 24,
+            "engine.statevector.experiments": 5,
+            "engine.statevector.gates": 19,
+            "engine.statevector.shots": 72,
+            "transpile.circuits": 5,
+            "transpile.gates_in": 22,
+        }
+        assert data["gauges"] == {}
+        assert list(data["histograms"]) == ["engine.run.seconds"]
+        assert data["histograms"]["engine.run.seconds"]["count"] == 7
+        assert sum(data["histograms"]["engine.run.seconds"]["counts"]) == 7
 
     def test_metrics_on_empty_store(self, db, capsys):
         assert main(["metrics", "--db", db, "--format", "json"]) == 0

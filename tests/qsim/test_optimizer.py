@@ -224,6 +224,27 @@ class TestNamedRegressions:
         assert all(i.condition is None for i in qc.data)
         assert optimized.data[-1].condition is not None
 
+    def test_rotation_sum_past_the_float_range_stays_unmerged(self, tmp_path):
+        # 1e308 + 1e308 is inf, which has no remainder modulo the period
+        from repro.qsim.qasm import from_qasm
+        from repro.qsim.service import BatchPayload, JobStore, worker_loop
+        from repro.qsim.transpiler import transpile
+
+        source = (
+            'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\ncreg c[1];\n'
+            "rz(1e308) q[0];\nrz(1e308) q[0];\nmeasure q[0] -> c[0];\n"
+        )
+        compiled = transpile(from_qasm(source))
+        assert [i.operation.params for i in compiled.data[:2]] == [[1e308], [1e308]]
+
+        payload = BatchPayload(circuits=[{"name": "huge", "qasm": source}], shots=8, seed=1)
+        with JobStore(tmp_path / "service.db") as store:
+            job_id = store.submit(payload.to_json())
+            worker_loop(store.path, burst=True)
+            record = store.get(job_id)
+        assert record.state == "DONE", record.error
+        assert record.result_dict()["results"][0]["counts"] == {"0": 8}
+
 
 # -- property: random circuits mixing cancelling pairs, rotations, id and blockers
 

@@ -1,4 +1,4 @@
-"""Unit tests for the telemetry subsystem: spans, metrics, exporters."""
+"""Unit tests for the telemetry subsystem: spans, span-derived metrics, exporters."""
 
 import json
 import threading
@@ -7,23 +7,17 @@ import pytest
 
 from repro.qsim import telemetry
 from repro.qsim.telemetry import export
-from repro.qsim.telemetry.metrics import (
-    DEFAULT_BUCKETS,
-    merge_snapshots,
-    snapshot_delta,
-)
+from repro.qsim.telemetry.export import DEFAULT_BUCKETS, metrics_from_traces
 
 
 @pytest.fixture(autouse=True)
 def clean_telemetry():
-    """Every test starts enabled with empty spans/metrics, and leaves no residue."""
+    """Every test starts enabled with no spans, and leaves no residue."""
     telemetry.enable()
     telemetry.clear_spans()
-    telemetry.reset_metrics()
     yield
     telemetry.enable()
     telemetry.clear_spans()
-    telemetry.reset_metrics()
 
 
 class TestSpans:
@@ -64,16 +58,6 @@ class TestSpans:
         (root,) = telemetry.drain_spans()
         assert root.tags["error"] == "ValueError"
         assert telemetry.current_span() is None
-
-    def test_record_grafts_a_finished_child(self):
-        with telemetry.span("job"):
-            telemetry.record("claim", 0.25, 0.1, source="test")
-        (root,) = telemetry.drain_spans()
-        (claim,) = root.children
-        assert claim.name == "claim"
-        assert claim.wall_s == pytest.approx(0.25)
-        assert claim.cpu_s == pytest.approx(0.1)
-        assert claim.tags == {"source": "test"}
 
     def test_to_dict_round_trips_through_json(self):
         with telemetry.span("outer", n=1):
@@ -126,11 +110,6 @@ class TestDisabled:
             sp.tag(extra=2)  # must be accepted and dropped
         assert telemetry.drain_spans() == []
 
-    def test_disabled_record_is_a_no_op(self):
-        telemetry.disable()
-        telemetry.record("claim", 1.0)
-        assert telemetry.drain_spans() == []
-
     def test_disable_mid_span_still_closes_cleanly(self):
         with telemetry.span("outer"):
             telemetry.disable()
@@ -141,135 +120,120 @@ class TestDisabled:
         assert root.name == "outer"
         assert root.children == []  # inner was never opened
 
-    def test_disabled_instruments_do_not_mutate_the_registry(self):
-        telemetry.disable()
-        telemetry.counter("c").inc()
-        telemetry.gauge("g").set(5)
-        telemetry.histogram("h").observe(0.5)
-        # not even zero-valued instruments appear: exact no-op
-        assert telemetry.snapshot() == {
+class TestMetricsFromTraces:
+    @staticmethod
+    def _engine_run(name, shots, gates, wall_s, method=None):
+        tags = {"shots": shots, "gates": gates}
+        if method is not None:
+            tags["method"] = method
+        return {"name": f"engine.{name}.run", "wall_s": wall_s, "tags": tags}
+
+    def test_each_counter_is_one_span_fact(self):
+        job = {
+            "name": "job",
+            "wall_s": 1.0,
+            "children": [
+                {
+                    "name": "cache.compile_batch",
+                    "wall_s": 0.1,
+                    "children": [
+                        {"name": "cache.lookup", "wall_s": 0.01, "tags": {"kind": "memory_hit"}},
+                        {"name": "cache.lookup", "wall_s": 0.01, "tags": {"kind": "disk_hit"}},
+                        {
+                            "name": "cache.lookup",
+                            "wall_s": 0.05,
+                            "tags": {"kind": "corrupt"},
+                            "children": [
+                                {"name": "transpile", "wall_s": 0.01, "tags": {"gates": 5}}
+                            ],
+                        },
+                        {
+                            "name": "cache.lookup",
+                            "wall_s": 0.02,
+                            "tags": {"kind": "miss"},
+                            "children": [
+                                {"name": "transpile", "wall_s": 0.01, "tags": {"gates": 3}}
+                            ],
+                        },
+                    ],
+                },
+                {
+                    "name": "backend.run",
+                    "wall_s": 0.5,
+                    "tags": {"circuits": 3},
+                    "children": [
+                        self._engine_run("statevector", 10, 4, 0.0005, "sampled"),
+                        self._engine_run("statevector", 20, 6, 0.002, "batched_shots"),
+                        self._engine_run("stabilizer", 7, 2, 0.2, "stabilizer"),
+                    ],
+                },
+            ],
+        }
+        snap = metrics_from_traces([job])
+        assert snap["counters"] == {
+            "backend.batches": 1,
+            "backend.circuits": 3,
+            "cache.corrupt": 1,
+            "cache.disk_hits": 1,
+            "cache.memory_hits": 1,
+            "cache.misses": 2,
+            "engine.stabilizer.experiments": 1,
+            "engine.stabilizer.gates": 2,
+            "engine.stabilizer.shots": 7,
+            "engine.stabilizer.stabilizer": 7,
+            "engine.statevector.batched_shots": 20,
+            "engine.statevector.experiments": 2,
+            "engine.statevector.gates": 10,
+            "engine.statevector.shots": 30,
+            "transpile.circuits": 2,
+            "transpile.gates_in": 8,
+        }
+        assert snap["gauges"] == {}
+        hist = snap["histograms"]["engine.run.seconds"]
+        assert hist["buckets"] == list(DEFAULT_BUCKETS)
+        assert hist["counts"] == [1, 1, 0, 0, 0, 1, 0, 0, 0, 0]
+        assert hist["count"] == 3
+        assert hist["sum"] == pytest.approx(0.2025)
+
+    def test_traces_add_up(self):
+        runs = [self._engine_run("density_matrix", 8, 1, 0.001, "branched")] * 2
+        snap = metrics_from_traces(runs)
+        assert snap["counters"]["engine.density_matrix.branched"] == 16
+        # a wall time on a bound falls in that bound's bucket
+        assert snap["histograms"]["engine.run.seconds"]["counts"][0] == 2
+
+    def test_no_spans_no_metrics(self):
+        assert metrics_from_traces([]) == {"counters": {}, "gauges": {}, "histograms": {}}
+        assert metrics_from_traces([{"name": "job", "wall_s": 0.1}]) == {
             "counters": {},
             "gauges": {},
             "histograms": {},
         }
 
-
-class TestMetrics:
-    def test_counter_accumulates(self):
-        telemetry.counter("jobs").inc()
-        telemetry.counter("jobs").inc(4)
-        assert telemetry.snapshot()["counters"]["jobs"] == 5
-
-    def test_counter_rejects_negative(self):
-        with pytest.raises(ValueError):
-            telemetry.counter("jobs").inc(-1)
-
-    def test_gauge_keeps_last_value(self):
-        telemetry.gauge("depth").set(3)
-        telemetry.gauge("depth").set(1)
-        assert telemetry.snapshot()["gauges"]["depth"] == 1
-
-    def test_histogram_buckets_are_cumulative_ready(self):
-        hist = telemetry.histogram("lat", buckets=(0.1, 1.0))
-        for value in (0.05, 0.5, 5.0):
-            hist.observe(value)
-        snap = telemetry.snapshot()["histograms"]["lat"]
-        assert snap["buckets"] == [0.1, 1.0]
-        assert snap["counts"] == [1, 1, 1]  # per-bucket slots + overflow
-        assert snap["count"] == 3
-        assert snap["sum"] == pytest.approx(5.55)
-
     def test_default_buckets_cover_sub_ms_to_half_minute(self):
         assert DEFAULT_BUCKETS[0] <= 0.001
         assert DEFAULT_BUCKETS[-1] >= 30.0
 
-    def test_same_name_different_type_raises(self):
-        telemetry.counter("x")
-        with pytest.raises(ValueError, match="already a counter"):
-            telemetry.gauge("x")
+    def test_counts_a_live_process_by_draining_its_spans(self):
+        from repro.qsim import QuantumCircuit, get_backend
 
-    def test_reset_drops_everything(self):
-        telemetry.counter("x").inc()
-        telemetry.reset_metrics()
-        assert telemetry.snapshot() == {"counters": {}, "gauges": {}, "histograms": {}}
-
-
-class TestSnapshotArithmetic:
-    def test_delta_subtracts_counters_and_drops_zeros(self):
-        telemetry.counter("a").inc(2)
-        telemetry.counter("b").inc(1)
-        before = telemetry.snapshot()
-        telemetry.counter("a").inc(3)
-        delta = snapshot_delta(before, telemetry.snapshot())
-        assert delta["counters"] == {"a": 3}
-
-    def test_delta_subtracts_histograms(self):
-        hist = telemetry.histogram("lat", buckets=(1.0,))
-        hist.observe(0.5)
-        before = telemetry.snapshot()
-        hist.observe(2.0)
-        delta = snapshot_delta(before, telemetry.snapshot())
-        assert delta["histograms"]["lat"]["counts"] == [0, 1]
-        assert delta["histograms"]["lat"]["count"] == 1
-        assert delta["histograms"]["lat"]["sum"] == pytest.approx(2.0)
-
-    def test_delta_gauges_take_after_value(self):
-        telemetry.gauge("depth").set(4)
-        before = telemetry.snapshot()
-        telemetry.gauge("depth").set(9)
-        delta = snapshot_delta(before, telemetry.snapshot())
-        assert delta["gauges"]["depth"] == 9
-
-    def test_merge_adds_counters_and_histograms(self):
-        a = {
-            "counters": {"jobs": 2},
-            "gauges": {},
-            "histograms": {
-                "lat": {"buckets": [1.0], "counts": [1, 0], "sum": 0.5, "count": 1}
-            },
-        }
-        b = {
-            "counters": {"jobs": 3, "other": 1},
-            "gauges": {"depth": 7},
-            "histograms": {
-                "lat": {"buckets": [1.0], "counts": [0, 1], "sum": 2.0, "count": 1}
-            },
-        }
-        merged = merge_snapshots([a, None, b])
-        assert merged["counters"] == {"jobs": 5, "other": 1}
-        assert merged["gauges"] == {"depth": 7}
-        assert merged["histograms"]["lat"]["counts"] == [1, 1]
-        assert merged["histograms"]["lat"]["count"] == 2
-        assert merged["histograms"]["lat"]["sum"] == pytest.approx(2.5)
-
-    def test_merge_mismatched_buckets_fold_into_sum_count(self):
-        a = {
-            "counters": {},
-            "gauges": {},
-            "histograms": {
-                "lat": {"buckets": [1.0], "counts": [1, 0], "sum": 0.5, "count": 1}
-            },
-        }
-        b = {
-            "counters": {},
-            "gauges": {},
-            "histograms": {
-                "lat": {"buckets": [2.0], "counts": [1, 0], "sum": 1.5, "count": 1}
-            },
-        }
-        merged = merge_snapshots([a, b])
-        assert merged["histograms"]["lat"]["buckets"] == [1.0]
-        assert merged["histograms"]["lat"]["counts"] == [1, 0]  # shape kept
-        assert merged["histograms"]["lat"]["count"] == 2  # totals still true
-        assert merged["histograms"]["lat"]["sum"] == pytest.approx(2.0)
+        qc = QuantumCircuit(1, 1)
+        qc.x(0).measure(0, 0)
+        get_backend("statevector").run([qc, qc], shots=5, seed=2).result()
+        snap = metrics_from_traces(root.to_dict() for root in telemetry.drain_spans())
+        assert snap["counters"]["backend.batches"] == 1
+        assert snap["counters"]["engine.statevector.shots"] == 10
 
 
 class TestExport:
     def _snapshot(self):
-        telemetry.counter("engine.runs").inc(3)
-        telemetry.gauge("queue.depth").set(2)
-        telemetry.histogram("run.seconds", buckets=(0.1, 1.0)).observe(0.5)
-        return telemetry.snapshot()
+        return {
+            "counters": {"engine.runs": 3.0},
+            "gauges": {"queue.depth": 2.0},
+            "histograms": {
+                "run.seconds": {"buckets": [0.1, 1.0], "counts": [0, 1, 0], "sum": 0.5, "count": 1}
+            },
+        }
 
     def test_json_round_trips(self):
         data = json.loads(export.to_json(self._snapshot()))
@@ -288,23 +252,26 @@ class TestExport:
         assert "qsim_run_seconds_count 1" in text
 
     def test_prometheus_buckets_are_cumulative(self):
-        hist = telemetry.histogram("lat", buckets=(0.1, 1.0))
-        for value in (0.05, 0.5, 5.0):
-            hist.observe(value)
-        text = export.to_prometheus(telemetry.snapshot())
+        snap = {
+            "histograms": {
+                "lat": {"buckets": [0.1, 1.0], "counts": [1, 1, 1], "sum": 5.55, "count": 3}
+            }
+        }
+        text = export.to_prometheus(snap)
         assert 'qsim_lat_bucket{le="0.1"} 1' in text
         assert 'qsim_lat_bucket{le="1.0"} 2' in text
         assert 'qsim_lat_bucket{le="+Inf"} 3' in text
 
     def test_custom_prefix(self):
-        telemetry.counter("x").inc()
-        assert "svc_x 1" in export.to_prometheus(telemetry.snapshot(), prefix="svc")
+        snap = {"counters": {"x": 1.0}}
+        assert "svc_x 1" in export.to_prometheus(snap, prefix="svc")
 
 
 class TestFormatSpanTree:
     def _tree(self):
         with telemetry.span("job"):
-            telemetry.record("claim", 0.001)
+            with telemetry.span("claim"):
+                pass
             with telemetry.span("run", backend="statevector"):
                 pass
         (root,) = telemetry.drain_spans()
@@ -350,9 +317,9 @@ class TestInstrumentationEndToEnd:
         backend = get_backend("statevector")
         backend.run(qc, shots=32, seed=5).result()
 
-        names = {sp.name for sp in telemetry.drain_spans()}
-        assert "backend.run" in names
-        snap = telemetry.snapshot()
+        roots = telemetry.drain_spans()
+        assert "backend.run" in {sp.name for sp in roots}
+        snap = metrics_from_traces(root.to_dict() for root in roots)
         assert snap["counters"]["engine.statevector.experiments"] == 1
         assert snap["counters"]["engine.statevector.shots"] == 32
         assert snap["histograms"]["engine.run.seconds"]["count"] == 1
@@ -434,5 +401,6 @@ class TestInstrumentationEndToEnd:
         qc = QuantumCircuit(1, 1)
         qc.h(0).measure([0], [0])
         get_backend("statevector").run(qc, shots=8, seed=1).result()
-        assert telemetry.drain_spans() == []
-        assert telemetry.snapshot() == {"counters": {}, "gauges": {}, "histograms": {}}
+        roots = telemetry.drain_spans()
+        assert roots == []
+        assert metrics_from_traces(roots) == {"counters": {}, "gauges": {}, "histograms": {}}
