@@ -183,6 +183,16 @@ class TestAggregation:
         merged = metrics_from_traces(store.telemetry_traces())
         assert merged["counters"]["engine.statevector.experiments"] == 1
 
+    def test_aggregate_skips_unreadable_artifacts(self, store):
+        run_one(store)
+        broken = run_one(store)
+        store._conn.execute(
+            "UPDATE jobs SET telemetry = ? WHERE job_id = ?", ("{not json", broken)
+        )
+        assert len(list(store.telemetry_traces())) == 1
+        merged = metrics_from_traces(store.telemetry_traces())
+        assert merged["counters"]["engine.statevector.experiments"] == 1
+
     def test_version_1_artifacts_still_aggregate(self, store):
         # a v1 artifact also carried a "metrics" snapshot; its trace counts
         job_id = run_one(store)

@@ -245,6 +245,17 @@ class TestNamedRegressions:
         assert record.state == "DONE", record.error
         assert record.result_dict()["results"][0]["counts"] == {"0": 8}
 
+    def test_rotation_sum_past_the_negative_float_range_stays_unmerged(self):
+        qc = QuantumCircuit(1)
+        qc.rx(-1e308, 0).rx(-1e308, 0)
+        optimized = optimize(qc)
+        assert [i.operation.params for i in optimized.data] == [[-1e308], [-1e308]]
+
+    def test_huge_rotations_with_a_finite_sum_still_cancel(self):
+        qc = QuantumCircuit(1)
+        qc.ry(1e308, 0).ry(-1e308, 0)
+        assert optimize(qc).data == []
+
 
 # -- property: random circuits mixing cancelling pairs, rotations, id and blockers
 

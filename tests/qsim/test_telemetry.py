@@ -210,6 +210,27 @@ class TestMetricsFromTraces:
             "histograms": {},
         }
 
+    def test_run_past_the_last_bound_lands_in_the_inf_bucket(self):
+        snap = metrics_from_traces([self._engine_run("statevector", 1, 1, 60.0)])
+        hist = snap["histograms"]["engine.run.seconds"]
+        assert hist["counts"] == [0] * len(DEFAULT_BUCKETS) + [1]
+        assert hist["sum"] == 60.0
+
+    def test_lookup_without_a_known_kind_counts_nothing(self):
+        lookups = [
+            {"name": "cache.lookup", "wall_s": 0.01},
+            {"name": "cache.lookup", "wall_s": 0.01, "tags": {"kind": "stale"}},
+        ]
+        assert metrics_from_traces(lookups)["counters"] == {}
+
+    def test_engine_run_without_method_counts_no_method_shots(self):
+        snap = metrics_from_traces([self._engine_run("statevector", 9, 2, 0.01)])
+        assert snap["counters"] == {
+            "engine.statevector.experiments": 1,
+            "engine.statevector.gates": 2,
+            "engine.statevector.shots": 9,
+        }
+
     def test_default_buckets_cover_sub_ms_to_half_minute(self):
         assert DEFAULT_BUCKETS[0] <= 0.001
         assert DEFAULT_BUCKETS[-1] >= 30.0
@@ -261,6 +282,19 @@ class TestExport:
         assert 'qsim_lat_bucket{le="0.1"} 1' in text
         assert 'qsim_lat_bucket{le="1.0"} 2' in text
         assert 'qsim_lat_bucket{le="+Inf"} 3' in text
+
+    def test_empty_snapshot_renders_nothing(self):
+        assert export.to_prometheus({}) == ""
+        assert export.to_prometheus(metrics_from_traces([])) == ""
+
+    def test_prometheus_sanitises_names(self):
+        text = export.to_prometheus({"counters": {"job-cache.hits": 2.0}}, prefix="9svc")
+        assert "# TYPE _9svc_job_cache_hits counter" in text
+        assert "_9svc_job_cache_hits 2" in text
+
+    def test_non_integral_values_keep_their_fraction(self):
+        text = export.to_prometheus({"counters": {"shots": 2.5}})
+        assert "qsim_shots 2.5" in text
 
     def test_custom_prefix(self):
         snap = {"counters": {"x": 1.0}}
