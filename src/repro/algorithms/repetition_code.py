@@ -127,22 +127,20 @@ def run_repetition_code(
     """Run the full encode / corrupt / extract / decode experiment.
 
     *backend* is a registry name (a noisy engine is constructed from it with
-    the channel *noise* at probability *p*) or a pre-configured
-    :class:`~repro.qsim.backends.Backend` instance (then *p* and *noise* are
-    ignored -- the instance's own noise applies).  The default
+    the channel *noise* at probability *p*; ``p=0`` runs noiselessly) or a
+    pre-configured :class:`~repro.qsim.backends.Backend` instance (then *p*
+    and *noise* are ignored -- the instance's own noise applies).  The default
     ``backend="stabilizer"`` handles 100+ qubit codes in well under a
     second; ``"statevector"``/``"density_matrix"`` validate it on small
     distances.
     """
-    from ..qsim.backends import Backend, build_noisy_backend, get_backend
+    from ..qsim.backends import Backend, build_noisy_backend
 
     circuit = repetition_code_circuit(distance, rounds=rounds, logical_value=logical_value)
     if isinstance(backend, Backend):
         resolved = backend
-    elif p > 0:
-        resolved = build_noisy_backend(backend, p, noise, seed=seed)
     else:
-        resolved = get_backend(backend, seed=seed)
+        resolved = build_noisy_backend(backend, p or None, noise, seed=seed)
     result = resolved.run(circuit, shots=shots, memory=True).result()
     memory = result.get_memory()
 

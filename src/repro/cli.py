@@ -21,8 +21,10 @@ import sys
 from typing import List, Optional
 
 from .lang import QutesError, run_file
-from .qsim.backends import NOISE_CHANNELS, build_noisy_backend, resolve_backend
+from .qsim.backends import build_noisy_backend
+from .qsim.circuit import QuantumCircuit, _with_final_measure
 from .qsim.exceptions import BackendError, CircuitError, QasmError, SimulationError
+from .qsim.noise import DEFAULT_NOISE_CHANNEL, NOISE_CHANNELS
 from .qsim.qasm import from_qasm_file, to_qasm
 
 __all__ = [
@@ -96,7 +98,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--noise-model",
-        default="depolarizing",
+        default=DEFAULT_NOISE_CHANNEL,
         choices=sorted(NOISE_CHANNELS),
         help="noise channel used with --noise (default: depolarizing)",
     )
@@ -142,7 +144,9 @@ def build_service_parser() -> argparse.ArgumentParser:
     submit.add_argument("--shots", type=int, default=1024)
     submit.add_argument("--seed", type=int, default=None)
     submit.add_argument("--noise", type=float, default=None, metavar="P")
-    submit.add_argument("--noise-model", default="depolarizing", choices=sorted(NOISE_CHANNELS))
+    submit.add_argument(
+        "--noise-model", default=DEFAULT_NOISE_CHANNEL, choices=sorted(NOISE_CHANNELS)
+    )
     submit.add_argument(
         "--max-attempts", type=int, default=3, help="retry budget before FAILED"
     )
@@ -294,34 +298,56 @@ def _parse_error_report(path: str, exc: QasmError):
     return AnalysisReport(path, [diagnostic])
 
 
+class _Exit(Exception):
+    """``_Exit(status, message)`` ends a command: :func:`main` prints
+    ``error: <message>`` to stderr and returns *status*."""
+
+
+def _read_qasm(path: str) -> QuantumCircuit:
+    """The circuit in the OpenQASM file *path*; an unreadable file ends the
+    command with status 2, a parse error raises :class:`QasmError`."""
+    try:
+        return from_qasm_file(path)
+    except FileNotFoundError:
+        raise _Exit(2, f"no such file: {path}") from None
+    except OSError as exc:
+        raise _Exit(2, f"cannot read {path}: {exc}") from None
+
+
+def _read_circuits(paths: List[str]) -> List[QuantumCircuit]:
+    """The circuits of the files *paths* about to run; a parse error ends
+    the command with status 1."""
+    circuits = []
+    for path in paths:
+        try:
+            circuits.append(_read_qasm(path))
+        except QasmError as exc:
+            raise _Exit(1, f"{path}: {exc}") from None
+    return circuits
+
+
+def _analysis_target(args: argparse.Namespace):
+    """The :class:`~repro.qsim.analysis.AnalysisTarget` the run flags describe."""
+    from .qsim.analysis import AnalysisTarget
+
+    return AnalysisTarget(
+        backend=args.backend, shots=args.shots, noise_p=args.noise, noise_channel=args.noise_model
+    )
+
+
 def _lint_main(argv: List[str]) -> int:
     """The ``lint`` verb: analyze files, report findings, exit non-zero on errors."""
     import json
 
-    from .qsim.analysis import AnalysisTarget, Severity, analyze
+    from .qsim.analysis import Severity, analyze
 
     args = build_lint_parser().parse_args(argv)
     min_severity = Severity.parse(args.min_severity)
-    target = None
-    if args.backend is not None or args.noise is not None or args.shots is not None:
-        target = AnalysisTarget(
-            backend=args.backend,
-            shots=args.shots,
-            noise_p=args.noise,
-            noise_channel=(args.noise_model or "depolarizing")
-            if args.noise is not None
-            else None,
-        )
+    target = _analysis_target(args)
     reports = []
     for path in args.files:
         try:
-            circuit = from_qasm_file(path)
-        except FileNotFoundError:
-            print(f"error: no such file: {path}", file=sys.stderr)
-            return 2
-        except OSError as exc:
-            print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-            return 2
+            circuit = _read_qasm(path)
         except QasmError as exc:
             reports.append(_parse_error_report(path, exc))
             continue
@@ -337,22 +363,8 @@ def _lint_main(argv: List[str]) -> int:
 
 
 def _service_submit(args: argparse.Namespace) -> int:
-    from .qsim.service import BatchPayload, JobStore
-
-    circuits = []
-    for path in args.files:
-        try:
-            circuits.append(from_qasm_file(path))
-        except FileNotFoundError:
-            print(f"error: no such file: {path}", file=sys.stderr)
-            return 2
-        except OSError as exc:
-            print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-            return 2
-        except QasmError as exc:
-            print(f"error: {path}: {exc}", file=sys.stderr)
-            return 1
-    from .qsim.service import ServiceError, submit_payload
+    circuits = _read_circuits(args.files)
+    from .qsim.service import BatchPayload, JobStore, ServiceError, submit_payload
     from .qsim.service.validation import analysis_target
 
     try:
@@ -385,28 +397,18 @@ def _service_submit(args: argparse.Namespace) -> int:
                 validate=not args.no_lint,
             )
     except (CircuitError, BackendError, SimulationError, ServiceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        raise _Exit(1, str(exc)) from None
     print(job_id)
     if rejected:
-        print(
-            f"error: job {job_id} rejected by static analysis (see findings "
-            "above; --no-lint submits anyway)",
-            file=sys.stderr,
-        )
-        return 1
+        hint = "see findings above; --no-lint submits anyway"
+        raise _Exit(1, f"job {job_id} rejected by static analysis ({hint})")
     return 0
 
 
-def _print_counts(result_dict: dict) -> None:
-    experiments = result_dict.get("results", [])
-    for experiment in experiments:
-        if len(experiments) > 1:
-            print(f"--- {experiment.get('name', '?')} ---")
-        for bitstring, count in sorted(
-            experiment.get("counts", {}).items(), key=lambda kv: (-kv[1], kv[0])
-        ):
-            print(f"{bitstring} {count}")
+def _print_counts(counts: dict) -> None:
+    """One ``bitstring count`` line per outcome, most frequent first."""
+    for bitstring, count in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])):
+        print(f"{bitstring} {count}")
 
 
 def _service_other(args: argparse.Namespace) -> int:
@@ -465,11 +467,7 @@ def _service_other(args: argparse.Namespace) -> int:
                 if store.cancel(args.job_id):
                     print(f"{args.job_id} CANCELLED")
                     return 0
-                record = store.get(args.job_id)
-                print(
-                    f"error: job is already terminal ({record.state})", file=sys.stderr
-                )
-                return 1
+                raise _Exit(1, f"job is already terminal ({store.get(args.job_id).state})")
             if args.verb == "queue-stats":
                 stats = store.stats()
                 for state, count in stats["states"].items():
@@ -512,11 +510,7 @@ def _service_other(args: argparse.Namespace) -> int:
             deadline = None if args.wait is None else _time.monotonic() + args.wait
             while not record.is_terminal:
                 if deadline is None or _time.monotonic() >= deadline:
-                    print(
-                        f"error: job {args.job_id} not finished (state {record.state})",
-                        file=sys.stderr,
-                    )
-                    return 1
+                    raise _Exit(1, f"job {args.job_id} not finished (state {record.state})")
                 _time.sleep(0.1)
                 record = store.get(args.job_id)
             if record.state != "DONE":
@@ -524,11 +518,14 @@ def _service_other(args: argparse.Namespace) -> int:
                 if record.error:
                     print(record.error.rstrip().splitlines()[-1], file=sys.stderr)
                 return 1
-            _print_counts(record.result_dict())
+            experiments = record.result_dict().get("results", [])
+            for experiment in experiments:
+                if len(experiments) > 1:
+                    print(f"--- {experiment.get('name', '?')} ---")
+                _print_counts(experiment.get("counts", {}))
             return 0
     except ServiceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        raise _Exit(1, str(exc)) from None
 
 
 def _service_main(argv: List[str]) -> int:
@@ -540,17 +537,7 @@ def _service_main(argv: List[str]) -> int:
 
 def _run_qasm_file(args: argparse.Namespace) -> int:
     """Execute an imported OpenQASM 2.0 circuit on the selected backend."""
-    try:
-        circuit = from_qasm_file(args.from_qasm)
-    except FileNotFoundError:
-        print(f"error: no such file: {args.from_qasm}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: cannot read {args.from_qasm}: {exc}", file=sys.stderr)
-        return 2
-    except QasmError as exc:
-        print(f"error: {args.from_qasm}: {exc}", file=sys.stderr)
-        return 1
+    [circuit] = _read_circuits([args.from_qasm])
     if args.show_circuit:
         print("--- circuit ---")
         print(circuit.draw())
@@ -564,22 +551,13 @@ def _run_qasm_file(args: argparse.Namespace) -> int:
         # a header-only program is valid QASM; there is just nothing to run
         print(f"note: {args.from_qasm} declares no qubits; nothing to run", file=sys.stderr)
         return 0
-    if not circuit.has_measurements():
-        # mirror what hardware toolchains do with measurement-free circuits:
-        # sample every qubit at the end instead of returning nothing
-        circuit.measure_all()
+    circuit = _with_final_measure(circuit)
     if args.lint is not None:
         # analyze the exact circuit about to run (after measure-all
         # normalization) against the run config the flags describe
-        from .qsim.analysis import AnalysisTarget, Severity, analyze
+        from .qsim.analysis import Severity, analyze
 
-        target = AnalysisTarget(
-            backend=args.backend,
-            shots=args.shots,
-            noise_p=args.noise,
-            noise_channel=args.noise_model if args.noise is not None else None,
-        )
-        report = analyze(circuit, target)
+        report = analyze(circuit, _analysis_target(args))
         threshold = Severity.parse(args.lint)
         findings = report.format(min_severity=Severity.WARNING)
         if findings:
@@ -592,16 +570,11 @@ def _run_qasm_file(args: argparse.Namespace) -> int:
             )
             return 1
     try:
-        if args.noise is not None:
-            backend = build_noisy_backend(args.backend, args.noise, args.noise_model, args.seed)
-        else:
-            backend = resolve_backend(args.backend, default_seed=args.seed)
+        backend = build_noisy_backend(args.backend, args.noise, args.noise_model, args.seed)
         counts = backend.run(circuit, shots=args.shots).result().get_counts()
     except (BackendError, SimulationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    for bitstring, count in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])):
-        print(f"{bitstring} {count}")
+        raise _Exit(1, str(exc)) from None
+    _print_counts(counts)
     return 0
 
 
@@ -609,6 +582,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     """Entry point used by the ``qutes`` console script."""
     try:
         return _main(argv)
+    except _Exit as exc:
+        status, message = exc.args
+        print(f"error: {message}", file=sys.stderr)
+        return status
     except BrokenPipeError:
         # the downstream consumer (e.g. `qutes --from-qasm ... | head`)
         # closed the pipe mid-print.  Swap both streams for /dev/null so the
@@ -651,31 +628,22 @@ def _main(argv: Optional[List[str]] = None) -> int:
         parser.error("--lint applies to --from-qasm input (use `qutes lint FILE...` standalone)")
     if args.program is None:
         parser.error("the program argument is required (or use --list-backends / --from-qasm)")
-    if args.ast:
-        from .lang.ast_printer import dump_ast
-        from .lang.parser import parse
+    try:
+        if args.ast:
+            from .lang.ast_printer import dump_ast
+            from .lang.parser import parse
 
-        try:
             with open(args.program, "r", encoding="utf-8") as handle:
                 print(dump_ast(parse(handle.read())))
             return 0
-        except FileNotFoundError:
-            print(f"error: no such file: {args.program}", file=sys.stderr)
-            return 2
-        except QutesError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-    backend = args.backend
-    try:
+        backend = args.backend
         if args.noise is not None:
             backend = build_noisy_backend(args.backend, args.noise, args.noise_model, args.seed)
         result = run_file(args.program, shots=args.shots, seed=args.seed, backend=backend)
     except FileNotFoundError:
-        print(f"error: no such file: {args.program}", file=sys.stderr)
-        return 2
+        raise _Exit(2, f"no such file: {args.program}") from None
     except (QutesError, BackendError, SimulationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        raise _Exit(1, str(exc)) from None
 
     if result.output:
         print(result.printed)

@@ -68,6 +68,7 @@ DIAGNOSTIC_CODES: Dict[str, str] = {
     "QA404": "unknown noise channel for the target backend",
     "QA405": "unknown backend name",
     "QA406": "shot count must be positive",
+    "QA407": "noise probability outside [0, 1]",
 }
 
 

@@ -11,8 +11,8 @@ touching this module's driver code.
 Target-independent passes (measurement flow, unused resources) always run;
 the noise-flow and backend-compatibility passes only emit findings when an
 :class:`AnalysisTarget` describes where the circuit is headed.  The CLI's
-``lint`` verb runs target-free by default, while the service's submit-time
-validation always supplies the payload's backend/shots/noise config.
+``lint`` verb checks the backend/shots/noise its flags give, while the
+service's submit-time validation supplies the payload's run config.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 from ..circuit import QuantumCircuit, SourceSpan
 from ..exceptions import BackendError
 from ..instruction import Barrier, Measure, Reset
+from ..noise import DEFAULT_NOISE_CHANNEL, NOISE_CHANNELS
 from ..registers import Clbit, Qubit
 from ..simulator import DEFAULT_MEMORY_BUDGET_BYTES
 from .diagnostics import Diagnostic, Severity
@@ -382,7 +383,7 @@ def _noise_flow_pass(ctx: AnalysisContext) -> Iterator[Diagnostic]:
     noise_p = ctx.target.noise_p
     if noise_p is None or noise_p <= 0:
         return
-    channel = ctx.target.noise_channel or "depolarizing"
+    channel = ctx.target.noise_channel or DEFAULT_NOISE_CHANNEL
     touched: Dict[Qubit, Tuple[Optional[SourceSpan], Optional[int]]] = {}
     ever_measured: Set[Qubit] = set()
     for index, instr in enumerate(ctx.circuit.data):
@@ -425,8 +426,7 @@ def _format_bytes(count: int) -> str:
 
 @register_pass("backend_compat")
 def _backend_compat_pass(ctx: AnalysisContext) -> Iterator[Diagnostic]:
-    """QA401..QA406: can the target engine actually run this circuit?"""
-    from ..backends.engines import NOISE_CHANNELS  # local import: cycle
+    """QA401..QA407: can the target engine actually run this circuit?"""
     from ..backends.registry import resolve_backend_name  # local import: cycle
 
     target = ctx.target
@@ -446,6 +446,13 @@ def _backend_compat_pass(ctx: AnalysisContext) -> Iterator[Diagnostic]:
                 f"{', '.join(NOISE_CHANNELS)}",
                 source="backend_compat",
             )
+    if target.noise_p is not None and not 0.0 <= target.noise_p <= 1.0:
+        yield Diagnostic(
+            "QA407",
+            Severity.ERROR,
+            f"noise probability must be in [0, 1], got {target.noise_p:g}",
+            source="backend_compat",
+        )
     if target.backend is None:
         return
     try:

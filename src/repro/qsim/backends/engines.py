@@ -18,8 +18,8 @@ from __future__ import annotations
 from typing import Any, Optional, Union
 
 from ..density import DensityMatrixSimulator
-from ..exceptions import BackendError, SimulationError
-from ..noise import BitFlipNoise, DepolarizingNoise, NoiseModel, PhaseFlipNoise
+from ..exceptions import BackendError
+from ..noise import DEFAULT_NOISE_CHANNEL, NOISE_CHANNELS, NoiseModel
 from ..simulator import StatevectorSimulator
 from ..stabilizer import StabilizerSimulator
 from .backend import Backend
@@ -32,16 +32,6 @@ __all__ = [
     "build_noisy_backend",
     "NOISE_CHANNELS",
 ]
-
-#: the noise model behind each channel name understood by
-#: :func:`build_noisy_backend` (and the CLI's ``--noise-model`` flag)
-_CHANNELS = {
-    "bit_flip": BitFlipNoise,
-    "phase_flip": PhaseFlipNoise,
-    "depolarizing": DepolarizingNoise,
-}
-NOISE_CHANNELS = tuple(_CHANNELS)
-
 
 class _EngineBackend(Backend):
     """A built-in backend: its engine is ``engine_class(seed=, noise_model=)``."""
@@ -110,28 +100,27 @@ class StabilizerBackend(_EngineBackend):
 
 def build_noisy_backend(
     name: Optional[str],
-    p: float,
-    channel: str = "depolarizing",
+    p: Optional[float],
+    channel: str = DEFAULT_NOISE_CHANNEL,
     seed: Optional[int] = None,
 ) -> Backend:
     """Instantiate backend *name* with noise *channel* at probability *p*.
 
-    Every built-in backend takes the same :class:`~repro.qsim.noise.NoiseModel`
-    as ``noise_model=``, so the CLI's ``--noise`` flag and the algorithm
-    drivers construct noisy engines identically.  *name* may be ``None``
-    (defaults to ``statevector``).  Raises :class:`SimulationError` for an
-    unknown channel name and :class:`BackendError` for a backend that takes
-    no ``noise_model``.
+    The one builder of a run described by flags or a payload (the CLI, a
+    service job, the algorithm drivers).  ``p=None`` is a noiseless run and
+    delegates to :func:`resolve_backend`.  *name* may be ``None``
+    (``statevector``).  Raises :class:`SimulationError` for an unknown
+    channel or a probability outside [0, 1] and :class:`BackendError` for a
+    backend that takes no ``noise_model``.
     """
     from .registry import get_backend
 
-    if channel not in _CHANNELS:
-        raise SimulationError(
-            f"unknown noise channel {channel!r} (choose from {sorted(_CHANNELS)})"
-        )
+    if p is None:
+        return resolve_backend(name, default_seed=seed)
+    noise_model = NOISE_CHANNELS[channel](p)
     name = name or "statevector"
     try:
-        return get_backend(name, seed=seed, noise_model=_CHANNELS[channel](p))
+        return get_backend(name, seed=seed, noise_model=noise_model)
     except TypeError as exc:
         raise BackendError(
             f"backend {name!r} does not support noise injection: {exc}"

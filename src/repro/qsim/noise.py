@@ -17,8 +17,10 @@ the channel's 2x2 Kraus operators and, for a Pauli channel, its exact
   with the one message of :func:`require_pauli`.
 
 The channel is checked once, when the model is built; engines sample it only
-in their ``run()``.  :func:`check_unfused` is the one guard every ``run()``
-calls against fused blocks, which would take one error for a whole block.
+in their ``run()``.  :data:`NOISE_CHANNELS` names the channels a run may be
+described with (CLI flags, service payloads).  :func:`check_unfused` is the
+one guard every ``run()`` calls against fused blocks, which would take one
+error for a whole block.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ __all__ = [
     "BitFlipNoise",
     "PhaseFlipNoise",
     "DepolarizingNoise",
+    "NOISE_CHANNELS",
+    "DEFAULT_NOISE_CHANNEL",
     "bit_flip_kraus",
     "phase_flip_kraus",
     "depolarizing_kraus",
@@ -209,6 +213,22 @@ class DepolarizingNoise(NoiseModel):
     def __init__(self, p: float):
         super().__init__(depolarizing_kraus(p), (("X", p / 3), ("Y", p / 3), ("Z", p / 3)))
         self.p = p
+
+
+class _ChannelTable(dict):
+    """Channel name -> noise model class; an unknown name is refused."""
+
+    def __missing__(self, name):
+        raise SimulationError(f"unknown noise channel {name!r} (choose from {sorted(self)})")
+
+
+#: the noise model of each channel name a run may give (``--noise-model``, a
+#: payload's ``noise["channel"]``): ``NOISE_CHANNELS[channel](p)`` builds it
+NOISE_CHANNELS = _ChannelTable(
+    bit_flip=BitFlipNoise, phase_flip=PhaseFlipNoise, depolarizing=DepolarizingNoise
+)
+#: the channel of a run that gives a noise probability but names no channel
+DEFAULT_NOISE_CHANNEL = "depolarizing"
 
 
 # ---------------------------------------------------------------------------

@@ -70,9 +70,9 @@ _QASM2_GATES = frozenset(GATE_REGISTRY) - _NOT_IN_QELIB1
 # Export
 # ---------------------------------------------------------------------------
 
-def to_qasm(circuit: QuantumCircuit, lower: bool = True) -> str:
+def to_qasm(circuit: QuantumCircuit) -> str:
     """Serialise *circuit* to an OpenQASM 2.0 program string."""
-    target = _lowered(circuit) if lower else circuit
+    target = _lowered(circuit)
     names = _sanitize_register_names(target)
     lines: List[str] = ["OPENQASM 2.0;", 'include "qelib1.inc";']
     for qreg in target.qregs:

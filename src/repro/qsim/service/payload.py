@@ -20,7 +20,9 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
-from ..circuit import QuantumCircuit
+from ..circuit import QuantumCircuit, _with_final_measure
+from ..exceptions import SimulationError
+from ..noise import DEFAULT_NOISE_CHANNEL, NOISE_CHANNELS
 from ..qasm import from_qasm, to_qasm
 from .store import ServiceError
 
@@ -45,7 +47,8 @@ class BatchPayload:
         noise: ``{"p": float, "channel": str}`` or ``None``; mapped onto
             the backend via
             :func:`repro.qsim.backends.build_noisy_backend`, exactly like
-            the CLI's ``--noise``/``--noise-model`` flags.
+            the CLI's ``--noise``/``--noise-model`` flags.  Read it through
+            :attr:`noise_p` and :attr:`noise_channel`.
         memory: also record per-shot bitstrings.
         metadata: caller extras, carried through to the job artifacts.
     """
@@ -57,6 +60,19 @@ class BatchPayload:
     noise: Optional[Dict[str, Any]] = None
     memory: bool = False
     metadata: Dict[str, Any] = field(default_factory=dict)
+    #: ``noise`` normalised once, when built or parsed (``None`` if noiseless)
+    noise_p: Optional[float] = field(init=False, repr=False, compare=False)
+    noise_channel: Optional[str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.noise_p = self.noise_channel = None
+        if self.noise is None:
+            return
+        try:
+            self.noise_p = float(self.noise["p"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ServiceError(f"malformed payload noise {self.noise!r}") from exc
+        self.noise_channel = self.noise.get("channel", DEFAULT_NOISE_CHANNEL)
 
     # -- construction ------------------------------------------------------------
 
@@ -68,34 +84,35 @@ class BatchPayload:
         seed: Optional[int] = None,
         backend: str = "statevector",
         noise_p: Optional[float] = None,
-        noise_channel: str = "depolarizing",
+        noise_channel: str = DEFAULT_NOISE_CHANNEL,
         memory: bool = False,
-        measure_all: bool = True,
         metadata: Optional[Dict[str, Any]] = None,
     ) -> "BatchPayload":
         """Build a payload from live circuits, exporting each to QASM.
 
-        *measure_all* mirrors the CLI's treatment of measurement-free
-        circuits: they get a final measure-all so the job produces counts
-        instead of an empty histogram.
+        A circuit without measurements runs with a final measure-all, as on
+        the CLI.  Raises :class:`ServiceError` for no circuits, a
+        non-positive shot count or noise the engines would refuse.
         """
         if not circuits:
             raise ServiceError("a batch payload needs at least one circuit")
         if shots <= 0:
             raise ServiceError("shots must be positive")
+        noise = None
+        if noise_p is not None:
+            noise = {"p": float(noise_p), "channel": noise_channel}
+            try:
+                NOISE_CHANNELS[noise_channel](noise["p"])
+            except SimulationError as exc:
+                raise ServiceError(str(exc)) from exc
         entries = []
         for circuit in circuits:
             if not isinstance(circuit, QuantumCircuit):
                 raise ServiceError(
                     f"cannot submit {type(circuit).__name__} (expected QuantumCircuit)"
                 )
-            if measure_all and circuit.num_qubits and not circuit.has_measurements():
-                circuit = circuit.copy()
-                circuit.measure_all()
+            circuit = _with_final_measure(circuit)
             entries.append({"name": circuit.name, "qasm": to_qasm(circuit)})
-        noise = None
-        if noise_p is not None:
-            noise = {"p": float(noise_p), "channel": noise_channel}
         return cls(
             circuits=entries,
             shots=shots,
@@ -159,7 +176,8 @@ class BatchPayload:
         """Canonical string form of the noise config (part of cache keys)."""
         if self.noise is None:
             return "noiseless"
-        return f"{self.noise.get('channel', 'depolarizing')}:{self.noise.get('p')!r}"
+        # the stored value's repr, so the keys of cached entries stay valid
+        return f"{self.noise_channel}:{self.noise['p']!r}"
 
     def __len__(self) -> int:
         return len(self.circuits)

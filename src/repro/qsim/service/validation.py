@@ -32,13 +32,11 @@ DIAGNOSTICS_ARTIFACT_VERSION = 1
 
 def analysis_target(payload: BatchPayload) -> AnalysisTarget:
     """The :class:`AnalysisTarget` described by *payload*'s run config."""
-    noise = payload.noise or {}
-    noise_p = noise.get("p")
     return AnalysisTarget(
         backend=payload.backend,
         shots=payload.shots,
-        noise_p=None if noise_p is None else float(noise_p),
-        noise_channel=noise.get("channel", "depolarizing") if payload.noise else None,
+        noise_p=payload.noise_p,
+        noise_channel=payload.noise_channel,
     )
 
 

@@ -88,19 +88,13 @@ def execute_payload(payload: BatchPayload, cache: CircuitCache) -> Dict[str, Any
     compile pipeline.  Raises whatever the compile or execution raises --
     the caller decides between retry and ``FAILED``.
     """
-    from ..backends import StatevectorBackend, build_noisy_backend, get_backend
+    from ..backends import StatevectorBackend, build_noisy_backend
 
-    if payload.noise is None:
-        backend = get_backend(payload.backend)
-    else:  # exactly like the CLI's --noise/--noise-model flags
-        backend = build_noisy_backend(
-            payload.backend,
-            float(payload.noise["p"]),
-            payload.noise.get("channel", "depolarizing"),
-        )
+    # exactly like the CLI's --backend/--noise/--noise-model flags
+    backend = build_noisy_backend(payload.backend, payload.noise_p, payload.noise_channel)
     # the statevector engine's own fusion runs once, in the cache, so the
     # memory layer keeps the circuit the engine would have prepared
-    prepared = payload.noise is None and isinstance(backend, StatevectorBackend)
+    prepared = payload.noise_p is None and isinstance(backend, StatevectorBackend)
     circuits, cache_stats = cache.compile_batch(payload, backend.name, prepared=prepared)
     job = backend.run(
         circuits, shots=payload.shots, seed=payload.seed, memory=payload.memory
@@ -280,7 +274,7 @@ def worker_loop(
     processed = 0
     logger.info("event=worker-start worker=%s db=%s burst=%s", worker_id, db_path, burst)
     try:
-        while True:
+        while max_jobs is None or processed < max_jobs:
             reclaimed = store.reclaim_expired(retry_delay)
             if reclaimed:
                 logger.warning("event=reclaimed worker=%s jobs=%d", worker_id, reclaimed)
@@ -296,8 +290,6 @@ def worker_loop(
                 time.sleep(poll_interval)
                 continue
             processed += 1
-            if max_jobs is not None and processed >= max_jobs:
-                break
     finally:
         heartbeat.stop()
         store.close()

@@ -212,6 +212,18 @@ class TestBackendCompat:
         (d,) = only(report, "QA404")
         assert "thermal" in d.message and "depolarizing" in d.message
 
+    @pytest.mark.parametrize("p", [1.5, -0.1, float("nan")])
+    def test_qa407_noise_probability_outside_unit_interval(self, p):
+        report = lint(self.CLEAN, AnalysisTarget(noise_p=p, noise_channel="bit_flip"))
+        (d,) = only(report, "QA407")
+        assert d.severity is Severity.ERROR
+        assert "[0, 1]" in d.message
+
+    @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+    def test_qa407_quiet_inside_unit_interval(self, p):
+        report = lint(self.CLEAN, AnalysisTarget(noise_p=p, noise_channel="bit_flip"))
+        assert [d for d in report if d.code == "QA407"] == []
+
     def test_qa405_unknown_backend_lists_names(self):
         report = lint(self.CLEAN, AnalysisTarget(backend="quantumz"))
         (d,) = only(report, "QA405")
