@@ -351,7 +351,11 @@ def _lint_main(argv: List[str]) -> int:
         except QasmError as exc:
             reports.append(_parse_error_report(path, exc))
             continue
-        reports.append(analyze(circuit, target))
+        report = analyze(circuit, target)
+        # named after its file, as a parse-error report is, so a finding
+        # without a span still says which file it is about
+        report.circuit_name = path
+        reports.append(report)
     if args.fmt == "json":
         print(json.dumps([report.to_dict() for report in reports], indent=2))
     else:
@@ -378,12 +382,13 @@ def _service_submit(args: argparse.Namespace) -> int:
         )
         reports = None
         if not args.no_lint:
-            # analyze the circuits as imported (not the payload's QASM
-            # round-trip) so spans point at the user's files
+            # analyze what the payload runs (measure-all'd, as --from-qasm
+            # --lint does), built from the imported circuits rather than the
+            # payload's QASM round-trip, so spans point at the user's files
             from .qsim.analysis import Severity, analyze
 
             target = analysis_target(payload)
-            reports = [analyze(circuit, target) for circuit in circuits]
+            reports = [analyze(_with_final_measure(circuit), target) for circuit in circuits]
             for report in reports:
                 findings = report.format(min_severity=Severity.WARNING)
                 if findings:

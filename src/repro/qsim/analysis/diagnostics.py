@@ -95,15 +95,16 @@ class Diagnostic:
                 "repro.qsim.analysis.diagnostics.DIAGNOSTIC_CODES"
             )
 
-    def location(self) -> str:
-        """``file:line:column`` when a span is known, ``<circuit>`` otherwise."""
+    def location(self, circuit: str = "<circuit>") -> str:
+        """``file:line:column`` when a span is known, *circuit* otherwise."""
         if self.span is None:
-            return "<circuit>"
+            return circuit
         return self.span.location()
 
-    def format(self) -> str:
-        """gcc-style one-liner: ``file:line:col: error[QA401]: message``."""
-        return f"{self.location()}: {self.severity.label}[{self.code}]: {self.message}"
+    def format(self, circuit: str = "<circuit>") -> str:
+        """gcc-style one-liner: ``file:line:col: error[QA401]: message``; a
+        finding without a span is located at *circuit*."""
+        return f"{self.location(circuit)}: {self.severity.label}[{self.code}]: {self.message}"
 
     def to_dict(self) -> Dict[str, Any]:
         """Plain-JSON form, the shape persisted in the service job record."""

@@ -118,8 +118,9 @@ class AnalysisReport:
         return [d for d in self.diagnostics if d.severity >= severity]
 
     def format(self, min_severity: Severity = Severity.INFO) -> str:
-        """One gcc-style line per finding at or above *min_severity*."""
-        return "\n".join(d.format() for d in self.at_least(min_severity))
+        """One gcc-style line per finding at or above *min_severity*; a
+        finding without a span is located at the circuit's name."""
+        return "\n".join(d.format(self.circuit_name) for d in self.at_least(min_severity))
 
     def to_dict(self) -> Dict[str, object]:
         return {

@@ -8,6 +8,7 @@ its matrix.  Qubit binding happens in :class:`~repro.qsim.circuit.CircuitInstruc
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -83,6 +84,8 @@ class Gate(Instruction):
     A registry gate must be declared with its registered arity: every engine
     and the Clifford classifier read the gate by its name, so a ``z`` declared
     on two qubits is rejected here, once, rather than run differently by each.
+    A non-finite parameter is rejected here too: no pass, engine or QASM
+    export has a meaning for it.
     """
 
     def __init__(self, name: str, num_qubits: int, params: Sequence[float] | None = None):
@@ -92,6 +95,8 @@ class Gate(Instruction):
                 f"gate {name!r} acts on {spec.num_qubits} qubit(s), not {num_qubits}"
             )
         super().__init__(name, num_qubits, 0, params)
+        if self.params and not all(map(math.isfinite, self.params)):
+            raise CircuitError(f"gate {name!r} has a non-finite parameter")
 
     @property
     def is_unitary(self) -> bool:

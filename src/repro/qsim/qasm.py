@@ -145,8 +145,7 @@ def exported_circuit(circuit: QuantumCircuit) -> QuantumCircuit:
     :class:`CircuitError`), every gate parameter is snapped to the float
     its :func:`_format_param` text reads back as, and registers are renamed
     as :func:`to_qasm` names them, so the result runs float-for-float like
-    the parse (it carries no source spans).  A non-finite parameter, whose
-    text would not parse, raises :class:`CircuitError`.
+    the parse (it carries no source spans).
     """
     circuit = _lowered(circuit)
     names = _sanitize_register_names(circuit)
@@ -171,8 +170,6 @@ def exported_circuit(circuit: QuantumCircuit) -> QuantumCircuit:
         else:
             spec = GATE_REGISTRY[op.name]
             params = [float(_format_param(p)) for p in op.params] if spec.num_params else []
-            if not all(map(math.isfinite, params)):
-                raise CircuitError(f"gate {op.name!r} has a non-finite parameter")
             copy = Gate(op.name, spec.num_qubits, params)
         condition = instr.condition
         if condition is not None:

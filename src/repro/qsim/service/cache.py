@@ -17,6 +17,15 @@ exact inputs the compile pipeline depends on -- and live in two layers:
   function: its fused :class:`~repro.qsim.instruction.UnitaryGate` blocks
   have no QASM form, and the engine runs a prepared circuit as it is.
 
+A circuit enters the memory layer on its **second sighting**: a miss
+writes only the persistent layer, and a disk hit admits what it parsed.
+The persistent layer is thus the doorkeeper, at no extra cost: a one-off
+circuit never occupies worker memory (nor evicts a circuit that does come
+back), and a repeated circuit pays one disk hit -- the parse of its stored
+text plus ``prepare`` -- per worker before its memory hits.  A worker whose
+first sighting is a disk hit (another worker compiled the circuit) admits
+it at once.
+
 Bit-equality across hit and miss paths is by construction: a **miss**
 compiles (parse, peephole at optimization level 1), writes the compiled
 QASM to the persistent layer, and executes the circuit that stored text
@@ -24,7 +33,7 @@ parses to, built without parsing it
 (:func:`~repro.qsim.qasm.exported_circuit` snaps every parameter to its
 written digits).  A later **disk hit** parses the identical text, so
 both paths run a float-for-float identical circuit; a **memory hit** reuses
-the very object the miss or a previous parse produced.  Noisy payloads are
+the very object a disk hit produced.  Noisy payloads are
 deliberately *not* optimized (noise is defined per gate -- dropping a
 cancelling gate pair would change the channel strength), so their cached
 text is the submitted QASM itself and the cache only saves the parse.
@@ -93,12 +102,6 @@ class CircuitCache:
         statevector engine when it runs noiselessly)."""
         return prepare(circuit) if prepared else circuit
 
-    def _remember(self, cache_key: str, circuit: QuantumCircuit) -> None:
-        self._memory[cache_key] = circuit
-        self._memory.move_to_end(cache_key)
-        while len(self._memory) > self.max_memory_entries:
-            self._memory.popitem(last=False)
-
     def compiled(
         self,
         qasm: str,
@@ -139,12 +142,16 @@ class CircuitCache:
             try:
                 with telemetry.span("cache.parse"):
                     circuit = self._finalize(from_qasm(compiled_text), prepared)
-                self._remember(cache_key, circuit)
-                return circuit, "disk_hit"
             except QasmError:
                 # corrupted persistent entry: drop it and recompile below
                 self.store.cache_delete(cache_key)
                 kind = "corrupt"
+            else:
+                # a second sighting: the circuit came back, so admit it
+                self._memory[cache_key] = circuit
+                while len(self._memory) > self.max_memory_entries:
+                    self._memory.popitem(last=False)
+                return circuit, "disk_hit"
 
         with telemetry.span("cache.compile", noisy=noisy):
             compiled_text, circuit = self._compile(qasm, noisy)
@@ -156,7 +163,7 @@ class CircuitCache:
                 with telemetry.span("cache.parse"):
                     circuit = from_qasm(compiled_text)
             circuit = self._finalize(circuit, prepared)
-        self._remember(cache_key, circuit)
+        # a first sighting stays out of the memory layer until it comes back
         return circuit, kind
 
     def compile_batch(

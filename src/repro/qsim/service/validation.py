@@ -102,7 +102,7 @@ def submit_payload(
     diagnostics_json = None if reports is None else serialize_reports(reports)
     rejected_error = None
     if reports is not None:
-        error_lines = [d.format() for report in reports for d in report.errors]
+        error_lines = [report.format(Severity.ERROR) for report in reports if report.errors]
         if error_lines:
             rejected_error = "rejected at submit time by static analysis:\n" + "\n".join(
                 error_lines

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.qsim.analysis import DIAGNOSTIC_CODES, Diagnostic, Severity
+from repro.qsim.analysis import DIAGNOSTIC_CODES, AnalysisReport, Diagnostic, Severity
 from repro.qsim.circuit import SourceSpan
 
 
@@ -57,6 +57,17 @@ class TestDiagnostic:
     def test_format_without_span_uses_placeholder(self):
         d = Diagnostic("QA406", Severity.ERROR, "bad shots")
         assert d.format() == "<circuit>: error[QA406]: bad shots"
+
+    def test_report_locates_spanless_findings_at_its_circuit(self):
+        spanned = Diagnostic(
+            "QA101", Severity.WARNING, "m", span=SourceSpan(2, 5, "bell.qasm")
+        )
+        spanless = Diagnostic("QA406", Severity.ERROR, "bad shots")
+        report = AnalysisReport("dir/bell.qasm", [spanned, spanless])
+        assert report.format().splitlines() == [
+            "bell.qasm:2:5: warning[QA101]: m",
+            "dir/bell.qasm: error[QA406]: bad shots",
+        ]
 
     def test_span_without_source_is_line_col(self):
         d = Diagnostic("QA101", Severity.WARNING, "m", span=SourceSpan(2, 5))

@@ -57,12 +57,14 @@ def store(tmp_path):
 
 
 def run_three_ways(store, payload):
-    """Execute *payload* via miss, memory-hit and disk-hit paths."""
+    """Execute *payload* via the miss, disk-hit and memory-hit paths: a miss
+    leaves memory alone, the second sighting parses the stored text and
+    admits it, and the third reuses the admitted object."""
     cache = CircuitCache(store)
     miss = execute_payload(payload, cache)
+    disk_hit = execute_payload(payload, cache)
     memory_hit = execute_payload(payload, cache)
-    disk_hit = execute_payload(payload, CircuitCache(store))  # fresh process view
-    return miss, memory_hit, disk_hit
+    return miss, disk_hit, memory_hit
 
 
 class TestHitMissBitEquality:
@@ -78,13 +80,13 @@ class TestHitMissBitEquality:
         payload = BatchPayload.from_circuits(
             [circuit_factory()], shots=128, seed=7, backend=backend
         )
-        miss, memory_hit, disk_hit = run_three_ways(store, payload)
+        miss, disk_hit, memory_hit = run_three_ways(store, payload)
         assert miss["metadata"]["cache"] == {
             "hits": 0, "memory_hits": 0, "disk_hits": 0, "misses": 1, "corrupt": 0,
         }
-        assert memory_hit["metadata"]["cache"]["memory_hits"] == 1
         assert disk_hit["metadata"]["cache"]["disk_hits"] == 1
-        assert counts_of(miss) == counts_of(memory_hit) == counts_of(disk_hit)
+        assert memory_hit["metadata"]["cache"]["memory_hits"] == 1
+        assert counts_of(miss) == counts_of(disk_hit) == counts_of(memory_hit)
         assert sum(counts_of(miss)[0].values()) == 128
 
     @pytest.mark.parametrize(
@@ -104,22 +106,28 @@ class TestHitMissBitEquality:
             noise_p=0.02,
             noise_channel="depolarizing",
         )
-        miss, memory_hit, disk_hit = run_three_ways(store, payload)
-        assert counts_of(miss) == counts_of(memory_hit) == counts_of(disk_hit)
+        miss, disk_hit, memory_hit = run_three_ways(store, payload)
+        assert counts_of(miss) == counts_of(disk_hit) == counts_of(memory_hit)
         assert miss["metadata"]["cache"]["misses"] == 1
-        assert memory_hit["metadata"]["cache"]["hits"] == 1
+        assert disk_hit["metadata"]["cache"]["disk_hits"] == 1
+        assert memory_hit["metadata"]["cache"]["memory_hits"] == 1
 
     def test_multi_circuit_batch_mixes_hits_and_misses(self, store):
         cache = CircuitCache(store)
         first = BatchPayload.from_circuits([dense_circuit("a")], shots=16, seed=1)
-        execute_payload(first, cache)
+        execute_payload(first, cache)  # a: miss
+        execute_payload(first, cache)  # a: disk hit, admitted
         batch = BatchPayload.from_circuits(
-            [dense_circuit("a"), dense_circuit("b", seed=9)], shots=16, seed=1
+            [dense_circuit("a"), dense_circuit("b", seed=9), dense_circuit("c", seed=4)],
+            shots=16,
+            seed=1,
         )
-        result = execute_payload(batch, cache)
-        stats = result["metadata"]["cache"]
-        assert stats["memory_hits"] == 1
-        assert stats["misses"] == 1
+        other = BatchPayload.from_circuits([dense_circuit("b", seed=9)], shots=16, seed=1)
+        execute_payload(other, cache)  # b: miss, not admitted
+        result = execute_payload(batch, cache)  # a: memory, b: disk, c: miss
+        assert result["metadata"]["cache"] == {
+            "hits": 2, "memory_hits": 1, "disk_hits": 1, "misses": 1, "corrupt": 0,
+        }
 
 
 def test_service_and_local_runs_agree(store):
@@ -198,6 +206,69 @@ class TestCorruptionFallback:
         a = BatchPayload.from_circuits([dense_circuit("a")], shots=8, seed=1)
         b = BatchPayload.from_circuits([dense_circuit("b", seed=8)], shots=8, seed=1)
         execute_payload(a, cache)
-        execute_payload(b, cache)  # evicts a from memory
+        execute_payload(a, cache)  # admits a
+        execute_payload(b, cache)
+        execute_payload(b, cache)  # admits b, evicting a from memory
         stats = execute_payload(a, cache)["metadata"]["cache"]
         assert stats["disk_hits"] == 1  # still served from the persistent layer
+
+
+def lookup(cache, circuit):
+    """One noiseless statevector lookup of *circuit*: ``(circuit, kind)``."""
+    return cache.compiled(to_qasm(circuit), "statevector", "noiseless", prepared=True)
+
+
+class TestSecondSightingAdmission:
+    """The memory layer admits a circuit only when it comes back: the
+    persistent layer remembers the first sighting."""
+
+    def test_a_miss_leaves_the_memory_layer_unchanged(self, store):
+        cache = CircuitCache(store)
+        lookup(cache, dense_circuit("a"))
+        lookup(cache, dense_circuit("a"))
+        before = dict(cache._memory)
+        _, kind = lookup(cache, dense_circuit("b", seed=9))
+        assert kind == "miss"
+        assert dict(cache._memory) == before
+        assert all(cache._memory[k] is v for k, v in before.items())
+
+    def test_second_lookup_admits_and_third_is_a_memory_hit(self, store):
+        cache = CircuitCache(store)
+        circuit = dense_circuit()
+        _, first = lookup(cache, circuit)
+        assert (first, len(cache._memory)) == ("miss", 0)
+        admitted, second = lookup(cache, circuit)
+        assert (second, len(cache._memory)) == ("disk_hit", 1)
+        reused, third = lookup(cache, circuit)
+        assert third == "memory_hit"
+        assert reused is admitted
+
+    def test_first_sighting_as_a_disk_hit_admits_at_once(self, store):
+        circuit = dense_circuit()
+        assert lookup(CircuitCache(store), circuit)[1] == "miss"  # another worker
+        cache = CircuitCache(store)
+        assert lookup(cache, circuit)[1] == "disk_hit"
+        assert lookup(cache, circuit)[1] == "memory_hit"
+
+    def test_results_are_bit_equal_across_the_three_kinds(self, store):
+        payload = BatchPayload.from_circuits(
+            [dense_circuit(num_qubits=5, num_gates=60)], shots=512, seed=13, memory=True
+        )
+        results = run_three_ways(store, payload)
+        kinds = [
+            next(k for k in ("misses", "disk_hits", "memory_hits") if r["metadata"]["cache"][k])
+            for r in results
+        ]
+        assert kinds == ["misses", "disk_hits", "memory_hits"]
+        memories = [[e["memory"] for e in r["results"]] for r in results]
+        assert counts_of(results[0]) == counts_of(results[1]) == counts_of(results[2])
+        assert memories[0] == memories[1] == memories[2]
+
+    def test_a_repeated_circuit_survives_a_scan_of_one_offs(self, store):
+        cache = CircuitCache(store, max_memory_entries=2)
+        repeated = dense_circuit("repeated")
+        lookup(cache, repeated)
+        assert lookup(cache, repeated)[1] == "disk_hit"
+        for seed in range(100, 105):
+            assert lookup(cache, dense_circuit(f"once-{seed}", seed=seed))[1] == "miss"
+        assert lookup(cache, repeated)[1] == "memory_hit"

@@ -207,7 +207,7 @@ class TestAggregation:
 
     def test_stats_job_cache_hit_rate(self, store):
         run_one(store)  # cold: compile miss
-        run_one(store)  # warm: memory hit
+        run_one(store)  # warm: a fresh worker's disk hit
         job_cache = store.stats()["job_cache"]
         assert job_cache == {
             "hits": 1,

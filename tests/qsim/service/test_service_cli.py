@@ -135,10 +135,11 @@ class TestMetricsVerb:
         assert data["histograms"]["engine.run.seconds"]["count"] == 2
 
     def test_metrics_counts_a_fixed_job_mix(self, db, capsys):
-        # a cold miss then a memory hit, a 2-circuit batch, noisy
+        # a cold miss, a disk hit and a memory hit, a 2-circuit batch, noisy
         # statevector trajectories, a branching density-matrix run and a
-        # stabilizer run; the expected values are what the process-wide
-        # metrics registry reported for this mix before spans replaced it
+        # stabilizer run; apart from the third bell job and its disk hit,
+        # the expected values are what the process-wide metrics registry
+        # reported for this mix before spans replaced it
         def circuit(num_qubits, name, build):
             qc = QuantumCircuit(num_qubits, num_qubits, name=name)
             build(qc)
@@ -167,6 +168,7 @@ class TestMetricsVerb:
         payloads = [
             BatchPayload.from_circuits([circuit(2, "bell", bell)], shots=16, seed=3),
             BatchPayload.from_circuits([circuit(2, "bell", bell)], shots=16, seed=4),
+            BatchPayload.from_circuits([circuit(2, "bell", bell)], shots=16, seed=9),
             BatchPayload.from_circuits(
                 [circuit(1, "a", flip), circuit(2, "b", rotations)], shots=8, seed=5
             ),
@@ -187,8 +189,9 @@ class TestMetricsVerb:
         assert main(["metrics", "--db", db, "--format", "json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["counters"] == {
-            "backend.batches": 6,
-            "backend.circuits": 7,
+            "backend.batches": 7,
+            "backend.circuits": 8,
+            "cache.disk_hits": 1,
             "cache.memory_hits": 1,
             "cache.misses": 6,
             "engine.density_matrix.branched": 40,
@@ -200,16 +203,16 @@ class TestMetricsVerb:
             "engine.stabilizer.shots": 12,
             "engine.stabilizer.stabilizer": 12,
             "engine.statevector.batched_shots": 24,
-            "engine.statevector.experiments": 5,
-            "engine.statevector.gates": 19,
-            "engine.statevector.shots": 72,
+            "engine.statevector.experiments": 6,
+            "engine.statevector.gates": 23,
+            "engine.statevector.shots": 88,
             "transpile.circuits": 5,
             "transpile.gates_in": 22,
         }
         assert data["gauges"] == {}
         assert list(data["histograms"]) == ["engine.run.seconds"]
-        assert data["histograms"]["engine.run.seconds"]["count"] == 7
-        assert sum(data["histograms"]["engine.run.seconds"]["counts"]) == 7
+        assert data["histograms"]["engine.run.seconds"]["count"] == 8
+        assert sum(data["histograms"]["engine.run.seconds"]["counts"]) == 8
 
     def test_metrics_on_empty_store(self, db, capsys):
         assert main(["metrics", "--db", db, "--format", "json"]) == 0
@@ -220,7 +223,7 @@ class TestMetricsVerb:
 class TestQueueStats:
     def test_reports_job_cache_hit_rate(self, db, qasm_file, capsys):
         submit_done(db, qasm_file, capsys)  # cold compile: miss
-        submit_done(db, qasm_file, capsys)  # warm: memory hit
+        submit_done(db, qasm_file, capsys)  # warm: a fresh worker's disk hit
         assert main(["queue-stats", "--db", db]) == 0
         out = capsys.readouterr().out
         assert "job-cache-hits 1" in out

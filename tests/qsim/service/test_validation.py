@@ -109,6 +109,16 @@ class TestSubmitPayload:
         with JobStore(db) as store:
             assert store.get(job_id).attempts == 0
 
+    def test_rejection_names_the_entry_of_a_finding_without_a_span(self, db):
+        payload = BatchPayload.from_circuits([bell(), t_circuit()], backend="nosuch")
+        with JobStore(db) as store:
+            job_id, _, rejected = submit_payload(store, payload)
+            record = store.get(job_id)
+        assert rejected
+        lines = record.error.splitlines()[1:]
+        assert [line.split(": ")[0] for line in lines] == ["bell", "tee"]
+        assert all("error[QA405]" in line for line in lines)
+
     def test_diagnostics_artifact_persisted_for_both_outcomes(self, db):
         clean = BatchPayload.from_circuits([bell()], shots=8)
         bad = BatchPayload.from_circuits([t_circuit()], shots=8, backend="chp")

@@ -58,6 +58,18 @@ class TestAppending:
         with pytest.raises(CircuitError):
             qc.append(Gate("cx", 2), [0])
 
+    @pytest.mark.parametrize("angle", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_parameter_rejected_at_construction(self, angle):
+        # no pass, engine or export has a meaning for such an angle
+        qc = QuantumCircuit(2)
+        with pytest.raises(CircuitError, match="gate 'rz' has a non-finite parameter"):
+            qc.rz(angle, 0)
+        with pytest.raises(CircuitError, match="gate 'u3' has a non-finite parameter"):
+            qc.u3(0.1, angle, 0.2, 0)
+        with pytest.raises(CircuitError, match="gate 'cp' has a non-finite parameter"):
+            qc.cp(angle, 0, 1)
+        assert qc.size() == 0
+
     def test_measure_pairs(self):
         qc = QuantumCircuit(2, 2)
         qc.measure([0, 1], [0, 1])

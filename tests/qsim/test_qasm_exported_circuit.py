@@ -134,8 +134,12 @@ def test_refusals_follow_to_qasm():
 
 
 def test_non_finite_parameter_is_refused():
-    # its text would not parse, so there is no circuit to build
+    # its text would not parse, so there is no circuit to build; a gate
+    # refuses such a parameter when built, and again if one is set later
     circuit = QuantumCircuit(1)
-    circuit.rz(math.inf, 0)
+    with pytest.raises(CircuitError, match="non-finite"):
+        circuit.rz(math.inf, 0)
+    circuit.rz(0.5, 0)
+    circuit.data[0].operation.params[0] = math.inf
     with pytest.raises(CircuitError, match="non-finite"):
         exported_circuit(circuit)

@@ -430,6 +430,20 @@ class TestLintVerb:
         assert main(["lint", str(tmp_path / "ghost.qasm")]) == 2
         assert "no such file" in capsys.readouterr().err
 
+    def test_findings_without_a_span_name_their_file(self, tmp_path, capsys):
+        paths = []
+        for name in ("bell.qasm", "other.qasm"):
+            path = tmp_path / name
+            path.write_text(
+                'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\ncreg c[2];\n'
+                "h q[0];\ncx q[0], q[1];\nmeasure q -> c;\n"
+            )
+            paths.append(str(path))
+        assert main(["lint", *paths, "--shots", "0"]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            f"{path}: error[QA406]: shot count must be positive, got 0" for path in paths
+        ]
+
 
 @pytest.mark.parametrize("verb", ["--from-qasm", "submit", "lint"])
 def test_every_verb_reads_a_binary_file_like_a_parse_error(verb, tmp_path, capsys):
@@ -519,6 +533,24 @@ class TestSubmitValidation:
         out = capsys.readouterr().out
         assert "QUEUED" in out
         assert "diagnostics: 0 error(s), 0 warning(s)" in out
+
+    def test_submit_lints_the_circuit_the_job_measures(self, tmp_path, capsys):
+        # a circuit without measurements runs measure-all'd, so noise on it
+        # is observed: only the lint verb, which reads the file as written,
+        # warns about unmeasured noise
+        db = str(tmp_path / "svc.db")
+        path = tmp_path / "nomeas.qasm"
+        path.write_text(
+            'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\nh q[0];\ncx q[0], q[1];\n'
+        )
+        assert main(["lint", str(path), "--noise", "0.05"]) == 0
+        assert "warning[QA301]" in capsys.readouterr().out
+        assert main(["submit", str(path), "--db", db, "--noise", "0.05"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.strip().startswith("job-")
+        assert captured.err == ""
+        assert main(["--from-qasm", str(path), "--noise", "0.05", "--lint", "warn"]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_warning_findings_do_not_block_submit(self, tmp_path, capsys):
         db = str(tmp_path / "svc.db")
