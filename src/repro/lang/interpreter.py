@@ -431,6 +431,8 @@ class Interpreter:
         if not isinstance(value, QuantumVariable):
             return value
         shots_int = self.casting.to_int(shots) if shots is not None else self.shots
+        if shots_int <= 0:
+            raise QutesRuntimeError(f"sample() needs a positive shot count, got {shots_int}")
         histogram = self.casting.peek_variable(value, shots=shots_int)
         best = max(histogram.items(), key=lambda kv: kv[1])[0]
         return best

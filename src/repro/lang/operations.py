@@ -100,6 +100,8 @@ class OperationEngine:
             raise QutesTypeError(
                 f"{gate_name}() needs equally sized registers, got {left.size} and {right.size}"
             )
+        if set(left.qubits) & set(right.qubits):
+            raise QutesRuntimeError(f"{gate_name}() needs two distinct registers")
         for control, target in zip(left.qubits, right.qubits):
             self.handler.apply_gate(gate_name, [control, target])
         if gate_name == "cx":
@@ -235,6 +237,16 @@ class OperationEngine:
 
     # -- quantum multiplication -----------------------------------------------------------
 
+    def _copy(self, variable: QuantumVariable) -> QuantumVariable:
+        """A fresh register holding *variable*'s basis values, entangled with
+        it by ``cx`` (as :meth:`_quantum_add` seeds its result)."""
+        qubits = self.handler.allocate_register("copy", variable.size)
+        for source, target in zip(variable.qubits, qubits):
+            self.handler.apply_gate("cx", [source, target])
+        return QuantumVariable(
+            name="copy", type=variable.type, qubits=qubits, classical_hint=variable.classical_hint
+        )
+
     def _quantum_multiply(self, left, right) -> QuantumVariable:
         a = left if self._is_quantum(left) else self.casting.promote_to_quantum(
             left, QutesType.quint(), name="mul_a"
@@ -242,6 +254,8 @@ class OperationEngine:
         b = right if self._is_quantum(right) else self.casting.promote_to_quantum(
             right, QutesType.quint(), name="mul_b"
         )
+        if set(a.qubits) & set(b.qubits):  # a * a: multiply by an entangled copy
+            b = self._copy(b)
         product_size = a.size + b.size
         product_qubits = self.handler.allocate_register("prod", product_size)
         sub = QuantumCircuit(a.size + b.size + product_size, name="qmul")

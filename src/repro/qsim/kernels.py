@@ -45,9 +45,11 @@ sums per-basis-state weights over the values of some qubits and
 
 :func:`basis_table` / :func:`is_monomial` classify the gates that keep a
 basis state a basis state, which both dense engines run on basis rows or
-populations instead of amplitudes.  Temporaries come from :func:`scratch`,
-a per-thread pool of reusable buffers, so no gate allocates half-state
-temporaries.
+populations instead of amplitudes; :func:`restrict` gives a gate's action
+while some of its operands hold basis values, which the statevector
+session keeps as bits outside its amplitudes.  Temporaries come from
+:func:`scratch`, a per-thread pool of reusable buffers, so no gate
+allocates half-state temporaries.
 """
 
 from __future__ import annotations
@@ -75,6 +77,7 @@ __all__ = [
     "basis_lookup",
     "target_value",
     "is_monomial",
+    "restrict",
     "scratch",
 ]
 
@@ -408,6 +411,44 @@ _STEP_MEMO_SIZE = 256
 @functools.lru_cache(maxsize=_STEP_MEMO_SIZE)
 def _memo_step(data: bytes, dim: int, targets: tuple, controls: tuple) -> Tuple[tuple, bool]:
     return _lower_matrix(np.frombuffer(data, dtype=complex).reshape(dim, dim), targets, controls)
+
+
+def restrict(matrix, positions: Sequence[int], values: Sequence[int]):
+    """How the square *matrix* acts while its qubits at *positions* (0 the
+    most significant bit of a matrix index) hold the basis *values*, or
+    ``None`` when what they hold afterwards depends on the other qubits.
+
+    Returns ``(outputs, restricted)``: the basis values those qubits hold
+    afterwards, and the matrix on the other qubits (in their order) between
+    the columns that read *values* and the rows that read *outputs*;
+    *restricted* is ``None`` when it is the identity.  A ``1 x 1``
+    *restricted* is the phase the gate puts on the whole state.  Memoised
+    and read-only, like the steps of :func:`lower`: the statevector session
+    restricts the same few small gates over and over.
+    """
+    matrix = np.asarray(matrix, dtype=complex)
+    return _memo_restrict(matrix.tobytes(), matrix.shape[0], tuple(positions), tuple(values))
+
+
+@functools.lru_cache(maxsize=_STEP_MEMO_SIZE)
+def _memo_restrict(data: bytes, dim: int, positions: tuple, values: tuple):
+    matrix = np.frombuffer(data, dtype=complex).reshape(dim, dim)
+    shifts = [dim.bit_length() - 2 - position for position in positions]
+
+    def read(index: int) -> tuple:
+        return tuple((index >> shift) & 1 for shift in shifts)
+
+    columns = [col for col in range(dim) if read(col) == values]
+    outputs = {read(row) for col in columns for row in np.flatnonzero(matrix[:, col]).tolist()}
+    if len(outputs) != 1:
+        return None
+    (output,) = outputs
+    rows = [row for row in range(dim) if read(row) == output]
+    restricted = matrix[np.ix_(rows, columns)]
+    if np.array_equal(restricted, np.eye(len(rows))):
+        return output, None
+    restricted.setflags(write=False)
+    return output, restricted
 
 
 def lower(gate, targets: Sequence[int], num_qubits: Optional[int] = None) -> tuple:

@@ -78,7 +78,7 @@ import numpy as np
 from . import kernels
 from .circuit import QuantumCircuit
 from .exceptions import SimulationError
-from .instruction import Barrier, Initialize, Measure, Reset
+from .instruction import Barrier, ControlledGate, Initialize, Measure, Reset
 from .noise import NoiseModel, PauliTerms, check_unfused, require_pauli
 from .result import ExperimentResult
 from .simulator import check_allocation, compile_condition, sample_values, tally
@@ -400,18 +400,40 @@ class _AmplitudeRows:
 
 
 class StatevectorSession:
-    """One live trajectory on a one-row :class:`_AmplitudeRows`: the state a
-    Qutes program (and :meth:`StatevectorSimulator.evolve
-    <repro.qsim.simulator.StatevectorSimulator.evolve>`) builds up one
+    """One live trajectory: the state a Qutes program (and
+    :meth:`StatevectorSimulator.evolve
+    <repro.qsim.simulator.StatevectorSimulator.evolve>` and the sampled
+    :meth:`~repro.qsim.simulator.StatevectorSimulator.run`) builds up one
     instruction at a time.
 
-    ``allocate(k)`` appends *k* qubits in ``|0>`` (the highest indices),
-    refusing a state over the memory budget;
-    ``apply`` runs one instruction and, under a Pauli *noise_model*, draws
-    one error per touched qubit from the same intervals as the batched plan;
-    ``measure`` collapses through :func:`_measure_batched` and returns the
-    little-endian outcome; ``sample`` draws counts through
-    :func:`~repro.qsim.simulator.sample_values` without collapsing.
+    A qubit stays a plain **basis bit** until an instruction needs it in
+    superposition; the one-row :class:`_AmplitudeRows` holds only the qubits
+    that have left the basis, in ascending global order.  ``allocate(k)``
+    appends *k* bits at 0 (the highest indices), refusing a state over the
+    memory budget by its full width.  ``apply`` runs one instruction:
+
+    * a gate whose bit operands each go to one fixed basis value, whatever
+      the other operands hold (``x``/``cx``/``swap`` on bits, ``cp``/``cz``/
+      ``ch``/``mcx`` with bit controls, ...), updates the bits and runs its
+      restriction to the other operands on the row, or nothing when that is
+      the identity.  A :class:`ControlledGate` first drops its bit controls
+      without building its matrix; other gates of up to
+      :data:`_MAX_RESTRICTED_QUBITS` qubits go through
+      :func:`~repro.qsim.kernels.restrict`;
+    * any other gate and ``initialize`` first add their bit operands to the
+      row (one new axis, an exact copy), and a gate lowered to a ``wide``
+      step (BLAS, whose rounding depends on the operand shape) adds every bit.
+
+    Every step kernel is elementwise and a restriction drops only terms whose
+    input amplitude is zero, so the amplitudes are bit-identical to a session
+    that holds every qubit in the row (one built from *state*).  Under a
+    Pauli *noise_model* every gate draws one error per touched qubit, from
+    the same intervals as the batched plan, so a noisy session holds every
+    qubit in the row from ``allocate`` on.  ``measure`` collapses through
+    :func:`_measure_batched` (a bit draws its uniform too, so the stream
+    does not move) and returns the little-endian outcome; ``sample`` draws
+    counts through :func:`~repro.qsim.simulator.sample_values` without
+    collapsing; ``state`` is the full vector, built without growing the row.
     """
 
     def __init__(
@@ -425,24 +447,60 @@ class StatevectorSession:
         start = Statevector.zero_state(0) if state is None else state
         self._rows = _AmplitudeRows(start.data.reshape(1, -1).copy(), np.ones(1))
         self.num_qubits = start.num_qubits
+        #: qubit -> its axis in the row (its bit in a row index), -1 for a bit
+        self._axis = list(range(self.num_qubits))
+        #: the basis bits' values, bit ``q`` for qubit ``q``, and their count
+        self._bits = 0
+        self._num_bits = 0
 
     @property
     def state(self) -> Statevector:
-        """The live state, normalised (a view of the row while its tracked
-        norm is 1)."""
+        """The live state over every qubit, normalised (a view of the row
+        while no qubit is a bit and its tracked norm is 1)."""
+        state = self._row_state()
+        if self._num_bits:
+            full = np.zeros(1 << self.num_qubits, dtype=complex)
+            # the (2,)*n view's axis n-1-q is qubit q: pin each bit's axis
+            # to its value, and the row's own axes line up in the same order
+            pinned = tuple(
+                slice(None) if self._axis[q] >= 0 else (self._bits >> q) & 1
+                for q in reversed(range(self.num_qubits))
+            )
+            full.reshape((2,) * self.num_qubits)[pinned] = state.data.reshape(
+                (2,) * state.num_qubits
+            )
+            state.data, state.num_qubits = full, self.num_qubits
+        return state
+
+    def _row_state(self) -> Statevector:
+        """The row as a normalised state over the qubits it holds."""
         state = Statevector.__new__(Statevector)
         row, norm = self._rows.states[0], self._rows.norm[0]
         state.data = row if norm == 1.0 else row / math.sqrt(norm)
-        state.num_qubits = self.num_qubits
+        state.num_qubits = self.num_qubits - self._num_bits
         return state
 
     def allocate(self, num_qubits: int) -> None:
-        old = self._rows.states
-        size = old.shape[1] << num_qubits
-        check_allocation("statevector", self.num_qubits + num_qubits, size)
-        self._rows.states = np.zeros((1, size), dtype=complex)
-        self._rows.states[:, : old.shape[1]] = old
-        self.num_qubits += num_qubits
+        total = self.num_qubits + num_qubits
+        check_allocation("statevector", total, 1 << total)
+        self._axis.extend([-1] * num_qubits)
+        self._num_bits += num_qubits
+        self.num_qubits = total
+        if self._intervals:
+            self._enter(range(total - num_qubits, total))
+
+    def _enter(self, qubits) -> None:
+        """Add the bits among *qubits* to the row."""
+        for qubit in sorted(set(qubits)):
+            if self._axis[qubit] >= 0:
+                continue
+            axis = sum(1 for other in self._axis[:qubit] if other >= 0)
+            value = (self._bits >> qubit) & 1
+            self._rows.states = _insert_axis(self._rows.states, axis, value)
+            self._axis[qubit + 1 :] = [a + 1 if a >= 0 else a for a in self._axis[qubit + 1 :]]
+            self._axis[qubit] = axis
+            self._bits &= ~(1 << qubit)
+            self._num_bits -= 1
 
     def apply(self, instruction, qubits: Sequence[int]) -> None:
         qubits = tuple(qubits)
@@ -450,14 +508,19 @@ class StatevectorSession:
             return
         if isinstance(instruction, Reset):
             if self.measure(qubits):
-                self._rows.pauli("X", qubits[0], [0])
+                self._flip(qubits[0])
             return
         if isinstance(instruction, Initialize):
-            self._rows.apply(("initialize", instruction, qubits))
+            self._enter(qubits)
+            axes = tuple(self._axis[q] for q in qubits)
+            self._rows.apply(("initialize", instruction, axes))
             return
         if not instruction.is_unitary:
             raise SimulationError(f"cannot simulate instruction {instruction.name!r}")
-        self._rows.apply(kernels.lower(instruction, qubits))
+        if self._num_bits:
+            self._apply_on_bits(instruction, qubits)
+        else:
+            self._rows.apply(kernels.lower(instruction, qubits))
         for qubit in qubits if self._intervals else ():
             draw = self.rng.random()
             for pauli, lo, hi in self._intervals:
@@ -465,14 +528,101 @@ class StatevectorSession:
                     self._rows.pauli(pauli, qubit, [0])
                     break
 
+    def _apply_on_bits(self, gate, qubits: tuple) -> None:
+        """Apply the unitary *gate* while some qubits of the session are bits."""
+        if _lowers_wide(gate):
+            self._enter(range(self.num_qubits))
+            self._rows.apply(kernels.lower(gate, qubits))
+            return
+        axis, bits = self._axis, self._bits
+        if isinstance(gate, ControlledGate):
+            controls = qubits[: gate.num_controls]
+            live = tuple(q for q in controls if axis[q] >= 0)
+            if len(live) < len(controls):
+                if any(axis[q] < 0 and not (bits >> q) & 1 for q in controls):
+                    return  # a control bit reads 0: the identity
+                qubits = live + qubits[gate.num_controls :]
+                gate = ControlledGate(gate.base_gate, len(live)) if live else gate.base_gate
+        positions = [i for i, q in enumerate(qubits) if axis[q] < 0]
+        if positions and gate.num_qubits <= _MAX_RESTRICTED_QUBITS:
+            values = [(bits >> qubits[i]) & 1 for i in positions]
+            restriction = kernels.restrict(gate.to_matrix(), positions, values)
+            if restriction is not None:
+                outputs, matrix = restriction
+                for i, value in zip(positions, outputs):
+                    self._bits = (self._bits & ~(1 << qubits[i])) | (value << qubits[i])
+                rest = [axis[q] for q in qubits if axis[q] >= 0]
+                if matrix is None:
+                    return
+                if rest:
+                    self._rows.apply(kernels.lower(matrix, rest))
+                else:  # a phase on the whole state
+                    self._rows.states *= matrix[0, 0]
+                return
+        if positions:
+            self._enter(qubits)
+        self._rows.apply(kernels.lower(gate, [axis[q] for q in qubits]))
+
+    def _flip(self, qubit: int) -> None:
+        if self._axis[qubit] < 0:
+            self._bits ^= 1 << qubit
+        else:
+            self._rows.pauli("X", self._axis[qubit], [0])
+
     def measure(self, qubits: Sequence[int]) -> int:
         outcome = 0
         for position, qubit in enumerate(qubits):
-            outcome |= int(self._rows.measure(qubit, self.rng.random(1))[0]) << position
+            uniform = self.rng.random(1)
+            axis = self._axis[qubit]
+            if axis < 0:
+                bit = (self._bits >> qubit) & 1
+            else:
+                bit = int(self._rows.measure(axis, uniform)[0])
+            outcome |= bit << position
         return outcome
 
     def sample(self, qubits: Sequence[int], shots: int) -> Dict[int, int]:
-        return sample_values(self.state.probabilities(qubits), shots, self.rng)
+        return sample_values(self._probabilities(qubits), shots, self.rng)
+
+    def _probabilities(self, qubits: Sequence[int]) -> np.ndarray:
+        """The marginal over *qubits* (little-endian), reduced over the row
+        alone: a bit's value is certain."""
+        if not self._num_bits:
+            return self._row_state().probabilities(qubits)
+        live = [(i, self._axis[q]) for i, q in enumerate(qubits) if self._axis[q] >= 0]
+        base = sum(((self._bits >> q) & 1) << i for i, q in enumerate(qubits) if self._axis[q] < 0)
+        marginal = self._row_state().probabilities([axis for _, axis in live])
+        values = np.arange(marginal.size)
+        index = np.full(marginal.size, base)
+        for bit, (i, _) in enumerate(live):
+            index |= ((values >> bit) & 1) << i
+        probs = np.zeros(1 << len(qubits))
+        probs[index] = marginal
+        return probs
+
+
+#: widest gate a session restricts to its superposed operands through its
+#: matrix (:func:`~repro.qsim.kernels.restrict`); the widest fused block
+_MAX_RESTRICTED_QUBITS = 4
+
+
+def _lowers_wide(gate) -> bool:
+    """Whether :func:`~repro.qsim.kernels.lower` makes *gate* a ``wide`` step."""
+    if gate.num_qubits <= kernels.MAX_LOWERED_QUBITS:
+        return False
+    return not (
+        isinstance(gate, ControlledGate)
+        and gate.base_gate.num_qubits <= kernels.MAX_LOWERED_QUBITS
+    )
+
+
+def _insert_axis(states: np.ndarray, axis: int, value: int) -> np.ndarray:
+    """*states* with a new qubit at *axis* (the qubits at and above it move
+    up one) holding the basis *value*: an exact copy into the matching half."""
+    rows = states.shape[0]
+    grown = np.zeros((rows, 2 * states.shape[1]), dtype=complex)
+    grown.reshape(rows, -1, 2, 1 << axis)[:, :, value, :] = states.reshape(rows, -1, 1 << axis)
+    return grown
 
 
 # ---------------------------------------------------------------------------

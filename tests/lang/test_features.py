@@ -4,7 +4,7 @@ builtins (cx / cz / swap), and the standard-library programs."""
 
 import pytest
 
-from repro.lang import QutesSyntaxError, QutesTypeError, run_source
+from repro.lang import QutesRuntimeError, QutesSyntaxError, QutesTypeError, run_source
 from repro.lang.stdlib import ProgramMetrics, get_program, list_programs, program_metrics
 from repro.lang.types import QutesType, TypeKind
 
@@ -108,6 +108,13 @@ class TestTwoRegisterBuiltins:
     def test_size_mismatch_rejected(self):
         with pytest.raises(QutesTypeError):
             run("quint[3] a = 1q; qubit b = 0q; cx(a, b);")
+
+    @pytest.mark.parametrize("gate", ["cx", "cz", "swap"])
+    def test_a_register_paired_with_itself_is_refused(self, gate):
+        with pytest.raises(QutesRuntimeError, match=f"{gate}\\(\\) needs two distinct registers"):
+            run(f"quint a = 3q; {gate}(a, a);")
+        with pytest.raises(QutesRuntimeError, match="needs two distinct registers"):
+            run(f"quint a = 3q; {gate}(a[0], a[0]);")
 
     def test_classical_operands_are_promoted(self):
         assert run("qubit t = 0q; cx(true, t); print t;").printed == "true"

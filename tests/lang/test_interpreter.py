@@ -166,6 +166,14 @@ class TestQuantumPrograms:
     def test_quantum_multiplication(self):
         assert run("quint a = 3q; quint b = 5q; print a * b;").printed == "15"
 
+    def test_quantum_square_multiplies_by_a_copy(self):
+        assert run("quint a = 3q; quint b = a * a; print b;").printed == "9"
+
+    def test_square_of_a_superposition_stays_entangled(self):
+        # the copy follows the operand: 1*1 or 2*2, never the cross terms
+        outputs = {run("quint a = [1, 2]; print a * a;", seed=s).printed for s in range(16)}
+        assert outputs == {"1", "4"}
+
     def test_superposition_addition_lands_on_valid_sum(self):
         source = """
             quint a = [1, 3];
@@ -388,6 +396,11 @@ class TestErrors:
     def test_scope_isolation(self):
         with pytest.raises(QutesNameError):
             run("{ int hidden = 1; } print hidden;")
+
+    @pytest.mark.parametrize("shots", [0, -5])
+    def test_sample_refuses_a_non_positive_shot_count(self, shots):
+        with pytest.raises(QutesRuntimeError, match=f"positive shot count, got {shots}"):
+            run(f"quint a = 3q; print sample(a, {shots});")
 
 
 class TestCompiledProgram:

@@ -44,11 +44,7 @@ def render() -> str:
 
 
 def test_stdlib_programs_match_the_seed_sweep_golden():
-    expected = GOLDEN.read_text().splitlines()
-    actual = render().splitlines()
-    assert len(actual) == len(expected)
-    for got, want in zip(actual, expected):
-        assert got == want
+    assert render().splitlines() == GOLDEN.read_text().splitlines()
 
 
 if __name__ == "__main__":

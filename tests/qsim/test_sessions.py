@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.lang.compiler import run_source
 from repro.lang.stdlib import get_program
@@ -19,8 +21,10 @@ from repro.qsim.backends import build_noisy_backend, get_backend
 from repro.qsim.circuit import QuantumCircuit
 from repro.qsim.density import DensityMatrixSimulator
 from repro.qsim.exceptions import SimulationError
-from repro.qsim.instruction import Gate, Initialize, Reset
-from repro.qsim.noise import BitFlipNoise
+from repro.qsim.instruction import ControlledGate, Gate, Initialize, Reset, mcx_gate, mcz_gate
+from repro.qsim.noise import BitFlipNoise, NoiseModel
+from repro.qsim.simulator import StatevectorSimulator
+from repro.qsim.statevector import Statevector
 
 ENGINES = ["statevector", "density_matrix", "stabilizer"]
 DENSE = ["statevector", "density_matrix"]
@@ -216,7 +220,12 @@ class TestEngineSpecifics:
 
     @pytest.mark.parametrize(
         "engine, first, total, needed",
-        [("density_matrix", 10, 20, 16 * 4**20), ("statevector", 0, 40, 16 * 2**40)],
+        [
+            ("density_matrix", 10, 20, 16 * 4**20),
+            ("statevector", 0, 40, 16 * 2**40),
+            # ten basis bits hold no amplitudes, yet count towards the width
+            ("statevector", 10, 40, 16 * 2**40),
+        ],
     )
     def test_allocation_over_the_memory_budget_is_refused(self, engine, first, total, needed):
         # refused before numpy is asked for the memory; the live state stays
@@ -316,3 +325,170 @@ class TestQutesOnEngines:
     def test_non_clifford_program_fails_at_its_first_non_clifford_gate(self):
         with pytest.raises(SimulationError, match="'cp'"):
             run_source("quint a = 5q; quint b = a + 3; print b;", backend="stabilizer")
+
+
+# ---------------------------------------------------------------------------
+# The statevector session's basis bits
+# ---------------------------------------------------------------------------
+
+WIDTH = 8
+
+#: name -> (qubits, parameters); ccz is the two-control ControlledGate
+BIT_GATES = {
+    "x": (1, 0), "cx": (2, 0), "ccx": (3, 0), "swap": (2, 0), "cp": (2, 1), "cz": (2, 0),
+    "ccz": (3, 0), "ch": (2, 0), "h": (1, 0), "t": (1, 0), "rx": (1, 1), "u3": (1, 3),
+    "iswap": (2, 0),
+}
+
+
+def _gate(name, params):
+    if name == "ccz":
+        return mcz_gate(2)
+    if name == "mcx":
+        return mcx_gate(6)
+    qubits, count = BIT_GATES[name]
+    return Gate(name, qubits, list(params[:count]))
+
+
+_operations = st.one_of(
+    st.tuples(
+        st.sampled_from(sorted(BIT_GATES) + ["x", "cx", "ccx", "cp", "mcx"]),
+        st.permutations(range(WIDTH)),
+        st.lists(st.floats(-math.pi, math.pi), min_size=3, max_size=3),
+    ),
+    st.tuples(st.sampled_from(["measure", "reset"]), st.permutations(range(WIDTH)), st.just([])),
+    st.tuples(
+        st.just("initialize"),
+        st.permutations(range(WIDTH)),
+        st.lists(st.floats(-1, 1), min_size=4, max_size=4).filter(
+            lambda xs: sum(x * x for x in xs) > 0.1
+        ),
+    ),
+)
+
+
+def _step(session, kind, order, params):
+    """Run one drawn operation on *session*; returns a measured outcome."""
+    if kind == "measure":
+        return session.measure(order[:2])
+    if kind == "reset":
+        session.apply(Reset(), order[:1])
+        return None
+    if kind == "initialize":
+        session.apply(Initialize(np.array(params, dtype=complex)), order[:2])
+        return None
+    gate = _gate(kind, params)
+    session.apply(gate, order[: gate.num_qubits])
+    return None
+
+
+class TestBasisBits:
+    """A session that keeps qubits as basis bits computes what one holding
+    every qubit in amplitudes computes (a session built from a zero state)."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        first=st.integers(0, WIDTH),
+        operations=st.lists(_operations, max_size=24),
+    )
+    def test_amplitudes_and_outcomes_match_a_session_without_bits(self, seed, first, operations):
+        session = StatevectorSimulator(seed=seed).session()
+        session.allocate(first)
+        session.allocate(WIDTH - first)
+        reference = StatevectorSimulator(seed=seed).session(Statevector.zero_state(WIDTH))
+        measured = False
+        for kind, order, params in operations:
+            errors = []
+            outcomes = []
+            for each in (session, reference):
+                try:
+                    outcomes.append(_step(each, kind, order, params))
+                except SimulationError as exc:  # initialize on a qubit not in |0>
+                    errors.append(str(exc))
+            assert len(errors) in (0, 2) and len(set(errors)) <= 1, errors
+            if errors:
+                break
+            assert outcomes[0] == outcomes[1]
+            measured = measured or kind in ("measure", "reset")
+            if not measured:
+                assert np.array_equal(session.state.data, reference.state.data)
+        assert np.allclose(session.state.data, reference.state.data, atol=1e-12)
+        assert session.rng.random() == reference.rng.random()
+
+    def test_wide_mcz_with_bit_controls_never_builds_its_matrix(self, monkeypatch):
+        n = 12
+        gate = mcz_gate(n - 1)
+        assert isinstance(gate, ControlledGate)
+
+        def refuse():
+            raise AssertionError("a wide mcz built its matrix")
+
+        monkeypatch.setattr(gate, "to_matrix", refuse)
+        session = StatevectorSimulator(seed=0).session()
+        session.allocate(n)
+        reference = StatevectorSimulator(seed=0).session(Statevector.zero_state(n))
+        for each in (session, reference):
+            for qubit in range(n - 3):
+                each.apply(Gate("x", 1), [qubit])
+            each.apply(Gate("h", 1), [n - 2])
+            each.apply(Gate("h", 1), [n - 1])
+            # controls 0..n-4 are bits at 1 and n-3 a bit at 0: the identity
+            each.apply(gate, list(range(n)))
+            each.apply(Gate("x", 1), [n - 3])
+            # every bit control at 1: a cz between the two superposed qubits
+            each.apply(gate, list(range(n)))
+            # ... and with a bit as the target: a ccz on two superposed qubits and that bit
+            each.apply(gate, [n - 2, n - 1] + list(range(n - 3)) + [n - 3])
+        assert np.array_equal(session.state.data, reference.state.data)
+        assert not np.allclose(session.state.data, Statevector.zero_state(n).data)
+
+    def test_a_wide_gate_on_bits_alone_flips_a_bit_or_phases_the_state(self):
+        n = 9
+        session = StatevectorSimulator(seed=0).session()
+        session.allocate(n)
+        reference = StatevectorSimulator(seed=0).session(Statevector.zero_state(n))
+        for each in (session, reference):
+            for qubit in range(n - 1):
+                each.apply(Gate("x", 1), [qubit])
+            each.apply(mcx_gate(n - 1), list(range(n)))  # every control a bit at 1
+            each.apply(Gate("h", 1), [0])
+            each.apply(mcz_gate(n - 2), list(range(1, n)))  # a phase of -1 on the row
+        assert np.array_equal(session.state.data, reference.state.data)
+        assert session.measure(list(range(1, n))) == 2 ** (n - 1) - 1
+
+    def test_noisy_session_draws_the_same_stream_as_before(self):
+        # outcomes and the generator's next draw, pinned from a session that
+        # held every qubit in amplitudes; a noisy session still does
+        def stream(seed):
+            backend = get_backend(
+                "statevector", noise_model=NoiseModel.pauli(x=0.1, y=0.05, z=0.1)
+            )
+            session = backend.session(seed)
+            session.allocate(2)
+            session.apply(Gate("x", 1), [0])
+            session.allocate(2)
+            session.apply(Gate("cx", 2), [0, 2])
+            session.apply(Gate("h", 1), [3])
+            session.apply(Gate("cp", 2, [0.7]), [3, 1])
+            first = session.measure([0, 1, 2, 3])
+            session.apply(Reset(), [2])
+            session.apply(Gate("ccx", 3), [0, 3, 1])
+            second = session.measure([3, 2, 1, 0])
+            return first, second, int(session.rng.integers(1 << 16))
+
+        assert [stream(seed) for seed in range(12)] == [
+            (9, 1, 5269), (1, 8, 59236), (13, 13, 24914), (0, 0, 42622),
+            (13, 13, 38625), (13, 13, 43638), (5, 9, 35935), (5, 8, 45893),
+            (5, 8, 29484), (5, 1, 63481), (15, 9, 20598), (8, 1, 61687),
+        ]
+
+    def test_sample_and_measure_read_bits_without_widening_the_row(self):
+        session = StatevectorSimulator(seed=3).session()
+        session.allocate(20)
+        session.apply(Gate("x", 1), [19])
+        session.apply(Gate("h", 1), [4])
+        counts = session.sample([19, 4, 7], 400)
+        assert set(counts) == {0b001, 0b011} and sum(counts.values()) == 400
+        assert session.measure([7, 19]) == 0b10
+        assert session._rows.states.size == 2  # only qubit 4 is in the row
