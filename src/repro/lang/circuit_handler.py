@@ -23,7 +23,7 @@ import numpy as np
 
 from ..qsim import gates
 from ..qsim.backends import Backend, StatevectorBackend
-from ..qsim.circuit import QuantumCircuit
+from ..qsim.circuit import CircuitInstruction, QuantumCircuit
 from ..qsim.instruction import Initialize, Measure
 from ..qsim.registers import ClassicalRegister, QuantumRegister
 from .errors import QutesRuntimeError
@@ -104,21 +104,37 @@ class QuantumCircuitHandler:
         """Splice a standalone builder circuit onto the program.
 
         *qubit_map* maps the sub-circuit's qubit positions onto global qubit
-        indices.  Measurements inside sub-circuits are not supported (the
-        language performs measurements only through :meth:`measure`).
+        indices; it is checked once (size, range, distinct entries), and each
+        instruction is then adopted into the log as it stands -- the builder
+        already validated its operands against *sub*, and the log shares
+        (never mutates) its operation.  Measurements inside sub-circuits are
+        not supported (the language performs measurements only through
+        :meth:`measure`).
         """
         qubit_map = list(qubit_map)
         if len(qubit_map) != sub.num_qubits:
             raise QutesRuntimeError("qubit map size does not match sub-circuit")
+        log = self.circuit.qubits
+        if len(set(qubit_map)) != len(qubit_map):
+            raise QutesRuntimeError(f"qubit map {qubit_map} repeats a qubit")
+        if not all(isinstance(q, int) and 0 <= q < len(log) for q in qubit_map):
+            raise QutesRuntimeError(
+                f"qubit map {qubit_map} names a qubit outside the {len(log)} allocated"
+            )
+        # sub-circuit qubit -> (global index, log qubit)
+        mapped = {
+            qubit: (index, log[index]) for qubit, index in zip(sub.qubits, qubit_map)
+        }
+        data = self.circuit.data
         for instr in sub.data:
             op = instr.operation
-            targets = [qubit_map[sub.qubit_index(q)] for q in instr.qubits]
             if isinstance(op, Measure):
                 raise QutesRuntimeError("sub-circuits must not contain measurements")
             if not (op.is_unitary or isinstance(op, Initialize) or op.name == "barrier"):
                 raise QutesRuntimeError(f"cannot splice instruction {op.name!r}")
-            self.circuit.append(op.copy(), targets)
-            self.session.apply(op, targets)
+            operands = [mapped[q] for q in instr.qubits]
+            data.append(CircuitInstruction(op, [qubit for _, qubit in operands]))
+            self.session.apply(op, [index for index, _ in operands])
 
     def barrier(self) -> None:
         """Insert a barrier over every allocated qubit."""

@@ -9,6 +9,7 @@ output, final variable bindings, the logged quantum circuit and its metrics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Dict, List, Optional
 
 from ..qsim.circuit import QuantumCircuit
@@ -56,11 +57,15 @@ class QutesExecutionResult:
     circuit: QuantumCircuit
     measurements: List[Dict[str, Any]]
     gate_counts: Dict[str, int] = field(default_factory=dict)
-    depth: int = 0
     num_qubits: int = 0
     #: how the program was computed: ``engine`` (the backend's name) and
     #: ``method`` (``"session"``)
     metadata: Dict[str, Any] = field(default_factory=dict)
+
+    @cached_property
+    def depth(self) -> int:
+        """Depth of the logged circuit, computed when first read."""
+        return self.circuit.depth()
 
     @property
     def printed(self) -> str:
@@ -107,7 +112,6 @@ def _execute(
         circuit=interpreter.handler.circuit,
         measurements=list(interpreter.handler.measurements),
         gate_counts=interpreter.handler.gate_counts(),
-        depth=interpreter.handler.depth(),
         num_qubits=interpreter.handler.num_qubits,
         metadata={"engine": interpreter.handler.backend.name, "method": "session"},
     )

@@ -1,236 +1,143 @@
-"""Hand-written lexer for Qutes source text.
+"""Table-driven lexer for Qutes source text.
 
 The original implementation generates its lexer with ANTLR; this module is a
 functionally equivalent scanner producing the token stream consumed by
-:mod:`repro.lang.parser`.  Besides the usual C-family tokens it recognises the
-quantum literal forms of the language:
+:mod:`repro.lang.parser`.  One compiled master pattern, :data:`_TOKEN`,
+names a token class per alternative, so a source is lexed by one
+``finditer`` pass with a dictionary lookup per token.  Besides the usual
+C-family tokens it recognises the quantum literal forms of the language:
 
 * ``5q`` -- a quantum integer literal (``quint`` value),
 * ``"0101"q`` -- a quantum bitstring literal (``qustring`` value),
 * ``|0>``, ``|1>``, ``|+>``, ``|->`` -- ket literals for single qubits.
 
-Comments use ``//`` (to end of line) or ``/* ... */`` blocks.
+Comments use ``//`` (to end of line) or ``/* ... */`` blocks.  Lines and
+columns are 1-based and count characters (a tab is one column).  A syntax
+error names the line the scan had reached and the column where the bad
+token starts.
 """
 
 from __future__ import annotations
 
-from typing import Any, List
+import re
+from typing import List, NoReturn
 
 from .errors import QutesSyntaxError
 from .tokens import KEYWORDS, Token, TokenType
 
-__all__ = ["Lexer", "tokenize"]
+__all__ = ["tokenize"]
 
-_KET_STATES = {"0", "1", "+", "-"}
+#: operator and punctuation lexemes -> token type: every token type whose
+#: value is its own spelling
+_SYMBOLS = {t.value: t for t in TokenType if not t.value[0].isalnum()}
 
+_KEYWORD_LITERALS = {"true": True, "false": False}
 
-class Lexer:
-    """Converts Qutes source text into a list of :class:`Token` objects."""
+_ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
 
-    def __init__(self, source: str):
-        self.source = source
-        self.tokens: List[Token] = []
-        self._start = 0
-        self._current = 0
-        self._line = 1
-        self._column = 1
-        self._start_column = 1
+_TOKEN = re.compile(
+    r"""
+      (?P<skip>[ \t\r\n]+ | //[^\n]* | /\*.*?\*/)
+    | (?P<word>[^\W\d]\w*)
+    | (?P<symbol>==|!=|>>|>=|<<|<=|/(?!\*)|[(){}\[\],;:+\-*%=<>])
+    | (?P<number>\d+(?:\.\d+|q(?!\w))?)
+    | (?P<string>"[^"\\\n]*(?:\\[nt"\\][^"\\\n]*)*"(?:q(?!\w))?)
+    | (?P<ket>\|[01+\-]>)
+    | (?P<error>.)
+    """,
+    re.VERBOSE | re.DOTALL,
+)
 
-    # -- public API -----------------------------------------------------------
-
-    def tokenize(self) -> List[Token]:
-        """Scan the whole source and return the token list (ending in EOF)."""
-        while not self._at_end():
-            self._start = self._current
-            self._start_column = self._column
-            self._scan_token()
-        self.tokens.append(Token(TokenType.EOF, "", None, self._line, self._column))
-        return self.tokens
-
-    # -- scanning helpers -------------------------------------------------------
-
-    def _at_end(self) -> bool:
-        return self._current >= len(self.source)
-
-    def _advance(self) -> str:
-        ch = self.source[self._current]
-        self._current += 1
-        if ch == "\n":
-            self._line += 1
-            self._column = 1
-        else:
-            self._column += 1
-        return ch
-
-    def _peek(self, offset: int = 0) -> str:
-        index = self._current + offset
-        if index >= len(self.source):
-            return "\0"
-        return self.source[index]
-
-    def _match(self, expected: str) -> bool:
-        if self._peek() == expected:
-            self._advance()
-            return True
-        return False
-
-    def _add(self, token_type: TokenType, literal: Any = None) -> None:
-        lexeme = self.source[self._start : self._current]
-        self.tokens.append(Token(token_type, lexeme, literal, self._line, self._start_column))
-
-    def _error(self, message: str) -> QutesSyntaxError:
-        return QutesSyntaxError(message, self._line, self._start_column)
-
-    # -- token scanners -----------------------------------------------------------
-
-    def _scan_token(self) -> None:
-        ch = self._advance()
-        if ch in " \t\r\n":
-            return
-        if ch == "/":
-            if self._match("/"):
-                while not self._at_end() and self._peek() != "\n":
-                    self._advance()
-                return
-            if self._match("*"):
-                self._block_comment()
-                return
-            self._add(TokenType.SLASH)
-            return
-
-        simple = {
-            "(": TokenType.LPAREN,
-            ")": TokenType.RPAREN,
-            "{": TokenType.LBRACE,
-            "}": TokenType.RBRACE,
-            "[": TokenType.LBRACKET,
-            "]": TokenType.RBRACKET,
-            ",": TokenType.COMMA,
-            ";": TokenType.SEMICOLON,
-            ":": TokenType.COLON,
-            "+": TokenType.PLUS,
-            "-": TokenType.MINUS,
-            "*": TokenType.STAR,
-            "%": TokenType.PERCENT,
-        }
-        if ch in simple:
-            self._add(simple[ch])
-            return
-
-        if ch == "=":
-            self._add(TokenType.EQUAL if self._match("=") else TokenType.ASSIGN)
-            return
-        if ch == "!":
-            if self._match("="):
-                self._add(TokenType.NOT_EQUAL)
-                return
-            raise self._error("unexpected character '!' (did you mean '!=' or 'not'?)")
-        if ch == ">":
-            if self._match(">"):
-                self._add(TokenType.SHIFT_RIGHT)
-            elif self._match("="):
-                self._add(TokenType.GREATER_EQUAL)
-            else:
-                self._add(TokenType.GREATER)
-            return
-        if ch == "<":
-            if self._match("<"):
-                self._add(TokenType.SHIFT_LEFT)
-            elif self._match("="):
-                self._add(TokenType.LESS_EQUAL)
-            else:
-                self._add(TokenType.LESS)
-            return
-        if ch == "|":
-            self._ket_literal()
-            return
-        if ch == '"':
-            self._string_literal()
-            return
-        if ch.isdigit():
-            self._number()
-            return
-        if ch.isalpha() or ch == "_":
-            self._identifier()
-            return
-        raise self._error(f"unexpected character {ch!r}")
-
-    def _block_comment(self) -> None:
-        while not self._at_end():
-            if self._peek() == "*" and self._peek(1) == "/":
-                self._advance()
-                self._advance()
-                return
-            self._advance()
-        raise self._error("unterminated block comment")
-
-    def _ket_literal(self) -> None:
-        state = self._peek()
-        if state not in _KET_STATES or self._peek(1) != ">":
-            raise self._error("invalid ket literal (expected |0>, |1>, |+> or |->)")
-        self._advance()
-        self._advance()
-        self._add(TokenType.KET_LITERAL, state)
-
-    def _string_literal(self) -> None:
-        chars: List[str] = []
-        while not self._at_end() and self._peek() != '"':
-            ch = self._advance()
-            if ch == "\n":
-                raise self._error("unterminated string literal")
-            if ch == "\\":
-                escape = self._advance()
-                mapping = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
-                if escape not in mapping:
-                    raise self._error(f"invalid escape sequence '\\{escape}'")
-                chars.append(mapping[escape])
-            else:
-                chars.append(ch)
-        if self._at_end():
-            raise self._error("unterminated string literal")
-        self._advance()  # closing quote
-        value = "".join(chars)
-        # a trailing `q` marks a quantum bitstring literal: "0101"q
-        if self._peek() == "q" and not (self._peek(1).isalnum() or self._peek(1) == "_"):
-            self._advance()
-            if any(c not in "01" for c in value) or not value:
-                raise self._error("quantum string literals must be non-empty bitstrings")
-            self._add(TokenType.QUANTUM_STRING_LITERAL, value)
-            return
-        self._add(TokenType.STRING_LITERAL, value)
-
-    def _number(self) -> None:
-        while self._peek().isdigit():
-            self._advance()
-        is_float = False
-        if self._peek() == "." and self._peek(1).isdigit():
-            is_float = True
-            self._advance()
-            while self._peek().isdigit():
-                self._advance()
-        lexeme = self.source[self._start : self._current]
-        # integer followed by `q` (not part of an identifier) is a quantum int
-        if not is_float and self._peek() == "q" and not (self._peek(1).isalnum() or self._peek(1) == "_"):
-            self._advance()
-            self._add(TokenType.QUANTUM_INT_LITERAL, int(lexeme))
-            return
-        if is_float:
-            self._add(TokenType.FLOAT_LITERAL, float(lexeme))
-        else:
-            self._add(TokenType.INT_LITERAL, int(lexeme))
-
-    def _identifier(self) -> None:
-        while self._peek().isalnum() or self._peek() == "_":
-            self._advance()
-        lexeme = self.source[self._start : self._current]
-        token_type = KEYWORDS.get(lexeme)
-        if token_type is not None:
-            literal = {"true": True, "false": False}.get(lexeme)
-            self._add(token_type, literal)
-        else:
-            self._add(TokenType.IDENTIFIER)
+_ESCAPE = re.compile(r"\\(.)")
 
 
 def tokenize(source: str) -> List[Token]:
-    """Convenience wrapper returning the token list for *source*."""
-    return Lexer(source).tokenize()
+    """Scan the whole *source* and return its token list (ending in EOF).
+
+    Raises :class:`QutesSyntaxError` at the first malformed token.
+    """
+    tokens: List[Token] = []
+    append = tokens.append
+    line, line_start = 1, 0
+    for match in _TOKEN.finditer(source):
+        kind = match.lastgroup
+        text = match.group()
+        if kind == "skip":
+            if "\n" in text:
+                line += text.count("\n")
+                line_start = match.start() + text.rindex("\n") + 1
+            continue
+        column = match.start() - line_start + 1
+        if kind == "word":
+            token_type = KEYWORDS.get(text)
+            if token_type is not None:
+                append(Token(token_type, text, _KEYWORD_LITERALS.get(text), line, column))
+            elif text[0].isalpha() or text[0] == "_":
+                append(Token(TokenType.IDENTIFIER, text, None, line, column))
+            else:  # a numeric character that is not a decimal digit
+                raise QutesSyntaxError(f"unexpected character {text[0]!r}", line, column)
+        elif kind == "symbol":
+            append(Token(_SYMBOLS[text], text, None, line, column))
+        elif kind == "number":
+            if "." in text:
+                append(Token(TokenType.FLOAT_LITERAL, text, float(text), line, column))
+            elif text[-1] == "q":
+                append(Token(TokenType.QUANTUM_INT_LITERAL, text, int(text[:-1]), line, column))
+            else:
+                append(Token(TokenType.INT_LITERAL, text, int(text), line, column))
+        elif kind == "string":
+            quantum = text[-1] == "q"
+            body = text[1:-2] if quantum else text[1:-1]
+            value = _ESCAPE.sub(_unescape, body) if "\\" in body else body
+            if not quantum:
+                append(Token(TokenType.STRING_LITERAL, text, value, line, column))
+            elif value and not value.strip("01"):
+                append(Token(TokenType.QUANTUM_STRING_LITERAL, text, value, line, column))
+            else:
+                raise QutesSyntaxError(
+                    "quantum string literals must be non-empty bitstrings", line, column
+                )
+        elif kind == "ket":
+            append(Token(TokenType.KET_LITERAL, text, text[1], line, column))
+        else:
+            _refuse(source, match.start(), line, column)
+    append(Token(TokenType.EOF, "", None, line, len(source) - line_start + 1))
+    return tokens
+
+
+def _unescape(escape: re.Match) -> str:
+    return _ESCAPES[escape.group(1)]
+
+
+def _refuse(source: str, start: int, line: int, column: int) -> NoReturn:
+    """Raise the syntax error for the malformed token at *start* (on *line*,
+    at *column*): one that no alternative of :data:`_TOKEN` but ``error``
+    matches.  The error names the line the scan reaches inside the token."""
+    char = source[start]
+    if source.startswith("/*", start):
+        raise QutesSyntaxError(
+            "unterminated block comment", line + source.count("\n", start), column
+        )
+    if char == '"':
+        position = start + 1
+        while position < len(source) and source[position] != '"':
+            char = source[position]
+            position += 1
+            if char == "\n":
+                raise QutesSyntaxError("unterminated string literal", line + 1, column)
+            if char == "\\" and position < len(source):
+                escape = source[position]
+                position += 1
+                if escape not in _ESCAPES:
+                    line += escape == "\n"
+                    raise QutesSyntaxError(f"invalid escape sequence '\\{escape}'", line, column)
+        raise QutesSyntaxError("unterminated string literal", line, column)
+    if char == "|":
+        raise QutesSyntaxError(
+            "invalid ket literal (expected |0>, |1>, |+> or |->)", line, column
+        )
+    if char == "!":
+        raise QutesSyntaxError(
+            "unexpected character '!' (did you mean '!=' or 'not'?)", line, column
+        )
+    raise QutesSyntaxError(f"unexpected character {char!r}", line, column)

@@ -21,7 +21,9 @@ The module exposes:
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import struct
 from typing import Callable, Dict, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -290,6 +292,12 @@ GATE_REGISTRY: Dict[str, GateSpec] = {
 def gate_matrix(name: str, params: Sequence[float] = ()) -> np.ndarray:
     """Look up the unitary matrix for gate *name* with the given *params*.
 
+    A parametrised gate's matrix comes from a bounded memo keyed by the
+    parameters' exact bits (``cp(0.0)`` and ``cp(-0.0)`` are two entries),
+    so the engines, fusion and the Qutes session build each one once; like a
+    fixed gate's constant, the array is shared and must not be written (the
+    memo's are read-only).
+
     Multi-controlled ``x``/``z``/``p`` gates are resolved dynamically for
     names of the form ``mcx``, ``mcz`` and ``mcp`` -- the caller supplies the
     number of qubits via the instruction, so those are handled in
@@ -303,4 +311,18 @@ def gate_matrix(name: str, params: Sequence[float] = ()) -> np.ndarray:
         raise ValueError(
             f"gate {name!r} expects {spec.num_params} parameter(s), got {len(params)}"
         )
-    return spec.matrix(*params) if spec.num_params else spec.matrix
+    if not spec.num_params:
+        return spec.matrix
+    return _memo_matrix(name, struct.pack(f"{spec.num_params}d", *params))
+
+
+#: parametrised matrices the memo keeps: more than the distinct angles of a
+#: 1000-gate random circuit, at well under 1 KB an entry
+_MATRIX_MEMO_SIZE = 1024
+
+
+@functools.lru_cache(maxsize=_MATRIX_MEMO_SIZE)
+def _memo_matrix(name: str, bits: bytes) -> np.ndarray:
+    matrix = GATE_REGISTRY[name].matrix(*struct.unpack(f"{len(bits) // 8}d", bits))
+    matrix.setflags(write=False)
+    return matrix

@@ -103,6 +103,28 @@ class TestCircuitHandler:
         with pytest.raises(QutesRuntimeError):
             handler.append_subcircuit(sub, qubits)
 
+    @pytest.mark.parametrize("qubit_map", [[0, 0], [0, 2], [-1, 1], [0, 1.0]])
+    def test_append_subcircuit_refuses_a_bad_qubit_map_before_splicing(self, handler, qubit_map):
+        handler.allocate_register("a", 2)
+        sub = QuantumCircuit(2)
+        sub.h(0).h(1)  # neither gate reads both entries: the map itself is refused
+        with pytest.raises(QutesRuntimeError, match="qubit map"):
+            handler.append_subcircuit(sub, qubit_map)
+        assert handler.circuit.data == []
+
+    def test_append_subcircuit_maps_operands_through_the_log(self, handler):
+        handler.allocate_register("a", 2)
+        b = handler.allocate_register("b", 3)
+        sub = QuantumCircuit(3)
+        sub.x(0).x(2).cp(0.5, 0, 2).ccx(2, 0, 1)
+        handler.append_subcircuit(sub, [b[2], b[0], b[1]])
+        log = handler.circuit
+        assert [(i.operation.name, [log.qubit_index(q) for q in i.qubits]) for i in log.data] == [
+            ("x", [4]), ("x", [3]), ("cp", [4, 3]), ("ccx", [3, 4, 2]),
+        ]
+        assert all(q in log.qregs[1] for i in log.data for q in i.qubits)
+        assert handler.measure(b) == 0b111  # the ccx read both its controls at 1
+
     def test_barrier_and_metrics(self, handler):
         qubits = handler.allocate_register("a", 2)
         handler.apply_gate("h", [qubits[0]])

@@ -135,6 +135,16 @@ class TestCommentsAndErrors:
         with pytest.raises(QutesSyntaxError):
             tokenize("a $ b")
 
+    def test_backslash_at_end_of_source_is_an_unterminated_string(self):
+        with pytest.raises(QutesSyntaxError, match="unterminated string literal") as info:
+            tokenize('x = "ab\\')
+        assert (info.value.line, info.value.column) == (1, 5)
+
+    @pytest.mark.parametrize("source", ["²", "5²"])
+    def test_non_decimal_digit_is_an_unexpected_character(self, source):
+        with pytest.raises(QutesSyntaxError, match="unexpected character '²'"):
+            tokenize(source)
+
     def test_bare_bang_rejected(self):
         with pytest.raises(QutesSyntaxError):
             tokenize("!a")

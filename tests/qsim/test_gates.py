@@ -152,6 +152,27 @@ class TestRegistry:
         with pytest.raises(ValueError, match=r"gate 'x' expects 0 parameter\(s\), got 1"):
             gates.gate_matrix("x", [0.1])
 
+    @pytest.mark.parametrize(
+        "name,params",
+        [("cp", [0.0]), ("cp", [-0.0]), ("p", [-0.0]), ("rz", [-0.0]), ("rz", [2.5]),
+         ("u3", [0.1, -0.0, 3.0]), ("rzz", [-1.25]), ("crx", [math.pi / 8])],
+    )
+    def test_parametrised_matrices_are_a_read_only_memo_of_fresh_builds(self, name, params):
+        fresh = gates.GATE_REGISTRY[name].matrix(*params)
+        memo = gates.gate_matrix(name, params)
+        assert memo.tobytes() == fresh.tobytes()
+        assert gates.gate_matrix(name, list(params)) is memo
+        assert not memo.flags.writeable
+        with pytest.raises(ValueError):
+            memo[0, 0] = 0.0
+
+    def test_signed_zero_parameters_are_distinct_entries(self):
+        # rz(-0.0) and rz(0.0) differ in the sign of zero imaginary parts
+        plus, minus = gates.gate_matrix("rz", [0.0]), gates.gate_matrix("rz", [-0.0])
+        assert plus is not minus
+        assert plus.tobytes() == gates.rz(0.0).tobytes()
+        assert minus.tobytes() == gates.rz(-0.0).tobytes() != plus.tobytes()
+
     def test_is_unitary_rejects_non_square(self):
         assert not gates.is_unitary(np.ones((2, 3)))
         assert not gates.is_unitary(np.ones((2, 2)))
