@@ -204,8 +204,10 @@ def _marginal(diag: np.ndarray, num_qubits: int, targets: Optional[Sequence[int]
 
 def _zero_state(num_qubits: int, prefix: int):
     """``|0...0>``: as populations when a *prefix* of instructions will run
-    on them, else straight away as a :class:`DensityMatrix`."""
+    on them, else straight away as a :class:`DensityMatrix` (refused, sized,
+    when it would not fit the memory budget)."""
     if not prefix:
+        check_allocation("density matrix", num_qubits, 1 << (2 * num_qubits))
         return DensityMatrix.zero_state(num_qubits)
     probs = np.zeros(2**num_qubits)
     probs[0] = 1.0
@@ -225,6 +227,7 @@ class _Populations:
         return _Populations(self.probs.copy(), self.num_qubits)
 
     def density(self) -> DensityMatrix:
+        check_allocation("density matrix", self.num_qubits, 1 << (2 * self.num_qubits))
         return DensityMatrix(np.diag(self.probs.astype(complex)), validate=False)
 
     def _halves(self, qubit: int) -> np.ndarray:

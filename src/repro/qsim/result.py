@@ -31,8 +31,6 @@ class ExperimentResult:
         seed: the concrete RNG seed this experiment ran with (``None`` when
             the engine's own sequential RNG stream was used).
         time_taken: wall-clock seconds spent executing this experiment.
-        statevector: final pre-measurement statevector, when the
-            statevector engine sampled one final state.
         density_matrix: final pre-measurement density matrix, when every
             shot of a density-matrix run followed one branch.
         memory: per-shot bitstrings when ``memory=True`` was requested.
@@ -45,7 +43,6 @@ class ExperimentResult:
     shots: int
     seed: Optional[int] = None
     time_taken: float = 0.0
-    statevector: Optional[Any] = None
     density_matrix: Optional[Any] = None
     memory: Optional[List[str]] = None
     metadata: Dict[str, Any] = field(default_factory=dict)
@@ -72,10 +69,10 @@ class ExperimentResult:
 
         This is the serialization contract consumed by the execution
         service's job store: counts, shots, seed, timing, per-shot memory
-        and metadata round-trip exactly; the ``statevector`` /
-        ``density_matrix`` arrays are deliberately **not** part of it (they
-        are engine-internal, huge, and not JSON-representable) and come
-        back as ``None`` after a round trip.
+        and metadata round-trip exactly; the ``density_matrix`` array is
+        deliberately **not** part of it (it is engine-internal, huge, and
+        not JSON-representable) and comes back as ``None`` after a round
+        trip.
         """
         return {
             "name": self.name,

@@ -428,8 +428,9 @@ class StatevectorSession:
     input amplitude is zero, so the amplitudes are bit-identical to a session
     that holds every qubit in the row (one built from *state*).  Under a
     Pauli *noise_model* every gate draws one error per touched qubit, from
-    the same intervals as the batched plan, so a noisy session holds every
-    qubit in the row from ``allocate`` on.  ``measure`` collapses through
+    the same intervals as the batched plan; an error keeps a bit a bit
+    (:meth:`_pauli`), and the draws do not depend on the state, so a noisy
+    session holds bits too.  ``measure`` collapses through
     :func:`_measure_batched` (a bit draws its uniform too, so the stream
     does not move) and returns the little-endian outcome; ``sample`` draws
     counts through :func:`~repro.qsim.simulator.sample_values` without
@@ -486,8 +487,6 @@ class StatevectorSession:
         self._axis.extend([-1] * num_qubits)
         self._num_bits += num_qubits
         self.num_qubits = total
-        if self._intervals:
-            self._enter(range(total - num_qubits, total))
 
     def _enter(self, qubits) -> None:
         """Add the bits among *qubits* to the row."""
@@ -508,7 +507,7 @@ class StatevectorSession:
             return
         if isinstance(instruction, Reset):
             if self.measure(qubits):
-                self._flip(qubits[0])
+                self._pauli("X", qubits[0])
             return
         if isinstance(instruction, Initialize):
             self._enter(qubits)
@@ -525,7 +524,7 @@ class StatevectorSession:
             draw = self.rng.random()
             for pauli, lo, hi in self._intervals:
                 if lo <= draw < hi:
-                    self._rows.pauli(pauli, qubit, [0])
+                    self._pauli(pauli, qubit)
                     break
 
     def _apply_on_bits(self, gate, qubits: tuple) -> None:
@@ -563,11 +562,21 @@ class StatevectorSession:
             self._enter(qubits)
         self._rows.apply(kernels.lower(gate, [axis[q] for q in qubits]))
 
-    def _flip(self, qubit: int) -> None:
-        if self._axis[qubit] < 0:
+    def _pauli(self, pauli: str, qubit: int) -> None:
+        """A Pauli error on *qubit*; a bit stays a bit: ``X`` flips it, ``Z``
+        puts ``(-1)^b`` on the row, ``Y`` does both with ``i`` (``b = 0``)
+        or ``-i`` (``b = 1``), the factors the row's own kernel applies."""
+        axis = self._axis[qubit]
+        if axis >= 0:
+            self._rows.pauli(pauli, axis, [0])
+            return
+        bit = (self._bits >> qubit) & 1
+        if pauli == "Y":
+            self._rows.states *= -1j if bit else 1j
+        elif pauli == "Z" and bit:
+            self._rows.states *= -1.0
+        if pauli != "Z":
             self._bits ^= 1 << qubit
-        else:
-            self._rows.pauli("X", self._axis[qubit], [0])
 
     def measure(self, qubits: Sequence[int]) -> int:
         outcome = 0
@@ -582,11 +591,12 @@ class StatevectorSession:
         return outcome
 
     def sample(self, qubits: Sequence[int], shots: int) -> Dict[int, int]:
-        return sample_values(self._probabilities(qubits), shots, self.rng)
+        return sample_values(self.probabilities(qubits), shots, self.rng)
 
-    def _probabilities(self, qubits: Sequence[int]) -> np.ndarray:
+    def probabilities(self, qubits: Sequence[int]) -> np.ndarray:
         """The marginal over *qubits* (little-endian), reduced over the row
-        alone: a bit's value is certain."""
+        alone: a bit's value is certain, so the full ``2^n`` vector is never
+        built."""
         if not self._num_bits:
             return self._row_state().probabilities(qubits)
         live = [(i, self._axis[q]) for i, q in enumerate(qubits) if self._axis[q] >= 0]

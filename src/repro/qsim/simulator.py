@@ -310,14 +310,13 @@ class StatevectorSimulator:
                 )
                 continue
             session.apply(op, [circuit.qubit_index(q) for q in instr.qubits])
-        state = session.state
 
         values = np.zeros((shots, circuit.num_clbits), dtype=np.uint8)
         if measure_map:
-            probs = state.probabilities([q for q, _ in measure_map])
+            probs = session.probabilities([q for q, _ in measure_map])
             values = sample_rows(probs, shots, measure_map, values[0], self._rng)
             if memory:
                 self._rng.shuffle(values)
         result = tally(circuit, values, memory, {"method": "sampled"})
-        result.name, result.statevector = name, state
+        result.name = name
         return result

@@ -370,13 +370,12 @@ class TestResultSerialization:
         assert restored.get_memory("b") == result.get_memory("b")
 
     def test_arrays_are_deliberately_dropped(self):
-        backend = get_backend("statevector")
+        backend = get_backend("density_matrix")
         result = backend.run(bell_circuit(), shots=32, seed=4).result()
-        assert result[0].statevector is not None  # sampled fast path produced one
+        assert result[0].density_matrix is not None  # one branch produced one
         from repro.qsim.backends import Result
 
         restored = Result.from_dict(result.to_dict())
-        assert restored[0].statevector is None
         assert restored[0].density_matrix is None
         assert restored[0].counts == result[0].counts
 

@@ -268,3 +268,40 @@ class TestDensityMatrixSimulator:
         probs = dm.probabilities([0, 1])
         # after measuring one half of a Bell pair both qubits agree
         assert np.isclose(probs[0] + probs[3], 1.0)
+
+
+class TestMemoryBudget:
+    """``run`` and ``evolve`` refuse a ``rho`` over the memory budget with
+    the sized error, before numpy is asked for it.  The budget is patched
+    down to one byte under a 4-qubit ``rho`` (16 * 4^4 bytes), so no test
+    ever requests a large allocation."""
+
+    @pytest.fixture(autouse=True)
+    def small_budget(self, monkeypatch):
+        from repro.qsim import simulator
+
+        monkeypatch.setattr(simulator, "DEFAULT_MEMORY_BUDGET_BYTES", 16 * 4**4 - 1)
+
+    @staticmethod
+    def circuit(monomial_prefix):
+        qc = QuantumCircuit(4, 4)
+        if monomial_prefix:  # runs on populations, then expands at the h
+            qc.x(0).cx(0, 1)
+        qc.h(2)
+        qc.measure(list(range(4)), list(range(4)))
+        return qc
+
+    @pytest.mark.parametrize("monomial_prefix", [False, True])
+    @pytest.mark.parametrize("entry", ["run", "evolve"])
+    def test_rho_over_the_budget_is_refused_with_its_size(self, entry, monomial_prefix):
+        engine = DensityMatrixSimulator(seed=1)
+        qc = self.circuit(monomial_prefix)
+        with pytest.raises(SimulationError, match="a 4-qubit density matrix needs 4096 bytes"):
+            engine.run(qc, shots=10) if entry == "run" else engine.evolve(qc)
+
+    def test_rho_within_the_budget_runs(self, monkeypatch):
+        from repro.qsim import simulator
+
+        monkeypatch.setattr(simulator, "DEFAULT_MEMORY_BUDGET_BYTES", 16 * 4**4)
+        result = DensityMatrixSimulator(seed=1).run(self.circuit(True), shots=10)
+        assert sum(result.counts.values()) == 10

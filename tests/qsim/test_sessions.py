@@ -492,3 +492,67 @@ class TestBasisBits:
         assert set(counts) == {0b001, 0b011} and sum(counts.values()) == 400
         assert session.measure([7, 19]) == 0b10
         assert session._rows.states.size == 2  # only qubit 4 is in the row
+
+
+class TestNoisyBasisBits:
+    """Under Pauli noise a session keeps basis bits too, and still computes
+    what one holding every qubit in amplitudes computes: an error on a bit
+    flips it and phases the row, and every error is drawn as before."""
+
+    NOISE = NoiseModel.pauli(x=0.1, y=0.1, z=0.1)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        first=st.integers(0, WIDTH),
+        operations=st.lists(_operations, max_size=24),
+    )
+    def test_amplitudes_and_outcomes_match_a_session_without_bits(self, seed, first, operations):
+        session = StatevectorSimulator(seed=seed, noise_model=self.NOISE).session()
+        session.allocate(first)
+        session.allocate(WIDTH - first)
+        reference = StatevectorSimulator(seed=seed, noise_model=self.NOISE).session(
+            Statevector.zero_state(WIDTH)
+        )
+        measured = False
+        for kind, order, params in operations:
+            errors = []
+            outcomes = []
+            for each in (session, reference):
+                try:
+                    outcomes.append(_step(each, kind, order, params))
+                except SimulationError as exc:  # initialize on a qubit not in |0>
+                    errors.append(str(exc))
+            assert len(errors) in (0, 2) and len(set(errors)) <= 1, errors
+            if errors:
+                break
+            assert outcomes[0] == outcomes[1]
+            measured = measured or kind in ("measure", "reset")
+            if not measured:
+                assert np.array_equal(session.state.data, reference.state.data)
+        assert np.allclose(session.state.data, reference.state.data, atol=1e-12)
+        assert session.rng.random() == reference.rng.random()
+
+    @pytest.mark.parametrize("pauli", ["x", "y", "z"])
+    def test_an_error_on_a_bit_keeps_it_a_bit(self, pauli):
+        noise = NoiseModel.pauli(**{pauli: 1.0})
+        session = StatevectorSimulator(seed=0, noise_model=noise).session()
+        reference = StatevectorSimulator(seed=0, noise_model=noise).session(
+            Statevector.zero_state(3)
+        )
+        session.allocate(3)
+        for each in (session, reference):
+            each.apply(Gate("h", 1), [1])  # qubit 1 enters the row, then errs
+            each.apply(Gate("x", 1), [0])  # bit 0 becomes 1, then errs
+            each.apply(Gate("id", 1), [2])  # bit 2 errs at 0
+        assert np.array_equal(session.state.data, reference.state.data)
+        assert session._rows.states.size == 2  # only qubit 1 is in the row
+
+    def test_a_wide_noisy_session_holds_only_its_superposed_qubits(self):
+        session = build_noisy_backend("statevector", 0.01, "depolarizing", 3).session()
+        session.allocate(20)
+        for qubit in range(20):
+            session.apply(Gate("x", 1), [qubit])
+        session.apply(Gate("h", 1), [4])
+        assert session._rows.states.size <= 2
+        assert sum(session.sample([4], 400).values()) == 400

@@ -98,7 +98,24 @@ class TestRun:
         qc.h(0)
         result = sim.run(qc, shots=10)
         assert result.counts == {}
-        assert result.statevector is not None
+        assert result.metadata["method"] == "sampled"
+
+    def test_sampled_run_reads_the_row_marginal_not_the_full_state(self, sim, monkeypatch):
+        from repro.qsim.shotbatch import StatevectorSession
+
+        def refuse(session):
+            raise AssertionError("the sampled run built the full 2^n state")
+
+        monkeypatch.setattr(StatevectorSession, "state", property(refuse))
+        qc = QuantumCircuit(12, 12)
+        qc.h(0).cx(0, 1)
+        for qubit in range(2, 12):
+            qc.x(qubit)
+        qc.measure(list(range(12)), list(range(12)))
+        result = sim.run(qc, shots=200)
+        assert result.metadata["method"] == "sampled"
+        assert set(result.counts) <= {"1" * 10 + "00", "1" * 12}
+        assert sum(result.counts.values()) == 200
 
     def test_most_frequent_raises_without_counts(self, sim):
         result = ExperimentResult(name="empty", counts={}, shots=1)
@@ -138,7 +155,7 @@ class TestMidCircuitMeasurement:
         result = sim.run(qc, shots=300)
         # after collapse both bits must always agree
         assert set(result.counts) <= {"00", "11"}
-        assert result.statevector is None
+        assert result.metadata["method"] == "batched_shots"
 
     def test_measurement_then_reuse_statistics(self):
         sim = StatevectorSimulator(seed=5)
