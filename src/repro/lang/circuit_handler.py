@@ -17,18 +17,50 @@ a noise model every gate is noisy.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..qsim import gates
 from ..qsim.backends import Backend, StatevectorBackend
 from ..qsim.circuit import CircuitInstruction, QuantumCircuit
-from ..qsim.instruction import Initialize, Measure
+from ..qsim.instruction import Initialize, Instruction, Measure
 from ..qsim.registers import ClassicalRegister, QuantumRegister
 from .errors import QutesRuntimeError
 
-__all__ = ["QuantumCircuitHandler"]
+__all__ = ["QuantumCircuitHandler", "Subcircuit"]
+
+
+class Subcircuit(NamedTuple):
+    """A builder circuit frozen for :meth:`QuantumCircuitHandler.append_subcircuit`.
+
+    ``instructions`` are ``(operation, positions)`` pairs over the builder's
+    ``num_qubits`` positions, checked spliceable once.  ``function``, when
+    set, is what the instructions compute on a basis input: the
+    little-endian value over the positions before, to the value after, with
+    no phase.  The log shares the operations, so a subcircuit is never
+    changed once built.
+    """
+
+    num_qubits: int
+    instructions: Tuple[Tuple[Instruction, Tuple[int, ...]], ...]
+    function: Optional[Callable[[int], int]] = None
+
+    @classmethod
+    def of(
+        cls, circuit: QuantumCircuit, function: Optional[Callable[[int], int]] = None
+    ) -> "Subcircuit":
+        """Freeze *circuit*, refusing a measurement or any other instruction
+        a splice cannot apply."""
+        instructions = []
+        for instr in circuit.data:
+            op = instr.operation
+            if isinstance(op, Measure):
+                raise QutesRuntimeError("sub-circuits must not contain measurements")
+            if not (op.is_unitary or isinstance(op, Initialize) or op.name == "barrier"):
+                raise QutesRuntimeError(f"cannot splice instruction {op.name!r}")
+            instructions.append((op, tuple(circuit.qubit_index(q) for q in instr.qubits)))
+        return cls(circuit.num_qubits, tuple(instructions), function)
 
 
 class QuantumCircuitHandler:
@@ -46,6 +78,9 @@ class QuantumCircuitHandler:
         self.backend = backend
         self.session = backend.session(seed)
         self.rng = self.session.rng
+        #: the session's classical shortcut for a subcircuit on basis bits
+        #: (only the statevector session has one)
+        self._apply_classical = getattr(self.session, "apply_classical", None)
         self._register_counter = 0
         self._measure_counter = 0
         self.measurements: List[Dict[str, object]] = []
@@ -100,17 +135,24 @@ class QuantumCircuitHandler:
             if (value >> position) & 1:
                 self.apply_gate("x", [qubit])
 
-    def append_subcircuit(self, sub: QuantumCircuit, qubit_map: Sequence[int]) -> None:
+    def append_subcircuit(
+        self, sub: Union[QuantumCircuit, Subcircuit], qubit_map: Sequence[int]
+    ) -> None:
         """Splice a standalone builder circuit onto the program.
 
         *qubit_map* maps the sub-circuit's qubit positions onto global qubit
         indices; it is checked once (size, range, distinct entries), and each
         instruction is then adopted into the log as it stands -- the builder
-        already validated its operands against *sub*, and the log shares
-        (never mutates) its operation.  Measurements inside sub-circuits are
-        not supported (the language performs measurements only through
-        :meth:`measure`).
+        already validated its operands, and the log shares (never mutates)
+        its operation.  When *sub* carries its classical ``function`` and the
+        session can set the mapped qubits from it (every one a basis bit of
+        a noiseless statevector session), the session runs the function
+        instead of the gates; the log is the same either way.  Measurements
+        inside sub-circuits are not supported (the language performs
+        measurements only through :meth:`measure`).
         """
+        if isinstance(sub, QuantumCircuit):
+            sub = Subcircuit.of(sub)
         qubit_map = list(qubit_map)
         if len(qubit_map) != sub.num_qubits:
             raise QutesRuntimeError("qubit map size does not match sub-circuit")
@@ -121,20 +163,17 @@ class QuantumCircuitHandler:
             raise QutesRuntimeError(
                 f"qubit map {qubit_map} names a qubit outside the {len(log)} allocated"
             )
-        # sub-circuit qubit -> (global index, log qubit)
-        mapped = {
-            qubit: (index, log[index]) for qubit, index in zip(sub.qubits, qubit_map)
-        }
-        data = self.circuit.data
-        for instr in sub.data:
-            op = instr.operation
-            if isinstance(op, Measure):
-                raise QutesRuntimeError("sub-circuits must not contain measurements")
-            if not (op.is_unitary or isinstance(op, Initialize) or op.name == "barrier"):
-                raise QutesRuntimeError(f"cannot splice instruction {op.name!r}")
-            operands = [mapped[q] for q in instr.qubits]
-            data.append(CircuitInstruction(op, [qubit for _, qubit in operands]))
-            self.session.apply(op, [index for index, _ in operands])
+        classical = (
+            sub.function is not None
+            and self._apply_classical is not None
+            and self._apply_classical(sub.function, qubit_map)
+        )
+        data, apply = self.circuit.data, self.session.apply
+        for op, positions in sub.instructions:
+            targets = [qubit_map[p] for p in positions]
+            data.append(CircuitInstruction(op, [log[t] for t in targets]))
+            if not classical:
+                apply(op, targets)
 
     def barrier(self) -> None:
         """Insert a barrier over every allocated qubit."""

@@ -13,7 +13,7 @@ intrinsically classical operations such as comparisons, division and logic).
 from __future__ import annotations
 
 import math
-from typing import Optional, Union
+from functools import lru_cache
 
 from ..algorithms.grover import grover_circuit, substring_match_positions
 from ..arithmetic.adder import build_constant_adder, build_draper_adder
@@ -21,7 +21,7 @@ from ..arithmetic.multiplier import build_fourier_multiplier
 from ..arithmetic.rotations import rotate_indices
 from ..qsim.circuit import QuantumCircuit
 from .casting import TypeCastingHandler
-from .circuit_handler import QuantumCircuitHandler
+from .circuit_handler import QuantumCircuitHandler, Subcircuit
 from .errors import QutesRuntimeError, QutesTypeError
 from .types import QutesType, TypeKind
 from .values import QuantumVariable, qubits_needed_for_int, type_of_python_value
@@ -35,6 +35,57 @@ _GATE_NAME_MAP = {
     "pauliz": "z",
     "phase": "s",
 }
+
+#: distinct operand shapes each arithmetic builder keeps (least recently used
+#: goes first); a program rarely has more than a handful
+_MAX_SHAPES = 256
+
+
+# Each builder runs once per operand shape and returns a frozen Subcircuit:
+# its instructions, which every program's log then shares, and the classical
+# function they compute on basis inputs, which also gives the result's hint.
+
+
+@lru_cache(maxsize=_MAX_SHAPES)
+def _draper_adder(source_size: int, target_size: int, sign: int) -> Subcircuit:
+    """``target <- target + sign * source (mod 2^n)``, source first."""
+    sub = QuantumCircuit(source_size + target_size, name="qadd")
+    positions = list(range(sub.num_qubits))
+    build_draper_adder(sub, positions[:source_size], positions[source_size:], sign)
+    mask, modulus = (1 << source_size) - 1, 1 << target_size
+
+    def add(value: int) -> int:
+        source = value & mask
+        return source | ((value >> source_size) + sign * source) % modulus << source_size
+
+    return Subcircuit.of(sub, add)
+
+
+@lru_cache(maxsize=_MAX_SHAPES)
+def _constant_adder(value: int, size: int, sign: int) -> Subcircuit:
+    """``target <- target + sign * value (mod 2^n)`` for ``0 <= value < 2^n``."""
+    sub = QuantumCircuit(size, name="qadd_const")
+    build_constant_adder(sub, value, list(range(size)), sign)
+    modulus = 1 << size
+    return Subcircuit.of(sub, lambda target: (target + sign * value) % modulus)
+
+
+@lru_cache(maxsize=_MAX_SHAPES)
+def _multiplier(a_size: int, b_size: int, product_size: int) -> Subcircuit:
+    """``product <- product + a * b (mod 2^m)`` over ``a``, ``b``, ``product``."""
+    operands = a_size + b_size
+    sub = QuantumCircuit(operands + product_size, name="qmul")
+    positions = list(range(sub.num_qubits))
+    build_fourier_multiplier(
+        sub, positions[:a_size], positions[a_size:operands], positions[operands:]
+    )
+    a_mask, b_mask, modulus = (1 << a_size) - 1, (1 << b_size) - 1, 1 << product_size
+
+    def multiply(value: int) -> int:
+        product = (value >> operands) + (value & a_mask) * (value >> a_size & b_mask)
+        return value & ((1 << operands) - 1) | product % modulus << operands
+
+    return Subcircuit.of(sub, multiply)
 
 
 class OperationEngine:
@@ -199,40 +250,34 @@ class OperationEngine:
         a_size = a.size if a_quantum else qubits_needed_for_int(max(self.casting.to_int(a), 0))
         b_size = b.size if b_quantum else qubits_needed_for_int(max(self.casting.to_int(b), 0))
         result_size = max(a_size, b_size) + (0 if subtract else 1)
+        modulus = 1 << result_size
         result_qubits = self.handler.allocate_register("sum", result_size)
         result = QuantumVariable(
             name="sum", type=QutesType.quint(), qubits=result_qubits, classical_hint=None
         )
 
-        # seed the result with the left operand (a)
-        a_hint: Optional[int] = None
+        # seed the result with the left operand (a); a classical one is
+        # reduced mod 2^n as the constant adder reduces the right one
         if a_quantum:
             for position, qubit in enumerate(a.qubits):
                 self.handler.apply_gate("cx", [qubit, result_qubits[position]])
             a_hint = a.classical_hint
         else:
-            a_value = self.casting.to_int(a)
-            self.handler.initialize_basis(a_value, result_qubits)
-            a_hint = a_value
+            a_hint = self.casting.to_int(a) % modulus
+            self.handler.initialize_basis(a_hint, result_qubits)
 
         # add (or subtract) the right operand (b) into the result
         sign = -1 if subtract else 1
-        b_hint: Optional[int] = None
         if b_quantum:
-            sub = QuantumCircuit(b.size + result_size, name="qadd")
-            positions = list(range(sub.num_qubits))
-            build_draper_adder(sub, positions[: b.size], positions[b.size :], sign)
+            sub = _draper_adder(b.size, result_size, sign)
             self.handler.append_subcircuit(sub, b.qubits + result_qubits)
-            b_hint = b.classical_hint
+            if a_hint is not None and b.classical_hint is not None:
+                result.classical_hint = sub.function(b.classical_hint | a_hint << b.size) >> b.size
         else:
-            b_value = self.casting.to_int(b)
-            sub = QuantumCircuit(result_size, name="qadd_const")
-            build_constant_adder(sub, b_value, list(range(result_size)), sign)
+            sub = _constant_adder(self.casting.to_int(b) % modulus, result_size, sign)
             self.handler.append_subcircuit(sub, result_qubits)
-            b_hint = b_value
-
-        if a_hint is not None and b_hint is not None:
-            result.classical_hint = (a_hint + sign * b_hint) % (2**result_size)
+            if a_hint is not None:
+                result.classical_hint = sub.function(a_hint)
         return result
 
     # -- quantum multiplication -----------------------------------------------------------
@@ -258,17 +303,12 @@ class OperationEngine:
             b = self._copy(b)
         product_size = a.size + b.size
         product_qubits = self.handler.allocate_register("prod", product_size)
-        sub = QuantumCircuit(a.size + b.size + product_size, name="qmul")
-        build_fourier_multiplier(
-            sub,
-            list(range(a.size)),
-            list(range(a.size, a.size + b.size)),
-            list(range(a.size + b.size, a.size + b.size + product_size)),
-        )
+        sub = _multiplier(a.size, b.size, product_size)
         self.handler.append_subcircuit(sub, a.qubits + b.qubits + product_qubits)
         hint = None
         if a.classical_hint is not None and b.classical_hint is not None:
-            hint = (a.classical_hint * b.classical_hint) % (2**product_size)
+            operands = a.classical_hint | b.classical_hint << a.size
+            hint = sub.function(operands) >> (a.size + b.size)
         return QuantumVariable(
             name="prod", type=QutesType.quint(), qubits=product_qubits, classical_hint=hint
         )
@@ -396,7 +436,7 @@ class OperationEngine:
         # |0...0> by an x on each qubit that measured 1, so a retry does not
         # grow the live session.
         index_qubits = self.handler.allocate_register("grover_idx", index_qubits_count)
-        search = grover_circuit(index_qubits_count, positions, measure=False)
+        search = Subcircuit.of(grover_circuit(index_qubits_count, positions, measure=False))
         measured_position = 0
         for _attempt in range(3):
             for bit, qubit in enumerate(index_qubits):

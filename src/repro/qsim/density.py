@@ -39,6 +39,7 @@ from .simulator import (
     check_allocation,
     compile_condition,
     condition_met,
+    fits_budget,
     sample_rows,
     sample_values,
     tally,
@@ -332,6 +333,9 @@ class DensityMatrixSimulator:
         final-measurement circuit is one branch and one draw.  ``metadata``
         reads ``method`` ``sampled`` or ``branched`` (plus ``branches``), and
         ``classical_prefix``: how many instructions ran on populations.
+        A one-branch run attaches its final ``rho`` as ``density_matrix``,
+        except a leaf still on populations whose ``4^n`` matrix would not
+        fit the memory budget: it returns its counts alone.
         """
         if shots <= 0:
             raise SimulationError("shots must be positive")
@@ -362,7 +366,10 @@ class DensityMatrixSimulator:
         metadata["classical_prefix"] = prefix
         result = tally(circuit, values, memory, metadata)
         if branches == 1:
-            result.density_matrix = state.density() if isinstance(state, _Populations) else state
+            if not isinstance(state, _Populations):
+                result.density_matrix = state
+            elif fits_budget(1 << (2 * state.num_qubits)):  # else counts only
+                result.density_matrix = state.density()
         return result
 
     # -- internals ---------------------------------------------------------------

@@ -32,7 +32,9 @@ class ExperimentResult:
             the engine's own sequential RNG stream was used).
         time_taken: wall-clock seconds spent executing this experiment.
         density_matrix: final pre-measurement density matrix, when every
-            shot of a density-matrix run followed one branch.
+            shot of a density-matrix run followed one branch, and ``None``
+            when the run stayed on populations too wide for their ``4^n``
+            matrix to fit the memory budget.
         memory: per-shot bitstrings when ``memory=True`` was requested.
         metadata: how the engine computed the counts (``method`` and, where
             the engine reports them, ``branches`` or ``fallback_reason``).

@@ -71,7 +71,7 @@ noise (:func:`repro.qsim.noise.check_unfused`).
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -426,7 +426,9 @@ class StatevectorSession:
 
     Every step kernel is elementwise and a restriction drops only terms whose
     input amplitude is zero, so the amplitudes are bit-identical to a session
-    that holds every qubit in the row (one built from *state*).  Under a
+    that holds every qubit in the row (one built from *state*).
+    :meth:`apply_classical` runs a whole basis-to-basis circuit on bits as
+    its classical function, exactly where its gates would round.  Under a
     Pauli *noise_model* every gate draws one error per touched qubit, from
     the same intervals as the batched plan; an error keeps a bit a bit
     (:meth:`_pauli`), and the draws do not depend on the state, so a noisy
@@ -561,6 +563,24 @@ class StatevectorSession:
         if positions:
             self._enter(qubits)
         self._rows.apply(kernels.lower(gate, [axis[q] for q in qubits]))
+
+    def apply_classical(self, function: Callable[[int], int], qubits: Sequence[int]) -> bool:
+        """Run a circuit that maps each basis input ``|x>`` to ``|function(x)>``
+        with no phase (``x`` little-endian over *qubits*) by setting its
+        bits: a Fourier adder or multiplier on bits costs one call, where its
+        gates would carry the row through the transform and back.
+
+        Returns False, changing nothing, when the session is noisy (each
+        gate draws its own errors) or a qubit of *qubits* is in the row.
+        """
+        axis, bits = self._axis, self._bits
+        if self._intervals or any(axis[q] >= 0 for q in qubits):
+            return False
+        value = function(sum(((bits >> q) & 1) << i for i, q in enumerate(qubits)))
+        for position, qubit in enumerate(qubits):
+            bits = (bits & ~(1 << qubit)) | (((value >> position) & 1) << qubit)
+        self._bits = bits
+        return True
 
     def _pauli(self, pauli: str, qubit: int) -> None:
         """A Pauli error on *qubit*; a bit stays a bit: ``X`` flips it, ``Z``

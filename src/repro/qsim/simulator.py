@@ -45,6 +45,7 @@ __all__ = [
     "condition_met",
     "check_evolvable",
     "check_allocation",
+    "fits_budget",
     "DEFAULT_MEMORY_BUDGET_BYTES",
     "sample_values",
     "sample_rows",
@@ -153,11 +154,16 @@ def check_evolvable(
         )
 
 
+def fits_budget(entries: int) -> bool:
+    """Whether *entries* complex amplitudes fit :data:`DEFAULT_MEMORY_BUDGET_BYTES`."""
+    return 16 * entries <= DEFAULT_MEMORY_BUDGET_BYTES
+
+
 def check_allocation(engine: str, num_qubits: int, entries: int) -> None:
     """Refuse a state of *entries* complex amplitudes that would exceed
     :data:`DEFAULT_MEMORY_BUDGET_BYTES`, before any memory is requested."""
-    needed = 16 * entries
-    if needed > DEFAULT_MEMORY_BUDGET_BYTES:
+    if not fits_budget(entries):
+        needed = 16 * entries
         raise SimulationError(
             f"a {num_qubits}-qubit {engine} needs {needed} bytes, over the memory "
             f"budget of {DEFAULT_MEMORY_BUDGET_BYTES} bytes"

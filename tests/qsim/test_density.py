@@ -305,3 +305,25 @@ class TestMemoryBudget:
         monkeypatch.setattr(simulator, "DEFAULT_MEMORY_BUDGET_BYTES", 16 * 4**4)
         result = DensityMatrixSimulator(seed=1).run(self.circuit(True), shots=10)
         assert sum(result.counts.values()) == 10
+
+    @pytest.mark.parametrize("width, attached", [(3, True), (4, False)])
+    def test_a_population_leaf_attaches_rho_only_when_it_fits(self, width, attached):
+        qc = QuantumCircuit(width, width)
+        for qubit in range(width):
+            qc.x(qubit)
+        qc.measure(list(range(width)), list(range(width)))
+        result = DensityMatrixSimulator(seed=1).run(qc, shots=10)
+        assert result.counts == {"1" * width: 10}
+        assert (result.density_matrix is not None) is attached
+
+
+def test_a_wide_population_run_returns_its_counts_without_rho():
+    """15 qubits of ``x`` stay on 2^15 populations; their 4^15-entry matrix
+    is over the default budget, so the result carries the counts alone."""
+    qc = QuantumCircuit(15, 15)
+    for qubit in range(15):
+        qc.x(qubit)
+    qc.measure(list(range(15)), list(range(15)))
+    result = DensityMatrixSimulator(seed=1).run(qc, shots=10)
+    assert result.counts == {"1" * 15: 10}
+    assert result.density_matrix is None
