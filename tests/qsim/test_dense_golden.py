@@ -9,6 +9,13 @@ each backend built by ``build_noisy_backend``: statevector and
 density_matrix on every file, stabilizer on the Clifford ones.  Any change
 to the gate arithmetic that moves a probability across a sampling
 boundary, or to the random draw order, shows up here as a changed digest.
+
+No corpus file of at most ten qubits runs a dense gate of two or more
+qubits, so ``WIDE_DENSE_GOLDEN`` pins seeded random circuits that do:
+fused random circuits of 10 to 16 qubits on the sampled path (fusion's
+4-qubit blocks), and 6- and 8-qubit circuits of 2- and 3-qubit dense gates
+on the batched statevector executor and the density matrix, noiseless
+(p = 0) and at p = 0.01.
 """
 
 from __future__ import annotations
@@ -17,11 +24,13 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from repro.qsim import from_qasm, is_clifford
+from repro.qsim import QuantumCircuit, from_qasm, is_clifford
 from repro.qsim.backends import build_noisy_backend
 from repro.qsim.density import DensityMatrixSimulator
+from repro.qsim.instruction import Gate
 from repro.qsim.simulator import StatevectorSimulator
 
 CIRCUITS = Path(__file__).resolve().parents[2] / "benchmarks" / "circuits"
@@ -183,3 +192,85 @@ def test_counts_and_memory_match_golden_digest(key):
 @pytest.mark.parametrize("key", sorted(NOISY_GOLDEN), ids=repr)
 def test_noisy_counts_and_memory_match_golden_digest(key):
     assert noisy_digest(*key) == NOISY_GOLDEN[key]
+
+
+# ---------------------------------------------------------------------------
+# Dense gates of two or more qubits
+# ---------------------------------------------------------------------------
+
+#: the random-circuit gate pool of ``benchmarks/bench_kernels.py``
+FUSED_POOL = (
+    ("h", 1, 0), ("x", 1, 0), ("y", 1, 0), ("z", 1, 0), ("s", 1, 0),
+    ("sdg", 1, 0), ("t", 1, 0), ("tdg", 1, 0), ("sx", 1, 0),
+    ("rx", 1, 1), ("ry", 1, 1), ("rz", 1, 1), ("p", 1, 1), ("u3", 1, 3),
+    ("cx", 2, 0), ("cy", 2, 0), ("cz", 2, 0), ("ch", 2, 0),
+    ("swap", 2, 0), ("iswap", 2, 0),
+    ("crx", 2, 1), ("cry", 2, 1), ("crz", 2, 1), ("cp", 2, 1),
+)
+
+#: gates that lower to a dense step of two qubits, plus ``"unitary"``: a
+#: random unitary of two or three qubits
+WIDE_DENSE_POOL = (
+    ("h", 1, 0), ("t", 1, 0), ("rx", 1, 1),
+    ("ch", 2, 0), ("crx", 2, 1), ("cry", 2, 1), ("rxx", 2, 1), ("ryy", 2, 1),
+    ("unitary", 2, 0), ("unitary", 3, 0),
+)
+
+
+def random_circuit(pool, num_qubits: int, num_gates: int, seed: int) -> QuantumCircuit:
+    """A measured random circuit drawn from *pool*, seeded by *seed*."""
+    rng = np.random.default_rng(seed)
+    circuit = QuantumCircuit(num_qubits, num_qubits)
+    for _ in range(num_gates):
+        name, arity, num_params = pool[rng.integers(len(pool))]
+        targets = [int(q) for q in rng.choice(num_qubits, arity, replace=False)]
+        if name == "unitary":
+            z = rng.normal(size=(2**arity,) * 2) + 1j * rng.normal(size=(2**arity,) * 2)
+            circuit.unitary(np.linalg.qr(z)[0], targets)
+        else:
+            circuit.append(Gate(name, arity, list(rng.uniform(0, 2 * np.pi, num_params))), targets)
+    circuit.measure(list(range(num_qubits)), list(range(num_qubits)))
+    return circuit
+
+
+def wide_dense_digest(case: str, num_qubits: int, engine: str, p) -> str:
+    if case == "fused":  # fused on the noiseless sampled path
+        circuit = random_circuit(FUSED_POOL, num_qubits, 30 * num_qubits, num_qubits)
+        return result_digest(StatevectorSimulator(seed=SEED).run(circuit, shots=SHOTS, memory=True))
+    circuit = random_circuit(WIDE_DENSE_POOL, num_qubits, 8 * num_qubits, 100 + num_qubits)
+    backend = build_noisy_backend(engine, p, "depolarizing", seed=SEED)
+    return result_digest(backend.run(circuit, shots=SHOTS, memory=True).result()[0])
+
+
+#: (case, qubits, engine, depolarizing p) -> the digest of :func:`result_digest`
+WIDE_DENSE_GOLDEN = {
+    ('fused', 10, 'statevector', None):
+        "7e68a87006ec07ad085fede2d6b41c69a5f19d9586422c649e0c9b64c532beac",
+    ('fused', 12, 'statevector', None):
+        "1b128cc8547488020dd0a321fea65a3c0d85d048e6d5abd061888275ded63ae9",
+    ('fused', 14, 'statevector', None):
+        "33f9e4966133789203c14a5b1ee12998499e6fb5178ee42425858a7e807cb346",
+    ('fused', 16, 'statevector', None):
+        "cd269e0fccbf33143a15cadd921d9aa3a24ddae1fee9bb9407751ff6060d00fd",
+    ('dense', 6, 'statevector', 0.0):
+        "97d3e9a2f49e48a7f74f733fd05657e1e139a6c4a445d1fa34c114efd1fdcd86",
+    ('dense', 6, 'statevector', 0.01):
+        "c36d3a6d237ea6d71c03d6fcaa5b484b48813141780cec886fb065ee9091331e",
+    ('dense', 6, 'density_matrix', 0.0):
+        "6d1be7ee541c84b5e2e7cc2efa089059a22fb9d698c0bd8c179e2076a803c0dc",
+    ('dense', 6, 'density_matrix', 0.01):
+        "dfa47f1c2cd4dee2bb0ad7396db74347edfd5669ebf37832c7c2e482fde1473d",
+    ('dense', 8, 'statevector', 0.0):
+        "88d3e1273045390b389474bdf6219506578fa91f00ddcfa3df00239206268800",
+    ('dense', 8, 'statevector', 0.01):
+        "9abfcfe8fe029120ebc472c7e251ad166c8eb6b20e636f13e6f0cbbbb525f119",
+    ('dense', 8, 'density_matrix', 0.0):
+        "c395e6620039f244e1e3c2a07e11cecaf7f2b8df9c8b13930ed713023f5c7091",
+    ('dense', 8, 'density_matrix', 0.01):
+        "7bdd4abbd68c17b704badf4ef807d7b87c8c31177a12dab449ff3723c0b236d5",
+}
+
+
+@pytest.mark.parametrize("key", sorted(WIDE_DENSE_GOLDEN, key=repr), ids=repr)
+def test_wide_dense_counts_and_memory_match_golden_digest(key):
+    assert wide_dense_digest(*key) == WIDE_DENSE_GOLDEN[key]
