@@ -32,7 +32,15 @@ import numpy as np
 from . import kernels
 from .circuit import CircuitInstruction, QuantumCircuit
 from .exceptions import SimulationError
-from .instruction import Barrier, Initialize, Measure, Reset
+from .instruction import (
+    Barrier,
+    ControlledGate,
+    Initialize,
+    Instruction,
+    Measure,
+    Reset,
+    UnitaryGate,
+)
 from .noise import NoiseModel, check_unfused
 from .result import ExperimentResult
 from .simulator import (
@@ -47,6 +55,16 @@ from .simulator import (
 from .statevector import Statevector
 
 __all__ = ["DensityMatrix", "DensityMatrixSimulator", "DensityMatrixSession"]
+
+
+def _conjugate(gate):
+    """The elementwise conjugate of *gate*'s matrix, as a gate where *gate*
+    is a :class:`ControlledGate` (its controls stay controls) and as a
+    matrix otherwise."""
+    if isinstance(gate, ControlledGate):
+        base = UnitaryGate.unchecked(np.conj(gate.base_gate.to_matrix()))
+        return ControlledGate(base, gate.num_controls)
+    return np.conj(gate.to_matrix() if isinstance(gate, Instruction) else gate)
 
 
 def _superoperator(kraus_operators: Iterable[np.ndarray]) -> np.ndarray:
@@ -97,18 +115,16 @@ class DensityMatrix:
     # -- evolution ---------------------------------------------------------------
 
     def _sandwich(self, targets: Sequence[int], gate) -> None:
-        """``rho <- U rho U^dagger`` as ``U (U rho)^dagger``, for Hermitian
-        ``rho``: *gate* (an instruction or a matrix) is lowered once, for
-        the row bits of the flattened ``2n``-qubit vector, and the step
-        runs twice."""
+        """``rho <- U rho U^dagger``: *gate* (an instruction or a matrix) as
+        ``U`` on the row bits of the flattened ``2n``-qubit vector, then as
+        ``conj(U)`` on its column bits, in place and for any ``rho``.  A wide
+        :class:`ControlledGate` keeps its controls on both halves, so its
+        matrix is never built."""
         n = self.num_qubits
-        step = kernels.lower(gate, [t + n for t in targets])
         self.data = np.ascontiguousarray(self.data)
-        kernels.apply_step(self.data.reshape(1, -1), step)
-        adjoint = np.empty_like(self.data)
-        np.conjugate(self.data.T, out=adjoint)
-        self.data = adjoint
-        kernels.apply_step(self.data.reshape(1, -1), step)
+        flat = self.data.reshape(1, -1)
+        kernels.apply_step(flat, kernels.lower(gate, [t + n for t in targets]))
+        kernels.apply_step(flat, kernels.lower(_conjugate(gate), targets))
 
     def _apply_channel(self, superoperator: np.ndarray, targets: Sequence[int]) -> None:
         # a superoperator is not unitary and runs on dense_apply's matrix

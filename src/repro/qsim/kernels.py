@@ -16,20 +16,40 @@ all run one kernel set.  The step kinds:
 * ``("perm", shape, indices, moves, lookup)`` -- a monomial gate (``x``,
   ``cx``, ``swap``, ``iswap``, ``ccx``, ...): snapshot the moved slices,
   then one (scaled) copy per output slice;
-* ``("dense", shape, indices, rows)`` -- any other unitary, as
-  scalar-times-slice accumulation over its nonzero entries;
+* ``("dense", shape, indices, rows)`` -- any other one-qubit unitary, as
+  scalar-times-slice accumulation over its nonzero entries (a ladder of
+  elementwise multiplies and adds);
+* ``("product", shape, pinned, order, matrix)`` -- any other unitary of two
+  or more qubits (counting pinned controls): one transposing copy moves the
+  gate's axes to the front, one stacked ``np.matmul`` computes one product
+  per row, and one transposing copy moves the result back;
 * ``("wide", matrix, targets)`` -- a non-controlled unitary wider than
   :data:`MAX_LOWERED_QUBITS`, row by row through :func:`dense_apply`.
 
 ``shape`` gives every qubit the gate touches its own length-2 axis and
 leaves the leading block axis to ``reshape`` (``-1``), so one step fits any
-register width; ``indices`` select the slice of each matrix index.  A
+register width; ``indices`` select the slice of each matrix index, while a
+``product`` step's ``pinned`` index and ``order`` transpose put the gate's
+axes first in matrix order (``targets[0]`` most significant).  A
 :class:`~repro.qsim.instruction.ControlledGate` wider than
 :data:`MAX_LOWERED_QUBITS` lowers its base gate with the control axes
 pinned to 1, so a 20-control ``mcx`` touches only its ``1/2^20`` slice and
-never builds its matrix.  The arithmetic is elementwise in a fixed order,
-never a BLAS product across rows, so every row computes exactly what a
-one-row application would (the batched executor's bit-identity contract).
+never builds its matrix.
+
+The batched executor's bit-identity contract -- every row computes exactly
+what a one-row application would -- rests on two properties.  The
+``diag``, ``perm`` and ``dense`` kernels are elementwise in a fixed order.
+A ``product`` step runs one BLAS product per row whose column count is a
+multiple of 4: the ``2^(w-k)`` columns of a ``w``-qubit row are padded to 4
+when there are only 1 or 2.  On such products each column's bits do not
+depend on the column count, and a product whose zero input rows are
+dropped (a restriction, or pinned controls) gives the kept rows of the full
+product, bit for bit; narrower products run BLAS's narrow kernels, which
+round differently (``tests/qsim/test_kernels.py`` checks both on the host
+BLAS).  So what a ``product`` gate leaves after pinning its controls, or
+after a session restricts it to the operands that are not bits, runs as a
+product too, even one qubit wide or monomial (``lower(..., product=True)``);
+the 2x2 ladder runs only a gate that is itself one qubit wide.
 
 :func:`lower` memoises the width-independent steps in a bounded memo keyed
 on the matrix bytes and the targets.  A ``diag_full`` factor holds ``2^n``
@@ -353,10 +373,15 @@ def _value_index(base: list, axes, targets: Sequence[int], value: int) -> tuple:
     return tuple(index)
 
 
-def _lower_matrix(matrix: np.ndarray, targets: tuple, controls: tuple) -> Tuple[tuple, bool]:
+def _lower_matrix(
+    matrix: np.ndarray, targets: tuple, controls: tuple, product: bool
+) -> Tuple[tuple, bool]:
     """*matrix* on *targets*, on the slice where every qubit of *controls*
-    reads 1, as a ``diag`` / ``perm`` / ``dense`` step with its indices
-    baked in; plus whether a ``diag`` step runs as a ``diag_full`` factor.
+    reads 1, as a ``diag`` / ``perm`` / ``dense`` / ``product`` step with its
+    indices baked in; plus whether a ``diag`` step runs as a ``diag_full``
+    factor.  A matrix that is not monomial is a ``product`` step unless it
+    is one qubit wide with no controls (a ``dense`` ladder); *product* makes
+    any matrix a ``product`` step.
 
     A control-pinned step carries no basis lookup (basis rows never run it).
     """
@@ -366,8 +391,17 @@ def _lower_matrix(matrix: np.ndarray, targets: tuple, controls: tuple) -> Tuple[
     for control in controls:
         base[axes[control]] = 1
     dim = matrix.shape[0]
-    indices = [_value_index(base, axes, targets, value) for value in range(dim)]
     table = basis_table(matrix)
+    if product or (table is None and (controls or dim > 2)):
+        # pinning drops the control axes: the ones after them shift down
+        pinned_axes = [axes[control] for control in controls]
+        kept = [a for a in range(ndim) if a not in pinned_axes]
+        front = [kept.index(axes[target]) for target in targets]
+        order = (0, *front, *(a for a in range(1, len(kept)) if a not in front))
+        matrix = np.array(matrix)
+        matrix.setflags(write=False)
+        return ("product", shape, tuple(base), order, matrix), False
+    indices = [_value_index(base, axes, targets, value) for value in range(dim)]
     if table is None:
         rows: list = [(row, []) for row in range(dim)]
         nonzero_rows, nonzero_cols = np.nonzero(matrix)
@@ -409,8 +443,11 @@ _STEP_MEMO_SIZE = 256
 
 
 @functools.lru_cache(maxsize=_STEP_MEMO_SIZE)
-def _memo_step(data: bytes, dim: int, targets: tuple, controls: tuple) -> Tuple[tuple, bool]:
-    return _lower_matrix(np.frombuffer(data, dtype=complex).reshape(dim, dim), targets, controls)
+def _memo_step(
+    data: bytes, dim: int, targets: tuple, controls: tuple, product: bool
+) -> Tuple[tuple, bool]:
+    matrix = np.frombuffer(data, dtype=complex).reshape(dim, dim)
+    return _lower_matrix(matrix, targets, controls, product)
 
 
 def restrict(matrix, positions: Sequence[int], values: Sequence[int]):
@@ -451,10 +488,15 @@ def _memo_restrict(data: bytes, dim: int, positions: tuple, values: tuple):
     return output, restricted
 
 
-def lower(gate, targets: Sequence[int], num_qubits: Optional[int] = None) -> tuple:
+def lower(
+    gate, targets: Sequence[int], num_qubits: Optional[int] = None, product: bool = False
+) -> tuple:
     """*gate* -- an :class:`~repro.qsim.instruction.Instruction` or a
     ``2^k x 2^k`` matrix -- on the qubits *targets*, as one step (see the
-    module docstring).
+    module docstring).  *product* makes any matrix a ``product`` step: for
+    a matrix a session restricts from a ``product`` gate (one of two or more
+    qubits that is not monomial), so it computes what that gate's product
+    computes, even where the restriction is one qubit wide or monomial.
 
     Raises :class:`SimulationError` when the matrix does not match the
     targets.  A :class:`ControlledGate` wider than
@@ -484,9 +526,9 @@ def lower(gate, targets: Sequence[int], num_qubits: Optional[int] = None) -> tup
     if len(targets) > MAX_LOWERED_QUBITS:
         return ("wide", matrix, targets)
     if matrix.shape[0] <= _MAX_MEMO_STEP_DIM:
-        step, full = _memo_step(matrix.tobytes(), matrix.shape[0], targets, controls)
+        step, full = _memo_step(matrix.tobytes(), matrix.shape[0], targets, controls, product)
     else:
-        step, full = _lower_matrix(matrix, targets, controls)
+        step, full = _lower_matrix(matrix, targets, controls, product)
     if not full or num_qubits is None:
         return step
     factor = np.ones(1 << num_qubits, dtype=complex)
@@ -531,7 +573,7 @@ def _apply_perm_batched(states, shape, indices, moves) -> None:
 
 
 def _apply_dense_batched(states, shape, indices, rows) -> None:
-    """Scalar-times-slice accumulation of a 2^k x 2^k unitary over the batch.
+    """Scalar-times-slice accumulation of a one-qubit unitary over the batch.
 
     Fixed accumulation order (ascending column, zeros dropped at lowering)
     and purely elementwise arithmetic: the value computed for one shot row
@@ -559,6 +601,53 @@ def _apply_dense_batched(states, shape, indices, rows) -> None:
         view[indices[row]] = acc if cols else 0.0
 
 
+#: the fewest columns a ``product`` step hands BLAS: narrower products run
+#: kernels that round differently from those of wider ones
+_MIN_PRODUCT_COLUMNS = 4
+
+#: the most multiply-adds (rows x inner x columns) one BLAS call of a
+#: ``product`` step runs.  OpenBLAS (0.3.31) starts its threads at 65,536;
+#: on a 2-vCPU host a process sometimes gets threaded complex products 40x
+#: slower than one thread (7 ms for a 4 x 4 x 16,384 product), for its
+#: whole life, so wider products run as several single-threaded calls
+_MAX_PRODUCT_MACS = 1 << 15
+
+
+def _apply_product_batched(states, shape, pinned, order, matrix) -> None:
+    """One ``2^k x 2^k`` product per row over the gate's axes.
+
+    The gate's axes are copied to the front of scratch shaped ``(rows, 2^k,
+    columns)``, ``np.matmul`` computes the stacked products into a second
+    buffer, and the result is copied back.  Columns are padded with zeros
+    to :data:`_MIN_PRODUCT_COLUMNS`, so every row's product runs the same
+    BLAS kernels, whose columns round independently of the column count;
+    so do the column chunks of at most :data:`_MAX_PRODUCT_MACS` each that
+    the stacked call runs.
+    """
+    count = states.shape[0]
+    view = states.reshape((count, *shape))[pinned]
+    dim = matrix.shape[0]
+    # the columns' order is free: the largest block innermost gives the
+    # transposing copies their longest contiguous runs
+    front = dim.bit_length()
+    moved = view.transpose(order[:front] + tuple(sorted(order[front:], key=view.shape.__getitem__)))
+    columns = moved.size // (count * dim)
+    padded = max(columns, _MIN_PRODUCT_COLUMNS)
+    operand, result = scratch((count, dim, padded), 2)
+    if padded > columns:
+        operand[:, :, columns:] = 0.0
+    # splitting axes of a strided view is a view: these copies write the scratch
+    np.copyto(operand[:, :, :columns].reshape(moved.shape), moved)
+    chunk = min(padded, max(_MIN_PRODUCT_COLUMNS, _MAX_PRODUCT_MACS // (dim * dim)))
+    chunked = (count, dim, padded // chunk, chunk)
+    np.matmul(
+        matrix,
+        operand.reshape(chunked).transpose(0, 2, 1, 3),
+        out=result.reshape(chunked).transpose(0, 2, 1, 3),
+    )
+    np.copyto(moved, result[:, :, :columns].reshape(moved.shape))
+
+
 def apply_step(states: np.ndarray, step: tuple) -> None:
     """Apply a :func:`lower` step in place to every row of *states*, a
     contiguous ``(rows, 2^n)`` array (a flat ``(2^n,)`` state is one row)."""
@@ -573,6 +662,8 @@ def apply_step(states: np.ndarray, step: tuple) -> None:
         _apply_perm_batched(states, step[1], step[2], step[3])
     elif kind == "dense":
         _apply_dense_batched(states, step[1], step[2], step[3])
+    elif kind == "product":
+        _apply_product_batched(states, step[1], step[2], step[3], step[4])
     else:  # wide
         _, matrix, targets = step
         num_qubits = states.shape[1].bit_length() - 1

@@ -309,7 +309,7 @@ def _in_basis(step) -> bool:
         return all(_in_basis(inner) for inner in step[3])
     if kind in ("diag", "perm"):
         return step[-1] is not None  # a control-pinned step has no lookup
-    return kind not in ("dense", "wide", "initialize")
+    return kind not in ("dense", "product", "wide", "initialize")
 
 
 class _BasisRows:
@@ -424,9 +424,12 @@ class StatevectorSession:
       row (one new axis, an exact copy), and a gate lowered to a ``wide``
       step (BLAS, whose rounding depends on the operand shape) adds every bit.
 
-    Every step kernel is elementwise and a restriction drops only terms whose
-    input amplitude is zero, so the amplitudes are bit-identical to a session
-    that holds every qubit in the row (one built from *state*).
+    Every step kernel computes an amplitude from its own inputs alone
+    (elementwise, or one column of a product, whose bits do not depend on
+    the column count), and a restriction drops only terms whose input
+    amplitude is zero (a ``product`` gate's restriction runs as a product
+    too), so the amplitudes are bit-identical to a session that holds every
+    qubit in the row (one built from *state*).
     :meth:`apply_classical` runs a whole basis-to-basis circuit on bits as
     its classical function, exactly where its gates would round.  Under a
     Pauli *noise_model* every gate draws one error per touched qubit, from
@@ -434,7 +437,8 @@ class StatevectorSession:
     (:meth:`_pauli`), and the draws do not depend on the state, so a noisy
     session holds bits too.  ``measure`` collapses through
     :func:`_measure_batched` (a bit draws its uniform too, so the stream
-    does not move) and returns the little-endian outcome; ``sample`` draws
+    does not move), makes each collapsed qubit a bit again (:meth:`_leave`)
+    and returns the little-endian outcome; ``sample`` draws
     counts through :func:`~repro.qsim.simulator.sample_values` without
     collapsing; ``state`` is the full vector, built without growing the row.
     """
@@ -503,6 +507,19 @@ class StatevectorSession:
             self._bits &= ~(1 << qubit)
             self._num_bits -= 1
 
+    def _leave(self, qubit: int, value: int) -> None:
+        """Make the collapsed row qubit *qubit*, which reads *value*, a bit
+        again: the row keeps only its *value* half (the other is zero)."""
+        axis = self._axis[qubit]
+        states = self._rows.states
+        rows = states.shape[0]
+        half = states.reshape(rows, -1, 2, 1 << axis)[:, :, value, :]
+        self._rows.states = np.ascontiguousarray(half).reshape(rows, -1)
+        self._axis[qubit + 1 :] = [a - 1 if a >= 0 else a for a in self._axis[qubit + 1 :]]
+        self._axis[qubit] = -1
+        self._bits |= value << qubit
+        self._num_bits += 1
+
     def apply(self, instruction, qubits: Sequence[int]) -> None:
         qubits = tuple(qubits)
         if isinstance(instruction, Barrier):
@@ -530,11 +547,20 @@ class StatevectorSession:
                     break
 
     def _apply_on_bits(self, gate, qubits: tuple) -> None:
-        """Apply the unitary *gate* while some qubits of the session are bits."""
+        """Apply the unitary *gate* while some qubits of the session are bits.
+
+        A gate of two or more qubits that is not monomial lowers to a
+        ``product`` step; what runs on the row once its bit operands are
+        dropped is lowered as a product too (``product=``), even one qubit
+        wide or a phase, so it rounds as the gate's own product on a row
+        holding every qubit.
+        """
         if _lowers_wide(gate):
             self._enter(range(self.num_qubits))
             self._rows.apply(kernels.lower(gate, qubits))
             return
+        base = gate.base_gate if isinstance(gate, ControlledGate) else gate
+        product = gate.num_qubits > 1 and kernels.basis_table(base.to_matrix()) is None
         axis, bits = self._axis, self._bits
         if isinstance(gate, ControlledGate):
             controls = qubits[: gate.num_controls]
@@ -555,14 +581,14 @@ class StatevectorSession:
                 rest = [axis[q] for q in qubits if axis[q] >= 0]
                 if matrix is None:
                     return
-                if rest:
-                    self._rows.apply(kernels.lower(matrix, rest))
+                if rest or product:
+                    self._rows.apply(kernels.lower(matrix, rest, product=product))
                 else:  # a phase on the whole state
                     self._rows.states *= matrix[0, 0]
                 return
         if positions:
             self._enter(qubits)
-        self._rows.apply(kernels.lower(gate, [axis[q] for q in qubits]))
+        self._rows.apply(kernels.lower(gate, [axis[q] for q in qubits], product=product))
 
     def apply_classical(self, function: Callable[[int], int], qubits: Sequence[int]) -> bool:
         """Run a circuit that maps each basis input ``|x>`` to ``|function(x)>``
@@ -607,6 +633,7 @@ class StatevectorSession:
                 bit = (self._bits >> qubit) & 1
             else:
                 bit = int(self._rows.measure(axis, uniform)[0])
+                self._leave(qubit, bit)
             outcome |= bit << position
         return outcome
 

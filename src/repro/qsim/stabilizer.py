@@ -339,29 +339,18 @@ class StabilizerTableau:
     def _product_phase_expr(self, stab_rows: np.ndarray) -> np.ndarray:
         """Phase vector of the product of the given (commuting) stabilizer rows.
 
-        Tree-reduces the rows pairwise with exact mod-4 phase tracking, so a
-        deterministic measurement costs ``O(n^2)`` fully vectorized work in
-        ``log n`` NumPy calls instead of ``n`` sequential rowsums.
+        One pass with exact mod-4 phase tracking: the literal Pauli of the
+        product of the first ``j`` rows is their XOR, so one :meth:`_g` call
+        over every (prefix, next row) pair gives the i-power of each
+        multiplication, ``O(n^2)`` vectorized work in a few NumPy calls
+        instead of ``n`` sequential rowsums.
         """
         expr = np.bitwise_xor.reduce(self.phases[stab_rows], axis=0)
-        xs = self.xs[stab_rows].astype(np.int8)
-        zs = self.zs[stab_rows].astype(np.int8)
-        i_powers = np.zeros(stab_rows.size, dtype=np.int64)
-        while xs.shape[0] > 1:
-            half = xs.shape[0] // 2
-            x1, z1 = xs[:half], zs[:half]
-            x2, z2 = xs[half : 2 * half], zs[half : 2 * half]
-            g = self._g(x1, z1, x2, z2).sum(axis=1, dtype=np.int64)
-            merged_powers = i_powers[:half] + i_powers[half : 2 * half] + g
-            merged_x = x1 ^ x2
-            merged_z = z1 ^ z2
-            if xs.shape[0] % 2:
-                merged_x = np.concatenate([merged_x, xs[-1:]])
-                merged_z = np.concatenate([merged_z, zs[-1:]])
-                merged_powers = np.concatenate([merged_powers, i_powers[-1:]])
-            xs, zs, i_powers = merged_x, merged_z, merged_powers
-        expr = expr.copy()
-        expr[0] ^= np.uint8((int(i_powers[0]) % 4) // 2)
+        xs, zs = self.xs[stab_rows], self.zs[stab_rows]
+        prefix_x = np.bitwise_xor.accumulate(xs[:-1], axis=0)
+        prefix_z = np.bitwise_xor.accumulate(zs[:-1], axis=0)
+        i_powers = self._g(prefix_x, prefix_z, xs[1:], zs[1:]).sum(dtype=np.int64)
+        expr[0] ^= np.uint8((int(i_powers) % 4) // 2)
         return expr
 
     # -- measurement -------------------------------------------------------------

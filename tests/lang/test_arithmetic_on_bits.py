@@ -114,6 +114,22 @@ class TestPrograms:
         run_source(get_program(name), seed=1)
         assert seen and all(entry == (True, 1) for entry in seen)
 
+    def test_a_measured_register_is_bits_again(self, monkeypatch):
+        # printing a superposed register collapses it; its qubits leave the
+        # row, so the sum after it runs on bits
+        seen = []
+        run = StatevectorSession.apply_classical
+
+        def spy(self, function, qubits):
+            seen.append((run(self, function, qubits), self._rows.states.shape[1]))
+            return seen[-1][0]
+
+        monkeypatch.setattr(StatevectorSession, "apply_classical", spy)
+        for seed in range(4):
+            first, second = run_source("quint a = [1, 3];\nprint a;\nprint a + 1;\n", seed=seed).output
+            assert first in ("1", "3") and int(second) == int(first) + 1
+        assert seen == [(True, 1)] * 4
+
     def test_a_counter_to_six_runs_on_bits(self):
         assert run_source(get_program("quantum_counter", limit=6), seed=0).printed == "6"
 

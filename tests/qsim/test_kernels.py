@@ -182,7 +182,7 @@ def test_registry_gates_lower_to_their_structure():
     assert kinds == {
         "x": "perm", "cx": "perm", "swap": "perm", "iswap": "perm", "ccx": "perm",
         "z": "diag", "cz": "diag", "cp": "diag", "rzz": "diag",
-        "h": "dense", "crx": "dense", "rxx": "dense",
+        "h": "dense", "crx": "product", "rxx": "product",
     }
 
 
@@ -210,7 +210,12 @@ def test_multi_controlled_gates(base, num_controls):
 
 @pytest.mark.parametrize(
     "base,num_controls,kind",
-    [(Gate("rxx", 2, [0.83]), 5, "dense"), (Gate("swap", 2), 1, "perm"), (Gate("swap", 2), 5, "perm")],
+    [
+        (Gate("rxx", 2, [0.83]), 1, "product"),
+        (Gate("rxx", 2, [0.83]), 5, "product"),
+        (Gate("swap", 2), 1, "perm"),
+        (Gate("swap", 2), 5, "perm"),
+    ],
 )
 def test_controlled_two_qubit_bases(base, num_controls, kind):
     rng = np.random.default_rng(7 + num_controls)
@@ -219,8 +224,8 @@ def test_controlled_two_qubit_bases(base, num_controls, kind):
     targets = [int(q) for q in rng.permutation(n)[: gate.num_qubits]]
     step = check_gate(gate, targets, n, rng)
     assert step[0] == kind
-    if gate.num_qubits > kernels.MAX_LOWERED_QUBITS:
-        assert len(step[2]) == 4  # the base's four slices, controls pinned
+    if gate.num_qubits > kernels.MAX_LOWERED_QUBITS:  # the base alone, controls pinned
+        assert (step[4].shape[0] if kind == "product" else len(step[2])) == 4
 
 
 def test_controlled_unitary_label_collision_uses_the_matrix():
@@ -239,7 +244,8 @@ def test_random_unitary_gates(num_qubits):
     n = num_qubits + 2
     targets = [int(q) for q in rng.permutation(n)[:num_qubits]]
     step = check_gate(gate, targets, n, rng)
-    assert step[0] == ("wide" if num_qubits > kernels.MAX_LOWERED_QUBITS else "dense")
+    kind = "wide" if num_qubits > kernels.MAX_LOWERED_QUBITS else "product"
+    assert step[0] == ("dense" if num_qubits == 1 else kind)
 
 
 def test_diagonal_unitary_gate_lowers_to_a_diagonal_step():
@@ -325,7 +331,7 @@ def test_memo_is_bounded_and_holds_no_full_diagonal_factor():
     assert first[0] == second[0] == "diag_full"
     assert first[1] is not second[1]
     assert kernels.lower(matrix, [0, 1, 2])[0] == "diag"
-    memoised, full = kernels._memo_step(matrix.tobytes(), 8, (0, 1, 2), ())
+    memoised, full = kernels._memo_step(matrix.tobytes(), 8, (0, 1, 2), (), False)
     assert memoised[0] == "diag" and full
     state = random_amplitudes(10, rng)
     planned, single = state.copy(), state.copy()

@@ -21,7 +21,15 @@ from repro.qsim.backends import build_noisy_backend, get_backend
 from repro.qsim.circuit import QuantumCircuit
 from repro.qsim.density import DensityMatrixSimulator
 from repro.qsim.exceptions import SimulationError
-from repro.qsim.instruction import ControlledGate, Gate, Initialize, Reset, mcx_gate, mcz_gate
+from repro.qsim.instruction import (
+    ControlledGate,
+    Gate,
+    Initialize,
+    Reset,
+    UnitaryGate,
+    mcx_gate,
+    mcz_gate,
+)
 from repro.qsim.noise import BitFlipNoise, NoiseModel
 from repro.qsim.simulator import StatevectorSimulator
 from repro.qsim.statevector import Statevector
@@ -341,7 +349,31 @@ BIT_GATES = {
 }
 
 
+#: name -> qubits of a random unitary drawn from the parameters: dense, or
+#: structured in its first qubit so that a bit there restricts it (controlled
+#: on it, or block diagonal in it)
+UNITARIES = {"unitary2": 2, "unitary3": 3, "unitary4": 4, "cunitary3": 3, "bunitary2": 2}
+
+
+def _unitary(name, params):
+    rng = np.random.default_rng([int(abs(p) * 1e6) for p in params])
+
+    def draw(dim):
+        z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        return np.linalg.qr(z)[0]
+
+    half = 1 << (UNITARIES[name] - 1)
+    if name.startswith("unitary"):
+        return UnitaryGate(draw(2 * half))
+    matrix = np.zeros((2 * half, 2 * half), dtype=complex)
+    matrix[:half, :half] = np.eye(half) if name.startswith("c") else draw(half)
+    matrix[half:, half:] = draw(half)
+    return UnitaryGate(matrix)
+
+
 def _gate(name, params):
+    if name in UNITARIES:
+        return _unitary(name, params)
     if name == "ccz":
         return mcz_gate(2)
     if name == "mcx":
@@ -352,7 +384,7 @@ def _gate(name, params):
 
 _operations = st.one_of(
     st.tuples(
-        st.sampled_from(sorted(BIT_GATES) + ["x", "cx", "ccx", "cp", "mcx"]),
+        st.sampled_from(sorted(BIT_GATES) + ["x", "cx", "ccx", "cp", "mcx"] + sorted(UNITARIES)),
         st.permutations(range(WIDTH)),
         st.lists(st.floats(-math.pi, math.pi), min_size=3, max_size=3),
     ),
@@ -415,6 +447,50 @@ class TestBasisBits:
                 assert np.array_equal(session.state.data, reference.state.data)
         assert np.allclose(session.state.data, reference.state.data, atol=1e-12)
         assert session.rng.random() == reference.rng.random()
+
+    @pytest.mark.parametrize("name", ["ch", "crx", "cunitary3", "bunitary2", "phase_or_h"])
+    def test_a_product_gate_on_bits_rounds_as_its_product(self, name):
+        # what a dense gate of two or more qubits leaves on the row once its
+        # bit operands are dropped -- one qubit, or just a phase -- must round
+        # as the gate's own product does on a row holding every qubit
+        if name == "phase_or_h":  # |00> takes a phase; |1x> an h on x
+            matrix = np.zeros((4, 4), dtype=complex)
+            matrix[0, 0], matrix[1, 1] = np.exp(0.7j), 1.0
+            matrix[2:, 2:] = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
+            gate = UnitaryGate(matrix)
+        elif name == "crx":
+            gate = Gate("crx", 2, [0.7])
+        else:
+            gate = _gate(name, [0.7, -1.3, 2.1])
+        session = StatevectorSimulator(seed=0).session()
+        session.allocate(6)
+        reference = StatevectorSimulator(seed=0).session(Statevector.zero_state(6))
+        for each in (session, reference):
+            each.apply(Gate("x", 1), [0])
+            for qubit in (2, 3, 4):
+                each.apply(Gate("u3", 1, [0.3 * qubit, 1.1, -0.4]), [qubit])
+            each.apply(gate, [0] + [2, 3, 4][: gate.num_qubits - 1])  # a bit at 1 first
+            each.apply(gate, [1, 5, 4][: gate.num_qubits])  # bits at 0 first
+        assert session._num_bits > 0
+        assert np.array_equal(session.state.data, reference.state.data)
+
+    def test_a_measured_qubit_leaves_the_row(self):
+        session = StatevectorSimulator(seed=5).session()
+        session.allocate(4)
+        for qubit in (0, 2, 3):
+            session.apply(Gate("h", 1), [qubit])
+        session.apply(Gate("cx", 2), [2, 1])
+        before = session.state.data.copy()
+        outcome = session.measure([2, 0])
+        assert session._rows.states.shape == (1, 4)  # qubits 1 and 3
+        assert session._axis == [-1, 0, -1, 1]
+        state = session.state.data
+        kept = [i for i in range(16) if (i >> 2) & 1 == outcome & 1 and i & 1 == outcome >> 1]
+        np.testing.assert_allclose(state[kept], before[kept] / np.linalg.norm(before[kept]))
+        assert np.count_nonzero(state) == 2
+        # qubit 1 followed qubit 2 through the cx: measuring it reads the same
+        assert session.measure([1]) == outcome & 1
+        assert session._rows.states.shape == (1, 2)  # qubit 3 alone
 
     def test_wide_mcz_with_bit_controls_never_builds_its_matrix(self, monkeypatch):
         n = 12

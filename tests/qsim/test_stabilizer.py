@@ -116,6 +116,52 @@ class TestTableauStates:
 # ---------------------------------------------------------------------------
 
 
+def tree_product_phase_expr(tab, stab_rows):
+    """The phase vector of the product of *stab_rows*, reduced pairwise in a
+    log-depth tree with exact mod-4 i-powers: the reference the one-pass
+    :meth:`StabilizerTableau._product_phase_expr` is checked against."""
+    expr = np.bitwise_xor.reduce(tab.phases[stab_rows], axis=0)
+    xs = tab.xs[stab_rows].astype(np.int8)
+    zs = tab.zs[stab_rows].astype(np.int8)
+    i_powers = np.zeros(stab_rows.size, dtype=np.int64)
+    while xs.shape[0] > 1:
+        half = xs.shape[0] // 2
+        x1, z1 = xs[:half], zs[:half]
+        x2, z2 = xs[half : 2 * half], zs[half : 2 * half]
+        g = StabilizerTableau._g(x1, z1, x2, z2).sum(axis=1, dtype=np.int64)
+        merged_powers = i_powers[:half] + i_powers[half : 2 * half] + g
+        merged_x, merged_z = x1 ^ x2, z1 ^ z2
+        if xs.shape[0] % 2:
+            merged_x = np.concatenate([merged_x, xs[-1:]])
+            merged_z = np.concatenate([merged_z, zs[-1:]])
+            merged_powers = np.concatenate([merged_powers, i_powers[-1:]])
+        xs, zs, i_powers = merged_x, merged_z, merged_powers
+    expr[0] ^= np.uint8((int(i_powers[0]) % 4) // 2)
+    return expr
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_one_pass_product_phase_matches_the_tree_reduction(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 14))
+    tab = StabilizerTableau(n, max_symbols=3)
+    for _ in range(6 * n):
+        gate = rng.choice(["h", "s", "sdg", "x", "y", "z", "cx", "cz"])
+        if gate in ("cx", "cz"):
+            if n > 1:
+                getattr(tab, gate)(*(int(q) for q in rng.choice(n, 2, replace=False)))
+        else:
+            getattr(tab, gate)(int(rng.integers(n)))
+    # symbolic phase columns only XOR: random ones check that half too
+    tab.phases[:, 1:] = rng.integers(0, 2, tab.phases[:, 1:].shape, dtype=np.uint8)
+    for _ in range(10):
+        size = int(rng.integers(1, n + 1))
+        rows = n + rng.choice(n, size, replace=False)
+        np.testing.assert_array_equal(
+            tab._product_phase_expr(rows), tree_product_phase_expr(tab, rows)
+        )
+
+
 class TestMeasurement:
     def test_zero_state_deterministic(self):
         tab = StabilizerTableau(1)
