@@ -10,6 +10,7 @@ from repro.qsim.backends import get_backend
 from repro.qsim.circuit import QuantumCircuit
 from repro.qsim.density import DensityMatrix, DensityMatrixSimulator
 from repro.qsim.exceptions import SimulationError
+from repro.qsim.instruction import ControlledGate, Gate
 from repro.qsim.noise import (
     BitFlipNoise,
     DepolarizingNoise,
@@ -117,6 +118,40 @@ class TestDensityMatrix:
             dm.apply_unitary(matrix, targets)
         assert np.allclose(dm.probabilities(), sv.probabilities(), atol=1e-9)
         assert np.real(sv.data.conj() @ dm.data @ sv.data) == pytest.approx(1.0)
+
+    def test_unitary_evolution_needs_no_hermitian_rho(self):
+        # U X U^dagger for an operator X that is not Hermitian, such as |0><1|
+        rng = np.random.default_rng(4)
+        data = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        dm = DensityMatrix(data, validate=False)
+        full = np.eye(1, dtype=complex)
+        for qubit in reversed(range(3)):
+            full = np.kron(full, gates.ry(0.3) if qubit == 1 else np.eye(2))
+        cx = np.zeros((8, 8), dtype=complex)
+        for index in range(8):  # control qubit 0, target qubit 2
+            cx[index ^ (4 * (index & 1)), index] = 1.0
+        dm.apply_unitary(gates.ry(0.3), [1])
+        expected = full @ data @ full.conj().T
+        np.testing.assert_allclose(dm.data, expected, atol=1e-12)
+        dm.apply_unitary(gates.CX, [0, 2])
+        np.testing.assert_allclose(dm.data, cx @ expected @ cx.conj().T, atol=1e-12)
+
+    def test_wide_controlled_gate_keeps_its_controls_on_both_halves(self, monkeypatch):
+        n = 8
+        sv = Statevector.zero_state(n)
+        for qubit in range(n):
+            sv.apply_unitary(gates.ry(0.4 + 0.3 * qubit), [qubit])
+        dm = DensityMatrix.from_statevector(sv)
+        gate = ControlledGate(Gate("u3", 1, [0.9, 0.2, -0.7]), n - 1)
+
+        def refuse(self):
+            raise AssertionError(f"built the {self.num_qubits}-qubit matrix of {self.name}")
+
+        monkeypatch.setattr(ControlledGate, "to_matrix", refuse)
+        targets = list(range(1, n)) + [0]
+        sv.apply_unitary(gate, targets)
+        dm._sandwich(targets, gate)  # how the simulator applies an instruction
+        np.testing.assert_allclose(dm.data, np.outer(sv.data, sv.data.conj()), atol=1e-12)
 
     def test_bit_flip_channel_mixes_state(self):
         dm = DensityMatrix.zero_state(1)

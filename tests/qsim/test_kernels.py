@@ -248,6 +248,41 @@ def test_random_unitary_gates(num_qubits):
     assert step[0] == ("dense" if num_qubits == 1 else kind)
 
 
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("columns_log", [0, 1, 2, 12])
+def test_product_columns_do_not_depend_on_the_row_width(k, columns_log):
+    # a product step's columns are the values of the qubits it does not
+    # touch: 1 and 2 columns are padded to 4, and each column of a wider
+    # row (more qubits above) comes out with the same bits
+    rng = np.random.default_rng(10 * k + columns_log)
+    n = k + columns_log
+    targets = [int(q) for q in rng.permutation(n)[:k]]
+    matrix = random_unitary(2**k, rng)
+    assert kernels.lower(matrix, targets)[0] == "product"
+    narrow = random_amplitudes(n, rng)
+    wide = random_amplitudes(n + max(2, 12 - columns_log), rng)
+    wide[: 2**n] = narrow  # the qubits above n read 0
+    kernels.apply_gate(narrow, matrix, targets)
+    kernels.apply_gate(wide, matrix, targets)
+    np.testing.assert_array_equal(wide[: 2**n], narrow)
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_product_rows_do_not_depend_on_the_batch(k):
+    rng = np.random.default_rng(30 + k)
+    targets = [int(q) for q in rng.permutation(9)[:k]]
+    step = kernels.lower(random_unitary(2**k, rng), targets, product=True)
+    assert step[0] == "product"
+    rows = np.stack([random_amplitudes(9, rng) for _ in range(64)])
+    alone = rows.copy()
+    for row in alone:
+        kernels.apply_step(row, step)
+    for size in (1, 7, 64):
+        batch = rows[:size].copy()
+        kernels.apply_step(batch, step)
+        np.testing.assert_array_equal(batch, alone[:size])
+
+
 def test_diagonal_unitary_gate_lowers_to_a_diagonal_step():
     rng = np.random.default_rng(12)
     phases = np.exp(1j * rng.uniform(0, 2 * np.pi, 4))

@@ -324,6 +324,23 @@ class TestBatchedExecutor:
         assert result.counts == reference.counts
         assert result.memory == reference.memory
 
+    def test_dense_gates_of_two_to_four_qubits_split_bit_equal(self):
+        """Product steps (random 2- to 4-qubit unitaries) between noisy
+        single-qubit gates and mid-circuit measurements: every split gives
+        the same counts and memory."""
+        rng = np.random.default_rng(17)
+        qc = QuantumCircuit(7, 7)
+        for layer in range(10):
+            k = int(rng.integers(2, 5))
+            z = rng.normal(size=(2**k, 2**k)) + 1j * rng.normal(size=(2**k, 2**k))
+            qc.unitary(np.linalg.qr(z)[0], [int(q) for q in rng.choice(7, k, replace=False)])
+            qc.h(int(rng.integers(7)))
+            if layer % 4 == 3:
+                qubit = int(rng.integers(7))
+                qc.measure(qubit, qubit)
+        qc.measure(list(range(7)), list(range(7)))
+        assert_batch_sizes_bit_equal(qc, DepolarizingNoise(0.05), shots=150)
+
     def test_long_measure_chain_does_not_underflow(self):
         """1100 rounds of h + measure halve the tracked norm each time; the
         power-of-two rescale keeps it representable and the outcome fair."""
