@@ -119,7 +119,8 @@ def scratch(shape: Tuple[int, ...], count: int = 3) -> tuple:
     different threads never share a buffer (numpy releases the GIL
     mid-kernel), and a thread retains at most about twice the largest state
     (or batch) it has simulated: a one-qubit ``dense`` step snapshots both
-    halves and sums into two more.  Each kernel uses the views within a
+    halves and sums into two more, and a ``product`` step copies the state
+    into one buffer and computes into a second.  Each kernel uses the views within a
     single call only.
     """
     per_buffer = 1
@@ -373,6 +374,47 @@ def _value_index(base: list, axes, targets: Sequence[int], value: int) -> tuple:
     return tuple(index)
 
 
+def _split_controls(matrix: np.ndarray, targets: tuple) -> Tuple[tuple, tuple, np.ndarray]:
+    """The qubits of *targets* on which *matrix* is a control -- the
+    identity wherever the qubit reads 0, mixing nothing across its values --
+    plus the other targets and the block *matrix* applies where every
+    control reads 1: ``ch``, ``crx``, ``cu`` blocks run on half the state."""
+    controls: list = []
+    position = 0
+    while position < len(targets) - 1:
+        half = matrix.shape[0] // 2
+        low = half >> position
+        view = matrix.reshape(1 << position, 2, low, 1 << position, 2, low)
+        if (
+            view[:, 0, :, :, 1, :].any()
+            or view[:, 1, :, :, 0, :].any()
+            or not np.array_equal(view[:, 0, :, :, 0, :].reshape(half, half), np.eye(half))
+        ):
+            position += 1
+            continue
+        controls.append(targets[position])
+        targets = targets[:position] + targets[position + 1 :]
+        matrix = view[:, 1, :, :, 1, :].reshape(half, half)
+    return tuple(controls), targets, matrix
+
+
+def _product_step(matrix: np.ndarray, targets: tuple, controls: tuple) -> tuple:
+    """The ``product`` step of *matrix* on *targets*, on the slice where
+    every qubit of *controls* reads 1."""
+    shape, axes, ndim = _axis_layout(controls + targets)
+    base: list = [slice(None)] * ndim
+    for control in controls:
+        base[axes[control]] = 1
+    # pinning drops the control axes: the ones after them shift down
+    pinned_axes = [axes[control] for control in controls]
+    kept = [a for a in range(ndim) if a not in pinned_axes]
+    front = [kept.index(axes[target]) for target in targets]
+    order = (0, *front, *(a for a in range(1, len(kept)) if a not in front))
+    matrix = np.array(matrix)
+    matrix.setflags(write=False)
+    return ("product", shape, tuple(base), order, matrix)
+
+
 def _lower_matrix(
     matrix: np.ndarray, targets: tuple, controls: tuple, product: bool
 ) -> Tuple[tuple, bool]:
@@ -380,27 +422,24 @@ def _lower_matrix(
     reads 1, as a ``diag`` / ``perm`` / ``dense`` / ``product`` step with its
     indices baked in; plus whether a ``diag`` step runs as a ``diag_full``
     factor.  A matrix that is not monomial is a ``product`` step unless it
-    is one qubit wide with no controls (a ``dense`` ladder); *product* makes
-    any matrix a ``product`` step.
+    is one qubit wide with no controls (a ``dense`` ladder), with the qubits
+    it controls pinned (:func:`_split_controls`); *product* makes any
+    matrix a ``product`` step.
 
     A control-pinned step carries no basis lookup (basis rows never run it).
     """
+    dim = matrix.shape[0]
+    table = basis_table(matrix)
+    if product or (table is None and (controls or dim > 2)):
+        more: tuple = ()
+        if table is None:
+            more, targets, matrix = _split_controls(matrix, targets)
+        return _product_step(matrix, targets, controls + more), False
     qubits = controls + targets
     shape, axes, ndim = _axis_layout(qubits)
     base: list = [slice(None)] * ndim
     for control in controls:
         base[axes[control]] = 1
-    dim = matrix.shape[0]
-    table = basis_table(matrix)
-    if product or (table is None and (controls or dim > 2)):
-        # pinning drops the control axes: the ones after them shift down
-        pinned_axes = [axes[control] for control in controls]
-        kept = [a for a in range(ndim) if a not in pinned_axes]
-        front = [kept.index(axes[target]) for target in targets]
-        order = (0, *front, *(a for a in range(1, len(kept)) if a not in front))
-        matrix = np.array(matrix)
-        matrix.setflags(write=False)
-        return ("product", shape, tuple(base), order, matrix), False
     indices = [_value_index(base, axes, targets, value) for value in range(dim)]
     if table is None:
         rows: list = [(row, []) for row in range(dim)]

@@ -3,13 +3,14 @@
 Every statevector run that cannot be answered by sampling one final state --
 a noise model, a mid-circuit measurement, a ``reset`` or a classically
 conditioned instruction -- runs here, all shots evolving together: one
-vectorised elementwise kernel per gate for the whole batch, noise injected by
+vectorised kernel per gate for the whole batch, noise injected by
 fancy-indexing exactly the shot rows whose pre-drawn uniforms selected an
 error.  The circuit is lowered **once** into steps: every gate through
 :func:`repro.qsim.kernels.lower`, the gate kernels every dense engine
-shares (precomputed slice indices and non-zero matrix entries; permutation
-gates such as ``x``, ``cx`` and ``swap`` snapshot and write instead of
-multiply-accumulate), every noise site into the shot rows it hits.
+shares (precomputed slice indices and matrix entries; permutation gates
+such as ``x``, ``cx`` and ``swap`` snapshot and write instead of
+multiply-accumulate, dense gates of two or more qubits run one product per
+row), every noise site into the shot rows it hits.
 Feed-forward is row-masked:
 
 * a **measurement** collapses every row against its tracked norm and writes
@@ -46,10 +47,11 @@ by construction:
   or reset: one uniform) for every shot *before* evolution starts -- also
   for the shots a condition later skips -- so the stream never depends on
   the batch split;
-* all gate arithmetic is elementwise scalar-times-slice accumulation in a
-  fixed order -- never a BLAS matmul across rows, whose results can vary
-  bitwise with the operand shape -- so row ``i`` of the batch computes
-  exactly what a batch of one would;
+* gate arithmetic is elementwise in a fixed order, or one BLAS product
+  per row whose column count is a multiple of 4, whose columns round the
+  same at any such count (see :mod:`repro.qsim.kernels`) -- never one
+  product across rows -- so row ``i`` of the batch computes exactly what a
+  batch of one would;
 * for the same reason a row shared by several shots holds exactly the
   amplitudes each of them would compute alone, Pauli injections are exact
   (slice exchange, sign flip, +-i rotation) on whichever row they hit, and a
@@ -92,7 +94,7 @@ MAX_BATCH_AMPLITUDES = 1 << 23
 
 #: what the *default* batch size aims for: batch_rows * 2^n amplitudes that
 #: keep a batch plus its scratch buffers inside the L2/L3 cache tier.  The
-#: executor is elementwise and therefore memory-bound; pushing the batch to
+#: executor is memory-bound; pushing the batch to
 #: the memory cap (2^23 amps = 128 MB complex) measures ~4x *slower* than
 #: this cache-sized default at 12 qubits (see benchmarks/bench_kernels.py).
 _TARGET_BATCH_AMPLITUDES = 1 << 16
@@ -559,9 +561,8 @@ class StatevectorSession:
             self._enter(range(self.num_qubits))
             self._rows.apply(kernels.lower(gate, qubits))
             return
-        base = gate.base_gate if isinstance(gate, ControlledGate) else gate
-        product = gate.num_qubits > 1 and kernels.basis_table(base.to_matrix()) is None
         axis, bits = self._axis, self._bits
+        product = False
         if isinstance(gate, ControlledGate):
             controls = qubits[: gate.num_controls]
             live = tuple(q for q in controls if axis[q] >= 0)
@@ -569,11 +570,13 @@ class StatevectorSession:
                 if any(axis[q] < 0 and not (bits >> q) & 1 for q in controls):
                     return  # a control bit reads 0: the identity
                 qubits = live + qubits[gate.num_controls :]
+                product = kernels.basis_table(gate.base_gate.to_matrix()) is None
                 gate = ControlledGate(gate.base_gate, len(live)) if live else gate.base_gate
         positions = [i for i, q in enumerate(qubits) if axis[q] < 0]
         if positions and gate.num_qubits <= _MAX_RESTRICTED_QUBITS:
             values = [(bits >> qubits[i]) & 1 for i in positions]
-            restriction = kernels.restrict(gate.to_matrix(), positions, values)
+            full = gate.to_matrix()
+            restriction = kernels.restrict(full, positions, values)
             if restriction is not None:
                 outputs, matrix = restriction
                 for i, value in zip(positions, outputs):
@@ -581,6 +584,8 @@ class StatevectorSession:
                 rest = [axis[q] for q in qubits if axis[q] >= 0]
                 if matrix is None:
                     return
+                if not product and gate.num_qubits > 1:
+                    product = kernels.basis_table(full) is None
                 if rest or product:
                     self._rows.apply(kernels.lower(matrix, rest, product=product))
                 else:  # a phase on the whole state

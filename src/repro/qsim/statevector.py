@@ -91,7 +91,8 @@ class Statevector:
         The matrix index convention matches :mod:`repro.qsim.gates`:
         ``targets[0]`` is the most significant bit of the matrix index.  The
         gate runs on the shared step kernels (:func:`repro.qsim.kernels.apply_gate`),
-        which pick a diagonal, permutation or dense kernel from its structure.
+        which pick a diagonal, permutation, dense or product kernel from its
+        structure and width.
         """
         kernels.apply_gate(self.data, matrix, self._check_targets(targets))
 
