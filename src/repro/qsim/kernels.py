@@ -120,8 +120,8 @@ def scratch(shape: Tuple[int, ...], count: int = 3) -> tuple:
     mid-kernel), and a thread retains at most about twice the largest state
     (or batch) it has simulated: a one-qubit ``dense`` step snapshots both
     halves and sums into two more, and a ``product`` step copies the state
-    into one buffer and computes into a second.  Each kernel uses the views within a
-    single call only.
+    into one buffer and computes into a second.  Each kernel uses the views
+    within a single call only.
     """
     per_buffer = 1
     for dim in shape:
@@ -494,11 +494,14 @@ def restrict(matrix, positions: Sequence[int], values: Sequence[int]):
     most significant bit of a matrix index) hold the basis *values*, or
     ``None`` when what they hold afterwards depends on the other qubits.
 
-    Returns ``(outputs, restricted)``: the basis values those qubits hold
-    afterwards, and the matrix on the other qubits (in their order) between
-    the columns that read *values* and the rows that read *outputs*;
-    *restricted* is ``None`` when it is the identity.  A ``1 x 1``
-    *restricted* is the phase the gate puts on the whole state.  Memoised
+    Returns ``(outputs, restricted, dense)``: the basis values those qubits
+    hold afterwards, the matrix on the other qubits (in their order) between
+    the columns that read *values* and the rows that read *outputs*, and
+    whether *matrix* is not monomial, so that *restricted* must run as a
+    product (``lower(..., product=True)``) to round as *matrix*'s own
+    ``product`` step does.  *restricted* is ``None`` when it is the
+    identity; a ``1 x 1`` one is the phase the gate puts on the whole
+    state.  Memoised
     and read-only, like the steps of :func:`lower`: the statevector session
     restricts the same few small gates over and over.
     """
@@ -521,10 +524,11 @@ def _memo_restrict(data: bytes, dim: int, positions: tuple, values: tuple):
     (output,) = outputs
     rows = [row for row in range(dim) if read(row) == output]
     restricted = matrix[np.ix_(rows, columns)]
+    dense = basis_table(matrix) is None
     if np.array_equal(restricted, np.eye(len(rows))):
-        return output, None
+        return output, None, dense
     restricted.setflags(write=False)
-    return output, restricted
+    return output, restricted, dense
 
 
 def lower(
@@ -666,10 +670,11 @@ def _apply_product_batched(states, shape, pinned, order, matrix) -> None:
     count = states.shape[0]
     view = states.reshape((count, *shape))[pinned]
     dim = matrix.shape[0]
-    # the columns' order is free: the largest block innermost gives the
-    # transposing copies their longest contiguous runs
+    # the row axis and the gate's k axes lead; the columns' order is free,
+    # and the largest block innermost gives the copies their longest runs
     front = dim.bit_length()
-    moved = view.transpose(order[:front] + tuple(sorted(order[front:], key=view.shape.__getitem__)))
+    columns_order = sorted(order[front:], key=view.shape.__getitem__)
+    moved = view.transpose(order[:front] + tuple(columns_order))
     columns = moved.size // (count * dim)
     padded = max(columns, _MIN_PRODUCT_COLUMNS)
     operand, result = scratch((count, dim, padded), 2)

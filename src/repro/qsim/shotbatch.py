@@ -570,22 +570,23 @@ class StatevectorSession:
                 if any(axis[q] < 0 and not (bits >> q) & 1 for q in controls):
                     return  # a control bit reads 0: the identity
                 qubits = live + qubits[gate.num_controls :]
-                product = kernels.basis_table(gate.base_gate.to_matrix()) is None
-                gate = ControlledGate(gate.base_gate, len(live)) if live else gate.base_gate
+                if live:
+                    gate = ControlledGate(gate.base_gate, len(live))
+                else:  # the bare base of a product gate still runs as a product
+                    gate = gate.base_gate
+                    product = kernels.basis_table(gate.to_matrix()) is None
         positions = [i for i, q in enumerate(qubits) if axis[q] < 0]
         if positions and gate.num_qubits <= _MAX_RESTRICTED_QUBITS:
             values = [(bits >> qubits[i]) & 1 for i in positions]
-            full = gate.to_matrix()
-            restriction = kernels.restrict(full, positions, values)
+            restriction = kernels.restrict(gate.to_matrix(), positions, values)
             if restriction is not None:
-                outputs, matrix = restriction
+                outputs, matrix, dense = restriction
                 for i, value in zip(positions, outputs):
                     self._bits = (self._bits & ~(1 << qubits[i])) | (value << qubits[i])
                 rest = [axis[q] for q in qubits if axis[q] >= 0]
                 if matrix is None:
                     return
-                if not product and gate.num_qubits > 1:
-                    product = kernels.basis_table(full) is None
+                product = product or dense
                 if rest or product:
                     self._rows.apply(kernels.lower(matrix, rest, product=product))
                 else:  # a phase on the whole state
