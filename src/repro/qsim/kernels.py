@@ -20,7 +20,8 @@ all run one kernel set.  The step kinds:
   scalar-times-slice accumulation over its nonzero entries (a ladder of
   elementwise multiplies and adds);
 * ``("product", shape, pinned, order, matrix)`` -- any other unitary of two
-  or more qubits (counting pinned controls): one transposing copy moves the
+  or more qubits (counting pinned controls), with every qubit it only
+  controls (``ch``, ``crx``) pinned to 1: one transposing copy moves the
   gate's axes to the front, one stacked ``np.matmul`` computes one product
   per row, and one transposing copy moves the result back;
 * ``("wide", matrix, targets)`` -- a non-controlled unitary wider than

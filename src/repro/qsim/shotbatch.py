@@ -509,18 +509,27 @@ class StatevectorSession:
             self._bits &= ~(1 << qubit)
             self._num_bits -= 1
 
-    def _leave(self, qubit: int, value: int) -> None:
-        """Make the collapsed row qubit *qubit*, which reads *value*, a bit
-        again: the row keeps only its *value* half (the other is zero)."""
-        axis = self._axis[qubit]
-        states = self._rows.states
-        rows = states.shape[0]
-        half = states.reshape(rows, -1, 2, 1 << axis)[:, :, value, :]
-        self._rows.states = np.ascontiguousarray(half).reshape(rows, -1)
-        self._axis[qubit + 1 :] = [a - 1 if a >= 0 else a for a in self._axis[qubit + 1 :]]
-        self._axis[qubit] = -1
-        self._bits |= value << qubit
-        self._num_bits += 1
+    def _leave(self, collapsed: Dict[int, int]) -> None:
+        """Make the collapsed row qubits bits again: *collapsed* maps each
+        to the value it reads, and the row keeps only the slice where they
+        all read those values (the rest is zero)."""
+        width = self.num_qubits - self._num_bits
+        rows = self._rows.states.shape[0]
+        # the (rows, 2, ..., 2) view's dimension width - a is the row's axis a
+        index: list = [slice(None)] * (width + 1)
+        for qubit, value in collapsed.items():
+            index[width - self._axis[qubit]] = value
+            self._bits |= value << qubit
+        view = self._rows.states.reshape((rows,) + (2,) * width)
+        self._rows.states = np.ascontiguousarray(view[tuple(index)]).reshape(rows, -1)
+        kept = 0
+        for qubit, axis in enumerate(self._axis):
+            if qubit in collapsed:
+                self._axis[qubit] = -1
+            elif axis >= 0:
+                self._axis[qubit] = kept
+                kept += 1
+        self._num_bits += len(collapsed)
 
     def apply(self, instruction, qubits: Sequence[int]) -> None:
         qubits = tuple(qubits)
@@ -632,15 +641,17 @@ class StatevectorSession:
 
     def measure(self, qubits: Sequence[int]) -> int:
         outcome = 0
+        collapsed: Dict[int, int] = {}
         for position, qubit in enumerate(qubits):
             uniform = self.rng.random(1)
             axis = self._axis[qubit]
             if axis < 0:
                 bit = (self._bits >> qubit) & 1
             else:
-                bit = int(self._rows.measure(axis, uniform)[0])
-                self._leave(qubit, bit)
+                bit = collapsed[qubit] = int(self._rows.measure(axis, uniform)[0])
             outcome |= bit << position
+        if collapsed:
+            self._leave(collapsed)
         return outcome
 
     def sample(self, qubits: Sequence[int], shots: int) -> Dict[int, int]:
