@@ -474,6 +474,22 @@ class TestBasisBits:
         assert session._num_bits > 0
         assert np.array_equal(session.state.data, reference.state.data)
 
+    def test_a_controlled_gate_left_with_its_base_rounds_as_its_product(self):
+        # every control a bit at 1: the session runs the bare one-qubit base,
+        # which must round as the full gate's product with its controls pinned
+        gate = ControlledGate(Gate("u3", 1, [0.9, 0.2, -0.7]), 2)
+        session = StatevectorSimulator(seed=0).session()
+        session.allocate(7)
+        reference = StatevectorSimulator(seed=0).session(Statevector.zero_state(7))
+        for each in (session, reference):
+            each.apply(Gate("x", 1), [0])
+            each.apply(Gate("x", 1), [1])
+            for qubit in range(2, 7):
+                each.apply(Gate("u3", 1, [0.3 * qubit, 1.1, -0.4]), [qubit])
+            each.apply(gate, [0, 1, 2])
+        assert session._num_bits == 2
+        assert np.array_equal(session.state.data, reference.state.data)
+
     def test_a_measured_qubit_leaves_the_row(self):
         session = StatevectorSimulator(seed=5).session()
         session.allocate(4)
