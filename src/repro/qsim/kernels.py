@@ -19,11 +19,14 @@ all run one kernel set.  The step kinds:
 * ``("dense", shape, indices, rows)`` -- any other one-qubit unitary, as
   scalar-times-slice accumulation over its nonzero entries (a ladder of
   elementwise multiplies and adds);
-* ``("product", shape, pinned, order, matrix)`` -- any other unitary of two
-  or more qubits (counting pinned controls), with every qubit it only
-  controls (``ch``, ``crx``) pinned to 1: one transposing copy moves the
-  gate's axes to the front, one stacked ``np.matmul`` computes one product
-  per row, and one transposing copy moves the result back;
+* ``("product", shape, pinned, order, blocks, plans)`` -- any other
+  unitary of two or more qubits (counting pinned controls), with every
+  qubit it only reads split off (:func:`_split_blocks`): pinned to 1 where
+  its block at 0 is the identity (``ch``, ``crx``), else a batch axis of
+  ``(2^b, d, d)`` stacked *blocks*.  One transposing copy moves the batch
+  and target axes to the front, one stacked ``np.matmul`` computes every
+  row's products, and one transposing copy moves the result back (or the
+  statevector session keeps it where it is, below);
 * ``("wide", matrix, targets)`` -- a non-controlled unitary wider than
   :data:`MAX_LOWERED_QUBITS`, row by row through :func:`dense_apply`.
 
@@ -31,7 +34,9 @@ all run one kernel set.  The step kinds:
 leaves the leading block axis to ``reshape`` (``-1``), so one step fits any
 register width; ``indices`` select the slice of each matrix index, while a
 ``product`` step's ``pinned`` index and ``order`` transpose put the gate's
-axes first in matrix order (``targets[0]`` most significant).  A
+axes first in matrix order (batch axes, then ``targets[0]`` most
+significant), and *plans* memoises, per row size, the copy's axis order
+and where each bit of the row lands (:func:`_product_plan`).  A
 :class:`~repro.qsim.instruction.ControlledGate` wider than
 :data:`MAX_LOWERED_QUBITS` lowers its base gate with the control axes
 pinned to 1, so a 20-control ``mcx`` touches only its ``1/2^20`` slice and
@@ -50,7 +55,16 @@ round differently (``tests/qsim/test_kernels.py`` checks both on the host
 BLAS).  So what a ``product`` gate leaves after pinning its controls, or
 after a session restricts it to the operands that are not bits, runs as a
 product too, even one qubit wide or monomial (``lower(..., product=True)``);
-the 2x2 ladder runs only a gate that is itself one qubit wide.
+the 2x2 ladder runs only a gate that is itself one qubit wide.  Stacked
+blocks keep the bits for the same reason: each output sums the same
+nonzero terms in the same order as the whole matrix's product, and only
+terms whose matrix entry is zero are dropped.
+
+The statevector session runs a ``product`` step through
+:func:`apply_product_unordered`, which writes the products over the row
+itself, in the order they come out (the gate's axes first), instead of
+copying them back: the session's axis map follows, and :func:`reorder_bits`
+puts the row back in ascending qubit order before anything reads it.
 
 :func:`lower` memoises the width-independent steps in a bounded memo keyed
 on the matrix bytes and the targets.  A ``diag_full`` factor holds ``2^n``
@@ -61,8 +75,9 @@ amplitudes: it is built only for a plan that applies the step to many rows
 
 It is the one module that maps qubits to tensor axes: besides
 :func:`dense_apply` and fusion's :func:`block_product`, :func:`marginal`
-sums per-basis-state weights over the values of some qubits and
-:func:`place` sets qubits in ``|0...0>`` to given amplitudes.
+sums per-basis-state weights over the values of some qubits,
+:func:`place` sets qubits in ``|0...0>`` to given amplitudes and
+:func:`reorder_bits` permutes the bits of a row index.
 
 :func:`basis_table` / :func:`is_monomial` classify the gates that keep a
 basis state a basis state, which both dense engines run on basis rows or
@@ -76,6 +91,7 @@ allocates half-state temporaries.
 from __future__ import annotations
 
 import functools
+import math
 import threading
 from typing import Optional, Sequence, Tuple
 
@@ -100,6 +116,8 @@ __all__ = [
     "is_monomial",
     "restrict",
     "scratch",
+    "apply_product_unordered",
+    "reorder_bits",
 ]
 
 #: widest gate lowered to a diag / perm / dense step (2^k slices per gate)
@@ -154,23 +172,50 @@ def dense_apply(data, num_qubits: int, matrix, targets):
 
     What a ``wide`` step runs on each row, what a density matrix's Kraus
     superoperator runs on, and the reference the kernel tests compare
-    every step against.  Targets on consecutive axes in order (``targets[0]``
-    the highest, each next one one lower) take one batched matmul over the
-    leading axes, with no transpose, when that gives the same bits.
+    every step against.  Targets on consecutive axes in order
+    (``targets[0]`` the highest, each next one one lower) take one batched
+    matmul over the leading axes, with no transpose, when that gives the
+    same bits.  The product runs through :func:`_matmul`, in the column
+    chunks ``product`` steps use, with the bits of one whole product.
     """
     k = len(targets)
     axes = [num_qubits - 1 - t for t in targets]
     batched = _in_order_batches(data.size, axes)
     if batched is not None:
         batches, columns = batched
-        return np.matmul(matrix, data.reshape(batches, 1 << k, columns)).reshape(-1)
+        return _matmul(matrix, data.reshape(batches, 1 << k, columns)).reshape(-1)
     psi = data.reshape((2,) * num_qubits)
     psi = np.moveaxis(psi, axes, range(k))
     tail_shape = psi.shape[k:]
-    flat = psi.reshape(2**k, -1)
-    flat = matrix @ flat
+    flat = _matmul(matrix, psi.reshape(2**k, -1))
     flat = flat.reshape((2,) * k + tail_shape)
     return np.ascontiguousarray(np.moveaxis(flat, range(k), axes).reshape(-1))
+
+
+def _matmul(matrix, operand, out=None):
+    """``matrix @ operand`` into *out* (a new array when ``None``), with each
+    BLAS call chunked to at most :data:`_MAX_PRODUCT_MACS` multiply-adds.
+
+    *operand* is ``(..., 2^b * d, columns)``: *matrix* is one ``d x d``
+    matrix, or ``2^b`` stacked blocks ``(2^b, d, d)``, block ``v`` acting on
+    rows ``v * d`` to ``v * d + d - 1``.  The columns are cut into chunks of
+    at least :data:`_MIN_PRODUCT_COLUMNS` (or all of them, when fewer), each
+    one stacked call: a column's bits do not depend on how many columns
+    share its call, so every chunking gives the bits of one whole product.
+    """
+    if out is None:
+        out = np.empty(operand.shape, dtype=complex)
+    *lead, stack, columns = operand.shape
+    dim = matrix.shape[-1]
+    chunk = min(columns, max(_MIN_PRODUCT_COLUMNS, _MAX_PRODUCT_MACS // (dim * dim)))
+    shape = (*lead, stack // dim, dim, columns // chunk, chunk)
+    n = len(lead)
+    # (..., chunks, blocks, d, chunk): the blocks broadcast over the chunks
+    axes = (*range(n), n + 2, n, n + 1, n + 3)
+    np.matmul(
+        matrix, operand.reshape(shape).transpose(axes), out=out.reshape(shape).transpose(axes)
+    )
+    return out
 
 
 @functools.lru_cache(maxsize=256)
@@ -375,45 +420,72 @@ def _value_index(base: list, axes, targets: Sequence[int], value: int) -> tuple:
     return tuple(index)
 
 
-def _split_controls(matrix: np.ndarray, targets: tuple) -> Tuple[tuple, tuple, np.ndarray]:
-    """The qubits of *targets* on which *matrix* is a control -- the
-    identity wherever the qubit reads 0, mixing nothing across its values --
-    plus the other targets and the block *matrix* applies where every
-    control reads 1: ``ch``, ``crx``, ``cu`` blocks run on half the state."""
+def _split_blocks(matrix: np.ndarray, targets: tuple) -> Tuple[tuple, tuple, tuple, np.ndarray]:
+    """Split off the qubits of *targets* in which *matrix*, which is not
+    monomial, mixes nothing across their two values (it only reads them);
+    a matrix that reads every qubit is diagonal, so at least a ``2 x 2``
+    block remains.  A qubit whose block at 0 is the identity is a control, pinned to
+    1: ``ch``, ``crx``, ``cu`` blocks run on half the state.  Any other is a
+    batch axis: its two blocks are stacked, and each runs on its half.
+
+    Returns ``(controls, batch, targets, blocks)``: the other *targets* and
+    the blocks *matrix* applies where every control reads 1, one ``d x d``
+    matrix, or ``(2^b, d, d)`` stacked over the *batch* values (the first
+    batch qubit most significant).  Each output then sums the same nonzero
+    terms in the same order as the whole matrix's product; only terms whose
+    matrix entry is zero are dropped.
+    """
+    k = len(targets)
+    rows, cols = np.nonzero(matrix)
+    # the bits in which some nonzero entry's row and column differ: the
+    # qubits the matrix mixes
+    mixed = int(np.bitwise_or.reduce(rows ^ cols)) if rows.size else 0
+    reads = [p for p in range(k) if not (mixed >> (k - 1 - p)) & 1]
     controls: list = []
-    position = 0
-    while position < len(targets) - 1:
-        half = matrix.shape[0] // 2
+    batch: list = []
+    blocks = matrix[None]
+    for removed, original in enumerate(reads):
+        position = original - removed  # the earlier reads are gone
+        count, half = blocks.shape[0], blocks.shape[1] // 2
         low = half >> position
-        view = matrix.reshape(1 << position, 2, low, 1 << position, 2, low)
-        if (
-            view[:, 0, :, :, 1, :].any()
-            or view[:, 1, :, :, 0, :].any()
-            or not np.array_equal(view[:, 0, :, :, 0, :].reshape(half, half), np.eye(half))
-        ):
-            position += 1
-            continue
-        controls.append(targets[position])
-        targets = targets[:position] + targets[position + 1 :]
-        matrix = view[:, 1, :, :, 1, :].reshape(half, half)
-    return tuple(controls), targets, matrix
+        view = blocks.reshape(count, 1 << position, 2, low, 1 << position, 2, low)
+        zero = view[:, :, 0, :, :, 0].reshape(count, half, half)
+        one = view[:, :, 1, :, :, 1].reshape(count, half, half)
+        if (zero == np.eye(half)).all():
+            controls.append(targets[original])
+            blocks = one
+        else:
+            batch.append(targets[original])
+            blocks = np.stack([zero, one], axis=1).reshape(2 * count, half, half)
+    targets = tuple(t for p, t in enumerate(targets) if p not in reads)
+    return tuple(controls), tuple(batch), targets, blocks if batch else blocks[0]
 
 
-def _product_step(matrix: np.ndarray, targets: tuple, controls: tuple) -> tuple:
-    """The ``product`` step of *matrix* on *targets*, on the slice where
-    every qubit of *controls* reads 1."""
-    shape, axes, ndim = _axis_layout(controls + targets)
+def _product_step(blocks: np.ndarray, targets: tuple, controls: tuple, batch: tuple) -> tuple:
+    """The ``product`` step of *blocks* (see :func:`_split_blocks`) on
+    *targets*, on the slice where every qubit of *controls* reads 1."""
+    blocks = np.array(blocks)
+    blocks.setflags(write=False)
+    shape, pinned, order, plans = _product_geometry(targets, controls, batch)
+    return ("product", shape, pinned, order, blocks, plans)
+
+
+@functools.lru_cache(maxsize=1024)
+def _product_geometry(targets: tuple, controls: tuple, batch: tuple) -> tuple:
+    """The view ``shape``, ``pinned`` index and ``order`` transpose of a
+    product step on these qubits, and the memo of its plans per row size
+    (:func:`_product_plan`), shared by every step on the same qubits: none
+    of it depends on the matrix."""
+    shape, axes, ndim = _axis_layout(controls + batch + targets)
     base: list = [slice(None)] * ndim
     for control in controls:
         base[axes[control]] = 1
     # pinning drops the control axes: the ones after them shift down
     pinned_axes = [axes[control] for control in controls]
     kept = [a for a in range(ndim) if a not in pinned_axes]
-    front = [kept.index(axes[target]) for target in targets]
+    front = [kept.index(axes[qubit]) for qubit in batch + targets]
     order = (0, *front, *(a for a in range(1, len(kept)) if a not in front))
-    matrix = np.array(matrix)
-    matrix.setflags(write=False)
-    return ("product", shape, tuple(base), order, matrix)
+    return shape, tuple(base) if controls else (), order, {}
 
 
 def _lower_matrix(
@@ -424,7 +496,7 @@ def _lower_matrix(
     indices baked in; plus whether a ``diag`` step runs as a ``diag_full``
     factor.  A matrix that is not monomial is a ``product`` step unless it
     is one qubit wide with no controls (a ``dense`` ladder), with the qubits
-    it controls pinned (:func:`_split_controls`); *product* makes any
+    it only reads pinned or stacked (:func:`_split_blocks`); *product* makes any
     matrix a ``product`` step.
 
     A control-pinned step carries no basis lookup (basis rows never run it).
@@ -433,9 +505,10 @@ def _lower_matrix(
     table = basis_table(matrix)
     if product or (table is None and (controls or dim > 2)):
         more: tuple = ()
+        batch: tuple = ()
         if table is None:
-            more, targets, matrix = _split_controls(matrix, targets)
-        return _product_step(matrix, targets, controls + more), False
+            more, batch, targets, matrix = _split_blocks(matrix, targets)
+        return _product_step(matrix, targets, controls + more, batch), False
     qubits = controls + targets
     shape, axes, ndim = _axis_layout(qubits)
     base: list = [slice(None)] * ndim
@@ -649,48 +722,114 @@ def _apply_dense_batched(states, shape, indices, rows) -> None:
 #: kernels that round differently from those of wider ones
 _MIN_PRODUCT_COLUMNS = 4
 
-#: the most multiply-adds (rows x inner x columns) one BLAS call of a
-#: ``product`` step runs.  OpenBLAS (0.3.31) starts its threads at 65,536;
-#: on a 2-vCPU host a process sometimes gets threaded complex products 40x
-#: slower than one thread (7 ms for a 4 x 4 x 16,384 product), for its
-#: whole life, so wider products run as several single-threaded calls
+#: the most multiply-adds (rows x inner x columns) one BLAS call of
+#: :func:`_matmul` runs (``product`` steps and :func:`dense_apply`).
+#: OpenBLAS (0.3.31) starts its threads at 65,536; on a 2-vCPU host a
+#: process sometimes gets threaded complex products 40x slower than one
+#: thread (7 ms for a 4 x 4 x 16,384 product), for its whole life, so wider
+#: products run as several single-threaded calls
 _MAX_PRODUCT_MACS = 1 << 15
 
 
-def _apply_product_batched(states, shape, pinned, order, matrix) -> None:
-    """One ``2^k x 2^k`` product per row over the gate's axes.
+def _product_plan(step: tuple, size: int) -> tuple:
+    """How the ``product`` *step* runs on rows of *size* amplitudes,
+    memoised in the step: ``(transpose, columns, layout)``.
 
-    The gate's axes are copied to the front of scratch shaped ``(rows, 2^k,
-    columns)``, ``np.matmul`` computes the stacked products into a second
-    buffer, and the result is copied back.  Columns are padded with zeros
-    to :data:`_MIN_PRODUCT_COLUMNS`, so every row's product runs the same
-    BLAS kernels, whose columns round independently of the column count;
-    so do the column chunks of at most :data:`_MAX_PRODUCT_MACS` each that
-    the stacked call runs.
+    *transpose* orders the axes of the row view with the step's axes first
+    (batch axes, then its targets in matrix order) and the other blocks
+    after them, the largest innermost, which gives the copies their longest
+    runs; *columns* is the count of those other values.  For a step that
+    pins nothing, ``layout[b]`` is the bit of a row index that bit ``b``
+    lands on when the products are left in that order (``None`` otherwise).
     """
+    plans = step[5]
+    plan = plans.get(size)
+    if plan is None:  # racing threads compute the same plan
+        plan = plans[size] = _compute_plan(step, size)
+    return plan
+
+
+def _compute_plan(step: tuple, size: int) -> tuple:
+    _, shape, pinned, order, blocks, _ = step
+    sizes = [1, -size // math.prod(shape), *shape[1:]]  # the view's axes, row axis first
+    kept = [dim for dim, index in zip(sizes, pinned) if isinstance(index, slice)] if pinned else sizes
+    front = (blocks.size // blocks.shape[-1]).bit_length()  # row axis + gate axes
+    transpose = order[:front] + tuple(sorted(order[front:], key=kept.__getitem__))
+    columns = math.prod(kept[axis] for axis in transpose[front:])
+    if pinned:
+        return transpose, columns, None
+    bits = [dim.bit_length() - 1 for dim in kept]
+    low = [0] * len(kept)  # the lowest row bit of each axis
+    for axis in range(len(kept) - 2, 0, -1):
+        low[axis] = low[axis + 1] + bits[axis + 1]
+    layout = [0] * (low[1] + bits[1])
+    moved = 0
+    for axis in reversed(transpose[1:]):
+        layout[low[axis] : low[axis] + bits[axis]] = range(moved, moved + bits[axis])
+        moved += bits[axis]
+    return transpose, columns, tuple(layout)
+
+
+def _run_product(states, step: tuple, plan: tuple, out=None) -> tuple:
+    """The products of *step* on every row of *states*, into *out* (a
+    contiguous array as large as *states*) or a scratch buffer.
+
+    The step's axes are copied to the front of scratch shaped ``(rows,
+    2^(b+k), columns)``, and :func:`_matmul` computes every row's stacked
+    products into the output.  Columns are padded with zeros to
+    :data:`_MIN_PRODUCT_COLUMNS`, so every row's product runs the same BLAS
+    kernels, whose columns round independently of the column count.
+    Returns the view of *states* in the products' order and the products.
+    """
+    _, shape, pinned, _, blocks, _ = step
+    transpose, columns, _ = plan
     count = states.shape[0]
-    view = states.reshape((count, *shape))[pinned]
-    dim = matrix.shape[0]
-    # the row axis and the gate's k axes lead; the columns' order is free,
-    # and the largest block innermost gives the copies their longest runs
-    front = dim.bit_length()
-    columns_order = sorted(order[front:], key=view.shape.__getitem__)
-    moved = view.transpose(order[:front] + tuple(columns_order))
-    columns = moved.size // (count * dim)
+    moved = states.reshape((count, *shape))[pinned].transpose(transpose)
+    stack = blocks.size // blocks.shape[-1]
     padded = max(columns, _MIN_PRODUCT_COLUMNS)
-    operand, result = scratch((count, dim, padded), 2)
+    if out is None:
+        operand, result = scratch((count, stack, padded), 2)
+    else:
+        (operand,) = scratch((count, stack, padded), 1)
+        result = out.reshape(count, stack, padded)
     if padded > columns:
         operand[:, :, columns:] = 0.0
-    # splitting axes of a strided view is a view: these copies write the scratch
+    # splitting axes of a strided view is a view: this copy writes the scratch
     np.copyto(operand[:, :, :columns].reshape(moved.shape), moved)
-    chunk = min(padded, max(_MIN_PRODUCT_COLUMNS, _MAX_PRODUCT_MACS // (dim * dim)))
-    chunked = (count, dim, padded // chunk, chunk)
-    np.matmul(
-        matrix,
-        operand.reshape(chunked).transpose(0, 2, 1, 3),
-        out=result.reshape(chunked).transpose(0, 2, 1, 3),
-    )
-    np.copyto(moved, result[:, :, :columns].reshape(moved.shape))
+    _matmul(blocks, operand, result)
+    return moved, result[:, :, :columns]
+
+
+def apply_product_unordered(states, step: tuple) -> Optional[tuple]:
+    """Run the ``product`` *step* on every row of the contiguous *states*,
+    leaving each row's products where they come out, the step's axes
+    first, instead of copying them back: the row is free once copied.
+
+    Returns ``layout``: bit ``b`` of a row index is now bit ``layout[b]``
+    (:func:`reorder_bits` puts it back).  A step that pins controls, or one
+    with fewer than :data:`_MIN_PRODUCT_COLUMNS` columns, runs in place
+    through :func:`apply_step` and returns ``None``.
+    """
+    plan = _product_plan(step, states.shape[1])
+    if plan[2] is None or plan[1] < _MIN_PRODUCT_COLUMNS:
+        apply_step(states, step)
+        return None
+    _run_product(states, step, plan, out=states)
+    return plan[2]
+
+
+def reorder_bits(states, sources: Sequence[int]) -> None:
+    """Permute the bits of every row index of the contiguous *states*
+    ``(rows, 2^w)`` in place: bit ``r`` is taken from bit ``sources[r]``.
+    One transposing copy into scratch and one contiguous copy back, so the
+    row's memory is reused."""
+    rows, width = states.shape[0], len(sources)
+    # the (rows, 2, ..., 2) view's axis width - b is bit b
+    axes = [0] + [width - sources[bit] for bit in reversed(range(width))]
+    bits = (rows,) + (2,) * width
+    (buffer,) = scratch(states.shape, 1)
+    np.copyto(buffer.reshape(bits), states.reshape(bits).transpose(axes))
+    np.copyto(states, buffer)
 
 
 def apply_step(states: np.ndarray, step: tuple) -> None:
@@ -708,7 +847,8 @@ def apply_step(states: np.ndarray, step: tuple) -> None:
     elif kind == "dense":
         _apply_dense_batched(states, step[1], step[2], step[3])
     elif kind == "product":
-        _apply_product_batched(states, step[1], step[2], step[3], step[4])
+        moved, result = _run_product(states, step, _product_plan(step, states.shape[1]))
+        np.copyto(moved, result.reshape(moved.shape))
     else:  # wide
         _, matrix, targets = step
         num_qubits = states.shape[1].bit_length() - 1

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from repro.qsim import QuantumCircuit, Statevector
-from repro.qsim import gates, kernels
+from repro.qsim import gates, kernels, shotbatch
 from repro.qsim.backends import get_backend
 from repro.qsim.exceptions import CircuitError, SimulationError
 from repro.qsim.instruction import ControlledGate, Gate, UnitaryGate
@@ -283,6 +283,66 @@ def test_product_rows_do_not_depend_on_the_batch(k):
         np.testing.assert_array_equal(batch, alone[:size])
 
 
+def block_diagonal_unitary(k: int, batch, controls, rng: np.random.Generator) -> np.ndarray:
+    """A ``k``-qubit unitary that mixes nothing across the values of its
+    qubits at the positions *batch* and *controls* (0 the most significant
+    bit of a matrix index): the identity unless every control reads 1, and
+    otherwise one random block on the other qubits per value of *batch*."""
+    rest = [p for p in range(k) if p not in batch and p not in controls]
+
+    def value(index, positions):
+        return sum(((index >> (k - 1 - p)) & 1) << i for i, p in enumerate(reversed(positions)))
+
+    blocks = [random_unitary(1 << len(rest), rng) for _ in range(1 << len(batch))]
+    matrix = np.zeros((1 << k, 1 << k), dtype=complex)
+    for row in range(1 << k):
+        for col in range(1 << k):
+            if value(row, batch + controls) != value(col, batch + controls):
+                continue
+            if value(row, controls) != (1 << len(controls)) - 1:
+                matrix[row, col] = float(row == col)
+            else:
+                matrix[row, col] = blocks[value(row, batch)][value(row, rest), value(col, rest)]
+    return matrix
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_block_diagonal_qubits_lower_to_stacked_blocks(k):
+    # a qubit the matrix only reads is pinned (identity block at 0) or a
+    # batch axis of stacked blocks; either way every output sums the same
+    # nonzero terms in the same order as the whole matrix's product
+    rng = np.random.default_rng(40 + k)
+    for split in range(1, k):
+        positions = [int(p) for p in rng.permutation(k)[:split]]
+        controls = positions[: int(rng.integers(0, split + 1))]
+        batch = positions[len(controls):]
+        matrix = block_diagonal_unitary(k, batch, controls, rng)
+        dim = 1 << (k - split)
+        for columns_log in (0, 1, 2, 12):
+            n = k + columns_log
+            targets = tuple(int(q) for q in rng.permutation(n)[:k])
+            step = kernels.lower(matrix, targets)
+            assert step[0] == "product"
+            assert step[4].shape == ((1 << len(batch), dim, dim) if batch else (dim, dim))
+            assert sum(not isinstance(index, slice) for index in step[2]) == len(controls)
+            whole = kernels._product_step(matrix, targets, (), ())
+            count = shotbatch.default_batch_size(n, 64)
+            rows = np.stack([random_amplitudes(n, rng) for _ in range(max(7, count))])
+            alone = rows.copy()
+            for row in alone:
+                kernels.apply_step(row, whole)
+            for size in (1, 7, count):
+                batched = rows[:size].copy()
+                kernels.apply_step(batched, step)
+                np.testing.assert_array_equal(batched, alone[:size])
+                # the same products left in the step's own axis order
+                unordered = rows[:size].copy()
+                layout = kernels.apply_product_unordered(unordered, step)
+                if layout is not None:
+                    kernels.reorder_bits(unordered, layout)
+                np.testing.assert_array_equal(unordered, alone[:size])
+
+
 def test_diagonal_unitary_gate_lowers_to_a_diagonal_step():
     rng = np.random.default_rng(12)
     phases = np.exp(1j * rng.uniform(0, 2 * np.pi, 4))
@@ -332,6 +392,27 @@ def test_dense_apply_in_order_path_is_bit_identical(num_qubits):
                 kernels.dense_apply(state, num_qubits, matrix, targets),
                 moveaxis_apply(state, num_qubits, matrix, targets),
             )
+
+
+@pytest.mark.parametrize("shape", ["wide", "kraus1", "kraus2"])
+def test_dense_apply_chunks_keep_the_bits_of_one_product(shape):
+    # dense_apply cuts its BLAS calls into column chunks; a wide step's
+    # 7-qubit unitary and a density matrix's Kraus superoperators on the
+    # 2n-qubit vector of rho give the bits of one unchunked product
+    rng = np.random.default_rng(len(shape))
+    if shape == "wide":
+        n = 13
+        targets = [int(q) for q in rng.permutation(n)[:7]]
+    else:
+        rho_qubits = 8
+        n = 2 * rho_qubits
+        qubits = [int(q) for q in rng.permutation(rho_qubits)[: int(shape[-1])]]
+        targets = [q + rho_qubits for q in qubits] + qubits
+    matrix = random_unitary(1 << len(targets), rng)
+    state = random_amplitudes(n, rng)
+    np.testing.assert_array_equal(
+        kernels.dense_apply(state, n, matrix, targets), moveaxis_apply(state, n, matrix, targets)
+    )
 
 
 def test_wide_controlled_gate_never_builds_its_matrix(monkeypatch):
