@@ -410,7 +410,7 @@ class StatevectorSession:
 
     A qubit stays a plain **basis bit** until an instruction needs it in
     superposition; the one-row :class:`_AmplitudeRows` holds only the qubits
-    that have left the basis, in ascending global order.  ``allocate(k)``
+    that have left the basis, each on its own axis (``_axis``).  ``allocate(k)``
     appends *k* bits at 0 (the highest indices), refusing a state over the
     memory budget by its full width.  ``apply`` runs one instruction:
 
@@ -426,12 +426,20 @@ class StatevectorSession:
       row (one new axis, an exact copy), and a gate lowered to a ``wide``
       step (BLAS, whose rounding depends on the operand shape) adds every bit.
 
+    A ``product`` step leaves its result in the row in the order it comes
+    out, the gate's axes first (:func:`~repro.qsim.kernels.apply_product_unordered`),
+    with no copy back: ``_axis`` is any one-to-one map from the row's qubits
+    to its axes, and the row goes back to ascending qubit order (one
+    transposing copy, :meth:`_ascending`) only before something reads it:
+    ``measure``, ``probabilities``, ``state``, ``initialize`` and ``wide``
+    steps, so every probability is summed in one order.
+
     Every step kernel computes an amplitude from its own inputs alone
     (elementwise, or one column of a product, whose bits do not depend on
-    the column count), and a restriction drops only terms whose input
-    amplitude is zero (a ``product`` gate's restriction runs as a product
-    too), so the amplitudes are bit-identical to a session that holds every
-    qubit in the row (one built from *state*).
+    the column count or order), and a restriction drops only terms whose
+    input amplitude is zero (a ``product`` gate's restriction runs as a
+    product too), so the amplitudes are bit-identical to a session that
+    holds every qubit in the row (one built from *state*).
     :meth:`apply_classical` runs a whole basis-to-basis circuit on bits as
     its classical function, exactly where its gates would round.  Under a
     Pauli *noise_model* every gate draws one error per touched qubit, from
@@ -458,6 +466,8 @@ class StatevectorSession:
         self.num_qubits = start.num_qubits
         #: qubit -> its axis in the row (its bit in a row index), -1 for a bit
         self._axis = list(range(self.num_qubits))
+        #: whether a product may have left the axes out of ascending order
+        self._permuted = False
         #: the basis bits' values, bit ``q`` for qubit ``q``, and their count
         self._bits = 0
         self._num_bits = 0
@@ -466,6 +476,7 @@ class StatevectorSession:
     def state(self) -> Statevector:
         """The live state over every qubit, normalised (a view of the row
         while no qubit is a bit and its tracked norm is 1)."""
+        self._ascending()
         state = self._row_state()
         if self._num_bits:
             full = np.zeros(1 << self.num_qubits, dtype=complex)
@@ -497,22 +508,41 @@ class StatevectorSession:
         self.num_qubits = total
 
     def _enter(self, qubits) -> None:
-        """Add the bits among *qubits* to the row."""
+        """Add the bits among *qubits* to the row, each on a new axis just
+        above the axes of the row's qubits below it: a row in ascending
+        order stays in ascending order."""
         for qubit in sorted(set(qubits)):
             if self._axis[qubit] >= 0:
                 continue
             axis = sum(1 for other in self._axis[:qubit] if other >= 0)
             value = (self._bits >> qubit) & 1
             self._rows.states = _insert_axis(self._rows.states, axis, value)
-            self._axis[qubit + 1 :] = [a + 1 if a >= 0 else a for a in self._axis[qubit + 1 :]]
+            self._axis[:] = [a + 1 if a >= axis else a for a in self._axis]
             self._axis[qubit] = axis
             self._bits &= ~(1 << qubit)
             self._num_bits -= 1
 
+    def _ascending(self) -> None:
+        """Put the row's axes back in ascending qubit order, if a product
+        left them out of it: one transposing copy."""
+        if not self._permuted:
+            return
+        self._permuted = False
+        live = [axis for axis in self._axis if axis >= 0]  # in qubit order
+        if live == list(range(len(live))):
+            return
+        kernels.reorder_bits(self._rows.states, live)
+        rank = 0
+        for qubit, axis in enumerate(self._axis):
+            if axis >= 0:
+                self._axis[qubit] = rank
+                rank += 1
+
     def _leave(self, collapsed: Dict[int, int]) -> None:
         """Make the collapsed row qubits bits again: *collapsed* maps each
         to the value it reads, and the row keeps only the slice where they
-        all read those values (the rest is zero)."""
+        all read those values (the rest is zero).  The row is in ascending
+        order (:meth:`measure` put it there)."""
         width = self.num_qubits - self._num_bits
         rows = self._rows.states.shape[0]
         # the (rows, 2, ..., 2) view's dimension width - a is the row's axis a
@@ -541,6 +571,7 @@ class StatevectorSession:
             return
         if isinstance(instruction, Initialize):
             self._enter(qubits)
+            self._ascending()
             axes = tuple(self._axis[q] for q in qubits)
             self._rows.apply(("initialize", instruction, axes))
             return
@@ -548,14 +579,31 @@ class StatevectorSession:
             raise SimulationError(f"cannot simulate instruction {instruction.name!r}")
         if self._num_bits:
             self._apply_on_bits(instruction, qubits)
-        else:
-            self._rows.apply(kernels.lower(instruction, qubits))
+        else:  # every qubit is in the row, qubit q on axis q unless permuted
+            axes = qubits
+            if self._permuted:  # a wide step reads the row in ascending order
+                if _lowers_wide(instruction):
+                    self._ascending()
+                else:
+                    axes = tuple(self._axis[q] for q in qubits)
+            self._run(kernels.lower(instruction, axes))
         for qubit in qubits if self._intervals else ():
             draw = self.rng.random()
             for pauli, lo, hi in self._intervals:
                 if lo <= draw < hi:
                     self._pauli(pauli, qubit)
                     break
+
+    def _run(self, step: tuple) -> None:
+        """Run a gate step on the row; a product leaves its result in its
+        own axis order, which ``_axis`` follows."""
+        if step[0] != "product":
+            self._rows.apply(step)
+            return
+        layout = kernels.apply_product_unordered(self._rows.states, step)
+        if layout is not None:
+            self._axis[:] = [layout[axis] if axis >= 0 else axis for axis in self._axis]
+            self._permuted = True
 
     def _apply_on_bits(self, gate, qubits: tuple) -> None:
         """Apply the unitary *gate* while some qubits of the session are bits.
@@ -568,6 +616,7 @@ class StatevectorSession:
         """
         if _lowers_wide(gate):
             self._enter(range(self.num_qubits))
+            self._ascending()
             self._rows.apply(kernels.lower(gate, qubits))
             return
         axis, bits = self._axis, self._bits
@@ -597,13 +646,13 @@ class StatevectorSession:
                     return
                 product = product or dense
                 if rest or product:
-                    self._rows.apply(kernels.lower(matrix, rest, product=product))
+                    self._run(kernels.lower(matrix, rest, product=product))
                 else:  # a phase on the whole state
                     self._rows.states *= matrix[0, 0]
                 return
         if positions:
             self._enter(qubits)
-        self._rows.apply(kernels.lower(gate, [axis[q] for q in qubits], product=product))
+        self._run(kernels.lower(gate, [axis[q] for q in qubits], product=product))
 
     def apply_classical(self, function: Callable[[int], int], qubits: Sequence[int]) -> bool:
         """Run a circuit that maps each basis input ``|x>`` to ``|function(x)>``
@@ -640,6 +689,7 @@ class StatevectorSession:
             self._bits ^= 1 << qubit
 
     def measure(self, qubits: Sequence[int]) -> int:
+        self._ascending()
         outcome = 0
         collapsed: Dict[int, int] = {}
         for position, qubit in enumerate(qubits):
@@ -661,6 +711,7 @@ class StatevectorSession:
         """The marginal over *qubits* (little-endian), reduced over the row
         alone: a bit's value is certain, so the full ``2^n`` vector is never
         built."""
+        self._ascending()
         if not self._num_bits:
             return self._row_state().probabilities(qubits)
         live = [(i, self._axis[q]) for i, q in enumerate(qubits) if self._axis[q] >= 0]

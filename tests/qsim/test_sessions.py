@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from repro.lang.compiler import run_source
 from repro.lang.stdlib import get_program
 from repro.qsim.analysis import DEFAULT_MEMORY_BUDGET_BYTES
+from repro.qsim import kernels
 from repro.qsim.backends import build_noisy_backend, get_backend
 from repro.qsim.circuit import QuantumCircuit
 from repro.qsim.density import DensityMatrixSimulator
@@ -350,9 +351,13 @@ BIT_GATES = {
 
 
 #: name -> qubits of a random unitary drawn from the parameters: dense, or
-#: structured in its first qubit so that a bit there restricts it (controlled
-#: on it, or block diagonal in it)
-UNITARIES = {"unitary2": 2, "unitary3": 3, "unitary4": 4, "cunitary3": 3, "bunitary2": 2}
+#: structured so that a bit there restricts it and a product stacks its
+#: blocks: controlled on its first qubit, or block diagonal in its first
+#: qubit (its first two for ``bunitary4``)
+UNITARIES = {
+    "unitary2": 2, "unitary3": 3, "unitary4": 4, "cunitary3": 3, "bunitary2": 2,
+    "bunitary3": 3, "bunitary4": 4,
+}
 
 
 def _unitary(name, params):
@@ -362,12 +367,14 @@ def _unitary(name, params):
         z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         return np.linalg.qr(z)[0]
 
-    half = 1 << (UNITARIES[name] - 1)
+    dim = 1 << UNITARIES[name]
     if name.startswith("unitary"):
-        return UnitaryGate(draw(2 * half))
-    matrix = np.zeros((2 * half, 2 * half), dtype=complex)
-    matrix[:half, :half] = np.eye(half) if name.startswith("c") else draw(half)
-    matrix[half:, half:] = draw(half)
+        return UnitaryGate(draw(dim))
+    size = dim // (4 if name == "bunitary4" else 2)
+    matrix = np.zeros((dim, dim), dtype=complex)
+    for start in range(0, dim, size):
+        block = np.eye(size) if name.startswith("c") and not start else draw(size)
+        matrix[start : start + size, start : start + size] = block
     return UnitaryGate(matrix)
 
 
@@ -584,6 +591,99 @@ class TestBasisBits:
         assert set(counts) == {0b001, 0b011} and sum(counts.values()) == 400
         assert session.measure([7, 19]) == 0b10
         assert session._rows.states.size == 2  # only qubit 4 is in the row
+
+
+class TestRowLayout:
+    """A product leaves the row in its own axis order, with no copy back;
+    whatever reads the row first puts it back in ascending qubit order, so
+    every reading is bit-equal to a session that runs each product in place
+    and to one holding every qubit in the row."""
+
+    @staticmethod
+    def _in_place(states, step):
+        kernels.apply_step(states, step)
+
+    @staticmethod
+    def _products(session):
+        # qubit 0 stays a bit at 1 and qubit 6 a bit at 0
+        session.apply(Gate("x", 1), [0])
+        for qubit in (1, 2, 3, 4, 5, 7):
+            session.apply(Gate("u3", 1, [0.3 * qubit, 1.1, -0.4]), [qubit])
+        session.apply(_unitary("unitary3", [0.3, 0.1, 0.9]), [5, 2, 7])
+        session.apply(_unitary("bunitary3", [0.2, 0.5, 0.4]), [1, 4, 3])
+        session.apply(Gate("crx", 2, [0.7]), [3, 1])  # pinned: in place
+        session.apply(_unitary("unitary2", [0.8, 0.6, 0.1]), [7, 1])
+        session.apply(_unitary("cunitary3", [0.4, 0.9, 0.2]), [0, 4, 2])
+
+    @staticmethod
+    def _read(session, read):
+        if read == "probabilities":
+            return session.probabilities([6, 2, 0, 5])
+        if read == "measure":
+            return session.measure([2, 6, 7]), session.state.data
+        if read == "initialize":
+            session.apply(Initialize(np.array([0.6, 0.8j])), [6])
+        elif read == "pauli":
+            session._pauli("Y", 2)  # a row qubit
+            session._pauli("X", 6)  # a bit
+        if read != "state":  # another product on the restored row
+            session.apply(_unitary("unitary2", [0.5, 0.2, 0.3]), [6, 3])
+        return session.state.data
+
+    @pytest.mark.parametrize("read", ["probabilities", "measure", "state", "initialize", "pauli"])
+    def test_a_permuted_row_reads_as_an_ordered_row(self, read, monkeypatch):
+        readings = []
+        sessions = []
+        for start, in_place in ((None, False), (None, True), (Statevector.zero_state(8), False)):
+            session = StatevectorSimulator(seed=4).session(start)
+            if start is None:
+                session.allocate(8)
+            with monkeypatch.context() as patch:
+                if in_place:
+                    patch.setattr(kernels, "apply_product_unordered", self._in_place)
+                self._products(session)
+                if not in_place:
+                    live = [axis for axis in session._axis if axis >= 0]
+                    assert session._permuted and live != sorted(live)
+                readings.append(self._read(session, read))
+            sessions.append(session)
+        permuted, in_place, full = readings
+        if read == "measure":  # the full row collapses with more zeros in its sums
+            assert permuted[0] == in_place[0] == full[0]
+            np.testing.assert_array_equal(permuted[1], in_place[1])
+            np.testing.assert_allclose(permuted[1], full[1], atol=1e-12, rtol=0)
+        else:
+            np.testing.assert_array_equal(permuted, in_place)
+            np.testing.assert_array_equal(permuted, full)
+        assert sessions[0]._num_bits > 0
+
+    def test_a_session_that_runs_no_product_never_transposes(self, monkeypatch):
+        calls = []
+        reorder = kernels.reorder_bits
+        monkeypatch.setattr(
+            kernels, "reorder_bits", lambda *args: calls.append(args) or reorder(*args)
+        )
+        session = StatevectorSimulator(seed=2).session()
+        session.allocate(8)
+        for qubit in range(1, 8):
+            session.apply(Gate("h", 1), [qubit])
+        for name, params, qubits in (
+            ("cx", [], [1, 3]), ("ccx", [], [1, 3, 5]), ("rz", [0.4], [3]), ("t", [], [5]),
+            ("swap", [], [2, 6]), ("cp", [0.9], [7, 2]), ("u3", [0.1, 0.2, 0.3], [4]),
+        ):
+            session.apply(Gate(name, len(qubits), params), qubits)
+        session.probabilities([0, 3])
+        session.sample([2, 5], 10)
+        session.measure([1])
+        session.apply(Initialize(np.array([0.6, 0.8])), [0])
+        assert session.state.num_qubits == 8
+        assert not calls and not session._permuted
+        # a product on a row with 4 or more columns leaves it permuted, and
+        # the next reading puts it back
+        session.apply(_unitary("unitary2", [0.1, 0.2, 0.3]), [2, 6])
+        assert session._permuted
+        session.probabilities([2])
+        assert len(calls) == 1 and not session._permuted
 
 
 class TestNoisyBasisBits:
