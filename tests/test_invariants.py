@@ -103,6 +103,23 @@ class TestOneAxisLayout:
         assert [f.code for f in findings] == ["INV201"]
 
 
+    @pytest.mark.parametrize(
+        "call",
+        ["np.transpose(psi, (1, 0))", "np.swapaxes(psi, 0, 1)", "psi.transpose(1, 0)",
+         "psi.reshape(2, 2).swapaxes(0, 1)"],
+    )
+    def test_transpose_and_swapaxes_flagged_elsewhere(self, tmp_path, call):
+        source = f"import numpy as np\npsi = {call}\n"
+        findings = check_source(tmp_path, source, rel="repro/qsim/shotbatch.py")
+        assert [(f.code, f.line) for f in findings] == [("INV201", 2)]
+        assert check_source(tmp_path, source, rel="repro/qsim/kernels.py") == []
+
+    def test_transpose_import_flagged_elsewhere(self, tmp_path):
+        source = "from numpy import swapaxes, transpose\n"
+        findings = check_source(tmp_path, source, rel="repro/qsim/density.py")
+        assert [f.code for f in findings] == ["INV201", "INV201"]
+
+
 class TestTreeAndCli:
     def test_repo_source_tree_is_clean(self):
         findings = checker.check_tree(REPO_ROOT / "src")

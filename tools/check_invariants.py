@@ -9,9 +9,10 @@ from an explicitly threaded ``numpy.random.Generator`` -- never the stdlib
 API, and never an argument-less ``np.random.default_rng()`` (OS-entropy
 seeding) unless the line opts out.
 
-**One axis layout** (``INV201``): ``np.moveaxis`` -- placing qubits on
-tensor axes -- appears only in ``src/repro/qsim/kernels.py``, so no engine,
-fusion pass or marginal keeps its own copy of that mapping.
+**One axis layout** (``INV201``): ``np.moveaxis``, ``np.transpose`` and
+``np.swapaxes`` (and the ``transpose``/``swapaxes`` array methods) -- placing
+qubits on tensor axes -- appear only in ``src/repro/qsim/kernels.py``, so no
+engine, session, fusion pass or marginal keeps its own copy of that mapping.
 
 A finding on a deliberate line is silenced by appending the marker comment::
 
@@ -44,6 +45,11 @@ ALLOWED_NP_RANDOM = frozenset(
 
 #: the one module that maps qubits to tensor axes (``INV201``)
 AXIS_HOME = "src/repro/qsim/kernels.py"
+
+#: what moves tensor axes (``INV201``): the numpy functions, and the array
+#: methods of the same names
+AXIS_FUNCTIONS = frozenset({"moveaxis", "transpose", "swapaxes"})
+AXIS_METHODS = frozenset({"transpose", "swapaxes"})
 
 
 class Finding(NamedTuple):
@@ -102,19 +108,21 @@ class _Checker(ast.NodeVisitor):
                 "stdlib 'random' is banned in library code; thread a seeded "
                 "numpy Generator instead",
             )
-        if node.module == "numpy" and any(alias.name == "moveaxis" for alias in node.names):
-            self._moveaxis(node)
+        if node.module == "numpy":
+            for alias in node.names:
+                if alias.name in AXIS_FUNCTIONS:
+                    self._moves_axes(node, alias.name)
         self.generic_visit(node)
 
     # -- the qubit-to-axis mapping ---------------------------------------------
 
-    def _moveaxis(self, node: ast.AST) -> None:
+    def _moves_axes(self, node: ast.AST, name: str) -> None:
         if self.path != AXIS_HOME:
             self._emit(
                 node,
                 "INV201",
-                f"np.moveaxis outside {AXIS_HOME}; map qubits to axes through "
-                "repro.qsim.kernels (dense_apply, marginal, place)",
+                f"{name} outside {AXIS_HOME}; map qubits to axes through "
+                "repro.qsim.kernels (dense_apply, marginal, place, reorder_bits)",
             )
 
     # -- the legacy global np.random API ---------------------------------------
@@ -128,8 +136,8 @@ class _Checker(ast.NodeVisitor):
         return isinstance(node, ast.Name) and node.id in self.numpy_aliases
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
-        if self._is_numpy_attr(node, ["moveaxis"]):
-            self._moveaxis(node)
+        if node.attr in AXIS_METHODS or self._is_numpy_attr(node, ["moveaxis"]):
+            self._moves_axes(node, node.attr)
         if self._is_numpy_attr(node, ["random", node.attr]):
             if node.attr not in ALLOWED_NP_RANDOM:
                 self._emit(
