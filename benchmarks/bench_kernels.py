@@ -2,7 +2,7 @@
 """Microbenchmark: specialized gate kernels + fusion vs the generic path.
 
 Builds a random circuit of 1- and 2-qubit gates (the shapes dominating the
-Grover / arithmetic / Fig. 6 workloads) and times three execution strategies
+Grover / arithmetic / Fig. 6 workloads) and times four execution strategies
 over the same statevector evolution:
 
 * ``generic`` -- every gate through :func:`repro.qsim.kernels.dense_apply`
@@ -11,8 +11,13 @@ over the same statevector evolution:
 * ``kernels`` -- every gate through :func:`repro.qsim.kernels.apply_gate`,
   the one entry point of the step kernels every dense engine shares,
 * ``fused``   -- gate fusion (:mod:`repro.qsim.fusion`) first, then the
-  step kernels (this is what ``StatevectorSimulator`` does by default);
-  the reported time includes the fusion pass itself.
+  step kernels through ``apply_gate``, each product copied back into the
+  state's ascending qubit order; the reported time includes the fusion
+  pass itself.
+* ``session`` -- ``StatevectorSimulator().evolve``, what the engine runs:
+  the same fusion (at the engine's own budget of 4 qubits), then the
+  statevector session, which leaves each product's result in its own axis
+  order and puts the row back in ascending order once, at the end.
 
 Every strategy's final statevector is checked against the generic path to
 1e-10 before any timing is reported.  The acceptance target for this repo is
@@ -138,6 +143,10 @@ def run_kernels(circuit: QuantumCircuit) -> Statevector:
 
 def run_fused(circuit: QuantumCircuit, max_fused_qubits: int) -> Statevector:
     return run_kernels(fuse_gates(circuit, max_fused_qubits))
+
+
+def run_session(circuit: QuantumCircuit) -> Statevector:
+    return StatevectorSimulator().evolve(circuit)
 
 
 # ---------------------------------------------------------------------------
@@ -445,19 +454,25 @@ def main(argv: List[str] | None = None) -> int:
     for label, state in (
         ("kernels", run_kernels(circuit)),
         ("fused", run_fused(circuit, args.max_fused_qubits)),
+        ("session", run_session(circuit)),
     ):
         error = float(np.abs(state.data - reference.data).max())
         if error > ATOL:
             print(f"FAIL: {label} path deviates from generic path by {error:.3e}")
             return 1
 
-    t_generic, t_kernels, t_fused = _time_interleaved(
+    t_generic, t_kernels, t_fused, t_session = _time_interleaved(
         [
             lambda: run_generic(circuit),
             lambda: run_kernels(circuit),
             lambda: run_fused(circuit, args.max_fused_qubits),
+            lambda: run_session(circuit),
         ],
         args.repeats,
+    )
+    strategies = (
+        ("generic", t_generic), ("kernels", t_kernels), ("fused", t_fused),
+        ("session", t_session),
     )
 
     print(f"random circuit: {args.qubits} qubits, {args.gates} gates "
@@ -465,7 +480,7 @@ def main(argv: List[str] | None = None) -> int:
     print(f"fusion: {summary['before']} -> {summary['after']} instructions "
           f"(budget {args.max_fused_qubits} qubits)")
     print(f"{'strategy':<10} {'time (ms)':>10} {'speedup':>9}")
-    for label, elapsed in (("generic", t_generic), ("kernels", t_kernels), ("fused", t_fused)):
+    for label, elapsed in strategies:
         print(f"{label:<10} {elapsed * 1000.0:>10.2f} {t_generic / elapsed:>8.2f}x")
 
     # acceptance target: the engine's fast path (kernels + fusion, what
@@ -542,8 +557,7 @@ def main(argv: List[str] | None = None) -> int:
         [
             {"strategy": label, "time_ms": elapsed * 1000.0,
              "speedup": t_generic / elapsed}
-            for label, elapsed in
-            (("generic", t_generic), ("kernels", t_kernels), ("fused", t_fused))
+            for label, elapsed in strategies
         ],
         fusion=summary,
         noisy_shots=noisy_results,

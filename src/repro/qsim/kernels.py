@@ -733,7 +733,8 @@ _MAX_PRODUCT_MACS = 1 << 15
 
 def _product_plan(step: tuple, size: int) -> tuple:
     """How the ``product`` *step* runs on rows of *size* amplitudes,
-    memoised in the step: ``(transpose, columns, layout)``.
+    memoised in its *plans*, which every step on the same qubits shares:
+    ``(transpose, columns, layout)``.
 
     *transpose* orders the axes of the row view with the step's axes first
     (batch axes, then its targets in matrix order) and the other blocks
