@@ -424,9 +424,9 @@ def _split_blocks(matrix: np.ndarray, targets: tuple) -> Tuple[tuple, tuple, tup
     """Split off the qubits of *targets* in which *matrix*, which is not
     monomial, mixes nothing across their two values (it only reads them);
     a matrix that reads every qubit is diagonal, so at least a ``2 x 2``
-    block remains.  A qubit whose block at 0 is the identity is a control, pinned to
-    1: ``ch``, ``crx``, ``cu`` blocks run on half the state.  Any other is a
-    batch axis: its two blocks are stacked, and each runs on its half.
+    block remains.  A qubit whose block at 0 is the identity is a control,
+    pinned to 1: ``ch``, ``crx``, ``cu`` blocks run on half the state.  Any
+    other is a batch axis: its two blocks are stacked, each on its half.
 
     Returns ``(controls, batch, targets, blocks)``: the other *targets* and
     the blocks *matrix* applies where every control reads 1, one ``d x d``
