@@ -38,7 +38,9 @@ import math
 import os
 import re
 from collections import deque
-from typing import Callable, Deque, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable, Deque, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union,
+)
 
 from .circuit import CircuitInstruction, QuantumCircuit, SourceSpan
 from .exceptions import CircuitError, QasmError
@@ -253,6 +255,8 @@ _TOKEN_RE = re.compile(
     (?P<ws>[ \t\r]+)
   | (?P<comment>//[^\n]*)
   | (?P<newline>\n)
+  | (?P<blockcomment>/\*[^*]*\*+(?:[^/*][^*]*\*+)*/)
+  | (?P<opencomment>/\*)
   | (?P<real>(\d+\.\d*|\.\d+)([eE][+-]?\d+)?|\d+[eE][+-]?\d+)
   | (?P<int>\d+)
   | (?P<id>[A-Za-z_][A-Za-z0-9_]*)
@@ -263,29 +267,38 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-#: blanks and comments before a statement
+#: blanks and comments before a statement; OpenQASM 3 adds ``/* ... */``
 _BLANK_RE = re.compile(r"(?:[ \t\r\n]+|//[^\n]*)*")
+_BLANK3_RE = re.compile(r"(?:[ \t\r\n]+|//[^\n]*|/\*[^*]*\*+(?:[^/*][^*]*\*+)*/)*")
+_BLOCK_COMMENT_ERROR = "block comments are OpenQASM 3 only (use '//' in OpenQASM 2.0)"
 
-#: the dominant statement, on one line without comments:
-#: ``[if (c == n)] name[(params)] arg, ...;`` or ``[if (c == n)] measure arg -> arg;``
-#: with ``arg`` either ``reg`` or ``reg[i]``; params may nest one level of parentheses
-_ARG = r"[A-Za-z_][A-Za-z0-9_]*(?:[ \t]*\[[ \t]*[0-9]{1,9}[ \t]*\])?"
+# The statement reader: one regex match per statement, on one line without
+# comments.  The first word picks the form; each pattern below is matched
+# from the end of that word (``_ASSIGNMENT_RE`` from its start).  An ``arg``
+# is ``reg`` or ``reg[i]``; params may nest one level of parentheses.
+_ID = r"[A-Za-z_][A-Za-z0-9_]*"
+_ARG = rf"{_ID}(?:[ \t]*\[[ \t]*[0-9]{{1,9}}[ \t]*\])?"
+_ARGS = rf"{_ARG}(?:[ \t]*,[ \t]*{_ARG})*"
 _TEXT = r"[^()\n;/]*(?:/(?!/)[^()\n;/]*)*"    # no parentheses, comment, newline or ';'
-_PLAIN_STATEMENT_RE = re.compile(
-    rf"""
-    (?:if[ \t]*\([ \t]*(?P<creg>[A-Za-z_][A-Za-z0-9_]*)[ \t]*
-       ==[ \t]*(?P<value>[0-9]{{1,18}})[ \t]*\)[ \t]*)?
-    (?:
-        (?P<measure>measure)[ \t]+(?P<source>{_ARG})[ \t]*->[ \t]*(?P<target>{_ARG})
-      | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
-        (?:[ \t]*\((?P<params>{_TEXT}(?:\({_TEXT}\){_TEXT})*)\)[ \t]*|[ \t]+)
-        (?P<args>{_ARG}(?:[ \t]*,[ \t]*{_ARG})*)
-    )
-    [ \t]*;
-    """,
-    re.VERBOSE,
+_SIZE = r"[ \t]*\[[ \t]*(?P<size>[0-9]{1,9})[ \t]*\][ \t]*"
+_WORD_RE = re.compile(_ID)
+_HEADER_RE = re.compile(r"OPENQASM[ \t]+(?P<version>2\.0|3(?:\.0)?)[ \t]*;")
+_INCLUDE_RE = re.compile(r'[ \t]*(?P<file>"[^"\n]*")[ \t]*;')
+_REG_RE = re.compile(rf"[ \t]*(?P<name>{_ID}){_SIZE};")              # qreg / creg
+_QUBIT_RE = re.compile(rf"(?:{_SIZE}|[ \t]+)(?P<name>{_ID})[ \t]*;")    # qubit / bit
+_CALL_RE = re.compile(
+    rf"(?:[ \t]*\((?P<params>{_TEXT}(?:\({_TEXT}\){_TEXT})*)\)[ \t]*|[ \t]+)(?P<args>{_ARGS})[ \t]*;"
+)
+_MEASURE_RE = re.compile(rf"[ \t]+(?P<source>{_ARG})[ \t]*->[ \t]*(?P<target>{_ARG})[ \t]*;")
+_ASSIGNMENT_RE = re.compile(rf"(?P<target>{_ARG})[ \t]*=[ \t]*measure[ \t]+(?P<source>{_ARG})[ \t]*;")
+_OPERANDS_RE = re.compile(rf"[ \t]*(?P<args>{_ARGS})[ \t]*;")         # reset / barrier
+_CTRL_RE = re.compile(r"[ \t]*@[ \t]*(?P<more>(?:ctrl[ \t]*@[ \t]*)*)")
+_CONDITION_RE = re.compile(
+    rf"[ \t]*\([ \t]*(?P<creg>{_ID})[ \t]*==[ \t]*(?P<value>[0-9]{{1,18}})[ \t]*\)"
 )
 _ARG_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)(?:[ \t]*\[[ \t]*([0-9]+)[ \t]*\])?")
+
+
 def _digits(text: str) -> Optional[int]:
     """A run of decimal digits as an int, or None past Python's limit on
     int-string conversion (4300 digits by default)."""
@@ -299,6 +312,13 @@ def _digits(text: str) -> Optional[int]:
 _LITERAL_RE = re.compile(
     r"[ \t]*[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?[ \t]*"
 )
+
+#: parameter text -> its value (None if it does not evaluate), shared by
+#: every parse: a constant expression's value depends on its text alone.
+#: Filled up to the bound, then only read; texts holding ``/*`` are never
+#: stored, since whether that opens a comment depends on the dialect
+_PARAM_MEMO: Dict[str, Optional[float]] = {}
+_PARAM_MEMO_SIZE = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +503,11 @@ class _QasmParser:
         self._end = len(source)
         self._line, self._line_start = 1, 0
         self._buffer: Deque[_Token] = deque()
-        self._resolved: Dict[Tuple[str, bool], List[List]] = {}
+        #: operand list text -> its bits per operand, and one operand's text
+        #: -> its bits; one pair of memos for qubits, one for clbits
+        self._resolved: Tuple[Tuple[Dict[str, List[List]], Dict[str, List]], ...] = (
+            ({}, {}), ({}, {})
+        )
         self._filename = filename
         self.circuit = QuantumCircuit(name=name)
         self._qregs: Dict[str, QuantumRegister] = {}
@@ -495,10 +519,16 @@ class _QasmParser:
         self._included_qelib1 = False
         self._expr_depth = 0
         self._expanded_ops = 0
-        self._version = 2
+        self._set_version(2)
         #: the ``(creg, value)`` condition of the enclosing ``if``, stamped
         #: onto every instruction appended while it is set
         self._condition: Optional[Tuple[ClassicalRegister, int]] = None
+
+    def _set_version(self, version: int) -> None:
+        """Select the dialect: its blank rule and its statement readers."""
+        self._version = version
+        self._blank = _BLANK3_RE if version >= 3 else _BLANK_RE
+        self._readers, self._conditioned = _READERS[version >= 3]
 
     # -- token plumbing -----------------------------------------------------
 
@@ -539,6 +569,15 @@ class _QasmParser:
                 append(_Token(text, text, self._line, column))
                 if text in (";", "{", "}"):
                     return
+            elif kind in ("blockcomment", "opencomment"):
+                if self._version < 3:
+                    raise QasmError(_BLOCK_COMMENT_ERROR, self._line, column)
+                if kind == "opencomment":
+                    raise QasmError("unterminated block comment", self._line, column)
+                newlines = source.count("\n", pos, self._offset)
+                if newlines:
+                    self._line += newlines
+                    self._line_start = source.rindex("\n", pos, self._offset) + 1
         append(_Token("eof", None, self._line, end - self._line_start + 1))
 
     def _peek(self, ahead: int = 0) -> _Token:
@@ -595,102 +634,239 @@ class _QasmParser:
     # -- program ------------------------------------------------------------
 
     def parse(self) -> QuantumCircuit:
-        self._parse_header()
-        source = self._source
+        start = self._skip_blank(0)
+        comment = None
+        if self._source.startswith("/*", start):
+            # a block comment before the header is legal if the header says 3
+            comment = self._loc(start)
+            start = self._skip_blank(start, _BLANK3_RE)
+        if not self._read_header(start):
+            self._offset = start
+            self._parse_header()
+        if comment is not None and self._version < 3:
+            raise QasmError(_BLOCK_COMMENT_ERROR, *comment)
+        source, end = self._source, self._end
         while True:
-            start = _BLANK_RE.match(source, self._offset).end()
-            newlines = source.count("\n", self._offset, start)
+            pos = self._offset
+            start = self._blank.match(source, pos).end()    # _skip_blank, inlined
+            if start == end:
+                return self.circuit
+            newlines = source.count("\n", pos, start)
             if newlines:
                 self._line += newlines
-                self._line_start = source.rindex("\n", self._offset, start) + 1
-            self._offset = start
-            if start == self._end:
-                return self.circuit
-            match = _PLAIN_STATEMENT_RE.match(source, start)
-            if match is None or not self._parse_plain(match):
-                self._offset = start
+                self._line_start = source.rindex("\n", pos, start) + 1
+            line, line_start = self._line, self._line_start
+            if not self._read(start, self._readers):
+                self._offset, self._line, self._line_start = start, line, line_start
                 self._parse_statement()
 
-    # -- plain statements ---------------------------------------------------
-    #
-    # A statement matching _PLAIN_STATEMENT_RE is read from the match and
-    # appended through the emit tail the full parser ends in, so the checks
-    # there (arity, broadcast, duplicate qubits) raise the same errors on
-    # both paths.  Anything else the match cannot settle -- an unknown
-    # register or gate, an index out of range, a keyword, a parameter that
-    # does not evaluate to a finite float -- is a miss: the full parser
-    # re-reads the statement from its start and raises its positioned
-    # error, so a miss changes speed, never the result.
+    def _skip_blank(self, pos: int, blank: "Optional[re.Pattern[str]]" = None) -> int:
+        """The offset of the first non-blank at or after *pos*, counting lines."""
+        source = self._source
+        start = (blank or self._blank).match(source, pos).end()
+        newlines = source.count("\n", pos, start)
+        if newlines:
+            self._line += newlines
+            self._line_start = source.rindex("\n", pos, start) + 1
+        return start
 
-    def _parse_plain(self, match: "re.Match[str]") -> bool:
-        """Append the statement *match* read; False (a miss) if it cannot."""
-        creg, measure, name = match.group("creg", "measure", "name")
-        condition = None
-        if creg is not None:
-            register = self._cregs.get(creg)
-            value = _digits(match["value"])
-            if register is None or value is None or value.bit_length() > register.size:
-                return False
-            condition = (register, value)
-        if measure is not None:
-            sources = self._plain_arguments(match["source"], self._qregs)
-            targets = self._plain_arguments(match["target"], self._cregs)
-            if sources is None or targets is None:
-                return False
-            loc = (self._line, match.start("measure") - self._line_start + 1)
-        else:
-            spec = self._gates.get(name)
-            if spec is None or (self._version >= 3 and name in _QASM3_UNSUPPORTED):
-                return False
-            params = self._plain_params(match)
-            arguments = self._plain_arguments(match["args"], self._qregs)
-            if params is None or arguments is None:
-                return False
-            loc = (self._line, match.start("name") - self._line_start + 1)
-        self._condition = condition
-        try:
-            if measure is not None:
-                self._emit_measure(sources[0], targets[0], loc)
-            else:
-                self._emit_gate_call(name, spec, params, arguments, loc)
-        finally:
-            self._condition = None
+    def _loc(self, pos: int) -> Tuple[int, int]:
+        """``(line, column)`` of *pos*, a position on the current line."""
+        return self._line, pos - self._line_start + 1
+
+    # -- the statement reader -------------------------------------------------
+    #
+    # Every statement is first read from one regex match, picked by its first
+    # word (``_READERS``), and handed to the tail the full parser ends in, so
+    # the checks there (arity, broadcast, duplicate qubits, register sizes,
+    # includes) raise the same errors on both paths.  Anything else the match
+    # cannot settle -- an unknown register or gate, an index out of range, a
+    # keyword in the wrong place, a parameter that does not evaluate to a
+    # finite float -- is a miss: the reader returns False having appended
+    # nothing, and the full parser re-reads the statement from its start and
+    # raises its positioned error, so a miss changes speed, never the result.
+
+    def _read(self, start: int, readers: Dict[str, Optional[Callable]]) -> bool:
+        """Read the statement at *start* with the reader its first word picks."""
+        word = _WORD_RE.match(self._source, start)
+        if word is None:
+            return False
+        reader = readers.get(word.group(), _QasmParser._read_call)
+        return reader is not None and reader(self, word)
+
+    def _read_header(self, start: int) -> bool:
+        match = _HEADER_RE.match(self._source, start)
+        if match is None:
+            return False
+        self._set_version(2 if match["version"] == "2.0" else 3)
         self._offset = match.end()
         return True
 
-    def _plain_arguments(self, text: str, registers: Dict[str, object]) -> Optional[List[List]]:
-        """The bits of each ``reg``/``reg[i]`` in *text*, or None if one does not
-        resolve; registers are never redeclared, so a resolved text is memoised."""
-        key = (text, registers is self._qregs)
-        arguments = self._resolved.get(key)
+    def _read_include(self, word: "re.Match[str]") -> bool:
+        match = _INCLUDE_RE.match(self._source, word.end())
+        if match is None:
+            return False
+        self._include(match["file"], self._loc(match.start("file")))
+        self._offset = match.end()
+        return True
+
+    def _read_register(self, word: "re.Match[str]") -> bool:
+        """``qreg name[n];`` / ``creg name[n];``, or ``qubit[n] name;`` /
+        ``bit[n] name;`` / ``qubit name;`` / ``bit name;``."""
+        kind = word.group()
+        pattern = _REG_RE if kind in ("qreg", "creg") else _QUBIT_RE
+        match = pattern.match(self._source, word.end())
+        if match is None:
+            return False
+        size = match["size"]
+        self._declare(
+            kind, match["name"], self._loc(word.start()), self._loc(match.start("name")),
+            int(size) if size else 1, self._loc(match.start("size")) if size else None,
+        )
+        self._offset = match.end()
+        return True
+
+    def _read_if(self, word: "re.Match[str]") -> bool:
+        """``if (c == n) op;``, or in OpenQASM 3 ``if (c == n) { op; ... }``."""
+        match = _CONDITION_RE.match(self._source, word.end())
+        if match is None:
+            return False
+        register = self._cregs.get(match["creg"])
+        value = int(match["value"])
+        if register is None or value.bit_length() > register.size:
+            return False
+        start = self._skip_blank(match.end())
+        self._condition = (register, value)
+        try:
+            if self._version >= 3 and self._source.startswith("{", start):
+                return self._read_block(start + 1)
+            return self._read(start, self._conditioned)
+        finally:
+            self._condition = None
+
+    def _read_block(self, pos: int) -> bool:
+        """The statements of an ``if`` block up to its ``}``.  A miss inside
+        takes back what the block appended, so the full parser re-reads the
+        whole ``if`` statement."""
+        data, source = self.circuit.data, self._source
+        mark, expanded = len(data), self._expanded_ops
+        while True:
+            pos = self._skip_blank(pos)
+            if source.startswith("}", pos):
+                self._offset = pos + 1
+                return True
+            if not self._read(pos, self._conditioned):
+                del data[mark:]
+                self._expanded_ops = expanded
+                return False
+            pos = self._offset
+
+    def _read_measure(self, word: "re.Match[str]") -> bool:
+        """``measure a -> b;``."""
+        match = _MEASURE_RE.match(self._source, word.end())
+        return match is not None and self._read_measurement(match, word.start())
+
+    def _read_assignment(self, word: "re.Match[str]") -> bool:
+        """OpenQASM 3 ``b = measure a;``."""
+        match = _ASSIGNMENT_RE.match(self._source, word.start())
+        return match is not None and self._read_measurement(match, word.start())
+
+    def _read_measurement(self, match: "re.Match[str]", start: int) -> bool:
+        sources = self._plain_arguments(match["source"])
+        targets = self._plain_arguments(match["target"], False)
+        if sources is None or targets is None:
+            return False
+        self._emit_measure(sources[0], targets[0], self._loc(start))
+        self._offset = match.end()
+        return True
+
+    def _read_reset(self, word: "re.Match[str]") -> bool:
+        match = _OPERANDS_RE.match(self._source, word.end())
+        arguments = None if match is None else self._plain_arguments(match["args"])
+        if arguments is None or len(arguments) != 1:
+            return False
+        self._emit_reset(arguments[0], self._loc(word.start()))
+        self._offset = match.end()
+        return True
+
+    def _read_barrier(self, word: "re.Match[str]") -> bool:
+        match = _OPERANDS_RE.match(self._source, word.end())
+        arguments = None if match is None else self._plain_arguments(match["args"])
+        if arguments is None:
+            return False
+        self._emit_barrier([q for arg in arguments for q in arg], self._loc(word.start()))
+        self._offset = match.end()
+        return True
+
+    def _read_ctrl(self, word: "re.Match[str]") -> bool:
+        """OpenQASM 3 ``ctrl @ [ctrl @ ...] name args;``."""
+        match = _CTRL_RE.match(self._source, word.end())
+        name = None if match is None else _WORD_RE.match(self._source, match.end())
+        return name is not None and self._read_call(name, 1 + match["more"].count("@"))
+
+    def _read_call(self, word: "re.Match[str]", num_controls: int = 0) -> bool:
+        """``name[(params)] args;``; in OpenQASM 3 a word that starts no gate
+        call may start an assignment measurement."""
+        name = word.group()
+        spec = self._gates.get(name)
+        match = None if spec is None else _CALL_RE.match(self._source, word.end())
+        if match is None:
+            return not num_controls and self._version >= 3 and self._read_assignment(word)
+        if num_controls and not isinstance(spec, _NativeGate):
+            return False
+        params = [] if match["params"] is None else self._plain_params(match)
+        arguments = self._plain_arguments(match["args"])
+        if params is None or arguments is None:
+            return False
+        loc = (self._line, word.start() - self._line_start + 1)
+        self._emit_gate_call(name, spec, params, arguments, loc, num_controls)
+        self._offset = match.end()
+        return True
+
+    def _plain_arguments(self, text: str, quantum: bool = True) -> Optional[List[List]]:
+        """The bits of each ``reg``/``reg[i]`` in the operand list *text*, or
+        None if one does not resolve.  Registers are never redeclared, so a
+        resolved text, and each operand in it, is memoised."""
+        texts, operands = self._resolved[not quantum]
+        arguments = texts.get(text)
         if arguments is not None:
             return arguments
         arguments = []
-        for name, index in _ARG_RE.findall(text):
-            register = registers.get(name)
-            if register is None:
-                return None
-            position = _digits(index) if index else None
-            if not index:
-                arguments.append(list(register))
-            elif position is not None and position < register.size:
-                arguments.append([register[position]])
-            else:
-                return None
-        self._resolved[key] = arguments
+        for piece in text.split(","):
+            bits = operands.get(piece)
+            if bits is None:
+                name, index = _ARG_RE.fullmatch(piece.strip(" \t")).groups()
+                register = (self._qregs if quantum else self._cregs).get(name)
+                if register is None:
+                    return None
+                if index is None:
+                    bits = list(register)
+                elif int(index) < register.size:    # at most 9 digits
+                    bits = [register[int(index)]]
+                else:
+                    return None
+                operands[piece] = bits
+            arguments.append(bits)
+        texts[text] = arguments
         return arguments
 
     def _plain_params(self, match: "re.Match[str]") -> Optional[List[float]]:
+        """The values of the parameter texts *match* read, or None if one
+        does not evaluate to a finite float."""
         text = match["params"]
-        if text is None or not text.strip():
+        if not text.strip():
             return []
         params = []
         start = match.start("params")
         for piece in text.split(","):
             if _LITERAL_RE.fullmatch(piece):
                 value: Optional[float] = float(piece)
+            elif piece in _PARAM_MEMO:
+                value = _PARAM_MEMO[piece]
             else:
                 value = self._evaluate_source(start, start + len(piece))
+                if len(_PARAM_MEMO) < _PARAM_MEMO_SIZE and "/*" not in piece:
+                    _PARAM_MEMO[piece] = value
             if value is None or not math.isfinite(value):
                 return None
             params.append(value)
@@ -709,6 +885,8 @@ class _QasmParser:
             self._end = len(self._source)
             self._buffer.clear()
 
+    # -- the full parser --------------------------------------------------------
+
     def _parse_header(self) -> None:
         token = self._peek()
         if token.type != "id" or token.value != "OPENQASM":
@@ -719,9 +897,9 @@ class _QasmParser:
             raise self._error("expected a version number after 'OPENQASM'", version)
         self._advance()
         if float(version.value) == 2.0:
-            self._version = 2
+            self._set_version(2)
         elif float(version.value) == 3.0:
-            self._version = 3
+            self._set_version(3)
         else:
             raise self._error(
                 f"unsupported OpenQASM version {version.value} "
@@ -792,12 +970,14 @@ class _QasmParser:
         self._advance()
         filename = self._expect("string", "a quoted filename")
         self._expect(";")
-        allowed = ("qelib1.inc", "stdgates.inc") if self._version >= 3 else ("qelib1.inc",)
-        if filename.value not in allowed:
-            bundled = " or ".join(f'"{inc}"' for inc in allowed)
-            raise self._error(
-                f'unsupported include "{filename.value}" (only {bundled} is bundled)',
-                filename,
+        self._include(f'"{filename.value}"', (filename.line, filename.column))
+
+    def _include(self, quoted: str, loc: Tuple[int, int]) -> None:
+        """Bring in the gates of the ``"file"`` named by *quoted* at *loc*."""
+        allowed = ('"qelib1.inc"', '"stdgates.inc"') if self._version >= 3 else ('"qelib1.inc"',)
+        if quoted not in allowed:
+            raise QasmError(
+                f"unsupported include {quoted} (only {' or '.join(allowed)} is bundled)", *loc
             )
         if self._included_qelib1:
             return
@@ -807,10 +987,10 @@ class _QasmParser:
             # overwritten by update(); mirror the 'already defined' error
             # the parser raises for the opposite ordering
             if gate_name in table:
-                raise self._error(
+                raise QasmError(
                     f"gate {gate_name!r} is already defined "
                     '(put include "qelib1.inc" before gate definitions)',
-                    filename,
+                    *loc,
                 )
         self._included_qelib1 = True
         self._gates.update(table)
@@ -821,33 +1001,40 @@ class _QasmParser:
         kind = self._advance()
         qasm2 = kind.value in ("qreg", "creg")    # name[n], where QASM3 writes [n] name
         name = self._expect("id", "a register name") if qasm2 else None
-        size_token: Optional[_Token] = None
+        size: Optional[_Token] = None
         if qasm2 or self._peek().type == "[":
             self._expect("[")
-            size_token = self._expect("int", "a register size")
+            size = self._expect("int", "a register size")
             self._expect("]")
         name = name or self._expect("id", "a register name")
         self._expect(";")
-        size = size_token.value if size_token else 1
-        if name.value in self._qregs or name.value in self._cregs:
-            raise self._error(f"register {name.value!r} is already declared", name)
+        self._declare(
+            kind.value, name.value, (kind.line, kind.column), (name.line, name.column),
+            size.value if size else 1, (size.line, size.column) if size else None,
+        )
+
+    def _declare(self, kind: str, name: str, kind_loc: Tuple[int, int],
+                 name_loc: Tuple[int, int], size: int,
+                 size_loc: Optional[Tuple[int, int]]) -> None:
+        """Add the register a read declaration names: the tail both parse paths share."""
+        if name in self._qregs or name in self._cregs:
+            raise QasmError(f"register {name!r} is already declared", *name_loc)
         if size <= 0:
-            raise self._error(f"register size must be positive, got {size}", size_token or name)
+            raise QasmError(f"register size must be positive, got {size}", *(size_loc or name_loc))
         if size > _MAX_REGISTER_SIZE:
-            raise self._error(
-                f"register size {size} exceeds the supported maximum "
-                f"of {_MAX_REGISTER_SIZE}",
-                size_token or name,
+            raise QasmError(
+                f"register size {size} exceeds the supported maximum of {_MAX_REGISTER_SIZE}",
+                *(size_loc or name_loc),
             )
         register: Union[QuantumRegister, ClassicalRegister]
-        if kind.value in ("qreg", "qubit"):
-            register = QuantumRegister(size, name.value)
-            self._qregs[name.value] = register
+        if kind in ("qreg", "qubit"):
+            register = QuantumRegister(size, name)
+            self._qregs[name] = register
         else:
-            register = ClassicalRegister(size, name.value)
-            self._cregs[name.value] = register
+            register = ClassicalRegister(size, name)
+            self._cregs[name] = register
         self.circuit.add_register(register)
-        self.circuit.register_spans[register] = self._span((kind.line, kind.column))
+        self.circuit.register_spans[register] = self._span(kind_loc)
 
     # -- classical control flow ----------------------------------------------
 
@@ -1002,11 +1189,9 @@ class _QasmParser:
                 f"({len(sources)} qubits vs {len(targets)} bits)",
                 *loc,
             )
-        span = self._span(loc)
+        span, condition, append = self._span(loc), self._condition, self.circuit.data.append
         for qubit, clbit in zip(sources, targets):
-            self.circuit.append(
-                Measure(), [qubit], [clbit], span=span, condition=self._condition
-            )
+            append(CircuitInstruction(Measure(), (qubit,), (clbit,), span, condition))
 
     def _parse_v3_measure_assignment(self) -> None:
         """OpenQASM 3 assignment measurement: ``c = measure q;``."""
@@ -1036,21 +1221,28 @@ class _QasmParser:
 
     def _parse_reset(self) -> None:
         keyword = self._advance()
-        span = self._span((keyword.line, keyword.column))
-        for qubit in self._parse_quantum_argument():
-            self.circuit.append(Reset(), [qubit], span=span, condition=self._condition)
+        qubits = self._parse_quantum_argument()
         self._expect(";")
+        self._emit_reset(qubits, (keyword.line, keyword.column))
+
+    def _emit_reset(self, qubits: List[Qubit], loc: Tuple[int, int]) -> None:
+        span, condition, append = self._span(loc), self._condition, self.circuit.data.append
+        for qubit in qubits:
+            append(CircuitInstruction(Reset(), (qubit,), (), span, condition))
 
     def _parse_barrier(self) -> None:
         keyword = self._advance()
         qubits = [q for arg in self._parse_list(self._parse_quantum_argument) for q in arg]
         self._expect(";")
-        try:
-            self.circuit.append(
-                Barrier(len(qubits)), qubits, span=self._span((keyword.line, keyword.column))
-            )
-        except CircuitError as exc:
-            raise QasmError(str(exc), keyword.line, keyword.column) from exc
+        self._emit_barrier(qubits, (keyword.line, keyword.column))
+
+    def _emit_barrier(self, qubits: List[Qubit], loc: Tuple[int, int]) -> None:
+        self._append_barrier(qubits, self._span(loc))
+
+    def _append_barrier(self, qubits: List[Qubit], span: SourceSpan) -> None:
+        if len(set(qubits)) < len(qubits):
+            raise QasmError("duplicate qubits in 'barrier' operands", span.line, span.column)
+        self.circuit.data.append(CircuitInstruction(Barrier(len(qubits)), qubits, (), span))
 
     def _parse_ctrl_modifiers(self) -> int:
         """Consume a chain of ``ctrl @`` prefixes, returning its length."""
@@ -1098,13 +1290,13 @@ class _QasmParser:
             )
         # register broadcast: every register-sized argument must have the same
         # length; single qubits are repeated across the broadcast
-        widths = set(map(len, arguments))
-        widths.discard(1)
-        if len(widths) > 1:
-            raise QasmError(
-                f"mismatched register sizes in {name!r} broadcast: {sorted(widths)}", *loc
-            )
-        repeat = widths.pop() if widths else 1
+        repeat = max(map(len, arguments))
+        if repeat > 1:
+            widths = set(map(len, arguments)) - {1}
+            if len(widths) > 1:
+                raise QasmError(
+                    f"mismatched register sizes in {name!r} broadcast: {sorted(widths)}", *loc
+                )
         self._expanded_ops += _gate_size(spec) * repeat
         if self._expanded_ops > _MAX_EXPANDED_INSTRUCTIONS:
             raise QasmError(
@@ -1113,57 +1305,70 @@ class _QasmParser:
             )
         if repeat > 1:
             arguments = [arg * repeat if len(arg) == 1 else arg for arg in arguments]
+        span = self._span(loc)
         try:
-            for qubits in zip(*arguments):
-                self._apply_gate(spec, params, qubits, loc, num_controls=num_controls)
+            if isinstance(spec, _NativeGate):
+                self._append_gates(spec, params, zip(*arguments), span, num_controls)
+            else:
+                for qubits in zip(*arguments):
+                    self._apply_gate(spec, params, qubits, span)
         except CircuitError as exc:
             raise QasmError(str(exc), *loc) from exc
+
+    def _append_gates(self, spec: _NativeGate, params: Sequence[float],
+                      operands: Iterable[Sequence[Qubit]], span: SourceSpan,
+                      num_controls: int = 0) -> None:
+        """Append one *spec* gate (under *num_controls* ``ctrl @``) on each
+        qubit tuple of *operands*, each carrying *span* and the condition of
+        the enclosing ``if``.  Of the checks :meth:`QuantumCircuit.append`
+        makes, only the one for a repeated qubit can fail here: arities and
+        conditions are checked where they are read."""
+        # literals like 1e400 and overflowing +/-/* produce inf/nan without
+        # raising; reject them here, where every gate application passes
+        for value in params:
+            if not math.isfinite(value):
+                raise QasmError(f"non-finite gate parameter {value}", span.line, span.column)
+        append, condition = self.circuit.data.append, self._condition
+        for qubits in operands:
+            gate = spec.build(params)
+            if num_controls:
+                gate = _controlled_gate(gate, num_controls)
+            if len(qubits) > 1 and len(set(qubits)) < len(qubits):
+                raise QasmError(f"duplicate qubits in {gate.name!r} operands", span.line, span.column)
+            append(CircuitInstruction(gate, qubits, (), span, condition))
 
     def _apply_gate(
         self,
         spec: Union[_NativeGate, _MacroGate],
         params: Sequence[float],
         qubits: Sequence[Qubit],
-        loc: Tuple[int, int],
+        span: SourceSpan,
         depth: int = 0,
-        num_controls: int = 0,
     ) -> None:
+        """Append one call of *spec*; every instruction it expands to carries
+        the call site's *span*."""
         if depth > _MAX_GATE_EXPANSION_DEPTH:
             raise QasmError(
                 f"gate expansion exceeds the maximum nesting depth of "
                 f"{_MAX_GATE_EXPANSION_DEPTH}",
-                *loc,
+                span.line, span.column,
             )
         if isinstance(spec, _NativeGate):
-            # literals like 1e400 and overflowing +/-/* produce inf/nan
-            # without raising; reject them here, the one point every gate
-            # application passes through, instead of at simulation time
-            for value in params:
-                if not math.isfinite(value):
-                    raise QasmError(f"non-finite gate parameter {value}", *loc)
-            # macro expansions carry the *call-site* loc, so every expanded
-            # instruction of `mygate q;` points at that statement; a condition
-            # on the call distributes over every expanded gate (exact, since
-            # a gate body never writes the condition's register)
-            gate = spec.build(params)
-            self.circuit.append(
-                _controlled_gate(gate, num_controls) if num_controls else gate, qubits,
-                span=self._span(loc), condition=self._condition,
-            )
+            # a condition on the call distributes over every expanded gate
+            # (exact, since a gate body never writes the condition's register)
+            self._append_gates(spec, params, (qubits,), span)
             return
         env = dict(zip(spec.params, params))
         binding = dict(zip(spec.qubits, qubits))
         for node in spec.body:
             if node[0] == "barrier":
                 _, names, _loc = node
-                self.circuit.append(
-                    Barrier(len(names)), [binding[n] for n in names], span=self._span(loc)
-                )
+                self._append_barrier([binding[n] for n in names], span)
                 continue
             _, call_name, exprs, names, _loc = node
             inner = self._gates[call_name]
             inner_params = [self._evaluate(expr, env) for expr in exprs]
-            self._apply_gate(inner, inner_params, [binding[n] for n in names], loc, depth + 1)
+            self._apply_gate(inner, inner_params, [binding[n] for n in names], span, depth + 1)
 
     def _unknown_gate_message(self, name: str) -> str:
         if not self._included_qelib1 and name in _qelib1_table():
@@ -1360,6 +1565,29 @@ class _QasmParser:
         if rhs == 0:
             raise QasmError("division by zero in parameter expression", *loc)
         return lhs / rhs
+
+
+def _reader_table(qasm3: bool, conditioned: bool) -> Dict[str, Optional[Callable]]:
+    """First word -> its statement reader; None sends the statement to the
+    full parser.  A word not in the table starts a gate call (or, in
+    OpenQASM 3, an assignment measurement)."""
+    parser = _QasmParser
+    table: Dict[str, Optional[Callable]] = dict.fromkeys(_STATEMENT_KEYWORDS)
+    if qasm3:
+        table.update(dict.fromkeys(_QASM3_UNSUPPORTED), ctrl=parser._read_ctrl)
+    table.update(measure=parser._read_measure, reset=parser._read_reset)
+    if not conditioned:
+        table.update(include=parser._read_include, qreg=parser._read_register,
+                     creg=parser._read_register, barrier=parser._read_barrier)
+        table["if"] = parser._read_if
+        if qasm3:
+            table.update(qubit=parser._read_register, bit=parser._read_register)
+    return table
+
+
+#: OpenQASM 3 or not -> the reader tables at top level and under an ``if``
+_READERS = {qasm3: (_reader_table(qasm3, False), _reader_table(qasm3, True))
+            for qasm3 in (False, True)}
 
 
 # ---------------------------------------------------------------------------

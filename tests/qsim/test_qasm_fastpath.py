@@ -1,13 +1,15 @@
-"""The importer's one-line fast path against the full recursive-descent parser.
+"""The importer's statement reader against the full recursive-descent parser.
 
-``from_qasm`` reads a plain statement (``[if (c == n)] name[(params)] args;``
-or ``measure a -> b;``) straight from one regex match, and hands anything
-else to the full parser.  Forcing every statement through the full parser
-(by swapping in a statement regex that never matches) must give the same
-circuit -- instruction by instruction, float for float, span for span -- or
-the same positioned :class:`QasmError`.
+``from_qasm`` reads each statement -- the header, ``include``, declarations,
+gate calls (``ctrl @`` ones too), ``measure`` in both spellings, ``reset``,
+``barrier`` and ``if`` with its OpenQASM 3 block -- from one regex match, and
+hands anything else to the full parser.  Forcing every statement through the
+full parser (``full_parser_only``) must give the same circuit -- instruction
+by instruction, float for float, span for span -- or the same positioned
+:class:`QasmError`.
 """
 
+import contextlib
 import glob
 import os
 import re
@@ -23,8 +25,23 @@ from repro.qsim.instruction import Gate
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "..")
 CORPUS = sorted(glob.glob(os.path.join(ROOT, "benchmarks", "circuits", "*.qasm")))
+FEED_FORWARD = ["teleport_cond_n3.qasm", "ghz_cond_n4.qasm", "qec_cond_n5.qasm",
+                "qec_repetition_n5.qasm"]
 HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
-NEVER = re.compile(r"(?!)")
+HEADER3 = 'OPENQASM 3;\ninclude "stdgates.inc";\n'
+
+
+@contextlib.contextmanager
+def full_parser_only():
+    """Make the statement reader miss everything, header included."""
+    parser = qasm._QasmParser
+    saved = parser._read, parser._read_header
+    parser._read = lambda self, start, readers: False
+    parser._read_header = lambda self, start: False
+    try:
+        yield
+    finally:
+        parser._read, parser._read_header = saved
 
 
 def outcome(source, filename=None):
@@ -52,13 +69,33 @@ def outcome(source, filename=None):
     return ("circuit", registers, instructions)
 
 
-def assert_same_parse(source, monkeypatch, filename=None):
+def assert_same_parse(source, filename=None):
     fast = outcome(source, filename)
-    with monkeypatch.context() as patch:
-        patch.setattr(qasm, "_PLAIN_STATEMENT_RE", NEVER)
+    with full_parser_only():
         full = outcome(source, filename)
     assert fast == full
     return fast
+
+
+@contextlib.contextmanager
+def count_full_parser_statements():
+    """Yield a list that gets one entry per statement the full parser reads."""
+    parser, calls = qasm._QasmParser, []
+    saved = parser._parse_statement, parser._parse_header
+
+    def statement(self, conditioned=False):
+        calls.append("statement")
+        return saved[0](self, conditioned)
+
+    def header(self):
+        calls.append("header")
+        return saved[1](self)
+
+    parser._parse_statement, parser._parse_header = statement, header
+    try:
+        yield calls
+    finally:
+        parser._parse_statement, parser._parse_header = saved
 
 
 def random_circuit_qasm(seed, num_qubits=16, num_gates=1000):
@@ -101,32 +138,47 @@ def service_payload_qasm(seed, num_qubits=10, num_gates=200):
 
 
 @pytest.mark.parametrize("path", CORPUS, ids=os.path.basename)
-def test_corpus_file_parses_identically(path, monkeypatch):
+def test_corpus_file_parses_identically(path):
     with open(path, encoding="utf-8") as handle:
         source = handle.read()
-    assert assert_same_parse(source, monkeypatch, filename=path)[0] == "circuit"
+    assert assert_same_parse(source, filename=path)[0] == "circuit"
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7])
-def test_benchmark_shapes_parse_identically(seed, monkeypatch):
+def test_benchmark_shapes_parse_identically(seed):
     for source in (random_circuit_qasm(seed), service_payload_qasm(seed)):
-        assert assert_same_parse(source, monkeypatch)[0] == "circuit"
+        assert assert_same_parse(source)[0] == "circuit"
 
 
-def test_plain_statements_skip_the_full_parser(monkeypatch):
-    calls = []
-    full = qasm._QasmParser._parse_statement
-    monkeypatch.setattr(
-        qasm._QasmParser, "_parse_statement", lambda self: calls.append(1) or full(self)
-    )
-    circuit = from_qasm(random_circuit_qasm(3))
-    # only the include and the two register declarations need the full parser
-    assert len(calls) == 3
+def test_plain_statements_skip_the_full_parser():
+    with count_full_parser_statements() as calls:
+        circuit = from_qasm(random_circuit_qasm(3))
+    assert calls == []
     assert len(circuit.data) == 1016
 
 
+@pytest.mark.parametrize("name", FEED_FORWARD)
+def test_feed_forward_files_skip_the_full_parser(name):
+    with open(os.path.join(ROOT, "benchmarks", "circuits", name), encoding="utf-8") as handle:
+        source = handle.read()
+    with count_full_parser_statements() as calls:
+        circuit = from_qasm(source)
+    assert calls == []
+    assert circuit.data
+
+
+# -- generated programs -------------------------------------------------------
+
 _SPACE = st.sampled_from(["", " ", "  ", "\t"])
 _GAP = st.sampled_from([" ", "  ", "\t"])
+#: OpenQASM 3 gaps may hold block comments, on one line or across lines
+_SPACE3 = st.sampled_from(["", " ", "\t", "/**/", " /* c */ ", "/* a\nb */"])
+_GAP3 = st.sampled_from([" ", "\t", " /* c */ ", "/**/ ", " /* a\nb */ "])
+
+
+def _blanks(comments):
+    """The (optional, required) blank strategies inside a statement."""
+    return (_SPACE3, _GAP3) if comments else (_SPACE, _GAP)
 _PARAM = st.one_of(
     st.floats(-10, 10, allow_nan=False).map(repr),
     st.sampled_from(["pi", "-pi/2", "pi / 4", "2*pi", "-(pi/8)", "0.5e1", ".25", "3", "1.",
@@ -134,6 +186,10 @@ _PARAM = st.one_of(
 )
 _GATES = [("h", 0, 1), ("x", 0, 1), ("rz", 1, 1), ("u3", 3, 1), ("u2", 2, 1),
           ("cx", 0, 2), ("cu1", 1, 2), ("cp", 1, 2), ("swap", 0, 2), ("ccx", 0, 3), ("cu3", 3, 2)]
+#: stdgates.inc gates a ``ctrl @`` chain may control
+_CONTROLLABLE = [("x", 0, 1), ("z", 0, 1), ("h", 0, 1), ("rz", 1, 1), ("p", 1, 1), ("swap", 0, 2)]
+#: quantum registers (name -> size) of each dialect's preamble; ``s`` is a bare ``qubit s;``
+_QREGS = {2: {"q": 3, "r": 2}, 3: {"q": 3, "r": 2, "s": 1}}
 
 
 @st.composite
@@ -144,52 +200,148 @@ def _argument(draw, register, size, broadcast):
 
 
 @st.composite
-def _statement(draw):
-    if draw(st.integers(0, 5)) == 0:
-        text = (f"measure{draw(_GAP)}{draw(_argument('q', 3, True))}{draw(_SPACE)}->"
-                f"{draw(_SPACE)}{draw(_argument('c', 3, True))}")
+def _gate_call(draw, version, comments, gates=_GATES, controls=0):
+    space, gap = _blanks(comments)
+    name, num_params, num_qubits = draw(st.sampled_from(gates))
+    text = name
+    if num_params:
+        params = [draw(_PARAM) for _ in range(num_params)]
+        text += f"{draw(_SPACE)}({draw(_SPACE)}{','.join(params)}{draw(_SPACE)}){draw(space)}"
     else:
-        name, num_params, num_qubits = draw(st.sampled_from(_GATES))
-        text = name
-        if num_params:
-            params = [draw(_PARAM) for _ in range(num_params)]
-            text += f"{draw(_SPACE)}({draw(_SPACE)}{','.join(params)}{draw(_SPACE)}){draw(_SPACE)}"
-        else:
-            text += draw(_GAP)
-        registers = draw(st.permutations(["q", "r", "q", "r"]))[:num_qubits]
-        args = [draw(_argument(reg, 3 if reg == "q" else 2, True)) for reg in registers]
-        text += f"{draw(_SPACE)},{draw(_SPACE)}".join(args)
-    if draw(st.integers(0, 3)) == 0:
-        value = draw(st.integers(0, 8))
-        text = (f"if{draw(_SPACE)}({draw(_SPACE)}c{draw(_SPACE)}=={draw(_SPACE)}{value})"
-                f"{draw(_SPACE)}{text}")
-    return text + draw(_SPACE) + ";"
+        text += draw(gap)
+    qregs = _QREGS[version]
+    pool = [name for name in qregs for _ in range(2)]
+    registers = draw(st.permutations(pool))[:num_qubits + controls]
+    args = [draw(_argument(reg, qregs[reg], True)) for reg in registers]
+    return text + f"{draw(space)},{draw(space)}".join(args)
 
 
 @st.composite
-def _program(draw):
+def _measure(draw, version, comments):
+    space, gap = _blanks(comments)
+    if version == 3 and draw(st.booleans()):
+        # assignment measurement of one bit, of a register, or of a bare bit
+        source, target = draw(st.sampled_from([
+            (draw(_argument("q", 3, False)), draw(_argument("c", 3, False))),
+            ("q", "c"), ("s", "b"), (draw(_argument("q", 3, False)), "b"),
+        ]))
+        return f"{target}{draw(space)}={draw(space)}measure{draw(gap)}{source}"
+    return (f"measure{draw(gap)}{draw(_argument('q', 3, True))}{draw(space)}->"
+            f"{draw(space)}{draw(_argument('c', 3, True))}")
+
+
+@st.composite
+def _operation(draw, version, comments):
+    """A statement an ``if`` may condition (without its ';')."""
+    space, gap = _blanks(comments)
+    kind = draw(st.integers(0, 9))
+    if kind == 0:
+        return draw(_measure(version, comments))
+    if kind == 1:
+        return f"reset{draw(gap)}{draw(_argument(draw(st.sampled_from(['q', 'r'])), 2, True))}"
+    if version == 3 and kind in (2, 3):
+        controls = draw(st.integers(1, 2))
+        chain = "".join(f"ctrl{draw(space)}@{draw(gap)}" for _ in range(controls))
+        return chain + draw(_gate_call(version, comments, _CONTROLLABLE, controls))
+    return draw(_gate_call(version, comments))
+
+
+@st.composite
+def _statement(draw, version, comments):
+    space, gap = _blanks(comments)
+    kind = draw(st.integers(0, 7))
+    if kind == 0:
+        operands = draw(st.permutations(["q", "r[0]", "r[1]", "q[1]"]).map(lambda p: p[:2]))
+        if "q" in operands and "q[1]" in operands:
+            operands = ["q", "r[1]"]
+        text = f"barrier{draw(gap)}{f'{draw(space)},{draw(space)}'.join(operands)}"
+    elif kind == 1:
+        value = draw(st.integers(0, 8))
+        condition = f"if{draw(space)}({draw(space)}c{draw(space)}=={draw(space)}{value})"
+        if version == 3 and draw(st.booleans()):
+            body = draw(st.lists(_operation(version, comments), min_size=0, max_size=3))
+            newline = draw(st.sampled_from([" ", "\n  "]))
+            inner = "".join(f"{newline}{op}{draw(space)};" for op in body)
+            return f"{condition}{draw(space)}{{{inner}{newline}}}"
+        text = f"{condition}{draw(space)}{draw(_operation(version, comments))}"
+    else:
+        text = draw(_operation(version, comments))
+    return text + draw(space) + ";"
+
+
+#: one malformed variant of each form the reader takes, per dialect
+_MALFORMED = {
+    2: ["qreg z[0];", "creg z[100001];", "qreg z[1234567890];", "qreg q[2];", "creg r[1];",
+        'include "stdgates.inc";', 'include "other.inc";', "qubit[2] z;", "bit z;",
+        "barrier q[0], q[0];", "barrier q, q[2];", "if (c == 1) creg z[1];",
+        "if (c == 1) barrier q;", "/* block */", "x q[0]; /* trailing",
+        "if (c == 1) { x q[0]; }", "reset q, r;"],
+    3: ["qubit[0] z;", "bit[100001] z;", "qubit[1234567890] z;", "bit[2] q;", "qubit c;",
+        'include "other.inc";', "qreg q[1];", "if (c == 1) { qubit[2] z; }",
+        "if (c == 1) { bit z; }", "if (c == 1) { x q[0]; barrier q; }",
+        "if (c == 1) { if (c == 1) { x q[0]; } }", "barrier q, q[1];",
+        "barrier s, s;", "x q[0]; /* never closed", "ctrl @ ctrl @ x q[0], q[1], q[0];",
+        "if (c == 9) { x q[0]; }", "if (c == 1) { x q[0];", "c[0] = measure r;",
+        "b = measure q;"],
+}
+
+
+@st.composite
+def _program(draw, version):
     newline = draw(st.sampled_from(["\n", "\r\n"]))
-    lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', "qreg q[3];", "qreg r[2];", "creg c[3];"]
-    for statement in draw(st.lists(_statement(), min_size=1, max_size=12)):
+    # OpenQASM 3 programs with block comments inside statements, or without
+    comments = version == 3 and draw(st.booleans())
+    if version == 3:
+        gap = _blanks(comments)[1]
+        lines = [draw(st.sampled_from(["OPENQASM 3;", "OPENQASM 3.0;", "/* first */ OPENQASM 3;"])),
+                 'include "stdgates.inc";', "qubit[3] q;", f"qubit{draw(gap)}[2] r;",
+                 "bit[3] c;", f"qubit{draw(gap)}s;", "bit b;"]
+    else:
+        lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', "qreg q[3];", "qreg r[2];",
+                 "creg c[3];"]
+    for statement in draw(st.lists(_statement(version, comments), min_size=1, max_size=12)):
         if draw(st.integers(0, 4)) == 0:
             lines.append("// between statements")
+        if version == 3 and draw(st.integers(0, 4)) == 0:
+            lines.append("/* between\n   statements */")
         lines.append(draw(_SPACE) + statement)
+    if draw(st.integers(0, 3)) == 3:
+        lines.insert(draw(st.integers(2, len(lines))), draw(st.sampled_from(_MALFORMED[version])))
     return newline.join(lines) + newline
 
 
-@settings(max_examples=80, deadline=None)
-@given(_program())
-def test_generated_plain_statements_parse_identically(source):
-    # no monkeypatch fixture under @given: patch and restore by hand
-    fast = outcome(source)
-    saved = qasm._PLAIN_STATEMENT_RE
-    qasm._PLAIN_STATEMENT_RE = NEVER
-    try:
-        full = outcome(source)
-    finally:
-        qasm._PLAIN_STATEMENT_RE = saved
-    assert fast == full
+@pytest.mark.parametrize("version", [2, 3])
+def test_generated_programs_parse_identically(version):
+    @settings(max_examples=80, deadline=None)
+    @given(_program(version))
+    def check(source):
+        assert_same_parse(source)
 
+    check()
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("version", [2, 3])
+def test_generated_programs_parse_identically_deep(version):
+    @settings(max_examples=2000, deadline=None)
+    @given(_program(version))
+    def check(source):
+        assert_same_parse(source)
+
+    check()
+
+
+@pytest.mark.parametrize(
+    "version, statement", [(v, text) for v in (2, 3) for text in _MALFORMED[v]]
+)
+def test_malformed_statements_raise_the_full_parsers_error(version, statement):
+    preamble = (HEADER3 + "qubit[3] q;\nqubit[2] r;\nbit[3] c;\nqubit s;\nbit b;\n"
+                if version == 3 else HEADER + "qreg q[3];\nqreg r[2];\ncreg c[3];\n")
+    source = preamble + "h q[0];\n" + statement + "\nx q[1];\n"
+    assert assert_same_parse(source)[0] == "error"
+
+
+# -- hand-picked cases --------------------------------------------------------
 
 @pytest.mark.parametrize(
     "body",
@@ -206,10 +358,18 @@ def test_generated_plain_statements_parse_identically(source):
         "qreg q[2];\ncreg c[1];\nif (c == 2) x q[0];\n",   # condition does not fit
         "qreg q[2];\ncreg c[1];\nmeasure q -> c;\n",   # broadcast sizes differ
         "qreg q[2];\nxq[0];\n",                        # no gap after the name
+        "qreg q[2];\nqreg q[1];\n",                    # redeclared register
+        "qreg q[0];\n",                                # empty register
+        "qreg q[2];\nbarrier q, q[1];\n",              # repeated barrier operand
+        "qreg q[2];\nreset q[0], q[1];\n",             # reset takes one operand
+        "gate g a, b { barrier a, b; }\nqreg q[2];\ng q[0], q[0];\n",   # repeat in a macro
+        'include "qelib1.inc";\ngate h a { x a; }\n',  # redefined qelib1 gate
+        "qreg q[1];\n/* a block comment */\nx q[0];\n",   # OpenQASM 3 only
+        "qreg q[1];\nx q[0] /* inside */;\n",
     ],
 )
-def test_fast_looking_errors_match_the_full_parser(body, monkeypatch):
-    assert assert_same_parse(HEADER + body, monkeypatch)[0] == "error"
+def test_fast_looking_errors_match_the_full_parser(body):
+    assert assert_same_parse(HEADER + body)[0] == "error"
 
 
 @pytest.mark.parametrize(
@@ -222,20 +382,94 @@ def test_fast_looking_errors_match_the_full_parser(body, monkeypatch):
         "x q[000000000001];\n",                       # index with leading zeros
         "u3(sin(0.1), cos((0.2)), ln(3)) q[1];\n",    # nested parentheses
         "x q[0]; x q[1]; measure q -> c;\n",          # statements sharing a line
+        "qreg r [ 3 ] ;\nreset r;\nbarrier r, q[0];\n",   # spaced declaration, broadcasts
+        "if(c==3)\n  reset q[1];\n",                  # condition on its own line
     ],
 )
-def test_statements_the_fast_path_misses_parse_identically(body, monkeypatch):
+def test_statements_the_fast_path_misses_parse_identically(body):
     source = HEADER + "qreg q[2];\ncreg c[2];\n" + body
-    assert assert_same_parse(source, monkeypatch)[0] == "circuit"
+    assert assert_same_parse(source)[0] == "circuit"
 
 
-def test_qelib1_gate_before_include_matches_the_full_parser(monkeypatch):
-    result = assert_same_parse("OPENQASM 2.0;\nqreg q[1];\nh q[0];\n", monkeypatch)
+@pytest.mark.parametrize(
+    "body",
+    [
+        "x /* inside */ q[0];\nrz(/*a*/pi/2) q[1];\n",
+        "/* between\nstatements */ cx q[0], q[1];\n",
+        "if (c == 1) { /* in a block */ x q[0]; }\n",
+        "ctrl @ /* c */ ctrl @ x q[0], q[1], q[2];\n",
+        "c[0] = /* c */ measure q[0];\n",
+        "x q[0]; /* same line */ x q[1];\n",
+        "/** stars ***/ x q[0];\n",
+    ],
+)
+def test_block_comments_read_as_blank_in_openqasm3(body):
+    source = HEADER3 + "qubit[3] q;\nbit[2] c;\n" + body
+    result = assert_same_parse(source)
+    assert result[0] == "circuit"
+    plain = assert_same_parse(HEADER3 + "qubit[3] q;\nbit[2] c;\n" + _strip_block_comments(body))
+    assert [row[:5] + row[6:] for row in result[2]] == [row[:5] + row[6:] for row in plain[2]]
+
+
+def _strip_block_comments(text):
+    return re.sub(r"/\*.*?\*/", " ", text, flags=re.S)
+
+
+def test_block_comment_before_the_header():
+    assert assert_same_parse("/* lead */\n" + HEADER3 + "qubit q;\nx q;\n")[0] == "circuit"
+    result = assert_same_parse("/* lead */\n" + HEADER + "qreg q[1];\n")
+    assert result[0] == "error" and "OpenQASM 3 only" in result[1]
+    assert result[2:] == (1, 1)
+
+
+def test_block_comment_in_openqasm2_names_its_position():
+    result = assert_same_parse(HEADER + "qreg q[1];\nx q[0];\n  /* no */\n")
+    assert result == ("error", "line 5, column 3: " + qasm._BLOCK_COMMENT_ERROR, 5, 3)
+
+
+def test_unterminated_block_comment_in_openqasm3():
+    result = assert_same_parse(HEADER3 + "qubit q;\n/* open\nx q;\n")
+    assert result == ("error", "line 4, column 1: unterminated block comment", 4, 1)
+
+
+def test_qelib1_gate_before_include_matches_the_full_parser():
+    result = assert_same_parse("OPENQASM 2.0;\nqreg q[1];\nh q[0];\n")
     assert result[0] == "error" and "include" in result[1]
 
 
-def test_qasm3_keyword_named_gate_matches_the_full_parser(monkeypatch):
+def test_qasm3_keyword_named_gate_matches_the_full_parser():
     # 'pow' may name a gate, but an OpenQASM 3 call of it is the unsupported modifier
     source = 'OPENQASM 3;\ninclude "stdgates.inc";\nqubit[1] q;\ngate pow a { x a; }\npow q[0];\n'
-    result = assert_same_parse(source, monkeypatch)
+    result = assert_same_parse(source)
     assert result[0] == "error" and "unsupported OpenQASM 3 feature" in result[1]
+
+
+def test_a_miss_inside_an_if_block_takes_back_the_block():
+    # the first statement is read, the second is not: the full parser re-reads both
+    source = HEADER3 + "qubit[2] q;\nbit[1] c;\nif (c == 1) {\n  x q[0];\n  cx q[0],\nq[1];\n}\n"
+    result = assert_same_parse(source)
+    assert [row[1] for row in result[2]] == ["x", "cx"]
+
+
+def test_parameter_memo_reads_each_text_once(monkeypatch):
+    calls = []
+    evaluate = qasm._QasmParser._evaluate_source
+    monkeypatch.setattr(qasm, "_PARAM_MEMO", {})
+    monkeypatch.setattr(
+        qasm._QasmParser, "_evaluate_source",
+        lambda self, start, end: calls.append(self._source[start:end]) or evaluate(self, start, end),
+    )
+    source = HEADER + "qreg q[2];\n" + "cu1(pi/2) q[1], q[0];\nrz(pi/2) q[0];\n" * 3
+    first, second = from_qasm(source), from_qasm(source)
+    assert calls == ["pi/2"]
+    assert [i.operation.params for i in first.data] == [i.operation.params for i in second.data]
+    assert first.data[0].operation.params == [np.pi / 2]
+
+
+def test_parameter_memo_is_bounded(monkeypatch):
+    monkeypatch.setattr(qasm, "_PARAM_MEMO", {})
+    monkeypatch.setattr(qasm, "_PARAM_MEMO_SIZE", 4)
+    source = HEADER + "qreg q[1];\n" + "".join(f"rz(pi/{n}) q[0];\n" for n in range(1, 9))
+    circuit = from_qasm(source)
+    assert len(qasm._PARAM_MEMO) == 4
+    assert [i.operation.params[0] for i in circuit.data] == [np.pi / n for n in range(1, 9)]
