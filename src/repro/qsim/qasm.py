@@ -645,16 +645,10 @@ class _QasmParser:
             self._parse_header()
         if comment is not None and self._version < 3:
             raise QasmError(_BLOCK_COMMENT_ERROR, *comment)
-        source, end = self._source, self._end
         while True:
-            pos = self._offset
-            start = self._blank.match(source, pos).end()    # _skip_blank, inlined
-            if start == end:
+            start = self._skip_blank(self._offset)
+            if start == self._end:
                 return self.circuit
-            newlines = source.count("\n", pos, start)
-            if newlines:
-                self._line += newlines
-                self._line_start = source.rindex("\n", pos, start) + 1
             line, line_start = self._line, self._line_start
             if not self._read(start, self._readers):
                 self._offset, self._line, self._line_start = start, line, line_start
@@ -794,7 +788,7 @@ class _QasmParser:
         arguments = None if match is None else self._plain_arguments(match["args"])
         if arguments is None:
             return False
-        self._emit_barrier([q for arg in arguments for q in arg], self._loc(word.start()))
+        self._append_barrier([q for arg in arguments for q in arg], self._span(self._loc(word.start())))
         self._offset = match.end()
         return True
 
@@ -1234,10 +1228,7 @@ class _QasmParser:
         keyword = self._advance()
         qubits = [q for arg in self._parse_list(self._parse_quantum_argument) for q in arg]
         self._expect(";")
-        self._emit_barrier(qubits, (keyword.line, keyword.column))
-
-    def _emit_barrier(self, qubits: List[Qubit], loc: Tuple[int, int]) -> None:
-        self._append_barrier(qubits, self._span(loc))
+        self._append_barrier(qubits, self._span((keyword.line, keyword.column)))
 
     def _append_barrier(self, qubits: List[Qubit], span: SourceSpan) -> None:
         if len(set(qubits)) < len(qubits):
