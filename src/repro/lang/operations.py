@@ -293,15 +293,28 @@ class OperationEngine:
         )
 
     def _quantum_multiply(self, left, right) -> QuantumVariable:
-        a = left if self._is_quantum(left) else self.casting.promote_to_quantum(
-            left, QutesType.quint(), name="mul_a"
-        )
-        b = right if self._is_quantum(right) else self.casting.promote_to_quantum(
-            right, QutesType.quint(), name="mul_b"
-        )
+        product_size = None
+        operands = []
+        for operand, other, name in ((left, right, "mul_a"), (right, left, "mul_b")):
+            if self._is_quantum(operand):
+                operands.append(operand)
+                continue
+            factor = self.casting.to_int(operand)
+            if factor < 0 and self._is_quantum(other):
+                # x * c wraps like x + c: (x * c) mod 2^w in the width
+                # w = x.size + bits(|c|) that x * |c| gets, as x * (c mod 2^w)
+                product_size = other.size + qubits_needed_for_int(-factor)
+                operands.append(
+                    self.casting.encode_int(factor % (1 << product_size), name, product_size)
+                )
+            else:
+                operands.append(
+                    self.casting.promote_to_quantum(operand, QutesType.quint(), name=name)
+                )
+        a, b = operands
         if set(a.qubits) & set(b.qubits):  # a * a: multiply by an entangled copy
             b = self._copy(b)
-        product_size = a.size + b.size
+        product_size = product_size or a.size + b.size
         product_qubits = self.handler.allocate_register("prod", product_size)
         sub = _multiplier(a.size, b.size, product_size)
         self.handler.append_subcircuit(sub, a.qubits + b.qubits + product_qubits)

@@ -138,6 +138,18 @@ class TestPrograms:
         source = f"quint x = 5q;\nprint {expression};\n"
         assert run_source(source, seed=0).printed == "2"
 
+    @pytest.mark.parametrize("expression", ["x * (-2)", "-2 * x"])
+    def test_a_negative_classical_factor_wraps_on_either_side(self, expression):
+        # 5 * -2 mod 2^5, in the 3 + 2 qubits that 5 * 2 gets
+        source = f"quint x = 5q;\nprint {expression};\n"
+        assert run_source(source, seed=0).printed == "22"
+
+    def test_a_negative_classical_factor_wraps_a_superposed_register(self):
+        # x in {1, 3} on 2 qubits: x * -2 mod 2^4 is 14 or 10
+        seen = {run_source("quint x = [1, 3];\nprint x * (-2);\n", seed=seed).printed
+                for seed in range(12)}
+        assert seen == {"14", "10"}
+
 
 def random_program(rng: random.Random) -> str:
     """Two or three operands (basis, superposed or classical, negative
