@@ -299,8 +299,9 @@ class OperationEngine:
             if self._is_quantum(operand):
                 operands.append(operand)
                 continue
-            factor = self.casting.to_int(operand)
-            if factor < 0 and self._is_quantum(other):
+            # an array factor is promoted to a superposition, never wrapped
+            if (not isinstance(operand, list) and self._is_quantum(other)
+                    and (factor := self.casting.to_int(operand)) < 0):
                 # x * c wraps like x + c: (x * c) mod 2^w in the width
                 # w = x.size + bits(|c|) that x * |c| gets, as x * (c mod 2^w)
                 product_size = other.size + qubits_needed_for_int(-factor)

@@ -313,13 +313,6 @@ _LITERAL_RE = re.compile(
     r"[ \t]*[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?[ \t]*"
 )
 
-#: parameter text -> its value (None if it does not evaluate), shared by
-#: every parse: a constant expression's value depends on its text alone.
-#: Filled up to the bound, then only read; texts holding ``/*`` are never
-#: stored, since whether that opens a comment depends on the dialect
-_PARAM_MEMO: Dict[str, Optional[float]] = {}
-_PARAM_MEMO_SIZE = 1024
-
 
 # ---------------------------------------------------------------------------
 # Import: gate table
@@ -503,11 +496,11 @@ class _QasmParser:
         self._end = len(source)
         self._line, self._line_start = 1, 0
         self._buffer: Deque[_Token] = deque()
-        #: operand list text -> its bits per operand, and one operand's text
-        #: -> its bits; one pair of memos for qubits, one for clbits
-        self._resolved: Tuple[Tuple[Dict[str, List[List]], Dict[str, List]], ...] = (
-            ({}, {}), ({}, {})
-        )
+        #: (operand list text, quantum?) -> its bits per operand
+        self._resolved: Dict[Tuple[str, bool], List[List]] = {}
+        #: parameter text -> its value, or None if it does not evaluate: a
+        #: constant expression's value depends on its text alone
+        self._params: Dict[str, Optional[float]] = {}
         self._filename = filename
         self.circuit = QuantumCircuit(name=name)
         self._qregs: Dict[str, QuantumRegister] = {}
@@ -819,29 +812,25 @@ class _QasmParser:
 
     def _plain_arguments(self, text: str, quantum: bool = True) -> Optional[List[List]]:
         """The bits of each ``reg``/``reg[i]`` in the operand list *text*, or
-        None if one does not resolve.  Registers are never redeclared, so a
-        resolved text, and each operand in it, is memoised."""
-        texts, operands = self._resolved[not quantum]
-        arguments = texts.get(text)
+        None if one does not resolve; registers are never redeclared, so a
+        resolved text is memoised."""
+        key = (text, quantum)
+        arguments = self._resolved.get(key)
         if arguments is not None:
             return arguments
+        registers = self._qregs if quantum else self._cregs
         arguments = []
-        for piece in text.split(","):
-            bits = operands.get(piece)
-            if bits is None:
-                name, index = _ARG_RE.fullmatch(piece.strip(" \t")).groups()
-                register = (self._qregs if quantum else self._cregs).get(name)
-                if register is None:
-                    return None
-                if index is None:
-                    bits = list(register)
-                elif int(index) < register.size:    # at most 9 digits
-                    bits = [register[int(index)]]
-                else:
-                    return None
-                operands[piece] = bits
-            arguments.append(bits)
-        texts[text] = arguments
+        for name, index in _ARG_RE.findall(text):
+            register = registers.get(name)
+            if register is None:
+                return None
+            if not index:
+                arguments.append(list(register))
+            elif int(index) < register.size:    # at most 9 digits
+                arguments.append([register[int(index)]])
+            else:
+                return None
+        self._resolved[key] = arguments
         return arguments
 
     def _plain_params(self, match: "re.Match[str]") -> Optional[List[float]]:
@@ -855,12 +844,10 @@ class _QasmParser:
         for piece in text.split(","):
             if _LITERAL_RE.fullmatch(piece):
                 value: Optional[float] = float(piece)
-            elif piece in _PARAM_MEMO:
-                value = _PARAM_MEMO[piece]
+            elif piece in self._params:
+                value = self._params[piece]
             else:
-                value = self._evaluate_source(start, start + len(piece))
-                if len(_PARAM_MEMO) < _PARAM_MEMO_SIZE and "/*" not in piece:
-                    _PARAM_MEMO[piece] = value
+                value = self._params[piece] = self._evaluate_source(start, start + len(piece))
             if value is None or not math.isfinite(value):
                 return None
             params.append(value)

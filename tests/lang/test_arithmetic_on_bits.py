@@ -150,6 +150,12 @@ class TestPrograms:
                 for seed in range(12)}
         assert seen == {"14", "10"}
 
+    @pytest.mark.parametrize("expression", ["x * [1, 3]", "[1, 3] * x"])
+    def test_an_array_factor_is_a_superposed_multiplicand(self, expression):
+        seen = {run_source(f"quint x = 2q;\nprint {expression};\n", seed=seed).printed
+                for seed in range(12)}
+        assert seen == {"2", "6"}
+
 
 def random_program(rng: random.Random) -> str:
     """Two or three operands (basis, superposed or classical, negative

@@ -451,25 +451,15 @@ def test_a_miss_inside_an_if_block_takes_back_the_block():
     assert [row[1] for row in result[2]] == ["x", "cx"]
 
 
-def test_parameter_memo_reads_each_text_once(monkeypatch):
+def test_parameter_memo_reads_each_text_once_per_parse(monkeypatch):
     calls = []
     evaluate = qasm._QasmParser._evaluate_source
-    monkeypatch.setattr(qasm, "_PARAM_MEMO", {})
     monkeypatch.setattr(
         qasm._QasmParser, "_evaluate_source",
         lambda self, start, end: calls.append(self._source[start:end]) or evaluate(self, start, end),
     )
     source = HEADER + "qreg q[2];\n" + "cu1(pi/2) q[1], q[0];\nrz(pi/2) q[0];\n" * 3
     first, second = from_qasm(source), from_qasm(source)
-    assert calls == ["pi/2"]
+    assert calls == ["pi/2", "pi/2"]
     assert [i.operation.params for i in first.data] == [i.operation.params for i in second.data]
     assert first.data[0].operation.params == [np.pi / 2]
-
-
-def test_parameter_memo_is_bounded(monkeypatch):
-    monkeypatch.setattr(qasm, "_PARAM_MEMO", {})
-    monkeypatch.setattr(qasm, "_PARAM_MEMO_SIZE", 4)
-    source = HEADER + "qreg q[1];\n" + "".join(f"rz(pi/{n}) q[0];\n" for n in range(1, 9))
-    circuit = from_qasm(source)
-    assert len(qasm._PARAM_MEMO) == 4
-    assert [i.operation.params[0] for i in circuit.data] == [np.pi / n for n in range(1, 9)]
