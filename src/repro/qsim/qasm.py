@@ -50,7 +50,6 @@ from .instruction import (
     ControlledGate,
     Gate,
     Initialize,
-    Instruction,
     Measure,
     Reset,
     mcp_gate,
@@ -59,7 +58,7 @@ from .instruction import (
 )
 from .registers import ClassicalRegister, Clbit, QuantumRegister, Qubit
 
-__all__ = ["to_qasm", "exported_circuit", "from_qasm", "from_qasm_file"]
+__all__ = ["to_qasm", "exportable", "from_qasm", "from_qasm_file"]
 
 #: registry gates OpenQASM 2.0's qelib1 has no gate for: :func:`to_qasm`
 #: sends them to lowering and :func:`from_qasm` does not know them
@@ -73,8 +72,15 @@ _QASM2_GATES = frozenset(GATE_REGISTRY) - _NOT_IN_QELIB1
 # ---------------------------------------------------------------------------
 
 def to_qasm(circuit: QuantumCircuit) -> str:
-    """Serialise *circuit* to an OpenQASM 2.0 program string."""
-    target = _lowered(circuit)
+    """Serialise *circuit* to an OpenQASM 2.0 program string.
+
+    The program is :func:`exportable` of *circuit*, and every parameter is
+    written as the shortest text that reads back as the same double, so
+    ``from_qasm(to_qasm(c))`` runs the gates, operands, conditions and
+    parameters of ``exportable(c)`` bit for bit (register names may be
+    sanitised).
+    """
+    target = exportable(circuit)
     names = _sanitize_register_names(target)
     lines: List[str] = ["OPENQASM 2.0;", 'include "qelib1.inc";']
     for qreg in target.qregs:
@@ -111,9 +117,10 @@ def to_qasm(circuit: QuantumCircuit) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _lowered(circuit: QuantumCircuit) -> QuantumCircuit:
-    """*circuit*, or its lowering when it holds an instruction with no
-    OpenQASM 2.0 form; :class:`CircuitError` if lowering leaves one."""
+def exportable(circuit: QuantumCircuit) -> QuantumCircuit:
+    """The circuit :func:`to_qasm` writes: *circuit* itself, or its lowering
+    when it holds an instruction with no OpenQASM 2.0 form;
+    :class:`CircuitError` if lowering leaves one."""
     from .transpiler import decompose  # local import avoids a module cycle
 
     if not _needs_lowering(circuit):
@@ -137,48 +144,8 @@ def _needs_lowering(circuit: QuantumCircuit) -> bool:
 
 
 def _format_param(value: float) -> str:
-    return format(float(value), ".12g")
-
-
-def exported_circuit(circuit: QuantumCircuit) -> QuantumCircuit:
-    """``from_qasm(to_qasm(circuit))``, built without writing or parsing text.
-
-    *circuit* is lowered as :func:`to_qasm` lowers it (raising the same
-    :class:`CircuitError`), every gate parameter is snapped to the float
-    its :func:`_format_param` text reads back as, and registers are renamed
-    as :func:`to_qasm` names them, so the result runs float-for-float like
-    the parse (it carries no source spans).
-    """
-    circuit = _lowered(circuit)
-    names = _sanitize_register_names(circuit)
-    out = QuantumCircuit(name="from_qasm")
-    registers: Dict[object, object] = {}
-    for old in circuit.qregs:
-        registers[old] = QuantumRegister(old.size, names[old])
-    for old in circuit.cregs:
-        registers[old] = ClassicalRegister(old.size, names[old])
-    for register in registers.values():
-        out.add_register(register)
-    for instr in circuit.data:
-        op = instr.operation
-        qubits = [registers[q.register][q.index] for q in instr.qubits]
-        clbits = [registers[c.register][c.index] for c in instr.clbits]
-        if isinstance(op, Barrier):
-            copy: Instruction = Barrier(len(qubits))
-        elif isinstance(op, Measure):
-            copy = Measure()
-        elif isinstance(op, Reset):
-            copy = Reset()
-        else:
-            spec = GATE_REGISTRY[op.name]
-            params = [float(_format_param(p)) for p in op.params] if spec.num_params else []
-            copy = Gate(op.name, spec.num_qubits, params)
-        condition = instr.condition
-        if condition is not None:
-            condition = (registers[condition[0]], condition[1])
-        # the source circuit already validated these operands
-        out.data.append(CircuitInstruction(copy, qubits, clbits, condition=condition))
-    return out
+    # the shortest text that reads back as the same double
+    return repr(float(value))
 
 
 #: identifiers an emitted register must never shadow: OpenQASM 2.0 keywords,
@@ -513,6 +480,9 @@ class _QasmParser:
         self._expr_depth = 0
         self._expanded_ops = 0
         self._set_version(2)
+        #: ``(line, column)`` of the first block comment; one before or
+        #: inside the header is legal only if the header says 3
+        self._comment: Optional[Tuple[int, int]] = None
         #: the ``(creg, value)`` condition of the enclosing ``if``, stamped
         #: onto every instruction appended while it is set
         self._condition: Optional[Tuple[ClassicalRegister, int]] = None
@@ -567,6 +537,8 @@ class _QasmParser:
                     raise QasmError(_BLOCK_COMMENT_ERROR, self._line, column)
                 if kind == "opencomment":
                     raise QasmError("unterminated block comment", self._line, column)
+                if self._comment is None:
+                    self._comment = (self._line, column)
                 newlines = source.count("\n", pos, self._offset)
                 if newlines:
                     self._line += newlines
@@ -627,17 +599,17 @@ class _QasmParser:
     # -- program ------------------------------------------------------------
 
     def parse(self) -> QuantumCircuit:
+        # a block comment before or inside the header is legal if it says 3
         start = self._skip_blank(0)
-        comment = None
         if self._source.startswith("/*", start):
-            # a block comment before the header is legal if the header says 3
-            comment = self._loc(start)
+            self._comment = self._loc(start)
             start = self._skip_blank(start, _BLANK3_RE)
         if not self._read_header(start):
             self._offset = start
+            self._version = 3    # scan the header's comments; its version decides
             self._parse_header()
-        if comment is not None and self._version < 3:
-            raise QasmError(_BLOCK_COMMENT_ERROR, *comment)
+        if self._comment is not None and self._version < 3:
+            raise QasmError(_BLOCK_COMMENT_ERROR, *self._comment)
         while True:
             start = self._skip_blank(self._offset)
             if start == self._end:

@@ -27,13 +27,14 @@ first sighting is a disk hit (another worker compiled the circuit) admits
 it at once.
 
 Bit-equality across hit and miss paths is by construction: a **miss**
-compiles (parse, peephole at optimization level 1), writes the compiled
-QASM to the persistent layer, and executes the circuit that stored text
-parses to, built without parsing it
-(:func:`~repro.qsim.qasm.exported_circuit` snaps every parameter to its
-written digits).  A later **disk hit** parses the identical text, so
-both paths run a float-for-float identical circuit; a **memory hit** reuses
-the very object a disk hit produced.  Noisy payloads are
+compiles (parse, peephole at optimization level 1, and the lowering
+:func:`~repro.qsim.qasm.exportable` applies for export), writes the
+compiled circuit's QASM to the persistent layer, and executes that compiled
+circuit.  :func:`~repro.qsim.qasm.to_qasm` writes every parameter as the
+shortest text that reads back as the same double, so a later **disk hit**,
+which parses the identical text, runs the same gates, operands, conditions
+and parameters bit for bit; a **memory hit** reuses the very object a disk
+hit produced.  Noisy payloads are
 deliberately *not* optimized (noise is defined per gate -- dropping a
 cancelling gate pair would change the channel strength), so their cached
 text is the submitted QASM itself and the cache only saves the parse.
@@ -47,12 +48,12 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from .. import telemetry
 from ..circuit import QuantumCircuit
 from ..exceptions import QasmError
-from ..qasm import exported_circuit, from_qasm, to_qasm
+from ..qasm import exportable, from_qasm, to_qasm
 from ..simulator import prepare
 from ..transpiler import transpile
 from .payload import BatchPayload
@@ -84,23 +85,16 @@ class CircuitCache:
     # -- compile pipeline --------------------------------------------------------
 
     @staticmethod
-    def _compile(qasm: str, noisy: bool) -> Tuple[str, Optional[QuantumCircuit]]:
+    def _compile(qasm: str, noisy: bool) -> Tuple[str, QuantumCircuit]:
         """Submitted QASM -> compiled QASM (the persistent-layer value), plus
-        the circuit that text parses to, built without a parse (``None`` for
-        a noisy payload, whose text is the submitted QASM)."""
-        if noisy:
-            # per-gate noise semantics forbid any gate-count-changing pass
-            return qasm, None
+        the compiled circuit, which runs exactly what that text parses to."""
         with telemetry.span("cache.parse"):
             circuit = from_qasm(qasm)
-        compiled = transpile(circuit, optimization_level=1)
-        return to_qasm(compiled), exported_circuit(compiled)
-
-    @staticmethod
-    def _finalize(circuit: QuantumCircuit, prepared: bool) -> QuantumCircuit:
-        """Compiled circuit -> ready-to-run object (*prepared* for the
-        statevector engine when it runs noiselessly)."""
-        return prepare(circuit) if prepared else circuit
+        if noisy:
+            # per-gate noise semantics forbid any gate-count-changing pass
+            return qasm, circuit
+        compiled = exportable(transpile(circuit, optimization_level=1))
+        return to_qasm(compiled), compiled
 
     def compiled(
         self,
@@ -141,7 +135,8 @@ class CircuitCache:
         if compiled_text is not None:
             try:
                 with telemetry.span("cache.parse"):
-                    circuit = self._finalize(from_qasm(compiled_text), prepared)
+                    circuit = from_qasm(compiled_text)
+                    circuit = prepare(circuit) if prepared else circuit
             except QasmError:
                 # corrupted persistent entry: drop it and recompile below
                 self.store.cache_delete(cache_key)
@@ -156,13 +151,7 @@ class CircuitCache:
         with telemetry.span("cache.compile", noisy=noisy):
             compiled_text, circuit = self._compile(qasm, noisy)
             self.store.cache_put(cache_key, backend_name.lower(), noise_tag, compiled_text)
-            # execute what the store holds, not the in-flight object: a future
-            # disk hit parses the identical text, so hit and miss paths run
-            # float-for-float identical circuits
-            if circuit is None:
-                with telemetry.span("cache.parse"):
-                    circuit = from_qasm(compiled_text)
-            circuit = self._finalize(circuit, prepared)
+            circuit = prepare(circuit) if prepared else circuit
         # a first sighting stays out of the memory layer until it comes back
         return circuit, kind
 

@@ -46,6 +46,23 @@ def clifford_circuit(name="cliff", num_qubits=6):
     return qc
 
 
+#: ry(0.1) and ry(0.2) merge into ry(0.30000000000000004), which no
+#: 12-digit text writes
+MERGED_ROTATIONS = """OPENQASM 2.0;
+include "qelib1.inc";
+qreg q[2];
+creg c[2];
+ry(0.1) q[0];
+ry(0.2) q[0];
+h q[1];
+measure q -> c;
+"""
+
+
+def merged_rotations():
+    return from_qasm(MERGED_ROTATIONS)
+
+
 def counts_of(result_dict):
     return [experiment["counts"] for experiment in result_dict["results"]]
 
@@ -74,6 +91,8 @@ class TestHitMissBitEquality:
             ("statevector", dense_circuit),
             ("density_matrix", dense_circuit),
             ("stabilizer", clifford_circuit),
+            ("statevector", merged_rotations),
+            ("density_matrix", merged_rotations),
         ],
     )
     def test_noiseless_hits_are_bit_equal(self, store, backend, circuit_factory):

@@ -422,6 +422,24 @@ def test_block_comment_before_the_header():
     assert result[2:] == (1, 1)
 
 
+@pytest.mark.parametrize(
+    "header,column",
+    [
+        ("OPENQASM /* c */ 3;\n", None),
+        ("OPENQASM 3 /* c */;\n", None),
+        ("OPENQASM /* c */ 2.0;\n", 10),
+    ],
+)
+def test_block_comment_inside_the_header(header, column):
+    body = 'include "stdgates.inc";\nqubit q;\nx q;\n' if column is None else "qreg q[1];\n"
+    result = assert_same_parse(header + body)
+    if column is None:
+        assert result[0] == "circuit"
+    else:
+        message = f"line 1, column {column}: " + qasm._BLOCK_COMMENT_ERROR
+        assert result == ("error", message, 1, column)
+
+
 def test_block_comment_in_openqasm2_names_its_position():
     result = assert_same_parse(HEADER + "qreg q[1];\nx q[0];\n  /* no */\n")
     assert result == ("error", "line 5, column 3: " + qasm._BLOCK_COMMENT_ERROR, 5, 3)

@@ -3,10 +3,10 @@
 Random circuits drawn from the exportable gate set are serialised and
 re-imported; the reconstruction must be *structurally* identical (same
 instruction names, qubit/clbit indices and parameters), which implies
-bit-identical counts on every engine under a fixed seed.  Parameters are
-quantized through the exporter's ``%.12g`` format before the circuit is
-built, so serialisation is lossless by construction and the equality checks
-can be exact.
+bit-identical counts on every engine under a fixed seed.  Angles are drawn
+unrounded: the exporter writes each parameter as the shortest text that
+reads back as the same double, so every parameter must come back bit for
+bit.
 
 Also covers the exporter's register-name sanitisation (reserved words,
 uppercase, qreg/creg collisions) and idempotence over the committed
@@ -29,6 +29,7 @@ from repro.qsim import (
     to_qasm,
 )
 from repro.qsim.backends import get_backend
+from repro.qsim.service import BatchPayload
 
 CIRCUITS_DIR = os.path.join(
     os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))),
@@ -52,11 +53,6 @@ CLIFFORD_GATES = [
 ]
 
 
-def quantized_angle(rng) -> float:
-    """A random angle that survives the exporter's %.12g formatting exactly."""
-    return float(format(rng.uniform(-np.pi, np.pi), ".12g"))
-
-
 def random_circuit(
     seed: int,
     num_qubits: int = 4,
@@ -76,25 +72,22 @@ def random_circuit(
             continue
         name, num_params, arity = gate_pool[rng.integers(len(gate_pool))]
         qubits = [int(q) for q in rng.choice(num_qubits, size=arity, replace=False)]
-        params = [quantized_angle(rng) for _ in range(num_params)]
+        params = [float(rng.uniform(-np.pi, np.pi)) for _ in range(num_params)]
         qc.append(Gate(name, arity, params), qubits)
     qc.measure(list(range(num_qubits)), list(range(num_qubits)))
     return qc
 
 
-def assert_structurally_equal(
-    a: QuantumCircuit, b: QuantumCircuit, params_exact: bool = True
-) -> None:
+def assert_structurally_equal(a: QuantumCircuit, b: QuantumCircuit) -> None:
     assert [i.operation.name for i in a.data] == [i.operation.name for i in b.data]
     assert a.num_qubits == b.num_qubits
     assert a.num_clbits == b.num_clbits
     for ia, ib in zip(a.data, b.data):
         assert [a.qubit_index(q) for q in ia.qubits] == [b.qubit_index(q) for q in ib.qubits]
         assert [a.clbit_index(c) for c in ia.clbits] == [b.clbit_index(c) for c in ib.clbits]
-        if params_exact:
-            assert ia.operation.params == ib.operation.params
-        else:
-            assert ia.operation.params == pytest.approx(ib.operation.params, abs=1e-11)
+        assert [float(p).hex() for p in ia.operation.params] == [
+            float(p).hex() for p in ib.operation.params
+        ]
 
 
 class TestExportImportRoundTrip:
@@ -137,6 +130,13 @@ class TestExportImportRoundTrip:
         counts = get_backend("statevector", seed=1).run(restored, shots=50).result().get_counts()
         assert set(counts) == {"1111"}
 
+    def test_payload_keeps_the_exact_angle(self):
+        qc = QuantumCircuit(1, 1)
+        qc.rz(np.pi / 3, 0)
+        qc.measure(0, 0)
+        (parsed,) = BatchPayload.from_circuits([qc]).parse_circuits()
+        assert parsed.data[0].operation.params[0].hex() == (np.pi / 3).hex()
+
 
 class TestImportExportRoundTrip:
     """to_qasm(from_qasm(s)) — the emitted program re-imports to the same circuit."""
@@ -149,12 +149,9 @@ class TestImportExportRoundTrip:
     def test_corpus_idempotence(self, path):
         with open(path, "r", encoding="utf-8") as handle:
             first = from_qasm(handle.read())
-        # the corpus may carry full-precision angles, so the first export
-        # rounds to %.12g; after that one rounding the round-trip is exact
         second = from_qasm(to_qasm(first))
-        assert_structurally_equal(first, second, params_exact=False)
-        assert to_qasm(first) == to_qasm(second)
-        assert_structurally_equal(second, from_qasm(to_qasm(second)))
+        assert_structurally_equal(first, second)
+        assert to_qasm(second) == to_qasm(first)
 
     def test_corpus_has_the_scale_acceptance_circuit(self):
         paths = glob.glob(os.path.join(CIRCUITS_DIR, "*.qasm"))
