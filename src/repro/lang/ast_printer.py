@@ -1,27 +1,14 @@
-"""AST inspection utilities.
-
-Two developer-facing tools built on the AST:
-
-* :func:`dump_ast` -- an indented, s-expression-like rendering of the tree,
-  used by the CLI ``--ast`` flag and handy when debugging grammar changes;
-* :func:`format_source` -- a canonical re-formatter that re-emits a parsed
-  program as Qutes source (stable indentation, one statement per line).
-  Formatting then re-parsing yields an equivalent AST, which the tests check.
-"""
+"""AST inspection: :func:`dump_ast`, an indented, s-expression-like
+rendering of the tree, used by the CLI ``--ast`` flag and handy when
+debugging grammar changes."""
 
 from __future__ import annotations
-
-from typing import List
 
 from . import ast_nodes as ast
 from .errors import QutesError
 
-__all__ = ["dump_ast", "format_source"]
+__all__ = ["dump_ast"]
 
-
-# ---------------------------------------------------------------------------
-# AST dump
-# ---------------------------------------------------------------------------
 
 def dump_ast(node: ast.Node, indent: int = 0) -> str:
     """Return an indented textual rendering of *node* and its children."""
@@ -103,122 +90,3 @@ def dump_ast(node: ast.Node, indent: int = 0) -> str:
         lines += [dump_ast(a, indent + 1) for a in node.arguments]
         return "\n".join(lines)
     raise QutesError(f"cannot dump node {type(node).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# Source formatter
-# ---------------------------------------------------------------------------
-
-def format_source(program: ast.Program, indent_width: int = 4) -> str:
-    """Re-emit *program* as canonical Qutes source."""
-    lines: List[str] = []
-    for statement in program.statements:
-        lines.extend(_format_statement(statement, 0, indent_width))
-    return "\n".join(lines) + "\n"
-
-
-def _format_statement(node: ast.Node, level: int, width: int) -> List[str]:
-    pad = " " * (width * level)
-    if isinstance(node, ast.VarDeclaration):
-        init = f" = {_format_expression(node.initializer)}" if node.initializer is not None else ""
-        return [f"{pad}{node.type} {node.name}{init};"]
-    if isinstance(node, ast.FunctionDeclaration):
-        params = ", ".join(f"{p.type} {p.name}" for p in node.parameters)
-        lines = [f"{pad}function {node.return_type} {node.name}({params}) {{"]
-        for inner in node.body.statements:
-            lines.extend(_format_statement(inner, level + 1, width))
-        lines.append(f"{pad}}}")
-        return lines
-    if isinstance(node, ast.Block):
-        lines = [f"{pad}{{"]
-        for inner in node.statements:
-            lines.extend(_format_statement(inner, level + 1, width))
-        lines.append(f"{pad}}}")
-        return lines
-    if isinstance(node, ast.If):
-        lines = [f"{pad}if ({_format_expression(node.condition)}) {{"]
-        lines.extend(_format_branch(node.then_branch, level, width))
-        if node.else_branch is not None:
-            lines.append(f"{pad}}} else {{")
-            lines.extend(_format_branch(node.else_branch, level, width))
-        lines.append(f"{pad}}}")
-        return lines
-    if isinstance(node, ast.While):
-        lines = [f"{pad}while ({_format_expression(node.condition)}) {{"]
-        lines.extend(_format_branch(node.body, level, width))
-        lines.append(f"{pad}}}")
-        return lines
-    if isinstance(node, ast.DoWhile):
-        lines = [f"{pad}do {{"]
-        lines.extend(_format_branch(node.body, level, width))
-        lines.append(f"{pad}}} while ({_format_expression(node.condition)});")
-        return lines
-    if isinstance(node, ast.Foreach):
-        lines = [f"{pad}foreach {node.variable} in {_format_expression(node.iterable)} {{"]
-        lines.extend(_format_branch(node.body, level, width))
-        lines.append(f"{pad}}}")
-        return lines
-    if isinstance(node, ast.Return):
-        if node.value is None:
-            return [f"{pad}return;"]
-        return [f"{pad}return {_format_expression(node.value)};"]
-    if isinstance(node, ast.Print):
-        return [f"{pad}print {_format_expression(node.value)};"]
-    if isinstance(node, ast.BarrierStatement):
-        return [f"{pad}barrier;"]
-    if isinstance(node, ast.ExpressionStatement):
-        expr = node.expression
-        if isinstance(expr, ast.Assignment):
-            return [f"{pad}{_format_expression(expr.target)} = {_format_expression(expr.value)};"]
-        return [f"{pad}{_format_expression(expr)};"]
-    raise QutesError(f"cannot format node {type(node).__name__}")
-
-
-def _format_branch(branch: ast.Node, level: int, width: int) -> List[str]:
-    if isinstance(branch, ast.Block):
-        lines: List[str] = []
-        for inner in branch.statements:
-            lines.extend(_format_statement(inner, level + 1, width))
-        return lines
-    return _format_statement(branch, level + 1, width)
-
-
-def _format_expression(node: ast.Node) -> str:
-    if isinstance(node, ast.Literal):
-        if isinstance(node.value, bool):
-            return "true" if node.value else "false"
-        if isinstance(node.value, str):
-            escaped = node.value.replace("\\", "\\\\").replace('"', '\\"')
-            return f'"{escaped}"'
-        return repr(node.value)
-    if isinstance(node, ast.QuantumLiteral):
-        if isinstance(node.value, str):
-            return f'"{node.value}"q'
-        return f"{node.value}q"
-    if isinstance(node, ast.KetLiteral):
-        return f"|{node.state}>"
-    if isinstance(node, ast.ArrayLiteral):
-        return "[" + ", ".join(_format_expression(e) for e in node.elements) + "]"
-    if isinstance(node, ast.Identifier):
-        return node.name
-    if isinstance(node, (ast.Binary, ast.Comparison)):
-        return f"({_format_expression(node.left)} {node.operator} {_format_expression(node.right)})"
-    if isinstance(node, ast.Logical):
-        return f"({_format_expression(node.left)} {node.operator} {_format_expression(node.right)})"
-    if isinstance(node, ast.Unary):
-        spacer = " " if node.operator == "not" else ""
-        return f"({node.operator}{spacer}{_format_expression(node.operand)})"
-    if isinstance(node, ast.GateApplication):
-        return f"{node.gate} {_format_expression(node.operand)}"
-    if isinstance(node, ast.InExpression):
-        return f"({_format_expression(node.needle)} in {_format_expression(node.haystack)})"
-    if isinstance(node, ast.ShiftExpression):
-        return f"({_format_expression(node.value)} {node.operator} {_format_expression(node.amount)})"
-    if isinstance(node, ast.IndexAccess):
-        return f"{_format_expression(node.collection)}[{_format_expression(node.index)}]"
-    if isinstance(node, ast.Call):
-        args = ", ".join(_format_expression(a) for a in node.arguments)
-        return f"{_format_expression(node.callee)}({args})"
-    if isinstance(node, ast.Assignment):
-        return f"{_format_expression(node.target)} = {_format_expression(node.value)}"
-    raise QutesError(f"cannot format expression {type(node).__name__}")

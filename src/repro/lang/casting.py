@@ -16,7 +16,7 @@ It also hosts the small classical coercion matrix (bool -> int -> float).
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from ..algorithms.superposition import amplitudes_for_values
 from .circuit_handler import QuantumCircuitHandler
@@ -40,8 +40,7 @@ class TypeCastingHandler:
         qubits = self.handler.allocate_register(name, 1)
         if value:
             self.handler.initialize_basis(1, qubits)
-        return QuantumVariable(name=name, type=QutesType.qubit(), qubits=qubits,
-                               classical_hint=int(bool(value)))
+        return QuantumVariable(name=name, type=QutesType.qubit(), qubits=qubits)
 
     def encode_int(self, value: int, name: str = "qi", num_qubits: Optional[int] = None) -> QuantumVariable:
         """Encode a classical non-negative int into a fresh ``quint`` register."""
@@ -52,8 +51,7 @@ class TypeCastingHandler:
             raise QutesRuntimeError(f"value {value} does not fit in {size} qubits")
         qubits = self.handler.allocate_register(name, size)
         self.handler.initialize_basis(value, qubits)
-        return QuantumVariable(name=name, type=QutesType.quint(), qubits=qubits,
-                               classical_hint=value)
+        return QuantumVariable(name=name, type=QutesType.quint(), qubits=qubits)
 
     def encode_bitstring(self, value: str, name: str = "qs") -> QuantumVariable:
         """Encode a classical bitstring into a fresh ``qustring`` register.
@@ -68,8 +66,7 @@ class TypeCastingHandler:
         qubits = self.handler.allocate_register(name, len(value))
         as_int = sum((1 << i) for i, ch in enumerate(value) if ch == "1")
         self.handler.initialize_basis(as_int, qubits)
-        return QuantumVariable(name=name, type=QutesType.qustring(), qubits=qubits,
-                               classical_hint=as_int)
+        return QuantumVariable(name=name, type=QutesType.qustring(), qubits=qubits)
 
     def encode_superposition(self, values: Sequence[int], name: str = "qsup",
                              num_qubits: Optional[int] = None) -> QuantumVariable:
@@ -83,28 +80,21 @@ class TypeCastingHandler:
         qubits = self.handler.allocate_register(name, size)
         amplitudes = amplitudes_for_values(values, size)
         self.handler.initialize(amplitudes, qubits)
-        hint = values[0] if len(set(values)) == 1 else None
-        return QuantumVariable(name=name, type=QutesType.quint(), qubits=qubits,
-                               classical_hint=hint)
+        return QuantumVariable(name=name, type=QutesType.quint(), qubits=qubits)
 
     def encode_ket(self, state: str, name: str = "qk") -> QuantumVariable:
         """Encode a ket literal (``|0>``, ``|1>``, ``|+>``, ``|->``) into a qubit."""
         qubits = self.handler.allocate_register(name, 1)
-        hint: Optional[int] = None
-        if state == "0":
-            hint = 0
-        elif state == "1":
+        if state == "1":
             self.handler.apply_gate("x", qubits)
-            hint = 1
         elif state == "+":
             self.handler.apply_gate("h", qubits)
         elif state == "-":
             self.handler.apply_gate("x", qubits)
             self.handler.apply_gate("h", qubits)
-        else:
+        elif state != "0":
             raise QutesTypeError(f"unknown ket literal |{state}>")
-        return QuantumVariable(name=name, type=QutesType.qubit(), qubits=qubits,
-                               classical_hint=hint)
+        return QuantumVariable(name=name, type=QutesType.qubit(), qubits=qubits)
 
     def promote_to_quantum(self, value, target: QutesType, name: str = "q") -> QuantumVariable:
         """Promote a classical *value* to the quantum *target* type.
@@ -147,7 +137,6 @@ class TypeCastingHandler:
     def measure_variable(self, variable: QuantumVariable) -> Union[bool, int, str]:
         """Measure *variable*, collapse it, and return the classical value."""
         outcome = self.handler.measure(variable.qubits, label=variable.name)
-        variable.classical_hint = outcome
         return self._outcome_to_classical(variable, outcome)
 
     def peek_variable(self, variable: QuantumVariable, shots: int = 1024) -> dict:

@@ -21,7 +21,7 @@ from typing import Any, Callable, Dict, List, Optional
 from . import ast_nodes as ast
 from .casting import TypeCastingHandler
 from .circuit_handler import QuantumCircuitHandler
-from .errors import QutesNameError, QutesRuntimeError, QutesTypeError
+from .errors import QutesRuntimeError, QutesTypeError
 from .operations import OperationEngine
 from .symbols import FunctionSymbol, SymbolTable
 from .types import QutesType, TypeKind
@@ -316,14 +316,10 @@ class Interpreter:
                     f"index {index} out of range for {collection.type} of {collection.size} qubits",
                     node.line,
                 )
-            hint = None
-            if collection.classical_hint is not None:
-                hint = (collection.classical_hint >> index) & 1
             return QuantumVariable(
                 name=f"{collection.name}[{index}]",
                 type=QutesType.qubit(),
                 qubits=[collection.qubits[index]],
-                classical_hint=hint,
             )
         if isinstance(collection, list):
             if not 0 <= index < len(collection):

@@ -43,7 +43,7 @@ _MAX_SHAPES = 256
 
 # Each builder runs once per operand shape and returns a frozen Subcircuit:
 # its instructions, which every program's log then shares, and the classical
-# function they compute on basis inputs, which also gives the result's hint.
+# function they compute on basis inputs.
 
 
 @lru_cache(maxsize=_MAX_SHAPES)
@@ -129,7 +129,6 @@ class OperationEngine:
             )
         for qubit in value.qubits:
             self.handler.apply_gate(gate_name, [qubit])
-        self._update_hint_after_gate(value, gate_name)
         return value
 
     def two_qubit_gate(self, gate_name: str, left, right) -> QuantumVariable:
@@ -155,29 +154,7 @@ class OperationEngine:
             raise QutesRuntimeError(f"{gate_name}() needs two distinct registers")
         for control, target in zip(left.qubits, right.qubits):
             self.handler.apply_gate(gate_name, [control, target])
-        if gate_name == "cx":
-            if left.classical_hint is not None and right.classical_hint is not None:
-                right.classical_hint ^= left.classical_hint
-            else:
-                right.invalidate_hint()
-        elif gate_name == "swap":
-            left.classical_hint, right.classical_hint = (
-                right.classical_hint,
-                left.classical_hint,
-            )
-        # cz is phase-only: hints survive untouched
         return right
-
-    def _update_hint_after_gate(self, variable: QuantumVariable, gate_name: str) -> None:
-        if variable.classical_hint is None:
-            return
-        if gate_name in ("z", "s"):
-            return  # phase-only gates keep the basis value
-        if gate_name in ("x", "y"):
-            mask = (1 << variable.size) - 1
-            variable.classical_hint ^= mask
-            return
-        variable.invalidate_hint()
 
     # ------------------------------------------------------------------ arithmetic
 
@@ -252,33 +229,24 @@ class OperationEngine:
         result_size = max(a_size, b_size) + (0 if subtract else 1)
         modulus = 1 << result_size
         result_qubits = self.handler.allocate_register("sum", result_size)
-        result = QuantumVariable(
-            name="sum", type=QutesType.quint(), qubits=result_qubits, classical_hint=None
-        )
 
         # seed the result with the left operand (a); a classical one is
         # reduced mod 2^n as the constant adder reduces the right one
         if a_quantum:
             for position, qubit in enumerate(a.qubits):
                 self.handler.apply_gate("cx", [qubit, result_qubits[position]])
-            a_hint = a.classical_hint
         else:
-            a_hint = self.casting.to_int(a) % modulus
-            self.handler.initialize_basis(a_hint, result_qubits)
+            self.handler.initialize_basis(self.casting.to_int(a) % modulus, result_qubits)
 
         # add (or subtract) the right operand (b) into the result
         sign = -1 if subtract else 1
         if b_quantum:
             sub = _draper_adder(b.size, result_size, sign)
             self.handler.append_subcircuit(sub, b.qubits + result_qubits)
-            if a_hint is not None and b.classical_hint is not None:
-                result.classical_hint = sub.function(b.classical_hint | a_hint << b.size) >> b.size
         else:
             sub = _constant_adder(self.casting.to_int(b) % modulus, result_size, sign)
             self.handler.append_subcircuit(sub, result_qubits)
-            if a_hint is not None:
-                result.classical_hint = sub.function(a_hint)
-        return result
+        return QuantumVariable(name="sum", type=QutesType.quint(), qubits=result_qubits)
 
     # -- quantum multiplication -----------------------------------------------------------
 
@@ -288,9 +256,7 @@ class OperationEngine:
         qubits = self.handler.allocate_register("copy", variable.size)
         for source, target in zip(variable.qubits, qubits):
             self.handler.apply_gate("cx", [source, target])
-        return QuantumVariable(
-            name="copy", type=variable.type, qubits=qubits, classical_hint=variable.classical_hint
-        )
+        return QuantumVariable(name="copy", type=variable.type, qubits=qubits)
 
     def _quantum_multiply(self, left, right) -> QuantumVariable:
         product_size = None
@@ -319,13 +285,7 @@ class OperationEngine:
         product_qubits = self.handler.allocate_register("prod", product_size)
         sub = _multiplier(a.size, b.size, product_size)
         self.handler.append_subcircuit(sub, a.qubits + b.qubits + product_qubits)
-        hint = None
-        if a.classical_hint is not None and b.classical_hint is not None:
-            operands = a.classical_hint | b.classical_hint << a.size
-            hint = sub.function(operands) >> (a.size + b.size)
-        return QuantumVariable(
-            name="prod", type=QutesType.quint(), qubits=product_qubits, classical_hint=hint
-        )
+        return QuantumVariable(name="prod", type=QutesType.quint(), qubits=product_qubits)
 
     # ------------------------------------------------------------------ shifts
 
@@ -333,8 +293,8 @@ class OperationEngine:
         """Cyclic register rotation (``<<`` rotate left, ``>>`` rotate right).
 
         Implemented as the O(1) logical relabelling of the Faro--Pavone--Viola
-        construction: no gates are emitted, the variable's qubit order (and
-        classical hint) are permuted in place.
+        construction: no gates are emitted, the variable's qubit order is
+        permuted in place.
         """
         k = self.casting.to_int(amount)
         if not self._is_quantum(value):
@@ -342,29 +302,11 @@ class OperationEngine:
             number = self.casting.to_int(value)
             return number << k if operator == "<<" else number >> k
         variable = self._quint_operands(value)
-        n = variable.size
-        if n == 0:
-            return variable
-        k %= n
-        if k == 0:
-            return variable
-        if variable.type.kind is TypeKind.QUSTRING:
-            # string semantics: `<< k` moves characters towards lower indices
-            offset = k if operator == "<<" else n - k
-        else:
-            # integer semantics: `<< k` rotates the binary value towards
-            # higher significance (like a bitwise rotate-left)
-            offset = n - k if operator == "<<" else k
-        permutation = [(i + offset) % n for i in range(n)]
-        old_qubits = list(variable.qubits)
-        variable.qubits = [old_qubits[p] for p in permutation]
-        if variable.classical_hint is not None:
-            old_hint = variable.classical_hint
-            new_hint = 0
-            for i, p in enumerate(permutation):
-                if (old_hint >> p) & 1:
-                    new_hint |= 1 << i
-            variable.classical_hint = new_hint
+        # string semantics: `<< k` moves characters towards lower indices;
+        # integer semantics: `<< k` rotates the binary value towards higher
+        # significance (like a bitwise rotate-left)
+        towards_lower = (operator == "<<") == (variable.type.kind is TypeKind.QUSTRING)
+        variable.qubits = rotate_indices(variable.qubits, k if towards_lower else -k)
         return variable
 
     # ------------------------------------------------------------------ comparisons & logic
@@ -420,15 +362,15 @@ class OperationEngine:
     def membership(self, needle, haystack) -> bool:
         """The ``in`` operator: Grover substring search over a ``qustring``.
 
-        The pattern must be classical (or a quantum register still holding a
-        known basis state); the haystack must be a ``qustring``.  The search
-        allocates an index register, splices the Grover iterations into the
-        program circuit and measures the index register; the measured
-        position is then verified against the pattern, which also catches the
-        "no match" case.
+        Each operand is a bitstring or a ``qustring``; a quantum operand is
+        measured first (the pattern, then the haystack), as in every other
+        classical context.  The search allocates an index register, splices
+        the Grover iterations into the program circuit and measures the index
+        register; the measured position is then verified against the
+        pattern, which also catches the "no match" case.
         """
         pattern = self._as_bitstring(needle, role="pattern")
-        text_variable, text = self._haystack_text(haystack)
+        text = self._as_bitstring(haystack, role="haystack")
 
         positions = substring_match_positions(text, pattern)
         num_positions = max(1, len(text) - len(pattern) + 1)
@@ -465,30 +407,10 @@ class OperationEngine:
         return False
 
     def _as_bitstring(self, value, role: str) -> str:
-        if isinstance(value, QuantumVariable):
-            if value.type.kind is not TypeKind.QUSTRING:
-                raise QutesTypeError(f"the {role} of 'in' must be a (qu)string")
-            hinted = value.hint_as_string()
-            if hinted is not None:
-                return hinted
-            measured = self.casting.measure_variable(value)
-            return measured  # type: ignore[return-value]
+        if isinstance(value, QuantumVariable) and value.type.kind is TypeKind.QUSTRING:
+            return self.casting.measure_variable(value)  # type: ignore[return-value]
         if isinstance(value, str):
             if not value or any(ch not in "01" for ch in value):
                 raise QutesTypeError(f"the {role} of 'in' must be a non-empty bitstring")
             return value
         raise QutesTypeError(f"the {role} of 'in' must be a (qu)string")
-
-    def _haystack_text(self, haystack):
-        if isinstance(haystack, QuantumVariable):
-            if haystack.type.kind is not TypeKind.QUSTRING:
-                raise QutesTypeError("the right operand of 'in' must be a qustring")
-            hinted = haystack.hint_as_string()
-            if hinted is not None:
-                return haystack, hinted
-            return haystack, self.casting.measure_variable(haystack)
-        if isinstance(haystack, str):
-            if not haystack or any(ch not in "01" for ch in haystack):
-                raise QutesTypeError("the right operand of 'in' must be a bitstring")
-            return None, haystack
-        raise QutesTypeError("the right operand of 'in' must be a (qu)string")

@@ -4,18 +4,18 @@ Classical values are plain Python objects (``bool``, ``int``, ``float``,
 ``str``, ``list``).  Quantum values are :class:`QuantumVariable` handles that
 own a slice of the global quantum state managed by the
 :class:`~repro.lang.circuit_handler.QuantumCircuitHandler`: the handle stores
-the global qubit indices of its register plus bookkeeping used by the
-language runtime (declared type, the classically known value when the
-register is still in a basis state, and the register name for diagnostics).
+the global qubit indices of its register plus its declared type and the
+register name for diagnostics.  The register's value lives only in the
+session: a classical context measures it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 from .errors import QutesRuntimeError
-from .types import QutesType, TypeKind
+from .types import QutesType
 
 __all__ = ["QuantumVariable", "qubits_needed_for_int", "type_of_python_value"]
 
@@ -36,35 +36,16 @@ class QuantumVariable:
         type: the Qutes quantum type (``qubit``, ``quint`` or ``qustring``).
         qubits: global indices of the qubits backing the value (little-endian
             for ``quint``; character ``i`` of a ``qustring`` is qubit ``i``).
-        classical_hint: when the register is known to still hold a classical
-            basis state (it was initialised from a classical value and no
-            gate has touched it since), the integer value of that state; used
-            by oracle builders that need the classical content (e.g. the
-            Grover substring search).  ``None`` once the state may be in
-            superposition.
     """
 
     name: str
     type: QutesType
     qubits: List[int] = field(default_factory=list)
-    classical_hint: Optional[int] = None
 
     @property
     def size(self) -> int:
         """Number of qubits backing this variable."""
         return len(self.qubits)
-
-    def invalidate_hint(self) -> None:
-        """Forget the classically known value (after a gate or entanglement)."""
-        self.classical_hint = None
-
-    def hint_as_string(self) -> Optional[str]:
-        """The classical hint rendered as a bitstring (qustring semantics)."""
-        if self.classical_hint is None:
-            return None
-        return "".join(
-            "1" if (self.classical_hint >> i) & 1 else "0" for i in range(self.size)
-        )
 
     def __repr__(self) -> str:
         return f"QuantumVariable({self.name!r}: {self.type}, qubits={self.qubits})"

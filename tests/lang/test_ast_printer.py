@@ -1,11 +1,7 @@
-"""Tests for the AST dumper and the source formatter."""
+"""Tests for the AST dumper and the CLI ``--ast`` flag."""
 
-import pytest
-
-from repro.lang.ast_printer import dump_ast, format_source
+from repro.lang.ast_printer import dump_ast
 from repro.lang.parser import parse
-from repro.lang.compiler import run_source
-from repro.lang.stdlib import get_program, list_programs
 
 SAMPLE = """
     function int add(int a, int b) { return a + b; }
@@ -58,36 +54,6 @@ class TestDump:
     def test_dump_assignment(self):
         text = dump_ast(parse("int x = 1; x = x + 1;"))
         assert "Assignment" in text
-
-
-class TestFormatter:
-    def test_format_reparse_roundtrip(self):
-        original = parse(SAMPLE)
-        formatted = format_source(original)
-        reparsed = parse(formatted)
-        # round-tripping the formatted output is a fixed point
-        assert format_source(reparsed) == formatted
-
-    def test_formatted_program_behaves_identically(self):
-        source = get_program("quantum_addition")
-        formatted = format_source(parse(source))
-        assert run_source(source, seed=9).printed == run_source(formatted, seed=9).printed
-
-    @pytest.mark.parametrize("name", sorted(list_programs()))
-    def test_all_std_programs_format_and_reparse(self, name):
-        source = get_program(name)
-        formatted = format_source(parse(source))
-        reparsed = parse(formatted)
-        assert format_source(reparsed) == formatted
-
-    def test_string_escaping(self):
-        formatted = format_source(parse('print "a\\"b";'))
-        assert '\\"' in formatted
-        parse(formatted)
-
-    def test_indentation_width(self):
-        formatted = format_source(parse("if (true) { print 1; }"), indent_width=2)
-        assert "\n  print 1;" in formatted
 
 
 class TestCliAstFlag:

@@ -138,7 +138,6 @@ class TestTypeCasting:
     def test_encode_bool(self, casting, handler):
         qv = casting.encode_bool(True)
         assert qv.size == 1
-        assert qv.classical_hint == 1
         assert np.isclose(handler.session.state.probabilities(qv.qubits)[1], 1.0)
 
     def test_encode_int(self, casting, handler):
@@ -159,7 +158,6 @@ class TestTypeCasting:
         assert qv.size == 3
         # char 0 = '1' -> qubit 0 set, char 1 = '0', char 2 = '1'
         assert np.isclose(handler.session.state.probabilities(qv.qubits)[0b101], 1.0)
-        assert qv.hint_as_string() == "101"
 
     def test_encode_bitstring_rejects_non_bits(self, casting):
         with pytest.raises(QutesTypeError):
@@ -171,13 +169,12 @@ class TestTypeCasting:
         qv = casting.encode_superposition([1, 3])
         probs = handler.session.state.probabilities(qv.qubits)
         assert np.isclose(probs[1], 0.5) and np.isclose(probs[3], 0.5)
-        assert qv.classical_hint is None
 
     def test_encode_ket_states(self, casting, handler):
         plus = casting.encode_ket("+")
         assert np.allclose(handler.session.state.probabilities(plus.qubits), [0.5, 0.5])
         one = casting.encode_ket("1")
-        assert one.classical_hint == 1
+        assert np.allclose(handler.session.state.probabilities(one.qubits), [0.0, 1.0])
 
     def test_measure_variable(self, casting):
         qv = casting.encode_int(5)
@@ -218,9 +215,9 @@ class TestTypeCasting:
         qs = casting.promote_to_quantum("01", QutesType.qustring())
         assert qs.type == QutesType.qustring()
 
-    def test_promote_list_to_quint(self, casting):
+    def test_promote_list_to_quint(self, casting, handler):
         qv = casting.promote_to_quantum([2, 3], QutesType.quint())
-        assert qv.classical_hint is None
+        assert np.allclose(handler.session.state.probabilities(qv.qubits), [0, 0, 0.5, 0.5])
 
     def test_promote_invalid(self, casting):
         with pytest.raises(QutesTypeError):

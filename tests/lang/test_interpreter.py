@@ -12,6 +12,7 @@ from repro.lang import (
     compile_source,
     run_source,
 )
+from repro.qsim.backends import build_noisy_backend
 
 
 def run(source, seed=7, shots=256):
@@ -270,18 +271,41 @@ class TestQuantumPrograms:
         assert run(source).printed == "false"
 
     def test_grover_retry_reuses_the_index_register(self):
-        # seed 34 measures position 2 ("10") first, then retries and finds 1
+        # seed 5 measures index 7 (past the last position, 6) first, then
+        # retries and finds 1
         source = """
             qustring text = "01101000";
             print "11" in text;
         """
-        result = run_source(source, seed=34)
+        result = run_source(source, seed=5)
         attempts = [m for m in result.measurements if m["label"].startswith("grover")]
-        assert [m["outcome"] for m in attempts] == [2, 1]
+        assert [m["outcome"] for m in attempts] == [7, 1]
         assert attempts[0]["qubits"] == attempts[1]["qubits"]
         assert result.printed == "true"
         # 8 text qubits plus one 3-qubit index register, however many attempts
         assert result.num_qubits == 11
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize(
+        "source, backend, expected",
+        [
+            ('qustring t = "000"; paulix t[0]; print "1" in t; print t;', None, ["true", "100"]),
+            (
+                'qustring t = "10"; qubit a = true; cx(a, t[1]); print "11" in t; print t;',
+                None,
+                ["true", "11"],
+            ),
+            # a bit flip at p=1 after each x returns t to "00"
+            ('qustring t = "00"; paulix t; print "11" in t; print t;', "bit_flip", ["false", "00"]),
+            ('qustring t = "00"; paulix t[0]; print "1" in t;', "density_matrix", ["true"]),
+        ],
+    )
+    def test_in_measures_the_register_it_searches(self, source, backend, expected, seed):
+        # `in` sees every gate, cx and error the register has had, as
+        # `print t` does
+        if backend == "bit_flip":
+            backend = build_noisy_backend("statevector", 1.0, channel="bit_flip", seed=seed)
+        assert run_source(source, seed=seed, backend=backend).output == expected
 
     def test_in_operator_on_arrays(self):
         assert run("int[] xs = [1, 2, 3]; print 2 in xs;").printed == "true"

@@ -76,12 +76,6 @@ class TestValues:
         qv = QuantumVariable("q", QutesType.quint(), [0, 1])
         assert type_of_python_value(qv) == QutesType.quint()
 
-    def test_quantum_variable_hint_string(self):
-        qv = QuantumVariable("s", QutesType.qustring(), [0, 1, 2], classical_hint=0b101)
-        assert qv.hint_as_string() == "101"
-        qv.invalidate_hint()
-        assert qv.hint_as_string() is None
-
     def test_quantum_variable_size(self):
         qv = QuantumVariable("q", QutesType.quint(), [4, 5, 6])
         assert qv.size == 3
