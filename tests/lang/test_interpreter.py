@@ -256,6 +256,24 @@ class TestQuantumPrograms:
         assert run("print 1 << 3;").printed == "8"
         assert run("print 8 >> 2;").printed == "2"
 
+    @pytest.mark.parametrize("operator", ["<<", ">>"])
+    @pytest.mark.parametrize("kind", ["quint", "qustring"])
+    def test_cyclic_shift_rotates_by_the_amount_modulo_the_width(self, kind, operator):
+        # a qustring's `<< k` moves characters towards lower indices; a
+        # quint's `<< k` rotates its value towards higher significance
+        text = "1101"  # as a quint[4], 0b1011 = 11 (character 0 is bit 0)
+        for amount in range(2 * len(text) + 1):
+            k = amount % len(text)
+            towards_lower = (operator == "<<") == (kind == "qustring")
+            split = k if towards_lower else len(text) - k
+            rotated = text[split:] + text[:split]
+            if kind == "qustring":
+                source, expected = f'qustring s = "{text}"; print s {operator} {amount};', rotated
+            else:
+                source = f"quint[4] s = {int(text[::-1], 2)}q; print s {operator} {amount};"
+                expected = str(int(rotated[::-1], 2))
+            assert run(source).printed == expected, amount
+
     def test_grover_substring_found(self):
         source = """
             qustring text = "010110";
@@ -306,6 +324,28 @@ class TestQuantumPrograms:
         if backend == "bit_flip":
             backend = build_noisy_backend("statevector", 1.0, channel="bit_flip", seed=seed)
         assert run_source(source, seed=seed, backend=backend).output == expected
+
+    def test_in_measures_the_pattern_then_the_haystack(self):
+        result = run_source('qustring p = "1"; qustring t = "01"; print p in t;', seed=0)
+        labels = [m["label"] for m in result.measurements]
+        assert labels[:2] == ["p_1", "t_2"]
+        assert all(label.startswith("grover") for label in labels[2:])
+        assert result.printed == "true"
+
+    def test_in_sees_a_swap_on_the_register(self):
+        source = 'qustring s = "101"; swap(s[0], s[1]); print "011" in s; print s;'
+        for seed in range(3):
+            assert run_source(source, seed=seed).output == ["true", "011"]
+
+    def test_in_collapses_a_superposed_haystack(self):
+        # the answer of `in` and a later `print t` read the same collapse
+        source = 'qustring t = "0"; hadamard t; print "1" in t; print t;'
+        seen = set()
+        for seed in range(8):
+            found, text = run_source(source, seed=seed).output
+            assert found == ("true" if text == "1" else "false"), seed
+            seen.add(text)
+        assert seen == {"0", "1"}
 
     def test_in_operator_on_arrays(self):
         assert run("int[] xs = [1, 2, 3]; print 2 in xs;").printed == "true"
